@@ -90,6 +90,14 @@ ClusterSpec::validate() const
                 "stage: " + std::to_string(gpus) + " stages > " +
                 std::to_string(layers) + " layers");
         }
+        if (serving.compute_site != placement::ComputeSiteMode::kGpuOnly) {
+            return Status::invalid_argument(
+                std::string("compute site '") +
+                placement::compute_site_mode_name(serving.compute_site) +
+                "' conflicts with pipeline parallelism: its per-token "
+                "work units run every layer on the GPU (use replica or "
+                "tensor parallelism)");
+        }
     }
     // The per-GPU template must be sound.  Sharded modes skip the
     // full-model capacity floor — fitting only when sharded is the

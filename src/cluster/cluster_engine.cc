@@ -1,10 +1,10 @@
 #include "cluster/cluster_engine.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <deque>
+#include <span>
 #include <utility>
 
-#include "common/log.h"
 #include "common/summary.h"
 #include "model/transformer.h"
 
@@ -43,63 +43,14 @@ scan_caps(const CompiledSchedule &shard)
     return caps;
 }
 
-/** Build a LayerStepRecord from a step plus its observed times. */
-LayerStepRecord
-make_record(const ScheduledStep &step, std::uint64_t gpu_index,
-            std::uint64_t batch_tag, Seconds load_issue, Seconds load_done,
-            Seconds step_start, Seconds step_end, Seconds kv_write_time,
-            Seconds kv_stall_time,
-            const std::vector<std::string> &kv_tier_names)
-{
-    LayerStepRecord rec;
-    rec.gpu_index = gpu_index;
-    rec.batch_index = batch_tag + step.batch_index;
-    rec.token = step.token;
-    rec.layer = step.layer;
-    rec.type = step.type;
-    rec.stage = step.stage;
-    rec.compute_time = step.compute;
-    rec.transfer_time = load_done - load_issue;
-    rec.transfer_bytes = step.cpu_bytes + step.disk_bytes;
-    rec.kv_read_bytes = step.kv_read_bytes;
-    rec.kv_write_bytes = step.kv_write_bytes;
-    rec.transfer_start = load_issue;
-    rec.step_start = step_start;
-    rec.step_end = step_end;
-    rec.kv_write_time = kv_write_time;
-    rec.kv_stall_time = kv_stall_time;
-    if (step.kv_read_bytes > 0 || step.kv_write_bytes > 0) {
-        auto tier_entry =
-            [&rec, &kv_tier_names](
-                std::size_t t) -> runtime::KvTierTraffic & {
-            const std::string &name = kv_tier_names[t];
-            for (runtime::KvTierTraffic &entry : rec.kv_tiers) {
-                if (entry.tier == name)
-                    return entry;
-            }
-            rec.kv_tiers.push_back(runtime::KvTierTraffic{name, 0, 0});
-            return rec.kv_tiers.back();
-        };
-        for (const KvFlowSpec &flow : step.kv_reads)
-            tier_entry(flow.tier).read_bytes += flow.bytes;
-        for (const KvFlowSpec &flow : step.kv_writes)
-            tier_entry(flow.tier).write_bytes += flow.bytes;
-    }
-    return rec;
-}
-
 } // namespace
 
-PortRates
+runtime::FabricRates
 compute_port_rates(const CompiledSchedule &shard, std::uint64_t sockets,
                    Bytes cluster_resident_bytes)
 {
     const mem::HostMemorySystem &sys = shard.system;
-    PortRates rates;
-    rates.h2d = max_bw(sys.pcie().h2d_effective(),
-                       sys.host_to_gpu_bw(kGiB));
-    rates.d2h = max_bw(sys.pcie().d2h_effective(),
-                       sys.gpu_to_host_bw(kGiB));
+    runtime::FabricRates rates = runtime::link_rates(sys);
 
     // The shared ports run at the host device's streaming rate for the
     // cluster-wide working set.  Declaring the cluster resident set is
@@ -120,10 +71,8 @@ compute_port_rates(const CompiledSchedule &shard, std::uint64_t sockets,
     rates.host_write = max_bw(
         sys.host()->write_bandwidth(probe).scaled(pool), caps.write);
     if (sys.has_storage()) {
-        rates.has_storage = true;
         rates.storage_read =
             max_bw(sys.storage()->read_bandwidth(probe), caps.disk);
-        rates.storage_latency = sys.storage()->latency();
     }
     return rates;
 }
@@ -147,315 +96,64 @@ cluster_resident_bytes(const std::vector<CompiledSchedule> &shards,
     return total;
 }
 
-// ---------------------------------------------------------------------------
-// JobExecutor: one GPU's zig-zag schedule over the shared fabric.  The
-// control flow mirrors the single-GPU ScheduleDriver step for step; the
-// only difference is that every transfer also water-fills on a shared
-// port.
-// ---------------------------------------------------------------------------
-
-class ClusterEngine::JobExecutor
+Result<std::vector<runtime::ShardOptions>>
+shard_plan(const ClusterSpec &spec)
 {
-  public:
-    JobExecutor(ClusterEngine &engine, std::uint64_t g,
-                const CompiledSchedule &compiled, bool keep_records,
-                std::uint64_t batch_tag,
-                std::function<void(const BatchTimeline &)> on_done)
-        : engine_(engine), g_(g), steps_(compiled.steps),
-          kv_tier_names_(compiled.kv_tier_names),
-          tokens_(compiled.tokens), num_layers_(compiled.num_layers),
-          keep_records_(keep_records), batch_tag_(batch_tag),
-          on_done_(std::move(on_done))
-    {
-        const std::size_t n = steps_.size();
-        load_issue_.assign(n, 0.0);
-        load_done_.assign(n, 0.0);
-        step_start_.assign(n, 0.0);
-        step_end_.assign(n, 0.0);
-        kv_read_done_.assign(n, -1.0);
-        kv_write_done_.assign(n, -1.0);
+    std::vector<runtime::ShardOptions> plan(spec.gpus);
+    if (spec.parallelism == Parallelism::kReplica)
+        return plan; // kNone: the full model on every GPU
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+    if (spec.parallelism == Parallelism::kPipeline) {
+        const auto layers = model::build_layers(
+            spec.serving.model, spec.serving.compress_weights
+                                    ? model::DataType::kInt4Grouped
+                                    : model::DataType::kFp16);
+        auto ranges_or = partition_layers(layers, spec.gpus);
+        if (!ranges_or.is_ok())
+            return ranges_or.status();
+        ranges = std::move(*ranges_or);
     }
-
-    void
-    start()
-    {
-        HELM_ASSERT(!steps_.empty(), "no steps to run");
-        start_time_ = engine_.sim_.now();
-        issue_load(0, [this] { start_step(0); });
-    }
-
-  private:
-    void
-    issue_load(std::size_t k, std::function<void()> on_done)
-    {
-        load_issue_[k] = engine_.sim_.now();
-        const ScheduledStep &step = steps_[k];
-        const std::size_t kv_flows =
-            step.kv_prefetch ? step.kv_reads.size() : 0;
-        const std::size_t flows = (step.cpu_bytes > 0 ? 1 : 0) +
-                                  (step.disk_bytes > 0 ? 1 : 0) +
-                                  kv_flows;
-        if (flows == 0) {
-            load_done_[k] = engine_.sim_.now();
-            on_done();
-            return;
-        }
-        auto latch = std::make_shared<sim::CountdownLatch>(flows);
-        latch->on_zero([this, k, on_done = std::move(on_done)] {
-            load_done_[k] = engine_.sim_.now();
-            on_done();
-        });
-        if (step.cpu_bytes > 0) {
-            engine_.host_to_gpu(g_, step.cpu_bytes, step.cpu_cap,
-                                [latch] { latch->arrive(); });
-        }
-        if (step.kv_prefetch) {
-            for (const KvFlowSpec &flow : step.kv_reads) {
-                engine_.host_to_gpu(g_, flow.bytes, flow.cap,
-                                    [latch] { latch->arrive(); });
-            }
-        }
-        if (step.disk_bytes > 0) {
-            engine_.storage_to_gpu(g_, step.disk_bytes, step.disk_cap,
-                                   [latch] { latch->arrive(); });
-        }
-    }
-
-    void
-    start_step(std::size_t k)
-    {
-        step_start_[k] = engine_.sim_.now();
-        const ScheduledStep &step = steps_[k];
-        const bool has_next = k + 1 < steps_.size();
-        auto latch = std::make_shared<sim::CountdownLatch>(
-            1u + (has_next ? 1u : 0u) + step.kv_writes.size());
-        latch->on_zero([this, k] {
-            step_end_[k] = engine_.sim_.now();
-            ++completed_;
-            if (k + 1 < steps_.size())
-                start_step(k + 1);
-            else
-                finish();
-        });
-        if (has_next)
-            issue_load(k + 1, [latch] { latch->arrive(); });
-        for (const KvFlowSpec &flow : step.kv_writes) {
-            engine_.gpu_to_host(g_, flow.bytes, flow.cap,
-                                [this, k, latch] {
-                                    kv_write_done_[k] =
-                                        engine_.sim_.now();
-                                    latch->arrive();
-                                });
-        }
-        if (!step.kv_prefetch && !step.kv_reads.empty()) {
-            auto reads = std::make_shared<sim::CountdownLatch>(
-                step.kv_reads.size());
-            reads->on_zero([this, k, latch] {
-                kv_read_done_[k] = engine_.sim_.now();
-                engine_.occupy_gpu(
-                    g_,
-                    steps_[k].compute + engine_.gpu_.layer_overhead,
-                    [latch] { latch->arrive(); });
-            });
-            for (const KvFlowSpec &flow : step.kv_reads) {
-                engine_.host_to_gpu(g_, flow.bytes, flow.cap,
-                                    [reads] { reads->arrive(); });
-            }
+    for (std::uint64_t g = 0; g < spec.gpus; ++g) {
+        runtime::ShardOptions &shard = plan[g];
+        shard.count = spec.gpus;
+        shard.index = g;
+        if (spec.parallelism == Parallelism::kTensor) {
+            shard.kind = runtime::ShardOptions::Kind::kTensor;
         } else {
-            engine_.occupy_gpu(g_,
-                               step.compute + engine_.gpu_.layer_overhead,
-                               [latch] { latch->arrive(); });
+            shard.kind = runtime::ShardOptions::Kind::kPipeline;
+            shard.layer_begin = ranges[g].first;
+            shard.layer_end = ranges[g].second;
         }
     }
+    return plan;
+}
 
-    void
-    finish()
-    {
-        HELM_ASSERT(completed_ == steps_.size(),
-                    "job did not retire all steps");
-        BatchTimeline tl;
-        tl.start = start_time_;
-        tl.end = engine_.sim_.now();
-        tl.tokens = tokens_;
-        const std::uint64_t per_batch = tokens_ * num_layers_;
-        tl.reps = per_batch > 0 ? steps_.size() / per_batch : 0;
-        tl.token_end.reserve(tl.reps * tokens_);
-        for (std::uint64_t rep = 0; rep < tl.reps; ++rep) {
-            for (std::uint64_t tok = 0; tok < tokens_; ++tok) {
-                const std::size_t idx = rep * per_batch +
-                                        tok * num_layers_ +
-                                        (num_layers_ - 1);
-                tl.token_end.push_back(step_end_[idx]);
-            }
-        }
-        if (keep_records_) {
-            tl.records.reserve(steps_.size());
-            for (std::size_t k = 0; k < steps_.size(); ++k) {
-                const Seconds wt = kv_write_done_[k] >= 0.0
-                                       ? kv_write_done_[k] - step_start_[k]
-                                       : 0.0;
-                const Seconds st = kv_read_done_[k] >= 0.0
-                                       ? kv_read_done_[k] - step_start_[k]
-                                       : 0.0;
-                tl.records.push_back(make_record(
-                    steps_[k], g_, batch_tag_, load_issue_[k],
-                    load_done_[k], step_start_[k], step_end_[k], wt, st,
-                    kv_tier_names_));
-            }
-        }
-        // The callback may submit the next job for this GPU.
-        auto on_done = std::move(on_done_);
-        if (on_done)
-            on_done(tl);
+Result<std::vector<CompiledSchedule>>
+compile_shards(const runtime::ServingSpec &serving,
+               const std::vector<runtime::ShardOptions> &plan)
+{
+    std::vector<CompiledSchedule> shards;
+    shards.reserve(plan.size());
+    for (const runtime::ShardOptions &shard : plan) {
+        auto compiled_or = runtime::compile_schedule(serving, shard);
+        if (!compiled_or.is_ok())
+            return compiled_or.status();
+        shards.push_back(std::move(*compiled_or));
     }
-
-    ClusterEngine &engine_;
-    std::uint64_t g_;
-    std::vector<ScheduledStep> steps_;
-    std::vector<std::string> kv_tier_names_;
-    std::uint64_t tokens_;
-    std::uint64_t num_layers_;
-    bool keep_records_;
-    std::uint64_t batch_tag_;
-    std::function<void(const BatchTimeline &)> on_done_;
-    Seconds start_time_ = 0.0;
-    std::vector<Seconds> load_issue_;
-    std::vector<Seconds> load_done_;
-    std::vector<Seconds> step_start_;
-    std::vector<Seconds> step_end_;
-    std::vector<Seconds> kv_read_done_;
-    std::vector<Seconds> kv_write_done_;
-    std::size_t completed_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// ClusterEngine
-// ---------------------------------------------------------------------------
-
-ClusterEngine::ClusterEngine(std::uint64_t gpus, const gpu::GpuSpec &gpu,
-                             const PortRates &rates)
-    : gpus_(gpus), gpu_(gpu), rates_(rates)
-{
-    HELM_ASSERT(gpus >= 1, "need at least one GPU");
-    h2d_bytes_.assign(gpus, 0);
-    d2h_bytes_.assign(gpus, 0);
-    jobs_run_.assign(gpus, 0);
-    for (std::uint64_t g = 0; g < gpus; ++g) {
-        const std::string tag = "gpu" + std::to_string(g);
-        h2d_.push_back(std::make_unique<sim::BandwidthChannel>(
-            sim_, tag + "-h2d", rates.h2d));
-        d2h_.push_back(std::make_unique<sim::BandwidthChannel>(
-            sim_, tag + "-d2h", rates.d2h));
-        gpu_res_.push_back(std::make_unique<sim::FifoResource>(
-            sim_, tag + "-compute", 1));
-    }
-    host_read_ = std::make_unique<sim::BandwidthChannel>(
-        sim_, "host-read-port", rates.host_read);
-    host_write_ = std::make_unique<sim::BandwidthChannel>(
-        sim_, "host-write-port", rates.host_write);
-    if (rates.has_storage) {
-        storage_read_ = std::make_unique<sim::BandwidthChannel>(
-            sim_, "storage-read-port", rates.storage_read);
-    }
-}
-
-ClusterEngine::~ClusterEngine() = default;
-
-void
-ClusterEngine::dual_flow(sim::BandwidthChannel &local,
-                         sim::BandwidthChannel *port, Bytes bytes,
-                         Bandwidth cap, std::function<void()> on_done)
-{
-    if (bytes == 0 || port == nullptr) {
-        // Degenerate: single-channel semantics (zero-byte flows
-        // complete inline inside start_flow).
-        local.start_flow(bytes, cap, std::move(on_done));
-        return;
-    }
-    // Full byte count on both resources; the transfer is done when the
-    // slower one delivers its last byte.  When the port has slack this
-    // collapses to the local channel's timing exactly.
-    auto latch = std::make_shared<sim::CountdownLatch>(2);
-    latch->on_zero(std::move(on_done));
-    local.start_flow(bytes, cap, [latch] { latch->arrive(); });
-    port->start_flow(bytes, cap, [latch] { latch->arrive(); });
-}
-
-void
-ClusterEngine::host_to_gpu(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                           std::function<void()> on_done)
-{
-    h2d_bytes_[g] += bytes;
-    dual_flow(*h2d_[g], host_read_.get(), bytes, cap, std::move(on_done));
-}
-
-void
-ClusterEngine::storage_to_gpu(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                              std::function<void()> on_done)
-{
-    h2d_bytes_[g] += bytes;
-    const Seconds lat = rates_.storage_latency;
-    sim_.schedule(lat, [this, g, bytes, cap,
-                        on_done = std::move(on_done)]() mutable {
-        dual_flow(*h2d_[g], storage_read_.get(), bytes, cap,
-                  std::move(on_done));
-    });
-}
-
-void
-ClusterEngine::gpu_to_host(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                           std::function<void()> on_done)
-{
-    d2h_bytes_[g] += bytes;
-    dual_flow(*d2h_[g], host_write_.get(), bytes, cap, std::move(on_done));
-}
-
-void
-ClusterEngine::occupy_gpu(std::uint64_t g, Seconds duration,
-                          std::function<void()> on_done)
-{
-    gpu_res_[g]->occupy(duration, std::move(on_done));
-}
-
-void
-ClusterEngine::submit_job(std::uint64_t g,
-                          const CompiledSchedule &compiled,
-                          bool keep_records, std::uint64_t batch_tag,
-                          std::function<void(const BatchTimeline &)> on_done)
-{
-    HELM_ASSERT(g < gpus_, "GPU index out of range");
-    ++jobs_run_[g];
-    executors_.push_back(std::make_unique<JobExecutor>(
-        *this, g, compiled, keep_records, batch_tag, std::move(on_done)));
-    executors_.back()->start();
-}
-
-void
-ClusterEngine::run_to_completion()
-{
-    std::uint64_t guard = 0;
-    while (sim_.step()) {
-        if (++guard > 200'000'000) {
-            std::fprintf(stderr,
-                         "cluster DES runaway: t=%g pending=%zu\n",
-                         sim_.now(), sim_.pending_events());
-            std::abort();
-        }
-    }
+    return shards;
 }
 
 std::vector<GpuUtilization>
-ClusterEngine::gpu_stats(Seconds makespan) const
+gpu_stats(const runtime::Fabric &fabric, Seconds makespan)
 {
     std::vector<GpuUtilization> stats;
-    stats.reserve(gpus_);
-    for (std::uint64_t g = 0; g < gpus_; ++g) {
+    stats.reserve(fabric.gpus());
+    for (std::uint64_t g = 0; g < fabric.gpus(); ++g) {
         GpuUtilization u;
         u.gpu = g;
-        u.batches = jobs_run_[g];
-        u.compute_busy = gpu_res_[g]->busy_time();
-        u.h2d_bytes = h2d_bytes_[g];
-        u.d2h_bytes = d2h_bytes_[g];
+        u.compute_busy = fabric.compute_busy(g);
+        u.h2d_bytes = fabric.h2d_bytes(g);
+        u.d2h_bytes = fabric.d2h_bytes(g);
         u.utilization = makespan > 0.0 ? u.compute_busy / makespan : 0.0;
         stats.push_back(u);
     }
@@ -463,246 +161,27 @@ ClusterEngine::gpu_stats(Seconds makespan) const
 }
 
 std::vector<PortStats>
-ClusterEngine::port_stats(Seconds makespan) const
+port_stats(const runtime::Fabric &fabric, Seconds makespan)
 {
-    auto entry = [makespan](const char *name,
-                            const sim::BandwidthChannel &chan) {
+    std::vector<PortStats> ports;
+    auto add = [&ports, makespan](const char *name,
+                                  const sim::BandwidthChannel *chan) {
+        if (chan == nullptr)
+            return;
         PortStats p;
         p.name = name;
-        p.rate = chan.rate();
-        p.bytes = chan.bytes_delivered();
-        const double capacity = chan.rate().raw() * makespan;
+        p.rate = chan->rate();
+        p.bytes = chan->bytes_delivered();
+        const double capacity = chan->rate().raw() * makespan;
         p.utilization =
             capacity > 0.0 ? static_cast<double>(p.bytes) / capacity : 0.0;
-        p.throttle_events = chan.throttle_events();
-        return p;
+        p.throttle_events = chan->throttle_events();
+        ports.push_back(p);
     };
-    std::vector<PortStats> ports;
-    ports.push_back(entry("host-read", *host_read_));
-    ports.push_back(entry("host-write", *host_write_));
-    if (storage_read_)
-        ports.push_back(entry("storage-read", *storage_read_));
+    add("host-read", fabric.host_read_port());
+    add("host-write", fabric.host_write_port());
+    add("storage-read", fabric.storage_read_port());
     return ports;
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep (tensor) executor: N shard schedules with identical step
-// structure advance together.  Step k's barrier covers every GPU's
-// compute and KV writes plus the prefetch of step k+1's slices on all
-// GPUs — the all-GPUs-stream-at-once pattern that hammers the shared
-// read port.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class LockstepExecutor
-{
-  public:
-    LockstepExecutor(ClusterEngine &engine,
-                     const std::vector<CompiledSchedule> &shards,
-                     bool keep_records)
-        : engine_(engine), shards_(shards), keep_records_(keep_records)
-    {
-        const std::size_t n = shards_.front().steps.size();
-        for (const CompiledSchedule &shard : shards_) {
-            HELM_ASSERT(shard.steps.size() == n,
-                        "tensor shards must have equal step counts");
-        }
-        const std::size_t gpus = shards_.size();
-        step_start_.assign(n, 0.0);
-        step_end_.assign(n, 0.0);
-        load_issue_.assign(gpus, std::vector<Seconds>(n, 0.0));
-        load_done_.assign(gpus, std::vector<Seconds>(n, 0.0));
-        kv_write_done_.assign(gpus, std::vector<Seconds>(n, -1.0));
-        kv_read_done_.assign(gpus, std::vector<Seconds>(n, -1.0));
-    }
-
-    Result<BatchTimeline>
-    run()
-    {
-        issue_load(0, [this] { start_step(0); });
-        engine_.run_to_completion();
-        if (completed_ != shards_.front().steps.size())
-            return Status::internal("lockstep run did not finish");
-        return build_timeline();
-    }
-
-  private:
-    std::size_t steps_count() const { return shards_.front().steps.size(); }
-
-    /** Prefetch step @p k's slices on every GPU; @p on_done fires when
-     *  the slowest GPU has its slice. */
-    void
-    issue_load(std::size_t k, std::function<void()> on_done)
-    {
-        const std::size_t gpus = shards_.size();
-        std::size_t loading = 0;
-        for (std::size_t g = 0; g < gpus; ++g) {
-            const ScheduledStep &step = shards_[g].steps[k];
-            const std::size_t flows =
-                (step.cpu_bytes > 0 ? 1 : 0) +
-                (step.disk_bytes > 0 ? 1 : 0) +
-                (step.kv_prefetch ? step.kv_reads.size() : 0);
-            if (flows > 0)
-                ++loading;
-        }
-        if (loading == 0) {
-            for (std::size_t g = 0; g < gpus; ++g) {
-                load_issue_[g][k] = engine_.sim().now();
-                load_done_[g][k] = engine_.sim().now();
-            }
-            on_done();
-            return;
-        }
-        auto outer = std::make_shared<sim::CountdownLatch>(loading);
-        outer->on_zero(std::move(on_done));
-        for (std::size_t g = 0; g < gpus; ++g) {
-            const ScheduledStep &step = shards_[g].steps[k];
-            load_issue_[g][k] = engine_.sim().now();
-            const std::size_t flows =
-                (step.cpu_bytes > 0 ? 1 : 0) +
-                (step.disk_bytes > 0 ? 1 : 0) +
-                (step.kv_prefetch ? step.kv_reads.size() : 0);
-            if (flows == 0) {
-                load_done_[g][k] = engine_.sim().now();
-                continue;
-            }
-            auto inner = std::make_shared<sim::CountdownLatch>(flows);
-            inner->on_zero([this, g, k, outer] {
-                load_done_[g][k] = engine_.sim().now();
-                outer->arrive();
-            });
-            if (step.cpu_bytes > 0) {
-                engine_.host_to_gpu(g, step.cpu_bytes, step.cpu_cap,
-                                    [inner] { inner->arrive(); });
-            }
-            if (step.kv_prefetch) {
-                for (const KvFlowSpec &flow : step.kv_reads) {
-                    engine_.host_to_gpu(g, flow.bytes, flow.cap,
-                                        [inner] { inner->arrive(); });
-                }
-            }
-            if (step.disk_bytes > 0) {
-                engine_.storage_to_gpu(g, step.disk_bytes, step.disk_cap,
-                                       [inner] { inner->arrive(); });
-            }
-        }
-    }
-
-    void
-    start_step(std::size_t k)
-    {
-        step_start_[k] = engine_.sim().now();
-        const std::size_t gpus = shards_.size();
-        const bool has_next = k + 1 < steps_count();
-        std::size_t count = has_next ? 1 : 0;
-        for (std::size_t g = 0; g < gpus; ++g) {
-            count += 1 + shards_[g].steps[k].kv_writes.size();
-        }
-        auto latch = std::make_shared<sim::CountdownLatch>(count);
-        latch->on_zero([this, k] {
-            step_end_[k] = engine_.sim().now();
-            ++completed_;
-            if (k + 1 < steps_count())
-                start_step(k + 1);
-        });
-        if (has_next)
-            issue_load(k + 1, [latch] { latch->arrive(); });
-        for (std::size_t g = 0; g < gpus; ++g) {
-            const ScheduledStep &step = shards_[g].steps[k];
-            for (const KvFlowSpec &flow : step.kv_writes) {
-                engine_.gpu_to_host(g, flow.bytes, flow.cap,
-                                    [this, g, k, latch] {
-                                        kv_write_done_[g][k] =
-                                            engine_.sim().now();
-                                        latch->arrive();
-                                    });
-            }
-            const Seconds busy =
-                step.compute + engine_.gpu_spec().layer_overhead;
-            if (!step.kv_prefetch && !step.kv_reads.empty()) {
-                auto reads = std::make_shared<sim::CountdownLatch>(
-                    step.kv_reads.size());
-                reads->on_zero([this, g, k, busy, latch] {
-                    kv_read_done_[g][k] = engine_.sim().now();
-                    engine_.occupy_gpu(g, busy,
-                                       [latch] { latch->arrive(); });
-                });
-                for (const KvFlowSpec &flow : step.kv_reads) {
-                    engine_.host_to_gpu(g, flow.bytes, flow.cap,
-                                        [reads] { reads->arrive(); });
-                }
-            } else {
-                engine_.occupy_gpu(g, busy, [latch] { latch->arrive(); });
-            }
-        }
-    }
-
-    BatchTimeline
-    build_timeline() const
-    {
-        const CompiledSchedule &head = shards_.front();
-        BatchTimeline tl;
-        tl.start = 0.0;
-        tl.end = engine_.sim().now();
-        tl.tokens = head.tokens;
-        const std::uint64_t per_batch = head.tokens * head.num_layers;
-        tl.reps = per_batch > 0 ? steps_count() / per_batch : 0;
-        for (std::uint64_t rep = 0; rep < tl.reps; ++rep) {
-            for (std::uint64_t tok = 0; tok < head.tokens; ++tok) {
-                const std::size_t idx = rep * per_batch +
-                                        tok * head.num_layers +
-                                        (head.num_layers - 1);
-                tl.token_end.push_back(step_end_[idx]);
-            }
-        }
-        if (keep_records_) {
-            for (std::size_t g = 0; g < shards_.size(); ++g) {
-                for (std::size_t k = 0; k < steps_count(); ++k) {
-                    const Seconds wt =
-                        kv_write_done_[g][k] >= 0.0
-                            ? kv_write_done_[g][k] - step_start_[k]
-                            : 0.0;
-                    const Seconds st =
-                        kv_read_done_[g][k] >= 0.0
-                            ? kv_read_done_[g][k] - step_start_[k]
-                            : 0.0;
-                    tl.records.push_back(make_record(
-                        shards_[g].steps[k], g, 0, load_issue_[g][k],
-                        load_done_[g][k], step_start_[k], step_end_[k],
-                        wt, st, shards_[g].kv_tier_names));
-                }
-            }
-        }
-        return tl;
-    }
-
-    ClusterEngine &engine_;
-    const std::vector<CompiledSchedule> &shards_;
-    bool keep_records_;
-    std::vector<Seconds> step_start_;
-    std::vector<Seconds> step_end_;
-    std::vector<std::vector<Seconds>> load_issue_;
-    std::vector<std::vector<Seconds>> load_done_;
-    std::vector<std::vector<Seconds>> kv_write_done_;
-    std::vector<std::vector<Seconds>> kv_read_done_;
-    std::size_t completed_ = 0;
-};
-
-} // namespace
-
-Result<BatchTimeline>
-ClusterEngine::run_lockstep(const std::vector<CompiledSchedule> &shards,
-                            bool keep_records)
-{
-    if (shards.size() != gpus_)
-        return Status::invalid_argument("one shard per GPU required");
-    if (shards.front().steps.empty())
-        return Status::invalid_argument("empty shard schedule");
-    for (std::uint64_t g = 0; g < gpus_; ++g)
-        ++jobs_run_[g];
-    LockstepExecutor exec(*this, shards, keep_records);
-    return exec.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -746,11 +225,11 @@ struct TokenWork
 class PipelineExecutor
 {
   public:
-    PipelineExecutor(ClusterEngine &engine,
+    PipelineExecutor(runtime::Fabric &fabric,
                      const std::vector<CompiledSchedule> &stages,
                      std::uint64_t micro_batches,
                      const runtime::ServingSpec &base, bool keep_records)
-        : engine_(engine), stages_(stages), micro_(micro_batches),
+        : fabric_(fabric), stages_(stages), micro_(micro_batches),
           keep_records_(keep_records)
     {
         const std::uint64_t S = stages_.size();
@@ -762,7 +241,7 @@ class PipelineExecutor
         total_ = reps_ * tokens_per_rep_;
 
         // Flatten each stage's steps into per-token work units.
-        const Seconds overhead = engine_.gpu_spec().layer_overhead;
+        const Seconds overhead = fabric_.gpu_spec().layer_overhead;
         work_.resize(S);
         for (std::uint64_t s = 0; s < S; ++s) {
             const CompiledSchedule &stage = stages_[s];
@@ -832,7 +311,7 @@ class PipelineExecutor
         token_end_.assign(total_, 0.0);
     }
 
-    Result<BatchTimeline>
+    Result<runtime::BatchTimeline>
     run()
     {
         const std::uint64_t S = stages_.size();
@@ -841,7 +320,7 @@ class PipelineExecutor
         arrived_[0][0] = micro_;
         for (std::uint64_t s = 0; s < S; ++s)
             issue_load(s, 0);
-        engine_.run_to_completion();
+        HELM_RETURN_IF_ERROR(fabric_.run());
         if (finished_ != total_)
             return Status::internal("pipeline run did not finish");
         return build_timeline();
@@ -854,32 +333,32 @@ class PipelineExecutor
         if (t >= total_ || load_issued_[s][t])
             return;
         load_issued_[s][t] = 1;
-        load_issue_t_[s][t] = engine_.sim().now();
+        load_issue_t_[s][t] = fabric_.sim().now();
         const TokenWork &w = work_[s][t];
         const std::size_t flows = w.weights.size() + w.kv_reads.size();
         if (flows == 0) {
-            load_done_t_[s][t] = engine_.sim().now();
+            load_done_t_[s][t] = fabric_.sim().now();
             load_ready_[s][t] = 1;
             advance(s);
             return;
         }
         auto latch = std::make_shared<sim::CountdownLatch>(flows);
         latch->on_zero([this, s, t] {
-            load_done_t_[s][t] = engine_.sim().now();
+            load_done_t_[s][t] = fabric_.sim().now();
             load_ready_[s][t] = 1;
             advance(s);
         });
         for (const PipeFlow &flow : w.weights) {
             if (flow.from_storage) {
-                engine_.storage_to_gpu(s, flow.bytes, flow.cap,
+                fabric_.storage_to_gpu(s, flow.bytes, flow.cap,
                                        [latch] { latch->arrive(); });
             } else {
-                engine_.host_to_gpu(s, flow.bytes, flow.cap,
+                fabric_.host_to_gpu(s, flow.bytes, flow.cap,
                                     [latch] { latch->arrive(); });
             }
         }
         for (const KvFlowSpec &flow : w.kv_reads) {
-            engine_.host_to_gpu(s, flow.bytes, flow.cap,
+            fabric_.host_to_gpu(s, flow.bytes, flow.cap,
                                 [latch] { latch->arrive(); });
         }
     }
@@ -906,7 +385,7 @@ class PipelineExecutor
                     advance(s);
                 });
                 for (const KvFlowSpec &flow : w.kv_reads_blocking) {
-                    engine_.host_to_gpu(s, flow.bytes, flow.cap,
+                    fabric_.host_to_gpu(s, flow.bytes, flow.cap,
                                         [reads] { reads->arrive(); });
                 }
             }
@@ -918,7 +397,7 @@ class PipelineExecutor
             if (m == 0)
                 on_token_started(s, t);
             (void)m; // chunks are interchangeable past this point
-            engine_.occupy_gpu(s, w.compute_total / micro_,
+            fabric_.occupy_gpu(s, w.compute_total / micro_,
                                [this, s, t] { chunk_done(s, t); });
         }
     }
@@ -926,15 +405,15 @@ class PipelineExecutor
     void
     on_token_started(std::uint64_t s, std::uint64_t t)
     {
-        first_start_t_[s][t] = engine_.sim().now();
+        first_start_t_[s][t] = fabric_.sim().now();
         const TokenWork &w = work_[s][t];
         // store_cache: K/V appends drain concurrently with compute and
         // hold the token open until they land.
         writes_pending_[s] = w.kv_writes.size();
         last_write_t_[s] = -1.0;
         for (const KvFlowSpec &flow : w.kv_writes) {
-            engine_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
-                last_write_t_[s] = engine_.sim().now();
+            fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
+                last_write_t_[s] = fabric_.sim().now();
                 --writes_pending_[s];
                 maybe_complete(s, t);
             });
@@ -954,8 +433,8 @@ class PipelineExecutor
                 stages_[s].system.gpu_to_host_bw(act);
             const Bandwidth r_cap =
                 stages_[s + 1].system.host_to_gpu_bw(act);
-            engine_.gpu_to_host(s, act, w_cap, [this, s, t, act, r_cap] {
-                engine_.host_to_gpu(s + 1, act, r_cap, [this, s, t] {
+            fabric_.gpu_to_host(s, act, w_cap, [this, s, t, act, r_cap] {
+                fabric_.host_to_gpu(s + 1, act, r_cap, [this, s, t] {
                     ++arrived_[s + 1][t];
                     advance(s + 1);
                 });
@@ -972,13 +451,13 @@ class PipelineExecutor
         if (idx_[s] != t || mb_done_[s] != micro_ ||
             writes_pending_[s] != 0)
             return;
-        token_done_t_[s][t] = engine_.sim().now();
+        token_done_t_[s][t] = fabric_.sim().now();
         idx_[s] = t + 1;
         mb_started_[s] = 0;
         mb_done_[s] = 0;
         kv_fetch_state_[s] = 0;
         if (s + 1 == stages_.size()) {
-            token_end_[t] = engine_.sim().now();
+            token_end_[t] = fabric_.sim().now();
             ++finished_;
             // Autoregressive feedback: the next token enters stage 0.
             if (t + 1 < total_) {
@@ -989,12 +468,12 @@ class PipelineExecutor
         advance(s);
     }
 
-    BatchTimeline
+    runtime::BatchTimeline
     build_timeline() const
     {
-        BatchTimeline tl;
+        runtime::BatchTimeline tl;
         tl.start = 0.0;
-        tl.end = engine_.sim().now();
+        tl.end = fabric_.sim().now();
         tl.reps = reps_;
         tl.tokens = tokens_per_rep_;
         tl.token_end = token_end_;
@@ -1035,7 +514,7 @@ class PipelineExecutor
         return tl;
     }
 
-    ClusterEngine &engine_;
+    runtime::Fabric &fabric_;
     const std::vector<CompiledSchedule> &stages_;
     std::uint64_t micro_;
     bool keep_records_;
@@ -1064,173 +543,102 @@ class PipelineExecutor
 
 } // namespace
 
-Result<BatchTimeline>
-ClusterEngine::run_pipeline(const std::vector<CompiledSchedule> &stages,
-                            std::uint64_t micro_batches,
-                            const runtime::ServingSpec &base,
-                            bool keep_records)
+Result<runtime::BatchTimeline>
+run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
+           Parallelism mode, std::uint64_t micro_batches,
+           const runtime::ServingSpec &base, bool keep_records)
 {
-    if (stages.size() != gpus_)
-        return Status::invalid_argument("one stage per GPU required");
+    if (shards.size() != fabric.gpus())
+        return Status::invalid_argument("one shard per GPU required");
+    if (mode == Parallelism::kTensor) {
+        runtime::Executor lockstep(fabric, shards);
+        HELM_RETURN_IF_ERROR(lockstep.run());
+        return lockstep.timeline(keep_records);
+    }
     if (micro_batches < 1)
         return Status::invalid_argument("micro_batches must be >= 1");
-    for (std::uint64_t g = 0; g < gpus_; ++g)
-        ++jobs_run_[g];
-    PipelineExecutor exec(*this, stages, micro_batches, base,
-                          keep_records);
-    return exec.run();
+    PipelineExecutor pipeline(fabric, shards, micro_batches, base,
+                              keep_records);
+    return pipeline.run();
 }
 
 // ---------------------------------------------------------------------------
 // Saturation runs
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Engine-identical warm-batch metrics over a rep-major timeline. */
-void
-timeline_latencies(const BatchTimeline &tl, Seconds *ttft, Seconds *tbt)
-{
-    std::vector<double> ttfts;
-    std::vector<double> tbts;
-    auto end_of = [&tl](std::uint64_t rep, std::uint64_t tok) {
-        return tl.token_end[rep * tl.tokens + tok];
-    };
-    for (std::uint64_t rep = 0; rep < tl.reps; ++rep) {
-        const Seconds batch_start =
-            rep == 0 ? tl.start : end_of(rep - 1, tl.tokens - 1);
-        ttfts.push_back(end_of(rep, 0) - batch_start);
-        std::vector<double> gaps;
-        for (std::uint64_t tok = 1; tok < tl.tokens; ++tok)
-            gaps.push_back(end_of(rep, tok) - end_of(rep, tok - 1));
-        tbts.push_back(mean(gaps));
-    }
-    *ttft = mean_discarding_first(ttfts);
-    *tbt = mean_discarding_first(tbts);
-}
-
-} // namespace
-
 Result<SaturationResult>
 run_saturated(const ClusterSpec &spec, bool keep_records)
 {
     HELM_RETURN_IF_ERROR(spec.validate());
     const std::uint64_t N = spec.gpus;
-    SaturationResult out;
+    auto plan_or = shard_plan(spec);
+    if (!plan_or.is_ok())
+        return plan_or.status();
+    // Replicas all run the one full-model schedule.
+    if (spec.parallelism == Parallelism::kReplica)
+        plan_or->resize(1);
+    auto shards_or = compile_shards(spec.serving, *plan_or);
+    if (!shards_or.is_ok())
+        return shards_or.status();
+    const std::vector<CompiledSchedule> &shards = *shards_or;
+    const CompiledSchedule &head = shards.front();
 
+    // Replicas share one read-only weight copy; KV overflow is private.
+    const Bytes resident =
+        spec.parallelism == Parallelism::kReplica
+            ? head.host_weight_bytes +
+                  N * (head.host_resident_bytes - head.host_weight_bytes)
+            : cluster_resident_bytes(shards, spec.parallelism);
+    runtime::Fabric fabric(N, spec.serving.gpu,
+                           compute_port_rates(head, spec.sockets, resident));
+    std::vector<runtime::BatchTimeline> timelines;
     if (spec.parallelism == Parallelism::kReplica) {
-        auto compiled_or = runtime::compile_schedule(spec.serving);
-        if (!compiled_or.is_ok())
-            return compiled_or.status();
-        const CompiledSchedule &compiled = *compiled_or;
-        const Bytes resident =
-            compiled.host_weight_bytes +
-            N * (compiled.host_resident_bytes -
-                 compiled.host_weight_bytes);
-        const PortRates rates =
-            compute_port_rates(compiled, spec.sockets, resident);
-        ClusterEngine engine(N, spec.serving.gpu, rates);
-        std::vector<BatchTimeline> timelines(N);
-        const std::uint64_t per_batch =
-            compiled.tokens * compiled.num_layers;
+        const std::uint64_t per_batch = head.tokens * head.num_layers;
         const std::uint64_t reps =
-            per_batch > 0 ? compiled.steps.size() / per_batch : 0;
+            per_batch > 0 ? head.steps.size() / per_batch : 0;
+        std::deque<runtime::Executor> jobs;
         for (std::uint64_t g = 0; g < N; ++g) {
-            engine.submit_job(
-                g, compiled, keep_records, /*batch_tag=*/g * reps,
-                [&timelines, g](const BatchTimeline &tl) {
-                    timelines[g] = tl;
-                });
+            jobs.emplace_back(fabric, std::span(&head, 1), g);
+            jobs.back().start();
         }
-        engine.run_to_completion();
-        Seconds makespan = 0.0;
-        for (const BatchTimeline &tl : timelines)
-            makespan = std::max(makespan, tl.end);
-        out.makespan = makespan;
-        out.total_tokens =
-            N * reps * compiled.effective_batch * compiled.tokens;
-        out.aggregate_throughput =
-            makespan > 0.0
-                ? static_cast<double>(out.total_tokens) / makespan
-                : 0.0;
-        timeline_latencies(timelines.front(), &out.ttft, &out.tbt);
-        out.gpus = engine.gpu_stats(makespan);
-        out.ports = engine.port_stats(makespan);
-        for (BatchTimeline &tl : timelines) {
-            out.records.insert(out.records.end(),
-                               std::make_move_iterator(tl.records.begin()),
-                               std::make_move_iterator(tl.records.end()));
-        }
-        return out;
-    }
-
-    // Sharded modes: one schedule per GPU.
-    std::vector<CompiledSchedule> shards;
-    shards.reserve(N);
-    if (spec.parallelism == Parallelism::kTensor) {
+        HELM_RETURN_IF_ERROR(fabric.run());
         for (std::uint64_t g = 0; g < N; ++g) {
-            runtime::ShardOptions shard;
-            shard.kind = runtime::ShardOptions::Kind::kTensor;
-            shard.count = N;
-            shard.index = g;
-            auto compiled_or =
-                runtime::compile_schedule(spec.serving, shard);
-            if (!compiled_or.is_ok())
-                return compiled_or.status();
-            shards.push_back(std::move(*compiled_or));
+            HELM_RETURN_IF_ERROR(jobs[g].status());
+            timelines.push_back(
+                jobs[g].timeline(keep_records, /*batch_tag=*/g * reps));
         }
     } else {
-        const auto layers = model::build_layers(
-            spec.serving.model,
-            spec.serving.compress_weights
-                ? model::DataType::kInt4Grouped
-                : model::DataType::kFp16);
-        auto ranges_or = partition_layers(layers, N);
-        if (!ranges_or.is_ok())
-            return ranges_or.status();
-        for (std::uint64_t g = 0; g < N; ++g) {
-            runtime::ShardOptions shard;
-            shard.kind = runtime::ShardOptions::Kind::kPipeline;
-            shard.count = N;
-            shard.index = g;
-            shard.layer_begin = (*ranges_or)[g].first;
-            shard.layer_end = (*ranges_or)[g].second;
-            auto compiled_or =
-                runtime::compile_schedule(spec.serving, shard);
-            if (!compiled_or.is_ok())
-                return compiled_or.status();
-            shards.push_back(std::move(*compiled_or));
-        }
+        auto tl_or = run_shards(
+            fabric, shards, spec.parallelism,
+            spec.micro_batches > 0 ? spec.micro_batches : N, spec.serving,
+            keep_records);
+        if (!tl_or.is_ok())
+            return tl_or.status();
+        timelines.push_back(std::move(*tl_or));
     }
 
-    const Bytes resident =
-        cluster_resident_bytes(shards, spec.parallelism);
-    const PortRates rates =
-        compute_port_rates(shards.front(), spec.sockets, resident);
-    ClusterEngine engine(N, spec.serving.gpu, rates);
-
-    Result<BatchTimeline> tl_or =
-        spec.parallelism == Parallelism::kTensor
-            ? engine.run_lockstep(shards, keep_records)
-            : engine.run_pipeline(
-                  shards,
-                  spec.micro_batches > 0 ? spec.micro_batches : N,
-                  spec.serving, keep_records);
-    if (!tl_or.is_ok())
-        return tl_or.status();
-    BatchTimeline &tl = *tl_or;
-
-    out.makespan = tl.end - tl.start;
-    out.total_tokens =
-        tl.reps * shards.front().effective_batch * tl.tokens;
+    SaturationResult out;
+    for (const runtime::BatchTimeline &tl : timelines) {
+        out.makespan = std::max(out.makespan, tl.end - tl.start);
+        out.total_tokens += tl.reps * head.effective_batch * tl.tokens;
+    }
     out.aggregate_throughput =
         out.makespan > 0.0
             ? static_cast<double>(out.total_tokens) / out.makespan
             : 0.0;
-    timeline_latencies(tl, &out.ttft, &out.tbt);
-    out.gpus = engine.gpu_stats(out.makespan);
-    out.ports = engine.port_stats(out.makespan);
-    out.records = std::move(tl.records);
+    const runtime::TokenLatencies latencies =
+        runtime::token_latencies(timelines.front());
+    out.ttft = mean_discarding_first(latencies.ttft);
+    out.tbt = mean_discarding_first(latencies.tbt);
+    out.gpus = gpu_stats(fabric, out.makespan);
+    for (GpuUtilization &u : out.gpus)
+        u.batches = 1;
+    out.ports = port_stats(fabric, out.makespan);
+    for (runtime::BatchTimeline &tl : timelines) {
+        out.records.insert(out.records.end(),
+                           std::make_move_iterator(tl.records.begin()),
+                           std::make_move_iterator(tl.records.end()));
+    }
     return out;
 }
 

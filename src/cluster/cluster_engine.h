@@ -1,62 +1,45 @@
 /**
  * @file
- * The cluster's contended execution core.
+ * Cluster execution on the shared host fabric.
  *
- * One shared DES timeline holds, per GPU, a private PCIe h2d/d2h
- * channel pair and a compute stream, plus the *shared* host-memory
- * read/write ports (and the storage read port when the configuration
- * has one).  Every host->GPU transfer occupies two resources at once —
- * the GPU's own PCIe link and the shared read port — by starting one
- * flow on each channel for the full byte count and completing when the
- * slower of the two delivers its last byte.  With one GPU the port
- * never binds (its pooled rate is at least the single-stream device
- * rate every per-flow cap is derived from), so timings degenerate to
- * the single-GPU engine's; with N GPUs the port water-fills across
- * GPUs and Optane's read ceiling emerges cluster-wide.
+ * A cluster run is one runtime::Fabric whose GPUs share the host
+ * memory's read and write ports (and the storage read port when the
+ * configuration has one).  Every host->GPU transfer occupies the GPU's
+ * own PCIe link and the shared port, completing when the slower of the
+ * two delivers its last byte.  With one GPU the port never binds (its
+ * pooled rate is at least the single-stream device rate every per-flow
+ * cap is derived from), so timings degenerate to the single-GPU
+ * engine's; with N GPUs the port water-fills across GPUs and Optane's
+ * read ceiling emerges cluster-wide.
  *
- * Three executors drive compiled schedules over this fabric:
- *  - JobExecutor: one GPU's zig-zag schedule (replica batches)
- *  - lockstep:    N tensor shards advancing layer-by-layer together
- *  - pipeline:    per-stage state machines with micro-batch handoff
+ * Replica jobs (one GPU each) and tensor shards (N GPUs in lockstep)
+ * run on the same runtime::Executor as simulate_inference().  Only
+ * pipeline parallelism has its own executor here: its per-token
+ * micro-batch state machine hands activations between stages, which
+ * is a different algorithm from the zig-zag loop.
  */
 #ifndef HELM_CLUSTER_CLUSTER_ENGINE_H
 #define HELM_CLUSTER_CLUSTER_ENGINE_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "gpu/gpu.h"
+#include "runtime/executor.h"
 #include "runtime/schedule.h"
-#include "sim/bandwidth_channel.h"
-#include "sim/resource.h"
-#include "sim/simulator.h"
 
 namespace helm::cluster {
 
-/** Shared-port and per-GPU link rates the fabric is built from. */
-struct PortRates
-{
-    Bandwidth h2d;        //!< each GPU's PCIe/CXL h2d channel rate
-    Bandwidth d2h;        //!< each GPU's d2h channel rate
-    Bandwidth host_read;  //!< shared host read port (device x sockets)
-    Bandwidth host_write; //!< shared host write port
-    Bandwidth storage_read; //!< shared storage port (zero = none)
-    Seconds storage_latency = 0.0;
-    bool has_storage = false;
-};
-
 /**
- * Derive the fabric rates from a compiled shard.  The shared ports run
+ * Fabric rates for a cluster built from a compiled shard.  Per-GPU
+ * links replicate the single-GPU engine's sizing; the shared ports run
  * at the host device's streaming rate for the cluster-wide resident
  * working set, pooled over @p sockets (CXL expanders are one device —
- * no pooling).  Per-GPU channels replicate the engine's sizing.
+ * no pooling).
  */
-PortRates compute_port_rates(const runtime::CompiledSchedule &shard,
-                             std::uint64_t sockets,
-                             Bytes cluster_resident_bytes);
+runtime::FabricRates compute_port_rates(
+    const runtime::CompiledSchedule &shard, std::uint64_t sockets,
+    Bytes cluster_resident_bytes);
 
 /** Cluster-wide host working set of a set of shards under @p mode:
  *  replicas share one read-only weight copy (KV overflow is private);
@@ -65,121 +48,38 @@ Bytes cluster_resident_bytes(
     const std::vector<runtime::CompiledSchedule> &shards,
     Parallelism mode);
 
-/** What one executed batch looked like on the cluster timeline. */
-struct BatchTimeline
-{
-    Seconds start = 0.0; //!< virtual time the batch began
-    Seconds end = 0.0;   //!< virtual time the last step retired
-    std::uint64_t reps = 0;
-    std::uint64_t tokens = 0;
-    /** Absolute completion time of each token, rep-major. */
-    std::vector<Seconds> token_end;
-    std::vector<runtime::LayerStepRecord> records; //!< if requested
-};
+/** Shard options for every GPU under @p spec's parallelism. */
+Result<std::vector<runtime::ShardOptions>> shard_plan(const ClusterSpec &spec);
+
+/** Compile @p serving once per entry of @p plan. */
+Result<std::vector<runtime::CompiledSchedule>>
+compile_shards(const runtime::ServingSpec &serving,
+               const std::vector<runtime::ShardOptions> &plan);
 
 /**
- * The shared fabric plus executor bookkeeping.  One instance per DES
- * run; replica serving submits jobs dynamically, tensor/pipeline runs
- * execute one batch per instance.
+ * Run one sharded batch to completion on @p fabric (one GPU per shard).
+ * Tensor: the shards advance in lockstep on the runtime executor — all
+ * GPUs load step k+1's slices concurrently (hammering the shared read
+ * port), compute step k, and barrier.  Pipeline: stage s runs on GPU s;
+ * per (rep, token) a stage streams its layer weights once (prefetched
+ * during the previous token), computes micro_batches chunks, and hands
+ * each chunk's activations to the next stage through the host ports
+ * (d2h then h2d).  Token t+1 enters stage 0 when token t leaves the
+ * last stage (autoregressive feedback).
  */
-class ClusterEngine
-{
-  public:
-    ClusterEngine(std::uint64_t gpus, const gpu::GpuSpec &gpu,
-                  const PortRates &rates);
-    ~ClusterEngine();
+Result<runtime::BatchTimeline>
+run_shards(runtime::Fabric &fabric,
+           const std::vector<runtime::CompiledSchedule> &shards,
+           Parallelism mode, std::uint64_t micro_batches,
+           const runtime::ServingSpec &base, bool keep_records);
 
-    ClusterEngine(const ClusterEngine &) = delete;
-    ClusterEngine &operator=(const ClusterEngine &) = delete;
-
-    sim::Simulator &sim() { return sim_; }
-
-    /**
-     * Execute @p compiled on GPU @p g starting now; strictly one job
-     * per GPU at a time (the caller launches the next batch on
-     * completion).  The steps are copied — one compiled schedule can
-     * back many jobs.
-     * @param batch_tag Added to the records' batch_index so cluster-
-     *        level batch ids stay distinct across jobs.
-     */
-    void submit_job(std::uint64_t g,
-                    const runtime::CompiledSchedule &compiled,
-                    bool keep_records, std::uint64_t batch_tag,
-                    std::function<void(const BatchTimeline &)> on_done);
-
-    /**
-     * Tensor mode: advance N equal-length shard schedules in lockstep —
-     * all GPUs load step k+1's slices concurrently (hammering the shared
-     * read port), compute step k, and barrier.  Runs the sim to
-     * completion.
-     */
-    Result<BatchTimeline>
-    run_lockstep(const std::vector<runtime::CompiledSchedule> &shards,
-                 bool keep_records);
-
-    /**
-     * Pipeline mode: stage s runs on GPU s.  Per (rep, token) a stage
-     * streams its layer weights once (zig-zag: prefetched during the
-     * previous token), computes micro_batches chunks, and hands each
-     * chunk's activations to the next stage through the host ports
-     * (d2h then h2d).  Token t+1 enters stage 0 when token t leaves the
-     * last stage (autoregressive feedback).  Runs to completion.
-     */
-    Result<BatchTimeline>
-    run_pipeline(const std::vector<runtime::CompiledSchedule> &stages,
-                 std::uint64_t micro_batches,
-                 const runtime::ServingSpec &base, bool keep_records);
-
-    /** Drain every pending event (replica serving). */
-    void run_to_completion();
-
-    /** Per-GPU busy time / PCIe bytes, utilization over @p makespan. */
-    std::vector<GpuUtilization> gpu_stats(Seconds makespan) const;
-    /** Shared-port traffic, utilization over @p makespan. */
-    std::vector<PortStats> port_stats(Seconds makespan) const;
-
-    // ---- Fabric primitives (used by the executors) --------------------
-    /** Host tier -> GPU g: dual flow on the GPU's h2d channel and the
-     *  shared read port; completes when both delivered. */
-    void host_to_gpu(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                     std::function<void()> on_done);
-    /** Storage tier -> GPU g: software latency, then dual flow on the
-     *  h2d channel and the shared storage port. */
-    void storage_to_gpu(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                        std::function<void()> on_done);
-    /** GPU g -> host tier: dual flow on d2h and the shared write port. */
-    void gpu_to_host(std::uint64_t g, Bytes bytes, Bandwidth cap,
-                     std::function<void()> on_done);
-    /** Occupy GPU g's compute stream for @p duration. */
-    void occupy_gpu(std::uint64_t g, Seconds duration,
-                    std::function<void()> on_done);
-
-    std::uint64_t gpus() const { return gpus_; }
-    Seconds storage_latency() const { return rates_.storage_latency; }
-    const gpu::GpuSpec &gpu_spec() const { return gpu_; }
-
-  private:
-    class JobExecutor;
-
-    void dual_flow(sim::BandwidthChannel &local,
-                   sim::BandwidthChannel *port, Bytes bytes, Bandwidth cap,
-                   std::function<void()> on_done);
-
-    std::uint64_t gpus_;
-    gpu::GpuSpec gpu_;
-    PortRates rates_;
-    sim::Simulator sim_;
-    std::vector<std::unique_ptr<sim::BandwidthChannel>> h2d_;
-    std::vector<std::unique_ptr<sim::BandwidthChannel>> d2h_;
-    std::vector<std::unique_ptr<sim::FifoResource>> gpu_res_;
-    std::unique_ptr<sim::BandwidthChannel> host_read_;
-    std::unique_ptr<sim::BandwidthChannel> host_write_;
-    std::unique_ptr<sim::BandwidthChannel> storage_read_;
-    std::vector<Bytes> h2d_bytes_; //!< per GPU, including KV reads
-    std::vector<Bytes> d2h_bytes_;
-    std::vector<std::uint64_t> jobs_run_;
-    std::vector<std::unique_ptr<JobExecutor>> executors_; //!< kept alive
-};
+/** Per-GPU busy time / link bytes, utilization over @p makespan
+ *  (`batches` and `requests` are left to the caller). */
+std::vector<GpuUtilization> gpu_stats(const runtime::Fabric &fabric,
+                                      Seconds makespan);
+/** Shared-port traffic, utilization over @p makespan. */
+std::vector<PortStats> port_stats(const runtime::Fabric &fabric,
+                                  Seconds makespan);
 
 /**
  * Closed-loop saturation run: replica mode runs `serving.repeats`

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "cluster/cluster_engine.h"
@@ -108,49 +109,6 @@ admission_geometry(const ServingSpec &base,
     return out;
 }
 
-/** Pipeline layer ranges for the base model (batch-independent). */
-Result<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-pipeline_ranges(const ServingSpec &base, std::uint64_t stages)
-{
-    const auto layers = model::build_layers(
-        base.model, base.compress_weights ? model::DataType::kInt4Grouped
-                                          : model::DataType::kFp16);
-    return partition_layers(layers, stages);
-}
-
-/** Shard options for every GPU under @p spec's mode. */
-Result<std::vector<runtime::ShardOptions>>
-shard_plan(const ClusterSpec &spec)
-{
-    std::vector<runtime::ShardOptions> plan;
-    plan.reserve(spec.gpus);
-    if (spec.parallelism == Parallelism::kTensor) {
-        for (std::uint64_t g = 0; g < spec.gpus; ++g) {
-            runtime::ShardOptions shard;
-            shard.kind = runtime::ShardOptions::Kind::kTensor;
-            shard.count = spec.gpus;
-            shard.index = g;
-            plan.push_back(shard);
-        }
-    } else if (spec.parallelism == Parallelism::kPipeline) {
-        auto ranges_or = pipeline_ranges(spec.serving, spec.gpus);
-        if (!ranges_or.is_ok())
-            return ranges_or.status();
-        for (std::uint64_t g = 0; g < spec.gpus; ++g) {
-            runtime::ShardOptions shard;
-            shard.kind = runtime::ShardOptions::Kind::kPipeline;
-            shard.count = spec.gpus;
-            shard.index = g;
-            shard.layer_begin = (*ranges_or)[g].first;
-            shard.layer_end = (*ranges_or)[g].second;
-            plan.push_back(shard);
-        }
-    } else {
-        plan.resize(spec.gpus); // kNone for every GPU
-    }
-    return plan;
-}
-
 /** Fill the count/rate-independent report aggregates (Server's tail). */
 void
 finalize_serving_report(runtime::ServingReport &report,
@@ -190,17 +148,6 @@ finalize_serving_report(runtime::ServingReport &report,
             ? static_cast<double>(slo_met_count) /
                   static_cast<double>(report.completed)
             : 0.0;
-}
-
-/** Request-level latencies of a batch timeline (reps = 1). */
-void
-batch_latencies(const BatchTimeline &tl, Seconds *ttft, Seconds *tbt)
-{
-    *ttft = tl.token_end.front() - tl.start;
-    std::vector<double> gaps;
-    for (std::uint64_t tok = 1; tok < tl.tokens; ++tok)
-        gaps.push_back(tl.token_end[tok] - tl.token_end[tok - 1]);
-    *tbt = mean(gaps);
 }
 
 } // namespace
@@ -382,9 +329,10 @@ ClusterServer::run_replica_cluster(bool keep_records)
     const Bytes resident =
         tmpl.host_weight_bytes +
         N * (tmpl.host_resident_bytes - tmpl.host_weight_bytes);
-    const PortRates rates =
-        compute_port_rates(tmpl, spec_.sockets, resident);
-    ClusterEngine engine(N, spec_.serving.gpu, rates);
+    runtime::Fabric fabric(
+        N, spec_.serving.gpu,
+        compute_port_rates(tmpl, spec_.sockets, resident));
+    std::deque<runtime::Executor> jobs; //!< alive until the fabric drains
 
     const std::uint64_t cap = config_.max_queue_length;
     const std::uint64_t slots = std::min(max_batch_, cap);
@@ -394,6 +342,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
         std::deque<std::size_t> queue; //!< indices into pending_, FCFS
         bool busy = false;
         std::uint64_t inflight = 0;
+        std::uint64_t batches = 0;
         std::uint64_t gen = 0; //!< invalidates stale deadline timers
     };
     std::vector<GpuState> gpus(N);
@@ -475,16 +424,20 @@ ClusterServer::run_replica_cluster(bool keep_records)
         }
         st.busy = true;
         st.inflight = members.size();
+        ++st.batches;
         requests_per_gpu[g] += members.size();
         const std::uint64_t batch_id = report.batches_formed++;
-        const Seconds launch_t = engine.sim().now();
-        engine.submit_job(
-            g, *compiled, keep_records, batch_id,
+        const Seconds launch_t = fabric.sim().now();
+        jobs.emplace_back(fabric, std::span(compiled.get(), 1), g);
+        jobs.back().start(
             [&, g, members = std::move(members), launch_t,
-             batch_id](const BatchTimeline &tl) {
-                Seconds ttft = 0.0;
-                Seconds tbt = 0.0;
-                batch_latencies(tl, &ttft, &tbt);
+             batch_id](const runtime::Executor &job) {
+                const runtime::BatchTimeline tl =
+                    job.timeline(keep_records, batch_id);
+                const runtime::TokenLatencies latencies =
+                    runtime::token_latencies(tl);
+                const Seconds ttft = latencies.ttft.front();
+                const Seconds tbt = latencies.tbt.front();
                 for (std::size_t member : members) {
                     const workload::TimedRequest &timed =
                         pending_[member];
@@ -518,7 +471,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
         GpuState &st = gpus[g];
         if (st.busy || st.queue.empty() || !error.is_ok())
             return;
-        const Seconds now = engine.sim().now();
+        const Seconds now = fabric.sim().now();
         if (st.queue.size() >= slots) {
             launch(g);
             return;
@@ -533,7 +486,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
             return;
         }
         const std::uint64_t gen = st.gen;
-        engine.sim().schedule(deadline - now, [&, g, gen] {
+        fabric.sim().schedule(deadline - now, [&, g, gen] {
             GpuState &st2 = gpus[g];
             if (st2.gen == gen && !st2.busy && !st2.queue.empty() &&
                 error.is_ok())
@@ -542,7 +495,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
     };
 
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-        engine.sim().schedule(pending_[i].arrival, [&, i] {
+        fabric.sim().schedule(pending_[i].arrival, [&, i] {
             if (!error.is_ok())
                 return;
             std::vector<std::uint64_t> depths(N);
@@ -561,15 +514,19 @@ ClusterServer::run_replica_cluster(bool keep_records)
         });
     }
 
-    engine.run_to_completion();
+    HELM_RETURN_IF_ERROR(fabric.run());
     HELM_RETURN_IF_ERROR(error);
+    for (const runtime::Executor &job : jobs)
+        HELM_RETURN_IF_ERROR(job.status());
     pending_.clear();
 
     finalize_serving_report(report, last_completion);
-    out.gpus = engine.gpu_stats(report.makespan);
-    for (std::uint64_t g = 0; g < N; ++g)
+    out.gpus = gpu_stats(fabric, report.makespan);
+    for (std::uint64_t g = 0; g < N; ++g) {
+        out.gpus[g].batches = gpus[g].batches;
         out.gpus[g].requests = requests_per_gpu[g];
-    out.ports = engine.port_stats(report.makespan);
+    }
+    out.ports = port_stats(fabric, report.makespan);
     if (telemetry_) {
         // Records carry absolute sim times here; run() closes the
         // attribution to N x makespan with idle.
@@ -639,30 +596,27 @@ ClusterServer::run_sharded(bool keep_records)
         spec.repeats = 1;
         spec.keep_records = false;
 
-        std::vector<CompiledSchedule> shards;
-        shards.reserve(N);
-        for (std::uint64_t g = 0; g < N; ++g) {
-            auto compiled_or = runtime::compile_schedule(spec, plan[g]);
-            if (!compiled_or.is_ok())
-                return compiled_or.status();
-            shards.push_back(std::move(*compiled_or));
-        }
+        auto shards_or = compile_shards(spec, plan);
+        if (!shards_or.is_ok())
+            return shards_or.status();
+        const std::vector<CompiledSchedule> &shards = *shards_or;
         const Bytes resident =
             cluster_resident_bytes(shards, spec_.parallelism);
-        const PortRates rates =
-            compute_port_rates(shards.front(), spec_.sockets, resident);
-        ClusterEngine engine(N, spec.gpu, rates);
-        const bool want = want_records || telemetry_;
-        auto tl_or = spec_.parallelism == Parallelism::kTensor
-                         ? engine.run_lockstep(shards, want)
-                         : engine.run_pipeline(shards, micro, spec, want);
+        runtime::Fabric fabric(
+            N, spec.gpu,
+            compute_port_rates(shards.front(), spec_.sockets, resident));
+        auto tl_or = run_shards(fabric, shards, spec_.parallelism, micro,
+                                spec, want_records || telemetry_);
         if (!tl_or.is_ok())
             return tl_or.status();
         BatchRun run;
-        batch_latencies(*tl_or, &run.ttft, &run.tbt);
+        const runtime::TokenLatencies latencies =
+            runtime::token_latencies(*tl_or);
+        run.ttft = latencies.ttft.front();
+        run.tbt = latencies.tbt.front();
         run.total_time = tl_or->end - tl_or->start;
-        run.gpus = engine.gpu_stats(run.total_time);
-        run.ports = engine.port_stats(run.total_time);
+        run.gpus = gpu_stats(fabric, run.total_time);
+        run.ports = port_stats(fabric, run.total_time);
         run.records = std::move(tl_or->records);
         if (telemetry_) {
             // Batch-relative times, one shard timeline per GPU: the

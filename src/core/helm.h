@@ -70,6 +70,7 @@
 #include "placement/placement.h"
 #include "placement/policy.h"
 #include "runtime/engine.h"
+#include "runtime/executor.h"
 #include "runtime/metrics.h"
 #include "runtime/planner.h"
 #include "runtime/scheduler.h"

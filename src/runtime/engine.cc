@@ -1,24 +1,17 @@
 #include "runtime/engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <memory>
+#include <span>
 #include <utility>
 
-#include "common/log.h"
 #include "common/summary.h"
 #include "mem/registry.h"
+#include "runtime/executor.h"
 #include "runtime/schedule.h"
 #include "runtime/sim_cache.h"
 #include "runtime/step_cache.h"
-#include "sim/bandwidth_channel.h"
-#include "sim/resource.h"
-#include "sim/simulator.h"
 
 namespace helm::runtime {
-
-using placement::Tier;
 
 placement::Policy
 default_policy(mem::ConfigKind kind)
@@ -33,214 +26,6 @@ default_policy(mem::ConfigKind kind)
         return placement::Policy::host_offload();
     }
 }
-
-namespace {
-
-/**
- * Drives the zig-zag schedule on the DES kernel.  One instance per run.
- */
-class ScheduleDriver
-{
-  public:
-    ScheduleDriver(std::vector<ScheduledStep> steps,
-                   const gpu::GpuSpec &gpu,
-                   const mem::HostMemorySystem &system)
-        : steps_(std::move(steps)),
-          gpu_(gpu),
-          system_(system),
-          // The weight-transfer fabric: PCIe DMA normally, but CXL
-          // configurations project direct CXL.mem access whose rate can
-          // exceed the PCIe path (Sec. V-D), so the channel is sized to
-          // whichever is faster; per-flow caps enforce the actual path.
-          pcie_(sim_, "h2d-fabric",
-                max_bw(system.pcie().h2d_effective(),
-                       system.host_to_gpu_bw(kGiB))),
-          d2h_(sim_, "d2h-fabric",
-               max_bw(system.pcie().d2h_effective(),
-                      system.gpu_to_host_bw(kGiB))),
-          gpu_res_(sim_, "gpu-compute", 1),
-          // Near-data GEMV units (compute-site seam).  Constructing an
-          // unused resource schedules no events, so GPU-only runs stay
-          // bit-for-bit.
-          ndp_res_(sim_, "ndp-compute", 1)
-    {
-        const std::size_t n = steps_.size();
-        load_issue_.assign(n, 0.0);
-        load_done_.assign(n, 0.0);
-        step_start_.assign(n, 0.0);
-        step_end_.assign(n, 0.0);
-        kv_read_done_.assign(n, -1.0);
-        kv_write_done_.assign(n, -1.0);
-    }
-
-    /** Run to completion; returns total virtual time. */
-    Seconds
-    run()
-    {
-        HELM_ASSERT(!steps_.empty(), "no steps to run");
-        // Pipeline fill: the first layer's weights load un-overlapped.
-        issue_load(0, [this] { start_step(0); });
-        std::uint64_t guard = 0;
-        while (sim_.step()) {
-            if (++guard > 50'000'000) {
-                std::fprintf(stderr,
-                             "DES runaway: t=%g completed=%zu/%zu "
-                             "pcie_flows=%zu pending=%zu\n",
-                             sim_.now(), completed_, steps_.size(),
-                             pcie_.active_flows(), sim_.pending_events());
-                std::abort();
-            }
-        }
-        HELM_ASSERT(completed_ == steps_.size(),
-                    "schedule did not retire all steps");
-        return sim_.now();
-    }
-
-    /** The weight-transfer fabric's channel rate. */
-    Bandwidth h2d_rate() const { return pcie_.rate(); }
-
-    Seconds load_issue(std::size_t k) const { return load_issue_[k]; }
-    Seconds load_done(std::size_t k) const { return load_done_[k]; }
-    Seconds step_start(std::size_t k) const { return step_start_[k]; }
-    Seconds step_end(std::size_t k) const { return step_end_[k]; }
-    const std::vector<ScheduledStep> &steps() const { return steps_; }
-
-    /** Duration of step @p k's KV writeback drain (0 if none). */
-    Seconds
-    kv_write_time(std::size_t k) const
-    {
-        return kv_write_done_[k] >= 0.0
-                   ? kv_write_done_[k] - step_start_[k]
-                   : 0.0;
-    }
-
-    /** Compute stall from un-prefetched KV reads (0 if none). */
-    Seconds
-    kv_stall_time(std::size_t k) const
-    {
-        return kv_read_done_[k] >= 0.0 ? kv_read_done_[k] - step_start_[k]
-                                       : 0.0;
-    }
-
-  private:
-    /**
-     * Begin transferring step @p k's off-GPU weights; @p on_done fires
-     * when the last byte (from either tier) arrives.
-     */
-    void
-    issue_load(std::size_t k, std::function<void()> on_done)
-    {
-        load_issue_[k] = sim_.now();
-        const ScheduledStep &step = steps_[k];
-        const std::size_t kv_flows =
-            step.kv_prefetch ? step.kv_reads.size() : 0;
-        const std::size_t flows = (step.cpu_bytes > 0 ? 1 : 0) +
-                                  (step.disk_bytes > 0 ? 1 : 0) +
-                                  kv_flows;
-        if (flows == 0) {
-            load_done_[k] = sim_.now();
-            on_done();
-            return;
-        }
-        auto latch = std::make_shared<sim::CountdownLatch>(flows);
-        latch->on_zero([this, k, on_done = std::move(on_done)] {
-            load_done_[k] = sim_.now();
-            on_done();
-        });
-        if (step.cpu_bytes > 0) {
-            pcie_.start_flow(step.cpu_bytes, step.cpu_cap,
-                             [latch] { latch->arrive(); });
-        }
-        if (step.kv_prefetch) {
-            // Host-resident context streams in alongside the weights,
-            // contending for the same h2d fabric.
-            for (const KvFlowSpec &flow : step.kv_reads) {
-                pcie_.start_flow(flow.bytes, flow.cap,
-                                 [latch] { latch->arrive(); });
-            }
-        }
-        if (step.disk_bytes > 0) {
-            // Storage flows pay the filesystem/DAX software latency
-            // before bytes start moving.
-            const Seconds lat = system_.storage()->latency();
-            sim_.schedule(lat, [this, k, latch] {
-                pcie_.start_flow(steps_[k].disk_bytes, steps_[k].disk_cap,
-                                 [latch] { latch->arrive(); });
-            });
-        }
-    }
-
-    /** Listing 1 loop body for step @p k. */
-    void
-    start_step(std::size_t k)
-    {
-        step_start_[k] = sim_.now();
-        const ScheduledStep &step = steps_[k];
-        const bool has_next = k + 1 < steps_.size();
-        auto latch = std::make_shared<sim::CountdownLatch>(
-            1u + (has_next ? 1u : 0u) + step.kv_writes.size());
-        latch->on_zero([this, k] {
-            step_end_[k] = sim_.now();
-            ++completed_;
-            if (k + 1 < steps_.size())
-                start_step(k + 1);
-        });
-        // load_weight(i, j+1): prefetch the next step's weights.
-        if (has_next)
-            issue_load(k + 1, [latch] { latch->arrive(); });
-        // store_cache(i, j): new K/V entries (and demoted blocks) drain
-        // to their host tiers concurrently with compute; sync() waits
-        // for them too (FlexGen's store path).
-        for (const KvFlowSpec &flow : step.kv_writes) {
-            d2h_.start_flow(flow.bytes, flow.cap, [this, k, latch] {
-                kv_write_done_[k] = sim_.now();
-                latch->arrive();
-            });
-        }
-        // compute_layer(i, j).  NDP steps run on the near-data units:
-        // no h2d transfer fed them (issue_load saw cpu_bytes == 0) and
-        // no GPU launch overhead applies — step.compute already carries
-        // the offload command latency.  Only FFN layers offload, so the
-        // KV paths below never co-occur with an NDP step.
-        if (step.site == placement::ComputeSite::kNdp) {
-            ndp_res_.occupy(step.compute, [latch] { latch->arrive(); });
-        } else if (!step.kv_prefetch && !step.kv_reads.empty()) {
-            auto reads = std::make_shared<sim::CountdownLatch>(
-                step.kv_reads.size());
-            reads->on_zero([this, k, latch] {
-                kv_read_done_[k] = sim_.now();
-                gpu_res_.occupy(steps_[k].compute + gpu_.layer_overhead,
-                                [latch] { latch->arrive(); });
-            });
-            for (const KvFlowSpec &flow : step.kv_reads) {
-                pcie_.start_flow(flow.bytes, flow.cap,
-                                 [reads] { reads->arrive(); });
-            }
-        } else {
-            gpu_res_.occupy(step.compute + gpu_.layer_overhead,
-                            [latch] { latch->arrive(); });
-        }
-        // sync(): latch zero == everything issued this step retired.
-    }
-
-    std::vector<ScheduledStep> steps_;
-    const gpu::GpuSpec &gpu_;
-    const mem::HostMemorySystem &system_;
-    sim::Simulator sim_;
-    sim::BandwidthChannel pcie_;
-    sim::BandwidthChannel d2h_;
-    sim::FifoResource gpu_res_;
-    sim::FifoResource ndp_res_;
-    std::vector<Seconds> load_issue_;
-    std::vector<Seconds> load_done_;
-    std::vector<Seconds> step_start_;
-    std::vector<Seconds> step_end_;
-    std::vector<Seconds> kv_read_done_;  //!< -1 = no blocking reads
-    std::vector<Seconds> kv_write_done_; //!< -1 = no writeback
-    std::size_t completed_ = 0;
-};
-
-} // namespace
 
 Status
 ServingSpec::validate() const
@@ -373,9 +158,10 @@ simulate_inference_uncached(const ServingSpec &spec)
     CompiledSchedule &compiled = *compiled_or;
 
     // ---- Run -------------------------------------------------------------
-    ScheduleDriver driver(std::move(compiled.steps), spec.gpu,
-                          compiled.system);
-    const Seconds total_time = driver.run();
+    Fabric fabric(1, spec.gpu, link_rates(compiled.system));
+    Executor executor(fabric, std::span(&compiled, 1));
+    HELM_RETURN_IF_ERROR(executor.run());
+    BatchTimeline timeline = executor.timeline(spec.keep_records);
 
     // ---- Metrics ----------------------------------------------------------
     RunResult result;
@@ -384,92 +170,25 @@ simulate_inference_uncached(const ServingSpec &spec)
     result.budget = compiled.budget;
     result.model_bytes = compiled.model_bytes;
     result.kv_stats = compiled.kv_stats;
-    result.h2d_rate = driver.h2d_rate();
-    for (const ScheduledStep &step : driver.steps()) {
+    result.h2d_rate = fabric.h2d_rate();
+    for (const ScheduledStep &step : compiled.steps) {
         if (step.site == placement::ComputeSite::kNdp) {
             ++result.ndp_steps;
             result.ndp_bytes += step.ndp_bytes;
         }
     }
 
-    const auto &all = driver.steps();
-    const std::uint64_t tokens = compiled.tokens;
-    const std::uint64_t steps_per_token = compiled.num_layers;
-    const std::uint64_t steps_per_batch = tokens * steps_per_token;
-
-    auto token_end = [&](std::uint64_t rep, std::uint64_t tok) {
-        const std::size_t idx =
-            rep * steps_per_batch + tok * steps_per_token +
-            (steps_per_token - 1);
-        return driver.step_end(idx);
-    };
-
-    std::vector<double> ttfts;
-    std::vector<double> tbts;
-    for (std::uint64_t rep = 0; rep < spec.repeats; ++rep) {
-        const Seconds batch_start =
-            rep == 0 ? 0.0 : token_end(rep - 1, tokens - 1);
-        ttfts.push_back(token_end(rep, 0) - batch_start);
-        std::vector<double> gaps;
-        for (std::uint64_t tok = 1; tok < tokens; ++tok)
-            gaps.push_back(token_end(rep, tok) - token_end(rep, tok - 1));
-        tbts.push_back(mean(gaps));
-    }
-
-    result.metrics.per_batch_ttft = ttfts;
-    result.metrics.per_batch_tbt = tbts;
-    result.metrics.ttft = mean_discarding_first(ttfts);
-    result.metrics.tbt = mean_discarding_first(tbts);
-    result.metrics.total_time = total_time;
+    TokenLatencies latencies = token_latencies(timeline);
+    result.metrics.ttft = mean_discarding_first(latencies.ttft);
+    result.metrics.tbt = mean_discarding_first(latencies.tbt);
+    result.metrics.per_batch_ttft = std::move(latencies.ttft);
+    result.metrics.per_batch_tbt = std::move(latencies.tbt);
+    result.metrics.total_time = timeline.end;
     result.metrics.total_tokens =
-        spec.repeats * compiled.effective_batch * tokens;
+        spec.repeats * compiled.effective_batch * compiled.tokens;
     result.metrics.throughput =
-        static_cast<double>(result.metrics.total_tokens) / total_time;
-
-    if (spec.keep_records) {
-        result.records.reserve(all.size());
-        for (std::size_t k = 0; k < all.size(); ++k) {
-            LayerStepRecord rec;
-            rec.batch_index = all[k].batch_index;
-            rec.token = all[k].token;
-            rec.layer = all[k].layer;
-            rec.type = all[k].type;
-            rec.stage = all[k].stage;
-            rec.compute_time = all[k].compute;
-            rec.transfer_time = driver.load_done(k) - driver.load_issue(k);
-            rec.transfer_bytes = all[k].cpu_bytes + all[k].disk_bytes;
-            rec.host_bytes = all[k].cpu_bytes;
-            rec.disk_bytes = all[k].disk_bytes;
-            rec.kv_read_bytes = all[k].kv_read_bytes;
-            rec.kv_write_bytes = all[k].kv_write_bytes;
-            rec.transfer_start = driver.load_issue(k);
-            rec.step_start = driver.step_start(k);
-            rec.step_end = driver.step_end(k);
-            rec.kv_write_time = driver.kv_write_time(k);
-            rec.kv_stall_time = driver.kv_stall_time(k);
-            if (all[k].kv_read_bytes > 0 || all[k].kv_write_bytes > 0) {
-                auto tier_entry =
-                    [&rec, &compiled](std::size_t t) -> KvTierTraffic & {
-                    const std::string &name = compiled.kv_tier_names[t];
-                    for (KvTierTraffic &entry : rec.kv_tiers) {
-                        if (entry.tier == name)
-                            return entry;
-                    }
-                    rec.kv_tiers.push_back(KvTierTraffic{name, 0, 0});
-                    return rec.kv_tiers.back();
-                };
-                for (const KvFlowSpec &flow : all[k].kv_reads)
-                    tier_entry(flow.tier).read_bytes += flow.bytes;
-                for (const KvFlowSpec &flow : all[k].kv_writes)
-                    tier_entry(flow.tier).write_bytes += flow.bytes;
-            }
-            rec.kv_occupancy.reserve(all[k].kv_occupancy.size());
-            for (std::size_t t = 0; t < all[k].kv_occupancy.size(); ++t)
-                rec.kv_occupancy.push_back(KvTierOccupancy{
-                    compiled.kv_tier_names[t], all[k].kv_occupancy[t]});
-            result.records.push_back(rec);
-        }
-    }
+        static_cast<double>(result.metrics.total_tokens) / timeline.end;
+    result.records = std::move(timeline.records);
     return result;
 }
 
@@ -491,16 +210,6 @@ simulate_inference(const ServingSpec &spec)
     StepScheduleCache &cache = step_cache();
     if (!cache.enabled())
         return simulate_inference_uncached(spec);
-
-    // NDP-site changes between consecutive engine calls are another
-    // steady-state boundary worth surfacing: the site mode is part of
-    // the digest, so flipping it abandons the previous timeline.
-    static std::atomic<int> last_site{-1};
-    const int site = static_cast<int>(spec.compute_site);
-    const int previous = last_site.exchange(site,
-                                            std::memory_order_relaxed);
-    if (previous != -1 && previous != site)
-        cache.note_invalidation(StepCacheInvalidation::kSiteChange);
 
     std::string digest = spec_cache_key(spec);
     digest += spec.keep_records ? "|records:1" : "|records:0";

@@ -16,8 +16,6 @@ step_cache_invalidation_name(StepCacheInvalidation reason)
         return "kv-promotion";
       case StepCacheInvalidation::kBatchReformation:
         return "batch-reformation";
-      case StepCacheInvalidation::kSiteChange:
-        return "site-change";
       case StepCacheInvalidation::kReasonCount:
         break;
     }

@@ -70,7 +70,6 @@ enum class StepCacheInvalidation
     kKvDemotion,          //!< KV blocks demoted to a lower tier
     kKvPromotion,         //!< KV blocks promoted on resume
     kBatchReformation,    //!< continuous batching re-formed the batch
-    kSiteChange,          //!< compute-site mode changed between runs
     kReasonCount,
 };
 

@@ -33,6 +33,19 @@ small_spec(mem::ConfigKind memory = mem::ConfigKind::kNvdram)
     return spec;
 }
 
+/** small_spec() on the NDP-DIMM host, offloading decode FFNs near-data.
+ *  Compressed weights shorten the h2d loads enough that the offloaded
+ *  steps' own timing reaches the makespan. */
+runtime::ServingSpec
+ndp_spec()
+{
+    runtime::ServingSpec spec = small_spec();
+    spec.compress_weights = true;
+    spec.zoo_device = "NDP-DIMM";
+    spec.compute_site = placement::ComputeSiteMode::kNdpAuto;
+    return spec;
+}
+
 ClusterSpec
 cluster_spec(std::uint64_t gpus, Parallelism mode,
              mem::ConfigKind memory = mem::ConfigKind::kNvdram)
@@ -294,13 +307,18 @@ TEST(RouterTest, SingleGpuAlwaysZero)
 
 TEST(ClusterDegeneracy, SaturatedReplicaOneGpuMatchesEngineExactly)
 {
-    for (const auto memory :
-         {mem::ConfigKind::kNvdram, mem::ConfigKind::kDram}) {
-        runtime::ServingSpec spec = small_spec(memory);
+    for (runtime::ServingSpec spec :
+         {small_spec(mem::ConfigKind::kNvdram),
+          small_spec(mem::ConfigKind::kDram), ndp_spec()}) {
+        const std::string label =
+            spec.zoo_device.value_or(mem::config_kind_name(spec.memory));
         spec.batch = 4;
         spec.repeats = 2;
         auto single = runtime::simulate_inference(spec);
         ASSERT_TRUE(single.is_ok()) << single.status().to_string();
+        if (spec.zoo_device.has_value()) { // near-data decode engaged
+            EXPECT_GT(single->ndp_steps, 0u);
+        }
 
         ClusterSpec cs;
         cs.serving = spec;
@@ -311,8 +329,7 @@ TEST(ClusterDegeneracy, SaturatedReplicaOneGpuMatchesEngineExactly)
 
         // Shared ports have slack at N=1, so the DES timings must be
         // bit-for-bit the single-GPU engine's.
-        EXPECT_EQ(clustered->ttft, single->metrics.ttft)
-            << mem::config_kind_name(memory);
+        EXPECT_EQ(clustered->ttft, single->metrics.ttft) << label;
         EXPECT_EQ(clustered->tbt, single->metrics.tbt);
         EXPECT_EQ(clustered->makespan, single->metrics.total_time);
         EXPECT_EQ(clustered->total_tokens, single->metrics.total_tokens);
@@ -357,6 +374,84 @@ TEST(ClusterDegeneracy, ServerDelegationIsFieldExact)
     }
     ASSERT_EQ(got->gpus.size(), 1u);
     EXPECT_EQ(got->gpus[0].requests, b.completed);
+}
+
+// ---- Near-data compute sites -----------------------------------------
+
+TEST(ClusterNdp, NearDataStepsRunOnTheHostNotTheGpus)
+{
+    // The NDP units belong to the host memory: offloaded decode steps
+    // must neither occupy a GPU's compute stream nor pay its launch
+    // overhead, in replica and tensor mode alike.  The GPU-only run of
+    // the same NDP-DIMM spec puts every step on the GPUs.
+    for (const Parallelism mode :
+         {Parallelism::kReplica, Parallelism::kTensor}) {
+        ClusterSpec ndp;
+        ndp.serving = ndp_spec();
+        ndp.serving.batch = 4;
+        ndp.serving.repeats = 2;
+        ndp.gpus = 2;
+        ndp.parallelism = mode;
+        ClusterSpec gpu_only = ndp;
+        gpu_only.serving.compute_site = placement::ComputeSiteMode::kGpuOnly;
+
+        auto ndp_run = run_saturated(ndp);
+        auto gpu_run = run_saturated(gpu_only);
+        ASSERT_TRUE(ndp_run.is_ok()) << ndp_run.status().to_string();
+        ASSERT_TRUE(gpu_run.is_ok()) << gpu_run.status().to_string();
+        ASSERT_EQ(ndp_run->gpus.size(), 2u);
+
+        const Seconds overhead = ndp.serving.gpu.layer_overhead;
+        for (std::uint64_t g = 0; g < 2; ++g) {
+            runtime::ShardOptions shard;
+            if (mode == Parallelism::kTensor) {
+                shard.kind = runtime::ShardOptions::Kind::kTensor;
+                shard.count = 2;
+                shard.index = g;
+            }
+            auto compiled = runtime::compile_schedule(ndp.serving, shard);
+            ASSERT_TRUE(compiled.is_ok());
+            Seconds gpu_busy = 0.0;
+            Bytes h2d = 0;
+            std::uint64_t offloaded = 0;
+            for (const runtime::ScheduledStep &step : compiled->steps) {
+                h2d += step.cpu_bytes + step.disk_bytes + step.kv_read_bytes;
+                if (step.site == placement::ComputeSite::kNdp)
+                    ++offloaded;
+                else
+                    gpu_busy += step.compute + overhead;
+            }
+            ASSERT_GT(offloaded, 0u) << parallelism_name(mode);
+
+            const GpuUtilization &u = ndp_run->gpus[g];
+            EXPECT_NEAR(u.compute_busy, gpu_busy, 1e-9 * gpu_busy)
+                << parallelism_name(mode) << " gpu " << g;
+            EXPECT_EQ(u.h2d_bytes, h2d);
+            EXPECT_LT(u.compute_busy, gpu_run->gpus[g].compute_busy);
+            EXPECT_LT(u.h2d_bytes, gpu_run->gpus[g].h2d_bytes);
+        }
+    }
+}
+
+TEST(ClusterNdp, PipelineRejectsNearDataSitesInOneLine)
+{
+    // Pipeline stages run per-token work units that put every layer on
+    // the GPU, so a near-data compute site cannot be honoured there.
+    ClusterSpec spec;
+    spec.serving = ndp_spec();
+    spec.gpus = 2;
+    spec.parallelism = Parallelism::kPipeline;
+
+    const Status status = spec.validate();
+    ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+    const std::string text = status.to_string();
+    EXPECT_NE(text.find("pipeline"), std::string::npos) << text;
+    EXPECT_NE(text.find("'auto'"), std::string::npos) << text;
+    EXPECT_EQ(text.find('\n'), std::string::npos) << text;
+    EXPECT_EQ(run_saturated(spec).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ClusterServer::create(spec).status().code(),
+              StatusCode::kInvalidArgument);
 }
 
 // ---- Shared-port contention ------------------------------------------

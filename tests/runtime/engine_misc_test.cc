@@ -1,12 +1,16 @@
 /**
  * @file
  * Additional engine/metrics coverage: custom CXL bandwidth, overlap
- * summarization edge cases, and spill-report consistency.
+ * summarization edge cases, spill-report consistency, and the fabric's
+ * runaway guard.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/executor.h"
 
 namespace helm::runtime {
 namespace {
@@ -176,6 +180,20 @@ TEST(Engine, PcieGenerationAffectsDramRuns)
     ASSERT_TRUE(gen5.is_ok());
     // DRAM feeds faster than any link here, so the link is binding.
     EXPECT_LT(gen5->metrics.tbt, gen3->metrics.tbt);
+}
+
+TEST(FabricRun, RunawayReturnsInternalStatusInsteadOfAborting)
+{
+    FabricRates rates;
+    rates.h2d = Bandwidth::gb_per_s(1.0);
+    rates.d2h = Bandwidth::gb_per_s(1.0);
+    Fabric fabric(1, gpu::GpuSpec::a100_40gb(), rates);
+    std::function<void()> tick = [&] { fabric.sim().schedule(1.0, tick); };
+    tick();
+    const Status status = fabric.run(/*max_events=*/1000);
+    EXPECT_EQ(status.code(), StatusCode::kInternal);
+    EXPECT_NE(status.to_string().find("DES runaway"), std::string::npos)
+        << status.to_string();
 }
 
 } // namespace
