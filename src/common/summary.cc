@@ -55,30 +55,19 @@ mean_discarding_first(const std::vector<double> &values)
 }
 
 double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    p = std::clamp(p, 0.0, 100.0);
-    std::sort(values.begin(), values.end());
-    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-double
 percentile_nearest_rank(std::vector<double> values, double p)
 {
     if (values.empty())
         return 0.0;
     p = std::clamp(p, 0.0, 100.0);
-    std::sort(values.begin(), values.end());
     const double exact = p / 100.0 * static_cast<double>(values.size());
     std::size_t rank = static_cast<std::size_t>(std::ceil(exact));
     rank = std::clamp<std::size_t>(rank, 1, values.size());
-    return values[rank - 1];
+    // The value at a given rank is the same whether the rest of the
+    // sample is sorted or merely partitioned around it.
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(values.begin(), nth, values.end());
+    return *nth;
 }
 
 double

@@ -37,14 +37,16 @@ double mean(const std::vector<double> &values);
  */
 double mean_discarding_first(const std::vector<double> &values);
 
-/** Linear-interpolated percentile, p in [0,100]; 0 for empty input. */
-double percentile(std::vector<double> values, double p);
-
 /**
  * Exact nearest-rank percentile: the ceil(p/100 * N)-th smallest value
  * (1-indexed, rank clamped to [1, N]), so the result is always a member
  * of the sample — the convention SLO reporting uses for p50/p90/p99.
  * 0 for empty input; p is clamped to [0, 100].
+ *
+ * Selects the order statistic in place (std::nth_element) on the
+ * by-value parameter rather than sorting, so each call costs expected
+ * O(N); callers need not pre-sort.  An lvalue argument is copied and
+ * left in its original order; a temporary moves in at no copy.
  */
 double percentile_nearest_rank(std::vector<double> values, double p);
 

@@ -279,22 +279,27 @@ record_serving(telemetry::MetricsRegistry &registry,
                "Peak number of waiting requests")
         .set(static_cast<double>(report.max_queue_depth));
 
-    for (const RequestMetrics &req : report.requests) {
-        auto observe = [&](const char *name, Seconds value,
-                           const char *help) {
-            registry
-                .histogram(name, {},
-                           telemetry::default_latency_buckets(), help)
-                .observe(value);
-        };
-        observe("helm_serving_queue_wait_seconds", req.queueing_delay,
-                "Per-request arrival -> batch launch delay");
-        observe("helm_serving_ttft_seconds", req.ttft,
-                "Per-request time to first token");
-        observe("helm_serving_tbt_seconds", req.tbt,
-                "Per-request mean time between tokens");
-        observe("helm_serving_e2e_seconds", req.e2e_latency,
-                "Per-request arrival -> last token latency");
+    // An empty report creates none of the per-request families.
+    if (!report.requests.empty()) {
+        const auto buckets = telemetry::default_latency_buckets();
+        auto &queue_wait = registry.histogram(
+            "helm_serving_queue_wait_seconds", {}, buckets,
+            "Per-request arrival -> batch launch delay");
+        auto &ttft = registry.histogram("helm_serving_ttft_seconds", {},
+                                        buckets,
+                                        "Per-request time to first token");
+        auto &tbt = registry.histogram(
+            "helm_serving_tbt_seconds", {}, buckets,
+            "Per-request mean time between tokens");
+        auto &e2e = registry.histogram(
+            "helm_serving_e2e_seconds", {}, buckets,
+            "Per-request arrival -> last token latency");
+        for (const RequestMetrics &req : report.requests) {
+            queue_wait.observe(req.queueing_delay);
+            ttft.observe(req.ttft);
+            tbt.observe(req.tbt);
+            e2e.observe(req.e2e_latency);
+        }
     }
     for (std::size_t q = 0; q < 4; ++q) {
         const Labels labels = {{"quantile", kQuantiles[q]}};

@@ -69,8 +69,9 @@ struct DriverReport
     double wall_seconds = 0.0;         //!< host time inside sim.run()
     double events_per_second = 0.0;    //!< events_executed / wall
     double requests_per_second = 0.0;  //!< completed / wall
-    /** Client-edge samples, completion order (reduce with
-     *  helm::percentile_nearest_rank). */
+    /** Client-edge samples, completion order.  Reduce with
+     *  helm::percentile_nearest_rank, a linear-time selection: do not
+     *  pre-sort. */
     std::vector<double> ttft;
     std::vector<double> tbt;
     std::vector<double> e2e;

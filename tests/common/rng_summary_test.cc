@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -84,7 +85,6 @@ TEST(Summary, EmptyInput)
     EXPECT_EQ(summarize({}).count, 0u);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
     EXPECT_DOUBLE_EQ(mean_discarding_first({}), 0.0);
-    EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }
 
 TEST(Summary, BasicStats)
@@ -105,17 +105,6 @@ TEST(Summary, MeanDiscardingFirstMatchesPaperRule)
     EXPECT_DOUBLE_EQ(mean_discarding_first({7.0}), 7.0);
 }
 
-TEST(Summary, Percentile)
-{
-    std::vector<double> v{10, 20, 30, 40, 50};
-    EXPECT_DOUBLE_EQ(percentile(v, 0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100), 50.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 50), 30.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 25), 20.0);
-    // Out-of-range p clamps.
-    EXPECT_DOUBLE_EQ(percentile(v, 150), 50.0);
-}
-
 TEST(Summary, PercentileNearestRank)
 {
     // Hand-computed against the nearest-rank definition:
@@ -132,6 +121,42 @@ TEST(Summary, PercentileNearestRank)
     // A lone sample is every percentile.
     EXPECT_DOUBLE_EQ(percentile_nearest_rank({42.0}, 1.0), 42.0);
     EXPECT_DOUBLE_EQ(percentile_nearest_rank({42.0}, 99.0), 42.0);
+
+    // Selection must return exactly what a full sort returns.  The
+    // reference is the sort-based definition.
+    auto by_sort = [](std::vector<double> values, double p) {
+        if (values.empty())
+            return 0.0;
+        p = std::clamp(p, 0.0, 100.0);
+        std::sort(values.begin(), values.end());
+        const double exact = p / 100.0 * static_cast<double>(values.size());
+        std::size_t rank = static_cast<std::size_t>(std::ceil(exact));
+        rank = std::clamp<std::size_t>(rank, 1, values.size());
+        return values[rank - 1];
+    };
+    const double percents[] = {0.0, 1e-9, 50.0, 90.0, 95.0,
+                               99.0, 99.9, 100.0, -5.0, 150.0};
+    Rng rng(2025);
+    auto check = [&](std::size_t n, bool ties) {
+        const double distinct[] = {0.25, -3.0, 7.5, 1e-6, 42.0};
+        std::vector<double> sample(n);
+        for (double &v : sample)
+            v = ties ? distinct[rng.next_below(5)]
+                     : rng.next_gaussian() * 1e3;
+        const std::vector<double> before = sample;
+        for (const double p : percents) {
+            EXPECT_EQ(percentile_nearest_rank(sample, p), by_sort(sample, p))
+                << "n=" << n << " ties=" << ties << " p=" << p;
+            // The lvalue argument is copied, never reordered.
+            ASSERT_EQ(sample, before);
+        }
+    };
+    for (std::size_t n = 1; n <= 300; ++n) {
+        check(n, true);
+        check(n, false);
+    }
+    check(100000, true);
+    check(100000, false);
 }
 
 TEST(Summary, RelativeDelta)
