@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/helm.h"
+#include "runtime/step_cache.h"
 
 namespace {
 
@@ -101,10 +102,15 @@ BM_FullInference175B(benchmark::State &state)
     spec.batch = static_cast<std::uint64_t>(state.range(0));
     spec.repeats = 2;
     spec.keep_records = false;
+    // Time a cold run: with the step cache on, every iteration after
+    // the first would be a memo lookup.
+    const bool cache_was_on = runtime::step_cache_enabled();
+    runtime::set_step_cache_enabled(false);
     for (auto _ : state) {
         auto result = runtime::simulate_inference(spec);
         benchmark::DoNotOptimize(result.is_ok());
     }
+    runtime::set_step_cache_enabled(cache_was_on);
 }
 BENCHMARK(BM_FullInference175B)->Arg(1)->Arg(8);
 

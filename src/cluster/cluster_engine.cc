@@ -35,9 +35,9 @@ scan_caps(const CompiledSchedule &shard)
     for (const ScheduledStep &step : shard.steps) {
         caps.read = max_bw(caps.read, step.cpu_cap);
         caps.disk = max_bw(caps.disk, step.disk_cap);
-        for (const KvFlowSpec &flow : step.kv_reads)
+        for (const KvFlowSpec &flow : shard.kv_reads(step))
             caps.read = max_bw(caps.read, flow.cap);
-        for (const KvFlowSpec &flow : step.kv_writes)
+        for (const KvFlowSpec &flow : shard.kv_writes(step))
             caps.write = max_bw(caps.write, flow.cap);
     }
     return caps;
@@ -274,12 +274,12 @@ class PipelineExecutor
                     }
                     auto &reads = step.kv_prefetch ? w.kv_reads
                                                    : w.kv_reads_blocking;
-                    for (const KvFlowSpec &flow : step.kv_reads)
+                    for (const KvFlowSpec &flow : stage.kv_reads(step))
                         reads.push_back(flow);
-                    for (const KvFlowSpec &flow : step.kv_writes)
+                    for (const KvFlowSpec &flow : stage.kv_writes(step))
                         w.kv_writes.push_back(flow);
-                    w.kv_read_bytes += step.kv_read_bytes;
-                    w.kv_write_bytes += step.kv_write_bytes;
+                    w.kv_read_bytes += stage.kv_read_bytes(step);
+                    w.kv_write_bytes += stage.kv_write_bytes(step);
                 }
                 work_[s].push_back(std::move(w));
             }

@@ -168,10 +168,10 @@ namespace {
 /** Flows a step's load_weight issues: weights from either tier plus
  *  prefetched KV reads. */
 std::size_t
-load_flows(const ScheduledStep &step)
+load_flows(const CompiledSchedule &shard, const ScheduledStep &step)
 {
     return (step.cpu_bytes > 0 ? 1 : 0) + (step.disk_bytes > 0 ? 1 : 0) +
-           (step.kv_prefetch ? step.kv_reads.size() : 0);
+           (step.kv_prefetch ? shard.kv_reads(step).size() : 0);
 }
 
 } // namespace
@@ -237,7 +237,7 @@ Executor::issue_load(std::size_t k)
     // Count every flow before issuing any: zero-byte flows land inline.
     for (std::size_t g = 0; g < shards_.size(); ++g) {
         load_issue_[g * steps_ + k] = now;
-        flows_left_[g] = load_flows(step(g, k));
+        flows_left_[g] = load_flows(shards_[g], step(g, k));
         if (flows_left_[g] > 0)
             ++loading_;
         else
@@ -251,7 +251,7 @@ Executor::issue_load(std::size_t k)
         // Re-read the step, not flows_left_: the last shard's load can
         // land inline and start the next load before this loop ends.
         const ScheduledStep &s = step(g, k);
-        if (load_flows(s) == 0)
+        if (load_flows(shards_[g], s) == 0)
             continue;
         const std::uint64_t gpu = first_gpu_ + g;
         auto landed = [this, g] { flow_loaded(g); };
@@ -260,7 +260,7 @@ Executor::issue_load(std::size_t k)
         if (s.kv_prefetch) {
             // Host-resident context streams in alongside the weights,
             // contending for the same h2d channel.
-            for (const KvFlowSpec &flow : s.kv_reads)
+            for (const KvFlowSpec &flow : shards_[g].kv_reads(s))
                 fabric_.host_to_gpu(gpu, flow.bytes, flow.cap, landed);
         }
         if (s.disk_bytes > 0)
@@ -296,7 +296,7 @@ Executor::start_step(std::size_t k)
     const bool has_next = k + 1 < steps_;
     joins_left_ = has_next ? 1 : 0;
     for (std::size_t g = 0; g < shards_.size(); ++g)
-        joins_left_ += 1 + step(g, k).kv_writes.size();
+        joins_left_ += 1 + shards_[g].kv_writes(step(g, k)).size();
     // load_weight(i, j+1): prefetch the next step's weights.
     if (has_next)
         issue_load(k + 1);
@@ -304,7 +304,7 @@ Executor::start_step(std::size_t k)
         // store_cache(i, j): new K/V entries (and demoted blocks) drain
         // to their host tiers concurrently with compute; sync() waits
         // for them too (FlexGen's store path).
-        for (const KvFlowSpec &flow : step(g, k).kv_writes) {
+        for (const KvFlowSpec &flow : shards_[g].kv_writes(step(g, k))) {
             fabric_.gpu_to_host(first_gpu_ + g, flow.bytes, flow.cap,
                                 [this, i = g * steps_ + k] {
                                     kv_write_done_[i] = fabric_.sim().now();
@@ -327,12 +327,13 @@ void
 Executor::compute(std::size_t g)
 {
     const ScheduledStep &s = step(g, step_);
+    const std::span<const KvFlowSpec> reads = shards_[g].kv_reads(s);
     if (s.site == placement::ComputeSite::kNdp) {
         fabric_.occupy_ndp(s.compute, [this] { join(); });
-    } else if (!s.kv_prefetch && !s.kv_reads.empty()) {
+    } else if (!s.kv_prefetch && !reads.empty()) {
         // Un-prefetched context reads gate the compute.
-        reads_left_[g] = s.kv_reads.size();
-        for (const KvFlowSpec &flow : s.kv_reads) {
+        reads_left_[g] = reads.size();
+        for (const KvFlowSpec &flow : reads) {
             fabric_.host_to_gpu(first_gpu_ + g, flow.bytes, flow.cap,
                                 [this, g] { read_landed(g); });
         }
@@ -374,8 +375,9 @@ Executor::join()
 LayerStepRecord
 Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
 {
-    const ScheduledStep &s = step(g, k);
-    const std::vector<std::string> &tier_names = shards_[g].kv_tier_names;
+    const CompiledSchedule &shard = shards_[g];
+    const ScheduledStep &s = shard.steps[k];
+    const std::vector<std::string> &tier_names = shard.kv_tier_names;
     const std::size_t i = g * steps_ + k;
     LayerStepRecord rec;
     rec.gpu_index = first_gpu_ + g;
@@ -389,8 +391,8 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
     rec.transfer_bytes = s.cpu_bytes + s.disk_bytes;
     rec.host_bytes = s.cpu_bytes;
     rec.disk_bytes = s.disk_bytes;
-    rec.kv_read_bytes = s.kv_read_bytes;
-    rec.kv_write_bytes = s.kv_write_bytes;
+    rec.kv_read_bytes = shard.kv_read_bytes(s);
+    rec.kv_write_bytes = shard.kv_write_bytes(s);
     rec.transfer_start = load_issue_[i];
     rec.step_start = step_start_[k];
     rec.step_end = step_end_[k];
@@ -398,7 +400,7 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
         kv_write_done_[i] >= 0.0 ? kv_write_done_[i] - step_start_[k] : 0.0;
     rec.kv_stall_time =
         kv_read_done_[i] >= 0.0 ? kv_read_done_[i] - step_start_[k] : 0.0;
-    if (s.kv_read_bytes > 0 || s.kv_write_bytes > 0) {
+    if (rec.kv_read_bytes > 0 || rec.kv_write_bytes > 0) {
         auto tier_entry = [&rec, &tier_names](
                               std::size_t t) -> KvTierTraffic & {
             const std::string &name = tier_names[t];
@@ -409,15 +411,16 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
             rec.kv_tiers.push_back(KvTierTraffic{name, 0, 0});
             return rec.kv_tiers.back();
         };
-        for (const KvFlowSpec &flow : s.kv_reads)
+        for (const KvFlowSpec &flow : shard.kv_reads(s))
             tier_entry(flow.tier).read_bytes += flow.bytes;
-        for (const KvFlowSpec &flow : s.kv_writes)
+        for (const KvFlowSpec &flow : shard.kv_writes(s))
             tier_entry(flow.tier).write_bytes += flow.bytes;
     }
-    rec.kv_occupancy.reserve(s.kv_occupancy.size());
-    for (std::size_t t = 0; t < s.kv_occupancy.size(); ++t) {
+    const std::span<const Bytes> occupancy = shard.kv_occupancy(s);
+    rec.kv_occupancy.reserve(occupancy.size());
+    for (std::size_t t = 0; t < occupancy.size(); ++t) {
         rec.kv_occupancy.push_back(
-            KvTierOccupancy{tier_names[t], s.kv_occupancy[t]});
+            KvTierOccupancy{tier_names[t], occupancy[t]});
     }
     return rec;
 }

@@ -325,6 +325,25 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     const std::uint64_t tokens = spec.shape.output_tokens;
     std::vector<ScheduledStep> steps;
     steps.reserve(spec.repeats * tokens * num_layers);
+    std::vector<KvTraffic> kv_traffic;
+    kv_traffic.reserve(spec.repeats * tokens);
+
+    // A layer's weight-transfer caps depend only on its bytes.
+    std::vector<Bandwidth> cpu_caps(num_layers);
+    std::vector<Bandwidth> disk_caps(num_layers);
+    for (std::uint64_t li = 0; li < num_layers; ++li) {
+        const Bytes cpu = map.layers[li].bytes_on(Tier::kCpu);
+        const Bytes disk = map.layers[li].bytes_on(Tier::kDisk);
+        if (cpu > 0)
+            cpu_caps[li] = system.host_to_gpu_bw(cpu);
+        if (disk > 0)
+            disk_caps[li] = system.storage_to_gpu_bw(disk);
+    }
+    // Per-tier occupancy is sampled for trace counters only when some
+    // tier is off the GPU; for GPU-only configs it would be flat.
+    bool has_host_tier = false;
+    for (std::size_t t = 0; t < kv_manager.tier_count(); ++t)
+        has_host_tier |= !kv_manager.tier(t).is_gpu;
 
     for (std::uint64_t rep = 0; rep < spec.repeats; ++rep) {
         // Each repeat is a fresh batch: the previous batch's blocks
@@ -348,22 +367,15 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
             if (!traffic_or.is_ok())
                 return traffic_or.status();
             const kvcache::StepTraffic &traffic = *traffic_or;
+            const auto kv_row = static_cast<std::uint32_t>(kv_traffic.size());
+            KvTraffic &kv = kv_traffic.emplace_back();
             // Sample per-tier occupancy right after the cache update so
-            // trace counters can plot tier fill over time.  Skipped for
-            // GPU-only configs, where the counter would be flat.
-            ScheduledStep::KvOccupancyList kv_occupancy;
-            bool has_host_tier = false;
-            for (std::size_t t = 0; t < kv_manager.tier_count(); ++t)
-                has_host_tier |= !kv_manager.tier(t).is_gpu;
+            // trace counters can plot tier fill over time.
             if (has_host_tier) {
-                kv_occupancy.reserve(kv_manager.tier_count());
+                kv.occupancy.reserve(kv_manager.tier_count());
                 for (std::size_t t = 0; t < kv_manager.tier_count(); ++t)
-                    kv_occupancy.push_back(kv_manager.tier_occupancy(t));
+                    kv.occupancy.push_back(kv_manager.tier_occupancy(t));
             }
-            ScheduledStep::KvFlowList kv_reads;
-            ScheduledStep::KvFlowList kv_writes;
-            Bytes kv_read_total = 0;
-            Bytes kv_write_total = 0;
             for (std::size_t t = 0; t < kv_manager.tier_count(); ++t) {
                 const kvcache::TierSpec &tier = kv_manager.tier(t);
                 if (traffic.read_bytes[t] > 0) {
@@ -373,8 +385,8 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                     flow.cap = tier.read_bw.is_zero()
                                    ? system.host_to_gpu_bw(flow.bytes)
                                    : tier.read_bw;
-                    kv_read_total += flow.bytes;
-                    kv_reads.push_back(flow);
+                    kv.read_bytes += flow.bytes;
+                    kv.reads.push_back(flow);
                 }
                 if (traffic.write_bytes[t] > 0) {
                     KvFlowSpec flow;
@@ -383,15 +395,15 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                     flow.cap = tier.write_bw.is_zero()
                                    ? system.gpu_to_host_bw(flow.bytes)
                                    : tier.write_bw;
-                    kv_write_total += flow.bytes;
-                    kv_writes.push_back(flow);
+                    kv.write_bytes += flow.bytes;
+                    kv.writes.push_back(flow);
                 }
             }
 
             for (std::uint64_t li = 0; li < num_layers; ++li) {
                 const auto &layer = layers[li];
                 const auto &lp = map.layers[li];
-                ScheduledStep step;
+                ScheduledStep &step = steps.emplace_back();
                 step.batch_index = rep;
                 step.token = tok;
                 step.layer = static_cast<int>(first_layer + li);
@@ -436,32 +448,24 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                                 compute_scale * gpu::layer_flops(work));
                 }
 
-                step.cpu_cap = step.cpu_bytes > 0
-                                   ? system.host_to_gpu_bw(step.cpu_bytes)
-                                   : Bandwidth();
-                step.disk_cap =
-                    step.disk_bytes > 0
-                        ? system.storage_to_gpu_bw(step.disk_bytes)
-                        : Bandwidth();
+                if (step.cpu_bytes > 0)
+                    step.cpu_cap = cpu_caps[li];
+                step.disk_cap = disk_caps[li];
 
                 // Every MHA layer moves the same KV bytes: the context
                 // streams in from the host tiers (decode) and new K/V
                 // entries + demoted blocks drain out (both stages).
                 if (layer.type == model::LayerType::kMha) {
-                    step.kv_reads = kv_reads;
-                    step.kv_writes = kv_writes;
-                    step.kv_read_bytes = kv_read_total;
-                    step.kv_write_bytes = kv_write_total;
+                    step.kv = kv_row;
                     step.kv_prefetch = kv_config.prefetch;
-                    step.kv_occupancy = kv_occupancy;
                 }
-                steps.push_back(step);
             }
         }
     }
 
     CompiledSchedule compiled;
     compiled.steps = std::move(steps);
+    compiled.kv_traffic = std::move(kv_traffic);
     compiled.placement = std::move(map);
     compiled.spill = spill;
     compiled.budget = budget;

@@ -15,10 +15,10 @@
 #define HELM_RUNTIME_SCHEDULE_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/inline_vec.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "gpu/compute_model.h"
@@ -41,6 +41,27 @@ struct KvFlowSpec
     Bandwidth cap;        //!< effective rate for this chunk
 };
 
+/**
+ * The KV traffic of one (repeat, token): every MHA layer of that token
+ * moves exactly these flows, so the schedule stores them once per token
+ * in CompiledSchedule::kv_traffic and each MHA step points at its row.
+ */
+struct KvTraffic
+{
+    /** Host-tier -> GPU context fetches (decode steps). */
+    std::vector<KvFlowSpec> reads;
+    /** GPU -> host-tier K/V appends + block demotions. */
+    std::vector<KvFlowSpec> writes;
+    Bytes read_bytes = 0;  //!< sum over reads
+    Bytes write_bytes = 0; //!< sum over writes
+    /** Occupancy per KV tier (kv_tier_names order) sampled right after
+     *  this token's cache update; empty when not sampled. */
+    std::vector<Bytes> occupancy;
+};
+
+/** ScheduledStep::kv of a step with no KV traffic (non-MHA layers). */
+inline constexpr std::uint32_t kNoKv = 0xffffffffu;
+
 /** One flattened (batch, token, layer) step of the zig-zag schedule. */
 struct ScheduledStep
 {
@@ -55,21 +76,10 @@ struct ScheduledStep
     Bytes disk_bytes = 0;
     Bandwidth cpu_cap;  //!< effective host->GPU rate for this chunk
     Bandwidth disk_cap; //!< effective storage->GPU rate
-    /** Per-step flow lists use inline small-vector storage: a schedule
-     *  compiles layers x tokens x repeats steps and real configs touch
-     *  at most a few KV tiers, so std::vector here was three heap
-     *  allocations per step — the hot-loop's dominant churn. */
-    using KvFlowList = InlineVec<KvFlowSpec, 4>;
-    using KvOccupancyList = InlineVec<Bytes, 4>;
-    /** Host-tier -> GPU context fetches (decode steps, MHA layers). */
-    KvFlowList kv_reads;
-    /** GPU -> host-tier K/V appends + block demotions. */
-    KvFlowList kv_writes;
-    Bytes kv_read_bytes = 0;  //!< sum over kv_reads
-    Bytes kv_write_bytes = 0; //!< sum over kv_writes
-    /** Occupancy per KV tier (kv_tier_names order) sampled right after
-     *  this step's cache update; empty when not sampled. */
-    KvOccupancyList kv_occupancy;
+    /** Row of CompiledSchedule::kv_traffic this step moves; kNoKv for
+     *  steps without KV traffic.  Read it through the schedule's
+     *  kv_reads() / kv_writes() / kv_occupancy() / kv_*_bytes(). */
+    std::uint32_t kv = kNoKv;
     /** Overlap the reads with the previous step (weight-prefetch path);
      *  off = the reads gate this step's compute. */
     bool kv_prefetch = true;
@@ -106,6 +116,8 @@ struct ShardOptions
 struct CompiledSchedule
 {
     std::vector<ScheduledStep> steps;
+    /** One row per (repeat, token), shared by that token's MHA steps. */
+    std::vector<KvTraffic> kv_traffic;
     placement::PlacementMap placement; //!< post capacity enforcement
     placement::SpillReport spill;
     GpuBudget budget;
@@ -126,6 +138,47 @@ struct CompiledSchedule
     Bytes host_weight_bytes = 0;
     /** Per-layer compute-site decisions (empty for GPU-only runs). */
     std::vector<placement::SiteDecision> sites;
+
+    /** @p step's KV context fetches (empty without KV traffic). */
+    std::span<const KvFlowSpec>
+    kv_reads(const ScheduledStep &step) const
+    {
+        if (step.kv == kNoKv)
+            return {};
+        return kv_traffic[step.kv].reads;
+    }
+
+    /** @p step's KV writebacks (empty without KV traffic). */
+    std::span<const KvFlowSpec>
+    kv_writes(const ScheduledStep &step) const
+    {
+        if (step.kv == kNoKv)
+            return {};
+        return kv_traffic[step.kv].writes;
+    }
+
+    /** Bytes @p step fetches over kv_reads(step). */
+    Bytes
+    kv_read_bytes(const ScheduledStep &step) const
+    {
+        return step.kv == kNoKv ? 0 : kv_traffic[step.kv].read_bytes;
+    }
+
+    /** Bytes @p step writes back over kv_writes(step). */
+    Bytes
+    kv_write_bytes(const ScheduledStep &step) const
+    {
+        return step.kv == kNoKv ? 0 : kv_traffic[step.kv].write_bytes;
+    }
+
+    /** @p step's per-tier KV occupancy sample (empty when unsampled). */
+    std::span<const Bytes>
+    kv_occupancy(const ScheduledStep &step) const
+    {
+        if (step.kv == kNoKv)
+            return {};
+        return kv_traffic[step.kv].occupancy;
+    }
 };
 
 /**

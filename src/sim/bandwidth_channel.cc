@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 namespace helm::sim {
 
@@ -45,32 +44,42 @@ BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap,
         return kInvalidFlow;
     }
     advance_to_now();
-    const FlowId id = next_flow_id_++;
-    Flow flow;
+    Flow &flow = flows_.emplace_back();
+    flow.id = next_flow_id_++;
     flow.total_bytes = bytes;
     flow.remaining_bytes = static_cast<double>(bytes);
     flow.cap_bps = cap.is_zero() ? 0.0 : cap.raw();
     flow.on_complete = std::move(on_complete);
-    flows_.emplace(id, std::move(flow));
+    const FlowId id = flow.id;
     recompute_and_reschedule();
     return id;
+}
+
+const BandwidthChannel::Flow *
+BandwidthChannel::find(FlowId id) const
+{
+    auto it = std::lower_bound(
+        flows_.begin(), flows_.end(), id,
+        [](const Flow &flow, FlowId key) { return flow.id < key; });
+    return it != flows_.end() && it->id == id ? &*it : nullptr;
 }
 
 void
 BandwidthChannel::cancel_flow(FlowId id)
 {
     advance_to_now();
-    if (flows_.erase(id) > 0)
+    if (const Flow *flow = find(id)) {
+        flows_.erase(flows_.begin() + (flow - flows_.data()));
         recompute_and_reschedule();
+    }
 }
 
 Bandwidth
 BandwidthChannel::flow_rate(FlowId id) const
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
-        return Bandwidth();
-    return Bandwidth::bytes_per_s(it->second.rate_bps);
+    const Flow *flow = find(id);
+    return flow != nullptr ? Bandwidth::bytes_per_s(flow->rate_bps)
+                           : Bandwidth();
 }
 
 void
@@ -81,7 +90,7 @@ BandwidthChannel::advance_to_now()
     last_update_ = now;
     if (elapsed <= 0.0)
         return;
-    for (auto &[id, flow] : flows_) {
+    for (Flow &flow : flows_) {
         flow.remaining_bytes -= flow.rate_bps * elapsed;
         if (flow.remaining_bytes < 0.0)
             flow.remaining_bytes = 0.0;
@@ -94,27 +103,28 @@ BandwidthChannel::water_fill()
     if (flows_.empty())
         return;
     // Sort by cap ascending (uncapped flows last) so we can peel off flows
-    // whose cap is below the running fair share.
-    std::vector<Flow *> order;
-    order.reserve(flows_.size());
-    for (auto &[id, flow] : flows_)
-        order.push_back(&flow);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const Flow *a, const Flow *b) {
-                         const double ca = a->cap_bps > 0.0
-                                               ? a->cap_bps
-                                               : std::numeric_limits<
-                                                     double>::infinity();
-                         const double cb = b->cap_bps > 0.0
-                                               ? b->cap_bps
-                                               : std::numeric_limits<
-                                                     double>::infinity();
-                         return ca < cb;
-                     });
+    // whose cap is below the running fair share.  Equal caps keep flow
+    // order (the addresses run in flows_ order), which makes std::sort
+    // produce exactly the stable order without stable_sort's buffer.
+    fill_order_.clear();
+    for (Flow &flow : flows_)
+        fill_order_.push_back(&flow);
+    std::sort(fill_order_.begin(), fill_order_.end(),
+              [](const Flow *a, const Flow *b) {
+                  const double ca =
+                      a->cap_bps > 0.0
+                          ? a->cap_bps
+                          : std::numeric_limits<double>::infinity();
+                  const double cb =
+                      b->cap_bps > 0.0
+                          ? b->cap_bps
+                          : std::numeric_limits<double>::infinity();
+                  return ca < cb || (ca == cb && a < b);
+              });
 
     double remaining_rate = rate_.raw();
-    std::size_t remaining_flows = order.size();
-    for (Flow *flow : order) {
+    std::size_t remaining_flows = fill_order_.size();
+    for (Flow *flow : fill_order_) {
         const double share =
             remaining_rate / static_cast<double>(remaining_flows);
         const double cap = flow->cap_bps > 0.0
@@ -124,10 +134,10 @@ BandwidthChannel::water_fill()
         remaining_rate -= flow->rate_bps;
         --remaining_flows;
     }
-    if (order.size() > 1) {
+    if (fill_order_.size() > 1) {
         // A fill pass throttled someone if any flow got less than it
         // could use alone (its cap, or the full channel when uncapped).
-        for (const Flow *flow : order) {
+        for (const Flow *flow : fill_order_) {
             const double solo = std::min(flow->cap_bps > 0.0
                                              ? flow->cap_bps
                                              : std::numeric_limits<
@@ -154,7 +164,7 @@ BandwidthChannel::recompute_and_reschedule()
     water_fill();
     // Next event: the earliest flow completion at current rates.
     Seconds next_completion = std::numeric_limits<Seconds>::infinity();
-    for (const auto &[id, flow] : flows_) {
+    for (const Flow &flow : flows_) {
         if (flow.rate_bps <= 0.0)
             continue;
         next_completion = std::min(next_completion,
@@ -175,19 +185,26 @@ BandwidthChannel::reap_finished()
     if (in_reap_)
         return;
     in_reap_ = true;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->second.remaining_bytes <= kByteEpsilon) {
-            bytes_delivered_ += it->second.total_bytes;
+    // Compact survivors in place; both they and the completions keep
+    // flow-start order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        Flow &flow = flows_[i];
+        if (flow.remaining_bytes <= kByteEpsilon) {
+            bytes_delivered_ += flow.total_bytes;
             // Defer the callback to a zero-delay event so that reentrant
             // start_flow/cancel_flow calls never observe the channel
             // mid-update.  Delivery order stays deterministic (FIFO at
             // equal timestamps).
-            simulator_.schedule(0.0, std::move(it->second.on_complete));
-            it = flows_.erase(it);
+            simulator_.schedule(0.0, std::move(flow.on_complete));
         } else {
-            ++it;
+            if (kept != i)
+                flows_[kept] = std::move(flow);
+            ++kept;
         }
     }
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 flows_.end());
     in_reap_ = false;
 }
 

@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -85,12 +85,16 @@ class BandwidthChannel
   private:
     struct Flow
     {
+        FlowId id = kInvalidFlow;
         Bytes total_bytes = 0;
-        double remaining_bytes;
-        double cap_bps;        //!< 0 means uncapped
+        double remaining_bytes = 0.0;
+        double cap_bps = 0.0;  //!< 0 means uncapped
         double rate_bps = 0.0; //!< current granted rate
         std::function<void()> on_complete;
     };
+
+    /** The active flow with id @p id, or null. */
+    const Flow *find(FlowId id) const;
 
     /** Apply progress for the interval [last_update_, now]. */
     void advance_to_now();
@@ -107,7 +111,11 @@ class BandwidthChannel
     Simulator &simulator_;
     std::string name_;
     Bandwidth rate_;
-    std::map<FlowId, Flow> flows_; //!< ordered => deterministic iteration
+    /** Active flows in id (= start) order: ids are monotone, so
+     *  appending keeps the order and reaping compacts in place, which
+     *  keeps completions firing in flow-start order. */
+    std::vector<Flow> flows_;
+    std::vector<Flow *> fill_order_; //!< water_fill() scratch
     FlowId next_flow_id_ = 1;
     Seconds last_update_ = 0.0;
     EventId pending_event_ = kInvalidEvent;

@@ -415,7 +415,8 @@ TEST(ClusterNdp, NearDataStepsRunOnTheHostNotTheGpus)
             Bytes h2d = 0;
             std::uint64_t offloaded = 0;
             for (const runtime::ScheduledStep &step : compiled->steps) {
-                h2d += step.cpu_bytes + step.disk_bytes + step.kv_read_bytes;
+                h2d += step.cpu_bytes + step.disk_bytes +
+                       compiled->kv_read_bytes(step);
                 if (step.site == placement::ComputeSite::kNdp)
                     ++offloaded;
                 else

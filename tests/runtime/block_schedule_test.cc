@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/schedule.h"
 
 namespace helm::runtime {
 namespace {
@@ -160,6 +164,37 @@ TEST(KvOffload, MhaLayersCarryKvTraffic)
     }
     EXPECT_TRUE(saw_read);
     EXPECT_TRUE(saw_write);
+
+    // The compiled schedule stores that traffic once per (rep, token):
+    // its MHA steps share one kv_traffic row, other steps have none.
+    static_assert(sizeof(ScheduledStep) <= 128,
+                  "KV flow lists belong in the per-token table");
+    const auto compiled = compile_schedule(spec);
+    ASSERT_TRUE(compiled.is_ok());
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> rows;
+    for (const ScheduledStep &step : compiled->steps) {
+        if (step.type != model::LayerType::kMha) {
+            EXPECT_EQ(step.kv, kNoKv);
+            EXPECT_TRUE(compiled->kv_reads(step).empty());
+            EXPECT_TRUE(compiled->kv_writes(step).empty());
+            EXPECT_TRUE(compiled->kv_occupancy(step).empty());
+            continue;
+        }
+        ASSERT_NE(step.kv, kNoKv);
+        ASSERT_LT(step.kv, compiled->kv_traffic.size());
+        const auto row =
+            rows.emplace(std::make_pair(step.batch_index, step.token), step.kv)
+                .first;
+        EXPECT_EQ(step.kv, row->second);
+        Bytes read_sum = 0, write_sum = 0;
+        for (const KvFlowSpec &flow : compiled->kv_reads(step))
+            read_sum += flow.bytes;
+        for (const KvFlowSpec &flow : compiled->kv_writes(step))
+            write_sum += flow.bytes;
+        EXPECT_EQ(compiled->kv_read_bytes(step), read_sum);
+        EXPECT_EQ(compiled->kv_write_bytes(step), write_sum);
+    }
+    EXPECT_EQ(rows.size(), spec.repeats * spec.shape.output_tokens);
 }
 
 TEST(KvOffload, DecodeReadsGrowWithContext)

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/units.h"
 #include "sim/bandwidth_channel.h"
 #include "sim/simulator.h"
@@ -304,6 +307,60 @@ TEST(BandwidthChannelProperty, StaggeredArrivalsPreserveMaxMinShares)
     // early's last 5 GB takes 1 s, late's 5 GB takes 1 s — both at 2.
     EXPECT_NEAR(done_early, 2.0, 1e-6);
     EXPECT_NEAR(done_late, 2.0, 1e-6);
+}
+
+TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
+{
+    // Flows that finish at the same instant complete in the order they
+    // started — the flow table keeps start order through every reap.
+    Simulator sim;
+    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    std::vector<char> order;
+    ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('A'); });
+    ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('B'); });
+    ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('C'); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+    EXPECT_NEAR(sim.now(), 0.6, kTol);
+}
+
+TEST(BandwidthChannelFlowTable, CancelMiddleFlowRefillsTheRest)
+{
+    Simulator sim;
+    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(9.0));
+    std::vector<std::pair<char, Seconds>> done;
+    const FlowId a = ch.start_flow(
+        9 * kGB, Bandwidth(), [&] { done.emplace_back('A', sim.now()); });
+    const FlowId b = ch.start_flow(
+        9 * kGB, Bandwidth(), [&] { done.emplace_back('B', sim.now()); });
+    const FlowId c = ch.start_flow(
+        9 * kGB, Bandwidth(), [&] { done.emplace_back('C', sim.now()); });
+    sim.run_until(0.5); // 1.5 GB each at 3 GB/s
+    ch.cancel_flow(b);
+    EXPECT_EQ(ch.active_flows(), 2u);
+    EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 4.5, 1e-9);
+    EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.5, 1e-9);
+    EXPECT_TRUE(ch.flow_rate(b).is_zero());
+    sim.run();
+    // 7.5 GB left each at 4.5 GB/s: both land at 0.5 + 5/3 s, A first.
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].first, 'A');
+    EXPECT_EQ(done[1].first, 'C');
+    EXPECT_NEAR(done[0].second, 0.5 + 7.5 / 4.5, 1e-6);
+    EXPECT_NEAR(done[1].second, 0.5 + 7.5 / 4.5, 1e-6);
+    EXPECT_EQ(ch.bytes_delivered(), 18 * kGB);
+}
+
+TEST(BandwidthChannelFlowTable, FinishedOrUnknownFlowHasZeroRate)
+{
+    Simulator sim;
+    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    const FlowId id = ch.start_flow(kGB, Bandwidth(), [] {});
+    EXPECT_NEAR(ch.flow_rate(id).as_gb_per_s(), 10.0, 1e-9);
+    sim.run();
+    EXPECT_TRUE(ch.flow_rate(id).is_zero());
+    EXPECT_TRUE(ch.flow_rate(id + 1).is_zero());
+    EXPECT_TRUE(ch.flow_rate(kInvalidFlow).is_zero());
 }
 
 } // namespace
