@@ -71,7 +71,7 @@ main()
             format_fixed(energy->host_dynamic_joules +
                              energy->host_static_joules,
                          0),
-            format_fixed(host.static_watts, 1),
+            format_fixed(host->static_watts, 1),
             format_fixed(energy->average_watts(), 0)};
         csv.row(cells);
         t.add_row(cells);

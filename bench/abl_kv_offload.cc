@@ -43,7 +43,7 @@ main()
                     memory, placement::PlacementKind::kAllCpu, batch,
                     true);
                 if (mode == "host")
-                    spec.offload_kv_cache = true;
+                    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
                 else if (mode == "tiered")
                     spec.kv_cache = kvcache::KvCacheConfig::tiered();
                 auto result = runtime::simulate_inference(spec);

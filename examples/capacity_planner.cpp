@@ -36,17 +36,11 @@ main(int argc, char **argv)
 
     runtime::TuneRequest request;
     request.model = *model_config;
-    bool memory_found = false;
-    for (auto kind : mem::all_config_kinds()) {
-        if (memory_name == mem::config_kind_name(kind)) {
-            request.memory = kind;
-            memory_found = true;
-        }
-    }
-    if (!memory_found) {
+    if (mem::DeviceRegistry::builtin().find(memory_name) == nullptr) {
         std::cerr << "unknown memory config: " << memory_name << "\n";
         return 1;
     }
+    request.memory = memory_name;
     request.objective = objective_name == "latency"
                             ? runtime::TuneObjective::kLatency
                             : runtime::TuneObjective::kThroughput;

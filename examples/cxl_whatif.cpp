@@ -31,16 +31,14 @@ main(int argc, char **argv)
     std::cout << "CXL bandwidth what-if: OPT-175B(c), batch 1, HeLM vs "
                  "baseline (direct CXL.mem projection, Sec. V-D)\n\n";
 
-    auto run = [](placement::PlacementKind scheme,
-                  std::optional<Bandwidth> cxl_bw) {
+    auto run = [](placement::PlacementKind scheme, mem::HostSpec host) {
         runtime::ServingSpec spec;
         spec.model = model::opt_config(model::OptVariant::kOpt175B);
-        spec.memory = mem::ConfigKind::kNvdram;
+        spec.memory = std::move(host);
         spec.placement = scheme;
         spec.compress_weights = true;
         spec.batch = 1;
         spec.repeats = 2;
-        spec.custom_cxl_bandwidth = cxl_bw;
         auto result = runtime::simulate_inference(spec);
         HELM_ASSERT(result.is_ok(), "what-if simulation failed");
         return std::move(result).value();
@@ -48,7 +46,7 @@ main(int argc, char **argv)
 
     // Reference: NVDRAM + HeLM.
     const auto nv_helm =
-        run(placement::PlacementKind::kHelm, std::nullopt);
+        run(placement::PlacementKind::kHelm, mem::ConfigKind::kNvdram);
     std::cout << "NVDRAM + HeLM reference TBT: "
               << format_seconds(nv_helm.metrics.tbt) << "\n\n";
 
@@ -61,7 +59,8 @@ main(int argc, char **argv)
     double match_nvdram = -1.0;
     double crossover = -1.0;
     for (double gbps = min_gbps; gbps <= max_gbps + 1e-9; gbps += step) {
-        const auto bw = Bandwidth::gb_per_s(gbps);
+        const auto bw =
+            mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(gbps));
         const auto base = run(placement::PlacementKind::kBaseline, bw);
         const auto helm_run = run(placement::PlacementKind::kHelm, bw);
         const auto prefill = runtime::summarize_overlap(

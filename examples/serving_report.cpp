@@ -39,17 +39,11 @@ main(int argc, char **argv)
     spec.compress_weights = true;
     spec.batch = batch;
     spec.repeats = 2;
-    bool memory_found = false;
-    for (auto kind : mem::all_config_kinds()) {
-        if (memory_name == mem::config_kind_name(kind)) {
-            spec.memory = kind;
-            memory_found = true;
-        }
-    }
-    if (!memory_found) {
+    if (mem::DeviceRegistry::builtin().find(memory_name) == nullptr) {
         std::cerr << "unknown memory config: " << memory_name << "\n";
         return 1;
     }
+    spec.memory = memory_name;
     for (auto kind : {placement::PlacementKind::kBaseline,
                       placement::PlacementKind::kHelm,
                       placement::PlacementKind::kAllCpu}) {
@@ -82,12 +76,13 @@ main(int argc, char **argv)
     // ---- Per-request SLO metrics ------------------------------------------
     // The same configuration behind the request-level Server: a Poisson
     // stream at 0.5 req/s for two minutes, FCFS batching up to `batch`.
-    runtime::SchedulerPolicy policy;
-    policy.max_batch = batch;
-    policy.max_queue_delay = 2.0;
-    runtime::SloSpec slo;
-    slo.ttft_target = 120.0;
-    auto server = runtime::Server::create(spec, policy, slo);
+    runtime::ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = batch;
+    config.max_queue_delay = 2.0;
+    config.enforce_ttft = true;
+    config.ttft_target = 120.0;
+    auto server = runtime::Server::create(spec, config);
     if (server.is_ok()) {
         workload::ArrivalSpec arrivals;
         arrivals.rate = 0.5;
@@ -118,7 +113,7 @@ main(int argc, char **argv)
             per_request.print(std::cout);
             std::cout << "goodput: " << format_fixed(report->goodput, 2)
                       << " tokens/s under a "
-                      << format_seconds(slo.ttft_target)
+                      << format_seconds(config.ttft_target)
                       << " TTFT SLO ("
                       << format_fixed(100.0 * report->slo_attainment, 1)
                       << " % of " << report->completed

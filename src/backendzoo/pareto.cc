@@ -33,7 +33,7 @@ spec_for(const ExploreOptions &options, const GridPoint &point)
 {
     runtime::ServingSpec spec;
     spec.model = options.model;
-    spec.zoo_device = point.device;
+    spec.memory = point.device;
     spec.placement = point.scheme;
     spec.compress_weights = options.compress_weights;
     spec.batch = point.batch;
@@ -130,7 +130,8 @@ mark_frontier(std::vector<ParetoPoint> &points)
     return size;
 }
 
-/** The paper's Fig. 11 NVDRAM cell, legacy path vs zoo path. */
+/** The paper's Fig. 11 NVDRAM cell, selected by its ConfigKind and by
+ *  its registry name. */
 ParetoAnchor
 run_anchor(const ExploreOptions &options)
 {
@@ -146,7 +147,7 @@ run_anchor(const ExploreOptions &options)
     spec.keep_records = false;
 
     auto legacy = runtime::simulate_inference(spec);
-    spec.zoo_device = "NVDRAM";
+    spec.memory = "NVDRAM";
     auto zoo = runtime::simulate_inference(spec);
     if (!legacy.is_ok() || !zoo.is_ok())
         return anchor;
@@ -202,7 +203,7 @@ run_hbf_exclusive(const ExploreOptions &options)
 
     runtime::ServingSpec spec;
     spec.model = config;
-    spec.zoo_device = "HBF";
+    spec.memory = "HBF";
     spec.placement = placement::PlacementKind::kAllCpu;
     spec.batch = 1;
     spec.repeats = 2;

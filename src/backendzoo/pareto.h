@@ -12,8 +12,8 @@
  * byte-identical at any jobs value), prices each box with the
  * CostModel, and marks the non-dominated (cost-per-token, TBT) points.
  *
- * Two paper anchors keep the zoo honest: the NVDRAM registry entry
- * must reproduce the legacy ConfigKind path exactly (Fig. 11 cell),
+ * Two paper anchors keep the zoo honest: the NVDRAM registry name must
+ * reproduce the ConfigKind::kNvdram selection exactly (Fig. 11 cell),
  * and the HBF section demonstrates a model size no paper tier admits.
  */
 #ifndef HELM_BACKENDZOO_PARETO_H

@@ -53,13 +53,6 @@ parse_router_policy(const std::string &text)
                                     "' (expected rr, jsq, or po2)");
 }
 
-runtime::ServingConfig
-ClusterSpec::effective_config() const
-{
-    return config.value_or(
-        runtime::ServingConfig::from_legacy(policy, slo));
-}
-
 Status
 ClusterSpec::validate() const
 {
@@ -67,20 +60,16 @@ ClusterSpec::validate() const
         return Status::invalid_argument("gpus must be in [1, 64]");
     if (sockets < 1)
         return Status::invalid_argument("sockets must be >= 1");
-    if (config.has_value()) {
-        HELM_RETURN_IF_ERROR(config->validate());
-        if (config->scheduler != runtime::SchedulerKind::kFcfs &&
-            (gpus > 1 || parallelism != Parallelism::kReplica)) {
-            return Status::invalid_argument(
-                std::string("the ") +
-                runtime::scheduler_kind_name(config->scheduler) +
-                " scheduler needs the single-GPU serving path; the "
-                "cluster's multi-GPU modes batch whole requests "
-                "(--scheduler requires --gpus 1 with replica "
-                "parallelism)");
-        }
-    } else {
-        HELM_RETURN_IF_ERROR(policy.validate());
+    HELM_RETURN_IF_ERROR(config.validate());
+    if (config.scheduler != runtime::SchedulerKind::kFcfs &&
+        (gpus > 1 || parallelism != Parallelism::kReplica)) {
+        return Status::invalid_argument(
+            std::string("the ") +
+            runtime::scheduler_kind_name(config.scheduler) +
+            " scheduler needs the single-GPU serving path; the "
+            "cluster's multi-GPU modes batch whole requests "
+            "(--scheduler requires --gpus 1 with replica "
+            "parallelism)");
     }
     if (parallelism == Parallelism::kPipeline) {
         const std::uint64_t layers = serving.model.num_layers();

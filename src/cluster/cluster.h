@@ -24,7 +24,6 @@
 #define HELM_CLUSTER_CLUSTER_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,24 +83,14 @@ struct ClusterSpec
     std::uint64_t micro_batches = 0;
     /** Replica mode: po2 sampling seed (deterministic). */
     std::uint64_t router_seed = 0x7E57C0DEull;
-    /** @deprecated Legacy batching knobs; folded into `config`.  Read
-     *  only when `config` is unset. */
-    runtime::SchedulerPolicy policy;
-    /** @deprecated Legacy SLO targets; folded into `config`. */
-    runtime::SloSpec slo;
     /**
-     * Unified scheduler configuration.  When set it supersedes
-     * `policy`/`slo` entirely.  Non-fcfs schedulers (continuous, edf)
+     * Scheduler configuration.  Non-fcfs schedulers (continuous, edf)
      * are only valid where the cluster delegates to the single-GPU
      * Server — replica parallelism with gpus = 1; validate() rejects
      * them elsewhere (the multi-GPU fabrics model whole-batch
      * execution, and mixing fidelities would fake contention).
      */
-    std::optional<runtime::ServingConfig> config;
-
-    /** The configuration in force: `config` if set, else the legacy
-     *  policy/slo conversion (always the fcfs scheduler). */
-    runtime::ServingConfig effective_config() const;
+    runtime::ServingConfig config;
 
     Status validate() const;
 };

@@ -163,7 +163,7 @@ ClusterServer::create(ClusterSpec spec)
 
     ClusterServer server(std::move(spec));
     ClusterSpec &cs = server.spec_;
-    server.config_ = cs.effective_config();
+    server.config_ = cs.config;
 
     if (cs.parallelism == Parallelism::kReplica && cs.gpus == 1) {
         // Bit-for-bit single-GPU serving: delegate wholesale.  This is

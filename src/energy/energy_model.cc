@@ -54,40 +54,52 @@ DevicePowerModel::cxl_expander()
     return m;
 }
 
-DevicePowerModel
-host_power_model(mem::ConfigKind kind)
+Result<DevicePowerModel>
+host_power_model(const mem::HostSpec &host)
 {
-    switch (kind) {
-      case mem::ConfigKind::kDram:
-        return DevicePowerModel::ddr4_256g();
-      case mem::ConfigKind::kNvdram:
-        return DevicePowerModel::optane_1t();
-      case mem::ConfigKind::kMemoryMode:
-        return DevicePowerModel::memory_mode();
-      case mem::ConfigKind::kSsd:
-      case mem::ConfigKind::kFsdax: {
-        // DRAM host tier plus Optane storage standby.
+    const auto system = mem::DeviceRegistry::builtin().make_system(host);
+    if (!system.is_ok())
+        return system.status();
+    if (system->has_storage()) {
+        // Every storage-tier entry is Optane behind a DRAM host tier
+        // (Table II SSD/FSDAX): DRAM power plus Optane standby.
         DevicePowerModel m = DevicePowerModel::ddr4_256g();
         m.static_watts += DevicePowerModel::optane_1t().static_watts;
         return m;
-      }
-      case mem::ConfigKind::kCxlFpga:
-      case mem::ConfigKind::kCxlAsic:
-        return DevicePowerModel::cxl_expander();
     }
-    HELM_ASSERT(false, "unknown ConfigKind");
-    return DevicePowerModel{};
+    switch (system->host()->kind()) {
+      case mem::MemoryKind::kDram:
+        return DevicePowerModel::ddr4_256g();
+      case mem::MemoryKind::kOptane:
+        return DevicePowerModel::optane_1t();
+      case mem::MemoryKind::kMemoryMode:
+        return DevicePowerModel::memory_mode();
+      case mem::MemoryKind::kCxl:
+        return DevicePowerModel::cxl_expander();
+      case mem::MemoryKind::kSsd:
+      case mem::MemoryKind::kFsdax:
+      case mem::MemoryKind::kNdpDimm:
+      case mem::MemoryKind::kHbf:
+        break;
+    }
+    return Status::not_found("no power model for host memory '" +
+                             system->label() + "'");
 }
 
 Result<EnergyBreakdown>
-estimate_energy(const runtime::RunResult &result, mem::ConfigKind memory,
-                const gpu::GpuSpec &gpu, const PlatformPower &platform)
+estimate_energy(const runtime::RunResult &result,
+                const mem::HostSpec &memory, const gpu::GpuSpec &gpu,
+                const PlatformPower &platform)
 {
     if (result.records.empty()) {
         return Status::failed_precondition(
             "energy estimation needs per-step records "
             "(run with keep_records = true)");
     }
+
+    const auto host = host_power_model(memory);
+    if (!host.is_ok())
+        return host.status();
 
     EnergyBreakdown e;
     e.duration = result.metrics.total_time;
@@ -107,11 +119,10 @@ estimate_energy(const runtime::RunResult &result, mem::ConfigKind memory,
     e.gpu_joules = gpu_busy * platform.gpu_busy_watts +
                    gpu_idle * platform.gpu_idle_watts;
 
-    const DevicePowerModel host = host_power_model(memory);
-    e.host_static_joules = host.static_watts * e.duration;
+    e.host_static_joules = host->static_watts * e.duration;
     e.host_dynamic_joules =
-        (static_cast<double>(host_reads) * host.read_pj_per_byte +
-         static_cast<double>(host_writes) * host.write_pj_per_byte) *
+        (static_cast<double>(host_reads) * host->read_pj_per_byte +
+         static_cast<double>(host_writes) * host->write_pj_per_byte) *
         1e-12;
     e.pcie_joules = static_cast<double>(host_reads + host_writes) *
                     platform.pcie_pj_per_byte * 1e-12;

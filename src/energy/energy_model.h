@@ -18,7 +18,7 @@
 
 #include "common/units.h"
 #include "gpu/gpu.h"
-#include "mem/host_system.h"
+#include "mem/registry.h"
 #include "runtime/engine.h"
 
 namespace helm::energy {
@@ -89,21 +89,26 @@ struct EnergyBreakdown
     }
 };
 
-/** Power model for a Table II configuration's host memory. */
-DevicePowerModel host_power_model(mem::ConfigKind kind);
+/**
+ * Power model of a host, read off its resolved system: the six paper
+ * rows plus custom CXL expanders (cxl_expander()).  kNotFound for a
+ * device with no power model (NDP-DIMM, HBF) or an unknown name.
+ */
+Result<DevicePowerModel> host_power_model(const mem::HostSpec &host);
 
 /**
  * Estimate the energy of a finished run.
  *
  * @param result Must have been produced with keep_records = true (the
  *               byte and busy-time accounting comes from the records).
- * @param memory The run's memory configuration (selects the host power
- *               model).
+ * @param memory The run's host (selects the host power model; fails for
+ *               a host without one).
  * @param gpu The run's GPU spec.
  * @param platform Platform constants; defaults match the paper's node.
  */
 Result<EnergyBreakdown>
-estimate_energy(const runtime::RunResult &result, mem::ConfigKind memory,
+estimate_energy(const runtime::RunResult &result,
+                const mem::HostSpec &memory,
                 const gpu::GpuSpec &gpu,
                 const PlatformPower &platform = PlatformPower::defaults());
 

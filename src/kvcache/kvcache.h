@@ -88,14 +88,15 @@ struct KvCacheConfig
 
     Status validate() const;
 
-    /** Everything on the GPU, unbounded: `offload_kv_cache = false`. */
+    /** Everything on the GPU, unbounded: what an unset
+     *  `ServingSpec::kv_cache` resolves to. */
     static KvCacheConfig gpu_only();
 
     /**
-     * The `offload_kv_cache = true` compatibility shim: one unbounded
-     * host tier, no GPU tier.  Byte-for-byte the legacy whole-cache
-     * offload — every decode step re-streams the full context and new
-     * K/V entries drain at the host write bandwidth.
+     * Whole-cache offload (`--kv-offload`, FlexGen's
+     * cache_cpu_percent = 100): one unbounded host tier, no GPU tier —
+     * every decode step re-streams the full context and new K/V
+     * entries drain at the host write bandwidth.
      */
     static KvCacheConfig legacy_offload();
 

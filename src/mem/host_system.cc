@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "mem/calibration.h"
+#include "mem/registry.h"
 
 namespace helm::mem {
 
@@ -146,26 +147,9 @@ HostMemorySystem::memory_mode() const
 HostMemorySystem
 make_config(ConfigKind kind, PcieLink pcie)
 {
-    switch (kind) {
-      case ConfigKind::kDram:
-        return HostMemorySystem("DRAM", make_dram(), nullptr, pcie);
-      case ConfigKind::kNvdram:
-        return HostMemorySystem("NVDRAM", make_optane(), nullptr, pcie);
-      case ConfigKind::kMemoryMode:
-        return HostMemorySystem("MemoryMode", make_memory_mode(), nullptr,
-                                pcie);
-      case ConfigKind::kSsd:
-        // Fig. 7b: host tier is DRAM; Optane is the (block) storage tier.
-        return HostMemorySystem("SSD", make_dram(), make_ssd(), pcie);
-      case ConfigKind::kFsdax:
-        return HostMemorySystem("FSDAX", make_dram(), make_fsdax(), pcie);
-      case ConfigKind::kCxlFpga:
-        return HostMemorySystem("CXL-FPGA", make_cxl_fpga(), nullptr, pcie);
-      case ConfigKind::kCxlAsic:
-        return HostMemorySystem("CXL-ASIC", make_cxl_asic(), nullptr, pcie);
-    }
-    HELM_ASSERT(false, "unknown ConfigKind");
-    return HostMemorySystem("DRAM", make_dram(), nullptr, pcie);
+    auto system = DeviceRegistry::builtin().make_system(kind, pcie);
+    HELM_ASSERT(system.is_ok(), "every ConfigKind is a registered device");
+    return std::move(*system);
 }
 
 } // namespace helm::mem

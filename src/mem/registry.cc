@@ -7,14 +7,13 @@ namespace helm::mem {
 
 namespace {
 
-std::string
-to_lower(const std::string &text)
+bool
+iequals(const std::string &a, const std::string &b)
 {
-    std::string out = text;
-    std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return out;
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](unsigned char x, unsigned char y) {
+                          return std::tolower(x) == std::tolower(y);
+                      });
 }
 
 DeviceRegistry
@@ -82,9 +81,8 @@ DeviceRegistry::add(RegisteredDevice device)
 const RegisteredDevice *
 DeviceRegistry::find(const std::string &name) const
 {
-    const std::string needle = to_lower(name);
     for (const RegisteredDevice &device : devices_) {
-        if (to_lower(device.name) == needle)
+        if (iequals(device.name, name))
             return &device;
     }
     return nullptr;
@@ -101,8 +99,19 @@ DeviceRegistry::names() const
 }
 
 Result<HostMemorySystem>
-DeviceRegistry::make_system(const std::string &name, PcieLink pcie) const
+DeviceRegistry::make_system(const HostSpec &host, PcieLink pcie) const
 {
+    if (host.is_custom_cxl()) {
+        if (host.cxl_read_bandwidth().is_zero()) {
+            return Status::invalid_argument(
+                "custom CXL bandwidth must be positive");
+        }
+        return HostMemorySystem(
+            host.name(),
+            make_cxl_custom(host.name(), host.cxl_read_bandwidth()),
+            nullptr, pcie);
+    }
+    const std::string &name = host.name();
     const RegisteredDevice *entry = find(name);
     if (entry == nullptr) {
         std::string known;

@@ -38,7 +38,7 @@
 #include <tuple>
 #include <utility>
 
-#include "mem/host_system.h"
+#include "mem/registry.h"
 #include "model/footprint.h"
 #include "runtime/step_cache.h"
 
@@ -92,14 +92,11 @@ Server::run_continuous()
     // engine models, demote (d2h) and promote (h2d) as separate
     // busy-until channels so back-to-back swaps queue behind each other
     // but the two directions do not contend.
-    const mem::HostMemorySystem system =
-        base_.custom_cxl_bandwidth.has_value()
-            ? mem::HostMemorySystem(
-                  "CXL-custom",
-                  mem::make_cxl_custom("CXL-custom",
-                                       *base_.custom_cxl_bandwidth),
-                  nullptr, base_.pcie)
-            : mem::make_config(base_.memory, base_.pcie);
+    auto system_or =
+        mem::DeviceRegistry::builtin().make_system(base_.memory, base_.pcie);
+    if (!system_or.is_ok())
+        return system_or.status();
+    const mem::HostMemorySystem &system = *system_or;
 
     // ---- Per-request state, tenant queues ------------------------------
     const std::size_t total = pending_.size();

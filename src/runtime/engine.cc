@@ -14,17 +14,12 @@
 namespace helm::runtime {
 
 placement::Policy
-default_policy(mem::ConfigKind kind)
+default_policy(const mem::HostMemorySystem &system)
 {
-    switch (kind) {
-      case mem::ConfigKind::kSsd:
-      case mem::ConfigKind::kFsdax:
-        // Sec. V-A: (storage, host, GPU) = (65, 15, 20).
-        return placement::Policy::disk_offload();
-      default:
-        // Sec. V-A: (0, 80, 20) for host-memory configurations.
-        return placement::Policy::host_offload();
-    }
+    // Sec. V-A: (storage, host, GPU) = (65, 15, 20) when there is a
+    // storage tier, (0, 80, 20) for host-memory configurations.
+    return system.has_storage() ? placement::Policy::disk_offload()
+                                : placement::Policy::host_offload();
 }
 
 Status
@@ -45,75 +40,36 @@ ServingSpec::validate() const
     if (kv_cache.has_value())
         HELM_RETURN_IF_ERROR(kv_cache->validate());
 
+    // Host rules: the host must resolve (a known device, a positive
+    // custom CXL bandwidth), the policy must not route weights to a
+    // storage tier it lacks, and a compute site other than the GPU
+    // needs near-data units to run on.
+    auto system = mem::DeviceRegistry::builtin().make_system(memory, pcie);
+    if (!system.is_ok())
+        return system.status();
     const placement::Policy effective =
-        policy.value_or(default_policy(memory));
+        policy.value_or(default_policy(*system));
     HELM_RETURN_IF_ERROR(effective.validate());
-
-    // CXL-override rules: the override replaces the host tier with a
-    // storage-less expander, so the bandwidth must be real and the
-    // policy must not route weights to a disk tier that will not exist.
-    if (custom_cxl_bandwidth.has_value()) {
-        if (custom_cxl_bandwidth->as_gb_per_s() <= 0.0) {
-            return Status::invalid_argument(
-                "custom CXL bandwidth must be positive");
-        }
-        if (effective.disk_percent > 0.0) {
-            return Status::invalid_argument(
-                "custom CXL override has no storage tier but the "
-                "policy assigns " +
-                std::to_string(effective.disk_percent) +
-                " % of weights to disk");
-        }
+    if (!system->has_storage() && effective.disk_percent > 0.0) {
+        return Status::invalid_argument(
+            "host memory '" + system->label() +
+            "' has no storage tier but the policy assigns " +
+            std::to_string(effective.disk_percent) +
+            " % of weights to disk");
+    }
+    if (compute_site != placement::ComputeSiteMode::kGpuOnly &&
+        system->host()->kind() != mem::MemoryKind::kNdpDimm) {
+        return Status::invalid_argument(
+            std::string("compute site '") +
+            placement::compute_site_mode_name(compute_site) +
+            "' needs an NDP-capable host (e.g. NDP-DIMM), but host "
+            "memory '" + system->label() +
+            "' has no near-data compute units");
     }
 
     // KV/batch feasibility: capacity enforcement can spill every weight
     // off the GPU, but the KV cache, hidden state, and staging buffers
     // for the effective batch must still fit.
-    // Zoo-device rules: the device must exist in the registry, at most
-    // one host-tier override may be active, and a compute site other
-    // than the GPU needs near-data units to run on.
-    if (zoo_device.has_value()) {
-        if (custom_cxl_bandwidth.has_value()) {
-            return Status::invalid_argument(
-                "zoo device '" + *zoo_device +
-                "' conflicts with the custom CXL bandwidth override — "
-                "they both replace the host tier");
-        }
-        const mem::RegisteredDevice *entry =
-            mem::DeviceRegistry::builtin().find(*zoo_device);
-        if (entry == nullptr) {
-            return Status::invalid_argument(
-                "unknown zoo device '" + *zoo_device + "' (see `helmsim "
-                "devices` for the registered zoo)");
-        }
-        if (!entry->storage_tier && effective.disk_percent > 0.0) {
-            return Status::invalid_argument(
-                "zoo device '" + entry->name +
-                "' has no storage tier but the policy assigns " +
-                std::to_string(effective.disk_percent) +
-                " % of weights to disk");
-        }
-    }
-    if (compute_site != placement::ComputeSiteMode::kGpuOnly) {
-        const std::string site_name =
-            placement::compute_site_mode_name(compute_site);
-        if (!zoo_device.has_value()) {
-            return Status::invalid_argument(
-                "compute site '" + site_name +
-                "' requires an NDP-capable zoo device (e.g. "
-                "NDP-DIMM), but no zoo device is set");
-        }
-        const mem::RegisteredDevice *entry =
-            mem::DeviceRegistry::builtin().find(*zoo_device);
-        if (entry != nullptr &&
-            entry->make()->kind() != mem::MemoryKind::kNdpDimm) {
-            return Status::invalid_argument(
-                "compute site '" + site_name + "' and zoo device '" +
-                entry->name + "' conflict: '" + entry->name +
-                "' has no near-data compute units");
-        }
-    }
-
     if (enforce_gpu_capacity) {
         const auto layers = helm::model::build_layers(
             model, compress_weights ? helm::model::DataType::kInt4Grouped
@@ -138,10 +94,7 @@ ServingSpec::validate() const
 kvcache::KvCacheConfig
 ServingSpec::kv_config() const
 {
-    if (kv_cache.has_value())
-        return *kv_cache;
-    return offload_kv_cache ? kvcache::KvCacheConfig::legacy_offload()
-                            : kvcache::KvCacheConfig::gpu_only();
+    return kv_cache.value_or(kvcache::KvCacheConfig::gpu_only());
 }
 
 namespace {

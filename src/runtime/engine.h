@@ -21,7 +21,7 @@
 #include "gpu/compute_model.h"
 #include "gpu/gpu.h"
 #include "kvcache/kvcache.h"
-#include "mem/host_system.h"
+#include "mem/registry.h"
 #include "model/footprint.h"
 #include "model/transformer.h"
 #include "placement/balanced.h"
@@ -39,10 +39,13 @@ namespace helm::runtime {
 struct ServingSpec
 {
     model::TransformerConfig model;
-    mem::ConfigKind memory = mem::ConfigKind::kNvdram;
+    /** The host memory: a DeviceRegistry name or a custom CXL expander
+     *  (mem/registry.h).  Every host consumer resolves this one field
+     *  through DeviceRegistry::make_system(). */
+    mem::HostSpec memory = mem::ConfigKind::kNvdram;
     placement::PlacementKind placement =
         placement::PlacementKind::kBaseline;
-    /** Requested split; defaults per memory kind (Sec. V-A) if unset. */
+    /** Requested split; defaults per host system (Sec. V-A) if unset. */
     std::optional<placement::Policy> policy;
     /** HeLM per-layer-type overrides (ablation bench). */
     std::optional<placement::HelmSplits> helm_splits;
@@ -57,22 +60,16 @@ struct ServingSpec
      */
     std::uint64_t micro_batches = 1;
     /**
-     * Offload the KV cache to host memory (FlexGen's cache_cpu_percent
-     * = 100).  Frees the GPU's KV budget — far larger batches fit — at
-     * the cost of moving the context over PCIe every decode step and
-     * writing new KV entries back at the host's *write* bandwidth
-     * (Optane's 3.26 GB/s, Fig. 3b, finally bites).
-     */
-    bool offload_kv_cache = false;
-    /**
-     * Managed tiered KV cache (src/kvcache).  When set it supersedes
-     * `offload_kv_cache`: blocks of `block_tokens` tokens are placed
-     * across the configured tiers (GPU first, then host tiers), the
-     * eviction policy demotes blocks when the GPU tier fills, and each
-     * decode step only pays PCIe traffic for the host-resident part of
-     * the context.  `offload_kv_cache = true` is exactly equivalent to
-     * `kv_cache = KvCacheConfig::legacy_offload()` — a single unbounded
-     * host tier — and stays byte-for-byte on the legacy code path.
+     * Managed tiered KV cache (src/kvcache); unset keeps the whole
+     * cache in HBM.  Blocks of `block_tokens` tokens are placed across
+     * the configured tiers (GPU first, then host tiers), the eviction
+     * policy demotes blocks when the GPU tier fills, and each decode
+     * step only pays PCIe traffic for the host-resident part of the
+     * context.  `KvCacheConfig::legacy_offload()` — a single unbounded
+     * host tier — is FlexGen's cache_cpu_percent = 100: it frees the
+     * GPU's KV budget at the cost of moving the context over PCIe
+     * every decode step and writing new entries back at the host's
+     * *write* bandwidth (Optane's 3.26 GB/s, Fig. 3b).
      */
     std::optional<kvcache::KvCacheConfig> kv_cache;
     model::SequenceShape shape; //!< default 128 in / 21 out (paper)
@@ -80,23 +77,9 @@ struct ServingSpec
     gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
     mem::PcieLink pcie = mem::PcieLink::gen4_x16();
     /**
-     * When set, the host tier becomes a custom CXL expander of this
-     * read bandwidth (Sec. V-D what-if sweeps); `memory` is ignored.
-     */
-    std::optional<Bandwidth> custom_cxl_bandwidth;
-    /**
-     * When set, the host memory system is composed from this
-     * DeviceRegistry entry (the backend zoo, mem/registry.h) instead of
-     * `memory`; `memory` is then ignored.  Storage-class zoo devices
-     * pair with a DRAM host tier, so the default placement policy
-     * follows the composed system (disk_offload vs host_offload).
-     * Mutually exclusive with `custom_cxl_bandwidth`.
-     */
-    std::optional<std::string> zoo_device;
-    /**
      * Compute-site assignment (placement/ndp_aware.h).  The default
      * kGpuOnly is today's path, bit-for-bit.  kNdpAuto/kNdpAll require
-     * an NDP-capable host tier (zoo_device = "NDP-DIMM"): offloaded
+     * an NDP-capable host tier (memory = "NDP-DIMM"): offloaded
      * layers skip their h2d weight transfer entirely and charge the
      * near-data GEMV time through the DES instead.
      */
@@ -107,8 +90,9 @@ struct ServingSpec
 
     /**
      * Check the spec before running it: field ranges, policy percentages
-     * summing to 100, CXL-override rules (positive bandwidth, no disk
-     * share without a storage tier), and KV/batch feasibility (the
+     * summing to 100, host rules (a known device or a positive custom
+     * CXL bandwidth, no disk share without a storage tier, near-data
+     * compute only on an NDP-capable host), and KV/batch feasibility (the
      * effective batch must fit the GPU even with zero resident weights).
      * `Server`, the CLI, and the benches all report the same errors this
      * way before paying for a simulation; simulate_inference() calls it
@@ -116,21 +100,18 @@ struct ServingSpec
      */
     Status validate() const;
 
-    /** True when the whole KV cache lives in HBM (no offload, no
-     *  managed tiers) — the planner then budgets the full cache. */
-    bool
-    kv_resident_on_gpu() const
-    {
-        return !offload_kv_cache && !kv_cache.has_value();
-    }
+    /** True when the whole KV cache lives in HBM (no managed tiers) —
+     *  the planner then budgets the full cache. */
+    bool kv_resident_on_gpu() const { return !kv_cache.has_value(); }
 
     /** The KV configuration this spec resolves to: `kv_cache` if set,
-     *  else the gpu_only()/legacy_offload() shim for the bool. */
+     *  else KvCacheConfig::gpu_only(). */
     kvcache::KvCacheConfig kv_config() const;
 };
 
-/** FlexGen's default policy for a memory configuration (Sec. V-A). */
-placement::Policy default_policy(mem::ConfigKind kind);
+/** FlexGen's default policy for a host system (Sec. V-A): disk
+ *  offload when it has a storage tier, host offload otherwise. */
+placement::Policy default_policy(const mem::HostMemorySystem &system);
 
 /** Everything a run produces. */
 struct RunResult
@@ -142,7 +123,7 @@ struct RunResult
     GpuBudget budget;      //!< GPU memory breakdown at the run batch
     Bytes model_bytes = 0; //!< total stored weight bytes
     /** Tier occupancy/traffic from the KV manager (every run has one —
-     *  the bool paths map to the gpu_only/legacy_offload shims). */
+     *  an unset `kv_cache` maps to KvCacheConfig::gpu_only()). */
     kvcache::KvCacheStats kv_stats;
     /** The h2d weight-transfer fabric's channel rate — the shared host
      *  port a single-GPU run contends on (trace utilization counters). */

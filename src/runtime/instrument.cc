@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "mem/host_system.h"
+#include "mem/registry.h"
 #include "model/transformer.h"
 #include "placement/placement.h"
 
@@ -108,11 +108,16 @@ void
 record_run_info(telemetry::MetricsRegistry &registry,
                 const ServingSpec &spec, const std::string &command)
 {
+    // The resolved system's label, so a zoo or custom-CXL host reads as
+    // itself (a spec that does not resolve keeps its requested name).
+    const auto system =
+        mem::DeviceRegistry::builtin().make_system(spec.memory, spec.pcie);
     registry
         .gauge("helm_run_info",
                {{"command", command},
                 {"model", spec.model.name},
-                {"memory", mem::config_kind_name(spec.memory)},
+                {"memory",
+                 system.is_ok() ? system->label() : spec.memory.name()},
                 {"placement",
                  placement::placement_kind_name(spec.placement)}},
                "Run identity; always 1")

@@ -54,27 +54,6 @@ validate_shard(const ServingSpec &spec, const ShardOptions &shard,
     return relaxed.validate();
 }
 
-/**
- * The host memory system a spec resolves to: the zoo registry when
- * `zoo_device` is set, the custom-CXL override next, the fixed
- * ConfigKind table otherwise (bit-for-bit the pre-zoo path).
- */
-Result<mem::HostMemorySystem>
-make_spec_system(const ServingSpec &spec)
-{
-    if (spec.zoo_device.has_value()) {
-        return mem::DeviceRegistry::builtin().make_system(
-            *spec.zoo_device, spec.pcie);
-    }
-    if (spec.custom_cxl_bandwidth.has_value()) {
-        return mem::HostMemorySystem(
-            "CXL-custom",
-            mem::make_cxl_custom("CXL-custom", *spec.custom_cxl_bandwidth),
-            nullptr, spec.pcie);
-    }
-    return mem::make_config(spec.memory, spec.pcie);
-}
-
 } // namespace
 
 Result<ShardGeometry>
@@ -133,19 +112,13 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     const std::uint64_t first_layer = geo_or->first_layer;
     const double compute_scale = geo_or->compute_scale;
 
-    auto system_or = make_spec_system(spec);
+    auto system_or =
+        mem::DeviceRegistry::builtin().make_system(spec.memory, spec.pcie);
     if (!system_or.is_ok())
         return system_or.status();
     mem::HostMemorySystem system = std::move(*system_or);
-
-    // Zoo devices default their policy from the composed system (the
-    // storage-class/host-class distinction Sec. V-A keys on), not from
-    // the ignored `memory` enum.
-    const placement::Policy policy = spec.policy.value_or(
-        spec.zoo_device.has_value()
-            ? (system.has_storage() ? placement::Policy::disk_offload()
-                                    : placement::Policy::host_offload())
-            : default_policy(spec.memory));
+    const placement::Policy policy =
+        spec.policy.value_or(default_policy(system));
 
     const std::uint64_t effective_requests =
         spec.batch * spec.micro_batches;
@@ -175,16 +148,9 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                     gpu::layer_compute_time(spec.gpu, work) +
                 spec.gpu.layer_overhead);
         }
-        // Representative transfer rate: a mid-sized weight chunk.  Zoo
-        // devices probe the composed system (no resident set applied
-        // yet); the legacy path keeps its historical make_config probe.
-        if (spec.zoo_device.has_value()) {
-            profile.transfer_bandwidth = system.host_to_gpu_bw(512 * kMiB);
-        } else {
-            mem::HostMemorySystem probe =
-                mem::make_config(spec.memory, spec.pcie);
-            profile.transfer_bandwidth = probe.host_to_gpu_bw(512 * kMiB);
-        }
+        // Representative transfer rate: a mid-sized weight chunk on
+        // the resolved system (no resident set applied yet).
+        profile.transfer_bandwidth = system.host_to_gpu_bw(512 * kMiB);
         profile.gpu_weight_budget = gpu_weight_budget(
             spec.gpu, kv_model, layers, spec.shape, effective_requests,
             spec.compress_weights, spec.kv_resident_on_gpu());
@@ -246,8 +212,8 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     kvcache::KvCacheManager &kv_manager = *kv_manager_or;
 
     // MemoryMode/Optane: the cycled working set is the host-resident
-    // weights plus the host-resident share of the KV cache (all of it
-    // in legacy offload mode, the GPU-tier overflow with managed tiers).
+    // weights plus the host-resident share of the KV cache (the
+    // GPU-tier overflow; all of it for legacy_offload's lone host tier).
     Bytes resident = map.tier_total(Tier::kCpu);
     if (spec.kv_cache.has_value()) {
         const Bytes total_kv = model::kv_bytes_batch(
@@ -262,9 +228,6 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
         }
         if (!gpu_unbounded && total_kv > gpu_kv)
             resident += total_kv - gpu_kv;
-    } else if (spec.offload_kv_cache) {
-        resident += model::kv_bytes_batch(kv_model, spec.shape,
-                                          effective_batch);
     }
     system.set_host_resident_bytes(resident);
 

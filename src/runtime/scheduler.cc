@@ -26,16 +26,6 @@ collect(const std::vector<RequestMetrics> &requests,
 
 } // namespace
 
-Status
-SchedulerPolicy::validate() const
-{
-    if (max_queue_length < 1)
-        return Status::invalid_argument("max_queue_length must be >= 1");
-    if (max_queue_delay < 0.0)
-        return Status::invalid_argument("max_queue_delay must be >= 0");
-    return Status::ok();
-}
-
 Seconds
 ServingReport::queueing_delay_percentile(double p) const
 {
@@ -153,15 +143,6 @@ Server::create(ServingSpec base, ServingConfig config)
     server.kv_capacity_blocks_ = kv_capacity_blocks;
     server.kv_request_slots_ = kv_request_slots;
     return server;
-}
-
-Result<Server>
-Server::create(ServingSpec base, SchedulerPolicy policy, SloSpec slo)
-{
-    // Legacy knobs validate under their historical messages before the
-    // conversion so pre-PR-6 callers see unchanged errors.
-    HELM_RETURN_IF_ERROR(policy.validate());
-    return create(std::move(base), ServingConfig::from_legacy(policy, slo));
 }
 
 Status

@@ -1,7 +1,5 @@
 #include "runtime/serving_config.h"
 
-#include "runtime/scheduler.h"
-
 namespace helm::runtime {
 
 const char *
@@ -71,23 +69,6 @@ ServingConfig::validate() const
             "disable preemption entirely");
     }
     return Status::ok();
-}
-
-ServingConfig
-ServingConfig::from_legacy(const SchedulerPolicy &policy,
-                           const SloSpec &slo)
-{
-    ServingConfig config;
-    config.scheduler = SchedulerKind::kFcfs;
-    config.auto_max_batch = policy.max_batch == 0;
-    config.max_batch = policy.max_batch;
-    config.max_queue_delay = policy.max_queue_delay;
-    config.max_queue_length = policy.max_queue_length;
-    config.enforce_ttft = slo.ttft_target > 0.0;
-    config.ttft_target = slo.ttft_target;
-    config.enforce_e2e = slo.e2e_target > 0.0;
-    config.e2e_target = slo.e2e_target;
-    return config;
 }
 
 } // namespace helm::runtime

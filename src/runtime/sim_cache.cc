@@ -100,7 +100,10 @@ spec_cache_key(const ServingSpec &spec)
     std::string key;
     key.reserve(512);
     append_model(key, spec.model);
-    append_u64(key, "memory", static_cast<std::uint64_t>(spec.memory));
+    append_string(key, "memory", spec.memory.name());
+    append_bool(key, "custom_cxl", spec.memory.is_custom_cxl());
+    if (spec.memory.is_custom_cxl())
+        append_double(key, "cxl_bw", spec.memory.cxl_read_bandwidth().raw());
     append_u64(key, "placement",
                static_cast<std::uint64_t>(spec.placement));
     append_bool(key, "has_policy", spec.policy.has_value());
@@ -120,7 +123,6 @@ spec_cache_key(const ServingSpec &spec)
     append_bool(key, "compress", spec.compress_weights);
     append_u64(key, "batch", spec.batch);
     append_u64(key, "micro", spec.micro_batches);
-    append_bool(key, "kv_offload", spec.offload_kv_cache);
     append_bool(key, "has_kv", spec.kv_cache.has_value());
     if (spec.kv_cache.has_value())
         append_kv_config(key, *spec.kv_cache);
@@ -132,12 +134,6 @@ spec_cache_key(const ServingSpec &spec)
                static_cast<std::uint64_t>(spec.pcie.generation()));
     append_u64(key, "pcie_lanes",
                static_cast<std::uint64_t>(spec.pcie.lanes()));
-    append_bool(key, "has_cxl", spec.custom_cxl_bandwidth.has_value());
-    if (spec.custom_cxl_bandwidth.has_value())
-        append_double(key, "cxl_bw", spec.custom_cxl_bandwidth->raw());
-    append_bool(key, "has_zoo", spec.zoo_device.has_value());
-    if (spec.zoo_device.has_value())
-        append_string(key, "zoo", *spec.zoo_device);
     append_u64(key, "site", static_cast<std::uint64_t>(spec.compute_site));
     append_bool(key, "enforce_cap", spec.enforce_gpu_capacity);
     return key;

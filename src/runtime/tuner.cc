@@ -24,7 +24,7 @@ TuneCandidate::describe() const
         placement::placement_kind_name(spec.placement),
         static_cast<unsigned long long>(spec.batch),
         static_cast<unsigned long long>(spec.micro_batches),
-        spec.offload_kv_cache ? " kv-offload" : "",
+        spec.kv_cache.has_value() ? " kv-offload" : "",
         spec.helm_splits.has_value() ? " custom-split" : "",
         spec.compute_site != placement::ComputeSiteMode::kGpuOnly
             ? " ndp-auto"
@@ -73,20 +73,15 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
         return Status::invalid_argument("batch_limit must be >= 1");
 
     // Compute-site candidates: GPU always; near-data decode when the
-    // requested zoo device carries NDP units.
+    // requested host carries NDP units.
+    const auto system =
+        mem::DeviceRegistry::builtin().make_system(request.memory);
+    if (!system.is_ok())
+        return system.status();
     std::vector<placement::ComputeSiteMode> site_options{
         placement::ComputeSiteMode::kGpuOnly};
-    if (request.zoo_device.has_value()) {
-        const mem::RegisteredDevice *entry =
-            mem::DeviceRegistry::builtin().find(*request.zoo_device);
-        if (entry == nullptr) {
-            return Status::invalid_argument(
-                "unknown zoo device '" + *request.zoo_device +
-                "' (see `helmsim devices`)");
-        }
-        if (entry->make()->kind() == mem::MemoryKind::kNdpDimm)
-            site_options.push_back(placement::ComputeSiteMode::kNdpAuto);
-    }
+    if (system->host()->kind() == mem::MemoryKind::kNdpDimm)
+        site_options.push_back(placement::ComputeSiteMode::kNdpAuto);
 
     const auto layers = model::build_layers(
         request.model, request.compress_weights
@@ -154,7 +149,6 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
                         ServingSpec spec;
                         spec.model = request.model;
                         spec.memory = request.memory;
-                        spec.zoo_device = request.zoo_device;
                         spec.compute_site = site;
                         spec.placement = scheme.kind;
                         spec.helm_splits = scheme.splits;
@@ -162,7 +156,10 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
                             request.compress_weights;
                         spec.batch = batch;
                         spec.micro_batches = micro;
-                        spec.offload_kv_cache = kv_offload;
+                        if (kv_offload) {
+                            spec.kv_cache =
+                                kvcache::KvCacheConfig::legacy_offload();
+                        }
                         spec.shape = request.shape;
                         spec.repeats = 2;
                         spec.gpu = request.gpu;

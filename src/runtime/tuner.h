@@ -38,20 +38,17 @@ const char *tune_objective_name(TuneObjective objective);
 struct TuneRequest
 {
     model::TransformerConfig model;
-    mem::ConfigKind memory = mem::ConfigKind::kNvdram;
-    /**
-     * Search on this backend-zoo device (mem/registry.h) instead of
-     * `memory`.  NDP-capable devices additionally enumerate
-     * compute-site candidates (near-data decode execution).
-     */
-    std::optional<std::string> zoo_device;
+    /** The host to search on.  NDP-capable devices additionally
+     *  enumerate compute-site candidates (near-data decode). */
+    mem::HostSpec memory = mem::ConfigKind::kNvdram;
     bool compress_weights = true;
     model::SequenceShape shape;
     TuneObjective objective = TuneObjective::kThroughput;
     /** QoS constraint: candidates whose TBT exceeds this are rejected. */
     std::optional<Seconds> tbt_ceiling;
     std::uint64_t batch_limit = 512; //!< search ceiling
-    bool explore_kv_offload = true;  //!< include cache-offload candidates
+    /** Include KvCacheConfig::legacy_offload() candidates. */
+    bool explore_kv_offload = true;
     bool explore_micro_batches = true;
     gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
 };

@@ -114,10 +114,10 @@ bool
 ServingSweep::is_recognized(const std::string &name)
 {
     static const std::vector<std::string> known{
-        "model",        "memory",        "placement",
-        "batch",        "micro_batches", "kv_offload",
-        "compress",     "prompt_tokens", "output_tokens",
-        "device",       "compute_site"};
+        "model",         "memory",        "placement",
+        "batch",         "micro_batches", "kv_offload",
+        "compress",      "prompt_tokens", "output_tokens",
+        "compute_site"};
     return std::find(known.begin(), known.end(), name) != known.end();
 }
 
@@ -130,7 +130,7 @@ ServingSweep::add_dimension(const std::string &name,
             "unknown sweep dimension '" + name +
             "' (model, memory, placement, batch, micro_batches, "
             "kv_offload, compress, prompt_tokens, output_tokens, "
-            "device, compute_site)");
+            "compute_site)");
     }
     return runner_.add_dimension(name, std::move(values));
 }
@@ -162,13 +162,14 @@ apply(runtime::ServingSpec &spec, const std::string &name,
         return Status::ok();
     }
     if (name == "memory") {
-        for (auto kind : mem::all_config_kinds()) {
-            if (value == mem::config_kind_name(kind)) {
-                spec.memory = kind;
-                return Status::ok();
-            }
+        const mem::RegisteredDevice *entry =
+            mem::DeviceRegistry::builtin().find(value);
+        if (entry == nullptr) {
+            return Status::not_found("unknown memory config: " + value +
+                                     " (run `helmsim devices`)");
         }
-        return Status::not_found("unknown memory config: " + value);
+        spec.memory = entry->name;
+        return Status::ok();
     }
     if (name == "placement") {
         for (auto kind : {placement::PlacementKind::kBaseline,
@@ -189,16 +190,6 @@ apply(runtime::ServingSpec &spec, const std::string &name,
         return as_u64(spec.shape.prompt_tokens);
     if (name == "output_tokens")
         return as_u64(spec.shape.output_tokens);
-    if (name == "device") {
-        const mem::RegisteredDevice *entry =
-            mem::DeviceRegistry::builtin().find(value);
-        if (entry == nullptr) {
-            return Status::not_found("unknown zoo device: " + value +
-                                     " (run `helmsim devices`)");
-        }
-        spec.zoo_device = entry->name;
-        return Status::ok();
-    }
     if (name == "compute_site") {
         for (auto mode : {placement::ComputeSiteMode::kGpuOnly,
                           placement::ComputeSiteMode::kNdpAuto,
@@ -212,7 +203,8 @@ apply(runtime::ServingSpec &spec, const std::string &name,
                                  " (gpu, auto, ndp)");
     }
     if (name == "kv_offload") {
-        spec.offload_kv_cache = value == "1" || value == "true";
+        if (value == "1" || value == "true")
+            spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
         return Status::ok();
     }
     if (name == "compress") {

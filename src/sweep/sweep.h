@@ -88,11 +88,10 @@ class SweepRunner
  * base spec, the simulation runs, and standard metric columns
  * (ttft_ms, tbt_ms, tokens_per_s, gpu_used_bytes) come back.
  *
- * Recognized dimensions: "model" (zoo name), "memory" (config label),
- * "placement" (scheme name), "batch", "micro_batches", "kv_offload"
- * (0/1), "compress" (0/1), "prompt_tokens", "output_tokens", "device"
- * (backend-zoo name, supersedes "memory"), "compute_site"
- * (gpu | auto | ndp).
+ * Recognized dimensions: "model" (zoo name), "memory" (any
+ * `helmsim devices` name), "placement" (scheme name), "batch",
+ * "micro_batches", "kv_offload" (0/1), "compress" (0/1),
+ * "prompt_tokens", "output_tokens", "compute_site" (gpu | auto | ndp).
  */
 class ServingSweep
 {

@@ -41,7 +41,7 @@ ndp_spec()
 {
     runtime::ServingSpec spec = small_spec();
     spec.compress_weights = true;
-    spec.zoo_device = "NDP-DIMM";
+    spec.memory = "NDP-DIMM";
     spec.compute_site = placement::ComputeSiteMode::kNdpAuto;
     return spec;
 }
@@ -140,24 +140,18 @@ TEST(ClusterSpecTest, IterationSchedulersNeedTheSingleGpuPath)
     EXPECT_TRUE(fcfs.validate().is_ok());
 }
 
-TEST(ClusterSpecTest, EffectiveConfigFallsBackToLegacyKnobs)
+TEST(ClusterSpecTest, DefaultConfigIsTheHistoricalFcfs)
 {
-    ClusterSpec spec = cluster_spec(2, Parallelism::kReplica);
-    spec.policy.max_batch = 6;
-    spec.slo.ttft_target = 3.0;
-    const runtime::ServingConfig fallback = spec.effective_config();
-    EXPECT_EQ(fallback.scheduler, runtime::SchedulerKind::kFcfs);
-    EXPECT_FALSE(fallback.auto_max_batch);
-    EXPECT_EQ(fallback.max_batch, 6u);
-    EXPECT_TRUE(fallback.enforce_ttft);
-    EXPECT_DOUBLE_EQ(fallback.ttft_target, 3.0);
-
-    runtime::ServingConfig explicit_config;
-    explicit_config.scheduler = runtime::SchedulerKind::kContinuous;
-    spec.gpus = 1;
-    spec.config = explicit_config;
-    EXPECT_EQ(spec.effective_config().scheduler,
-              runtime::SchedulerKind::kContinuous);
+    // An untouched ClusterSpec serves fcfs under the historical knob
+    // defaults, exactly as Server::create(spec) does.
+    const runtime::ServingConfig config = ClusterSpec{}.config;
+    EXPECT_EQ(config.scheduler, runtime::SchedulerKind::kFcfs);
+    EXPECT_TRUE(config.auto_max_batch);
+    EXPECT_DOUBLE_EQ(config.max_queue_delay, 0.5);
+    EXPECT_EQ(config.max_queue_length, 1024u);
+    EXPECT_FALSE(config.enforce_ttft);
+    EXPECT_FALSE(config.enforce_e2e);
+    EXPECT_TRUE(cluster_spec(2, Parallelism::kReplica).validate().is_ok());
 }
 
 TEST(ClusterDegeneracy, EdfClusterMatchesServerThroughTheBackendSeam)
@@ -310,13 +304,12 @@ TEST(ClusterDegeneracy, SaturatedReplicaOneGpuMatchesEngineExactly)
     for (runtime::ServingSpec spec :
          {small_spec(mem::ConfigKind::kNvdram),
           small_spec(mem::ConfigKind::kDram), ndp_spec()}) {
-        const std::string label =
-            spec.zoo_device.value_or(mem::config_kind_name(spec.memory));
+        const std::string label = spec.memory.name();
         spec.batch = 4;
         spec.repeats = 2;
         auto single = runtime::simulate_inference(spec);
         ASSERT_TRUE(single.is_ok()) << single.status().to_string();
-        if (spec.zoo_device.has_value()) { // near-data decode engaged
+        if (spec.compute_site != placement::ComputeSiteMode::kGpuOnly) {
             EXPECT_GT(single->ndp_steps, 0u);
         }
 

@@ -81,14 +81,66 @@ TEST(Energy, OptaneDynamicAboveDram)
 
 TEST(Energy, HostPowerModelCoversEveryConfig)
 {
-    for (auto kind : mem::all_config_kinds()) {
-        const auto m = host_power_model(kind);
-        EXPECT_GT(m.static_watts, 0.0) << mem::config_kind_name(kind);
-        EXPECT_GT(m.read_pj_per_byte, 0.0);
-    }
+    const auto expect_model = [](const mem::HostSpec &host,
+                                 const DevicePowerModel &want) {
+        const auto m = host_power_model(host);
+        ASSERT_TRUE(m.is_ok()) << host.name() << ": "
+                               << m.status().to_string();
+        EXPECT_EQ(m->static_watts, want.static_watts) << host.name();
+        EXPECT_EQ(m->read_pj_per_byte, want.read_pj_per_byte)
+            << host.name();
+        EXPECT_EQ(m->write_pj_per_byte, want.write_pj_per_byte)
+            << host.name();
+    };
+    // The paper rows, each read off its resolved system.
+    DevicePowerModel storage = DevicePowerModel::ddr4_256g();
+    storage.static_watts += DevicePowerModel::optane_1t().static_watts;
+    expect_model(mem::ConfigKind::kDram, DevicePowerModel::ddr4_256g());
+    expect_model(mem::ConfigKind::kNvdram, DevicePowerModel::optane_1t());
+    expect_model(mem::ConfigKind::kMemoryMode,
+                 DevicePowerModel::memory_mode());
+    expect_model(mem::ConfigKind::kSsd, storage);
+    expect_model(mem::ConfigKind::kFsdax, storage);
+    expect_model(mem::ConfigKind::kCxlFpga,
+                 DevicePowerModel::cxl_expander());
+    expect_model(mem::ConfigKind::kCxlAsic,
+                 DevicePowerModel::cxl_expander());
+    for (auto kind : mem::all_config_kinds())
+        EXPECT_TRUE(host_power_model(kind).is_ok());
     // Memory Mode powers both tiers.
-    EXPECT_GT(host_power_model(mem::ConfigKind::kMemoryMode).static_watts,
-              host_power_model(mem::ConfigKind::kNvdram).static_watts);
+    EXPECT_GT(host_power_model(mem::ConfigKind::kMemoryMode)->static_watts,
+              host_power_model(mem::ConfigKind::kNvdram)->static_watts);
+
+    // A custom expander is a CXL expander; a device without a power
+    // model fails instead of borrowing another's.
+    expect_model(mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(64.0)),
+                 DevicePowerModel::cxl_expander());
+    for (const char *name : {"NDP-DIMM", "HBF"}) {
+        const auto m = host_power_model(name);
+        EXPECT_EQ(m.status().code(), StatusCode::kNotFound) << name;
+        EXPECT_NE(m.status().message().find(name), std::string::npos);
+    }
+}
+
+TEST(Energy, EstimateUsesTheRunsHost)
+{
+    // The same run priced on an HBF host has no power model to use, and
+    // on a custom CXL host it is priced as an expander, not as Optane.
+    const auto result = run(mem::ConfigKind::kNvdram);
+    const auto gpu = gpu::GpuSpec::a100_40gb();
+    EXPECT_EQ(estimate_energy(result, "HBF", gpu).status().code(),
+              StatusCode::kNotFound);
+    const auto cxl = estimate_energy(
+        result, mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(64.0)), gpu);
+    const auto fpga =
+        estimate_energy(result, mem::ConfigKind::kCxlFpga, gpu);
+    const auto nvdram =
+        estimate_energy(result, mem::ConfigKind::kNvdram, gpu);
+    ASSERT_TRUE(cxl.is_ok());
+    ASSERT_TRUE(fpga.is_ok());
+    ASSERT_TRUE(nvdram.is_ok());
+    EXPECT_EQ(cxl->total_joules(), fpga->total_joules());
+    EXPECT_NE(cxl->total_joules(), nvdram->total_joules());
 }
 
 TEST(Energy, FasterRunsUseFewerJoulesPerToken)

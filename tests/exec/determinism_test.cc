@@ -191,8 +191,21 @@ TEST(SimCacheTest, KeyDistinguishesSpecs)
     EXPECT_NE(runtime::spec_cache_key(batched), base_key);
 
     runtime::ServingSpec offloaded = spec;
-    offloaded.offload_kv_cache = true;
+    offloaded.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     EXPECT_NE(runtime::spec_cache_key(offloaded), base_key);
+
+    // The host is one field: a zoo device or a custom CXL rate splits
+    // the key from the default NVDRAM host and from each other.
+    runtime::ServingSpec hbf = spec;
+    hbf.memory = "HBF";
+    runtime::ServingSpec cxl16 = spec;
+    cxl16.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(16.0));
+    runtime::ServingSpec cxl32 = spec;
+    cxl32.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(32.0));
+    EXPECT_NE(runtime::spec_cache_key(hbf), base_key);
+    EXPECT_NE(runtime::spec_cache_key(cxl16), base_key);
+    EXPECT_NE(runtime::spec_cache_key(cxl16),
+              runtime::spec_cache_key(cxl32));
 
     // keep_records is presentation-only: it must not split the key.
     runtime::ServingSpec recorded = spec;

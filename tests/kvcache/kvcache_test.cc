@@ -203,7 +203,7 @@ TEST(KvCacheManager, LegacyOffloadMatchesWholeCacheFormulas)
     EXPECT_EQ(prefill->read_bytes[0], 0u);
 
     // Decode: one appended token per request plus the full context
-    // streamed back in — the legacy offload_kv_cache byte equation.
+    // streamed back in — the whole-cache offload byte equation.
     const auto decode = manager.step(1, /*count_reads=*/true);
     ASSERT_TRUE(decode.is_ok());
     EXPECT_EQ(decode->write_bytes[0], batch * token_layer());

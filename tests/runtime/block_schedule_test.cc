@@ -113,9 +113,9 @@ TEST(BlockSchedule, CapacityLimitsMicroBatches)
 TEST(KvOffload, FreesGpuKvBudget)
 {
     ServingSpec spec = base_spec();
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     const auto off = simulate_inference(spec);
-    spec.offload_kv_cache = false;
+    spec.kv_cache.reset();
     const auto on = simulate_inference(spec);
     ASSERT_TRUE(off.is_ok());
     ASSERT_TRUE(on.is_ok());
@@ -133,10 +133,10 @@ TEST(KvOffload, EnablesOtherwiseImpossibleBatches)
     spec.compress_weights = true;
     spec.batch = 128;
     spec.repeats = 1;
-    spec.offload_kv_cache = false;
+    spec.kv_cache.reset();
     EXPECT_EQ(simulate_inference(spec).status().code(),
               StatusCode::kCapacityExceeded);
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     const auto result = simulate_inference(spec);
     EXPECT_TRUE(result.is_ok()) << result.status().to_string();
 }
@@ -144,7 +144,7 @@ TEST(KvOffload, EnablesOtherwiseImpossibleBatches)
 TEST(KvOffload, MhaLayersCarryKvTraffic)
 {
     ServingSpec spec = base_spec();
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     const auto result = simulate_inference(spec);
     ASSERT_TRUE(result.is_ok());
     bool saw_read = false, saw_write = false;
@@ -200,7 +200,7 @@ TEST(KvOffload, MhaLayersCarryKvTraffic)
 TEST(KvOffload, DecodeReadsGrowWithContext)
 {
     ServingSpec spec = base_spec();
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     const auto result = simulate_inference(spec);
     ASSERT_TRUE(result.is_ok());
     Bytes early = 0, late = 0;
@@ -220,9 +220,9 @@ TEST(KvOffload, SlowsDecodeOnNvdram)
     // Streaming the context every step costs latency — the tradeoff the
     // related-work KV papers attack (Sec. VI).
     ServingSpec spec = base_spec();
-    spec.offload_kv_cache = false;
+    spec.kv_cache.reset();
     const auto on_gpu = simulate_inference(spec);
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     const auto offloaded = simulate_inference(spec);
     ASSERT_TRUE(on_gpu.is_ok());
     ASSERT_TRUE(offloaded.is_ok());
@@ -235,7 +235,7 @@ TEST(KvOffload, PrefillWritebackHurtsMostOnOptane)
     // more painful on NVDRAM than on DRAM.
     ServingSpec spec = base_spec();
     spec.batch = 16;
-    spec.offload_kv_cache = true;
+    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     spec.memory = mem::ConfigKind::kNvdram;
     const auto nvdram = simulate_inference(spec);
     spec.memory = mem::ConfigKind::kDram;
@@ -246,7 +246,7 @@ TEST(KvOffload, PrefillWritebackHurtsMostOnOptane)
         nvdram->metrics.ttft / dram->metrics.ttft;
     // Without offload this config's TTFT gap is ~1.2x (h2d only); the
     // writeback at ~2-3 GB/s vs 26 GB/s must widen it clearly.
-    spec.offload_kv_cache = false;
+    spec.kv_cache.reset();
     spec.memory = mem::ConfigKind::kNvdram;
     const auto nv_no_offload = simulate_inference(spec);
     spec.memory = mem::ConfigKind::kDram;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the iteration-level schedulers (runtime/continuous.cc) and
  * the unified ServingConfig: preemption round-trip accounting, EDF
- * fairness/starvation under adversarial tenant mixes, FCFS identity
- * with the deprecated entry point, and validate() diagnostics.
+ * fairness/starvation under adversarial tenant mixes, the swap fabric's
+ * host, FCFS identity of the config-less entry point, and validate()
+ * diagnostics.
  */
 #include <gtest/gtest.h>
 
@@ -201,6 +202,38 @@ TEST(Edf, PreemptionRoundTripConservesWorkAndBytes)
     EXPECT_EQ(promoted, report.kv_promoted_bytes);
 }
 
+TEST(Edf, SwapFabricIsTheResolvedHost)
+{
+    // Preempted KV rides the host the spec names: every swap interval
+    // is that system's transfer time for its bytes, here a custom CXL
+    // expander that is neither NVDRAM nor any registry row.
+    ServingSpec spec = small_spec();
+    spec.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(8.0));
+    auto server = Server::create(spec, edf_two_slots());
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    ASSERT_TRUE(server->submit(preemption_microcosm()).is_ok());
+    const auto report = server->serve();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    ASSERT_FALSE(report->kv_swap_events.empty());
+
+    const auto system = mem::DeviceRegistry::builtin().make_system(
+        spec.memory, spec.pcie);
+    ASSERT_TRUE(system.is_ok());
+    const mem::HostMemorySystem nvdram = mem::make_config(
+        mem::ConfigKind::kNvdram, spec.pcie);
+    for (const auto &swap : report->kv_swap_events) {
+        const Bandwidth rate = swap.demote
+                                   ? system->gpu_to_host_bw(swap.bytes)
+                                   : system->host_to_gpu_bw(swap.bytes);
+        const Bandwidth nvdram_rate =
+            swap.demote ? nvdram.gpu_to_host_bw(swap.bytes)
+                        : nvdram.host_to_gpu_bw(swap.bytes);
+        const Seconds expected = rate.transfer_time(swap.bytes);
+        EXPECT_NEAR(swap.end - swap.start, expected, expected * 1e-9);
+        EXPECT_NE(rate, nvdram_rate);
+    }
+}
+
 TEST(Edf, PreemptionOnlyDelaysTheVictim)
 {
     // Round trip against the uncontended timeline: serving the three
@@ -307,6 +340,10 @@ TEST(Edf, AdversarialTenantMixStarvesTheDeadlineLessTenant)
 
 TEST(UnifiedConfig, FcfsPathIsFieldExactWithLegacyCreate)
 {
+    // Server::create(spec), the entry point for callers without a
+    // config, runs fcfs under the historical knob defaults: a
+    // planner-sized ceiling, a 0.5 s batch-mate wait, a 1024-deep
+    // queue, and no SLO targets.
     workload::ArrivalSpec arrivals;
     arrivals.rate = 3.0;
     arrivals.duration = 8.0;
@@ -314,18 +351,20 @@ TEST(UnifiedConfig, FcfsPathIsFieldExactWithLegacyCreate)
     const auto stream = workload::generate_arrivals(arrivals);
     ASSERT_TRUE(stream.is_ok());
 
-    SchedulerPolicy policy;
-    policy.max_queue_delay = 0.25;
-    SloSpec slo;
-    slo.ttft_target = 10.0;
-    auto legacy = Server::create(small_spec(), policy, slo);
+    auto legacy = Server::create(small_spec());
     ASSERT_TRUE(legacy.is_ok());
     ASSERT_TRUE(legacy->submit(*stream).is_ok());
     const auto legacy_report = legacy->run();
     ASSERT_TRUE(legacy_report.is_ok());
 
-    const auto unified_report = serve_stream(
-        ServingConfig::from_legacy(policy, slo), *stream);
+    ServingConfig historical;
+    historical.scheduler = SchedulerKind::kFcfs;
+    historical.auto_max_batch = true;
+    historical.max_queue_delay = 0.5;
+    historical.max_queue_length = 1024;
+    historical.enforce_ttft = false;
+    historical.enforce_e2e = false;
+    const auto unified_report = serve_stream(historical, *stream);
 
     EXPECT_EQ(unified_report.scheduler, SchedulerKind::kFcfs);
     EXPECT_EQ(unified_report.completed, legacy_report->completed);

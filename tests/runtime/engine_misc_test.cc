@@ -28,7 +28,7 @@ TEST(CustomCxl, BandwidthMonotone)
     spec.keep_records = false;
     double prev_tbt = 1e18;
     for (double gbps : {4.0, 8.0, 16.0, 32.0}) {
-        spec.custom_cxl_bandwidth = Bandwidth::gb_per_s(gbps);
+        spec.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(gbps));
         const auto result = simulate_inference(spec);
         ASSERT_TRUE(result.is_ok());
         EXPECT_LT(result->metrics.tbt, prev_tbt);
@@ -49,8 +49,7 @@ TEST(CustomCxl, MatchesNamedConfigsAtTheirBandwidths)
 
     spec.memory = mem::ConfigKind::kCxlFpga;
     const auto named = simulate_inference(spec);
-    spec.memory = mem::ConfigKind::kNvdram; // ignored when custom set
-    spec.custom_cxl_bandwidth = Bandwidth::gb_per_s(5.12);
+    spec.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(5.12));
     const auto custom = simulate_inference(spec);
     ASSERT_TRUE(named.is_ok());
     ASSERT_TRUE(custom.is_ok());
@@ -69,9 +68,8 @@ TEST(CustomCxl, CanExceedPcieDmaPath)
     spec.batch = 1;
     spec.repeats = 2;
     spec.keep_records = false;
-    spec.custom_cxl_bandwidth = Bandwidth::gb_per_s(40.0);
+    spec.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(40.0));
     const auto cxl = simulate_inference(spec);
-    spec.custom_cxl_bandwidth.reset();
     spec.memory = mem::ConfigKind::kDram;
     const auto dram = simulate_inference(spec);
     ASSERT_TRUE(cxl.is_ok());

@@ -100,11 +100,11 @@ TEST(Engine, ValidateRejectsWithoutSimulating)
     EXPECT_EQ(zero_batch.validate().code(), StatusCode::kInvalidArgument);
 
     ServingSpec bad_cxl = small_spec();
-    bad_cxl.custom_cxl_bandwidth = Bandwidth::gb_per_s(0.0);
+    bad_cxl.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(0.0));
     EXPECT_EQ(bad_cxl.validate().code(), StatusCode::kInvalidArgument);
 
     ServingSpec cxl_disk = small_spec();
-    cxl_disk.custom_cxl_bandwidth = Bandwidth::gb_per_s(16.0);
+    cxl_disk.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(16.0));
     cxl_disk.policy = placement::Policy{65.0, 15.0, 20.0, false};
     EXPECT_EQ(cxl_disk.validate().code(), StatusCode::kInvalidArgument);
 
@@ -120,14 +120,31 @@ TEST(Engine, ValidateRejectsWithoutSimulating)
 
 TEST(Engine, DefaultPolicyMatchesMemoryKind)
 {
-    EXPECT_DOUBLE_EQ(default_policy(mem::ConfigKind::kSsd).disk_percent,
-                     65.0);
-    EXPECT_DOUBLE_EQ(default_policy(mem::ConfigKind::kFsdax).disk_percent,
-                     65.0);
+    using mem::make_config;
     EXPECT_DOUBLE_EQ(
-        default_policy(mem::ConfigKind::kNvdram).disk_percent, 0.0);
-    EXPECT_DOUBLE_EQ(default_policy(mem::ConfigKind::kDram).cpu_percent,
-                     80.0);
+        default_policy(make_config(mem::ConfigKind::kSsd)).disk_percent,
+        65.0);
+    EXPECT_DOUBLE_EQ(
+        default_policy(make_config(mem::ConfigKind::kFsdax)).disk_percent,
+        65.0);
+    EXPECT_DOUBLE_EQ(
+        default_policy(make_config(mem::ConfigKind::kNvdram)).disk_percent,
+        0.0);
+    EXPECT_DOUBLE_EQ(
+        default_policy(make_config(mem::ConfigKind::kDram)).cpu_percent,
+        80.0);
+
+    // A custom CXL expander has no storage tier: host offload, so a
+    // default-policy run places no weight bytes on disk.
+    ServingSpec cxl = small_spec();
+    cxl.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(64.0));
+    const auto system = mem::DeviceRegistry::builtin().make_system(
+        cxl.memory, cxl.pcie);
+    ASSERT_TRUE(system.is_ok());
+    EXPECT_DOUBLE_EQ(default_policy(*system).cpu_percent, 80.0);
+    const auto run = simulate_inference(cxl);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    EXPECT_EQ(run->placement.tier_total(placement::Tier::kDisk), 0u);
 }
 
 TEST(Engine, RecordCountMatchesSchedule)

@@ -109,6 +109,25 @@ TEST(RecordRun, PopulatesRegistrySections)
               0.0);
 }
 
+TEST(RecordRun, RunInfoLabelsTheResolvedHost)
+{
+    // The memory label is the resolved system's: a zoo device reads as
+    // its canonical registry name, a custom expander as CXL-custom.
+    const auto label = [](const mem::HostSpec &host) {
+        ServingSpec spec = small_spec();
+        spec.memory = host;
+        telemetry::MetricsRegistry registry;
+        record_run_info(registry, spec, "run");
+        const auto info = registry.label_sets("helm_run_info");
+        return info.size() == 1 ? info.front().at("memory")
+                                : std::string();
+    };
+    EXPECT_EQ(label(mem::ConfigKind::kNvdram), "NVDRAM");
+    EXPECT_EQ(label("hbf"), "HBF");
+    EXPECT_EQ(label(mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(64.0))),
+              "CXL-custom");
+}
+
 TEST(RecordRun, KvLookupCountersSplitHitAndMiss)
 {
     ServingSpec spec = small_spec();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine + scheduler integration tests for the tiered KV cache:
- * bit-for-bit goldens pinning the legacy offload_kv_cache paths, the
+ * bit-for-bit goldens pinning the resident and legacy_offload paths, the
  * NVDRAM write-ceiling bound on the managed writeback, prefetch-off
  * stall accounting, the chrome-trace KV track, and the admission-side
  * batch/shedding behavior.
@@ -28,7 +28,8 @@ opt67b_spec(bool offload, std::uint64_t batch)
     spec.placement = placement::PlacementKind::kAllCpu;
     spec.batch = batch;
     spec.repeats = 2;
-    spec.offload_kv_cache = offload;
+    if (offload)
+        spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
     return spec;
 }
 
@@ -74,8 +75,8 @@ tight_tiered(std::uint64_t gpu_blocks, bool prefetch = true)
 }
 
 // ---------------------------------------------------------------------
-// Bit-for-bit goldens: the legacy offload_kv_cache code paths must not
-// move, even though both now run through the KvCacheManager.  Values
+// Bit-for-bit goldens: the HBM-resident and whole-cache-offload paths
+// must not move, even though both run through the KvCacheManager.  Values
 // captured from the seed engine (OPT-6.7B, NVDRAM, All-CPU, repeats 2,
 // paper shape 128/21) at full double precision.
 // ---------------------------------------------------------------------
@@ -114,23 +115,8 @@ TEST(KvCacheGolden, OffloadBatch32)
 }
 
 // ---------------------------------------------------------------------
-// Compatibility shims: the explicit configs reproduce the bools.
+// An explicit gpu_only() config reproduces the unset default.
 // ---------------------------------------------------------------------
-
-TEST(KvCacheShim, ExplicitLegacyOffloadMatchesBool)
-{
-    const auto via_bool = run_or_fail(opt67b_spec(true, 4));
-    auto spec = opt67b_spec(false, 4);
-    spec.kv_cache = kvcache::KvCacheConfig::legacy_offload();
-    const auto via_config = run_or_fail(spec);
-
-    EXPECT_DOUBLE_EQ(via_config.metrics.ttft, via_bool.metrics.ttft);
-    EXPECT_DOUBLE_EQ(via_config.metrics.tbt, via_bool.metrics.tbt);
-    EXPECT_DOUBLE_EQ(via_config.metrics.total_time,
-                     via_bool.metrics.total_time);
-    EXPECT_EQ(total_kv_read(via_config), total_kv_read(via_bool));
-    EXPECT_EQ(total_kv_write(via_config), total_kv_write(via_bool));
-}
 
 TEST(KvCacheShim, ExplicitGpuOnlyMatchesDefault)
 {

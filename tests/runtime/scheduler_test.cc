@@ -44,12 +44,12 @@ TEST(Scheduler, CreateValidatesSpecAndPolicy)
     EXPECT_EQ(Server::create(bad).status().code(),
               StatusCode::kInvalidArgument);
 
-    SchedulerPolicy no_queue;
+    ServingConfig no_queue;
     no_queue.max_queue_length = 0;
     EXPECT_EQ(Server::create(small_spec(), no_queue).status().code(),
               StatusCode::kInvalidArgument);
 
-    SchedulerPolicy negative_delay;
+    ServingConfig negative_delay;
     negative_delay.max_queue_delay = -0.1;
     EXPECT_EQ(
         Server::create(small_spec(), negative_delay).status().code(),
@@ -86,10 +86,11 @@ TEST(Scheduler, EmptyRunYieldsEmptyReport)
 
 TEST(Scheduler, FcfsOrderingAndGreedyBatching)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
-    policy.max_queue_delay = 0.0; // greedy dispatch
-    auto server = Server::create(small_spec(), policy);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 4;
+    config.max_queue_delay = 0.0; // greedy dispatch
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(8, 0.0)).is_ok());
     const auto report = server->run();
@@ -114,10 +115,11 @@ TEST(Scheduler, MaxQueueDelayHonored)
 {
     // A lone request with batch-mates that never come: the scheduler
     // must give up waiting exactly at max_queue_delay.
-    SchedulerPolicy policy;
-    policy.max_batch = 8;
-    policy.max_queue_delay = 0.3;
-    auto server = Server::create(small_spec(), policy);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 8;
+    config.max_queue_delay = 0.3;
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
     const auto report = server->run();
@@ -126,7 +128,8 @@ TEST(Scheduler, MaxQueueDelayHonored)
     EXPECT_NEAR(report->requests[0].queueing_delay, 0.3, 1e-12);
 
     // Greedy mode: no waiting at all.
-    SchedulerPolicy greedy;
+    ServingConfig greedy;
+    greedy.auto_max_batch = false;
     greedy.max_batch = 8;
     greedy.max_queue_delay = 0.0;
     auto greedy_server = Server::create(small_spec(), greedy);
@@ -142,10 +145,11 @@ TEST(Scheduler, BatchLaunchesEarlyOnceFull)
 {
     // Two requests 0.1 s apart with a generous delay budget: the batch
     // fills at 0.1 s and must launch then, not at the deadline.
-    SchedulerPolicy policy;
-    policy.max_batch = 2;
-    policy.max_queue_delay = 5.0;
-    auto server = Server::create(small_spec(), policy);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 2;
+    config.max_queue_delay = 5.0;
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
     ASSERT_TRUE(server->submit(workload::Request{1, 128, 21}, 0.1).is_ok());
@@ -159,11 +163,12 @@ TEST(Scheduler, BatchLaunchesEarlyOnceFull)
 
 TEST(Scheduler, QueueCapShedsLoadAndDepthStaysBounded)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
-    policy.max_queue_delay = 0.0;
-    policy.max_queue_length = 8;
-    auto server = Server::create(small_spec(), policy);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 4;
+    config.max_queue_delay = 0.0;
+    config.max_queue_length = 8;
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(20, 0.0)).is_ok());
     const auto report = server->run();
@@ -181,12 +186,13 @@ TEST(Scheduler, QueueCapShedsLoadAndDepthStaysBounded)
 
 TEST(Scheduler, ReportAggregatesAreConsistent)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
-    policy.max_queue_delay = 0.1;
-    SloSpec slo;
-    slo.ttft_target = 1e9; // everything meets it
-    auto server = Server::create(small_spec(), policy, slo);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 4;
+    config.max_queue_delay = 0.1;
+    config.enforce_ttft = true;
+    config.ttft_target = 1e9; // everything meets it
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(6, 0.0)).is_ok());
     ASSERT_TRUE(server->submit(burst(3, 2.0, 6)).is_ok());
@@ -219,11 +225,12 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
 {
     // Impossible TTFT target: goodput collapses to zero while
     // throughput does not.
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
-    SloSpec slo;
-    slo.ttft_target = 1e-6;
-    auto server = Server::create(small_spec(), policy, slo);
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 4;
+    config.enforce_ttft = true;
+    config.ttft_target = 1e-6;
+    auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(4, 0.0)).is_ok());
     const auto report = server->run();
@@ -305,10 +312,11 @@ TEST(SchedulerIntegration, HelmBeatsBaselineP99TtftOnNvdram)
         spec.memory = mem::ConfigKind::kNvdram;
         spec.placement = scheme;
         spec.compress_weights = true;
-        SchedulerPolicy policy;
-        policy.max_batch = 2;
-        policy.max_queue_delay = 0.5;
-        auto server = Server::create(spec, policy);
+        ServingConfig config;
+        config.auto_max_batch = false;
+        config.max_batch = 2;
+        config.max_queue_delay = 0.5;
+        auto server = Server::create(spec, config);
         EXPECT_TRUE(server.is_ok()) << server.status().to_string();
         EXPECT_TRUE(server->submit(*stream).is_ok());
         auto report = server->run();

@@ -219,6 +219,48 @@ TEST_F(TunerTest, DescribeMentionsScheme)
     EXPECT_NE(desc.find("b="), std::string::npos);
 }
 
+TEST_F(TunerTest, SearchesTheRequestedHost)
+{
+    // Every candidate runs on the requested host; only an NDP-capable
+    // one adds near-data candidates.  Offload candidates carry the
+    // legacy_offload KV config and keep their " kv-offload" label.
+    TuneRequest req = request(TuneObjective::kThroughput);
+    req.model = model::opt_config(OptVariant::kOpt1_3B);
+    req.batch_limit = 8;
+    req.explore_kv_offload = true;
+    const auto count_ndp = [](const TuneResult &result) {
+        std::size_t ndp = 0;
+        for (const auto &c : result.explored) {
+            if (c.spec.compute_site != placement::ComputeSiteMode::kGpuOnly)
+                ++ndp;
+        }
+        return ndp;
+    };
+
+    req.memory = "NDP-DIMM";
+    const auto ndp = auto_tune(req);
+    ASSERT_TRUE(ndp.is_ok()) << ndp.status().to_string();
+    EXPECT_GT(count_ndp(*ndp), 0u);
+    bool saw_offload = false;
+    for (const auto &c : ndp->explored) {
+        EXPECT_EQ(c.spec.memory.name(), "NDP-DIMM");
+        const bool offload = c.spec.kv_cache.has_value();
+        EXPECT_EQ(c.describe().find(" kv-offload") != std::string::npos,
+                  offload);
+        saw_offload |= offload;
+    }
+    EXPECT_TRUE(saw_offload);
+
+    req.memory = mem::ConfigKind::kNvdram;
+    const auto nvdram = auto_tune(req);
+    ASSERT_TRUE(nvdram.is_ok()) << nvdram.status().to_string();
+    EXPECT_EQ(count_ndp(*nvdram), 0u);
+
+    req.memory = "abacus";
+    EXPECT_EQ(auto_tune(req).status().code(),
+              StatusCode::kInvalidArgument);
+}
+
 TEST(TunerObjective, Names)
 {
     EXPECT_STREQ(tune_objective_name(TuneObjective::kLatency), "latency");

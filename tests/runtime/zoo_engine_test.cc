@@ -2,14 +2,18 @@
  * @file
  * Engine tests for the backend-zoo seam: the default spec must stay
  * byte-identical to the pre-zoo path (no NDP steps, identical metrics
- * through the NVDRAM registry entry), near-data decode offload must
- * engage only when asked for, and the compute-site validation must
- * fail fast on non-NDP devices.
+ * whichever way a paper row is named), near-data decode offload must
+ * engage only when asked for, the compute-site validation must fail
+ * fast on non-NDP devices, and every engine-side host consumer must
+ * read the host the spec names.
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/sim_cache.h"
 
 namespace helm::runtime {
 namespace {
@@ -48,7 +52,7 @@ TEST(ZooEngine, NvdramRegistryEntryMatchesLegacyConfigExactly)
     // that keeps the zoo honest against the paper's tables.
     const ServingSpec legacy = base_spec();
     ServingSpec zoo = base_spec();
-    zoo.zoo_device = "NVDRAM";
+    zoo.memory = "NVDRAM";
 
     const auto a = simulate_inference(legacy);
     const auto b = simulate_inference(zoo);
@@ -61,10 +65,39 @@ TEST(ZooEngine, NvdramRegistryEntryMatchesLegacyConfigExactly)
     EXPECT_EQ(b->ndp_steps, 0u);
 }
 
+TEST(ZooEngine, EveryConfigKindMatchesItsRegistryName)
+{
+    // Each paper row, named by its ConfigKind and by its registry name
+    // in another case (a distinct cache key, so a fresh simulation),
+    // resolves to the same device and runs to the same bits.
+    for (mem::ConfigKind kind : mem::all_config_kinds()) {
+        std::string lower = mem::config_kind_name(kind);
+        for (char &c : lower)
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        ServingSpec by_kind = base_spec();
+        by_kind.placement = placement::PlacementKind::kBaseline;
+        by_kind.memory = kind;
+        ServingSpec by_name = by_kind;
+        by_name.memory = lower;
+        ASSERT_NE(spec_cache_key(by_kind), spec_cache_key(by_name));
+
+        const auto a = simulate_inference(by_kind);
+        const auto b = simulate_inference(by_name);
+        ASSERT_TRUE(a.is_ok()) << lower << ": " << a.status().to_string();
+        ASSERT_TRUE(b.is_ok()) << lower << ": " << b.status().to_string();
+        EXPECT_EQ(a->metrics.ttft, b->metrics.ttft) << lower;
+        EXPECT_EQ(a->metrics.tbt, b->metrics.tbt) << lower;
+        EXPECT_EQ(a->metrics.throughput, b->metrics.throughput) << lower;
+        EXPECT_EQ(a->placement.tier_total(placement::Tier::kDisk),
+                  b->placement.tier_total(placement::Tier::kDisk))
+            << lower;
+    }
+}
+
 TEST(ZooEngine, NdpAutoOffloadsDecodeAndWins)
 {
     ServingSpec gpu_path = base_spec();
-    gpu_path.zoo_device = "NDP-DIMM";
+    gpu_path.memory = "NDP-DIMM";
 
     ServingSpec ndp_path = gpu_path;
     ndp_path.compute_site = placement::ComputeSiteMode::kNdpAuto;
@@ -89,7 +122,7 @@ TEST(ZooEngine, NdpOffloadIsDecodeOnly)
     // fabric must be bounded by decode-step count x FFN host bytes, and
     // TTFT (prefill-dominated) must not regress versus the GPU path.
     ServingSpec gpu_path = base_spec();
-    gpu_path.zoo_device = "NDP-DIMM";
+    gpu_path.memory = "NDP-DIMM";
     ServingSpec ndp_path = gpu_path;
     ndp_path.compute_site = placement::ComputeSiteMode::kNdpAuto;
 
@@ -113,7 +146,7 @@ TEST(ZooEngine, ComputeSiteRequiresZooDevice)
 TEST(ZooEngine, ComputeSiteRejectsDevicesWithoutNdpUnits)
 {
     ServingSpec spec = base_spec();
-    spec.zoo_device = "DRAM";
+    spec.memory = "DRAM";
     spec.compute_site = placement::ComputeSiteMode::kNdpAuto;
     const Status status = spec.validate();
     ASSERT_FALSE(status.is_ok());
@@ -125,19 +158,11 @@ TEST(ZooEngine, ComputeSiteRejectsDevicesWithoutNdpUnits)
 TEST(ZooEngine, UnknownZooDeviceFailsFast)
 {
     ServingSpec spec = base_spec();
-    spec.zoo_device = "mercury-delay-line";
+    spec.memory = "mercury-delay-line";
     const Status status = spec.validate();
     ASSERT_FALSE(status.is_ok());
     EXPECT_NE(status.to_string().find("mercury-delay-line"),
               std::string::npos);
-}
-
-TEST(ZooEngine, ZooDeviceConflictsWithCustomCxlOverride)
-{
-    ServingSpec spec = base_spec();
-    spec.zoo_device = "CXL-ASIC";
-    spec.custom_cxl_bandwidth = Bandwidth::gb_per_s(32.0);
-    EXPECT_FALSE(spec.validate().is_ok());
 }
 
 TEST(ZooEngine, StorageZooDevicePairsWithDiskPolicy)
@@ -147,10 +172,52 @@ TEST(ZooEngine, StorageZooDevicePairsWithDiskPolicy)
     // bytes on disk — same shape as the legacy kSsd config.
     ServingSpec spec = base_spec();
     spec.placement = placement::PlacementKind::kBaseline;
-    spec.zoo_device = "SSD";
+    spec.memory = "SSD";
     const auto result = simulate_inference(spec);
     ASSERT_TRUE(result.is_ok());
     EXPECT_GT(result->placement.tier_total(placement::Tier::kDisk), 0u);
+}
+
+TEST(ZooEngine, ValidateRejectsDiskPolicyOnHostWithoutStorage)
+{
+    // validate() reads the resolved host: a disk share is fine on the
+    // SSD entry and rejected on HBF, whose flash is the host tier.
+    ServingSpec spec = base_spec();
+    spec.policy = placement::Policy::disk_offload();
+    spec.memory = "SSD";
+    EXPECT_TRUE(spec.validate().is_ok());
+    spec.memory = "HBF";
+    const Status status = spec.validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("HBF"), std::string::npos);
+}
+
+TEST(ZooEngine, BalancedProbeReadsTheResolvedHost)
+{
+    // BalancedPlacement sizes its GPU share from the host's transfer
+    // rate, so a slow custom expander and a fast one must place
+    // differently, and a named device must place as its twin custom
+    // expander at the same rate (CXL-FPGA = 5.12 GB/s).
+    ServingSpec spec = base_spec();
+    spec.model = model::opt_config(OptVariant::kOpt30B);
+    spec.placement = placement::PlacementKind::kBalanced;
+    spec.batch = 1;
+    const auto gpu_bytes = [&](const mem::HostSpec &host) {
+        ServingSpec s = spec;
+        s.memory = host;
+        const auto run = simulate_inference(s);
+        EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+        return run.is_ok() ? run->placement.tier_total(placement::Tier::kGpu)
+                           : Bytes{0};
+    };
+    const Bytes slow =
+        gpu_bytes(mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(2.0)));
+    const Bytes fast =
+        gpu_bytes(mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(60.0)));
+    EXPECT_NE(slow, fast);
+    EXPECT_EQ(gpu_bytes(mem::ConfigKind::kCxlFpga),
+              gpu_bytes(mem::HostSpec::custom_cxl(
+                  Bandwidth::gb_per_s(5.12))));
 }
 
 } // namespace

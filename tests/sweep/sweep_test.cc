@@ -138,6 +138,8 @@ TEST(ServingSweep, RecognizedDimensions)
     EXPECT_TRUE(ServingSweep::is_recognized("memory"));
     EXPECT_TRUE(ServingSweep::is_recognized("kv_offload"));
     EXPECT_FALSE(ServingSweep::is_recognized("bogus"));
+    // Zoo devices are memory values; there is no separate axis.
+    EXPECT_FALSE(ServingSweep::is_recognized("device"));
     runtime::ServingSpec base;
     base.model = model::opt_config(model::OptVariant::kOpt1_3B);
     ServingSweep sweep(base);
@@ -168,6 +170,22 @@ TEST(ServingSweep, EndToEndGrid)
     const Dataset nv = d.filter("memory", "NVDRAM");
     const Dataset dr = d.filter("memory", "DRAM");
     EXPECT_LE(dr.mean_of("tbt_ms"), nv.mean_of("tbt_ms"));
+}
+
+TEST(ServingSweep, MemoryAxisTakesEveryRegisteredDevice)
+{
+    runtime::ServingSpec base;
+    base.model = model::opt_config(model::OptVariant::kOpt1_3B);
+    base.repeats = 1;
+    ServingSweep sweep(base);
+    ASSERT_TRUE(
+        sweep.add_dimension("memory", {"NVDRAM", "hbf", "abacus"}).is_ok());
+    const Dataset d = sweep.run();
+    ASSERT_EQ(d.size(), 3u);
+    EXPECT_EQ(d.cell(0, "error"), "");
+    EXPECT_EQ(d.cell(1, "error"), "");
+    EXPECT_NE(d.cell(0, "tbt_ms"), d.cell(1, "tbt_ms"));
+    EXPECT_NE(d.cell(2, "error").find("abacus"), std::string::npos);
 }
 
 TEST(ServingSweep, BadModelValueReportsError)

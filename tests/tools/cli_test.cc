@@ -360,35 +360,56 @@ TEST(Cli, DevicesListsTheWholeZoo)
     EXPECT_NE(result.output.find("host"), std::string::npos);
 }
 
-TEST(Cli, RunDeviceZooConflictsFailFastNamingThePair)
+TEST(Cli, RunHostFlagsFailFastWithOneLine)
 {
-    // --memory and --device-zoo both select the host memory.
-    CliResult result = run_cli(
-        "run --model OPT-1.3B --memory NVDRAM --device-zoo NDP-DIMM");
+    // --cxl-gbps replaces the host --memory selects: naming both fails.
+    CliResult result =
+        run_cli("run --model OPT-1.3B --memory NVDRAM --cxl-gbps 32");
     EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.output.find("--cxl-gbps"), std::string::npos);
     EXPECT_NE(result.output.find("--memory"), std::string::npos);
-    EXPECT_NE(result.output.find("--device-zoo"), std::string::npos);
     // One-line diagnostic: no usage dump appended.
     EXPECT_EQ(result.output.find("subcommands"), std::string::npos);
 
-    // --cxl-gbps and --device-zoo both replace the host tier.
-    result = run_cli(
-        "run --model OPT-1.3B --cxl-gbps 32 --device-zoo HBF");
+    // An unknown name lists the registered devices, on one line.
+    result = run_cli("run --model OPT-1.3B --memory abacus");
     EXPECT_EQ(result.exit_code, 2);
-    EXPECT_NE(result.output.find("--cxl-gbps"), std::string::npos);
-    EXPECT_NE(result.output.find("--device-zoo"), std::string::npos);
+    EXPECT_NE(result.output.find("abacus"), std::string::npos);
+    EXPECT_NE(result.output.find("NDP-DIMM"), std::string::npos);
+    EXPECT_NE(result.output.find("HBF"), std::string::npos);
+    EXPECT_EQ(result.output.find('\n'), result.output.size() - 1);
 
-    // --compute-site without an NDP-capable zoo device.
+    // --compute-site without an NDP-capable host.
     result = run_cli("run --model OPT-1.3B --compute-site auto");
-    EXPECT_EQ(result.exit_code, 2);
-    EXPECT_NE(result.output.find("--compute-site"), std::string::npos);
-    EXPECT_NE(result.output.find("--device-zoo"), std::string::npos);
+    EXPECT_NE(result.exit_code, 0);
+    EXPECT_NE(result.output.find("NDP-capable"), std::string::npos);
+}
+
+TEST(Cli, RunReportsTheHostItRanOn)
+{
+    // A zoo host is priced and labelled as itself, not as NVDRAM.
+    const std::string prom = "/tmp/helm_cli_zoo_host.prom";
+    CliResult result = run_cli_stdout(
+        "run --model OPT-1.3B --memory hbf --energy --prom-out " + prom);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("energy: n/a"), std::string::npos);
+    EXPECT_EQ(result.output.find("J/token"), std::string::npos);
+    std::ifstream file(prom);
+    std::stringstream text;
+    text << file.rdbuf();
+    EXPECT_NE(text.str().find("memory=\"HBF\""), std::string::npos);
+    std::remove(prom.c_str());
+
+    // A custom expander alone takes the host-offload default policy.
+    result = run_cli_stdout("run --model OPT-1.3B --cxl-gbps 64 --energy");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("J/token"), std::string::npos);
 }
 
 TEST(Cli, RunOnZooDeviceReportsNearDataSteps)
 {
     const CliResult result = run_cli_stdout(
-        "run --model OPT-1.3B --device-zoo NDP-DIMM "
+        "run --model OPT-1.3B --memory NDP-DIMM "
         "--compute-site auto --placement All-CPU --batch 4");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("near-data"), std::string::npos);
@@ -412,13 +433,13 @@ TEST(Cli, ZooUnknownDeviceFailsFast)
     EXPECT_NE(result.output.find("abacus"), std::string::npos);
 }
 
-TEST(Cli, TuneDeviceZooConflictsWithMemory)
+TEST(Cli, TuneUnknownMemoryListsRegisteredDevices)
 {
-    const CliResult result = run_cli(
-        "tune --model OPT-1.3B --memory NVDRAM --device-zoo NDP-DIMM");
+    const CliResult result =
+        run_cli("tune --model OPT-1.3B --memory abacus");
     EXPECT_EQ(result.exit_code, 2);
     EXPECT_NE(result.output.find("--memory"), std::string::npos);
-    EXPECT_NE(result.output.find("--device-zoo"), std::string::npos);
+    EXPECT_NE(result.output.find("NDP-DIMM"), std::string::npos);
 }
 
 TEST(Cli, ClusterSaturateReportsPortUtilization)

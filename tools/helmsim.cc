@@ -134,9 +134,9 @@ cmd_devices()
              format_seconds(device->latency())});
     }
     table.print(std::cout);
-    std::cout << "`helmsim run --device-zoo <name>` serves weights from "
-                 "a zoo device;\n`helmsim zoo` sweeps all of them into "
-                 "a cost/latency frontier.\n";
+    std::cout << "`--memory <name>` (run, serve, cluster, tune, gateway) "
+                 "serves from any of them;\n`helmsim zoo` sweeps all of "
+                 "them into a cost/latency frontier.\n";
     return 0;
 }
 
@@ -193,14 +193,54 @@ parse_model(const std::string &name)
     return model::find_model(name); // its not-found message
 }
 
+/** The host-memory flag group: every command with the common options
+ *  picks a host (run, serve, cluster, tune, gateway). */
+void
+add_host_options(ArgParser &parser)
+{
+    parser.add_option("memory",
+                      "host memory: any `helmsim devices` name", "NVDRAM");
+    parser.add_option("cxl-gbps",
+                      "host memory = a custom CXL expander of this read "
+                      "bandwidth in GB/s (instead of --memory)",
+                      "0");
+}
+
+/**
+ * The HostSpec --memory / --cxl-gbps select.  A named device is
+ * resolved here, so an unknown name fails with a one-line diagnostic
+ * listing the registered devices, and the spec carries its canonical
+ * label.
+ */
+Result<mem::HostSpec>
+parse_host(const ArgParser &parser)
+{
+    if (parser.is_set("cxl-gbps")) {
+        if (parser.is_set("memory")) {
+            return Status::invalid_argument(
+                "--cxl-gbps replaces the host memory --memory selects; "
+                "pick one");
+        }
+        const double gbps = parser.get_double("cxl-gbps");
+        if (!(gbps > 0.0))
+            return Status::invalid_argument("--cxl-gbps must be > 0");
+        return mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(gbps));
+    }
+    const auto system =
+        mem::DeviceRegistry::builtin().make_system(parser.get("memory"));
+    if (!system.is_ok()) {
+        return Status::invalid_argument("--memory: " +
+                                        system.status().message());
+    }
+    return mem::HostSpec(system->label());
+}
+
 void
 add_common_options(ArgParser &parser)
 {
     parser.add_option("model", "model name (see `helmsim models`)",
                       "OPT-175B");
-    parser.add_option("memory", "memory configuration (see "
-                                "`helmsim configs`)",
-                      "NVDRAM");
+    add_host_options(parser);
     parser.add_switch("int4", "4-bit group-wise weight quantization");
     parser.add_option("prompt-tokens", "input prompt length", "128");
     parser.add_option("output-tokens", "tokens to generate", "21");
@@ -266,7 +306,8 @@ check_kv_flag_conflicts(const ArgParser &parser)
 Status
 apply_kv_options(const ArgParser &parser, runtime::ServingSpec *spec)
 {
-    spec->offload_kv_cache = parser.is_set("kv-offload");
+    if (parser.is_set("kv-offload"))
+        spec->kv_cache = kvcache::KvCacheConfig::legacy_offload();
     if (!parser.is_set("kv-tiering"))
         return Status::ok();
     kvcache::KvCacheConfig config = kvcache::KvCacheConfig::tiered(
@@ -569,17 +610,10 @@ cmd_run(const std::vector<std::string> &args)
     parser.add_option("trace", "write a Chrome trace to this path", "");
     add_telemetry_options(parser);
     parser.add_switch("energy", "print the energy breakdown");
-    parser.add_option("cxl-gbps",
-                      "override the host tier with a custom CXL "
-                      "expander of this bandwidth",
-                      "0");
-    parser.add_option("device-zoo",
-                      "serve weights from this backend-zoo device "
-                      "(see `helmsim devices`; supersedes --memory)",
-                      "");
     parser.add_option("compute-site",
                       "per-layer execution site: gpu | auto | ndp "
-                      "(auto/ndp need an NDP-capable --device-zoo)",
+                      "(auto/ndp need an NDP-capable --memory, e.g. "
+                      "NDP-DIMM)",
                       "gpu");
 
     const Status status = parser.parse(args);
@@ -588,32 +622,18 @@ cmd_run(const std::vector<std::string> &args)
         return status.is_ok() ? 0 : 2;
     }
     apply_step_cache_option(parser);
-    Status conflicts = check_kv_flag_conflicts(parser);
-    if (conflicts.is_ok() && !parser.get("device-zoo").empty()) {
-        if (parser.is_set("memory")) {
-            conflicts = Status::invalid_argument(
-                "--memory and --device-zoo both select the host "
-                "memory; pick one");
-        } else if (parser.is_set("cxl-gbps")) {
-            conflicts = Status::invalid_argument(
-                "--cxl-gbps and --device-zoo both replace the host "
-                "tier; pick one");
-        }
-    } else if (conflicts.is_ok() && parser.is_set("compute-site")) {
-        conflicts = Status::invalid_argument(
-            "--compute-site requires --device-zoo with an NDP-capable "
-            "device (e.g. --device-zoo NDP-DIMM)");
-    }
+    const Status conflicts = check_kv_flag_conflicts(parser);
     if (!conflicts.is_ok()) {
         std::cerr << conflicts.to_string() << "\n";
         return 2;
     }
 
     const auto model_config = parse_model(parser.get("model"));
-    const auto memory = parse_memory(parser.get("memory"));
+    const auto host = parse_host(parser);
     const auto scheme = parse_placement(parser.get("placement"));
-    for (const Status &s :
-         {model_config.status(), memory.status(), scheme.status()}) {
+    const auto site = parse_compute_site(parser.get("compute-site"));
+    for (const Status &s : {model_config.status(), host.status(),
+                            scheme.status(), site.status()}) {
         if (!s.is_ok()) {
             std::cerr << s.to_string() << "\n";
             return 2;
@@ -622,8 +642,9 @@ cmd_run(const std::vector<std::string> &args)
 
     runtime::ServingSpec spec;
     spec.model = *model_config;
-    spec.memory = *memory;
+    spec.memory = *host;
     spec.placement = *scheme;
+    spec.compute_site = *site;
     spec.compress_weights = parser.is_set("int4");
     spec.batch = parser.get_u64("batch");
     spec.micro_batches = parser.get_u64("micro-batches");
@@ -635,19 +656,6 @@ cmd_run(const std::vector<std::string> &args)
     spec.repeats = parser.get_u64("repeats");
     spec.shape.prompt_tokens = parser.get_u64("prompt-tokens");
     spec.shape.output_tokens = parser.get_u64("output-tokens");
-    if (parser.get_double("cxl-gbps") > 0.0) {
-        spec.custom_cxl_bandwidth =
-            Bandwidth::gb_per_s(parser.get_double("cxl-gbps"));
-    }
-    if (!parser.get("device-zoo").empty()) {
-        spec.zoo_device = parser.get("device-zoo");
-        const auto site = parse_compute_site(parser.get("compute-site"));
-        if (!site.is_ok()) {
-            std::cerr << site.status().to_string() << "\n";
-            return 2;
-        }
-        spec.compute_site = *site;
-    }
 
     const auto result = runtime::simulate_inference(spec);
     if (!result.is_ok()) {
@@ -680,6 +688,9 @@ cmd_run(const std::vector<std::string> &args)
                       << " J/token ("
                       << format_fixed(energy->average_watts(), 0)
                       << " W average)\n";
+        } else {
+            std::cout << "energy: n/a (" << energy.status().message()
+                      << ")\n";
         }
     }
     if (!parser.get("trace").empty()) {
@@ -971,10 +982,10 @@ cmd_serve(const std::vector<std::string> &args)
     }
 
     const auto model_config = parse_model(parser.get("model"));
-    const auto memory = parse_memory(parser.get("memory"));
+    const auto host = parse_host(parser);
     const auto scheme = parse_placement(parser.get("placement"));
     for (const Status &s :
-         {model_config.status(), memory.status(), scheme.status()}) {
+         {model_config.status(), host.status(), scheme.status()}) {
         if (!s.is_ok()) {
             std::cerr << s.to_string() << "\n";
             return 2;
@@ -983,7 +994,7 @@ cmd_serve(const std::vector<std::string> &args)
 
     runtime::ServingSpec base;
     base.model = *model_config;
-    base.memory = *memory;
+    base.memory = *host;
     base.placement = *scheme;
     base.compress_weights = parser.is_set("int4");
     base.micro_batches = parser.get_u64("micro-batches");
@@ -1163,11 +1174,11 @@ cmd_cluster(const std::vector<std::string> &args)
     }
 
     const auto model_config = parse_model(parser.get("model"));
-    const auto memory = parse_memory(parser.get("memory"));
+    const auto host = parse_host(parser);
     const auto scheme = parse_placement(parser.get("placement"));
     const auto router =
         cluster::parse_router_policy(to_lower(parser.get("router")));
-    for (const Status &s : {model_config.status(), memory.status(),
+    for (const Status &s : {model_config.status(), host.status(),
                             scheme.status(), router.status()}) {
         if (!s.is_ok()) {
             std::cerr << s.to_string() << "\n";
@@ -1177,7 +1188,7 @@ cmd_cluster(const std::vector<std::string> &args)
 
     cluster::ClusterSpec spec;
     spec.serving.model = *model_config;
-    spec.serving.memory = *memory;
+    spec.serving.memory = *host;
     spec.serving.placement = *scheme;
     spec.serving.compress_weights = parser.is_set("int4");
     spec.serving.shape.prompt_tokens = parser.get_u64("prompt-tokens");
@@ -1204,7 +1215,7 @@ cmd_cluster(const std::vector<std::string> &args)
               << " GPU(s), "
               << cluster::parallelism_name(spec.parallelism)
               << " parallelism on "
-              << mem::config_kind_name(spec.serving.memory) << " ("
+              << spec.serving.memory.name() << " ("
               << spec.sockets << " socket(s))";
     if (spec.parallelism == cluster::Parallelism::kReplica &&
         spec.gpus > 1)
@@ -1284,36 +1295,25 @@ cmd_tune(const std::vector<std::string> &args)
                       "worker threads for candidate evaluation (0 = all "
                       "hardware threads, 1 = sequential)",
                       "0");
-    parser.add_option("device-zoo",
-                      "search on this backend-zoo device (see `helmsim "
-                      "devices`; supersedes --memory, NDP devices add "
-                      "near-data candidates)",
-                      "");
 
     const Status status = parser.parse(args);
     if (!status.is_ok() || parser.is_set("help")) {
         std::cerr << status.to_string() << "\n" << parser.help();
         return status.is_ok() ? 0 : 2;
     }
-    if (!parser.get("device-zoo").empty() && parser.is_set("memory")) {
-        std::cerr << "--memory and --device-zoo both select the host "
-                     "memory; pick one\n";
-        return 2;
-    }
     apply_step_cache_option(parser);
     const auto model_config = parse_model(parser.get("model"));
-    const auto memory = parse_memory(parser.get("memory"));
-    if (!model_config.is_ok() || !memory.is_ok()) {
-        std::cerr << model_config.status().to_string() << " "
-                  << memory.status().to_string() << "\n";
-        return 2;
+    const auto host = parse_host(parser);
+    for (const Status &s : {model_config.status(), host.status()}) {
+        if (!s.is_ok()) {
+            std::cerr << s.to_string() << "\n";
+            return 2;
+        }
     }
 
     runtime::TuneRequest request;
     request.model = *model_config;
-    request.memory = *memory;
-    if (!parser.get("device-zoo").empty())
-        request.zoo_device = parser.get("device-zoo");
+    request.memory = *host;
     request.compress_weights = parser.is_set("int4");
     request.shape.prompt_tokens = parser.get_u64("prompt-tokens");
     request.shape.output_tokens = parser.get_u64("output-tokens");
@@ -1676,14 +1676,14 @@ cmd_gateway(const std::vector<std::string> &args)
 
     apply_step_cache_option(parser);
     const auto model_config = parse_model(parser.get("model"));
-    const auto memory = parse_memory(parser.get("memory"));
+    const auto host = parse_host(parser);
     const auto scheme = parse_placement(parser.get("placement"));
     const auto scheduler =
         runtime::parse_scheduler_kind(to_lower(parser.get("scheduler")));
     const auto router =
         gateway::parse_router_policy(to_lower(parser.get("router")));
     for (const Status &s :
-         {model_config.status(), memory.status(), scheme.status(),
+         {model_config.status(), host.status(), scheme.status(),
           scheduler.status(), router.status()}) {
         if (!s.is_ok()) {
             std::cerr << s.to_string() << "\n";
@@ -1693,7 +1693,7 @@ cmd_gateway(const std::vector<std::string> &args)
 
     runtime::ServingSpec base;
     base.model = *model_config;
-    base.memory = *memory;
+    base.memory = *host;
     base.placement = *scheme;
     base.compress_weights = parser.is_set("int4");
     base.micro_batches = parser.get_u64("micro-batches");
