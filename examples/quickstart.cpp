@@ -53,7 +53,7 @@ main()
     server->submit(*workload::generate_arrivals(arrivals));
 
     // 4. Serve the stream to completion.
-    const auto report = server->run();
+    const auto report = server->serve();
     if (!report.is_ok()) {
         std::cerr << "serving failed: " << report.status().to_string()
                   << "\n";

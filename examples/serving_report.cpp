@@ -88,7 +88,7 @@ main(int argc, char **argv)
         arrivals.rate = 0.5;
         arrivals.duration = 120.0;
         server->submit(*workload::generate_arrivals(arrivals));
-        const auto report = server->run();
+        const auto report = server->serve();
         if (report.is_ok()) {
             std::cout << "\n";
             AsciiTable per_request(

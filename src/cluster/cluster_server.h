@@ -4,8 +4,9 @@
  *
  * ClusterServer is the multi-GPU analogue of runtime::Server and the
  * second implementation of `runtime::ServingBackend`: submit()
- * requests with arrival times, serve() once, read a report.  Mode
- * determines the dispatch structure:
+ * requests with arrival times, serve() once, read a report.  Admission
+ * is runtime::size_admission() per shard, the weakest shard binding.
+ * Mode determines the dispatch structure:
  *
  *  - replica, 1 GPU:  delegates wholesale to runtime::Server — metrics
  *                     are bit-for-bit the single-GPU serve path, and
@@ -14,19 +15,18 @@
  *  - replica, N GPUs: a Router assigns each arrival to a per-GPU FCFS
  *                     queue; each GPU forms batches under the shared
  *                     ServingConfig and executes them on the contended
- *                     fabric (one DES timeline for all GPUs).
- *  - tensor/pipeline: one global FCFS queue; every formed batch runs
- *                     sharded across all GPUs.
+ *                     fabric (one DES timeline for all GPUs).  A batch's
+ *                     cost is only known once the fabric has run it, so
+ *                     dispatch is event-driven; batch formation and the
+ *                     report are the runtime FCFS pieces.
+ *  - tensor/pipeline: runtime::run_fcfs() over one global queue; every
+ *                     formed batch runs sharded across all GPUs.
  */
 #ifndef HELM_CLUSTER_CLUSTER_SERVER_H
 #define HELM_CLUSTER_CLUSTER_SERVER_H
 
 #include <cstdint>
-#include <limits>
-#include <map>
-#include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -87,15 +87,10 @@ class ClusterServer : public runtime::ServingBackend
         return last_records_;
     }
 
-    /** The per-batch ceiling in force. */
-    std::uint64_t effective_max_batch() const override
+    /** The weakest shard's admission bounds. */
+    const runtime::AdmissionGeometry &admission() const override
     {
-        return max_batch_;
-    }
-    /** Managed-KV admission slots (0 = unmanaged/unbounded). */
-    std::uint64_t kv_request_slots() const override
-    {
-        return kv_request_slots_;
+        return admission_;
     }
 
     /** Shared host read-port rate of the last run (delegation: the
@@ -129,11 +124,7 @@ class ClusterServer : public runtime::ServingBackend
 
     ClusterSpec spec_;
     runtime::ServingConfig config_;
-    std::uint64_t max_batch_ = 1;
-    std::uint64_t kv_block_tokens_ = 0;
-    std::uint64_t kv_capacity_blocks_ =
-        std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t kv_request_slots_ = 0;
+    runtime::AdmissionGeometry admission_;
     /** N=1 replica delegation target. */
     std::optional<runtime::Server> single_;
     std::vector<workload::TimedRequest> pending_;

@@ -74,11 +74,7 @@ struct ReqState
 Result<ServingReport>
 Server::run_continuous()
 {
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const workload::TimedRequest &a,
-                        const workload::TimedRequest &b) {
-                         return a.arrival < b.arrival;
-                     });
+    sort_by_arrival(pending_);
 
     ServingReport report;
     report.scheduler = config_.scheduler;
@@ -123,15 +119,8 @@ Server::run_continuous()
     std::vector<std::size_t> swapped; // preempted, KV on the host tiers
     std::vector<char> in_running(total, 0);
 
-    // ---- KV admission geometry (mirrors the FCFS bound) ----------------
-    const bool kv_bounded =
-        kv_block_tokens_ > 0 &&
-        kv_capacity_blocks_ != std::numeric_limits<std::uint64_t>::max();
-    auto padded_blocks = [this](std::uint64_t count, std::uint64_t context) {
-        const std::uint64_t blocks =
-            (context + kv_block_tokens_ - 1) / kv_block_tokens_;
-        return count * blocks * base_.micro_batches;
-    };
+    // ---- KV admission geometry (the FCFS bound) -------------------------
+    const bool kv_bounded = admission_.kv_bounded();
     auto full_context = [this](const workload::Request &r) {
         return r.prompt_tokens + r.output_tokens;
     };
@@ -146,8 +135,8 @@ Server::run_continuous()
                 report.rejected_ids.push_back(rq.id);
                 ++tenants[rq.tenant].rejected;
             } else if (kv_bounded &&
-                       padded_blocks(1, full_context(rq)) >
-                           kv_capacity_blocks_) {
+                       admission_.padded_blocks(1, full_context(rq)) >
+                           admission_.kv_capacity_blocks) {
                 // Can never fit the managed tiers, alone or otherwise.
                 report.rejected_ids.push_back(rq.id);
                 ++report.kv_rejected;
@@ -164,7 +153,7 @@ Server::run_continuous()
 
     // ---- Iteration cost probes (memoized through run_batch) ------------
     const std::uint64_t bucket_grain =
-        kv_block_tokens_ > 0 ? kv_block_tokens_ : 16;
+        admission_.kv_block_tokens > 0 ? admission_.kv_block_tokens : 16;
     auto bucketed = [&](std::uint64_t tokens) {
         return ((tokens + bucket_grain - 1) / bucket_grain) * bucket_grain;
     };
@@ -266,9 +255,9 @@ Server::run_continuous()
             std::vector<char> taken(total, 0);
             std::uint64_t max_ctx = 0;
             auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= max_batch_ &&
-                       (!kv_bounded ||
-                        padded_blocks(count, ctx) <= kv_capacity_blocks_);
+                return count <= admission_.ceiling &&
+                       (!kv_bounded || admission_.padded_blocks(count, ctx) <=
+                                           admission_.kv_capacity_blocks);
             };
             for (std::size_t s : running) {
                 if (state[s].promoting ||
@@ -370,9 +359,9 @@ Server::run_continuous()
                 max_ctx = std::max(max_ctx,
                                    full_context(pending_[s].request));
             auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= max_batch_ &&
-                       (!kv_bounded ||
-                        padded_blocks(count, ctx) <= kv_capacity_blocks_);
+                return count <= admission_.ceiling &&
+                       (!kv_bounded || admission_.padded_blocks(count, ctx) <=
+                                           admission_.kv_capacity_blocks);
             };
             while (waiting_count > 0) {
                 // Next nonempty tenant queue after the round-robin
@@ -592,39 +581,14 @@ Server::run_continuous()
     }
     pending_.clear();
 
-    // ---- Aggregates (mirrors the FCFS accounting) -----------------------
-    report.completed = report.requests.size();
-    report.rejected = report.rejected_ids.size();
+    // ---- Aggregates (the FCFS accounting, per iteration) ---------------
     report.batches_formed = report.iterations;
+    finalize_serving_report(report,
+                            report.requests.empty() ? 0.0 : last_completion);
     report.mean_batch_size =
         report.iterations > 0
             ? static_cast<double>(member_iterations) /
                   static_cast<double>(report.iterations)
-            : 0.0;
-    Seconds earliest = kInf;
-    for (const auto &r : report.requests)
-        earliest = std::min(earliest, r.arrival);
-    report.makespan =
-        report.requests.empty() ? 0.0 : last_completion - earliest;
-    std::uint64_t slo_tokens = 0;
-    std::uint64_t slo_met_count = 0;
-    for (const auto &r : report.requests) {
-        report.total_tokens += r.output_tokens;
-        if (r.slo_met) {
-            slo_tokens += r.output_tokens;
-            ++slo_met_count;
-        }
-    }
-    if (report.makespan > 0.0) {
-        report.throughput =
-            static_cast<double>(report.total_tokens) / report.makespan;
-        report.goodput =
-            static_cast<double>(slo_tokens) / report.makespan;
-    }
-    report.slo_attainment =
-        report.completed > 0
-            ? static_cast<double>(slo_met_count) /
-                  static_cast<double>(report.completed)
             : 0.0;
 
     // Jain fairness over per-tenant generated tokens.

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
 
 #include "cluster/cluster_engine.h"
@@ -16,6 +18,7 @@
 #include "cluster/router.h"
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/schedule.h"
 
 namespace helm::cluster {
 namespace {
@@ -336,7 +339,7 @@ TEST(ClusterDegeneracy, ServerDelegationIsFieldExact)
     auto server = runtime::Server::create(small_spec());
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(12, 0.0)).is_ok());
-    auto want = server->run();
+    auto want = server->serve();
     ASSERT_TRUE(want.is_ok());
 
     auto cluster =
@@ -606,6 +609,127 @@ TEST(ClusterServing, ShardedServingReportsRequests)
     ASSERT_EQ(report->gpus.size(), 2u);
     EXPECT_GT(report->gpus[0].utilization, 0.0);
     ASSERT_FALSE(report->ports.empty());
+}
+
+TEST(ClusterServing, FcfsReportsCarryTenantAndDeadline)
+{
+    // Two tenants, every third request with a deadline no batch can
+    // meet, the rest with one every batch meets, and some with none.
+    std::vector<workload::TimedRequest> stream;
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        workload::TimedRequest timed;
+        timed.request = workload::Request{i, 128, 21, i % 2};
+        timed.arrival = 0.25 * static_cast<double>(i);
+        if (i % 3 == 0)
+            timed.deadline = timed.arrival + 1e-3;
+        else if (i % 3 == 1)
+            timed.deadline = timed.arrival + 1e4;
+        stream.push_back(timed);
+    }
+    for (const Parallelism mode :
+         {Parallelism::kReplica, Parallelism::kTensor}) {
+        auto cluster = ClusterServer::create(cluster_spec(2, mode));
+        ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+        ASSERT_TRUE(cluster->submit(stream).is_ok());
+        const auto report = cluster->serve();
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+        ASSERT_EQ(report->requests.size(), stream.size())
+            << parallelism_name(mode);
+        std::uint64_t met = 0;
+        std::uint64_t missed = 0;
+        for (const runtime::RequestMetrics &r : report->requests) {
+            const workload::TimedRequest &want = stream[r.id];
+            EXPECT_EQ(r.tenant, want.request.tenant)
+                << parallelism_name(mode) << " request " << r.id;
+            EXPECT_EQ(r.deadline, want.deadline)
+                << parallelism_name(mode) << " request " << r.id;
+            const bool expect_met =
+                want.deadline == 0.0 ||
+                r.e2e_latency <= want.deadline - want.arrival;
+            EXPECT_EQ(r.deadline_met, expect_met)
+                << parallelism_name(mode) << " request " << r.id;
+            if (want.deadline != 0.0)
+                ++(r.deadline_met ? met : missed);
+        }
+        EXPECT_EQ(met, 4u) << parallelism_name(mode);
+        EXPECT_EQ(missed, 4u) << parallelism_name(mode);
+    }
+}
+
+TEST(ClusterServing, ManagedKvAdmissionIsTheWeakestShard)
+{
+    // A fixed 16-block GPU tier over a 24-block host tier, in blocks of
+    // the full model: a paper-shape request (149 padded tokens = 10
+    // blocks) fits every shard, a 2048-token prompt fits none.
+    runtime::ServingSpec serving = small_spec();
+    const Bytes block_bytes = 16 *
+                              model::kv_bytes_per_block(serving.model, 1) *
+                              serving.model.blocks;
+    kvcache::KvCacheConfig kv = kvcache::KvCacheConfig::tiered(
+        24 * block_bytes);
+    kv.tiers[0].auto_capacity = false;
+    kv.tiers[0].capacity = 16 * block_bytes;
+    serving.kv_cache = kv;
+
+    std::vector<workload::TimedRequest> stream = burst(4, 0.0, 1);
+    stream.insert(stream.begin(),
+                  workload::TimedRequest{workload::Request{0, 2048, 21},
+                                         0.0});
+
+    auto single = runtime::Server::create(serving);
+    ASSERT_TRUE(single.is_ok()) << single.status().to_string();
+    ASSERT_TRUE(single->submit(stream).is_ok());
+    const auto want = single->serve();
+    ASSERT_TRUE(want.is_ok()) << want.status().to_string();
+    ASSERT_EQ(want->kv_rejected, 1u);
+
+    const std::map<Parallelism, std::pair<std::uint64_t, std::uint64_t>>
+        pinned = {{Parallelism::kReplica, {4, 4}},
+                  {Parallelism::kTensor, {8, 8}},
+                  {Parallelism::kPipeline, {8, 8}}};
+    for (const auto &[mode, pin] : pinned) {
+        ClusterSpec spec = cluster_spec(2, mode);
+        spec.serving = serving;
+        auto cluster = ClusterServer::create(spec);
+        ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+
+        // The bounds in force are the minimum over the shards.
+        auto plan = shard_plan(spec);
+        ASSERT_TRUE(plan.is_ok());
+        std::uint64_t ceiling = std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t slots = ceiling;
+        for (const runtime::ShardOptions &shard : *plan) {
+            auto geo = runtime::shard_geometry(spec.serving, shard);
+            ASSERT_TRUE(geo.is_ok());
+            auto adm = runtime::size_admission(spec.serving, spec.config,
+                                               geo->kv_model, geo->layers);
+            ASSERT_TRUE(adm.is_ok()) << adm.status().to_string();
+            ceiling = std::min(ceiling, adm->ceiling);
+            slots = std::min(slots, adm->kv_request_slots);
+        }
+        EXPECT_EQ(cluster->effective_max_batch(), ceiling)
+            << parallelism_name(mode);
+        EXPECT_EQ(cluster->kv_request_slots(), slots)
+            << parallelism_name(mode);
+        EXPECT_EQ(cluster->effective_max_batch(), pin.first)
+            << parallelism_name(mode);
+        EXPECT_EQ(cluster->kv_request_slots(), pin.second)
+            << parallelism_name(mode);
+        if (mode == Parallelism::kReplica) {
+            EXPECT_EQ(cluster->kv_request_slots(),
+                      single->kv_request_slots());
+        }
+
+        // The prompt no tier can hold is shed as Server sheds it.
+        ASSERT_TRUE(cluster->submit(stream).is_ok());
+        const auto report = cluster->serve();
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+        EXPECT_EQ(report->kv_rejected, want->kv_rejected)
+            << parallelism_name(mode);
+        EXPECT_EQ(report->rejected_ids, want->rejected_ids)
+            << parallelism_name(mode);
+        EXPECT_EQ(report->completed, 4u) << parallelism_name(mode);
+    }
 }
 
 } // namespace

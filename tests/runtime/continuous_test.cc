@@ -354,7 +354,7 @@ TEST(UnifiedConfig, FcfsPathIsFieldExactWithLegacyCreate)
     auto legacy = Server::create(small_spec());
     ASSERT_TRUE(legacy.is_ok());
     ASSERT_TRUE(legacy->submit(*stream).is_ok());
-    const auto legacy_report = legacy->run();
+    const auto legacy_report = legacy->serve();
     ASSERT_TRUE(legacy_report.is_ok());
 
     ServingConfig historical;

@@ -173,7 +173,7 @@ TEST(ServeTelemetry, ArtifactTripleFromOneRegistry)
     ASSERT_TRUE(server.is_ok()) << server.status().to_string();
     server->enable_telemetry(/*collect_records=*/true);
     ASSERT_TRUE(server->submit(*stream).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok()) << report.status().to_string();
     ASSERT_GT(report->completed, 0u);
 
@@ -211,12 +211,12 @@ TEST(ServeTelemetry, ArtifactTripleFromOneRegistry)
 
     // (c) Chrome trace with host-port utilization counter rows, scaled
     // by the same fabric rate a metrics consumer would read.
-    ASSERT_FALSE(server->collected_records().empty());
+    ASSERT_FALSE(server->serving_records().empty());
     ASSERT_GT(server->h2d_rate().raw(), 0.0);
     TraceCounterOptions counters;
     counters.host_port_rate_bytes_per_s = server->h2d_rate().raw();
     const std::string trace =
-        chrome_trace_json(server->collected_records(), counters);
+        chrome_trace_json(server->serving_records(), counters);
     EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(trace.find("host-port utilization"), std::string::npos);
 }
@@ -237,7 +237,7 @@ TEST(RecordServing, QuantileGaugesMatchReportPercentiles)
     auto server = Server::create(base);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(*stream).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
 
     telemetry::MetricsRegistry registry;
@@ -326,7 +326,7 @@ TEST(RecordServing, SchedulerFamiliesGatedOnFcfs)
     auto fcfs = Server::create(base);
     ASSERT_TRUE(fcfs.is_ok());
     ASSERT_TRUE(fcfs->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
-    const auto fcfs_report = fcfs->run();
+    const auto fcfs_report = fcfs->serve();
     ASSERT_TRUE(fcfs_report.is_ok());
     telemetry::MetricsRegistry fcfs_registry;
     record_serving(fcfs_registry, base, fcfs->effective_max_batch(),
@@ -358,7 +358,7 @@ TEST(ServingReportPercentiles, TbtPercentileIsMonotone)
     auto server = Server::create(base);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(*stream).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     ASSERT_GT(report->completed, 1u);
 
@@ -387,8 +387,8 @@ TEST(ServerTelemetry, DoesNotPerturbTheReport)
     instrumented->enable_telemetry(true);
     ASSERT_TRUE(plain->submit(*stream).is_ok());
     ASSERT_TRUE(instrumented->submit(*stream).is_ok());
-    const auto a = plain->run();
-    const auto b = instrumented->run();
+    const auto a = plain->serve();
+    const auto b = instrumented->serve();
     ASSERT_TRUE(a.is_ok());
     ASSERT_TRUE(b.is_ok());
 

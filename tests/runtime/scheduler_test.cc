@@ -77,7 +77,7 @@ TEST(Scheduler, EmptyRunYieldsEmptyReport)
 {
     auto server = Server::create(small_spec());
     ASSERT_TRUE(server.is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     EXPECT_EQ(report->submitted, 0u);
     EXPECT_EQ(report->completed, 0u);
@@ -93,7 +93,7 @@ TEST(Scheduler, FcfsOrderingAndGreedyBatching)
     auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(8, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok()) << report.status().to_string();
 
     ASSERT_EQ(report->completed, 8u);
@@ -122,7 +122,7 @@ TEST(Scheduler, MaxQueueDelayHonored)
     auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     ASSERT_EQ(report->completed, 1u);
     EXPECT_NEAR(report->requests[0].queueing_delay, 0.3, 1e-12);
@@ -136,7 +136,7 @@ TEST(Scheduler, MaxQueueDelayHonored)
     ASSERT_TRUE(greedy_server.is_ok());
     ASSERT_TRUE(
         greedy_server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
-    const auto greedy_report = greedy_server->run();
+    const auto greedy_report = greedy_server->serve();
     ASSERT_TRUE(greedy_report.is_ok());
     EXPECT_DOUBLE_EQ(greedy_report->requests[0].queueing_delay, 0.0);
 }
@@ -153,7 +153,7 @@ TEST(Scheduler, BatchLaunchesEarlyOnceFull)
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
     ASSERT_TRUE(server->submit(workload::Request{1, 128, 21}, 0.1).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     ASSERT_EQ(report->completed, 2u);
     EXPECT_EQ(report->batches_formed, 1u);
@@ -171,7 +171,7 @@ TEST(Scheduler, QueueCapShedsLoadAndDepthStaysBounded)
     auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(20, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
 
     EXPECT_EQ(report->submitted, 20u);
@@ -196,7 +196,7 @@ TEST(Scheduler, ReportAggregatesAreConsistent)
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(6, 0.0)).is_ok());
     ASSERT_TRUE(server->submit(burst(3, 2.0, 6)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
 
     ASSERT_EQ(report->completed, 9u);
@@ -233,7 +233,7 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
     auto server = Server::create(small_spec(), config);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(4, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     EXPECT_DOUBLE_EQ(report->slo_attainment, 0.0);
     EXPECT_DOUBLE_EQ(report->goodput, 0.0);
@@ -319,7 +319,7 @@ TEST(SchedulerIntegration, HelmBeatsBaselineP99TtftOnNvdram)
         auto server = Server::create(spec, config);
         EXPECT_TRUE(server.is_ok()) << server.status().to_string();
         EXPECT_TRUE(server->submit(*stream).is_ok());
-        auto report = server->run();
+        auto report = server->serve();
         EXPECT_TRUE(report.is_ok()) << report.status().to_string();
         EXPECT_EQ(report->completed, stream->size());
         return report->ttft_percentile(99.0);
