@@ -26,12 +26,13 @@ main()
     request.explore_kv_offload = false;
 
     // Every search below enumerates the same candidate grid (objective
-    // and ceiling only change the reduction), so one shared memo makes
+    // and ceiling only change the reduction), so the step cache makes
     // each spec simulate exactly once across all eight searches.
-    runtime::SimCache cache;
+    const runtime::StepScheduleCache &cache = runtime::step_cache();
+    const std::uint64_t hits_before = cache.hits();
+    const std::uint64_t misses_before = cache.misses();
     runtime::TuneExecOptions exec_options;
     exec_options.jobs = 0; // all hardware threads
-    exec_options.cache = &cache;
 
     request.objective = runtime::TuneObjective::kLatency;
     const auto latency_pole = runtime::auto_tune(request, exec_options);
@@ -90,8 +91,8 @@ main()
                  "relaxed ceilings migrate to All-CPU at the maximum "
                  "batch — the tuner walks the paper's latency/"
                  "throughput tradeoff automatically.\n";
-    std::cerr << "simcache: " << cache.hits() << " hits / "
-              << cache.misses() << " misses across "
-              << cache.size() << " distinct specs\n";
+    std::cerr << "step cache: " << cache.hits() - hits_before
+              << " hits / " << cache.misses() - misses_before
+              << " misses\n";
     return 0;
 }

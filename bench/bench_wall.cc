@@ -4,8 +4,9 @@
  *
  * Times a fixed sweep grid and a fixed tuner search at --jobs 1 versus
  * --jobs <hardware threads>, verifies the parallel outputs are
- * byte-identical to the sequential ones, and measures the SimCache hit
- * rate across repeated tuner searches that share one memo.  Emits a
+ * byte-identical to the sequential ones, and measures the step-cache
+ * hit rate across repeated tuner searches.  Every timed leg starts
+ * from an empty step cache, so no leg replays another's runs.  Emits a
  * `helm-bench-parallel-v1` JSON document (path = argv[1], default
  * BENCH_parallel.json) that tools/check_bench.py validates in CI.
  *
@@ -111,22 +112,21 @@ main(int argc, char **argv)
 
     // --- Sweep: sequential vs parallel, fresh cache per timed run so
     // neither leg inherits the other's memo.
+    runtime::StepScheduleCache &cache = runtime::step_cache();
     const sweep::ServingSweep grid = make_grid();
     sweep::SweepOptions seq_options;
     seq_options.jobs = 1;
     sweep::SweepOptions par_options;
     par_options.jobs = jobs;
 
-    runtime::SimCache sweep_seq_cache;
+    cache.clear();
     auto start = std::chrono::steady_clock::now();
-    const sweep::Dataset seq_dataset =
-        grid.run(seq_options, &sweep_seq_cache);
+    const sweep::Dataset seq_dataset = grid.run(seq_options);
     const double sweep_seq_s = seconds_since(start);
 
-    runtime::SimCache sweep_par_cache;
+    cache.clear();
     start = std::chrono::steady_clock::now();
-    const sweep::Dataset par_dataset =
-        grid.run(par_options, &sweep_par_cache);
+    const sweep::Dataset par_dataset = grid.run(par_options);
     const double sweep_par_s = seconds_since(start);
 
     const bool sweep_identical =
@@ -137,12 +137,14 @@ main(int argc, char **argv)
     const runtime::TuneRequest request = make_tune_request();
     runtime::TuneExecOptions tune_seq;
     tune_seq.jobs = 1;
+    cache.clear();
     start = std::chrono::steady_clock::now();
     const auto seq_tuned = runtime::auto_tune(request, tune_seq);
     const double tune_seq_s = seconds_since(start);
 
     runtime::TuneExecOptions tune_par;
     tune_par.jobs = jobs;
+    cache.clear();
     start = std::chrono::steady_clock::now();
     const auto par_tuned = runtime::auto_tune(request, tune_par);
     const double tune_par_s = seconds_since(start);
@@ -158,22 +160,22 @@ main(int argc, char **argv)
     const double candidates = static_cast<double>(
         seq_tuned->explored.size() + seq_tuned->infeasible);
 
-    // --- SimCache: repeated searches under different QoS ceilings
-    // share one memo; every ceiling after the first should hit.
-    runtime::SimCache shared;
-    runtime::TuneExecOptions cached;
-    cached.jobs = jobs;
-    cached.cache = &shared;
+    // --- Step cache: repeated searches under different QoS ceilings
+    // from a cold cache; every ceiling after the first should hit.
+    cache.clear();
+    const std::uint64_t hits_before = cache.hits();
+    const std::uint64_t misses_before = cache.misses();
     for (const double ceiling_ms : {0.0, 20.0, 10.0, 5.0}) {
         runtime::TuneRequest repeat = request;
         if (ceiling_ms > 0.0)
             repeat.tbt_ceiling = ceiling_ms * 1e-3;
-        (void)runtime::auto_tune(repeat, cached);
+        (void)runtime::auto_tune(repeat, tune_par);
     }
-    const double lookups =
-        static_cast<double>(shared.hits() + shared.misses());
+    const std::uint64_t hits = cache.hits() - hits_before;
+    const std::uint64_t misses = cache.misses() - misses_before;
+    const double lookups = static_cast<double>(hits + misses);
     const double hit_rate =
-        lookups > 0.0 ? static_cast<double>(shared.hits()) / lookups : 0.0;
+        lookups > 0.0 ? static_cast<double>(hits) / lookups : 0.0;
 
     std::ofstream out(out_path);
     if (!out) {
@@ -202,9 +204,9 @@ main(int argc, char **argv)
     out << ",\n    ";
     json_number(out, "speedup", tune_seq_s / tune_par_s);
     out << ",\n    \"identical\": "
-        << (tune_identical ? "true" : "false") << "\n  },\n  \"simcache\": {\n    ";
-    out << "\"hits\": " << shared.hits() << ",\n    \"misses\": "
-        << shared.misses() << ",\n    ";
+        << (tune_identical ? "true" : "false") << "\n  },\n  \"step_cache\": {\n    ";
+    out << "\"hits\": " << hits << ",\n    \"misses\": " << misses
+        << ",\n    ";
     json_number(out, "hit_rate", hit_rate);
     out << "\n  }\n}\n";
     out.close();

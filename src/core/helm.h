@@ -75,7 +75,7 @@
 #include "runtime/planner.h"
 #include "runtime/scheduler.h"
 #include "runtime/serving.h"
-#include "runtime/sim_cache.h"
+#include "runtime/step_cache.h"
 #include "runtime/trace.h"
 #include "runtime/tuner.h"
 #include "serving_gateway/admission.h"

@@ -40,7 +40,6 @@
 
 #include "mem/registry.h"
 #include "model/footprint.h"
-#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 
@@ -290,13 +289,6 @@ Server::run_continuous()
                 ++state[s].preemptions;
                 ++report.preemptions;
                 ++tenants[pending_[s].request.tenant].preemptions;
-                // Both are steady-state boundaries: the preempted
-                // request leaves the batch and its KV blocks demote,
-                // so the next iteration's timeline digest differs.
-                step_cache().note_invalidation(
-                    StepCacheInvalidation::kPreemption);
-                step_cache().note_invalidation(
-                    StepCacheInvalidation::kKvDemotion);
                 const Bytes bytes = kv_bytes_of(s);
                 report.kv_demoted_bytes += bytes;
                 demoted_now += bytes;
@@ -329,8 +321,6 @@ Server::run_continuous()
                     report.kv_promoted_bytes += bytes;
                     promoted_now += bytes;
                     ++report.resumes;
-                    step_cache().note_invalidation(
-                        StepCacheInvalidation::kKvPromotion);
                     const Seconds start = std::max(now, promote_free);
                     promote_free =
                         start +

@@ -8,7 +8,6 @@
 #include "mem/registry.h"
 #include "runtime/executor.h"
 #include "runtime/schedule.h"
-#include "runtime/sim_cache.h"
 #include "runtime/step_cache.h"
 
 namespace helm::runtime {
@@ -179,6 +178,22 @@ simulate_inference(const ServingSpec &spec)
     if (!entry->status.is_ok())
         return entry->status;
     return entry->result;
+}
+
+SimPoint
+simulate_point(const ServingSpec &spec)
+{
+    ServingSpec no_records = spec;
+    no_records.keep_records = false;
+    SimPoint point;
+    auto result = simulate_inference(no_records);
+    if (!result.is_ok()) {
+        point.status = result.status();
+        return point;
+    }
+    point.metrics = result->metrics;
+    point.gpu_used = result->budget.used();
+    return point;
 }
 
 } // namespace helm::runtime

@@ -434,22 +434,4 @@ record_serving(telemetry::MetricsRegistry &registry,
     }
 }
 
-void
-record_sim_cache(telemetry::MetricsRegistry &registry,
-                 const SimCache &cache)
-{
-    registry
-        .counter("helm_simcache_hits", {},
-                 "Simulation points served from the SimCache memo")
-        .add(static_cast<double>(cache.hits()));
-    registry
-        .counter("helm_simcache_misses", {},
-                 "Simulation points that ran the engine")
-        .add(static_cast<double>(cache.misses()));
-    registry
-        .gauge("helm_simcache_entries", {},
-               "Distinct specs currently memoized")
-        .set(static_cast<double>(cache.size()));
-}
-
 } // namespace helm::runtime

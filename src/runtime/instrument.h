@@ -18,7 +18,6 @@
 #include "runtime/engine.h"
 #include "runtime/metrics.h"
 #include "runtime/scheduler.h"
-#include "runtime/sim_cache.h"
 #include "telemetry/attribution.h"
 #include "telemetry/metrics.h"
 
@@ -80,14 +79,6 @@ void record_serving(telemetry::MetricsRegistry &registry,
                     const ServingSpec &base, std::uint64_t max_batch,
                     std::uint64_t kv_slots, const ServingReport &report,
                     const std::string &command);
-
-/**
- * Record a SimCache's memoization counters:
- * `helm_simcache_hits` / `helm_simcache_misses` (and the distinct-spec
- * count as `helm_simcache_entries`).
- */
-void record_sim_cache(telemetry::MetricsRegistry &registry,
-                      const SimCache &cache);
 
 } // namespace helm::runtime
 

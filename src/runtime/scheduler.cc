@@ -7,7 +7,6 @@
 
 #include "common/summary.h"
 #include "runtime/instrument.h"
-#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 
@@ -374,23 +373,22 @@ Server::submit(const workload::TimedRequest &timed)
 Result<InferenceMetrics>
 Server::run_batch(const workload::Batch &batch)
 {
+    const auto shape = run_shape(batch);
+    if (!shape.is_ok())
+        return shape.status();
+    return (*shape)->metrics;
+}
+
+Result<const Server::ShapeRun *>
+Server::run_shape(const workload::Batch &batch)
+{
     if (batch.size() == 0)
         return Status::invalid_argument("cannot run an empty batch");
-    const auto key = std::make_tuple(batch.size(),
-                                     batch.max_prompt_tokens(),
-                                     batch.max_output_tokens());
-    const auto cached = memo_.find(key);
-    if (cached != memo_.end() &&
-        (!telemetry_ || extras_.count(key) > 0))
-        return cached->second;
-
-    // A fresh batch signature on a warm server marks a steady-state
-    // boundary: batch re-formation changed the decode timeline digest,
-    // so the step cache cannot replay and must simulate this shape.
-    if (!memo_.empty()) {
-        step_cache().note_invalidation(
-            StepCacheInvalidation::kBatchReformation);
-    }
+    const auto [slot, inserted] = shapes_.try_emplace(std::make_tuple(
+        batch.size(), batch.max_prompt_tokens(), batch.max_output_tokens()));
+    ShapeRun &entry = slot->second;
+    if (!inserted && (!telemetry_ || entry.traced))
+        return &entry;
 
     ServingSpec spec = base_;
     spec.batch = batch.size();
@@ -400,19 +398,21 @@ Server::run_batch(const workload::Batch &batch)
     // keeping them for telemetry cannot perturb the simulated timing.
     spec.keep_records = telemetry_;
     auto run = simulate_inference(spec);
-    if (!run.is_ok())
+    if (!run.is_ok()) {
+        if (inserted)
+            shapes_.erase(slot);
         return run.status();
+    }
     h2d_rate_ = run->h2d_rate;
+    entry.metrics = run->metrics;
     if (telemetry_) {
-        BatchExtras extras;
-        extras.attribution =
+        entry.traced = true;
+        entry.attribution =
             attribute_records(run->records, base_.gpu.layer_overhead,
                               run->metrics.total_time);
-        extras.records = std::move(run->records);
-        extras_.insert_or_assign(key, std::move(extras));
+        entry.records = std::move(run->records);
     }
-    memo_.emplace(key, run->metrics);
-    return run->metrics;
+    return &entry;
 }
 
 Result<ServingReport>
@@ -430,19 +430,17 @@ Server::run_fcfs()
         pending_, admission_, config_,
         [this](const workload::Batch &batch, Seconds launch,
                std::uint64_t batch_index) -> Result<BatchCost> {
-            const auto metrics = run_batch(batch);
-            if (!metrics.is_ok())
-                return metrics.status();
+            const auto shape = run_shape(batch);
+            if (!shape.is_ok())
+                return shape.status();
+            const ShapeRun &run = **shape;
             if (telemetry_) {
-                const BatchExtras &extras = extras_.at(std::make_tuple(
-                    batch.size(), batch.max_prompt_tokens(),
-                    batch.max_output_tokens()));
                 // Each launch occupies the engine for the batch's whole
                 // wall; accumulating the memoized attribution keeps the
                 // sum exact — idle closes the gap to the makespan below.
-                attribution_.merge(extras.attribution);
+                attribution_.merge(run.attribution);
                 if (collect_records_) {
-                    for (LayerStepRecord rec : extras.records) {
+                    for (LayerStepRecord rec : run.records) {
                         rec.batch_index = batch_index;
                         rec.transfer_start += launch;
                         rec.step_start += launch;
@@ -451,8 +449,8 @@ Server::run_fcfs()
                     }
                 }
             }
-            return BatchCost{metrics->ttft, metrics->tbt,
-                             metrics->total_time};
+            return BatchCost{run.metrics.ttft, run.metrics.tbt,
+                             run.metrics.total_time};
         });
     pending_.clear();
     if (report.is_ok() && telemetry_) {

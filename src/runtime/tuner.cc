@@ -171,12 +171,9 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
         }
     }
 
-    SimCache *cache = exec.cache;
     const std::vector<SimPoint> points = exec::parallel_map<SimPoint>(
-        candidates.size(), exec.jobs, [&](std::size_t i) {
-            return cache ? cache->evaluate(candidates[i])
-                         : simulate_point(candidates[i]);
-        });
+        candidates.size(), exec.jobs,
+        [&](std::size_t i) { return simulate_point(candidates[i]); });
 
     bool have_best = false;
     for (std::size_t i = 0; i < candidates.size(); ++i) {

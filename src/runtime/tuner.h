@@ -20,7 +20,6 @@
 
 #include "common/status.h"
 #include "runtime/engine.h"
-#include "runtime/sim_cache.h"
 
 namespace helm::runtime {
 
@@ -71,8 +70,8 @@ struct TuneResult
 };
 
 /**
- * How the search evaluates its candidate list.  The defaults (one
- * thread, no memo) reproduce the historic sequential behavior; any
+ * How the search evaluates its candidate list.  The default (one
+ * thread) reproduces the historic sequential behavior; any
  * jobs value returns the same TuneResult — candidates are evaluated
  * into index-addressed slots and reduced in enumeration order, so the
  * tie-break ordering is unchanged.
@@ -81,12 +80,6 @@ struct TuneExecOptions
 {
     /** Candidate-evaluation threads; 0 = all hardware threads. */
     std::size_t jobs = 1;
-    /**
-     * Optional simulation memo (not owned).  Successive searches with
-     * overlapping candidate lists — e.g. the same grid under different
-     * QoS ceilings — then simulate each distinct spec once.
-     */
-    SimCache *cache = nullptr;
 };
 
 /**

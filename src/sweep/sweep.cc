@@ -217,24 +217,15 @@ apply(runtime::ServingSpec &spec, const std::string &name,
 } // namespace
 
 Dataset
-ServingSweep::run() const
-{
-    return run(SweepOptions{}, nullptr);
-}
-
-Dataset
-ServingSweep::run(const SweepOptions &options,
-                  runtime::SimCache *cache) const
+ServingSweep::run(const SweepOptions &options) const
 {
     return runner_.run(
-        [this, cache](const Row &point) -> Result<Row> {
+        [this](const Row &point) -> Result<Row> {
             runtime::ServingSpec spec = base_;
             spec.keep_records = false;
             for (const auto &[name, value] : point)
                 HELM_RETURN_IF_ERROR(apply(spec, name, value));
-            const runtime::SimPoint sim =
-                cache ? cache->evaluate(spec)
-                      : runtime::simulate_point(spec);
+            const runtime::SimPoint sim = runtime::simulate_point(spec);
             if (!sim.is_ok())
                 return sim.status;
             Row metrics;

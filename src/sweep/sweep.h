@@ -18,7 +18,6 @@
 
 #include "common/status.h"
 #include "runtime/engine.h"
-#include "runtime/sim_cache.h"
 #include "sweep/dataset.h"
 
 namespace helm::sweep {
@@ -106,17 +105,14 @@ class ServingSweep
 
     std::size_t point_count() const { return runner_.point_count(); }
 
-    /** Run every point (infeasible points get an "error" column). */
-    Dataset run() const;
-
     /**
-     * Run every point with @p options, optionally memoizing through
-     * @p cache (not owned; duplicate specs — and specs a previous
-     * search already simulated — are evaluated once).  The Dataset is
-     * identical to the sequential, uncached run.
+     * Run every point with @p options (infeasible points get an "error"
+     * column).  Each point goes through runtime::simulate_point(), so
+     * duplicate specs — and specs a previous search already simulated —
+     * replay from the step cache.  The Dataset is identical at any jobs
+     * value.
      */
-    Dataset run(const SweepOptions &options,
-                runtime::SimCache *cache = nullptr) const;
+    Dataset run(const SweepOptions &options = {}) const;
 
     /** True when @p name is a recognized dimension. */
     static bool is_recognized(const std::string &name);

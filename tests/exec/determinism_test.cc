@@ -2,7 +2,7 @@
  * @file
  * Determinism contract of the parallel evaluation engine: any jobs
  * value must produce byte-identical sweep Datasets / CSV, identical
- * tuner results, and deterministic SimCache statistics.
+ * tuner results, and deterministic step-cache statistics.
  */
 #include <sstream>
 #include <string>
@@ -11,14 +11,38 @@
 #include <gtest/gtest.h>
 
 #include "model/opt.h"
-#include "runtime/instrument.h"
-#include "runtime/sim_cache.h"
+#include "runtime/step_cache.h"
 #include "runtime/tuner.h"
 #include "sweep/sweep.h"
 #include "telemetry/metrics.h"
 
 namespace helm {
 namespace {
+
+/** Step-cache counter movement since construction. */
+struct CacheDelta
+{
+    std::uint64_t hits0 = runtime::step_cache().hits();
+    std::uint64_t misses0 = runtime::step_cache().misses();
+
+    std::uint64_t hits() const { return runtime::step_cache().hits() - hits0; }
+    std::uint64_t
+    misses() const
+    {
+        return runtime::step_cache().misses() - misses0;
+    }
+};
+
+/** Run @p fn with the step cache off: the exact uncached path. */
+template <typename Fn>
+auto
+uncached(Fn fn)
+{
+    runtime::set_step_cache_enabled(false);
+    auto result = fn();
+    runtime::set_step_cache_enabled(true);
+    return result;
+}
 
 std::string
 csv_text(const sweep::Dataset &dataset)
@@ -52,13 +76,13 @@ TEST(SweepDeterminism, DatasetByteIdenticalAcrossJobs)
     const sweep::ServingSweep grid = test_grid();
     sweep::SweepOptions sequential;
     sequential.jobs = 1;
-    const std::string baseline = csv_text(grid.run(sequential, nullptr));
+    const std::string baseline = csv_text(grid.run(sequential));
     EXPECT_NE(baseline.find("error"), std::string::npos);
 
     for (const std::size_t jobs : {2u, 8u}) {
         sweep::SweepOptions options;
         options.jobs = jobs;
-        EXPECT_EQ(csv_text(grid.run(options, nullptr)), baseline)
+        EXPECT_EQ(csv_text(grid.run(options)), baseline)
             << "jobs=" << jobs;
     }
 }
@@ -68,12 +92,14 @@ TEST(SweepDeterminism, CacheDoesNotChangeTheDataset)
     const sweep::ServingSweep grid = test_grid();
     sweep::SweepOptions options;
     options.jobs = 8;
-    runtime::SimCache cache;
-    const std::string cached = csv_text(grid.run(options, &cache));
+    runtime::step_cache().clear();
+    const CacheDelta cache;
+    const std::string cached = csv_text(grid.run(options));
     sweep::SweepOptions sequential;
     sequential.jobs = 1;
-    EXPECT_EQ(cached, csv_text(grid.run(sequential, nullptr)));
-    // Errors bypass the memo, so misses < points but > 0.
+    EXPECT_EQ(cached, uncached([&] { return csv_text(grid.run(sequential)); }));
+    // Unknown-model points fail before the engine, so misses < points
+    // but > 0.
     EXPECT_GT(cache.misses(), 0u);
 }
 
@@ -88,7 +114,7 @@ TEST(SweepDeterminism, ProgressReachesTotalExactlyOnce)
         EXPECT_EQ(total, 36u);
         done_values.push_back(done);
     };
-    (void)grid.run(options, nullptr);
+    (void)grid.run(options);
     ASSERT_EQ(done_values.size(), 36u);
     // Calls are serialized with an incrementing done counter.
     for (std::size_t i = 0; i < done_values.size(); ++i)
@@ -143,34 +169,38 @@ TEST(TunerDeterminism, ResultIdenticalAcrossJobs)
 TEST(TunerDeterminism, CacheDoesNotChangeTheResult)
 {
     const runtime::TuneRequest request = test_request();
-    const auto uncached = runtime::auto_tune(request);
-    ASSERT_TRUE(uncached.is_ok());
+    const auto baseline =
+        uncached([&] { return runtime::auto_tune(request); });
+    ASSERT_TRUE(baseline.is_ok());
 
-    runtime::SimCache cache;
+    runtime::step_cache().clear();
+    const CacheDelta cache;
     runtime::TuneExecOptions exec;
     exec.jobs = 8;
-    exec.cache = &cache;
     const auto first = runtime::auto_tune(request, exec);
     ASSERT_TRUE(first.is_ok());
-    EXPECT_EQ(tune_text(*first), tune_text(*uncached));
+    EXPECT_EQ(tune_text(*first), tune_text(*baseline));
     const std::uint64_t misses_after_first = cache.misses();
     EXPECT_GT(misses_after_first, 0u);
 
-    // A repeated search is served entirely from the memo.
+    // A repeated search is served entirely from the memo: no new
+    // misses, one hit per candidate.
     const auto second = runtime::auto_tune(request, exec);
     ASSERT_TRUE(second.is_ok());
-    EXPECT_EQ(tune_text(*second), tune_text(*uncached));
+    EXPECT_EQ(tune_text(*second), tune_text(*baseline));
     EXPECT_EQ(cache.misses(), misses_after_first);
     EXPECT_EQ(cache.hits(), misses_after_first);
+    EXPECT_EQ(cache.hits(), second->explored.size() + second->infeasible);
 }
 
-TEST(SimCacheTest, RepeatedSpecHits)
+TEST(StepCacheMemo, RepeatedSpecHits)
 {
     runtime::ServingSpec spec;
     spec.model = model::opt_config(model::OptVariant::kOpt1_3B);
-    runtime::SimCache cache;
-    const runtime::SimPoint first = cache.evaluate(spec);
-    const runtime::SimPoint second = cache.evaluate(spec);
+    runtime::step_cache().clear();
+    const CacheDelta cache;
+    const runtime::SimPoint first = runtime::simulate_point(spec);
+    const runtime::SimPoint second = runtime::simulate_point(spec);
     ASSERT_TRUE(first.is_ok());
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
@@ -179,7 +209,7 @@ TEST(SimCacheTest, RepeatedSpecHits)
     EXPECT_EQ(first.gpu_used, second.gpu_used);
 }
 
-TEST(SimCacheTest, KeyDistinguishesSpecs)
+TEST(StepCacheMemo, KeyDistinguishesSpecs)
 {
     runtime::ServingSpec spec;
     spec.model = model::opt_config(model::OptVariant::kOpt1_3B);
@@ -213,22 +243,28 @@ TEST(SimCacheTest, KeyDistinguishesSpecs)
     EXPECT_EQ(runtime::spec_cache_key(recorded), base_key);
 }
 
-TEST(SimCacheTest, RegistryExport)
+TEST(StepCacheMemo, RecordEmitsHitsAndMisses)
 {
     runtime::ServingSpec spec;
     spec.model = model::opt_config(model::OptVariant::kOpt1_3B);
-    runtime::SimCache cache;
-    (void)cache.evaluate(spec);
-    (void)cache.evaluate(spec);
+    (void)runtime::simulate_point(spec);
+    (void)runtime::simulate_point(spec);
+    const runtime::StepScheduleCache &cache = runtime::step_cache();
 
     telemetry::MetricsRegistry registry;
-    runtime::record_sim_cache(registry, cache);
-    EXPECT_EQ(registry.counter("helm_simcache_hits", {}, "").value(),
-              1.0);
-    EXPECT_EQ(registry.counter("helm_simcache_misses", {}, "").value(),
-              1.0);
-    EXPECT_EQ(registry.gauge("helm_simcache_entries", {}, "").value(),
-              1.0);
+    cache.record(registry);
+    EXPECT_EQ(registry.family_count(), 2u);
+    EXPECT_EQ(registry.label_sets("helm_stepcache_hits").size(), 2u);
+    EXPECT_EQ(registry.label_sets("helm_stepcache_misses").size(), 1u);
+    EXPECT_EQ(registry.value_or("helm_stepcache_hits", {{"stage", "engine"}}),
+              static_cast<double>(cache.hits()));
+    EXPECT_EQ(registry.value_or("helm_stepcache_hits", {{"stage", "stream"}}),
+              static_cast<double>(cache.stream_hits()));
+    EXPECT_EQ(
+        registry.value_or("helm_stepcache_misses", {{"stage", "engine"}}),
+        static_cast<double>(cache.misses()));
+    EXPECT_GE(cache.hits(), 1u);
+    EXPECT_GE(cache.misses(), 1u);
 }
 
 } // namespace

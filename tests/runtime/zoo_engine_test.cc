@@ -13,7 +13,7 @@
 
 #include "model/opt.h"
 #include "runtime/engine.h"
-#include "runtime/sim_cache.h"
+#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 namespace {

@@ -201,6 +201,48 @@ TEST(Cli, SweepReportsTimingSummary)
     EXPECT_NE(result.output.find("jobs=2"), std::string::npos);
 }
 
+TEST(Cli, SweepReplaysCountInTheStepCache)
+{
+    // 9 points over 4 distinct specs: the 5 repeats replay from the
+    // process step cache, and no second memo hides them from it.
+    const std::string metrics = "/tmp/helm_cli_sweep_memo_metrics.json";
+    const CliResult result = run_cli(
+        "sweep --dims \"memory=NVDRAM,DRAM,NVDRAM;batch=1,8,1\" "
+        "--jobs 4 --metrics-out " +
+        metrics);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("cache 5 hits / 4 misses"),
+              std::string::npos)
+        << result.output;
+    std::ifstream file(metrics);
+    std::stringstream json;
+    json << file.rdbuf();
+    const std::string snapshot = json.str();
+    EXPECT_NE(snapshot.find("{\"name\":\"helm_stepcache_hits\","
+                            "\"type\":\"counter\",\"labels\":{\"stage\":"
+                            "\"engine\"},\"value\":5}"),
+              std::string::npos)
+        << snapshot;
+    EXPECT_NE(snapshot.find("{\"name\":\"helm_stepcache_misses\","
+                            "\"type\":\"counter\",\"labels\":{\"stage\":"
+                            "\"engine\"},\"value\":4}"),
+              std::string::npos)
+        << snapshot;
+    // The sweep's only series are its own and the step cache's: no
+    // other memo reports alongside it.
+    const std::string name_key = "\"name\":\"";
+    for (std::size_t at = snapshot.find(name_key); at != std::string::npos;
+         at = snapshot.find(name_key, at + 1)) {
+        const std::string name = snapshot.substr(
+            at + name_key.size(),
+            snapshot.find('"', at + name_key.size()) - at - name_key.size());
+        EXPECT_TRUE(name.rfind("helm_stepcache_", 0) == 0 ||
+                    name.rfind("helm_sweep_", 0) == 0)
+            << name;
+    }
+    std::remove(metrics.c_str());
+}
+
 TEST(Cli, TuneJobsOutputIsByteIdentical)
 {
     constexpr const char *kSearch =

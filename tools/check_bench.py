@@ -7,7 +7,7 @@ so it must run anywhere python3 does.
 Supported schemas:
 
 helm-bench-parallel-v1 (bench_wall)
-  * ``jobs`` and the sweep/tune/simcache sections are present with
+  * ``jobs`` and the sweep/tune/step_cache sections are present with
     every required field a finite number of the right sign;
   * ``sweep.identical`` and ``tune.identical`` are ``true`` — the
     parallel run must be byte-identical to the sequential run.
@@ -95,7 +95,7 @@ PARALLEL_NUMBERS = {
     "sweep": ("points", "seq_seconds", "par_seconds", "points_per_s_seq",
               "points_per_s_par", "speedup"),
     "tune": ("candidates", "seq_seconds", "par_seconds", "speedup"),
-    "simcache": ("hits", "misses", "hit_rate"),
+    "step_cache": ("hits", "misses", "hit_rate"),
 }
 
 CORE_NUMBERS = {
@@ -170,7 +170,7 @@ def check_parallel(doc, args, errors):
         print("ok: %d points, sweep x%.2f, tune x%.2f, hit rate %.2f "
               "(jobs=%d)" % (sweep["points"], sweep["speedup"],
                              doc["tune"]["speedup"],
-                             doc["simcache"]["hit_rate"], doc["jobs"]))
+                             doc["step_cache"]["hit_rate"], doc["jobs"]))
 
 
 def check_core(doc, args, errors):

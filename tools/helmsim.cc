@@ -1327,8 +1327,6 @@ cmd_tune(const std::vector<std::string> &args)
 
     runtime::TuneExecOptions exec_options;
     exec_options.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
-    runtime::SimCache cache;
-    exec_options.cache = &cache;
     const auto tuned = runtime::auto_tune(request, exec_options);
     if (!tuned.is_ok()) {
         std::cerr << tuned.status().to_string() << "\n";
@@ -1452,9 +1450,11 @@ cmd_sweep(const std::vector<std::string> &args)
     }
 
     std::cerr << "sweeping " << total << " points...\n";
-    runtime::SimCache cache;
+    const runtime::StepScheduleCache &cache = runtime::step_cache();
+    const std::uint64_t hits_before = cache.hits();
+    const std::uint64_t misses_before = cache.misses();
     const auto start = std::chrono::steady_clock::now();
-    const sweep::Dataset dataset = serving_sweep.run(options, &cache);
+    const sweep::Dataset dataset = serving_sweep.run(options);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -1466,8 +1466,8 @@ cmd_sweep(const std::vector<std::string> &args)
     std::cerr << "swept " << total << " points in "
               << format_fixed(elapsed, 3) << " s ("
               << format_fixed(rate, 1) << " points/s, jobs=" << jobs
-              << ", cache " << cache.hits() << " hits / "
-              << cache.misses() << " misses)\n";
+              << ", cache " << cache.hits() - hits_before << " hits / "
+              << cache.misses() - misses_before << " misses)\n";
     dataset.write_csv(std::cout);
 
     if (!parser.get("pivot").empty()) {
@@ -1481,7 +1481,6 @@ cmd_sweep(const std::vector<std::string> &args)
     }
 
     telemetry::MetricsRegistry registry;
-    runtime::record_sim_cache(registry, cache);
     registry
         .gauge("helm_sweep_wall_seconds", {},
                "Wall-clock time of the last sweep")
