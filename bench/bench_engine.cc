@@ -9,10 +9,10 @@
  * warm-up + min-of-N harness from bench_util.h:
  *
  *   * serve — OPT-175B All-CPU (compressed, batch 44) through
- *     simulate_inference.  Off pays the full placement + schedule +
- *     DES replay every call; on pays one miss and then replays the
- *     memoized run.  Correctness gate: the serialized run metrics are
- *     byte-identical;
+ *     simulate_inference.  Off pays the full placement + schedule
+ *     compilation + closed-form executor run every call; on pays one
+ *     miss and then replays the memoized run.  Correctness gate: the
+ *     serialized run metrics are byte-identical;
  *   * gateway — a 200k-turn closed-loop client drive (512 clients,
  *     2 replicas, the bench_core workload).  Off schedules every
  *     accepted/first-token/per-token stream event at its true time; on

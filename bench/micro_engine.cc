@@ -2,10 +2,13 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: event
  * throughput of the DES kernel, fair-share channel updates, placement
- * algorithms, and a full OPT-175B serving simulation.  These guard the
- * library's own performance, not the paper's results.
+ * algorithms, a full OPT-175B serving simulation (single-GPU runs take
+ * the executor's closed form), and the same schedule on the DES.  These
+ * guard the library's own performance, not the paper's results.
  */
 #include <benchmark/benchmark.h>
+
+#include <span>
 
 #include "core/helm.h"
 #include "runtime/step_cache.h"
@@ -91,17 +94,26 @@ BM_BuildLayers175B(benchmark::State &state)
 }
 BENCHMARK(BM_BuildLayers175B);
 
-void
-BM_FullInference175B(benchmark::State &state)
+runtime::ServingSpec
+inference_spec_175b(std::uint64_t batch)
 {
     runtime::ServingSpec spec;
     spec.model = model::opt_config(model::OptVariant::kOpt175B);
     spec.memory = mem::ConfigKind::kNvdram;
     spec.placement = placement::PlacementKind::kHelm;
     spec.compress_weights = true;
-    spec.batch = static_cast<std::uint64_t>(state.range(0));
+    spec.batch = batch;
     spec.repeats = 2;
     spec.keep_records = false;
+    return spec;
+}
+
+/** One cold engine run: compile, then the closed-form executor. */
+void
+BM_FullInference175B(benchmark::State &state)
+{
+    const runtime::ServingSpec spec =
+        inference_spec_175b(static_cast<std::uint64_t>(state.range(0)));
     // Time a cold run: with the step cache on, every iteration after
     // the first would be a memo lookup.
     const bool cache_was_on = runtime::step_cache_enabled();
@@ -113,6 +125,27 @@ BM_FullInference175B(benchmark::State &state)
     runtime::set_step_cache_enabled(cache_was_on);
 }
 BENCHMARK(BM_FullInference175B)->Arg(1)->Arg(8);
+
+/** The same schedule, compiled once, on a fresh fabric through the
+ *  DES: the single-GPU event path the engine no longer takes. */
+void
+BM_DesInference175B(benchmark::State &state)
+{
+    const runtime::ServingSpec spec =
+        inference_spec_175b(static_cast<std::uint64_t>(state.range(0)));
+    const auto compiled = runtime::compile_schedule(spec);
+    if (!compiled.is_ok()) {
+        state.SkipWithError(compiled.status().to_string().c_str());
+        return;
+    }
+    const runtime::FabricRates rates = runtime::link_rates(compiled->system);
+    for (auto _ : state) {
+        runtime::Fabric fabric(1, spec.gpu, rates);
+        runtime::Executor executor(fabric, std::span(&*compiled, 1));
+        benchmark::DoNotOptimize(executor.run().is_ok());
+    }
+}
+BENCHMARK(BM_DesInference175B)->Arg(1)->Arg(8);
 
 void
 BM_MaxBatchSearch(benchmark::State &state)

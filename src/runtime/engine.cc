@@ -98,8 +98,9 @@ ServingSpec::kv_config() const
 
 namespace {
 
-/** The original (uncached) path: compile, drive the DES, derive
- *  metrics and records.  --no-step-cache routes here directly. */
+/** The original (uncached) path: compile, run the schedule (in closed
+ *  form when it is single-flow, on the DES otherwise), derive metrics
+ *  and records.  --no-step-cache routes here directly. */
 Result<RunResult>
 simulate_inference_uncached(const ServingSpec &spec)
 {
@@ -112,7 +113,8 @@ simulate_inference_uncached(const ServingSpec &spec)
     // ---- Run -------------------------------------------------------------
     Fabric fabric(1, spec.gpu, link_rates(compiled.system));
     Executor executor(fabric, std::span(&compiled, 1));
-    HELM_RETURN_IF_ERROR(executor.run());
+    if (!executor.run_closed_form())
+        HELM_RETURN_IF_ERROR(executor.run());
     BatchTimeline timeline = executor.timeline(spec.keep_records);
 
     // ---- Metrics ----------------------------------------------------------
@@ -152,10 +154,10 @@ simulate_inference(const ServingSpec &spec)
     // The steady-state fast path: a spec digest fully determines the
     // per-layer timeline (the engine is deterministic and takes no
     // ambient state), so a repeated decode iteration replays the cached
-    // run instead of rebuilding and re-firing every load_weight /
-    // compute_layer / KV event.  Callers time-shift the returned copy
-    // onto their own clock (Server::run_fcfs already offsets records by
-    // launch time); anything that breaks steady state — preemption, KV
+    // run instead of compiling and executing its schedule again.
+    // Callers time-shift the returned copy onto their own clock
+    // (Server::run_fcfs already offsets records by launch time);
+    // anything that breaks steady state — preemption, KV
     // demotion/promotion, batch re-formation, NDP-site changes —
     // produces a different digest and therefore a miss, never a stale
     // hit (see runtime/step_cache.h).

@@ -1,7 +1,9 @@
 /**
  * @file
  * The out-of-core inference engine: FlexGen's zig-zag schedule
- * (paper Listing 1) executed on the discrete-event kernel.
+ * (paper Listing 1), solved in closed form when every channel carries
+ * one flow at a time and executed on the discrete-event kernel
+ * otherwise (runtime/executor.h).
  *
  * For every (token, layer) step the engine issues the *next* layer's
  * weight transfer (host-tier and storage-tier flows contending on the
@@ -81,7 +83,7 @@ struct ServingSpec
      * kGpuOnly is today's path, bit-for-bit.  kNdpAuto/kNdpAll require
      * an NDP-capable host tier (memory = "NDP-DIMM"): offloaded
      * layers skip their h2d weight transfer entirely and charge the
-     * near-data GEMV time through the DES instead.
+     * near-data GEMV time on the host's near-data units instead.
      */
     placement::ComputeSiteMode compute_site =
         placement::ComputeSiteMode::kGpuOnly;

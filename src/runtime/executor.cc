@@ -1,5 +1,6 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -225,6 +226,83 @@ Executor::status() const
     return Status::internal("schedule did not retire all steps: " +
                             std::to_string(completed_) + "/" +
                             std::to_string(steps_) + " completed");
+}
+
+bool
+Executor::run_closed_form()
+{
+    const CompiledSchedule &shard = shards_.front();
+    if (shards_.size() != 1 || fabric_.gpus() != 1 ||
+        fabric_.host_read_port() != nullptr ||
+        fabric_.host_write_port() != nullptr ||
+        fabric_.storage_read_port() != nullptr ||
+        fabric_.sim().pending_events() != 0)
+        return false;
+    std::uint64_t loads = 0;
+    for (const ScheduledStep &s : shard.steps) {
+        if (s.disk_bytes > 0 || !shard.kv_reads(s).empty() ||
+            !shard.kv_writes(s).empty())
+            return false;
+        loads += s.cpu_bytes > 0 ? 1 : 0;
+    }
+    // The DES fires a completion and its zero-delay callback per load
+    // and one event per compute; past its cap it reports a runaway.
+    if (2 * loads + steps_ > Fabric::kMaxEvents)
+        return false;
+    const double link = fabric_.h2d_rate().raw();
+    const Seconds overhead = fabric_.gpu_spec().layer_overhead;
+    // load_weight(k) issued at `at`, as the h2d channel times a lone
+    // flow: water_fill grants it min(cap, link), its completion event
+    // fires after bytes / rate, and the zero-delay callback lands at
+    // the same time.  False when round-off leaves more than
+    // kByteEpsilon undelivered: the DES would re-arm the completion,
+    // which in practice does not advance the clock and spins to its
+    // runaway guard — either way, the DES's call.
+    auto load = [&](std::size_t k, Seconds at) {
+        const ScheduledStep &s = shard.steps[k];
+        load_issue_[k] = at;
+        if (s.cpu_bytes > 0) {
+            const double cap = s.cpu_cap.raw();
+            const double rate = cap > 0.0 ? std::min(cap, link) : link;
+            const double bytes = static_cast<double>(s.cpu_bytes);
+            const Seconds issued = at;
+            at = at + bytes / rate;
+            if (bytes - rate * (at - issued) >
+                sim::BandwidthChannel::kByteEpsilon)
+                return false;
+        }
+        load_done_[k] = at;
+        return true;
+    };
+    auto decline = [this] {
+        std::fill(load_issue_.begin(), load_issue_.end(), 0.0);
+        std::fill(load_done_.begin(), load_done_.end(), 0.0);
+        std::fill(step_start_.begin(), step_start_.end(), 0.0);
+        std::fill(step_end_.begin(), step_end_.end(), 0.0);
+        return false;
+    };
+    if (!load(0, fabric_.sim().now()))
+        return decline();
+    // Step k starts when step k-1 retires (step 0 when its weights
+    // land), prefetches k+1, and retires at the later of its compute
+    // and that prefetch.  NDP steps skip the GPU launch overhead.
+    for (std::size_t k = 0; k < steps_; ++k) {
+        const ScheduledStep &s = shard.steps[k];
+        const Seconds start = k == 0 ? load_done_[0] : step_end_[k - 1];
+        step_start_[k] = start;
+        Seconds end = start + (s.site == placement::ComputeSite::kNdp
+                                   ? s.compute
+                                   : s.compute + overhead);
+        if (k + 1 < steps_) {
+            if (!load(k + 1, start))
+                return decline();
+            end = std::max(end, load_done_[k + 1]);
+        }
+        step_end_[k] = end;
+    }
+    start_time_ = fabric_.sim().now();
+    completed_ = steps_;
+    return true;
 }
 
 /** load_weight(k) on every shard; done when the slowest has its slice. */

@@ -17,6 +17,15 @@
  * KV writeback and its `compute_layer(k)`, and retires when all of them
  * have (`sync()`).  G = 1 serves simulate_inference() and each cluster
  * replica job; G = N serves tensor parallelism.
+ *
+ * run() always drives the DES.  run_closed_form() solves the same loop
+ * without it when every channel carries one flow at a time — one shard
+ * on a one-GPU fabric, no shared ports, no disk or KV flows — where the
+ * zig-zag timeline is the overlap recurrence of paper Fig. 5: a step
+ * ends at the later of its compute and the next layer's load.  It
+ * evaluates the DES's own floating-point expressions in the DES's
+ * order, so its timeline is bit-identical; the DES stays the general
+ * path and the oracle the closed form is tested against.
  */
 #ifndef HELM_RUNTIME_EXECUTOR_H
 #define HELM_RUNTIME_EXECUTOR_H
@@ -190,8 +199,19 @@ class Executor
     /** Issue step 0 now; @p on_done fires when the last step retires. */
     void start(std::function<void(const Executor &)> on_done = {});
 
-    /** start(), drain the fabric, then status(). */
+    /** start(), drain the fabric, then status() — always the DES. */
     Status run();
+
+    /**
+     * Fill the timeline by the overlap recurrence instead of the DES,
+     * bit-identical to run(), when the run is single-flow: one shard on
+     * a one-GPU fabric with no shared ports and no pending events, and
+     * no step with disk bytes or KV reads/writes.  Returns false, with
+     * the executor as constructed, for any other run or one the DES
+     * would not finish; call run() then.  The fabric's clock and
+     * counters do not advance.
+     */
+    bool run_closed_form();
 
     /** OK once every step retired; Status::internal otherwise. */
     Status status() const;

@@ -9,8 +9,9 @@
  * determines its run: the engine is deterministic and takes no ambient
  * state.  So `simulate_inference()` keys every run by
  * `spec_cache_key()` plus the keep_records bit and replays a repeated
- * spec — metrics and per-layer step records — instead of re-posting
- * every load_weight / compute_layer / KV event through the simulator.
+ * spec — metrics and per-layer step records — instead of compiling the
+ * schedule again and re-running its executor (the closed form for
+ * single-flow runs, the DES for the rest).
  *
  * Entries never go stale.  Anything that changes a run — preemption,
  * KV demotion/promotion, batch re-formation, NDP-site changes — changes

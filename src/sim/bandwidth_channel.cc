@@ -6,19 +6,6 @@
 
 namespace helm::sim {
 
-namespace {
-
-/**
- * Bytes below this threshold count as "delivered".  Half a byte: flow
- * progress is tracked in doubles, and a remainder below one byte is
- * arithmetic round-off, not payload.  A smaller epsilon can livelock the
- * clock — the remainder's completion delay underflows the double time
- * resolution and the completion event stops advancing virtual time.
- */
-constexpr double kByteEpsilon = 0.5;
-
-} // namespace
-
 BandwidthChannel::BandwidthChannel(Simulator &simulator, std::string name,
                                    Bandwidth rate)
     : simulator_(simulator), name_(std::move(name)), rate_(rate)

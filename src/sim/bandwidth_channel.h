@@ -40,6 +40,16 @@ class BandwidthChannel
 {
   public:
     /**
+     * Bytes below this threshold count as "delivered".  Half a byte:
+     * flow progress is tracked in doubles, and a remainder below one
+     * byte is arithmetic round-off, not payload.  A smaller epsilon can
+     * livelock the clock — the remainder's completion delay underflows
+     * the double time resolution and the completion event stops
+     * advancing virtual time.
+     */
+    static constexpr double kByteEpsilon = 0.5;
+
+    /**
      * @param simulator Owning simulation kernel; must outlive the channel.
      * @param name Diagnostic name (appears in traces).
      * @param rate Total channel bandwidth.
