@@ -7,8 +7,6 @@
  *
  * The bench gates its own invariants and exits non-zero when one
  * fails:
- *   - the NVDRAM zoo entry reproduces the legacy ConfigKind path
- *     exactly (Fig. 11 anchor identity),
  *   - at least one NDP-DIMM configuration strictly beats the matching
  *     All-CPU DRAM point on TBT,
  *   - the HBF tier admits a model size no other registered device
@@ -87,20 +85,6 @@ write_json(const std::string &path, const backendzoo::ParetoReport &r,
     out << "  ],\n";
     out << "  \"frontier_size\": " << r.frontier_size << ",\n";
 
-    out << "  \"anchor\": {\"ran\": " << (r.anchor.ran ? 1 : 0) << ", ";
-    json_number(out, "legacy_ttft_s", r.anchor.legacy_ttft);
-    out << ", ";
-    json_number(out, "legacy_tbt_s", r.anchor.legacy_tbt);
-    out << ", ";
-    json_number(out, "legacy_tokens_per_s", r.anchor.legacy_throughput);
-    out << ", ";
-    json_number(out, "zoo_ttft_s", r.anchor.zoo_ttft);
-    out << ", ";
-    json_number(out, "zoo_tbt_s", r.anchor.zoo_tbt);
-    out << ", ";
-    json_number(out, "zoo_tokens_per_s", r.anchor.zoo_throughput);
-    out << ", \"identical\": " << (r.anchor.identical ? 1 : 0) << "},\n";
-
     out << "  \"ndp_vs_dram\": {\"valid\": "
         << (r.ndp_vs_dram.valid ? 1 : 0)
         << ", \"batch\": " << r.ndp_vs_dram.batch << ", ";
@@ -163,8 +147,6 @@ main(int argc, char **argv)
             ++failures;
         }
     };
-    gate(parallel->anchor.ran && parallel->anchor.identical,
-         "NVDRAM zoo entry must reproduce the legacy path exactly");
     gate(parallel->ndp_vs_dram.valid &&
              parallel->ndp_vs_dram.ndp_dominates,
          "NDP-DIMM must beat the All-CPU DRAM point on TBT");

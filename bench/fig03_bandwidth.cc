@@ -34,7 +34,7 @@ main()
         std::cout << "\n";
     }
 
-    const std::vector<mem::ConfigKind> kinds{
+    const std::vector<mem::HostSpec> kinds{
         mem::ConfigKind::kDram, mem::ConfigKind::kNvdram,
         mem::ConfigKind::kMemoryMode};
     const auto buffers = membench::default_buffer_sweep();
@@ -50,8 +50,7 @@ main()
         std::vector<std::string> header{"buffer"};
         for (auto kind : kinds) {
             for (int node = 0; node < mem::kNumNumaNodes; ++node) {
-                header.push_back(std::string(mem::config_kind_name(kind)) +
-                                 "-" + std::to_string(node));
+                header.push_back(kind.name() + "-" + std::to_string(node));
             }
         }
         t.set_header(header);
@@ -66,8 +65,7 @@ main()
             for (auto kind : kinds) {
                 for (int node = 0; node < mem::kNumNumaNodes; ++node) {
                     for (const auto &m : results) {
-                        if (m.config ==
-                                mem::config_kind_name(kind) &&
+                        if (m.config == kind.name() &&
                             m.numa_node == node &&
                             m.buffer == buffer &&
                             m.direction == direction) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Placement explorer: compare Baseline / HeLM / All-CPU on any model
- * and memory configuration, showing per-layer-type weight splits, the
+ * and registered host device, showing per-layer-type weight splits, the
  * decode compute/communication overlap, and the serving metrics — the
  * analysis loop of the paper's Sec. V, as a tool.
  *
@@ -15,21 +15,6 @@
 #include <string>
 
 #include "core/helm.h"
-
-namespace {
-
-helm::Result<helm::mem::ConfigKind>
-parse_memory(const std::string &name)
-{
-    using helm::mem::ConfigKind;
-    for (ConfigKind kind : helm::mem::all_config_kinds()) {
-        if (name == helm::mem::config_kind_name(kind))
-            return kind;
-    }
-    return helm::Status::not_found("unknown memory config: " + name);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -49,13 +34,14 @@ main(int argc, char **argv)
                   << " (try OPT-6.7B, OPT-30B, OPT-175B, ...)\n";
         return 1;
     }
-    const auto memory = parse_memory(memory_name);
-    if (!memory.is_ok()) {
-        std::cerr << memory.status().to_string()
-                  << " (try DRAM, NVDRAM, MemoryMode, SSD, FSDAX, "
-                     "CXL-FPGA, CXL-ASIC)\n";
+    // Any `helmsim devices` name; an unknown one lists the registry.
+    const auto system =
+        mem::DeviceRegistry::builtin().make_system(memory_name);
+    if (!system.is_ok()) {
+        std::cerr << system.status().to_string() << "\n";
         return 1;
     }
+    const mem::HostSpec memory(system->label());
 
     std::cout << "Comparing placement schemes: " << model_name << " on "
               << memory_name << ", batch " << batch << ", "
@@ -72,7 +58,7 @@ main(int argc, char **argv)
                       placement::PlacementKind::kAllCpu}) {
         runtime::ServingSpec spec;
         spec.model = *model_config;
-        spec.memory = *memory;
+        spec.memory = memory;
         spec.placement = kind;
         spec.compress_weights = compressed;
         spec.batch = batch;
@@ -115,7 +101,7 @@ main(int argc, char **argv)
                       placement::PlacementKind::kAllCpu}) {
         runtime::ServingSpec spec;
         spec.model = *model_config;
-        spec.memory = *memory;
+        spec.memory = memory;
         spec.placement = kind;
         spec.compress_weights = compressed;
         spec.batch = batch;

@@ -9,7 +9,6 @@
 #include "exec/parallel.h"
 #include "mem/calibration.h"
 #include "mem/registry.h"
-#include "model/opt.h"
 #include "placement/ndp_aware.h"
 #include "placement/placement.h"
 #include "runtime/engine.h"
@@ -128,40 +127,6 @@ mark_frontier(std::vector<ParetoPoint> &points)
             ++size;
     }
     return size;
-}
-
-/** The paper's Fig. 11 NVDRAM cell, selected by its ConfigKind and by
- *  its registry name. */
-ParetoAnchor
-run_anchor(const ExploreOptions &options)
-{
-    ParetoAnchor anchor;
-    runtime::ServingSpec spec;
-    spec.model = model::opt_config(model::OptVariant::kOpt175B);
-    spec.memory = mem::ConfigKind::kNvdram;
-    spec.placement = placement::PlacementKind::kHelm;
-    spec.compress_weights = true;
-    spec.batch = 1;
-    spec.repeats = 2;
-    spec.gpu = options.gpu;
-    spec.keep_records = false;
-
-    auto legacy = runtime::simulate_inference(spec);
-    spec.memory = "NVDRAM";
-    auto zoo = runtime::simulate_inference(spec);
-    if (!legacy.is_ok() || !zoo.is_ok())
-        return anchor;
-    anchor.ran = true;
-    anchor.legacy_ttft = legacy->metrics.ttft;
-    anchor.legacy_tbt = legacy->metrics.tbt;
-    anchor.legacy_throughput = legacy->metrics.throughput;
-    anchor.zoo_ttft = zoo->metrics.ttft;
-    anchor.zoo_tbt = zoo->metrics.tbt;
-    anchor.zoo_throughput = zoo->metrics.throughput;
-    anchor.identical = anchor.legacy_ttft == anchor.zoo_ttft &&
-                       anchor.legacy_tbt == anchor.zoo_tbt &&
-                       anchor.legacy_throughput == anchor.zoo_throughput;
-    return anchor;
 }
 
 /** A ~1.9 TB fp16 transformer: bigger than every paper tier (DRAM 256
@@ -306,8 +271,6 @@ explore(const ExploreOptions &options)
         [&](std::size_t i) { return evaluate(options, grid[i]); });
     report.frontier_size = mark_frontier(report.points);
     report.ndp_vs_dram = compare_ndp(report.points);
-    if (options.include_anchor)
-        report.anchor = run_anchor(options);
     if (options.include_hbf_exclusive)
         report.hbf = run_hbf_exclusive(options);
     return report;
@@ -348,13 +311,6 @@ report_text(const ParetoReport &report)
             << (report.ndp_vs_dram.ndp_dominates ? " (near-data wins)"
                                                  : " (GPU path wins)")
             << "\n";
-    }
-    if (report.anchor.ran) {
-        out << "NVDRAM anchor (Fig. 11 cell): legacy TBT "
-            << format_seconds(report.anchor.legacy_tbt) << ", zoo TBT "
-            << format_seconds(report.anchor.zoo_tbt)
-            << (report.anchor.identical ? " — identical\n"
-                                        : " — MISMATCH\n");
     }
     if (report.hbf.ran) {
         out << "HBF exclusive: " << report.hbf.model << " ("

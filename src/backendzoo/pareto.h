@@ -12,9 +12,7 @@
  * byte-identical at any jobs value), prices each box with the
  * CostModel, and marks the non-dominated (cost-per-token, TBT) points.
  *
- * Two paper anchors keep the zoo honest: the NVDRAM registry name must
- * reproduce the ConfigKind::kNvdram selection exactly (Fig. 11 cell),
- * and the HBF section demonstrates a model size no paper tier admits.
+ * The HBF section demonstrates a model size no paper tier admits.
  */
 #ifndef HELM_BACKENDZOO_PARETO_H
 #define HELM_BACKENDZOO_PARETO_H
@@ -35,7 +33,7 @@ namespace helm::backendzoo {
 /** The explorer's search space and execution knobs. */
 struct ExploreOptions
 {
-    /** Model of the main grid (anchors use their own fixed specs). */
+    /** Model of the main grid (the HBF demonstration uses its own). */
     model::TransformerConfig model;
     bool compress_weights = true;
     model::SequenceShape shape; //!< default 128 in / 21 out (paper)
@@ -46,9 +44,6 @@ struct ExploreOptions
     std::size_t jobs = 1;
     gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
     CostModel cost;
-    /** Run the NVDRAM legacy-vs-zoo identity anchor (two extra sims of
-     *  the paper's Fig. 11 OPT-175B cell). */
-    bool include_anchor = true;
     /** Run the HBF capacity demonstration (a ~1.9 TB fp16 model only
      *  the 10 TiB flash tier can host). */
     bool include_hbf_exclusive = true;
@@ -77,17 +72,6 @@ struct ParetoPoint
     double cost_per_token = 0.0;
     /** Non-dominated on (cost_per_token, tbt) among ok+feasible points. */
     bool on_frontier = false;
-};
-
-/** Legacy-vs-zoo identity check on the paper's NVDRAM Fig. 11 cell. */
-struct ParetoAnchor
-{
-    bool ran = false;
-    Seconds legacy_ttft = 0.0, legacy_tbt = 0.0;
-    double legacy_throughput = 0.0;
-    Seconds zoo_ttft = 0.0, zoo_tbt = 0.0;
-    double zoo_throughput = 0.0;
-    bool identical = false; //!< exact equality, all three metrics
 };
 
 /** All-CPU DRAM vs All-CPU NDP-DIMM (site=auto) at the same batch. */
@@ -131,7 +115,6 @@ struct ParetoReport
 {
     std::vector<ParetoPoint> points; //!< enumeration order
     std::size_t frontier_size = 0;
-    ParetoAnchor anchor;
     NdpComparison ndp_vs_dram;
     HbfExclusive hbf;
 };
@@ -144,7 +127,7 @@ struct ParetoReport
 Result<ParetoReport> explore(const ExploreOptions &options);
 
 /**
- * Deterministic text rendering of a report (tables + anchor lines).
+ * Deterministic text rendering of a report (tables + summary lines).
  * bench_pareto compares the jobs=1 and jobs=N renderings byte for
  * byte; the CLI prints it.
  */

@@ -366,8 +366,8 @@ ClusterServer::run_sharded(bool keep_records)
              BatchRun>
         memo;
 
-    auto run_batch = [&](const workload::Batch &batch,
-                         bool want_records) -> Result<BatchRun> {
+    auto run_sharded = [&](const workload::Batch &batch,
+                           bool want_records) -> Result<BatchRun> {
         const auto key = std::make_tuple(batch.size(),
                                          batch.max_prompt_tokens(),
                                          batch.max_output_tokens());
@@ -425,7 +425,7 @@ ClusterServer::run_sharded(bool keep_records)
         pending_, admission_, config_,
         [&](const workload::Batch &batch, Seconds,
             std::uint64_t) -> Result<runtime::BatchCost> {
-            auto run_or = run_batch(batch, keep_records && !recorded);
+            auto run_or = run_sharded(batch, keep_records && !recorded);
             if (!run_or.is_ok())
                 return run_or.status();
             const BatchRun &run = *run_or;

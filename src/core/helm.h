@@ -74,7 +74,6 @@
 #include "runtime/metrics.h"
 #include "runtime/planner.h"
 #include "runtime/scheduler.h"
-#include "runtime/serving.h"
 #include "runtime/step_cache.h"
 #include "runtime/trace.h"
 #include "runtime/tuner.h"

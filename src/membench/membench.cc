@@ -56,19 +56,21 @@ default_buffer_sweep()
 }
 
 std::vector<CopyMeasurement>
-sweep(const std::vector<mem::ConfigKind> &kinds,
+sweep(const std::vector<mem::HostSpec> &hosts,
       const std::vector<Bytes> &buffers)
 {
     std::vector<CopyMeasurement> results;
-    for (mem::ConfigKind kind : kinds) {
+    for (const mem::HostSpec &host : hosts) {
         for (int node = 0; node < mem::kNumNumaNodes; ++node) {
-            mem::HostMemorySystem system = mem::make_config(kind);
-            system.set_numa_node(node);
+            auto system = mem::DeviceRegistry::builtin().make_system(host);
+            HELM_ASSERT(system.is_ok() && !system->has_storage(),
+                        "membench hosts must be mapped host memory");
+            system->set_numa_node(node);
             for (Bytes buffer : buffers) {
                 results.push_back(measure_copy(
-                    system, buffer, CopyDirection::kHostToGpu));
+                    *system, buffer, CopyDirection::kHostToGpu));
                 results.push_back(measure_copy(
-                    system, buffer, CopyDirection::kGpuToHost));
+                    *system, buffer, CopyDirection::kGpuToHost));
             }
         }
     }

@@ -16,6 +16,7 @@
 
 #include "common/units.h"
 #include "mem/host_system.h"
+#include "mem/registry.h"
 
 namespace helm::membench {
 
@@ -51,13 +52,14 @@ CopyMeasurement measure_copy(const mem::HostMemorySystem &system,
 std::vector<Bytes> default_buffer_sweep();
 
 /**
- * Full Fig. 3 sweep: every (config, node, buffer, direction) tuple.
- * @param kinds Configurations to sweep (host tiers only; storage
- *              configurations are skipped because nvbandwidth copies
- *              from mapped memory, not files).
+ * Full Fig. 3 sweep: every (host, node, buffer, direction) tuple.
+ * @param hosts Host memories to sweep: registered host-tier devices
+ *              or custom CXL expanders.  Storage tiers are not
+ *              accepted because nvbandwidth copies from mapped memory,
+ *              not files.
  */
 std::vector<CopyMeasurement>
-sweep(const std::vector<mem::ConfigKind> &kinds,
+sweep(const std::vector<mem::HostSpec> &hosts,
       const std::vector<Bytes> &buffers);
 
 } // namespace helm::membench

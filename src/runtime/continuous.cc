@@ -17,7 +17,7 @@
  *    hide charged as exposed swap stall.
  *
  * Iteration costs come from the same DES engine the FCFS path uses, as
- * memoized probes through run_batch():
+ * memoized probes through run_shape():
  *
  *  - a prefill of k requests padded to prompt p costs the TTFT of
  *    simulate(batch=k, shape=(p, 1));
@@ -150,7 +150,7 @@ Server::run_continuous()
         }
     };
 
-    // ---- Iteration cost probes (memoized through run_batch) ------------
+    // ---- Iteration cost probes (memoized through run_shape) ------------
     const std::uint64_t bucket_grain =
         admission_.kv_block_tokens > 0 ? admission_.kv_block_tokens : 16;
     auto bucketed = [&](std::uint64_t tokens) {
@@ -162,10 +162,10 @@ Server::run_continuous()
         for (std::uint64_t i = 0; i < count; ++i)
             probe.requests.push_back(
                 workload::Request{i, bucketed(prompt), 1, 0});
-        const auto metrics = run_batch(probe);
-        if (!metrics.is_ok())
-            return metrics.status();
-        return metrics->ttft;
+        const auto run = run_shape(probe);
+        if (!run.is_ok())
+            return run.status();
+        return (*run)->metrics.ttft;
     };
     auto decode_cost = [&](std::uint64_t count,
                            std::uint64_t context) -> Result<Seconds> {
@@ -173,10 +173,10 @@ Server::run_continuous()
         for (std::uint64_t i = 0; i < count; ++i)
             probe.requests.push_back(
                 workload::Request{i, bucketed(context), 2, 0});
-        const auto metrics = run_batch(probe);
-        if (!metrics.is_ok())
-            return metrics.status();
-        return metrics->tbt;
+        const auto run = run_shape(probe);
+        if (!run.is_ok())
+            return run.status();
+        return (*run)->metrics.tbt;
     };
 
     // ---- Swap channels --------------------------------------------------

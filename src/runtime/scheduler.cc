@@ -370,15 +370,6 @@ Server::submit(const workload::TimedRequest &timed)
     return Status::ok();
 }
 
-Result<InferenceMetrics>
-Server::run_batch(const workload::Batch &batch)
-{
-    const auto shape = run_shape(batch);
-    if (!shape.is_ok())
-        return shape.status();
-    return (*shape)->metrics;
-}
-
 Result<const Server::ShapeRun *>
 Server::run_shape(const workload::Batch &batch)
 {

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
-
-#include "common/status.h"
 
 namespace helm::workload {
 
@@ -50,121 +46,6 @@ sample_c4_prompt_tokens(Rng &rng, std::uint64_t median,
                                 static_cast<std::uint64_t>(sample));
     // Cap at the paper's truncation length.
     return std::min(tokens, median * 4);
-}
-
-std::vector<Batch>
-generate_batches(const WorkloadSpec &spec, std::uint64_t batch_size,
-                 std::uint64_t count)
-{
-    HELM_ASSERT(batch_size > 0, "batch size must be positive");
-    HELM_ASSERT(spec.prompt_tokens > 0, "prompt length must be positive");
-    HELM_ASSERT(spec.output_tokens > 0, "output budget must be positive");
-
-    Rng rng(spec.seed);
-    std::vector<Batch> batches;
-    batches.reserve(count);
-    std::uint64_t next_id = 0;
-
-    for (std::uint64_t b = 0; b < count; ++b) {
-        Batch batch;
-        batch.requests.reserve(batch_size);
-        for (std::uint64_t i = 0; i < batch_size; ++i) {
-            Request req;
-            req.id = next_id++;
-            if (spec.variable_lengths) {
-                req.prompt_tokens = sample_c4_prompt_tokens(
-                    rng, spec.prompt_tokens, spec.min_prompt);
-            } else {
-                req.prompt_tokens = spec.prompt_tokens;
-            }
-            req.output_tokens = spec.output_tokens;
-            batch.requests.push_back(req);
-        }
-        batches.push_back(std::move(batch));
-    }
-    return batches;
-}
-
-std::vector<Batch>
-paper_workload(std::uint64_t batch_size)
-{
-    WorkloadSpec spec;
-    return generate_batches(spec, batch_size, spec.repeats);
-}
-
-Result<std::vector<Batch>>
-load_workload_file(const std::string &path)
-{
-    std::ifstream file(path);
-    if (!file.is_open())
-        return Status::not_found("cannot open workload file " + path);
-
-    std::vector<Batch> batches;
-    Batch current;
-    std::uint64_t next_id = 0;
-    std::string line;
-    std::size_t line_number = 0;
-
-    auto flush_batch = [&] {
-        if (!current.requests.empty()) {
-            batches.push_back(std::move(current));
-            current = Batch{};
-        }
-    };
-
-    while (std::getline(file, line)) {
-        ++line_number;
-        // Strip comments and surrounding whitespace.
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        const std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos) {
-            flush_batch(); // blank line: batch boundary
-            continue;
-        }
-        const std::size_t last = line.find_last_not_of(" \t\r");
-        line = line.substr(first, last - first + 1);
-
-        std::istringstream fields(line);
-        std::uint64_t prompt = 0, output = 0;
-        if (!(fields >> prompt >> output) || prompt == 0 || output == 0) {
-            return Status::invalid_argument(
-                path + ":" + std::to_string(line_number) +
-                ": expected '<prompt_tokens> <output_tokens>', got '" +
-                line + "'");
-        }
-        std::string extra;
-        if (fields >> extra) {
-            return Status::invalid_argument(
-                path + ":" + std::to_string(line_number) +
-                ": trailing content '" + extra + "'");
-        }
-        current.requests.push_back(Request{next_id++, prompt, output});
-    }
-    flush_batch();
-    if (batches.empty())
-        return Status::invalid_argument(path + ": no requests");
-    return batches;
-}
-
-Status
-save_workload_file(const std::vector<Batch> &batches,
-                   const std::string &path)
-{
-    std::ofstream file(path);
-    if (!file.is_open())
-        return Status::invalid_argument("cannot open " + path);
-    file << "# helm-sim workload: <prompt_tokens> <output_tokens>;"
-            " blank line = batch boundary\n";
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        if (b)
-            file << "\n";
-        for (const auto &req : batches[b].requests)
-            file << req.prompt_tokens << " " << req.output_tokens << "\n";
-    }
-    return file.good() ? Status::ok()
-                       : Status::internal("write to " + path + " failed");
 }
 
 } // namespace helm::workload

@@ -1,23 +1,20 @@
 /**
  * @file
- * Serving workload generation.
+ * Serving requests, batches and the C4 length sampler.
  *
  * The paper drives FlexGen with C4/realnewslike prompts truncated to 128
- * input tokens, generating 21 output tokens, repeating each prompt 10
- * times (Sec. III-B).  Since only sequence *lengths* affect timing, the
- * generator synthesizes token-length sequences with a C4-like length
- * distribution (truncated log-normal) and exposes the paper's exact
- * fixed-length configuration as the default.
+ * input tokens, generating 21 output tokens (Sec. III-B).  Since only
+ * sequence *lengths* affect timing, a request is just its token counts,
+ * and variable-length prompts are drawn from a C4-like length
+ * distribution (truncated log-normal).
  */
 #ifndef HELM_WORKLOAD_WORKLOAD_H
 #define HELM_WORKLOAD_WORKLOAD_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "model/footprint.h"
 
 namespace helm::workload {
@@ -50,52 +47,13 @@ struct Batch
     model::SequenceShape shape() const;
 };
 
-/** Generator parameters. */
-struct WorkloadSpec
-{
-    std::uint64_t prompt_tokens = 128; //!< paper's input truncation
-    std::uint64_t output_tokens = 21;  //!< paper's generation budget
-    std::uint64_t repeats = 10;        //!< each prompt repeated 10x
-    bool variable_lengths = false;     //!< sample C4-like lengths instead
-    std::uint64_t min_prompt = 16;     //!< floor when variable
-    std::uint64_t seed = 0xC4C4C4C4ull;
-};
-
 /**
  * Sample a C4-like prompt length: truncated log-normal with median
  * @p median, floored at @p floor and capped at 4x the median (the
- * paper's truncation).  Shared by the batch generator and the arrival
- * process so both draw from the same length distribution.
+ * paper's truncation).
  */
 std::uint64_t sample_c4_prompt_tokens(Rng &rng, std::uint64_t median,
                                       std::uint64_t floor);
-
-/**
- * Generate @p count batches of @p batch_size requests each.
- * Fixed-length mode (default) reproduces the paper's setup exactly;
- * variable mode samples prompt lengths from a truncated log-normal
- * centered on spec.prompt_tokens.
- */
-std::vector<Batch> generate_batches(const WorkloadSpec &spec,
-                                    std::uint64_t batch_size,
-                                    std::uint64_t count);
-
-/** Convenience: the paper's workload — `repeats` batches, fixed shape. */
-std::vector<Batch> paper_workload(std::uint64_t batch_size);
-
-/**
- * Load a workload file.  Format: one request per line as
- * "<prompt_tokens> <output_tokens>"; blank lines separate batches;
- * '#' starts a comment.  Request ids are assigned in file order.
- *
- * @return kInvalidArgument on malformed lines (with the line number),
- *         kNotFound when the file cannot be opened.
- */
-Result<std::vector<Batch>> load_workload_file(const std::string &path);
-
-/** Write batches in load_workload_file()'s format. */
-Status save_workload_file(const std::vector<Batch> &batches,
-                          const std::string &path);
 
 } // namespace helm::workload
 

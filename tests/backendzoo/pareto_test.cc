@@ -76,9 +76,8 @@ small_options()
     options.model = model::opt_config(model::OptVariant::kOpt6_7B);
     options.devices = {"DRAM", "NDP-DIMM"};
     options.batches = {1, 8};
-    // Keep the unit test to the grid itself; the anchors run in
-    // bench_pareto and the dedicated tests below.
-    options.include_anchor = false;
+    // Keep the unit test to the grid itself; bench_pareto runs the
+    // HBF demonstration.
     options.include_hbf_exclusive = false;
     return options;
 }
@@ -159,21 +158,6 @@ TEST(Pareto, EmptyBatchListIsRejected)
     ExploreOptions options = small_options();
     options.batches.clear();
     EXPECT_FALSE(explore(options).is_ok());
-}
-
-TEST(Pareto, AnchorReproducesTheLegacyNvdramCell)
-{
-    // The expensive sections off, the anchor on: the zoo's NVDRAM
-    // entry must reproduce the legacy ConfigKind simulation exactly.
-    ExploreOptions options = small_options();
-    options.devices = {"DRAM"};
-    options.batches = {1};
-    options.include_anchor = true;
-    const auto report = explore(options);
-    ASSERT_TRUE(report.is_ok());
-    ASSERT_TRUE(report->anchor.ran);
-    EXPECT_TRUE(report->anchor.identical);
-    EXPECT_EQ(report->anchor.legacy_tbt, report->anchor.zoo_tbt);
 }
 
 } // namespace

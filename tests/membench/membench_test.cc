@@ -133,8 +133,8 @@ TEST(Membench, MemoryModeD2hNode0BelowNode1)
 
 TEST(Membench, SweepCoversEveryTuple)
 {
-    const std::vector<mem::ConfigKind> kinds{ConfigKind::kDram,
-                                             ConfigKind::kNvdram};
+    const std::vector<mem::HostSpec> kinds{ConfigKind::kDram,
+                                           ConfigKind::kNvdram};
     const std::vector<Bytes> buffers{256 * kMiB, kGiB};
     const auto results = sweep(kinds, buffers);
     // 2 configs x 2 nodes x 2 buffers x 2 directions.

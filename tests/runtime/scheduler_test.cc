@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit + integration tests for the request-level scheduler
- * (runtime/scheduler.h) and the serve_workload compatibility shim.
+ * (runtime/scheduler.h).
  */
 #include <gtest/gtest.h>
 
 #include "common/summary.h"
 #include "model/opt.h"
 #include "runtime/scheduler.h"
-#include "runtime/serving.h"
 
 namespace helm::runtime {
 namespace {
@@ -238,60 +237,6 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
     EXPECT_DOUBLE_EQ(report->slo_attainment, 0.0);
     EXPECT_DOUBLE_EQ(report->goodput, 0.0);
     EXPECT_GT(report->throughput, 0.0);
-}
-
-TEST(Scheduler, ShimReproducesSeedAggregatesBitForBit)
-{
-    // The serve_workload shim must reproduce the seed's serving loop
-    // exactly: same simulate_inference calls, same aggregation.
-    const auto batches = workload::paper_workload(4);
-    const ServingSpec base = small_spec();
-
-    // Golden: the pre-Server loop, inlined.
-    Seconds total_time = 0.0;
-    std::uint64_t total_tokens = 0;
-    std::vector<double> ttfts;
-    std::vector<double> tbts;
-    for (const auto &batch : batches) {
-        ServingSpec spec = base;
-        spec.batch = batch.size();
-        spec.shape = batch.shape();
-        spec.repeats = 1;
-        spec.keep_records = false;
-        const auto run = simulate_inference(spec);
-        ASSERT_TRUE(run.is_ok());
-        total_time += run->metrics.total_time;
-        total_tokens += run->metrics.total_tokens;
-        ttfts.push_back(run->metrics.ttft);
-        tbts.push_back(run->metrics.tbt);
-    }
-
-    const auto shim = serve_workload(base, batches);
-    ASSERT_TRUE(shim.is_ok()) << shim.status().to_string();
-    EXPECT_EQ(shim->aggregate.ttft, mean_discarding_first(ttfts));
-    EXPECT_EQ(shim->aggregate.tbt, mean_discarding_first(tbts));
-    EXPECT_EQ(shim->aggregate.total_time, total_time);
-    EXPECT_EQ(shim->aggregate.total_tokens, total_tokens);
-    EXPECT_EQ(shim->aggregate.throughput,
-              static_cast<double>(total_tokens) / total_time);
-    ASSERT_EQ(shim->per_batch.size(), batches.size());
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        EXPECT_EQ(shim->per_batch[b].ttft, ttfts[b]);
-        EXPECT_EQ(shim->per_batch[b].tbt, tbts[b]);
-    }
-    EXPECT_EQ(shim->padded_tokens, 0u);
-}
-
-TEST(Scheduler, ShimPropagatesEngineFailures)
-{
-    ServingSpec spec;
-    spec.model = model::opt_config(OptVariant::kOpt175B);
-    spec.memory = mem::ConfigKind::kNvdram;
-    spec.placement = placement::PlacementKind::kAllCpu;
-    spec.compress_weights = true;
-    const auto batches = workload::paper_workload(500);
-    EXPECT_EQ(serve_workload(spec, batches).status().code(),
-              StatusCode::kCapacityExceeded);
 }
 
 TEST(SchedulerIntegration, HelmBeatsBaselineP99TtftOnNvdram)

@@ -448,6 +448,38 @@ TEST(Cli, RunReportsTheHostItRanOn)
     EXPECT_NE(result.output.find("J/token"), std::string::npos);
 }
 
+TEST(Cli, MembenchPicksItsHostLikeEveryCommand)
+{
+    // No host flag: Fig. 3's trio.
+    CliResult result = run_cli_stdout("membench");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    for (const char *name : {"DRAM", "NVDRAM", "MemoryMode"})
+        EXPECT_NE(result.output.find(name), std::string::npos) << name;
+
+    result = run_cli_stdout("membench --memory CXL-ASIC");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("CXL-ASIC"), std::string::npos);
+    EXPECT_EQ(result.output.find("NVDRAM"), std::string::npos);
+
+    result = run_cli_stdout("membench --cxl-gbps 40");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("CXL-custom"), std::string::npos);
+}
+
+TEST(Cli, MembenchRejectsStorageAndUnknownHostsWithOneLine)
+{
+    // membench copies from mapped memory: a storage tier has none.
+    CliResult result = run_cli("membench --memory SSD");
+    EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.output.find("storage tier"), std::string::npos);
+    EXPECT_EQ(result.output.find('\n'), result.output.size() - 1);
+
+    result = run_cli("membench --memory abacus");
+    EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.output.find("abacus"), std::string::npos);
+    EXPECT_EQ(result.output.find('\n'), result.output.size() - 1);
+}
+
 TEST(Cli, RunOnZooDeviceReportsNearDataSteps)
 {
     const CliResult result = run_cli_stdout(
@@ -461,7 +493,7 @@ TEST(Cli, ZooSubcommandPrintsAFrontier)
 {
     const CliResult result = run_cli_stdout(
         "zoo --model OPT-1.3B --devices DRAM,NDP-DIMM --batches 1,4 "
-        "--no-anchor --no-hbf");
+        "--no-hbf");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("frontier"), std::string::npos);
     EXPECT_NE(result.output.find("NDP-DIMM"), std::string::npos);

@@ -1,106 +1,72 @@
 /**
  * @file
- * Unit tests for the synthetic workload generator.
+ * Unit tests for requests, batches and the C4 length sampler.
  */
 #include <gtest/gtest.h>
 
-#include <set>
+#include <vector>
 
+#include "workload/arrival.h"
 #include "workload/workload.h"
 
 namespace helm::workload {
 namespace {
 
+/** @p count draws of the sampler at the paper's median and floor. */
+std::vector<std::uint64_t>
+sample_prompts(std::uint64_t seed, std::size_t count)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> prompts;
+    for (std::size_t i = 0; i < count; ++i)
+        prompts.push_back(sample_c4_prompt_tokens(rng, 128, 16));
+    return prompts;
+}
+
 TEST(Workload, PaperDefaults)
 {
-    // Sec. III-B: 128-token inputs, 21 output tokens, 10 repeats.
-    const auto batches = paper_workload(8);
-    EXPECT_EQ(batches.size(), 10u);
-    for (const auto &batch : batches) {
-        EXPECT_EQ(batch.size(), 8u);
-        for (const auto &req : batch.requests) {
-            EXPECT_EQ(req.prompt_tokens, 128u);
-            EXPECT_EQ(req.output_tokens, 21u);
-        }
-    }
+    // Sec. III-B: 128-token inputs, 21 output tokens.
+    const ArrivalSpec arrivals;
+    EXPECT_EQ(arrivals.prompt_tokens, 128u);
+    EXPECT_EQ(arrivals.output_tokens, 21u);
+    const model::SequenceShape shape;
+    EXPECT_EQ(shape.prompt_tokens, 128u);
+    EXPECT_EQ(shape.output_tokens, 21u);
 }
 
 TEST(Workload, ShapeReflectsPaddedLengths)
 {
-    const auto batches = paper_workload(4);
-    const auto shape = batches.front().shape();
+    Batch batch;
+    for (std::uint64_t i = 0; i < 4; ++i)
+        batch.requests.push_back({i, 128, 21});
+    const auto shape = batch.shape();
     EXPECT_EQ(shape.prompt_tokens, 128u);
     EXPECT_EQ(shape.output_tokens, 21u);
     EXPECT_EQ(shape.max_context(), 149u);
 }
 
-TEST(Workload, RequestIdsUnique)
-{
-    const auto batches = paper_workload(4);
-    std::set<std::uint64_t> ids;
-    std::size_t total = 0;
-    for (const auto &batch : batches) {
-        for (const auto &req : batch.requests) {
-            ids.insert(req.id);
-            ++total;
-        }
-    }
-    EXPECT_EQ(ids.size(), total);
-}
-
 TEST(Workload, VariableLengthsDeterministicPerSeed)
 {
-    WorkloadSpec spec;
-    spec.variable_lengths = true;
-    const auto a = generate_batches(spec, 8, 3);
-    const auto b = generate_batches(spec, 8, 3);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        for (std::size_t j = 0; j < a[i].requests.size(); ++j) {
-            EXPECT_EQ(a[i].requests[j].prompt_tokens,
-                      b[i].requests[j].prompt_tokens);
-        }
-    }
+    EXPECT_EQ(sample_prompts(0xC4C4C4C4ull, 24),
+              sample_prompts(0xC4C4C4C4ull, 24));
 }
 
 TEST(Workload, VariableLengthsRespectBounds)
 {
-    WorkloadSpec spec;
-    spec.variable_lengths = true;
-    const auto batches = generate_batches(spec, 32, 8);
+    const auto prompts = sample_prompts(0xC4C4C4C4ull, 256);
     bool saw_variation = false;
-    std::uint64_t first = 0;
-    for (const auto &batch : batches) {
-        for (const auto &req : batch.requests) {
-            EXPECT_GE(req.prompt_tokens, spec.min_prompt);
-            EXPECT_LE(req.prompt_tokens, spec.prompt_tokens * 4);
-            if (first == 0)
-                first = req.prompt_tokens;
-            else if (req.prompt_tokens != first)
-                saw_variation = true;
-        }
+    for (std::uint64_t prompt : prompts) {
+        EXPECT_GE(prompt, 16u);
+        EXPECT_LE(prompt, 128u * 4);
+        saw_variation |= prompt != prompts.front();
     }
     EXPECT_TRUE(saw_variation);
 }
 
 TEST(Workload, DifferentSeedsDiffer)
 {
-    WorkloadSpec a, b;
-    a.variable_lengths = b.variable_lengths = true;
-    b.seed = a.seed + 1;
-    const auto ba = generate_batches(a, 16, 2);
-    const auto bb = generate_batches(b, 16, 2);
-    bool differ = false;
-    for (std::size_t i = 0; i < ba.size() && !differ; ++i) {
-        for (std::size_t j = 0; j < ba[i].requests.size(); ++j) {
-            if (ba[i].requests[j].prompt_tokens !=
-                bb[i].requests[j].prompt_tokens) {
-                differ = true;
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(differ);
+    EXPECT_NE(sample_prompts(0xC4C4C4C4ull, 32),
+              sample_prompts(0xC4C4C4C5ull, 32));
 }
 
 TEST(Workload, PaddedMaxima)

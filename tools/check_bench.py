@@ -44,8 +44,6 @@ helm-bench-pareto-v1 (bench_pareto)
   * the ``on_frontier`` marks are re-derived from ``points``: every
     marked point must be non-dominated on (cost_per_mtok, tbt_s) among
     the ok+feasible points, and ``frontier_size`` must match;
-  * ``anchor`` ran and is ``identical`` — the zoo's NVDRAM entry
-    reproduces the legacy configuration path exactly;
   * ``ndp_vs_dram`` is valid with ``ndp_dominates`` true — near-data
     decode strictly beats the All-CPU DRAM point on TBT;
   * ``hbf_exclusive`` ran with ``only_hbf`` true — the giant model is
@@ -253,8 +251,6 @@ PARETO_POINT_KEYS = ("device", "placement", "site", "batch", "ok",
                      "on_frontier")
 
 PARETO_NUMBERS = {
-    "anchor": ("legacy_ttft_s", "legacy_tbt_s", "legacy_tokens_per_s",
-               "zoo_ttft_s", "zoo_tbt_s", "zoo_tokens_per_s"),
     "ndp_vs_dram": ("batch", "dram_tbt_s", "ndp_tbt_s"),
     "hbf_exclusive": ("weight_bytes", "admitting", "devices", "tbt_s",
                       "tokens_per_s", "endurance_budget_bytes",
@@ -311,12 +307,6 @@ def check_pareto(doc, _args, errors):
         errors.append("frontier_size %r != %d marked points" %
                       (doc.get("frontier_size"), marked))
 
-    anchor = doc["anchor"]
-    if not is_set(anchor.get("ran")) or not is_set(anchor.get("identical")):
-        errors.append(
-            "anchor: the zoo's NVDRAM entry must reproduce the legacy "
-            "configuration path exactly (ran=%r identical=%r)" %
-            (anchor.get("ran"), anchor.get("identical")))
     ndp = doc["ndp_vs_dram"]
     if not is_set(ndp.get("valid")) or not is_set(ndp.get("ndp_dominates")):
         errors.append(
@@ -341,7 +331,7 @@ def check_pareto(doc, _args, errors):
             "jobs_identical is %r: the frontier must be byte-identical "
             "between --jobs 1 and --jobs N" % doc.get("jobs_identical"))
     if not errors:
-        print("ok: %d points, frontier %d, anchor identical, NDP TBT "
+        print("ok: %d points, frontier %d, NDP TBT "
               "%.3fs < DRAM %.3fs, HBF sole fit for %s (%d/%d devices)"
               % (len(points), marked, ndp["ndp_tbt_s"],
                  ndp["dram_tbt_s"], hbf.get("model", "?"),

@@ -153,17 +153,6 @@ parse_compute_site(const std::string &name)
                              "' (gpu, auto, ndp)");
 }
 
-Result<mem::ConfigKind>
-parse_memory(const std::string &name)
-{
-    for (auto kind : mem::all_config_kinds()) {
-        if (to_lower(name) == to_lower(mem::config_kind_name(kind)))
-            return kind;
-    }
-    return Status::not_found("unknown memory config: " + name +
-                             " (run `helmsim configs`)");
-}
-
 Result<placement::PlacementKind>
 parse_placement(const std::string &name)
 {
@@ -194,12 +183,15 @@ parse_model(const std::string &name)
 }
 
 /** The host-memory flag group: every command with the common options
- *  picks a host (run, serve, cluster, tune, gateway). */
+ *  picks a host (run, serve, cluster, tune, gateway), and so does
+ *  membench, whose default is no single host. */
 void
-add_host_options(ArgParser &parser)
+add_host_options(ArgParser &parser,
+                 const std::string &default_memory = "NVDRAM")
 {
     parser.add_option("memory",
-                      "host memory: any `helmsim devices` name", "NVDRAM");
+                      "host memory: any `helmsim devices` name",
+                      default_memory);
     parser.add_option("cxl-gbps",
                       "host memory = a custom CXL expander of this read "
                       "bandwidth in GB/s (instead of --memory)",
@@ -706,46 +698,6 @@ cmd_run(const std::vector<std::string> &args)
     return emit_artifacts(parser, registry);
 }
 
-/** Batch-replay compatibility path of `helmsim serve` (--workload). */
-int
-serve_workload_file(const runtime::ServingSpec &base,
-                    const std::string &path)
-{
-    const auto batches = workload::load_workload_file(path);
-    if (!batches.is_ok()) {
-        std::cerr << batches.status().to_string() << "\n";
-        return 1;
-    }
-    const auto result = runtime::serve_workload(base, *batches);
-    if (!result.is_ok()) {
-        std::cerr << "serving failed: " << result.status().to_string()
-                  << "\n";
-        return 1;
-    }
-
-    AsciiTable table("Workload results");
-    table.set_header({"batch", "requests", "prompt", "ttft", "tbt"});
-    table.align_right_from(1);
-    for (std::size_t b = 0; b < result->per_batch.size(); ++b) {
-        table.add_row(
-            {std::to_string(b),
-             std::to_string((*batches)[b].size()),
-             std::to_string((*batches)[b].max_prompt_tokens()),
-             format_seconds(result->per_batch[b].ttft),
-             format_seconds(result->per_batch[b].tbt)});
-    }
-    table.print(std::cout);
-    std::cout << "aggregate: TTFT "
-              << format_seconds(result->aggregate.ttft) << ", TBT "
-              << format_seconds(result->aggregate.tbt) << ", "
-              << format_fixed(result->aggregate.throughput, 2)
-              << " tokens/s over "
-              << format_seconds(result->aggregate.total_time)
-              << " (padding overhead: " << result->padded_tokens
-              << " tokens)\n";
-    return 0;
-}
-
 /**
  * The serving tail every ServingBackend runs through — `serve` drives a
  * runtime::Server, `cluster` a cluster::ClusterServer, over this one
@@ -895,7 +847,7 @@ cmd_serve(const std::vector<std::string> &args)
     ArgParser parser(
         "helmsim serve",
         "request-level serving: an arrival stream through the fcfs, "
-        "continuous, or edf scheduler (or --workload for batch replay)");
+        "continuous, or edf scheduler");
     add_common_options(parser);
     parser.add_option("placement", "Baseline | HeLM | Balanced | All-CPU",
                       "Baseline");
@@ -928,10 +880,6 @@ cmd_serve(const std::vector<std::string> &args)
     parser.add_option("slo-e2e-ms",
                       "end-to-end latency target for goodput (0 = off)",
                       "0");
-    parser.add_option("workload",
-                      "batch-replay mode: workload file '<prompt> "
-                      "<output>' per line, blank line = batch boundary",
-                      "");
     parser.add_option("trace",
                       "write a Chrome trace of the served batches "
                       "(with host-port utilization and KV-occupancy "
@@ -949,21 +897,6 @@ cmd_serve(const std::vector<std::string> &args)
     Status conflicts = check_kv_flag_conflicts(parser);
     if (conflicts.is_ok())
         conflicts = check_scheduler_flag_conflicts(parser);
-    if (conflicts.is_ok() && !parser.get("workload").empty()) {
-        for (const char *flag :
-             {"trace", "report", "metrics-out", "prom-out", "scheduler",
-              "tenants", "deadline-ms", "max-preemptions",
-              "kv-swap-exposed", "trace-out", "flight-recorder",
-              "alerts"}) {
-            if (parser.is_set(flag)) {
-                conflicts = Status::invalid_argument(
-                    std::string("--") + flag +
-                    " applies to the arrival-stream scheduler and "
-                    "conflicts with --workload batch replay");
-                break;
-            }
-        }
-    }
     if (conflicts.is_ok() && !parser.get("arrivals").empty()) {
         for (const char *flag :
              {"burst-factor", "burst-period", "burst-duty"}) {
@@ -1005,9 +938,6 @@ cmd_serve(const std::vector<std::string> &args)
     }
     base.shape.prompt_tokens = parser.get_u64("prompt-tokens");
     base.shape.output_tokens = parser.get_u64("output-tokens");
-
-    if (!parser.get("workload").empty())
-        return serve_workload_file(base, parser.get("workload"));
 
     // ---- Arrival stream --------------------------------------------------
     Result<std::vector<workload::TimedRequest>> stream =
@@ -1497,7 +1427,7 @@ cmd_zoo(const std::vector<std::string> &args)
     ArgParser parser(
         "helmsim zoo",
         "sweep placements across the backend zoo into a cost/latency "
-        "Pareto frontier ($/token vs TBT, paper anchors included)");
+        "Pareto frontier ($/token vs TBT, plus the NDP and HBF checks)");
     parser.add_option("model", "model of the main grid", "OPT-30B");
     parser.add_switch("fp16", "uncompressed weights (default int4)");
     parser.add_option("batches", "comma-separated batch sizes", "1,8,32");
@@ -1510,9 +1440,6 @@ cmd_zoo(const std::vector<std::string> &args)
                       "hardware threads; the frontier is identical at "
                       "any value)",
                       "0");
-    parser.add_switch("no-anchor",
-                      "skip the NVDRAM legacy-vs-zoo identity anchor "
-                      "(two OPT-175B sims)");
     parser.add_switch("no-hbf",
                       "skip the HBF capacity demonstration (a ~1.9 TB "
                       "fp16 model)");
@@ -1546,7 +1473,6 @@ cmd_zoo(const std::vector<std::string> &args)
     if (!parser.get("devices").empty())
         options.devices = split_csv(parser.get("devices"));
     options.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
-    options.include_anchor = !parser.is_set("no-anchor");
     options.include_hbf_exclusive = !parser.is_set("no-hbf");
 
     const auto report = backendzoo::explore(options);
@@ -1562,11 +1488,10 @@ int
 cmd_membench(const std::vector<std::string> &args)
 {
     ArgParser parser("helmsim membench",
-                     "host<->GPU copy bandwidth sweep (Fig. 3)");
-    parser.add_option("config",
-                      "single configuration to sweep (default: all "
-                      "host-memory configs)",
-                      "");
+                     "host<->GPU copy bandwidth sweep (Fig. 3) over "
+                     "DRAM, NVDRAM and MemoryMode, or the one host "
+                     "--memory / --cxl-gbps picks");
+    add_host_options(parser, "");
     parser.add_switch("help", "show this help");
     const Status status = parser.parse(args);
     if (!status.is_ok() || parser.is_set("help")) {
@@ -1574,23 +1499,33 @@ cmd_membench(const std::vector<std::string> &args)
         return status.is_ok() ? 0 : 2;
     }
 
-    std::vector<mem::ConfigKind> kinds;
-    if (parser.get("config").empty()) {
-        kinds = {mem::ConfigKind::kDram, mem::ConfigKind::kNvdram,
-                 mem::ConfigKind::kMemoryMode};
-    } else {
-        const auto kind = parse_memory(parser.get("config"));
-        if (!kind.is_ok()) {
-            std::cerr << kind.status().to_string() << "\n";
+    std::vector<mem::HostSpec> hosts{mem::ConfigKind::kDram,
+                                     mem::ConfigKind::kNvdram,
+                                     mem::ConfigKind::kMemoryMode};
+    if (parser.is_set("memory") || parser.is_set("cxl-gbps")) {
+        const auto host = parse_host(parser);
+        if (!host.is_ok()) {
+            std::cerr << host.status().to_string() << "\n";
             return 2;
         }
-        kinds = {*kind};
+        const mem::RegisteredDevice *device =
+            mem::DeviceRegistry::builtin().find(host->name());
+        if (device != nullptr && device->storage_tier) {
+            std::cerr << Status::invalid_argument(
+                             "--memory: " + device->name +
+                             " is a storage tier; membench copies from "
+                             "mapped memory")
+                             .to_string()
+                      << "\n";
+            return 2;
+        }
+        hosts = {*host};
     }
     AsciiTable table("Copy bandwidth (GB/s)");
     table.set_header({"config", "node", "buffer", "h2d", "d2h"});
     table.align_right_from(1);
     const auto measurements =
-        membench::sweep(kinds, membench::default_buffer_sweep());
+        membench::sweep(hosts, membench::default_buffer_sweep());
     for (const auto &m : measurements) {
         if (m.direction != membench::CopyDirection::kHostToGpu)
             continue;
