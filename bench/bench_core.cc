@@ -1,28 +1,22 @@
 /**
  * @file
- * CI gate for the DES core rewrite + serving gateway: emits a
- * helm-bench-core-v1 JSON document (default BENCH_core.json) that
- * tools/check_bench.py validates.
+ * CI gate for the DES core rewrite: emits a helm-bench-core-v1 JSON
+ * document (default BENCH_core.json) that tools/check_bench.py
+ * validates.
  *
- * Two sections:
- *   * queue — the session-timer workload (every fired event
- *     reschedules itself and cancels/re-arms a deadline timer, the
- *     access pattern the serving gateway generates) run at 64Ki
- *     outstanding events through both the legacy priority_queue +
- *     callback-map kernel (sim/legacy_simulator.h) and the rewritten
- *     two-tier slab kernel (sim/simulator.h).  Reports events/sec for
- *     both, the speedup, and `identical` — an order-sensitive hash of
- *     every fire (time + event tag + cancel results) that proves the
- *     rewrite preserves the (when, seq) total order bit for bit.  CI
- *     gates speedup >= 3 and the identity;
- *   * gateway — a closed-loop multi-turn client drive through the
- *     full gateway (sessions, admission, routing, streaming) against
- *     real ServingBackend replicas: completed requests and host-side
- *     requests/sec + events/sec throughput.
+ * The `queue` section runs the session-timer workload (every fired
+ * event reschedules itself and cancels/re-arms a deadline timer, the
+ * access pattern the serving gateway generates) at 64Ki outstanding
+ * events through both the legacy priority_queue + callback-map kernel
+ * (sim/legacy_simulator.h) and the rewritten two-tier slab kernel
+ * (sim/simulator.h).  It reports events/sec for both, the speedup, and
+ * `identical` — an order-sensitive hash of every fire (time + event
+ * tag + cancel results) that proves the rewrite preserves the (when,
+ * seq) total order bit for bit.  CI gates speedup >= 3 and the
+ * identity.
  */
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -145,16 +139,6 @@ struct TimersWorkload
     }
 };
 
-// ---- gateway section: closed-loop drive through the gateway ----------
-
-struct GatewayResult
-{
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    double requests_per_second = 0.0;
-    double events_per_second = 0.0;
-};
-
 /** Warm-up + min-of-N wrapper: a fresh workload per run (the DES
  *  program is deterministic, so events/hash are per-run invariants and
  *  only the wall varies).  Returns the last run's counters with the
@@ -174,64 +158,6 @@ run_timers(std::size_t outstanding, Seconds horizon, int runs,
     }
     wall = samples.stats();
     result.seconds = wall.min_seconds;
-    return result;
-}
-
-GatewayResult
-run_gateway(std::uint64_t &events_executed, double &wall_seconds)
-{
-    runtime::ServingSpec spec;
-    spec.model = model::opt_config(model::OptVariant::kOpt1_3B);
-    spec.memory = mem::ConfigKind::kNvdram;
-    // Admission caps the context-grown prompt at max_context; size the
-    // planner for that worst case.
-    spec.shape.prompt_tokens = 1024;
-    spec.shape.output_tokens = 21;
-
-    runtime::ServingConfig backend_config;
-    backend_config.max_queue_delay = 0.0;
-    backend_config.max_queue_length = 1u << 20;
-
-    std::vector<runtime::Server> servers;
-    servers.reserve(2);
-    std::vector<runtime::ServingBackend *> backends;
-    for (int r = 0; r < 2; ++r) {
-        auto created = runtime::Server::create(spec, backend_config);
-        if (!created.is_ok()) {
-            std::fprintf(stderr, "bench: create failed: %s\n",
-                         created.status().to_string().c_str());
-            std::exit(1);
-        }
-        servers.push_back(std::move(*created));
-    }
-    for (auto &server : servers)
-        backends.push_back(&server);
-
-    gateway::GatewayConfig config;
-    config.admission.max_context = 1024;
-    config.router = gateway::RouterPolicy::kLeastLoaded;
-
-    gateway::DriverConfig driver;
-    driver.clients = 512;
-    driver.target_requests = 200000;
-    driver.mean_think = 0.05;
-
-    sim::Simulator sim;
-    gateway::Gateway gate(sim, config, backends);
-    const auto report = gateway::run_closed_loop(sim, gate, driver);
-    if (!report.is_ok()) {
-        std::fprintf(stderr, "bench: gateway run failed: %s\n",
-                     report.status().to_string().c_str());
-        std::exit(1);
-    }
-
-    GatewayResult result;
-    result.completed = report->completed;
-    result.shed = gate.stats().turns_shed;
-    result.requests_per_second = report->requests_per_second;
-    result.events_per_second = report->events_per_second;
-    events_executed = report->events_executed;
-    wall_seconds = report->wall_seconds;
     return result;
 }
 
@@ -279,29 +205,6 @@ main(int argc, char **argv)
               << (identical ? "identical" : "DIVERGED") << ", speedup x"
               << format_fixed(speedup, 2) << "\n";
 
-    GatewayResult gw;
-    std::uint64_t gw_events = 0;
-    bench::WallSamples gw_samples;
-    for (int i = 0; i <= runs; ++i) {
-        double wall = 0.0;
-        gw = run_gateway(gw_events, wall);
-        if (i > 0) // run 0 is the warm-up
-            gw_samples.add(wall);
-    }
-    const bench::WallStats gw_wall = gw_samples.stats();
-    if (gw_wall.min_seconds > 0.0) {
-        gw.requests_per_second =
-            static_cast<double>(gw.completed) / gw_wall.min_seconds;
-        gw.events_per_second =
-            static_cast<double>(gw_events) / gw_wall.min_seconds;
-    }
-    std::cout << "gateway closed loop: " << gw.completed
-              << " requests completed (" << gw.shed << " shed), "
-              << format_fixed(gw.requests_per_second, 0)
-              << " requests/s, "
-              << format_fixed(gw.events_per_second / 1e6, 2)
-              << "M events/s\n";
-
     std::ofstream out(out_path);
     if (!out) {
         std::cerr << "cannot write " << out_path << "\n";
@@ -323,15 +226,7 @@ main(int argc, char **argv)
     out << ",\n    ";
     bench::json_number(out, "speedup", speedup);
     out << ",\n    \"identical\": " << (identical ? "true" : "false")
-        << "\n  },\n  \"gateway\": {\n    \"requests_completed\": "
-        << gw.completed << ",\n    \"requests_shed\": " << gw.shed
-        << ",\n    ";
-    bench::json_number(out, "requests_per_s", gw.requests_per_second);
-    out << ",\n    ";
-    bench::json_number(out, "events_per_s", gw.events_per_second);
-    out << ",\n    ";
-    bench::json_wall(out, "wall", gw_wall);
-    out << "\n  }\n}\n";
+        << "\n  }\n}\n";
     out.close();
 
     std::cout << "wrote " << out_path << "\n";

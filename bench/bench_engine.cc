@@ -1,9 +1,8 @@
 /**
  * @file
  * CI gate for the engine fast path: the StepScheduleCache memoizing
- * simulate_inference and the gateway's cached-stream fast-forward.
- * Emits a helm-bench-engine-v1 JSON document (default
- * BENCH_engine.json) that tools/check_bench.py validates.
+ * simulate_inference.  Emits a helm-bench-engine-v1 JSON document
+ * (default BENCH_engine.json) that tools/check_bench.py validates.
  *
  * Two sections, each run cache-off then cache-on with the shared
  * warm-up + min-of-N harness from bench_util.h:
@@ -12,17 +11,18 @@
  *     simulate_inference.  Off pays the full placement + schedule
  *     compilation + closed-form executor run every call; on pays one
  *     miss and then replays the memoized run.  Correctness gate: the
- *     serialized run metrics are byte-identical;
+ *     serialized run metrics are byte-identical.  serve.speedup is
+ *     the cache's own claim;
  *   * gateway — a 200k-turn closed-loop client drive (512 clients,
- *     2 replicas, the bench_core workload).  Off schedules every
- *     accepted/first-token/per-token stream event at its true time; on
- *     fast-forwards each dispatch window to its completion boundary.
- *     Wall time is measured without observers (the CI number), then
- *     one observed run per mode feeds a tracer + monitor and the gate
- *     demands byte-identical driver reports (every latency sample),
- *     metrics snapshots, and chrome-trace JSON.
+ *     2 replicas).  Both modes run the gateway's one delivery path;
+ *     only the engine's shape misses differ.  Wall time is measured
+ *     without observers, then one observed run per mode feeds a
+ *     tracer + monitor and the gate demands byte-identical driver
+ *     reports (every latency sample), metrics snapshots, chrome-trace
+ *     JSON, and the same DES event count.  gateway.speedup is
+ *     recorded only: it reads about 1.
  *
- * CI gates gateway.speedup >= 3 and every identity bit.
+ * CI gates serve.speedup >= 3 and every identity bit.
  */
 #include <cstdint>
 #include <cstdio>
@@ -181,7 +181,7 @@ run_drive(std::uint64_t requests, bool observed)
     monitor.finish(report->sim_makespan);
 
     // Sim-side driver report only: wall/events-per-second are host
-    // facts and legitimately differ between the two delivery paths.
+    // facts and legitimately differ between runs.
     std::ostringstream rep;
     rep << "clients:" << report->clients << "\n"
         << "completed:" << report->completed << "\n"
@@ -285,8 +285,9 @@ main(int argc, char **argv)
         off_observed.metrics_bytes == on_observed.metrics_bytes;
     const bool trace_identical =
         off_observed.trace_bytes == on_observed.trace_bytes;
-    const bool identical =
-        report_identical && metrics_identical && trace_identical;
+    const bool events_identical = off_events == on_events;
+    const bool identical = report_identical && metrics_identical &&
+                           trace_identical && events_identical;
 
     std::cout << "gateway: " << completed << " turns, off "
               << format_seconds(gw_off.min_seconds) << " (" << off_events
@@ -298,7 +299,9 @@ main(int argc, char **argv)
               << ", metrics "
               << (metrics_identical ? "identical" : "DIVERGED")
               << ", trace "
-              << (trace_identical ? "identical" : "DIVERGED") << "\n";
+              << (trace_identical ? "identical" : "DIVERGED")
+              << ", events "
+              << (events_identical ? "identical" : "DIVERGED") << "\n";
 
     // ---- artifact -----------------------------------------------------
     std::ofstream out(out_path);
@@ -349,7 +352,9 @@ main(int argc, char **argv)
         << ",\n    \"metrics_identical\": "
         << (metrics_identical ? "true" : "false")
         << ",\n    \"trace_identical\": "
-        << (trace_identical ? "true" : "false") << ",\n    \"identical\": "
+        << (trace_identical ? "true" : "false")
+        << ",\n    \"events_identical\": "
+        << (events_identical ? "true" : "false") << ",\n    \"identical\": "
         << (identical ? "true" : "false") << "\n  }\n}\n";
     out.close();
     std::cout << "wrote " << out_path << "\n";

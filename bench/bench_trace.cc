@@ -3,8 +3,9 @@
  * CI gate for the tracing + time-series observability layer: emits a
  * helm-bench-trace-v1 JSON document (default BENCH_trace.json) that
  * tools/check_bench.py validates, plus a helm-metrics-v1 side snapshot
- * (BENCH_trace_metrics.json) carrying helm_trace_overhead_ratio so
- * tools/check_metrics.py --max can gate the overhead number directly.
+ * (BENCH_trace_metrics.json) carrying helm_trace_tap_allocs_per_turn
+ * and helm_trace_export_allocs_per_span so tools/check_metrics.py --max
+ * can gate them directly.
  *
  * Three sections:
  *   * identity — the same serve stream run twice through a
@@ -14,8 +15,12 @@
  *     text and metrics snapshot must be byte-identical — attaching
  *     observers cannot perturb the run;
  *   * overhead — a closed-loop gateway drive with and without live
- *     observability taps (tracer + monitor attached to the gateway),
- *     min-of-3 host walls; CI gates the ratio < 5 %;
+ *     observability taps (tracer + monitor attached to the gateway).
+ *     The min-of-3 host-wall ratio is recorded, not gated: a ratio
+ *     of two ~0.1 s walls on a shared runner is too noisy to resolve
+ *     a few percent.  CI gates the
+ *     taps' cost deterministically instead, as extra operator-new
+ *     calls per completed turn (traced drive minus plain drive);
  *   * recorder — the observed drive pushes far more turn traces than
  *     the flight recorder's capacity; the retained set must respect
  *     the memory bound and every retained span tree must pass
@@ -36,7 +41,6 @@
 #include "bench_util.h"
 #include "core/helm.h"
 #include "runtime/instrument.h"
-#include "runtime/step_cache.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/monitor.h"
@@ -45,15 +49,17 @@
 #include "tracing/synthesize.h"
 #include "tracing/tracer.h"
 
-// ---- allocation counter: pins the exporter hoisting ------------------
+// ---- allocation counter: pins the taps and the exporter hoisting -----
 //
-// The chrome-trace and span-tree exporters were rewritten to refill
-// hoisted buffers instead of constructing std::string temporaries per
-// span/attr.  This binary counts global operator new calls around the
-// trace_json export and gates allocations-per-span in CI
-// (helm_trace_export_allocs_per_span in the side metrics), so a
-// regression that reintroduces per-call temporaries fails loudly
-// instead of quietly eroding the overhead budget.
+// The chrome-trace and span-tree exporters refill hoisted buffers
+// instead of constructing std::string temporaries per span/attr, and
+// the gateway's observability taps build nothing for a turn the flight
+// recorder will not retain.  This binary counts global operator new
+// calls around the trace_json export and around each gateway drive,
+// and CI gates allocations per span and per turn
+// (helm_trace_export_allocs_per_span, helm_trace_tap_allocs_per_turn
+// in the side metrics), so a regression that reintroduces per-call
+// temporaries fails loudly.
 
 static std::atomic<std::uint64_t> g_alloc_count{0};
 
@@ -239,6 +245,7 @@ struct GatewayOutcome
 {
     double wall = 0.0;
     std::uint64_t completed = 0;
+    std::uint64_t allocs = 0; //!< operator new calls during the drive
 };
 
 GatewayOutcome
@@ -277,6 +284,8 @@ run_gateway(std::uint64_t requests, tracing::Tracer *tracer)
     driver.target_requests = requests;
     driver.mean_think = 0.05;
 
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
     sim::Simulator sim;
     gateway::Gateway gate(sim, config, backends);
     telemetry::ServingMonitor monitor;
@@ -295,6 +304,8 @@ run_gateway(std::uint64_t requests, tracing::Tracer *tracer)
     GatewayOutcome outcome;
     outcome.wall = report->wall_seconds;
     outcome.completed = report->completed;
+    outcome.allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
     return outcome;
 }
 
@@ -334,15 +345,12 @@ main(int argc, char **argv)
               << " with observers attached\n";
 
     // ---- overhead (shared warm-up + min-of-3 harness) ----------------
-    // The per-turn tap cost (span synthesis + monitor callbacks) does
-    // not depend on the step-schedule cache, but the cache shrinks the
-    // engine wall ~10x, which would inflate the *ratio* without the
-    // taps getting any slower.  Measure against the uncached engine so
-    // the gate keeps a stable denominator across engine-perf changes;
-    // the absolute exporter cost is pinned separately by the
-    // allocation counter below.
-    runtime::set_step_cache_enabled(false);
+    // The wall ratio is recorded for the trajectory; the gated number
+    // is the taps' allocation count, which the warm pairs reproduce
+    // exactly (the drive is deterministic and the warm-up paid every
+    // step-cache miss).
     std::uint64_t completed = 0;
+    std::uint64_t tap_allocs = 0;
     tracing::Tracer tracer; // survives the loop for the recorder section
     bench::WallSamples plain_samples;
     bench::WallSamples traced_samples;
@@ -355,8 +363,14 @@ main(int argc, char **argv)
         plain_samples.add(base.wall);
         traced_samples.add(traced.wall);
         completed = traced.completed;
+        tap_allocs = traced.allocs > base.allocs
+                         ? traced.allocs - base.allocs
+                         : 0;
     }
-    runtime::set_step_cache_enabled(true);
+    const double tap_allocs_per_turn =
+        completed > 0 ? static_cast<double>(tap_allocs) /
+                            static_cast<double>(completed)
+                      : 0.0;
     const bench::WallStats plain_stats = plain_samples.stats();
     const bench::WallStats traced_stats = traced_samples.stats();
     const double plain_wall = plain_stats.min_seconds;
@@ -368,7 +382,9 @@ main(int argc, char **argv)
     std::cout << "overhead: " << completed << " requests, plain "
               << format_seconds(plain_wall) << " vs traced "
               << format_seconds(traced_wall) << " ("
-              << format_fixed(100.0 * overhead_ratio, 2) << "%)\n";
+              << format_fixed(100.0 * overhead_ratio, 2) << "%), "
+              << tap_allocs << " tap allocations ("
+              << format_fixed(tap_allocs_per_turn, 3) << "/turn)\n";
 
     // ---- recorder bound ----------------------------------------------
     const tracing::FlightRecorder &recorder = tracer.recorder();
@@ -428,6 +444,8 @@ main(int argc, char **argv)
     bench::json_wall(out, "traced_wall", traced_stats);
     out << ",\n    ";
     bench::json_number(out, "overhead_ratio", overhead_ratio);
+    out << ",\n    \"tap_allocations\": " << tap_allocs << ",\n    ";
+    bench::json_number(out, "tap_allocs_per_turn", tap_allocs_per_turn);
     out << ",\n    \"traces_seen\": " << stats.traces_seen
         << "\n  },\n  \"export\": {\n    \"bytes\": "
         << export_doc.size() << ",\n    \"allocations\": "
@@ -453,8 +471,13 @@ main(int argc, char **argv)
     tracer.record(side);
     side.gauge("helm_trace_overhead_ratio", {},
                "Host-wall overhead of live gateway observability "
-               "(traced/plain - 1, min-of-3)")
+               "(traced/plain - 1, min-of-3; recorded, not gated)")
         .set(overhead_ratio);
+    side.gauge("helm_trace_tap_allocs_per_turn", {},
+               "Extra global operator new calls per completed turn with "
+               "the gateway's tracer + monitor taps attached (traced "
+               "drive minus plain drive)")
+        .set(tap_allocs_per_turn);
     side.gauge("helm_trace_export_allocs_per_span", {},
                "Global operator new calls per retained span during "
                "trace_json export (pins the hoisted-buffer exporters)")

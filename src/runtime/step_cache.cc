@@ -148,10 +148,6 @@ StepScheduleCache::record(telemetry::MetricsRegistry &reg) const
                 "Steady-state timelines replayed from the step-schedule "
                 "cache instead of re-simulated")
         .add(static_cast<double>(hits()));
-    reg.counter("helm_stepcache_hits", {{"stage", "stream"}},
-                "Gateway turn streams fast-forwarded from a cached "
-                "timeline")
-        .add(static_cast<double>(stream_hits()));
     reg.counter("helm_stepcache_misses", {{"stage", "engine"}},
                 "Distinct steady-state timelines simulated and cached")
         .add(static_cast<double>(misses()));

@@ -97,18 +97,10 @@ class StepScheduleCache
     /** Distinct steady-state timelines cached. */
     std::size_t size() const { return memo_.size(); }
 
-    /** A gateway stream fast-forwarded from a cached timeline (one per
-     *  replayed turn window). */
-    void
-    note_stream_hit(std::uint64_t n = 1)
-    {
-        stream_hits_.fetch_add(n, std::memory_order_relaxed);
-    }
-    std::uint64_t
-    stream_hits() const
-    {
-        return stream_hits_.load(std::memory_order_relaxed);
-    }
+    /** Always 0: a streamed gateway turn is not a cache lookup.  Kept
+     *  only because `perfbench/workloads.cc` still reads it; it goes
+     *  when that harness next changes. */
+    std::uint64_t stream_hits() const { return 0; }
 
     /** Emit helm_stepcache_{hits,misses} into @p reg. */
     void record(telemetry::MetricsRegistry &reg) const;
@@ -120,7 +112,6 @@ class StepScheduleCache
   private:
     exec::ShardedMemo<EntryPtr> memo_;
     std::atomic<bool> enabled_{true};
-    std::atomic<std::uint64_t> stream_hits_{0};
 };
 
 /** The process-global cache shared by every engine entry point. */

@@ -1,7 +1,6 @@
 #include "serving_gateway/gateway.h"
 
 #include "runtime/scheduler.h"
-#include "runtime/step_cache.h"
 #include "telemetry/monitor.h"
 #include "tracing/synthesize.h"
 #include "tracing/tracer.h"
@@ -262,27 +261,20 @@ Gateway::dispatch(std::uint32_t r)
     by_id.reserve(window.size());
     for (PendingTurn &turn : window)
         by_id.emplace(turn.id, std::move(turn));
-    const bool fast = runtime::step_cache_enabled();
-    std::vector<FastDelivery> fast_batch;
-    if (fast)
-        fast_batch.reserve(report->requests.size());
+    std::vector<FastDelivery> batch;
+    batch.reserve(report->requests.size());
     for (const runtime::RequestMetrics &metrics : report->requests) {
         auto it = by_id.find(metrics.id);
         if (it == by_id.end())
             continue;
         ++replica.inflight;
-        if (fast) {
-            FastDelivery delivery;
-            delivery.sink = std::move(it->second.sink);
-            delivery.metrics = turn_metrics_for(it->second, metrics, now);
-            fast_batch.push_back(std::move(delivery));
-        } else {
-            schedule_deliveries(r, std::move(it->second), metrics, now);
-        }
+        FastDelivery delivery;
+        delivery.sink = std::move(it->second.sink);
+        delivery.metrics = turn_metrics_for(it->second, metrics, now);
+        batch.push_back(std::move(delivery));
         by_id.erase(it);
     }
-    if (fast)
-        fast_forward_window(r, std::move(fast_batch));
+    fast_forward_window(r, std::move(batch));
     // Whatever the backend did not complete, it shed.
     for (auto &left : by_id)
         shed_turn(std::move(left.second), RejectReason::kBackendShed);
@@ -293,12 +285,6 @@ Gateway::dispatch(std::uint32_t r)
         maybe_schedule_dispatch(r);
     });
 }
-
-struct Gateway::DeliveryState
-{
-    StreamSink sink;
-    TurnMetrics metrics;
-};
 
 TurnMetrics
 Gateway::turn_metrics_for(const PendingTurn &turn,
@@ -322,31 +308,13 @@ Gateway::turn_metrics_for(const PendingTurn &turn,
 }
 
 void
-Gateway::schedule_deliveries(std::uint32_t r, PendingTurn &&turn,
-                             const runtime::RequestMetrics &metrics,
-                             Seconds dispatched)
-{
-    auto state = std::make_shared<DeliveryState>();
-    state->sink = std::move(turn.sink);
-    state->metrics = turn_metrics_for(turn, metrics, dispatched);
-    const TurnMetrics &m = state->metrics;
-
-    // The chain: token 0 at first_token, then either every token
-    // (spaced tbt, final one pinned to the exact completion time) or a
-    // straight jump to completion when coalescing.
-    sim_.schedule_at(std::max(m.first_token, sim_.now()),
-                     [this, r, state] { deliver_token(r, state, 0); });
-}
-
-void
 Gateway::fast_forward_window(std::uint32_t r,
                              std::vector<FastDelivery> &&batch)
 {
-    // Turns arrive in report order; at equal completion times the slow
-    // path's per-turn chains retire them in that same order, so a
-    // stable sort by completion time reproduces the retire order while
-    // letting every turn that completes at one timestamp share a
-    // single DES event.
+    // Turns arrive in report order and, at equal completion times,
+    // retire in that order: a stable sort by completion time keeps it
+    // while every turn that completes at one timestamp shares a single
+    // DES event.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const FastDelivery &a, const FastDelivery &b) {
                          return a.metrics.completed < b.metrics.completed;
@@ -373,8 +341,9 @@ Gateway::replay_turn(std::uint32_t r, FastDelivery &delivery)
 {
     const TurnMetrics &m = delivery.metrics;
     if (delivery.sink) {
-        // Replay the token stream the delivery chain would have fired,
-        // with arithmetically identical timestamps (see FastDelivery).
+        // Token 0 at the first-token time, middle tokens paced at tbt,
+        // the last one pinned to the completion time, clamped monotone
+        // against rounding (see FastDelivery).
         StreamEvent event;
         event.kind = StreamEvent::Kind::kFirstToken;
         event.turn = m.turn;
@@ -400,9 +369,7 @@ Gateway::replay_turn(std::uint32_t r, FastDelivery &delivery)
             }
         }
     }
-    runtime::step_cache().note_stream_hit();
 
-    // Retire the turn: bookkeeping identical to complete_turn().
     Replica &replica = replicas_[r];
     HELM_ASSERT(replica.inflight > 0,
                 "turn completion without a dispatched turn in flight");
@@ -423,71 +390,6 @@ Gateway::replay_turn(std::uint32_t r, FastDelivery &delivery)
         event.time = sim_.now();
         event.metrics = &delivery.metrics;
         delivery.sink(event);
-    }
-    observe_completed(r, m);
-}
-
-void
-Gateway::deliver_token(std::uint32_t r,
-                       const std::shared_ptr<DeliveryState> &state,
-                       std::uint64_t token)
-{
-    const TurnMetrics &m = state->metrics;
-    if (state->sink) {
-        StreamEvent event;
-        event.kind = token == 0 ? StreamEvent::Kind::kFirstToken
-                                : StreamEvent::Kind::kToken;
-        event.turn = m.turn;
-        event.session = m.session;
-        event.token_index = token;
-        event.time = sim_.now();
-        state->sink(event);
-    }
-    const std::uint64_t tokens = m.output_tokens;
-    if (config_.per_token_stream && token + 1 < tokens) {
-        // Middle tokens pace at tbt; the last token lands exactly at
-        // the completion time (clamped monotone against rounding).
-        Seconds next = token + 2 == tokens
-                           ? m.completed
-                           : m.first_token +
-                                 static_cast<double>(token + 1) * m.tbt;
-        next = std::min(next, m.completed);
-        next = std::max(next, sim_.now());
-        sim_.schedule_at(next, [this, r, state, token] {
-            deliver_token(r, state, token + 1);
-        });
-        return;
-    }
-    // Last delivered token (or coalescing): complete the turn.
-    const Seconds at = std::max(m.completed, sim_.now());
-    sim_.schedule_at(at, [this, r, state] { complete_turn(r, state); });
-}
-
-void
-Gateway::complete_turn(std::uint32_t r,
-                       const std::shared_ptr<DeliveryState> &state)
-{
-    const TurnMetrics &m = state->metrics;
-    Replica &replica = replicas_[r];
-    HELM_ASSERT(replica.inflight > 0,
-                "turn completion without a dispatched turn in flight");
-    --replica.inflight;
-    ++stats_.turns_completed;
-    stats_.tokens_delivered += m.output_tokens;
-    if (Session *session = sessions_.find(m.session)) {
-        ++session->turns_completed;
-        --session->inflight;
-    }
-    if (state->sink) {
-        StreamEvent event;
-        event.kind = StreamEvent::Kind::kCompleted;
-        event.turn = m.turn;
-        event.session = m.session;
-        event.token_index =
-            m.output_tokens > 0 ? m.output_tokens - 1 : 0;
-        event.time = sim_.now();
-        event.metrics = &state->metrics;
-        state->sink(event);
     }
     observe_completed(r, m);
 }

@@ -16,10 +16,11 @@
  *     to the backend with arrival 0, and runs one serve();
  *  3. the report's per-request timings are mapped back onto the
  *     simulation clock — token k of a turn dispatched at time T is
- *     delivered at T + ttft + k*tbt, the turn completes at T + e2e —
- *     and the replica stays busy until T + makespan;
- *  4. each delivery fires the turn's StreamSink, where the closed-loop
- *     driver's clients live.
+ *     stamped T + ttft + k*tbt, the turn completes at T + e2e — and
+ *     the replica stays busy until T + makespan;
+ *  4. at each distinct completion time one DES event replays the
+ *     finishing turns' token streams into their StreamSinks, where the
+ *     closed-loop driver's clients live.
  *
  * Because the backend memoizes batch simulation by shape and the
  * admission layer rounds context to coarse blocks, a million-turn run
@@ -32,7 +33,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -66,9 +66,10 @@ struct GatewayConfig
     /** Turns per dispatch window; 0 = the replica's effective batch
      *  ceiling. */
     std::uint64_t dispatch_batch = 0;
-    /** Deliver every token as its own stream event; false coalesces to
-     *  first token + completion (fewer DES events for huge runs —
-     *  client-edge TTFT/TBT/E2E metrics are identical). */
+    /** Deliver every token to the sink; false coalesces to first token
+     *  + completion.  That saves sink callbacks, not DES events (a
+     *  turn's stream is replayed in one event either way); client-edge
+     *  TTFT/TBT/E2E metrics are identical. */
     bool per_token_stream = true;
 
     Status validate() const;
@@ -187,22 +188,16 @@ class Gateway
         std::uint64_t inflight = 0; //!< dispatched, not completed
     };
 
-    /** Shared state of one turn's token-delivery chain. */
-    struct DeliveryState;
-
     /**
-     * One turn of a fast-forwarded dispatch window (the step-cache
-     * stream path).  Instead of one DES event per token, the whole
-     * window schedules one event per *distinct completion time*; that
-     * event replays each turn's token stream back-to-back with the
-     * exact per-token timestamps the event chain would have produced
-     * (StreamEvent::time carries the delivery time, so a sink that
-     * reads event times observes a byte-identical stream).  Token
-     * callbacks therefore fire while the simulator clock sits at the
-     * completion time — sinks must treat kFirstToken/kToken as
-     * passive notifications (every in-tree sink does; the closed-loop
-     * driver acts only on turn boundaries).  `--no-step-cache`
-     * restores true-time per-token delivery.
+     * One turn of a fast-forwarded dispatch window.  The window
+     * schedules one DES event per *distinct completion time*; that
+     * event replays each turn's token stream back-to-back with its
+     * per-token timestamps (StreamEvent::time carries the delivery
+     * time).  Token callbacks
+     * therefore fire while the simulator clock sits at the completion
+     * time — sinks must treat kFirstToken/kToken as passive
+     * notifications (every in-tree sink does; the closed-loop driver
+     * acts only on turn boundaries).
      */
     struct FastDelivery
     {
@@ -218,23 +213,13 @@ class Gateway
     TurnMetrics turn_metrics_for(const PendingTurn &turn,
                                  const runtime::RequestMetrics &metrics,
                                  Seconds dispatched) const;
-    /** Schedule one turn's token/completion deliveries. */
-    void schedule_deliveries(std::uint32_t r, PendingTurn &&turn,
-                             const runtime::RequestMetrics &metrics,
-                             Seconds dispatched);
     /** Group a window's turns by completion time and schedule one
-     *  replay event per distinct time (step-cache stream path). */
+     *  replay event per distinct time. */
     void fast_forward_window(std::uint32_t r,
                              std::vector<FastDelivery> &&batch);
-    /** Replay one turn's token stream and retire it (fast path). */
+    /** Replay one turn's token stream, deliver kCompleted and retire
+     *  the turn. */
     void replay_turn(std::uint32_t r, FastDelivery &delivery);
-    /** Deliver token @p token and chain the next delivery. */
-    void deliver_token(std::uint32_t r,
-                       const std::shared_ptr<DeliveryState> &state,
-                       std::uint64_t token);
-    /** Deliver kCompleted and retire the turn. */
-    void complete_turn(std::uint32_t r,
-                       const std::shared_ptr<DeliveryState> &state);
     /** Emit a shed event (and count it) for a turn or an open. */
     void shed_turn(PendingTurn &&turn, RejectReason reason);
     ReplicaLoad load_of(const Replica &replica) const;

@@ -4,13 +4,16 @@
  *
  * LLM serving is judged at the client edge — time to *first* token and
  * the cadence of the tokens after it — not at the scheduler's batch
- * boundary.  The gateway therefore replays each completed turn's token
+ * boundary.  The gateway therefore maps each completed turn's token
  * timeline onto the simulation clock and delivers it through a
  * StreamSink callback: accept, first token, every subsequent token,
- * and completion (or a typed shed).  The TurnMetrics handed to the
- * completion event measure TTFT/TBT/E2E from the client's submit time,
- * so gateway queueing is included — the number a user would measure
- * with a stopwatch, not the number the batch scheduler brags about.
+ * and completion (or a typed shed).  Token events are replayed at the
+ * turn's completion time, each stamped with its own delivery time, so
+ * a sink reads token times from StreamEvent::time, not from the
+ * simulator clock.  The TurnMetrics handed to the completion event
+ * measure TTFT/TBT/E2E from the client's submit time, so gateway
+ * queueing is included — the number a user would measure with a
+ * stopwatch, not the number the batch scheduler brags about.
  */
 #ifndef HELM_SERVING_GATEWAY_STREAMING_H
 #define HELM_SERVING_GATEWAY_STREAMING_H
@@ -62,7 +65,8 @@ struct StreamEvent
     SessionId session = kInvalidSession;
     /** kFirstToken/kToken: 0-based index of the delivered token. */
     std::uint64_t token_index = 0;
-    /** Simulation time of the delivery. */
+    /** Simulation time of the delivery (for kFirstToken/kToken this
+     *  may precede the simulator clock, see the file comment). */
     Seconds time = 0.0;
     /** kShed only. */
     RejectReason reason = RejectReason::kBackendShed;

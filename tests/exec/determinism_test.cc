@@ -254,12 +254,10 @@ TEST(StepCacheMemo, RecordEmitsHitsAndMisses)
     telemetry::MetricsRegistry registry;
     cache.record(registry);
     EXPECT_EQ(registry.family_count(), 2u);
-    EXPECT_EQ(registry.label_sets("helm_stepcache_hits").size(), 2u);
+    EXPECT_EQ(registry.label_sets("helm_stepcache_hits").size(), 1u);
     EXPECT_EQ(registry.label_sets("helm_stepcache_misses").size(), 1u);
     EXPECT_EQ(registry.value_or("helm_stepcache_hits", {{"stage", "engine"}}),
               static_cast<double>(cache.hits()));
-    EXPECT_EQ(registry.value_or("helm_stepcache_hits", {{"stage", "stream"}}),
-              static_cast<double>(cache.stream_hits()));
     EXPECT_EQ(
         registry.value_or("helm_stepcache_misses", {{"stage", "engine"}}),
         static_cast<double>(cache.misses()));

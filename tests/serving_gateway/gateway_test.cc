@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -263,13 +264,19 @@ TEST(Gateway, StreamsEveryTokenThenCompletes)
     ASSERT_TRUE(open.admitted);
 
     std::vector<StreamEvent::Kind> kinds;
+    std::vector<Seconds> times;
+    std::vector<std::uint64_t> indices;
+    Seconds clock_at_completion = -1.0;
     TurnMetrics metrics;
     const SubmitOutcome submit = fx.gateway->submit_turn(
         open.session, 100, 4, [&](const StreamEvent &event) {
             kinds.push_back(event.kind);
+            times.push_back(event.time);
+            indices.push_back(event.token_index);
             if (event.kind == StreamEvent::Kind::kCompleted) {
                 ASSERT_NE(event.metrics, nullptr);
                 metrics = *event.metrics;
+                clock_at_completion = fx.sim.now();
             }
         });
     ASSERT_TRUE(submit.admitted);
@@ -280,7 +287,34 @@ TEST(Gateway, StreamsEveryTokenThenCompletes)
     EXPECT_EQ(kinds.front(), StreamEvent::Kind::kAccepted);
     EXPECT_EQ(kinds[1], StreamEvent::Kind::kFirstToken);
     EXPECT_EQ(kinds[2], StreamEvent::Kind::kToken);
+    EXPECT_EQ(kinds[3], StreamEvent::Kind::kToken);
+    EXPECT_EQ(kinds[4], StreamEvent::Kind::kToken);
     EXPECT_EQ(kinds.back(), StreamEvent::Kind::kCompleted);
+
+    // The token timeline: token 0 at the first-token time, token i at
+    // first_token + i*tbt capped at completion and clamped monotone,
+    // the last token at completion; kCompleted fires on the clock at
+    // the completion time.
+    EXPECT_EQ(times[0], metrics.submitted);
+    EXPECT_EQ(times[1], std::max(metrics.first_token, metrics.dispatched));
+    Seconds prev = times[1];
+    for (std::uint64_t i = 1; i + 1 < 4; ++i) {
+        const Seconds expected = std::max(
+            prev, std::min(metrics.first_token +
+                               static_cast<double>(i) * metrics.tbt,
+                           metrics.completed));
+        EXPECT_EQ(times[1 + i], expected) << "token " << i;
+        prev = expected;
+    }
+    EXPECT_EQ(times[4], metrics.completed);
+    EXPECT_EQ(times[5], metrics.completed);
+    EXPECT_EQ(clock_at_completion, metrics.completed);
+    EXPECT_EQ(indices[1], 0u);
+    EXPECT_EQ(indices[2], 1u);
+    EXPECT_EQ(indices[4], 3u);
+    EXPECT_EQ(indices[5], 3u);
+    EXPECT_GT(metrics.tbt, 0.0);
+    EXPECT_LT(times[1], times[4]);
 
     EXPECT_GT(metrics.ttft, 0.0);
     EXPECT_GE(metrics.e2e, metrics.ttft);
@@ -432,8 +466,14 @@ small_driver()
     return config;
 }
 
-DriverReport
-drive_once(std::uint64_t seed)
+struct DriveOutcome
+{
+    DriverReport report;
+    GatewayStats stats;
+};
+
+DriveOutcome
+drive_with_stats(std::uint64_t seed)
 {
     GatewayConfig config;
     config.admission.max_context = 1024;
@@ -442,7 +482,13 @@ drive_once(std::uint64_t seed)
     driver.seed = seed;
     auto report = run_closed_loop(fx.sim, *fx.gateway, driver);
     EXPECT_TRUE(report.is_ok()) << report.status().to_string();
-    return std::move(report).value();
+    return {std::move(report).value(), fx.gateway->stats()};
+}
+
+DriverReport
+drive_once(std::uint64_t seed)
+{
+    return drive_with_stats(seed).report;
 }
 
 TEST(Driver, ReachesTheTargetAndReportsSamples)
@@ -472,6 +518,48 @@ TEST(Driver, SameSeedSameVirtualRun)
     EXPECT_DOUBLE_EQ(a.sim_makespan, b.sim_makespan);
     EXPECT_EQ(a.ttft, b.ttft);
     EXPECT_EQ(a.e2e, b.e2e);
+}
+
+/** Turns the process-global step cache off for one scope. */
+struct CacheOff
+{
+    CacheOff() { runtime::set_step_cache_enabled(false); }
+    ~CacheOff() { runtime::set_step_cache_enabled(true); }
+};
+
+TEST(Driver, StepCacheDoesNotChangeTheRun)
+{
+    // The step cache is an engine memo: switching it off may cost host
+    // time, never change the simulated run or its DES event count.
+    DriveOutcome off;
+    {
+        const CacheOff cache_off;
+        off = drive_with_stats(23);
+    }
+    const DriveOutcome on = drive_with_stats(23);
+
+    EXPECT_EQ(off.report.completed, on.report.completed);
+    EXPECT_EQ(off.report.attempts, on.report.attempts);
+    EXPECT_EQ(off.report.retries, on.report.retries);
+    EXPECT_EQ(off.report.parked_on_budget, on.report.parked_on_budget);
+    EXPECT_EQ(off.report.sim_makespan, on.report.sim_makespan);
+    EXPECT_EQ(off.report.events_executed, on.report.events_executed);
+    EXPECT_EQ(off.report.ttft, on.report.ttft);
+    EXPECT_EQ(off.report.tbt, on.report.tbt);
+    EXPECT_EQ(off.report.e2e, on.report.e2e);
+    EXPECT_EQ(off.report.queue_wait, on.report.queue_wait);
+
+    EXPECT_EQ(off.stats.turns_submitted, on.stats.turns_submitted);
+    EXPECT_EQ(off.stats.turns_accepted, on.stats.turns_accepted);
+    EXPECT_EQ(off.stats.turns_completed, on.stats.turns_completed);
+    EXPECT_EQ(off.stats.turns_shed, on.stats.turns_shed);
+    EXPECT_EQ(off.stats.tokens_delivered, on.stats.tokens_delivered);
+    EXPECT_EQ(off.stats.dispatch_windows, on.stats.dispatch_windows);
+    EXPECT_EQ(off.stats.backend_batches, on.stats.backend_batches);
+    EXPECT_EQ(off.stats.peak_accept_depth, on.stats.peak_accept_depth);
+    EXPECT_EQ(off.stats.routed_per_replica, on.stats.routed_per_replica);
+    EXPECT_EQ(off.stats.busy_seconds_per_replica,
+              on.stats.busy_seconds_per_replica);
 }
 
 TEST(Driver, ValidateRejectsZeroClients)

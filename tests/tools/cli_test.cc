@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -255,6 +256,39 @@ TEST(Cli, TuneJobsOutputIsByteIdentical)
     ASSERT_EQ(parallel.exit_code, 0) << parallel.output;
     EXPECT_NE(sequential.output.find("best:"), std::string::npos);
     EXPECT_EQ(parallel.output, sequential.output);
+}
+
+/** @p output without the lines that carry host rates ("(host)"):
+ *  they measure the machine, not the simulated run. */
+std::string
+without_host_rates(const std::string &output)
+{
+    std::istringstream in(output);
+    std::string kept;
+    std::string line;
+    while (std::getline(in, line))
+        if (line.find("(host)") == std::string::npos)
+            kept += line + "\n";
+    return kept;
+}
+
+TEST(Cli, GatewayOutputIgnoresTheStepCache)
+{
+    // The step cache is an engine memo: the gateway's delivery, and
+    // with it the DES event count, must not depend on it.
+    constexpr const char *kDrive = "gateway --requests 2000 --seed 7";
+    const CliResult cached = run_cli_stdout(kDrive);
+    const CliResult uncached =
+        run_cli_stdout(std::string(kDrive) + " --no-step-cache");
+    ASSERT_EQ(cached.exit_code, 0) << cached.output;
+    ASSERT_EQ(uncached.exit_code, 0) << uncached.output;
+    EXPECT_NE(cached.output.find("DES events"), std::string::npos);
+    const std::string kept = without_host_rates(cached.output);
+    EXPECT_EQ(std::count(cached.output.begin(), cached.output.end(),
+                         '\n') -
+                  std::count(kept.begin(), kept.end(), '\n'),
+              2);
+    EXPECT_EQ(without_host_rates(uncached.output), kept);
 }
 
 TEST(Cli, SchedulerKnobsRequireIterationScheduler)

@@ -20,8 +20,7 @@ helm-bench-core-v1 (bench_core)
   * ``queue.identical`` is ``true`` — the two-tier slab kernel must
     fire the exact same event trace as the legacy priority_queue
     kernel on the session-timer workload;
-  * queue/gateway numbers are present, finite, and non-negative, and
-    ``gateway.requests_completed`` is at least 1.
+  * queue numbers are present, finite, and non-negative.
   The measured speedup and events/sec are recorded, NOT gated, by
   default (they depend on the runner).  ``--min-speedup X`` gates
   ``queue.speedup`` and ``--min-events-per-sec X`` gates
@@ -52,23 +51,30 @@ helm-bench-pareto-v1 (bench_pareto)
 helm-bench-engine-v1 (bench_engine)
   * ``serve.identical`` is ``true`` — replaying the memoized OPT-175B
     All-CPU run must serialize byte-identically to simulating it;
-  * ``gateway.report_identical``, ``gateway.metrics_identical``, and
-    ``gateway.trace_identical`` are all ``true`` — the cached-stream
-    fast-forward must reproduce the driver report (every latency
-    sample), the metrics snapshot, and the chrome-trace bit for bit;
+  * ``gateway.report_identical``, ``gateway.metrics_identical``,
+    ``gateway.trace_identical`` and ``gateway.events_identical`` are
+    all ``true`` — switching the step cache off must not change the
+    gateway drive's driver report (every latency sample), metrics
+    snapshot, chrome-trace, or DES event count;
   * serve/gateway walls and throughput numbers are present and finite.
   The measured speedups are recorded, NOT gated, by default (they
-  depend on the runner).  ``--min-speedup X`` gates
-  ``gateway.speedup`` for runners with known performance.
+  depend on the runner).  ``--min-speedup X`` gates ``serve.speedup``,
+  the step cache's own claim (a replayed run against a simulated one),
+  for runners with known performance.  ``gateway.speedup`` is only
+  recorded: both gateway legs share one delivery path, so it reads
+  about 1.
 
 helm-bench-trace-v1 (bench_trace)
   * ``identity.report_identical`` and ``identity.metrics_identical``
     are true — with the tracer and monitor attached (recording into a
     side registry) the serve report text and metrics artifact are
     byte-identical to the plain run;
-  * ``overhead.overhead_ratio`` is below the ceiling (default 0.05,
-    ``--max-overhead X`` overrides) — synthesizing spans for a
-    closed-loop gateway drive costs < 5 % wall time;
+  * ``overhead.tap_allocs_per_turn`` is at most the ceiling (default
+    0.05, ``--max-tap-allocs X`` overrides) — attaching the tracer and
+    monitor to a closed-loop gateway drive costs well under one extra
+    operator-new call per turn (one temporary per turn would read
+    >= 1).  ``overhead.overhead_ratio`` (the min-of-3 wall ratio) is
+    recorded, NOT gated: on a ~0.1 s drive it is noise-bound;
   * ``recorder`` held the memory bound under a drive much larger than
     its capacity: ``retained <= capacity_traces``,
     ``retained_spans <= retained * capacity_spans_per_trace``, and
@@ -81,7 +87,7 @@ Usage:
   python3 tools/check_bench.py BENCH_parallel.json
   python3 tools/check_bench.py BENCH_parallel.json --min-speedup 3.0
   python3 tools/check_bench.py BENCH_scheduler.json
-  python3 tools/check_bench.py BENCH_trace.json --max-overhead 0.05
+  python3 tools/check_bench.py BENCH_trace.json --max-tap-allocs 0.05
 """
 
 import argparse
@@ -99,8 +105,6 @@ PARALLEL_NUMBERS = {
 CORE_NUMBERS = {
     "queue": ("outstanding", "events", "baseline_events_per_s",
               "indexed_events_per_s", "speedup"),
-    "gateway": ("requests_completed", "requests_shed", "requests_per_s",
-                "events_per_s"),
 }
 
 SCHEDULER_NUMBERS = {
@@ -180,8 +184,6 @@ def check_core(doc, args, errors):
     check_numbers(doc, CORE_NUMBERS, errors)
     if errors:
         return
-    if doc["gateway"]["requests_completed"] < 1:
-        errors.append("gateway.requests_completed must be >= 1")
     if args.min_speedup > 0.0 and \
             doc["queue"]["speedup"] < args.min_speedup:
         errors.append("queue.speedup %.3f < required %.3f" %
@@ -195,13 +197,10 @@ def check_core(doc, args, errors):
              args.min_events_per_sec))
     if not errors:
         print("ok: identical over %d events at %d outstanding, "
-              "queue x%.2f (%.2fM events/s), gateway %d requests "
-              "(%.0f requests/s)" %
+              "queue x%.2f (%.2fM events/s)" %
               (doc["queue"]["events"], doc["queue"]["outstanding"],
                doc["queue"]["speedup"],
-               doc["queue"]["indexed_events_per_s"] / 1e6,
-               doc["gateway"]["requests_completed"],
-               doc["gateway"]["requests_per_s"]))
+               doc["queue"]["indexed_events_per_s"] / 1e6))
 
 
 def check_scheduler(doc, _args, errors):
@@ -341,7 +340,8 @@ def check_pareto(doc, _args, errors):
 TRACE_NUMBERS = {
     "identity": ("requests",),
     "overhead": ("requests", "plain_seconds", "traced_seconds",
-                 "overhead_ratio", "traces_seen"),
+                 "overhead_ratio", "tap_allocations", "tap_allocs_per_turn",
+                 "traces_seen"),
     "recorder": ("requests", "traces_seen", "spans_seen", "retained",
                  "retained_spans", "capacity_traces",
                  "capacity_spans_per_trace", "evicted"),
@@ -382,16 +382,18 @@ def check_trace(doc, args, errors):
                 "recorder.validated is %r: every retained span tree "
                 "must pass validate_trace" % recorder.get("validated"))
     if not errors:
-        ratio = doc["overhead"]["overhead_ratio"]
-        if ratio >= args.max_overhead:
+        per_turn = doc["overhead"]["tap_allocs_per_turn"]
+        if per_turn > args.max_tap_allocs:
             errors.append(
-                "overhead.overhead_ratio %.4f >= allowed %.4f" %
-                (ratio, args.max_overhead))
+                "overhead.tap_allocs_per_turn %.4f > allowed %.4f" %
+                (per_turn, args.max_tap_allocs))
     if not errors:
         print("ok: identical with observers attached over %d requests, "
-              "overhead %.2f%% over %d requests, recorder %d/%d traces "
+              "%.3f tap allocations/turn (wall overhead %.2f%%, not "
+              "gated) over %d requests, recorder %d/%d traces "
               "(%d spans) from %d seen" %
               (doc["identity"]["requests"],
+               doc["overhead"]["tap_allocs_per_turn"],
                100.0 * doc["overhead"]["overhead_ratio"],
                doc["overhead"]["requests"], recorder["retained"],
                recorder["capacity_traces"], recorder["retained_spans"],
@@ -421,27 +423,24 @@ def check_engine(doc, args, errors):
     gateway = doc.get("gateway")
     if isinstance(gateway, dict):
         for key in ("report_identical", "metrics_identical",
-                    "trace_identical"):
+                    "trace_identical", "events_identical"):
             if not is_set(gateway.get(key)):
                 errors.append(
-                    "gateway.%s is %r: the cached-stream fast-forward "
-                    "must reproduce the artifact bit for bit" %
-                    (key, gateway.get(key)))
+                    "gateway.%s is %r: the step cache must not change "
+                    "the gateway drive" % (key, gateway.get(key)))
     if errors:
         return
     if gateway["completed"] < 1:
         errors.append("gateway.completed must be >= 1")
     if args.min_speedup > 0.0 and \
-            gateway["speedup"] < args.min_speedup:
-        errors.append("gateway.speedup %.3f < required %.3f" %
-                      (gateway["speedup"], args.min_speedup))
+            serve["speedup"] < args.min_speedup:
+        errors.append("serve.speedup %.3f < required %.3f" %
+                      (serve["speedup"], args.min_speedup))
     if not errors:
-        print("ok: serve x%.1f identical, gateway %d turns x%.2f "
-              "(%.2fM events/s cached vs %.2fM uncached), artifacts "
-              "identical" %
+        print("ok: serve x%.1f identical, gateway %d turns x%.2f over "
+              "%d events either way, artifacts identical" %
               (serve["speedup"], gateway["completed"],
-               gateway["speedup"], gateway["on_events_per_s"] / 1e6,
-               gateway["off_events_per_s"] / 1e6))
+               gateway["speedup"], gateway["on_events"]))
 
 
 CHECKERS = {
@@ -459,14 +458,16 @@ def main():
     parser.add_argument("path", help="bench JSON document to validate")
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="parallel-v1: gate sweep.speedup; core-v1: "
-                             "gate queue.speedup (default: record only)")
+                             "gate queue.speedup; engine-v1: gate "
+                             "serve.speedup (default: record only)")
     parser.add_argument("--min-events-per-sec", type=float, default=0.0,
                         help="core-v1 only: also gate "
                              "queue.indexed_events_per_s >= this value "
                              "(default: record only)")
-    parser.add_argument("--max-overhead", type=float, default=0.05,
+    parser.add_argument("--max-tap-allocs", type=float, default=0.05,
                         help="trace-v1 only: ceiling for "
-                             "overhead.overhead_ratio (default: 0.05)")
+                             "overhead.tap_allocs_per_turn (default: "
+                             "0.05)")
     args = parser.parse_args()
 
     try:

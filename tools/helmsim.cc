@@ -238,8 +238,7 @@ add_common_options(ArgParser &parser)
     parser.add_option("output-tokens", "tokens to generate", "21");
     parser.add_switch("no-step-cache",
                       "disable the steady-state step-schedule cache "
-                      "and gateway stream fast-forward (exact but "
-                      "slower; the cached path is byte-identical)");
+                      "(an engine memo: slower, output byte-identical)");
     parser.add_switch("help", "show this help");
 }
 
@@ -1597,7 +1596,8 @@ cmd_gateway(const std::vector<std::string> &args)
                       "0");
     parser.add_switch("coalesce-tokens",
                       "deliver only first token + completion instead "
-                      "of every token (fewer DES events)");
+                      "of every token (fewer sink callbacks; the DES "
+                      "events are the same)");
     parser.add_option("seed", "driver RNG seed", "42");
     add_telemetry_options(parser);
     add_observability_options(parser);
