@@ -78,17 +78,16 @@ compute_port_rates(const CompiledSchedule &shard, std::uint64_t sockets,
 }
 
 Bytes
-cluster_resident_bytes(const std::vector<CompiledSchedule> &shards,
-                       Parallelism mode)
+cluster_resident_bytes(std::span<const CompiledSchedule> shards,
+                       Parallelism mode, std::uint64_t gpus)
 {
     HELM_ASSERT(!shards.empty(), "no shards");
     if (mode == Parallelism::kReplica) {
         // One shared read-only weight copy; KV overflow is private.
-        Bytes total = shards.front().host_weight_bytes;
-        for (const CompiledSchedule &shard : shards) {
-            total += shard.host_resident_bytes - shard.host_weight_bytes;
-        }
-        return total;
+        const CompiledSchedule &replica = shards.front();
+        return replica.host_weight_bytes +
+               gpus * (replica.host_resident_bytes -
+                       replica.host_weight_bytes);
     }
     Bytes total = 0;
     for (const CompiledSchedule &shard : shards)
@@ -583,14 +582,11 @@ run_saturated(const ClusterSpec &spec, bool keep_records)
     const std::vector<CompiledSchedule> &shards = *shards_or;
     const CompiledSchedule &head = shards.front();
 
-    // Replicas share one read-only weight copy; KV overflow is private.
-    const Bytes resident =
-        spec.parallelism == Parallelism::kReplica
-            ? head.host_weight_bytes +
-                  N * (head.host_resident_bytes - head.host_weight_bytes)
-            : cluster_resident_bytes(shards, spec.parallelism);
-    runtime::Fabric fabric(N, spec.serving.gpu,
-                           compute_port_rates(head, spec.sockets, resident));
+    runtime::Fabric fabric(
+        N, spec.serving.gpu,
+        compute_port_rates(
+            head, spec.sockets,
+            cluster_resident_bytes(shards, spec.parallelism, N)));
     std::vector<runtime::BatchTimeline> timelines;
     if (spec.parallelism == Parallelism::kReplica) {
         const std::uint64_t per_batch = head.tokens * head.num_layers;

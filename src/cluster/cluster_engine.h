@@ -22,6 +22,7 @@
 #define HELM_CLUSTER_CLUSTER_ENGINE_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -41,12 +42,13 @@ runtime::FabricRates compute_port_rates(
     const runtime::CompiledSchedule &shard, std::uint64_t sockets,
     Bytes cluster_resident_bytes);
 
-/** Cluster-wide host working set of a set of shards under @p mode:
- *  replicas share one read-only weight copy (KV overflow is private);
- *  tensor/pipeline shards are disjoint and sum. */
+/** Cluster-wide host working set of @p gpus GPUs under @p mode:
+ *  replicas all run shards.front() and share its one read-only weight
+ *  copy, each with a private KV overflow; tensor/pipeline shards are
+ *  disjoint and sum. */
 Bytes cluster_resident_bytes(
-    const std::vector<runtime::CompiledSchedule> &shards,
-    Parallelism mode);
+    std::span<const runtime::CompiledSchedule> shards, Parallelism mode,
+    std::uint64_t gpus);
 
 /** Shard options for every GPU under @p spec's parallelism. */
 Result<std::vector<runtime::ShardOptions>> shard_plan(const ClusterSpec &spec);

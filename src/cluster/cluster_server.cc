@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <tuple>
 #include <utility>
 
 #include "cluster/cluster_engine.h"
@@ -178,12 +177,12 @@ ClusterServer::run_replica_cluster(bool keep_records)
     if (!template_or.is_ok())
         return template_or.status();
     const CompiledSchedule &tmpl = *template_or;
-    const Bytes resident =
-        tmpl.host_weight_bytes +
-        N * (tmpl.host_resident_bytes - tmpl.host_weight_bytes);
     runtime::Fabric fabric(
         N, spec_.serving.gpu,
-        compute_port_rates(tmpl, spec_.sockets, resident));
+        compute_port_rates(tmpl, spec_.sockets,
+                           cluster_resident_bytes(std::span(&tmpl, 1),
+                                                  Parallelism::kReplica,
+                                                  N)));
     std::deque<runtime::Executor> jobs; //!< alive until the fabric drains
 
     const std::uint64_t cap = config_.max_queue_length;
@@ -200,8 +199,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
     std::vector<GpuState> gpus(N);
     std::vector<std::uint64_t> requests_per_gpu(N, 0);
     Router router(spec_.router, N, spec_.router_seed);
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-             std::shared_ptr<const CompiledSchedule>>
+    std::map<runtime::BatchShape, std::shared_ptr<const CompiledSchedule>>
         memo;
     Seconds last_completion = pending_.front().arrival;
     Status error = Status::ok();
@@ -214,25 +212,17 @@ ClusterServer::run_replica_cluster(bool keep_records)
         ++st.gen; // whatever timer was armed for the old head is stale
         runtime::FormedBatch formed =
             runtime::form_batch(st.queue, pending_, admission_, report);
-        const workload::Batch &batch = formed.batch;
         if (formed.members.empty()) {
             try_launch(g); // every candidate was shed; next head
             return;
         }
-        const auto key = std::make_tuple(batch.size(),
-                                         batch.max_prompt_tokens(),
-                                         batch.max_output_tokens());
         std::shared_ptr<const CompiledSchedule> compiled;
-        const auto cached = memo.find(key);
+        const auto cached = memo.find(formed.shape);
         if (cached != memo.end()) {
             compiled = cached->second;
         } else {
-            ServingSpec spec = spec_.serving;
-            spec.batch = batch.size();
-            spec.shape = batch.shape();
-            spec.repeats = 1;
-            spec.keep_records = false;
-            auto compiled_or = runtime::compile_schedule(spec);
+            auto compiled_or = runtime::compile_schedule(runtime::batch_spec(
+                spec_.serving, formed.shape, /*keep_records=*/false));
             if (!compiled_or.is_ok()) {
                 if (error.is_ok())
                     error = compiled_or.status();
@@ -240,7 +230,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
             }
             compiled = std::make_shared<CompiledSchedule>(
                 std::move(*compiled_or));
-            memo.emplace(key, compiled);
+            memo.emplace(formed.shape, compiled);
         }
         st.busy = true;
         st.inflight = formed.members.size();
@@ -362,31 +352,23 @@ ClusterServer::run_sharded(bool keep_records)
         std::vector<runtime::LayerStepRecord> records;
         telemetry::TimeAttribution attribution;
     };
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-             BatchRun>
-        memo;
+    std::map<runtime::BatchShape, BatchRun> memo;
 
-    auto run_sharded = [&](const workload::Batch &batch,
+    auto run_sharded = [&](const runtime::BatchShape &batch,
                            bool want_records) -> Result<BatchRun> {
-        const auto key = std::make_tuple(batch.size(),
-                                         batch.max_prompt_tokens(),
-                                         batch.max_output_tokens());
-        const auto cached = memo.find(key);
+        const auto cached = memo.find(batch);
         if (cached != memo.end())
             return cached->second;
 
-        ServingSpec spec = spec_.serving;
-        spec.batch = batch.size();
-        spec.shape = batch.shape();
-        spec.repeats = 1;
-        spec.keep_records = false;
+        const ServingSpec spec = runtime::batch_spec(
+            spec_.serving, batch, /*keep_records=*/false);
 
         auto shards_or = compile_shards(spec, plan);
         if (!shards_or.is_ok())
             return shards_or.status();
         const std::vector<CompiledSchedule> &shards = *shards_or;
         const Bytes resident =
-            cluster_resident_bytes(shards, spec_.parallelism);
+            cluster_resident_bytes(shards, spec_.parallelism, N);
         runtime::Fabric fabric(
             N, spec.gpu,
             compute_port_rates(shards.front(), spec_.sockets, resident));
@@ -410,7 +392,7 @@ ClusterServer::run_sharded(bool keep_records)
                 run.records, spec_.serving.gpu.layer_overhead,
                 run.total_time);
         }
-        memo.emplace(key, run);
+        memo.emplace(batch, run);
         return run;
     };
 
@@ -423,7 +405,7 @@ ClusterServer::run_sharded(bool keep_records)
     bool recorded = false;
     auto report_or = runtime::run_fcfs(
         pending_, admission_, config_,
-        [&](const workload::Batch &batch, Seconds,
+        [&](const runtime::BatchShape &batch, Seconds,
             std::uint64_t) -> Result<runtime::BatchCost> {
             auto run_or = run_sharded(batch, keep_records && !recorded);
             if (!run_or.is_ok())
@@ -436,7 +418,7 @@ ClusterServer::run_sharded(bool keep_records)
                 out.gpus[g].compute_busy += run.gpus[g].compute_busy;
                 out.gpus[g].h2d_bytes += run.gpus[g].h2d_bytes;
                 out.gpus[g].d2h_bytes += run.gpus[g].d2h_bytes;
-                out.gpus[g].requests += batch.size();
+                out.gpus[g].requests += batch.count;
             }
             if (out.ports.empty()) {
                 out.ports = run.ports;

@@ -11,6 +11,7 @@
 #ifndef HELM_MODEL_FOOTPRINT_H
 #define HELM_MODEL_FOOTPRINT_H
 
+#include <compare>
 #include <cstdint>
 
 #include "common/units.h"
@@ -31,6 +32,9 @@ struct SequenceShape
     {
         return prompt_tokens + output_tokens;
     }
+
+    /** Ordered by (prompt, output). */
+    auto operator<=>(const SequenceShape &) const = default;
 };
 
 /**

@@ -158,22 +158,14 @@ Server::run_continuous()
     };
     auto prefill_cost = [&](std::uint64_t count,
                             std::uint64_t prompt) -> Result<Seconds> {
-        workload::Batch probe;
-        for (std::uint64_t i = 0; i < count; ++i)
-            probe.requests.push_back(
-                workload::Request{i, bucketed(prompt), 1, 0});
-        const auto run = run_shape(probe);
+        const auto run = run_shape({count, {bucketed(prompt), 1}});
         if (!run.is_ok())
             return run.status();
         return (*run)->metrics.ttft;
     };
     auto decode_cost = [&](std::uint64_t count,
                            std::uint64_t context) -> Result<Seconds> {
-        workload::Batch probe;
-        for (std::uint64_t i = 0; i < count; ++i)
-            probe.requests.push_back(
-                workload::Request{i, bucketed(context), 2, 0});
-        const auto run = run_shape(probe);
+        const auto run = run_shape({count, {bucketed(context), 2}});
         if (!run.is_ok())
             return run.status();
         return (*run)->metrics.tbt;

@@ -154,15 +154,28 @@ sort_by_arrival(std::vector<workload::TimedRequest> &pending)
                      });
 }
 
+ServingSpec
+batch_spec(const ServingSpec &base, const BatchShape &batch,
+           bool keep_records)
+{
+    ServingSpec spec = base;
+    spec.batch = batch.count;
+    spec.shape = batch.shape;
+    spec.repeats = 1;
+    spec.keep_records = keep_records;
+    return spec;
+}
+
 FormedBatch
 form_batch(std::deque<std::size_t> &queue,
            const std::vector<workload::TimedRequest> &pending,
            const AdmissionGeometry &admission, ServingReport &report)
 {
     FormedBatch out;
+    model::SequenceShape &padded = out.shape.shape;
     const bool kv_bounded = admission.kv_bounded();
     std::uint64_t max_context = 0;
-    while (!queue.empty() && out.batch.size() < admission.ceiling) {
+    while (!queue.empty() && out.shape.count < admission.ceiling) {
         const workload::Request &request = pending[queue.front()].request;
         if (kv_bounded) {
             const std::uint64_t context =
@@ -176,13 +189,17 @@ form_batch(std::deque<std::size_t> &queue,
                 continue;
             }
             const std::uint64_t grown = std::max(max_context, context);
-            if (admission.padded_blocks(out.batch.size() + 1, grown) >
+            if (admission.padded_blocks(out.shape.count + 1, grown) >
                 admission.kv_capacity_blocks)
                 break; // batch full by KV capacity
             max_context = grown;
         }
         out.members.push_back(queue.front());
-        out.batch.requests.push_back(request);
+        ++out.shape.count;
+        padded.prompt_tokens =
+            std::max(padded.prompt_tokens, request.prompt_tokens);
+        padded.output_tokens =
+            std::max(padded.output_tokens, request.output_tokens);
         queue.pop_front();
     }
     return out;
@@ -327,7 +344,7 @@ run_fcfs(std::vector<workload::TimedRequest> &pending,
             continue; // every candidate was shed
 
         const auto cost =
-            launch(formed.batch, launch_at, report.batches_formed);
+            launch(formed.shape, launch_at, report.batches_formed);
         if (!cost.is_ok())
             return cost.status();
         const Seconds done = launch_at + cost->total_time;
@@ -371,24 +388,18 @@ Server::submit(const workload::TimedRequest &timed)
 }
 
 Result<const Server::ShapeRun *>
-Server::run_shape(const workload::Batch &batch)
+Server::run_shape(const BatchShape &batch)
 {
-    if (batch.size() == 0)
+    if (batch.count == 0)
         return Status::invalid_argument("cannot run an empty batch");
-    const auto [slot, inserted] = shapes_.try_emplace(std::make_tuple(
-        batch.size(), batch.max_prompt_tokens(), batch.max_output_tokens()));
+    const auto [slot, inserted] = shapes_.try_emplace(batch);
     ShapeRun &entry = slot->second;
     if (!inserted && (!telemetry_ || entry.traced))
         return &entry;
 
-    ServingSpec spec = base_;
-    spec.batch = batch.size();
-    spec.shape = batch.shape();
-    spec.repeats = 1;
     // Records are rebuilt from the event timeline after the run, so
     // keeping them for telemetry cannot perturb the simulated timing.
-    spec.keep_records = telemetry_;
-    auto run = simulate_inference(spec);
+    auto run = simulate_inference(batch_spec(base_, batch, telemetry_));
     if (!run.is_ok()) {
         if (inserted)
             shapes_.erase(slot);
@@ -419,7 +430,7 @@ Server::run_fcfs()
 {
     auto report = runtime::run_fcfs(
         pending_, admission_, config_,
-        [this](const workload::Batch &batch, Seconds launch,
+        [this](const BatchShape &batch, Seconds launch,
                std::uint64_t batch_index) -> Result<BatchCost> {
             const auto shape = run_shape(batch);
             if (!shape.is_ok())

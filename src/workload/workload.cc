@@ -6,33 +6,6 @@
 namespace helm::workload {
 
 std::uint64_t
-Batch::max_prompt_tokens() const
-{
-    std::uint64_t max_tokens = 0;
-    for (const auto &r : requests)
-        max_tokens = std::max(max_tokens, r.prompt_tokens);
-    return max_tokens;
-}
-
-std::uint64_t
-Batch::max_output_tokens() const
-{
-    std::uint64_t max_tokens = 0;
-    for (const auto &r : requests)
-        max_tokens = std::max(max_tokens, r.output_tokens);
-    return max_tokens;
-}
-
-model::SequenceShape
-Batch::shape() const
-{
-    model::SequenceShape shape;
-    shape.prompt_tokens = max_prompt_tokens();
-    shape.output_tokens = max_output_tokens();
-    return shape;
-}
-
-std::uint64_t
 sample_c4_prompt_tokens(Rng &rng, std::uint64_t median,
                         std::uint64_t floor)
 {

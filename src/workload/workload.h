@@ -1,21 +1,20 @@
 /**
  * @file
- * Serving requests, batches and the C4 length sampler.
+ * Serving requests and the C4 length sampler.
  *
  * The paper drives FlexGen with C4/realnewslike prompts truncated to 128
  * input tokens, generating 21 output tokens (Sec. III-B).  Since only
  * sequence *lengths* affect timing, a request is just its token counts,
  * and variable-length prompts are drawn from a C4-like length
- * distribution (truncated log-normal).
+ * distribution (truncated log-normal).  What identifies a batch of them
+ * is its member count and padded shape (runtime::BatchShape).
  */
 #ifndef HELM_WORKLOAD_WORKLOAD_H
 #define HELM_WORKLOAD_WORKLOAD_H
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
-#include "model/footprint.h"
 
 namespace helm::workload {
 
@@ -28,23 +27,6 @@ struct Request
     /** Owning tenant; the continuous scheduler keeps per-tenant queues
      *  and fairness accounting keyed by this tag.  0 = default tenant. */
     std::uint64_t tenant = 0;
-};
-
-/** A batch of requests served together (FlexGen's unit of execution). */
-struct Batch
-{
-    std::vector<Request> requests;
-
-    std::uint64_t size() const { return requests.size(); }
-
-    /** Longest prompt in the batch — FlexGen pads to this. */
-    std::uint64_t max_prompt_tokens() const;
-
-    /** Longest generation budget in the batch. */
-    std::uint64_t max_output_tokens() const;
-
-    /** SequenceShape for footprint/scheduling math (padded lengths). */
-    model::SequenceShape shape() const;
 };
 
 /**

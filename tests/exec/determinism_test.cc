@@ -4,6 +4,7 @@
  * value must produce byte-identical sweep Datasets / CSV, identical
  * tuner results, and deterministic step-cache statistics.
  */
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,20 +72,57 @@ test_grid()
     return grid;
 }
 
+/** A wider grid at two repeats: 48 points over memory, placement,
+ *  batch and prompt length, enough for the pool to balance. */
+sweep::ServingSweep
+wide_grid()
+{
+    runtime::ServingSpec base;
+    base.model = model::opt_config(model::OptVariant::kOpt1_3B);
+    base.repeats = 2;
+    sweep::ServingSweep grid(base);
+    EXPECT_TRUE(grid.add_dimension("memory", {"NVDRAM", "DRAM"}).is_ok());
+    EXPECT_TRUE(
+        grid.add_dimension("placement", {"Baseline", "HeLM", "All-CPU"})
+            .is_ok());
+    EXPECT_TRUE(grid.add_dimension("batch", {"1", "2", "4", "8"}).is_ok());
+    EXPECT_TRUE(
+        grid.add_dimension("prompt_tokens", {"128", "256"}).is_ok());
+    return grid;
+}
+
+/** CSV of @p grid run at @p jobs from an empty step cache, so no run
+ *  replays another's points. */
+std::string
+cold_csv(const sweep::ServingSweep &grid, std::size_t jobs)
+{
+    runtime::step_cache().clear();
+    sweep::SweepOptions options;
+    options.jobs = jobs;
+    return csv_text(grid.run(options));
+}
+
+/** Expect @p grid's CSV at jobs 2 and 8 to match jobs 1 byte for byte;
+ *  return the jobs-1 CSV. */
+std::string
+expect_identical_across_jobs(const sweep::ServingSweep &grid)
+{
+    const std::string baseline = cold_csv(grid, 1);
+    for (const std::size_t jobs : {2u, 8u}) {
+        EXPECT_EQ(cold_csv(grid, jobs), baseline)
+            << grid.point_count() << " points, jobs=" << jobs;
+    }
+    return baseline;
+}
+
 TEST(SweepDeterminism, DatasetByteIdenticalAcrossJobs)
 {
-    const sweep::ServingSweep grid = test_grid();
-    sweep::SweepOptions sequential;
-    sequential.jobs = 1;
-    const std::string baseline = csv_text(grid.run(sequential));
-    EXPECT_NE(baseline.find("error"), std::string::npos);
+    const std::string small = expect_identical_across_jobs(test_grid());
+    EXPECT_NE(small.find("error"), std::string::npos);
 
-    for (const std::size_t jobs : {2u, 8u}) {
-        sweep::SweepOptions options;
-        options.jobs = jobs;
-        EXPECT_EQ(csv_text(grid.run(options)), baseline)
-            << "jobs=" << jobs;
-    }
+    const sweep::ServingSweep wide = wide_grid();
+    EXPECT_EQ(wide.point_count(), 48u);
+    expect_identical_across_jobs(wide);
 }
 
 TEST(SweepDeterminism, CacheDoesNotChangeTheDataset)
@@ -122,26 +160,29 @@ TEST(SweepDeterminism, ProgressReachesTotalExactlyOnce)
 }
 
 runtime::TuneRequest
-test_request()
+test_request(std::uint64_t batch_limit = 8)
 {
     runtime::TuneRequest request;
     request.model = model::opt_config(model::OptVariant::kOpt1_3B);
     request.memory = mem::ConfigKind::kNvdram;
     request.shape.prompt_tokens = 128;
     request.shape.output_tokens = 21;
-    request.batch_limit = 8;
+    request.batch_limit = batch_limit;
     return request;
 }
 
-/** Full textual image of a TuneResult, ordering included. */
+/** Full textual image of a TuneResult, ordering included; metrics at
+ *  %.17g, so any bit of divergence shows as a byte difference. */
 std::string
 tune_text(const runtime::TuneResult &result)
 {
     std::ostringstream out;
-    const auto line = [&out](const runtime::TuneCandidate &c) {
-        out << c.describe() << " " << c.metrics.ttft << " "
-            << c.metrics.tbt << " " << c.metrics.throughput << " "
-            << c.meets_qos << "\n";
+    char buffer[96];
+    const auto line = [&](const runtime::TuneCandidate &c) {
+        std::snprintf(buffer, sizeof buffer, " %.17g %.17g %.17g %d",
+                      c.metrics.ttft, c.metrics.tbt, c.metrics.throughput,
+                      c.meets_qos ? 1 : 0);
+        out << c.describe() << buffer << "\n";
     };
     line(result.best);
     out << result.infeasible << "\n";
@@ -152,17 +193,23 @@ tune_text(const runtime::TuneResult &result)
 
 TEST(TunerDeterminism, ResultIdenticalAcrossJobs)
 {
-    const runtime::TuneRequest request = test_request();
-    const auto sequential = runtime::auto_tune(request);
-    ASSERT_TRUE(sequential.is_ok());
-    const std::string baseline = tune_text(*sequential);
+    for (const std::uint64_t limit : {8u, 32u}) {
+        const runtime::TuneRequest request = test_request(limit);
+        runtime::step_cache().clear();
+        const auto sequential = runtime::auto_tune(request);
+        ASSERT_TRUE(sequential.is_ok()) << "batch_limit=" << limit;
+        const std::string baseline = tune_text(*sequential);
 
-    for (const std::size_t jobs : {2u, 8u}) {
-        runtime::TuneExecOptions exec;
-        exec.jobs = jobs;
-        const auto parallel = runtime::auto_tune(request, exec);
-        ASSERT_TRUE(parallel.is_ok()) << "jobs=" << jobs;
-        EXPECT_EQ(tune_text(*parallel), baseline) << "jobs=" << jobs;
+        for (const std::size_t jobs : {2u, 8u}) {
+            runtime::TuneExecOptions exec;
+            exec.jobs = jobs;
+            runtime::step_cache().clear();
+            const auto parallel = runtime::auto_tune(request, exec);
+            ASSERT_TRUE(parallel.is_ok())
+                << "batch_limit=" << limit << " jobs=" << jobs;
+            EXPECT_EQ(tune_text(*parallel), baseline)
+                << "batch_limit=" << limit << " jobs=" << jobs;
+        }
     }
 }
 

@@ -5,9 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+#include <vector>
+
 #include "common/summary.h"
 #include "model/opt.h"
 #include "runtime/scheduler.h"
+#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 namespace {
@@ -237,6 +242,117 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
     EXPECT_DOUBLE_EQ(report->slo_attainment, 0.0);
     EXPECT_DOUBLE_EQ(report->goodput, 0.0);
     EXPECT_GT(report->throughput, 0.0);
+}
+
+/** One request per (prompt, output) pair, ids 0.., all at t = 0. */
+std::vector<workload::TimedRequest>
+stream_of(const std::vector<std::pair<std::uint64_t, std::uint64_t>> &lengths)
+{
+    std::vector<workload::TimedRequest> stream;
+    for (const auto &[prompt, output] : lengths) {
+        stream.push_back(workload::TimedRequest{
+            workload::Request{stream.size(), prompt, output}, 0.0});
+    }
+    return stream;
+}
+
+/** Every index of @p pending, in order: the FCFS queue over it. */
+std::deque<std::size_t>
+queue_over(const std::vector<workload::TimedRequest> &pending)
+{
+    std::deque<std::size_t> queue;
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        queue.push_back(i);
+    return queue;
+}
+
+/** Admission with @p ceiling slots and 16-token KV blocks, of which the
+ *  managed tiers hold @p blocks (kUnbounded = unmanaged). */
+AdmissionGeometry
+admission_of(std::uint64_t ceiling,
+             std::uint64_t blocks = AdmissionGeometry::kUnbounded)
+{
+    AdmissionGeometry admission;
+    admission.ceiling = ceiling;
+    admission.kv_block_tokens = 16;
+    admission.kv_capacity_blocks = blocks;
+    return admission;
+}
+
+TEST(FormBatch, StopsAtTheCeiling)
+{
+    const auto pending = stream_of(
+        {{128, 21}, {512, 21}, {128, 64}, {128, 21}, {128, 21}});
+    std::deque<std::size_t> queue = queue_over(pending);
+    ServingReport report;
+    const FormedBatch formed =
+        form_batch(queue, pending, admission_of(2), report);
+    EXPECT_EQ(formed.members, (std::vector<std::size_t>{0, 1}));
+    // Requests left in the queue do not pad the batch.
+    EXPECT_EQ(formed.shape, (BatchShape{2, {512, 21}}));
+    EXPECT_EQ(queue, (std::deque<std::size_t>{2, 3, 4}));
+    EXPECT_TRUE(report.rejected_ids.empty());
+}
+
+TEST(FormBatch, StopsAtKvCapacity)
+{
+    // Contexts 32, 149, 32 tokens = 2, 10, 2 blocks alone.  Members are
+    // padded to the longest context, so the second admits at 2 x 10 =
+    // 20 blocks and the third would need 3 x 10 = 30 > 25, although it
+    // is short itself.
+    const auto pending = stream_of({{16, 16}, {128, 21}, {16, 16}});
+    std::deque<std::size_t> queue = queue_over(pending);
+    ServingReport report;
+    const FormedBatch formed =
+        form_batch(queue, pending, admission_of(8, 25), report);
+    EXPECT_EQ(formed.members, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(formed.shape, (BatchShape{2, {128, 21}}));
+    EXPECT_EQ(queue, (std::deque<std::size_t>{2}));
+    // A full batch is not a rejection: the third waits for the next.
+    EXPECT_TRUE(report.rejected_ids.empty());
+    EXPECT_EQ(report.kv_rejected, 0u);
+}
+
+TEST(FormBatch, ShedsARequestThatCannotFitAlone)
+{
+    // 1000 + 21 tokens = 64 blocks > 15: never admissible, so it is
+    // shed and the batch forms from what follows.
+    const auto pending = stream_of({{1000, 21}, {128, 21}});
+    std::deque<std::size_t> queue = queue_over(pending);
+    ServingReport report;
+    const FormedBatch formed =
+        form_batch(queue, pending, admission_of(8, 15), report);
+    EXPECT_EQ(formed.members, (std::vector<std::size_t>{1}));
+    EXPECT_EQ(formed.shape, (BatchShape{1, {128, 21}}));
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(report.rejected_ids, (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(report.kv_rejected, 1u);
+
+    // Every candidate shed: an empty batch.
+    const auto hopeless = stream_of({{1000, 21}, {2000, 21}});
+    std::deque<std::size_t> hopeless_queue = queue_over(hopeless);
+    const FormedBatch none =
+        form_batch(hopeless_queue, hopeless, admission_of(8, 15), report);
+    EXPECT_TRUE(none.members.empty());
+    EXPECT_EQ(none.shape.count, 0u);
+    EXPECT_TRUE(hopeless_queue.empty());
+    EXPECT_EQ(report.rejected_ids, (std::vector<std::uint64_t>{0, 0, 1}));
+    EXPECT_EQ(report.kv_rejected, 3u);
+}
+
+TEST(BatchSpec, OverridesOnlyTheBatchFields)
+{
+    ServingSpec base = small_spec();
+    base.repeats = 4;
+    const ServingSpec spec =
+        batch_spec(base, BatchShape{3, {250, 21}}, /*keep_records=*/true);
+    EXPECT_EQ(spec.batch, 3u);
+    EXPECT_EQ(spec.shape, (model::SequenceShape{250, 21}));
+    EXPECT_EQ(spec.repeats, 1u);
+    EXPECT_TRUE(spec.keep_records);
+    EXPECT_EQ(spec_cache_key(spec),
+              spec_cache_key(batch_spec(base, BatchShape{3, {250, 21}},
+                                        /*keep_records=*/false)));
 }
 
 TEST(SchedulerIntegration, HelmBeatsBaselineP99TtftOnNvdram)

@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for requests, batches and the C4 length sampler.
+ * Unit tests for requests, the padded shape a batch of them runs at,
+ * and the C4 length sampler.
  */
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
 #include <vector>
 
+#include "model/footprint.h"
+#include "runtime/scheduler.h"
 #include "workload/arrival.h"
 #include "workload/workload.h"
 
@@ -23,6 +28,27 @@ sample_prompts(std::uint64_t seed, std::size_t count)
     return prompts;
 }
 
+/** One request per (prompt, output) pair, all at t = 0, formed into a
+ *  single FCFS batch with room for every one of them. */
+runtime::FormedBatch
+form_all(const std::vector<std::pair<std::uint64_t, std::uint64_t>> &lengths)
+{
+    std::vector<TimedRequest> pending;
+    std::deque<std::size_t> queue;
+    for (const auto &[prompt, output] : lengths) {
+        queue.push_back(pending.size());
+        pending.push_back(TimedRequest{
+            Request{pending.size(), prompt, output}, 0.0});
+    }
+    runtime::AdmissionGeometry admission;
+    admission.ceiling = lengths.size();
+    runtime::ServingReport report;
+    auto formed = runtime::form_batch(queue, pending, admission, report);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_TRUE(report.rejected_ids.empty());
+    return formed;
+}
+
 TEST(Workload, PaperDefaults)
 {
     // Sec. III-B: 128-token inputs, 21 output tokens.
@@ -36,13 +62,11 @@ TEST(Workload, PaperDefaults)
 
 TEST(Workload, ShapeReflectsPaddedLengths)
 {
-    Batch batch;
-    for (std::uint64_t i = 0; i < 4; ++i)
-        batch.requests.push_back({i, 128, 21});
-    const auto shape = batch.shape();
-    EXPECT_EQ(shape.prompt_tokens, 128u);
-    EXPECT_EQ(shape.output_tokens, 21u);
-    EXPECT_EQ(shape.max_context(), 149u);
+    const auto formed = form_all({{128, 21}, {128, 21}, {128, 21}, {128, 21}});
+    EXPECT_EQ(formed.shape.count, 4u);
+    EXPECT_EQ(formed.shape.shape.prompt_tokens, 128u);
+    EXPECT_EQ(formed.shape.shape.output_tokens, 21u);
+    EXPECT_EQ(formed.shape.shape.max_context(), 149u);
 }
 
 TEST(Workload, VariableLengthsDeterministicPerSeed)
@@ -71,11 +95,14 @@ TEST(Workload, DifferentSeedsDiffer)
 
 TEST(Workload, PaddedMaxima)
 {
-    Batch batch;
-    batch.requests = {{0, 100, 10}, {1, 250, 21}, {2, 30, 5}};
-    EXPECT_EQ(batch.max_prompt_tokens(), 250u);
-    EXPECT_EQ(batch.max_output_tokens(), 21u);
-    EXPECT_EQ(batch.shape().max_context(), 271u);
+    // FlexGen pads to the longest prompt and the longest output, even
+    // when no single member has both.
+    const auto formed = form_all({{100, 10}, {250, 21}, {30, 5}});
+    EXPECT_EQ(formed.members, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(formed.shape.count, 3u);
+    EXPECT_EQ(formed.shape.shape.prompt_tokens, 250u);
+    EXPECT_EQ(formed.shape.shape.output_tokens, 21u);
+    EXPECT_EQ(formed.shape.shape.max_context(), 271u);
 }
 
 } // namespace

@@ -6,16 +6,6 @@ so it must run anywhere python3 does.
 
 Supported schemas:
 
-helm-bench-parallel-v1 (bench_wall)
-  * ``jobs`` and the sweep/tune/step_cache sections are present with
-    every required field a finite number of the right sign;
-  * ``sweep.identical`` and ``tune.identical`` are ``true`` — the
-    parallel run must be byte-identical to the sequential run.
-  The measured speedups are recorded, NOT gated: they depend on the
-  runner's core count (a 1-core machine legitimately reports ~1.0).
-  ``--min-speedup X`` turns the sweep speedup into a gate for runners
-  with known parallelism.
-
 helm-bench-core-v1 (bench_core)
   * ``queue.identical`` is ``true`` — the two-tier slab kernel must
     fire the exact same event trace as the legacy priority_queue
@@ -84,8 +74,7 @@ Exit status 0 when the document passes, 1 otherwise (one message per
 problem on stderr).
 
 Usage:
-  python3 tools/check_bench.py BENCH_parallel.json
-  python3 tools/check_bench.py BENCH_parallel.json --min-speedup 3.0
+  python3 tools/check_bench.py BENCH_core.json --min-speedup 3.0
   python3 tools/check_bench.py BENCH_scheduler.json
   python3 tools/check_bench.py BENCH_trace.json --max-tap-allocs 0.05
 """
@@ -94,13 +83,6 @@ import argparse
 import json
 import math
 import sys
-
-PARALLEL_NUMBERS = {
-    "sweep": ("points", "seq_seconds", "par_seconds", "points_per_s_seq",
-              "points_per_s_par", "speedup"),
-    "tune": ("candidates", "seq_seconds", "par_seconds", "speedup"),
-    "step_cache": ("hits", "misses", "hit_rate"),
-}
 
 CORE_NUMBERS = {
     "queue": ("outstanding", "events", "baseline_events_per_s",
@@ -148,31 +130,6 @@ def check_numbers(doc, required, errors):
             elif value < 0:
                 errors.append("%s.%s: negative value %r" %
                               (section, key, value))
-
-
-def check_parallel(doc, args, errors):
-    if not is_finite_number(doc.get("jobs")) or doc.get("jobs", 0) < 1:
-        errors.append("jobs: expected a number >= 1, got %r" %
-                      doc.get("jobs"))
-    check_numbers(doc, PARALLEL_NUMBERS, errors)
-    for section in ("sweep", "tune"):
-        body = doc.get(section)
-        if isinstance(body, dict) and body.get("identical") is not True:
-            errors.append(
-                "%s.identical is %r: parallel output must be "
-                "byte-identical to the sequential run" %
-                (section, body.get("identical")))
-    if not errors and args.min_speedup > 0.0:
-        speedup = doc["sweep"]["speedup"]
-        if speedup < args.min_speedup:
-            errors.append("sweep.speedup %.3f < required %.3f" %
-                          (speedup, args.min_speedup))
-    if not errors:
-        sweep = doc["sweep"]
-        print("ok: %d points, sweep x%.2f, tune x%.2f, hit rate %.2f "
-              "(jobs=%d)" % (sweep["points"], sweep["speedup"],
-                             doc["tune"]["speedup"],
-                             doc["step_cache"]["hit_rate"], doc["jobs"]))
 
 
 def check_core(doc, args, errors):
@@ -444,7 +401,6 @@ def check_engine(doc, args, errors):
 
 
 CHECKERS = {
-    "helm-bench-parallel-v1": check_parallel,
     "helm-bench-core-v1": check_core,
     "helm-bench-scheduler-v1": check_scheduler,
     "helm-bench-pareto-v1": check_pareto,
@@ -457,9 +413,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="bench JSON document to validate")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="parallel-v1: gate sweep.speedup; core-v1: "
-                             "gate queue.speedup; engine-v1: gate "
-                             "serve.speedup (default: record only)")
+                        help="core-v1: gate queue.speedup; engine-v1: "
+                             "gate serve.speedup (default: record "
+                             "only)")
     parser.add_argument("--min-events-per-sec", type=float, default=0.0,
                         help="core-v1 only: also gate "
                              "queue.indexed_events_per_s >= this value "
