@@ -70,9 +70,10 @@ banner(const std::string &what, const std::string &paper_ref)
 
 // ---- shared wall-clock harness for the CI gate benches ---------------
 //
-// bench_core, bench_trace, and bench_engine measure host wall time and
-// gate CI on it, so they share one warm-up + min-of-N policy and one
-// `{"min_seconds", "median_seconds", "runs"}` JSON wall shape.
+// bench_trace and bench_engine measure host wall time (bench_engine
+// gates CI on its serve speedup), so they share one warm-up + min-of-N
+// policy and one `{"min_seconds", "median_seconds", "runs"}` JSON wall
+// shape.
 // Min-of-N is the right reducer for a deterministic simulator: every
 // run does identical work, so the minimum is the cleanest estimate of
 // the true cost and the median documents the noise floor.  The warm-up

@@ -30,13 +30,13 @@ Fabric::Gpu::Gpu(sim::Simulator &sim, std::uint64_t g,
                  const FabricRates &rates)
     : h2d(sim, "gpu" + std::to_string(g) + "-h2d", rates.h2d),
       d2h(sim, "gpu" + std::to_string(g) + "-d2h", rates.d2h),
-      compute(sim, "gpu" + std::to_string(g) + "-compute", 1)
+      compute(sim, "gpu" + std::to_string(g) + "-compute")
 {
 }
 
 Fabric::Fabric(std::uint64_t gpus, const gpu::GpuSpec &gpu,
                const FabricRates &rates)
-    : gpu_(gpu), rates_(rates), ndp_(sim_, "ndp-compute", 1)
+    : gpu_(gpu), rates_(rates), ndp_(sim_, "ndp-compute")
 {
     HELM_ASSERT(gpus >= 1, "need at least one GPU");
     for (std::uint64_t g = 0; g < gpus; ++g)

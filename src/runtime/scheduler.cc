@@ -172,15 +172,15 @@ form_batch(std::deque<std::size_t> &queue,
            const AdmissionGeometry &admission, ServingReport &report)
 {
     FormedBatch out;
-    model::SequenceShape &padded = out.shape.shape;
     const bool kv_bounded = admission.kv_bounded();
-    std::uint64_t max_context = 0;
     while (!queue.empty() && out.shape.count < admission.ceiling) {
         const workload::Request &request = pending[queue.front()].request;
+        const model::SequenceShape grown{
+            std::max(out.shape.shape.prompt_tokens, request.prompt_tokens),
+            std::max(out.shape.shape.output_tokens, request.output_tokens)};
         if (kv_bounded) {
-            const std::uint64_t context =
-                request.prompt_tokens + request.output_tokens;
-            if (admission.padded_blocks(1, context) >
+            if (admission.padded_blocks(1, request.prompt_tokens +
+                                               request.output_tokens) >
                 admission.kv_capacity_blocks) {
                 // Can never fit, alone or otherwise: shed it.
                 report.rejected_ids.push_back(request.id);
@@ -188,18 +188,16 @@ form_batch(std::deque<std::size_t> &queue,
                 queue.pop_front();
                 continue;
             }
-            const std::uint64_t grown = std::max(max_context, context);
-            if (admission.padded_blocks(out.shape.count + 1, grown) >
+            // Every member holds KV for the shape the batch runs at:
+            // the longest prompt plus the longest output.
+            if (admission.padded_blocks(out.shape.count + 1,
+                                        grown.max_context()) >
                 admission.kv_capacity_blocks)
                 break; // batch full by KV capacity
-            max_context = grown;
         }
         out.members.push_back(queue.front());
         ++out.shape.count;
-        padded.prompt_tokens =
-            std::max(padded.prompt_tokens, request.prompt_tokens);
-        padded.output_tokens =
-            std::max(padded.output_tokens, request.output_tokens);
+        out.shape.shape = grown;
         queue.pop_front();
     }
     return out;

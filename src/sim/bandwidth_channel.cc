@@ -51,16 +51,6 @@ BandwidthChannel::find(FlowId id) const
     return it != flows_.end() && it->id == id ? &*it : nullptr;
 }
 
-void
-BandwidthChannel::cancel_flow(FlowId id)
-{
-    advance_to_now();
-    if (const Flow *flow = find(id)) {
-        flows_.erase(flows_.begin() + (flow - flows_.data()));
-        recompute_and_reschedule();
-    }
-}
-
 Bandwidth
 BandwidthChannel::flow_rate(FlowId id) const
 {
@@ -179,10 +169,10 @@ BandwidthChannel::reap_finished()
         Flow &flow = flows_[i];
         if (flow.remaining_bytes <= kByteEpsilon) {
             bytes_delivered_ += flow.total_bytes;
-            // Defer the callback to a zero-delay event so that reentrant
-            // start_flow/cancel_flow calls never observe the channel
-            // mid-update.  Delivery order stays deterministic (FIFO at
-            // equal timestamps).
+            // Defer the callback to a zero-delay event so that a
+            // reentrant start_flow never observes the channel mid-update.
+            // Delivery order stays deterministic (FIFO at equal
+            // timestamps).
             simulator_.schedule(0.0, std::move(flow.on_complete));
         } else {
             if (kept != i)

@@ -73,9 +73,6 @@ class BandwidthChannel
     FlowId start_flow(Bytes bytes, Bandwidth cap,
                       std::function<void()> on_complete);
 
-    /** Abort a flow; its completion callback will not run. */
-    void cancel_flow(FlowId id);
-
     /** Currently active flow count. */
     std::size_t active_flows() const { return flows_.size(); }
 

@@ -4,11 +4,9 @@
 
 namespace helm::sim {
 
-FifoResource::FifoResource(Simulator &simulator, std::string name,
-                           std::size_t capacity)
-    : simulator_(simulator), name_(std::move(name)), capacity_(capacity)
+FifoResource::FifoResource(Simulator &simulator, std::string name)
+    : simulator_(simulator), name_(std::move(name))
 {
-    HELM_ASSERT(capacity_ >= 1, "resource capacity must be >= 1");
     last_change_ = simulator_.now();
 }
 
@@ -21,33 +19,10 @@ FifoResource::update_busy_integral()
 }
 
 void
-FifoResource::notify_occupancy()
-{
-    if (occupancy_hook_)
-        occupancy_hook_(simulator_.now(), in_use_);
-}
-
-void
-FifoResource::acquire(std::function<void()> on_granted)
-{
-    HELM_ASSERT(static_cast<bool>(on_granted), "grant callback required");
-    if (in_use_ < capacity_ && waiters_.empty()) {
-        update_busy_integral();
-        ++in_use_;
-        notify_occupancy();
-        on_granted();
-        return;
-    }
-    waiters_.push_back(std::move(on_granted));
-}
-
-void
 FifoResource::release()
 {
-    HELM_ASSERT(in_use_ > 0, "release without matching acquire");
     update_busy_integral();
     --in_use_;
-    notify_occupancy();
     if (!waiters_.empty()) {
         std::function<void()> next = std::move(waiters_.front());
         waiters_.pop_front();
@@ -56,7 +31,6 @@ FifoResource::release()
         simulator_.schedule(0.0, [this, next = std::move(next)]() mutable {
             update_busy_integral();
             ++in_use_;
-            notify_occupancy();
             next();
         });
     }
@@ -66,13 +40,20 @@ void
 FifoResource::occupy(Seconds duration, std::function<void()> on_done)
 {
     HELM_ASSERT(duration >= 0.0, "occupy duration must be non-negative");
-    acquire([this, duration, on_done = std::move(on_done)]() mutable {
+    auto hold = [this, duration, on_done = std::move(on_done)]() mutable {
         simulator_.schedule(duration,
                             [this, on_done = std::move(on_done)]() mutable {
                                 release();
                                 on_done();
                             });
-    });
+    };
+    if (in_use_ == 0 && waiters_.empty()) {
+        update_busy_integral();
+        ++in_use_;
+        hold();
+        return;
+    }
+    waiters_.push_back(std::move(hold));
 }
 
 Seconds

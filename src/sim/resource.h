@@ -1,11 +1,11 @@
 /**
  * @file
- * FIFO-queued counted resource and a countdown latch.
+ * FIFO-queued unit resource and a countdown latch.
  *
- * FifoResource models an execution engine that can run a bounded number of
- * activities at once — the GPU compute stream (capacity 1), a DMA engine,
- * a disk with a fixed queue width.  CountdownLatch joins fan-in
- * dependencies ("compute of layer j AND load of layer j+1 both done").
+ * FifoResource models an execution engine that runs one activity at a
+ * time — a GPU's compute stream, the near-data processor.
+ * CountdownLatch joins fan-in dependencies ("compute of layer j AND load
+ * of layer j+1 both done").
  */
 #ifndef HELM_SIM_RESOURCE_H
 #define HELM_SIM_RESOURCE_H
@@ -22,8 +22,8 @@
 namespace helm::sim {
 
 /**
- * A counted resource with FIFO admission.  Holders must release exactly
- * once per grant.
+ * A unit-capacity execution engine with FIFO admission: a request waits,
+ * in arrival order, while the resource is held or others are waiting.
  */
 class FifoResource
 {
@@ -31,62 +31,34 @@ class FifoResource
     /**
      * @param simulator Owning kernel; must outlive the resource.
      * @param name Diagnostic name.
-     * @param capacity Maximum simultaneous holders (>= 1).
      */
-    FifoResource(Simulator &simulator, std::string name,
-                 std::size_t capacity);
+    FifoResource(Simulator &simulator, std::string name);
 
     FifoResource(const FifoResource &) = delete;
     FifoResource &operator=(const FifoResource &) = delete;
 
     /**
-     * Request the resource; @p on_granted runs (possibly immediately,
-     * synchronously) once capacity is available.
-     */
-    void acquire(std::function<void()> on_granted);
-
-    /** Give back one unit; admits the next waiter (via zero-delay event). */
-    void release();
-
-    /**
-     * Convenience: acquire, hold for @p duration, release, then invoke
-     * @p on_done.  This is the common "occupy the GPU for t_compute"
-     * pattern.
+     * Hold the resource for @p duration, then release it and invoke
+     * @p on_done — the "occupy the GPU for t_compute" pattern.  A free
+     * resource is taken synchronously; otherwise the request waits, and
+     * each release admits the next waiter via a zero-delay event, so a
+     * release never runs a waiter's code synchronously.
      */
     void occupy(Seconds duration, std::function<void()> on_done);
-
-    std::size_t capacity() const { return capacity_; }
-    std::size_t in_use() const { return in_use_; }
-    std::size_t queue_length() const { return waiters_.size(); }
 
     /** Cumulative busy time integrated over holders (utilization probe). */
     Seconds busy_time() const;
 
     const std::string &name() const { return name_; }
 
-    /**
-     * Observer invoked at every occupancy change with (sim time,
-     * holders in use).  Fires on grant and on release — the edges a
-     * tracer needs to derive DES resource spans and a monitor needs to
-     * sample utilization — never re-entrantly with user callbacks
-     * pending.  Null (the default) costs nothing on the hot path.
-     */
-    void set_occupancy_hook(
-        std::function<void(Seconds, std::size_t)> hook)
-    {
-        occupancy_hook_ = std::move(hook);
-    }
-
   private:
+    void release();
     void update_busy_integral();
-    void notify_occupancy();
 
     Simulator &simulator_;
     std::string name_;
-    std::size_t capacity_;
     std::size_t in_use_ = 0;
     std::deque<std::function<void()>> waiters_;
-    std::function<void(Seconds, std::size_t)> occupancy_hook_;
     // busy-time integral bookkeeping
     Seconds busy_accum_ = 0.0;
     Seconds last_change_ = 0.0;

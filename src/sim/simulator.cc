@@ -207,26 +207,4 @@ Simulator::run()
     }
 }
 
-void
-Simulator::run_until(Seconds deadline)
-{
-    // settle_head() parks the earliest live event at the near-heap
-    // root without executing it, so the deadline comparison sees
-    // through cancelled heads and the far tier alike.
-    while (settle_head()) {
-        if (near_.front().when > deadline)
-            break;
-        step();
-    }
-    if (deadline > now_)
-        now_ = deadline;
-}
-
-void
-Simulator::reserve(std::size_t events)
-{
-    far_.reserve(events);
-    records_.reserve(events);
-}
-
 } // namespace helm::sim

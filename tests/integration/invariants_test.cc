@@ -41,27 +41,6 @@ TEST(Invariants, SimulatorRejectsNullCallback)
         "null callback");
 }
 
-TEST(Invariants, ResourceRejectsUnmatchedRelease)
-{
-    EXPECT_DEATH(
-        {
-            sim::Simulator simulator;
-            sim::FifoResource resource(simulator, "gpu", 1);
-            resource.release();
-        },
-        "release without matching acquire");
-}
-
-TEST(Invariants, ResourceRejectsZeroCapacity)
-{
-    EXPECT_DEATH(
-        {
-            sim::Simulator simulator;
-            sim::FifoResource resource(simulator, "gpu", 0);
-        },
-        "capacity must be >= 1");
-}
-
 TEST(Invariants, LatchRejectsOverArrival)
 {
     EXPECT_DEATH(

@@ -297,9 +297,9 @@ TEST(FormBatch, StopsAtTheCeiling)
 TEST(FormBatch, StopsAtKvCapacity)
 {
     // Contexts 32, 149, 32 tokens = 2, 10, 2 blocks alone.  Members are
-    // padded to the longest context, so the second admits at 2 x 10 =
-    // 20 blocks and the third would need 3 x 10 = 30 > 25, although it
-    // is short itself.
+    // padded to the longest prompt plus the longest output (149), so
+    // the second admits at 2 x 10 = 20 blocks and the third would need
+    // 3 x 10 = 30 > 25, although it is short itself.
     const auto pending = stream_of({{16, 16}, {128, 21}, {16, 16}});
     std::deque<std::size_t> queue = queue_over(pending);
     ServingReport report;
@@ -311,6 +311,27 @@ TEST(FormBatch, StopsAtKvCapacity)
     // A full batch is not a rejection: the third waits for the next.
     EXPECT_TRUE(report.rejected_ids.empty());
     EXPECT_EQ(report.kv_rejected, 0u);
+}
+
+TEST(FormBatch, KvCheckUsesThePaddedShape)
+{
+    // Each request alone needs 1001 tokens = 63 blocks, and two of them
+    // 126, which the tier holds.  But together the batch runs at
+    // (1000, 1000): 2 x 125 = 250 blocks.  They must not share a batch.
+    const auto pending = stream_of({{1000, 1}, {1, 1000}});
+    std::deque<std::size_t> queue = queue_over(pending);
+    ServingReport report;
+    const FormedBatch first =
+        form_batch(queue, pending, admission_of(8, 126), report);
+    EXPECT_EQ(first.members, (std::vector<std::size_t>{0}));
+    EXPECT_EQ(first.shape, (BatchShape{1, {1000, 1}}));
+    EXPECT_EQ(queue, (std::deque<std::size_t>{1}));
+    const FormedBatch second =
+        form_batch(queue, pending, admission_of(8, 126), report);
+    EXPECT_EQ(second.members, (std::vector<std::size_t>{1}));
+    EXPECT_EQ(second.shape, (BatchShape{1, {1, 1000}}));
+    EXPECT_TRUE(queue.empty());
+    EXPECT_TRUE(report.rejected_ids.empty());
 }
 
 TEST(FormBatch, ShedsARequestThatCannotFitAlone)

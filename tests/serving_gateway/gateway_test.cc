@@ -12,6 +12,11 @@
 #include <vector>
 
 #include "core/helm.h"
+#include "telemetry/export.h"
+#include "telemetry/metrics.h"
+#include "telemetry/monitor.h"
+#include "tracing/export.h"
+#include "tracing/tracer.h"
 
 namespace helm::gateway {
 namespace {
@@ -470,19 +475,37 @@ struct DriveOutcome
 {
     DriverReport report;
     GatewayStats stats;
+    std::string metrics_json; //!< monitor + tracer snapshot, if observed
+    std::string trace_json;   //!< helm-trace-v1, if observed
 };
 
+/** One drive; when @p observed, a tracer + monitor ride along and the
+ *  outcome carries their metrics snapshot and trace JSON. */
 DriveOutcome
-drive_with_stats(std::uint64_t seed)
+drive_with_stats(std::uint64_t seed, bool observed = false)
 {
     GatewayConfig config;
     config.admission.max_context = 1024;
     Fixture fx(config, 2);
+    tracing::Tracer tracer;
+    telemetry::ServingMonitor monitor;
+    if (observed)
+        fx.gateway->set_observability({&tracer, &monitor});
     DriverConfig driver = small_driver();
     driver.seed = seed;
     auto report = run_closed_loop(fx.sim, *fx.gateway, driver);
     EXPECT_TRUE(report.is_ok()) << report.status().to_string();
-    return {std::move(report).value(), fx.gateway->stats()};
+    DriveOutcome outcome{std::move(report).value(), fx.gateway->stats(),
+                         {}, {}};
+    if (observed) {
+        monitor.finish(outcome.report.sim_makespan);
+        telemetry::MetricsRegistry registry;
+        monitor.record(registry);
+        tracer.record(registry);
+        outcome.metrics_json = telemetry::json_snapshot(registry);
+        outcome.trace_json = tracing::trace_json(tracer);
+    }
+    return outcome;
 }
 
 DriverReport
@@ -530,13 +553,14 @@ struct CacheOff
 TEST(Driver, StepCacheDoesNotChangeTheRun)
 {
     // The step cache is an engine memo: switching it off may cost host
-    // time, never change the simulated run or its DES event count.
+    // time, never change the simulated run, its DES event count, or
+    // what an attached tracer and monitor export.
     DriveOutcome off;
     {
         const CacheOff cache_off;
-        off = drive_with_stats(23);
+        off = drive_with_stats(23, /*observed=*/true);
     }
-    const DriveOutcome on = drive_with_stats(23);
+    const DriveOutcome on = drive_with_stats(23, /*observed=*/true);
 
     EXPECT_EQ(off.report.completed, on.report.completed);
     EXPECT_EQ(off.report.attempts, on.report.attempts);
@@ -560,6 +584,11 @@ TEST(Driver, StepCacheDoesNotChangeTheRun)
     EXPECT_EQ(off.stats.routed_per_replica, on.stats.routed_per_replica);
     EXPECT_EQ(off.stats.busy_seconds_per_replica,
               on.stats.busy_seconds_per_replica);
+
+    ASSERT_FALSE(on.metrics_json.empty());
+    ASSERT_FALSE(on.trace_json.empty());
+    EXPECT_EQ(off.metrics_json, on.metrics_json);
+    EXPECT_EQ(off.trace_json, on.trace_json);
 }
 
 TEST(Driver, ValidateRejectsZeroClients)

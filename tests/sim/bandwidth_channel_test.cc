@@ -89,9 +89,6 @@ TEST(BandwidthChannel, WaterFillingWithMixedCaps)
     EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 2.0, 1e-9);
     EXPECT_NEAR(ch.flow_rate(b).as_gb_per_s(), 4.0, 1e-9);
     EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.0, 1e-9);
-    ch.cancel_flow(a);
-    ch.cancel_flow(b);
-    ch.cancel_flow(c);
 }
 
 TEST(BandwidthChannel, RatesNeverExceedChannel)
@@ -107,8 +104,6 @@ TEST(BandwidthChannel, RatesNeverExceedChannel)
     for (FlowId f : flows)
         total += ch.flow_rate(f).as_gb_per_s();
     EXPECT_LE(total, 10.0 + 1e-9);
-    for (FlowId f : flows)
-        ch.cancel_flow(f);
 }
 
 TEST(BandwidthChannel, ZeroByteFlowCompletesImmediately)
@@ -119,20 +114,6 @@ TEST(BandwidthChannel, ZeroByteFlowCompletesImmediately)
     const FlowId id = ch.start_flow(0, Bandwidth(), [&] { done = true; });
     EXPECT_TRUE(done); // synchronous for empty payloads
     EXPECT_EQ(id, kInvalidFlow);
-}
-
-TEST(BandwidthChannel, CancelledFlowNeverCompletes)
-{
-    Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
-    bool done = false;
-    const FlowId id = ch.start_flow(10 * kGB, Bandwidth(),
-                                    [&] { done = true; });
-    sim.run_until(0.5);
-    ch.cancel_flow(id);
-    sim.run();
-    EXPECT_FALSE(done);
-    EXPECT_EQ(ch.bytes_delivered(), 0u);
 }
 
 TEST(BandwidthChannel, ChainedFlowsFromCompletionCallback)
@@ -157,7 +138,7 @@ TEST(BandwidthChannel, LateArrivalSlowsExistingFlow)
     sim.schedule(0.5, [&] {
         ch.start_flow(100 * kGB, Bandwidth(), [] {});
     });
-    sim.run_until(10.0);
+    sim.run();
     // Flow A: 5 GB in the first 0.5 s, then 5 GB/s => done at 1.5 s.
     EXPECT_NEAR(done_a, 1.5, kTol);
 }
@@ -324,31 +305,34 @@ TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
     EXPECT_NEAR(sim.now(), 0.6, kTol);
 }
 
-TEST(BandwidthChannelFlowTable, CancelMiddleFlowRefillsTheRest)
+TEST(BandwidthChannelFlowTable, FinishedMiddleFlowRefillsTheRest)
 {
     Simulator sim;
     BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(9.0));
     std::vector<std::pair<char, Seconds>> done;
+    FlowId c = kInvalidFlow; // started after B, read in B's callback
     const FlowId a = ch.start_flow(
         9 * kGB, Bandwidth(), [&] { done.emplace_back('A', sim.now()); });
-    const FlowId b = ch.start_flow(
-        9 * kGB, Bandwidth(), [&] { done.emplace_back('B', sim.now()); });
-    const FlowId c = ch.start_flow(
+    ch.start_flow(3 * kGB / 2, Bandwidth(), [&] {
+        // 1.5 GB at a 3 GB/s share: B leaves at 0.5 s, and its
+        // completion runs after the survivors were re-filled.
+        done.emplace_back('B', sim.now());
+        EXPECT_EQ(ch.active_flows(), 2u);
+        EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 4.5, 1e-9);
+        EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.5, 1e-9);
+    });
+    c = ch.start_flow(
         9 * kGB, Bandwidth(), [&] { done.emplace_back('C', sim.now()); });
-    sim.run_until(0.5); // 1.5 GB each at 3 GB/s
-    ch.cancel_flow(b);
-    EXPECT_EQ(ch.active_flows(), 2u);
-    EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 4.5, 1e-9);
-    EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.5, 1e-9);
-    EXPECT_TRUE(ch.flow_rate(b).is_zero());
     sim.run();
     // 7.5 GB left each at 4.5 GB/s: both land at 0.5 + 5/3 s, A first.
-    ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[0].first, 'A');
-    EXPECT_EQ(done[1].first, 'C');
-    EXPECT_NEAR(done[0].second, 0.5 + 7.5 / 4.5, 1e-6);
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(done[0].first, 'B');
+    EXPECT_NEAR(done[0].second, 0.5, 1e-6);
+    EXPECT_EQ(done[1].first, 'A');
+    EXPECT_EQ(done[2].first, 'C');
     EXPECT_NEAR(done[1].second, 0.5 + 7.5 / 4.5, 1e-6);
-    EXPECT_EQ(ch.bytes_delivered(), 18 * kGB);
+    EXPECT_NEAR(done[2].second, 0.5 + 7.5 / 4.5, 1e-6);
+    EXPECT_EQ(ch.bytes_delivered(), 18 * kGB + 3 * kGB / 2);
 }
 
 TEST(BandwidthChannelFlowTable, FinishedOrUnknownFlowHasZeroRate)

@@ -1,34 +1,112 @@
 /**
  * @file
- * Property test pinning the rewritten two-tier DES kernel
- * (sim/simulator.h) to the frozen priority_queue baseline
- * (sim/legacy_simulator.h).
+ * Property test pinning the two-tier DES kernel (sim/simulator.h) to a
+ * plain reference queue.
  *
- * Randomized schedule/cancel/run_until programs — actions issued both
- * from outside and from inside firing callbacks — are replayed through
- * both kernels, and every observable must match exactly: the (time,
- * tag) fire trace (which pins same-timestamp FIFO order), every
- * cancel() return value (pending vs already-fired vs already-cancelled
- * vs stale-after-reuse semantics), every pending_events() checkpoint
- * (the accounting guarantee: cancelled-but-unpopped entries are never
- * counted), the clock after each run_until() boundary, and the final
- * executed-event count.  Event ids are kernel-internal (the rewrite
- * packs slot+generation where the baseline counted), so programs refer
- * to events by issue index, never by id value.
+ * The reference is a plain binary heap ordered by (when, seq), easy to
+ * check by eye and slow.  Randomized
+ * schedule/cancel/step programs — actions issued both from outside and
+ * from inside firing callbacks — are replayed through both kernels,
+ * and every observable must match exactly: the (time, tag) fire trace
+ * (which pins same-timestamp FIFO order), every cancel() return value
+ * (pending vs already-fired vs already-cancelled vs stale-after-reuse
+ * semantics), every pending_events() checkpoint (the accounting
+ * guarantee: cancelled-but-unpopped entries are never counted), and the
+ * final executed-event count.  Event ids are kernel-internal (the
+ * kernel packs slot+generation where the reference counts), so
+ * programs refer to events by issue index, never by id value.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/legacy_simulator.h"
 #include "sim/simulator.h"
 
 namespace helm::sim {
 namespace {
+
+/**
+ * The reference kernel: the Simulator API over one binary heap of
+ * (when, id) pairs, ids counting up from 1 so they double as the FIFO
+ * tiebreak.  Callbacks sit in a vector indexed by id; firing or
+ * cancelling an event clears its callback, and its heap entry is
+ * skipped when it surfaces.
+ */
+class ReferenceQueue
+{
+  public:
+    Seconds now() const { return now_; }
+    std::uint64_t events_executed() const { return executed_; }
+    std::size_t pending_events() const { return pending_; }
+
+    EventId
+    schedule(Seconds delay, std::function<void()> fn)
+    {
+        return schedule_at(now_ + delay, std::move(fn));
+    }
+
+    EventId
+    schedule_at(Seconds when, std::function<void()> fn)
+    {
+        const EventId id = callbacks_.size();
+        callbacks_.push_back(std::move(fn));
+        heap_.emplace(when, id);
+        ++pending_;
+        return id;
+    }
+
+    /** True only for a pending event: fired, cancelled and never-issued
+     *  ids have no callback. */
+    bool
+    cancel(EventId id)
+    {
+        if (id >= callbacks_.size() || !callbacks_[id])
+            return false;
+        callbacks_[id] = nullptr;
+        --pending_;
+        return true;
+    }
+
+    bool
+    step()
+    {
+        while (!heap_.empty()) {
+            const auto [when, id] = heap_.top();
+            heap_.pop();
+            if (!callbacks_[id])
+                continue; // cancelled
+            std::function<void()> fn = std::move(callbacks_[id]);
+            callbacks_[id] = nullptr;
+            --pending_;
+            now_ = when;
+            ++executed_;
+            fn();
+            return true;
+        }
+        return false;
+    }
+
+    void
+    run()
+    {
+        while (step()) {
+        }
+    }
+
+  private:
+    using Entry = std::pair<Seconds, EventId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::vector<std::function<void()>> callbacks_{1}; //!< id 0: invalid
+    std::size_t pending_ = 0;
+    Seconds now_ = 0.0;
+    std::uint64_t executed_ = 0;
+};
 
 /** Everything a program observes; compared across kernels. */
 struct Observations
@@ -40,14 +118,7 @@ struct Observations
     std::uint64_t executed = 0;
     Seconds final_now = 0.0;
 
-    bool
-    operator==(const Observations &other) const
-    {
-        return fires == other.fires &&
-               cancel_results == other.cancel_results &&
-               checkpoints == other.checkpoints &&
-               executed == other.executed && final_now == other.final_now;
-    }
+    bool operator==(const Observations &other) const = default;
 };
 
 /**
@@ -113,13 +184,14 @@ run_program(std::uint64_t seed)
             random_action();
     };
 
-    // Seed the queue, then alternate run_until boundaries with bursts
-    // of external actions, and finally drain.
+    // Seed the queue, then alternate bounded stretches of steps with
+    // bursts of external actions, and finally drain.
     for (int i = 0; i < 32; ++i)
         random_action();
     for (int phase = 0; phase < 4; ++phase) {
-        sim.run_until(sim.now() +
-                      static_cast<double>(rng.next_below(2000)) * 1e-3);
+        const std::uint64_t steps = rng.next_below(64);
+        for (std::uint64_t s = 0; s < steps && sim.step(); ++s) {
+        }
         obs.checkpoints.emplace_back(sim.pending_events(), sim.now());
         for (int i = 0; i < 8; ++i)
             random_action();
@@ -134,16 +206,15 @@ run_program(std::uint64_t seed)
 TEST(EventQueueProperty, KernelsAgreeOnRandomPrograms)
 {
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        const Observations baseline =
-            run_program<LegacySimulator>(seed);
-        const Observations rewritten = run_program<Simulator>(seed);
-        ASSERT_TRUE(baseline == rewritten)
+        const Observations reference = run_program<ReferenceQueue>(seed);
+        const Observations kernel = run_program<Simulator>(seed);
+        ASSERT_TRUE(reference == kernel)
             << "kernels diverged on program seed " << seed << ": "
-            << baseline.fires.size() << " vs " << rewritten.fires.size()
-            << " fires, " << baseline.executed << " vs "
-            << rewritten.executed << " executed";
+            << reference.fires.size() << " vs " << kernel.fires.size()
+            << " fires, " << reference.executed << " vs "
+            << kernel.executed << " executed";
         // The programs must actually exercise the machinery.
-        EXPECT_GT(baseline.fires.size(), 0u) << "seed " << seed;
+        EXPECT_GT(reference.fires.size(), 0u) << "seed " << seed;
     }
 }
 
@@ -177,9 +248,111 @@ TEST(EventQueueProperty, HeavyCancellationStaysExact)
         EXPECT_EQ(sim.events_executed(), ids.size() - cancelled);
         return fired;
     };
-    LegacySimulator legacy;
-    Simulator rewritten;
-    EXPECT_EQ(run(legacy), run(rewritten));
+    ReferenceQueue reference;
+    Simulator kernel;
+    EXPECT_EQ(run(reference), run(kernel));
+}
+
+// ---- session timers: the gateway's access pattern, at depth ----------
+
+std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/** What a session-timer run observes: an order-sensitive FNV-1a hash
+ *  over every fire (time, tag) and cancel result, plus the counts. */
+struct TimersTrace
+{
+    std::uint64_t hash = 1469598103934665603ull;
+    std::uint64_t deadline_fires = 0;
+    std::uint64_t cancels_true = 0;
+    std::uint64_t executed = 0;
+
+    void
+    mix(std::uint64_t value)
+    {
+        hash = (hash ^ value) * 1099511628211ull;
+    }
+
+    bool operator==(const TimersTrace &other) const = default;
+};
+
+/**
+ * @p sessions sessions, each one event that reschedules itself after a
+ * pseudo-random sub-millisecond delay and cancels + re-arms a deadline
+ * timer ~1 ms out (usually cancelled before it fires, as serving
+ * timeouts are).  Sessions stop rescheduling past @p horizon, and the
+ * queue drains.  The initial burst lands in the far tier, so the run
+ * walks the refill and lazy-cancel paths with tens of thousands of
+ * events outstanding.
+ */
+template <typename Kernel>
+TimersTrace
+run_session_timers(std::size_t sessions, Seconds horizon)
+{
+    Kernel sim;
+    TimersTrace trace;
+    std::vector<std::uint64_t> state(sessions);
+    std::vector<EventId> deadline(sessions, kInvalidEvent);
+    const auto mix_time = [&] {
+        std::uint64_t bits;
+        const Seconds now = sim.now();
+        std::memcpy(&bits, &now, sizeof bits);
+        trace.mix(bits);
+    };
+    std::function<void(std::size_t)> on_fire = [&](std::size_t s) {
+        mix_time();
+        trace.mix(s * 2);
+        const std::uint64_t h = splitmix64(state[s]);
+        if (deadline[s] != kInvalidEvent) {
+            const bool cancelled = sim.cancel(deadline[s]);
+            trace.mix(cancelled ? 1 : 0);
+            trace.cancels_true += cancelled ? 1 : 0;
+        }
+        deadline[s] = sim.schedule(
+            1e-3 + 1e-6 * static_cast<double>((h >> 10) & 1023), [&, s] {
+                deadline[s] = kInvalidEvent;
+                ++trace.deadline_fires;
+                mix_time();
+                trace.mix(s * 2 + 1);
+            });
+        if (sim.now() < horizon)
+            sim.schedule(1e-6 * static_cast<double>(h & 1023),
+                         [&on_fire, s] { on_fire(s); });
+    };
+    for (std::size_t s = 0; s < sessions; ++s) {
+        state[s] = 0xD1B54A32D192ED03ull ^ (s * 0x9E3779B97F4A7C15ull);
+        sim.schedule(1e-9 * static_cast<double>(s),
+                     [&on_fire, s] { on_fire(s); });
+    }
+    sim.run();
+    trace.executed = sim.events_executed();
+    return trace;
+}
+
+TEST(EventQueueProperty, SessionTimersMatchAtDepth)
+{
+    constexpr std::size_t kSessions = 64 * 1024;
+    constexpr Seconds kHorizon = 1e-3;
+    const TimersTrace reference =
+        run_session_timers<ReferenceQueue>(kSessions, kHorizon);
+    const TimersTrace kernel =
+        run_session_timers<Simulator>(kSessions, kHorizon);
+    EXPECT_TRUE(reference == kernel)
+        << "session-timer traces diverged: " << reference.executed
+        << " vs " << kernel.executed << " events, "
+        << reference.deadline_fires << " vs " << kernel.deadline_fires
+        << " deadline fires";
+    // The program must reach depth and exercise every path: several
+    // fires per session, deadlines both cancelled and fired.
+    EXPECT_GT(kernel.executed, 3 * kSessions);
+    EXPECT_GT(kernel.cancels_true, kSessions);
+    EXPECT_GE(kernel.deadline_fires, kSessions);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/resource.h"
@@ -17,33 +18,38 @@ constexpr double kTol = 1e-9;
 TEST(FifoResource, ImmediateGrantWhenFree)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
-    bool granted = false;
-    res.acquire([&] { granted = true; });
-    EXPECT_TRUE(granted); // synchronous when capacity is available
-    EXPECT_EQ(res.in_use(), 1u);
-    res.release();
-    EXPECT_EQ(res.in_use(), 0u);
+    FifoResource res(sim, "gpu");
+    Seconds done = -1.0;
+    res.occupy(1.5, [&] { done = sim.now(); });
+    sim.run();
+    // A free resource is taken synchronously: the hold starts at t = 0
+    // and no admission event fires.
+    EXPECT_NEAR(done, 1.5, kTol);
+    EXPECT_EQ(sim.events_executed(), 1u);
 }
 
 TEST(FifoResource, QueuedWaiterAdmittedOnRelease)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
-    std::vector<int> order;
-    res.acquire([&] { order.push_back(1); });
-    res.acquire([&] { order.push_back(2); });
-    EXPECT_EQ(order, (std::vector<int>{1}));
-    EXPECT_EQ(res.queue_length(), 1u);
-    res.release();
-    sim.run(); // admission is a zero-delay event
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    FifoResource res(sim, "gpu");
+    std::vector<std::pair<int, Seconds>> done;
+    res.occupy(1.0, [&] { done.emplace_back(1, sim.now()); });
+    res.occupy(2.0, [&] { done.emplace_back(2, sim.now()); });
+    sim.run();
+    // The waiter is admitted by a zero-delay event at the release
+    // (t = 1) and holds until t = 3: two holds plus one admission.
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].first, 1);
+    EXPECT_NEAR(done[0].second, 1.0, kTol);
+    EXPECT_EQ(done[1].first, 2);
+    EXPECT_NEAR(done[1].second, 3.0, kTol);
+    EXPECT_EQ(sim.events_executed(), 3u);
 }
 
 TEST(FifoResource, FifoOrderAmongWaiters)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
+    FifoResource res(sim, "gpu");
     std::vector<int> order;
     res.occupy(1.0, [&] { order.push_back(0); });
     for (int i = 1; i <= 3; ++i)
@@ -53,49 +59,10 @@ TEST(FifoResource, FifoOrderAmongWaiters)
     EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
-TEST(FifoResource, CapacityTwoRunsTwoConcurrently)
-{
-    Simulator sim;
-    FifoResource res(sim, "copy-engines", 2);
-    std::vector<Seconds> done;
-    for (int i = 0; i < 4; ++i)
-        res.occupy(1.0, [&] { done.push_back(sim.now()); });
-    sim.run();
-    ASSERT_EQ(done.size(), 4u);
-    EXPECT_NEAR(done[0], 1.0, kTol);
-    EXPECT_NEAR(done[1], 1.0, kTol);
-    EXPECT_NEAR(done[2], 2.0, kTol);
-    EXPECT_NEAR(done[3], 2.0, kTol);
-}
-
-TEST(FifoResource, OccupancyHookFiresOnGrantAndReleaseEdges)
-{
-    Simulator sim;
-    FifoResource res(sim, "h2d", 1);
-    std::vector<std::pair<Seconds, std::size_t>> edges;
-    res.set_occupancy_hook([&](Seconds t, std::size_t in_use) {
-        edges.emplace_back(t, in_use);
-    });
-    res.occupy(2.0, [] {});
-    res.occupy(3.0, [] {});
-    sim.run();
-    // Two holders on a unit resource: rise/fall, rise/fall — the edge
-    // stream a time-series consumer turns into utilization buckets.
-    ASSERT_EQ(edges.size(), 4u);
-    EXPECT_NEAR(edges[0].first, 0.0, kTol);
-    EXPECT_EQ(edges[0].second, 1u);
-    EXPECT_NEAR(edges[1].first, 2.0, kTol);
-    EXPECT_EQ(edges[1].second, 0u);
-    EXPECT_NEAR(edges[2].first, 2.0, kTol);
-    EXPECT_EQ(edges[2].second, 1u);
-    EXPECT_NEAR(edges[3].first, 5.0, kTol);
-    EXPECT_EQ(edges[3].second, 0u);
-}
-
 TEST(FifoResource, OccupySerializesOnUnitCapacity)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
+    FifoResource res(sim, "gpu");
     Seconds first = -1, second = -1;
     res.occupy(2.0, [&] { first = sim.now(); });
     res.occupy(3.0, [&] { second = sim.now(); });
@@ -107,7 +74,7 @@ TEST(FifoResource, OccupySerializesOnUnitCapacity)
 TEST(FifoResource, ZeroDurationOccupy)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
+    FifoResource res(sim, "gpu");
     bool done = false;
     res.occupy(0.0, [&] { done = true; });
     sim.run();
@@ -118,11 +85,11 @@ TEST(FifoResource, ZeroDurationOccupy)
 TEST(FifoResource, BusyTimeIntegratesUtilization)
 {
     Simulator sim;
-    FifoResource res(sim, "gpu", 1);
+    FifoResource res(sim, "gpu");
     res.occupy(2.0, [] {});
     res.occupy(3.0, [] {});
     sim.run();
-    // 5 seconds of busy time on a capacity-1 resource.
+    // 5 seconds of busy time on a unit resource.
     EXPECT_NEAR(res.busy_time(), 5.0, kTol);
 }
 

@@ -89,27 +89,6 @@ TEST(Simulator, CancelOneOfMany)
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST(Simulator, RunUntilStopsAtDeadline)
-{
-    Simulator sim;
-    std::vector<int> order;
-    sim.schedule(1.0, [&] { order.push_back(1); });
-    sim.schedule(2.0, [&] { order.push_back(2); });
-    sim.schedule(3.0, [&] { order.push_back(3); });
-    sim.run_until(2.0);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Simulator, RunUntilAdvancesClockWhenIdle)
-{
-    Simulator sim;
-    sim.run_until(7.0);
-    EXPECT_DOUBLE_EQ(sim.now(), 7.0);
-}
-
 TEST(Simulator, EventsExecutedCounter)
 {
     Simulator sim;
@@ -226,23 +205,6 @@ TEST(Simulator, FiredHandleCannotCancelAcrossSlotReuse)
     EXPECT_NE(spent, fresh);
 }
 
-TEST(Simulator, RunUntilWithCancelledHeadAdvancesClock)
-{
-    // A cancelled earliest event must neither fire nor pin the clock:
-    // run_until has to discard it and land exactly on the deadline.
-    Simulator sim;
-    bool fired = false;
-    const EventId head = sim.schedule(1.0, [&] { fired = true; });
-    sim.schedule(2.0, [] {});
-    ASSERT_TRUE(sim.cancel(head));
-    sim.run_until(1.5);
-    EXPECT_FALSE(fired);
-    EXPECT_DOUBLE_EQ(sim.now(), 1.5);
-    EXPECT_EQ(sim.pending_events(), 1u);
-    sim.run();
-    EXPECT_EQ(sim.events_executed(), 1u);
-}
-
 TEST(Simulator, CancelSameTimestampLaterEventFromCallback)
 {
     // FIFO at equal timestamps means the first-scheduled event runs
@@ -255,17 +217,6 @@ TEST(Simulator, CancelSameTimestampLaterEventFromCallback)
     sim.run();
     EXPECT_FALSE(victim_fired);
     EXPECT_EQ(sim.events_executed(), 1u);
-}
-
-TEST(Simulator, ReserveIsBehaviorNeutral)
-{
-    Simulator sim;
-    sim.reserve(4096);
-    std::vector<int> order;
-    sim.schedule(2.0, [&] { order.push_back(2); });
-    sim.schedule(1.0, [&] { order.push_back(1); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 } // namespace

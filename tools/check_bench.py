@@ -6,16 +6,6 @@ so it must run anywhere python3 does.
 
 Supported schemas:
 
-helm-bench-core-v1 (bench_core)
-  * ``queue.identical`` is ``true`` — the two-tier slab kernel must
-    fire the exact same event trace as the legacy priority_queue
-    kernel on the session-timer workload;
-  * queue numbers are present, finite, and non-negative.
-  The measured speedup and events/sec are recorded, NOT gated, by
-  default (they depend on the runner).  ``--min-speedup X`` gates
-  ``queue.speedup`` and ``--min-events-per-sec X`` gates
-  ``queue.indexed_events_per_s`` for runners with known performance.
-
 helm-bench-scheduler-v1 (bench_scheduler)
   * ``fcfs_identity.identical`` is ``true`` — the single-GPU Server
     and the 1-GPU replica ClusterServer (which documents wholesale
@@ -41,18 +31,11 @@ helm-bench-pareto-v1 (bench_pareto)
 helm-bench-engine-v1 (bench_engine)
   * ``serve.identical`` is ``true`` — replaying the memoized OPT-175B
     All-CPU run must serialize byte-identically to simulating it;
-  * ``gateway.report_identical``, ``gateway.metrics_identical``,
-    ``gateway.trace_identical`` and ``gateway.events_identical`` are
-    all ``true`` — switching the step cache off must not change the
-    gateway drive's driver report (every latency sample), metrics
-    snapshot, chrome-trace, or DES event count;
-  * serve/gateway walls and throughput numbers are present and finite.
-  The measured speedups are recorded, NOT gated, by default (they
-  depend on the runner).  ``--min-speedup X`` gates ``serve.speedup``,
-  the step cache's own claim (a replayed run against a simulated one),
-  for runners with known performance.  ``gateway.speedup`` is only
-  recorded: both gateway legs share one delivery path, so it reads
-  about 1.
+  * serve walls and speedup are present and finite.
+  The measured speedup is recorded, NOT gated, by default (it depends
+  on the runner).  ``--min-speedup X`` gates ``serve.speedup``, the
+  step cache's own claim (a replayed run against a simulated one), for
+  runners with known performance.
 
 helm-bench-trace-v1 (bench_trace)
   * ``identity.report_identical`` and ``identity.metrics_identical``
@@ -74,7 +57,7 @@ Exit status 0 when the document passes, 1 otherwise (one message per
 problem on stderr).
 
 Usage:
-  python3 tools/check_bench.py BENCH_core.json --min-speedup 3.0
+  python3 tools/check_bench.py BENCH_engine.json --min-speedup 3.0
   python3 tools/check_bench.py BENCH_scheduler.json
   python3 tools/check_bench.py BENCH_trace.json --max-tap-allocs 0.05
 """
@@ -83,11 +66,6 @@ import argparse
 import json
 import math
 import sys
-
-CORE_NUMBERS = {
-    "queue": ("outstanding", "events", "baseline_events_per_s",
-              "indexed_events_per_s", "speedup"),
-}
 
 SCHEDULER_NUMBERS = {
     "bursty.fcfs": ("goodput_tps", "p99_ttft_s", "slo_attainment",
@@ -130,34 +108,6 @@ def check_numbers(doc, required, errors):
             elif value < 0:
                 errors.append("%s.%s: negative value %r" %
                               (section, key, value))
-
-
-def check_core(doc, args, errors):
-    queue = doc.get("queue")
-    if not isinstance(queue, dict) or queue.get("identical") is not True:
-        errors.append(
-            "queue.identical must be true: the two-tier kernel's fire "
-            "trace diverged from the legacy priority_queue kernel")
-    check_numbers(doc, CORE_NUMBERS, errors)
-    if errors:
-        return
-    if args.min_speedup > 0.0 and \
-            doc["queue"]["speedup"] < args.min_speedup:
-        errors.append("queue.speedup %.3f < required %.3f" %
-                      (doc["queue"]["speedup"], args.min_speedup))
-    if args.min_events_per_sec > 0.0 and \
-            doc["queue"]["indexed_events_per_s"] < \
-            args.min_events_per_sec:
-        errors.append(
-            "queue.indexed_events_per_s %.0f < required %.0f" %
-            (doc["queue"]["indexed_events_per_s"],
-             args.min_events_per_sec))
-    if not errors:
-        print("ok: identical over %d events at %d outstanding, "
-              "queue x%.2f (%.2fM events/s)" %
-              (doc["queue"]["events"], doc["queue"]["outstanding"],
-               doc["queue"]["speedup"],
-               doc["queue"]["indexed_events_per_s"] / 1e6))
 
 
 def check_scheduler(doc, _args, errors):
@@ -361,11 +311,6 @@ ENGINE_NUMBERS = {
     "serve": ("batch", "speedup"),
     "serve.off_wall": ("min_seconds", "median_seconds", "runs"),
     "serve.on_wall": ("min_seconds", "median_seconds", "runs"),
-    "gateway": ("requests", "completed", "off_events", "on_events",
-                "off_events_per_s", "on_events_per_s", "requests_per_s",
-                "speedup"),
-    "gateway.off_wall": ("min_seconds", "median_seconds", "runs"),
-    "gateway.on_wall": ("min_seconds", "median_seconds", "runs"),
 }
 
 
@@ -377,31 +322,17 @@ def check_engine(doc, args, errors):
             "serve.identical is %r: replaying the memoized run must "
             "serialize byte-identically to simulating it" %
             serve.get("identical"))
-    gateway = doc.get("gateway")
-    if isinstance(gateway, dict):
-        for key in ("report_identical", "metrics_identical",
-                    "trace_identical", "events_identical"):
-            if not is_set(gateway.get(key)):
-                errors.append(
-                    "gateway.%s is %r: the step cache must not change "
-                    "the gateway drive" % (key, gateway.get(key)))
     if errors:
         return
-    if gateway["completed"] < 1:
-        errors.append("gateway.completed must be >= 1")
     if args.min_speedup > 0.0 and \
             serve["speedup"] < args.min_speedup:
         errors.append("serve.speedup %.3f < required %.3f" %
                       (serve["speedup"], args.min_speedup))
     if not errors:
-        print("ok: serve x%.1f identical, gateway %d turns x%.2f over "
-              "%d events either way, artifacts identical" %
-              (serve["speedup"], gateway["completed"],
-               gateway["speedup"], gateway["on_events"]))
+        print("ok: serve x%.1f identical" % serve["speedup"])
 
 
 CHECKERS = {
-    "helm-bench-core-v1": check_core,
     "helm-bench-scheduler-v1": check_scheduler,
     "helm-bench-pareto-v1": check_pareto,
     "helm-bench-trace-v1": check_trace,
@@ -413,12 +344,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="bench JSON document to validate")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="core-v1: gate queue.speedup; engine-v1: "
-                             "gate serve.speedup (default: record "
-                             "only)")
-    parser.add_argument("--min-events-per-sec", type=float, default=0.0,
-                        help="core-v1 only: also gate "
-                             "queue.indexed_events_per_s >= this value "
+                        help="engine-v1 only: gate serve.speedup "
                              "(default: record only)")
     parser.add_argument("--max-tap-allocs", type=float, default=0.05,
                         help="trace-v1 only: ceiling for "
