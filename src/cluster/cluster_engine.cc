@@ -43,6 +43,28 @@ scan_caps(const CompiledSchedule &shard)
     return caps;
 }
 
+/** Cluster-wide host working set of @p gpus GPUs under @p mode:
+ *  replicas all run shards.front() and share its one read-only weight
+ *  copy, each with a private KV overflow; tensor/pipeline shards are
+ *  disjoint and sum. */
+Bytes
+cluster_resident_bytes(std::span<const CompiledSchedule> shards,
+                       Parallelism mode, std::uint64_t gpus)
+{
+    HELM_ASSERT(!shards.empty(), "no shards");
+    if (mode == Parallelism::kReplica) {
+        // One shared read-only weight copy; KV overflow is private.
+        const CompiledSchedule &replica = shards.front();
+        return replica.host_weight_bytes +
+               gpus * (replica.host_resident_bytes -
+                       replica.host_weight_bytes);
+    }
+    Bytes total = 0;
+    for (const CompiledSchedule &shard : shards)
+        total += shard.host_resident_bytes;
+    return total;
+}
+
 } // namespace
 
 runtime::FabricRates
@@ -77,24 +99,6 @@ compute_port_rates(const CompiledSchedule &shard, std::uint64_t sockets,
     return rates;
 }
 
-Bytes
-cluster_resident_bytes(std::span<const CompiledSchedule> shards,
-                       Parallelism mode, std::uint64_t gpus)
-{
-    HELM_ASSERT(!shards.empty(), "no shards");
-    if (mode == Parallelism::kReplica) {
-        // One shared read-only weight copy; KV overflow is private.
-        const CompiledSchedule &replica = shards.front();
-        return replica.host_weight_bytes +
-               gpus * (replica.host_resident_bytes -
-                       replica.host_weight_bytes);
-    }
-    Bytes total = 0;
-    for (const CompiledSchedule &shard : shards)
-        total += shard.host_resident_bytes;
-    return total;
-}
-
 Result<std::vector<runtime::ShardOptions>>
 shard_plan(const ClusterSpec &spec)
 {
@@ -125,21 +129,6 @@ shard_plan(const ClusterSpec &spec)
         }
     }
     return plan;
-}
-
-Result<std::vector<CompiledSchedule>>
-compile_shards(const runtime::ServingSpec &serving,
-               const std::vector<runtime::ShardOptions> &plan)
-{
-    std::vector<CompiledSchedule> shards;
-    shards.reserve(plan.size());
-    for (const runtime::ShardOptions &shard : plan) {
-        auto compiled_or = runtime::compile_schedule(serving, shard);
-        if (!compiled_or.is_ok())
-            return compiled_or.status();
-        shards.push_back(std::move(*compiled_or));
-    }
-    return shards;
 }
 
 std::vector<GpuUtilization>
@@ -190,36 +179,11 @@ port_stats(const runtime::Fabric &fabric, Seconds makespan)
 // chunks, and forwards each chunk's activations to stage s+1 through
 // host memory (d2h on the sender's link + shared write port, then h2d
 // on the receiver's link + shared read port).  Token t+1 enters stage 0
-// when token t retires from the last stage.
+// when token t retires from the last stage.  A (stage, token)'s work is
+// read in place from the stage's compiled steps [t*L, (t+1)*L).
 // ---------------------------------------------------------------------------
 
 namespace {
-
-struct PipeFlow
-{
-    Bytes bytes = 0;
-    Bandwidth cap;
-    bool from_storage = false;
-};
-
-/** Everything stage s does for one (rep, token). */
-struct TokenWork
-{
-    std::uint64_t rep = 0;
-    std::uint64_t tok = 0; //!< token within the rep
-    gpu::Stage stage = gpu::Stage::kPrefill;
-    model::LayerType type = model::LayerType::kMha;
-    int first_layer = 0;
-    Seconds compute_total = 0.0;
-    std::vector<PipeFlow> weights;
-    std::vector<KvFlowSpec> kv_reads;          //!< prefetched with weights
-    std::vector<KvFlowSpec> kv_reads_blocking; //!< gate the first chunk
-    std::vector<KvFlowSpec> kv_writes;
-    Bytes cpu_bytes = 0;
-    Bytes disk_bytes = 0;
-    Bytes kv_read_bytes = 0;
-    Bytes kv_write_bytes = 0;
-};
 
 class PipelineExecutor
 {
@@ -229,59 +193,19 @@ class PipelineExecutor
                      std::uint64_t micro_batches,
                      const runtime::ServingSpec &base, bool keep_records)
         : fabric_(fabric), stages_(stages), micro_(micro_batches),
-          keep_records_(keep_records)
+          keep_records_(keep_records),
+          overhead_(fabric.gpu_spec().layer_overhead),
+          tokens_per_rep_(stages.front().tokens)
     {
-        const std::uint64_t S = stages_.size();
-        tokens_per_rep_ = stages_.front().tokens;
         const std::uint64_t per_batch =
             tokens_per_rep_ * stages_.front().num_layers;
         reps_ = per_batch > 0 ? stages_.front().steps.size() / per_batch
                               : 0;
         total_ = reps_ * tokens_per_rep_;
-
-        // Flatten each stage's steps into per-token work units.
-        const Seconds overhead = fabric_.gpu_spec().layer_overhead;
-        work_.resize(S);
-        for (std::uint64_t s = 0; s < S; ++s) {
-            const CompiledSchedule &stage = stages_[s];
-            const std::uint64_t L = stage.num_layers;
+        for (const CompiledSchedule &stage : stages_) {
             HELM_ASSERT(stage.tokens == tokens_per_rep_ &&
-                            stage.steps.size() == reps_ * tokens_per_rep_ * L,
+                            stage.steps.size() == total_ * stage.num_layers,
                         "pipeline stages disagree on schedule shape");
-            work_[s].reserve(total_);
-            for (std::uint64_t t = 0; t < total_; ++t) {
-                TokenWork w;
-                w.rep = t / tokens_per_rep_;
-                w.tok = t % tokens_per_rep_;
-                for (std::uint64_t li = 0; li < L; ++li) {
-                    const ScheduledStep &step = stage.steps[t * L + li];
-                    if (li == 0) {
-                        w.stage = step.stage;
-                        w.type = step.type;
-                        w.first_layer = step.layer;
-                    }
-                    w.compute_total += step.compute + overhead;
-                    if (step.cpu_bytes > 0) {
-                        w.weights.push_back(
-                            {step.cpu_bytes, step.cpu_cap, false});
-                        w.cpu_bytes += step.cpu_bytes;
-                    }
-                    if (step.disk_bytes > 0) {
-                        w.weights.push_back(
-                            {step.disk_bytes, step.disk_cap, true});
-                        w.disk_bytes += step.disk_bytes;
-                    }
-                    auto &reads = step.kv_prefetch ? w.kv_reads
-                                                   : w.kv_reads_blocking;
-                    for (const KvFlowSpec &flow : stage.kv_reads(step))
-                        reads.push_back(flow);
-                    for (const KvFlowSpec &flow : stage.kv_writes(step))
-                        w.kv_writes.push_back(flow);
-                    w.kv_read_bytes += stage.kv_read_bytes(step);
-                    w.kv_write_bytes += stage.kv_write_bytes(step);
-                }
-                work_[s].push_back(std::move(w));
-            }
         }
 
         // Micro-batch activation handoffs: ceil(batch / M) requests per
@@ -294,72 +218,155 @@ class PipelineExecutor
         prefill_act_ = 2 * mb * base.shape.prompt_tokens * hidden;
         decode_act_ = 2 * mb * hidden;
 
-        idx_.assign(S, 0);
-        mb_started_.assign(S, 0);
-        mb_done_.assign(S, 0);
-        writes_pending_.assign(S, 0);
-        kv_fetch_state_.assign(S, 0);
-        arrived_.assign(S, std::vector<std::uint64_t>(total_, 0));
-        load_issued_.assign(S, std::vector<char>(total_, 0));
-        load_ready_.assign(S, std::vector<char>(total_, 0));
-        load_issue_t_.assign(S, std::vector<Seconds>(total_, 0.0));
-        load_done_t_.assign(S, std::vector<Seconds>(total_, 0.0));
-        first_start_t_.assign(S, std::vector<Seconds>(total_, 0.0));
-        token_done_t_.assign(S, std::vector<Seconds>(total_, 0.0));
-        last_write_t_.assign(S, -1.0);
-        token_end_.assign(total_, 0.0);
+        stage_.resize(stages_.size());
+        tokens_.assign(stages_.size(), std::vector<TokenState>(total_));
     }
 
     Result<runtime::BatchTimeline>
     run()
     {
-        const std::uint64_t S = stages_.size();
         // Pipeline fill: every stage streams its first token's weights
         // un-overlapped; stage 0's first token is ready immediately.
-        arrived_[0][0] = micro_;
-        for (std::uint64_t s = 0; s < S; ++s)
+        if (total_ > 0)
+            tokens_[0][0].arrived = micro_;
+        for (std::uint64_t s = 0; s < stages_.size(); ++s)
             issue_load(s, 0);
         HELM_RETURN_IF_ERROR(fabric_.run());
-        if (finished_ != total_)
+        if (stage_.back().token != total_)
             return Status::internal("pipeline run did not finish");
-        return build_timeline();
+
+        runtime::BatchTimeline tl;
+        tl.start = 0.0;
+        tl.end = fabric_.sim().now();
+        tl.reps = reps_;
+        tl.tokens = tokens_per_rep_;
+        for (const TokenState &tok : tokens_.back())
+            tl.token_end.push_back(tok.done);
+        if (!keep_records_)
+            return tl;
+        // One record per (stage, token): the token's first layer, its
+        // summed compute and bytes, and its prefetched KV reads then
+        // its writes as per-tier traffic.
+        for (std::uint64_t s = 0; s < stages_.size(); ++s) {
+            const CompiledSchedule &stage = stages_[s];
+            for (std::uint64_t t = 0; t < total_; ++t) {
+                const TokenState &tok = tokens_[s][t];
+                const std::span<const ScheduledStep> steps =
+                    token_steps(s, t);
+                LayerStepRecord &rec = tl.records.emplace_back();
+                rec.gpu_index = s;
+                rec.batch_index = t / tokens_per_rep_;
+                rec.token = t % tokens_per_rep_;
+                rec.layer = steps.front().layer;
+                rec.type = steps.front().type;
+                rec.stage = steps.front().stage;
+                rec.compute_time = tok.compute;
+                rec.transfer_time = tok.load_done - tok.load_issue;
+                rec.transfer_start = tok.load_issue;
+                rec.step_start = tok.start;
+                rec.step_end = tok.done;
+                for (const ScheduledStep &step : steps) {
+                    rec.transfer_bytes += step.cpu_bytes + step.disk_bytes;
+                    rec.kv_read_bytes += stage.kv_read_bytes(step);
+                    rec.kv_write_bytes += stage.kv_write_bytes(step);
+                    if (!step.kv_prefetch)
+                        continue;
+                    for (const KvFlowSpec &flow : stage.kv_reads(step)) {
+                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
+                            stage.kv_tier_names[flow.tier], flow.bytes, 0});
+                    }
+                }
+                for (const ScheduledStep &step : steps) {
+                    for (const KvFlowSpec &flow : stage.kv_writes(step)) {
+                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
+                            stage.kv_tier_names[flow.tier], 0, flow.bytes});
+                    }
+                }
+            }
+        }
+        return tl;
     }
 
   private:
+    /** Stage s's progress through its current token.  A stage has at
+     *  most one load in flight: token t+1's is issued when token t
+     *  starts, which needs token t's load done. */
+    struct StageState
+    {
+        std::uint64_t token = 0;   //!< current token
+        std::uint64_t started = 0; //!< chunks started
+        std::uint64_t done = 0;    //!< chunks finished
+        std::uint64_t loads = 0;   //!< load flows in flight
+        std::uint64_t reads = 0;   //!< blocking KV reads in flight
+        std::uint64_t writes = 0;  //!< KV writebacks in flight
+        bool reads_issued = false; //!< blocking KV reads issued
+    };
+
+    /** One token's activations and event times on one stage. */
+    struct TokenState
+    {
+        std::uint64_t arrived = 0; //!< chunks whose activations landed
+        bool loaded = false;       //!< weights + prefetched KV arrived
+        Seconds compute = 0.0;     //!< GPU time, summed at token start
+        Seconds load_issue = 0.0;
+        Seconds load_done = 0.0;
+        Seconds start = 0.0; //!< first chunk began
+        Seconds done = 0.0;  //!< retired
+    };
+
+    /** Stage @p s's compiled steps for token @p t, in layer order. */
+    std::span<const ScheduledStep>
+    token_steps(std::uint64_t s, std::uint64_t t) const
+    {
+        const std::uint64_t L = stages_[s].num_layers;
+        return std::span(stages_[s].steps).subspan(t * L, L);
+    }
+
+    // Each fan-out below holds one extra count while it issues, so a
+    // zero-byte flow completing inline cannot close it early.
+
+    /** Stream token @p t's weights (layer by layer, host then storage)
+     *  and then its prefetched KV reads onto stage @p s's GPU. */
     void
     issue_load(std::uint64_t s, std::uint64_t t)
     {
-        if (t >= total_ || load_issued_[s][t])
+        if (t >= total_)
             return;
-        load_issued_[s][t] = 1;
-        load_issue_t_[s][t] = fabric_.sim().now();
-        const TokenWork &w = work_[s][t];
-        const std::size_t flows = w.weights.size() + w.kv_reads.size();
-        if (flows == 0) {
-            load_done_t_[s][t] = fabric_.sim().now();
-            load_ready_[s][t] = 1;
-            advance(s);
-            return;
-        }
-        auto latch = std::make_shared<sim::CountdownLatch>(flows);
-        latch->on_zero([this, s, t] {
-            load_done_t_[s][t] = fabric_.sim().now();
-            load_ready_[s][t] = 1;
-            advance(s);
-        });
-        for (const PipeFlow &flow : w.weights) {
-            if (flow.from_storage) {
-                fabric_.storage_to_gpu(s, flow.bytes, flow.cap,
-                                       [latch] { latch->arrive(); });
-            } else {
-                fabric_.host_to_gpu(s, flow.bytes, flow.cap,
-                                    [latch] { latch->arrive(); });
+        tokens_[s][t].load_issue = fabric_.sim().now();
+        const CompiledSchedule &stage = stages_[s];
+        StageState &st = stage_[s];
+        auto arrive = [this, s, t] { load_arrived(s, t); };
+        st.loads = 1;
+        for (const ScheduledStep &step : token_steps(s, t)) {
+            if (step.cpu_bytes > 0) {
+                ++st.loads;
+                fabric_.host_to_gpu(s, step.cpu_bytes, step.cpu_cap, arrive);
+            }
+            if (step.disk_bytes > 0) {
+                ++st.loads;
+                fabric_.storage_to_gpu(s, step.disk_bytes, step.disk_cap,
+                                       arrive);
             }
         }
-        for (const KvFlowSpec &flow : w.kv_reads) {
-            fabric_.host_to_gpu(s, flow.bytes, flow.cap,
-                                [latch] { latch->arrive(); });
+        for (const ScheduledStep &step : token_steps(s, t)) {
+            if (!step.kv_prefetch)
+                continue;
+            for (const KvFlowSpec &flow : stage.kv_reads(step)) {
+                ++st.loads;
+                fabric_.host_to_gpu(s, flow.bytes, flow.cap, arrive);
+            }
         }
+        load_arrived(s, t);
+    }
+
+    void
+    load_arrived(std::uint64_t s, std::uint64_t t)
+    {
+        if (--stage_[s].loads > 0)
+            return;
+        tokens_[s][t].load_done = fabric_.sim().now();
+        tokens_[s][t].loaded = true;
+        advance(s);
     }
 
     /** Start every chunk of stage @p s's current token that has both
@@ -367,36 +374,36 @@ class PipelineExecutor
     void
     advance(std::uint64_t s)
     {
-        const std::uint64_t t = idx_[s];
-        if (t >= total_ || !load_ready_[s][t])
+        StageState &st = stage_[s];
+        const std::uint64_t t = st.token;
+        if (t >= total_ || !tokens_[s][t].loaded)
             return;
-        if (arrived_[s][t] == 0 && mb_started_[s] == 0)
+        if (tokens_[s][t].arrived == 0 && st.started == 0)
             return;
-        const TokenWork &w = work_[s][t];
         // Un-prefetched context reads gate the token's first chunk.
-        if (!w.kv_reads_blocking.empty() && kv_fetch_state_[s] < 2) {
-            if (kv_fetch_state_[s] == 0) {
-                kv_fetch_state_[s] = 1;
-                auto reads = std::make_shared<sim::CountdownLatch>(
-                    w.kv_reads_blocking.size());
-                reads->on_zero([this, s] {
-                    kv_fetch_state_[s] = 2;
-                    advance(s);
-                });
-                for (const KvFlowSpec &flow : w.kv_reads_blocking) {
-                    fabric_.host_to_gpu(s, flow.bytes, flow.cap,
-                                        [reads] { reads->arrive(); });
+        if (!st.reads_issued) {
+            st.reads_issued = true;
+            const CompiledSchedule &stage = stages_[s];
+            st.reads = 1;
+            for (const ScheduledStep &step : token_steps(s, t)) {
+                if (step.kv_prefetch)
+                    continue;
+                for (const KvFlowSpec &flow : stage.kv_reads(step)) {
+                    ++st.reads;
+                    fabric_.host_to_gpu(s, flow.bytes, flow.cap, [this, s] {
+                        if (--stage_[s].reads == 0)
+                            advance(s);
+                    });
                 }
             }
-            return;
+            --st.reads;
         }
-        while (mb_started_[s] < micro_ &&
-               arrived_[s][t] > mb_started_[s]) {
-            const std::uint64_t m = mb_started_[s]++;
-            if (m == 0)
+        if (st.reads > 0)
+            return;
+        while (st.started < micro_ && tokens_[s][t].arrived > st.started) {
+            if (st.started++ == 0)
                 on_token_started(s, t);
-            (void)m; // chunks are interchangeable past this point
-            fabric_.occupy_gpu(s, w.compute_total / micro_,
+            fabric_.occupy_gpu(s, tokens_[s][t].compute / micro_,
                                [this, s, t] { chunk_done(s, t); });
         }
     }
@@ -404,19 +411,25 @@ class PipelineExecutor
     void
     on_token_started(std::uint64_t s, std::uint64_t t)
     {
-        first_start_t_[s][t] = fabric_.sim().now();
-        const TokenWork &w = work_[s][t];
+        TokenState &tok = tokens_[s][t];
+        tok.start = fabric_.sim().now();
+        // Every layer's compute and launch overhead, in layer order.
+        for (const ScheduledStep &step : token_steps(s, t))
+            tok.compute += step.compute + overhead_;
+        StageState &st = stage_[s];
         // store_cache: K/V appends drain concurrently with compute and
         // hold the token open until they land.
-        writes_pending_[s] = w.kv_writes.size();
-        last_write_t_[s] = -1.0;
-        for (const KvFlowSpec &flow : w.kv_writes) {
-            fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
-                last_write_t_[s] = fabric_.sim().now();
-                --writes_pending_[s];
-                maybe_complete(s, t);
-            });
+        st.writes = 1;
+        for (const ScheduledStep &step : token_steps(s, t)) {
+            for (const KvFlowSpec &flow : stages_[s].kv_writes(step)) {
+                ++st.writes;
+                fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
+                    --stage_[s].writes;
+                    maybe_complete(s, t);
+                });
+            }
         }
+        --st.writes;
         // Zig-zag: prefetch the next token's weights behind compute.
         issue_load(s, t + 1);
     }
@@ -424,22 +437,21 @@ class PipelineExecutor
     void
     chunk_done(std::uint64_t s, std::uint64_t t)
     {
-        const std::uint64_t S = stages_.size();
-        if (s + 1 < S) {
-            const Bytes act = work_[s][t].tok == 0 ? prefill_act_
-                                                   : decode_act_;
+        if (s + 1 < stages_.size()) {
+            const Bytes act =
+                t % tokens_per_rep_ == 0 ? prefill_act_ : decode_act_;
             const Bandwidth w_cap =
                 stages_[s].system.gpu_to_host_bw(act);
             const Bandwidth r_cap =
                 stages_[s + 1].system.host_to_gpu_bw(act);
             fabric_.gpu_to_host(s, act, w_cap, [this, s, t, act, r_cap] {
                 fabric_.host_to_gpu(s + 1, act, r_cap, [this, s, t] {
-                    ++arrived_[s + 1][t];
+                    ++tokens_[s + 1][t].arrived;
                     advance(s + 1);
                 });
             });
         }
-        ++mb_done_[s];
+        ++stage_[s].done;
         maybe_complete(s, t);
         advance(s);
     }
@@ -447,147 +459,104 @@ class PipelineExecutor
     void
     maybe_complete(std::uint64_t s, std::uint64_t t)
     {
-        if (idx_[s] != t || mb_done_[s] != micro_ ||
-            writes_pending_[s] != 0)
+        StageState &st = stage_[s];
+        if (st.token != t || st.done != micro_ || st.writes != 0)
             return;
-        token_done_t_[s][t] = fabric_.sim().now();
-        idx_[s] = t + 1;
-        mb_started_[s] = 0;
-        mb_done_[s] = 0;
-        kv_fetch_state_[s] = 0;
-        if (s + 1 == stages_.size()) {
-            token_end_[t] = fabric_.sim().now();
-            ++finished_;
-            // Autoregressive feedback: the next token enters stage 0.
-            if (t + 1 < total_) {
-                arrived_[0][t + 1] = micro_;
-                advance(0);
-            }
+        tokens_[s][t].done = fabric_.sim().now();
+        st.token = t + 1;
+        st.started = 0;
+        st.done = 0;
+        st.reads_issued = false;
+        // Autoregressive feedback: the next token enters stage 0.
+        if (s + 1 == stages_.size() && t + 1 < total_) {
+            tokens_[0][t + 1].arrived = micro_;
+            advance(0);
         }
         advance(s);
-    }
-
-    runtime::BatchTimeline
-    build_timeline() const
-    {
-        runtime::BatchTimeline tl;
-        tl.start = 0.0;
-        tl.end = fabric_.sim().now();
-        tl.reps = reps_;
-        tl.tokens = tokens_per_rep_;
-        tl.token_end = token_end_;
-        if (keep_records_) {
-            for (std::uint64_t s = 0; s < stages_.size(); ++s) {
-                for (std::uint64_t t = 0; t < total_; ++t) {
-                    const TokenWork &w = work_[s][t];
-                    LayerStepRecord rec;
-                    rec.gpu_index = s;
-                    rec.batch_index = w.rep;
-                    rec.token = w.tok;
-                    rec.layer = w.first_layer;
-                    rec.type = w.type;
-                    rec.stage = w.stage;
-                    rec.compute_time = w.compute_total;
-                    rec.transfer_time =
-                        load_done_t_[s][t] - load_issue_t_[s][t];
-                    rec.transfer_bytes = w.cpu_bytes + w.disk_bytes;
-                    rec.kv_read_bytes = w.kv_read_bytes;
-                    rec.kv_write_bytes = w.kv_write_bytes;
-                    rec.transfer_start = load_issue_t_[s][t];
-                    rec.step_start = first_start_t_[s][t];
-                    rec.step_end = token_done_t_[s][t];
-                    for (const KvFlowSpec &flow : w.kv_reads) {
-                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
-                            stages_[s].kv_tier_names[flow.tier],
-                            flow.bytes, 0});
-                    }
-                    for (const KvFlowSpec &flow : w.kv_writes) {
-                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
-                            stages_[s].kv_tier_names[flow.tier], 0,
-                            flow.bytes});
-                    }
-                    tl.records.push_back(std::move(rec));
-                }
-            }
-        }
-        return tl;
     }
 
     runtime::Fabric &fabric_;
     const std::vector<CompiledSchedule> &stages_;
     std::uint64_t micro_;
     bool keep_records_;
-    std::uint64_t tokens_per_rep_ = 0;
+    Seconds overhead_; //!< per-layer launch overhead
+    std::uint64_t tokens_per_rep_;
     std::uint64_t reps_ = 0;
     std::uint64_t total_ = 0; //!< tokens across all reps
     Bytes prefill_act_ = 0;
     Bytes decode_act_ = 0;
-    std::vector<std::vector<TokenWork>> work_; //!< [stage][token]
-    std::vector<std::uint64_t> idx_;
-    std::vector<std::uint64_t> mb_started_;
-    std::vector<std::uint64_t> mb_done_;
-    std::vector<std::uint64_t> writes_pending_;
-    std::vector<int> kv_fetch_state_; //!< 0 idle / 1 inflight / 2 done
-    std::vector<std::vector<std::uint64_t>> arrived_;
-    std::vector<std::vector<char>> load_issued_;
-    std::vector<std::vector<char>> load_ready_;
-    std::vector<std::vector<Seconds>> load_issue_t_;
-    std::vector<std::vector<Seconds>> load_done_t_;
-    std::vector<std::vector<Seconds>> first_start_t_;
-    std::vector<std::vector<Seconds>> token_done_t_;
-    std::vector<Seconds> last_write_t_;
-    std::vector<Seconds> token_end_;
-    std::uint64_t finished_ = 0;
+    std::vector<StageState> stage_;
+    std::vector<std::vector<TokenState>> tokens_; //!< [stage][token]
 };
 
-} // namespace
+/** Compile @p serving once per entry of @p plan. */
+Result<std::vector<CompiledSchedule>>
+compile_shards(const runtime::ServingSpec &serving,
+               const std::vector<runtime::ShardOptions> &plan)
+{
+    std::vector<CompiledSchedule> shards;
+    shards.reserve(plan.size());
+    for (const runtime::ShardOptions &shard : plan) {
+        auto compiled_or = runtime::compile_schedule(serving, shard);
+        if (!compiled_or.is_ok())
+            return compiled_or.status();
+        shards.push_back(std::move(*compiled_or));
+    }
+    return shards;
+}
 
+/** Run one tensor or pipeline batch to completion on @p fabric, one
+ *  shard per GPU. */
 Result<runtime::BatchTimeline>
 run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
            Parallelism mode, std::uint64_t micro_batches,
            const runtime::ServingSpec &base, bool keep_records)
 {
-    if (shards.size() != fabric.gpus())
-        return Status::invalid_argument("one shard per GPU required");
     if (mode == Parallelism::kTensor) {
         runtime::Executor lockstep(fabric, shards);
         HELM_RETURN_IF_ERROR(lockstep.run());
         return lockstep.timeline(keep_records);
     }
-    if (micro_batches < 1)
-        return Status::invalid_argument("micro_batches must be >= 1");
     PipelineExecutor pipeline(fabric, shards, micro_batches, base,
                               keep_records);
     return pipeline.run();
 }
 
-// ---------------------------------------------------------------------------
-// Saturation runs
-// ---------------------------------------------------------------------------
+} // namespace
 
-Result<SaturationResult>
-run_saturated(const ClusterSpec &spec, bool keep_records)
+Result<CompiledCluster>
+compile_cluster(const ClusterSpec &spec, const runtime::ServingSpec &serving)
 {
-    HELM_RETURN_IF_ERROR(spec.validate());
-    const std::uint64_t N = spec.gpus;
     auto plan_or = shard_plan(spec);
     if (!plan_or.is_ok())
         return plan_or.status();
     // Replicas all run the one full-model schedule.
     if (spec.parallelism == Parallelism::kReplica)
         plan_or->resize(1);
-    auto shards_or = compile_shards(spec.serving, *plan_or);
+    auto shards_or = compile_shards(serving, *plan_or);
     if (!shards_or.is_ok())
         return shards_or.status();
-    const std::vector<CompiledSchedule> &shards = *shards_or;
-    const CompiledSchedule &head = shards.front();
+    CompiledCluster out;
+    out.shards = std::move(*shards_or);
+    out.rates = compute_port_rates(
+        out.shards.front(), spec.sockets,
+        cluster_resident_bytes(out.shards, spec.parallelism, spec.gpus));
+    return out;
+}
 
-    runtime::Fabric fabric(
-        N, spec.serving.gpu,
-        compute_port_rates(
-            head, spec.sockets,
-            cluster_resident_bytes(shards, spec.parallelism, N)));
-    std::vector<runtime::BatchTimeline> timelines;
+Result<ClusterBatch>
+run_cluster_batch(const ClusterSpec &spec,
+                  const runtime::ServingSpec &serving, bool keep_records)
+{
+    auto cluster_or = compile_cluster(spec, serving);
+    if (!cluster_or.is_ok())
+        return cluster_or.status();
+    const std::vector<CompiledSchedule> &shards = cluster_or->shards;
+    const CompiledSchedule &head = shards.front();
+    const std::uint64_t N = spec.gpus;
+
+    runtime::Fabric fabric(N, serving.gpu, cluster_or->rates);
+    ClusterBatch out;
     if (spec.parallelism == Parallelism::kReplica) {
         const std::uint64_t per_batch = head.tokens * head.num_layers;
         const std::uint64_t reps =
@@ -600,37 +569,57 @@ run_saturated(const ClusterSpec &spec, bool keep_records)
         HELM_RETURN_IF_ERROR(fabric.run());
         for (std::uint64_t g = 0; g < N; ++g) {
             HELM_RETURN_IF_ERROR(jobs[g].status());
-            timelines.push_back(
+            out.timelines.push_back(
                 jobs[g].timeline(keep_records, /*batch_tag=*/g * reps));
         }
     } else {
         auto tl_or = run_shards(
             fabric, shards, spec.parallelism,
-            spec.micro_batches > 0 ? spec.micro_batches : N, spec.serving,
+            spec.micro_batches > 0 ? spec.micro_batches : N, serving,
             keep_records);
         if (!tl_or.is_ok())
             return tl_or.status();
-        timelines.push_back(std::move(*tl_or));
+        out.timelines.push_back(std::move(*tl_or));
     }
 
-    SaturationResult out;
-    for (const runtime::BatchTimeline &tl : timelines) {
+    for (const runtime::BatchTimeline &tl : out.timelines) {
         out.makespan = std::max(out.makespan, tl.end - tl.start);
         out.total_tokens += tl.reps * head.effective_batch * tl.tokens;
     }
+    out.gpus = gpu_stats(fabric, out.makespan);
+    out.ports = port_stats(fabric, out.makespan);
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// Saturation runs
+// ---------------------------------------------------------------------------
+
+Result<SaturationResult>
+run_saturated(const ClusterSpec &spec, bool keep_records)
+{
+    HELM_RETURN_IF_ERROR(spec.validate());
+    auto batch_or = run_cluster_batch(spec, spec.serving, keep_records);
+    if (!batch_or.is_ok())
+        return batch_or.status();
+    ClusterBatch &batch = *batch_or;
+
+    SaturationResult out;
+    out.makespan = batch.makespan;
+    out.total_tokens = batch.total_tokens;
     out.aggregate_throughput =
         out.makespan > 0.0
             ? static_cast<double>(out.total_tokens) / out.makespan
             : 0.0;
     const runtime::TokenLatencies latencies =
-        runtime::token_latencies(timelines.front());
+        runtime::token_latencies(batch.timelines.front());
     out.ttft = mean_discarding_first(latencies.ttft);
     out.tbt = mean_discarding_first(latencies.tbt);
-    out.gpus = gpu_stats(fabric, out.makespan);
+    out.gpus = std::move(batch.gpus);
     for (GpuUtilization &u : out.gpus)
         u.batches = 1;
-    out.ports = port_stats(fabric, out.makespan);
-    for (runtime::BatchTimeline &tl : timelines) {
+    out.ports = std::move(batch.ports);
+    for (runtime::BatchTimeline &tl : batch.timelines) {
         out.records.insert(out.records.end(),
                            std::make_move_iterator(tl.records.begin()),
                            std::make_move_iterator(tl.records.end()));

@@ -12,17 +12,23 @@
  * engine's; with N GPUs the port water-fills across GPUs and Optane's
  * read ceiling emerges cluster-wide.
  *
+ * run_cluster_batch() is the one place a cluster batch is compiled,
+ * placed on a fabric, run and measured: run_saturated() and
+ * ClusterServer's sharded launches call it, and ClusterServer's
+ * replica loop sizes its fabric through the same compile_cluster().
  * Replica jobs (one GPU each) and tensor shards (N GPUs in lockstep)
  * run on the same runtime::Executor as simulate_inference().  Only
- * pipeline parallelism has its own executor here: its per-token
- * micro-batch state machine hands activations between stages, which
- * is a different algorithm from the zig-zag loop.
+ * pipeline parallelism has its own executor, which reads each stage's
+ * compiled steps in place: its per-token micro-batch state machine
+ * hands activations between stages, loads a whole token's layers at
+ * once, and retires a token on its chunks and writebacks alone, where
+ * the zig-zag loop loads one layer per step and makes step k wait for
+ * step k+1's load.
  */
 #ifndef HELM_CLUSTER_CLUSTER_ENGINE_H
 #define HELM_CLUSTER_CLUSTER_ENGINE_H
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -42,38 +48,49 @@ runtime::FabricRates compute_port_rates(
     const runtime::CompiledSchedule &shard, std::uint64_t sockets,
     Bytes cluster_resident_bytes);
 
-/** Cluster-wide host working set of @p gpus GPUs under @p mode:
- *  replicas all run shards.front() and share its one read-only weight
- *  copy, each with a private KV overflow; tensor/pipeline shards are
- *  disjoint and sum. */
-Bytes cluster_resident_bytes(
-    std::span<const runtime::CompiledSchedule> shards, Parallelism mode,
-    std::uint64_t gpus);
-
 /** Shard options for every GPU under @p spec's parallelism. */
 Result<std::vector<runtime::ShardOptions>> shard_plan(const ClusterSpec &spec);
 
-/** Compile @p serving once per entry of @p plan. */
-Result<std::vector<runtime::CompiledSchedule>>
-compile_shards(const runtime::ServingSpec &serving,
-               const std::vector<runtime::ShardOptions> &plan);
+/** A cluster batch compiled for its fabric: one schedule per GPU
+ *  (replicas share a single full-model entry) and the fabric rates
+ *  compute_port_rates() sizes for their cluster-wide working set. */
+struct CompiledCluster
+{
+    std::vector<runtime::CompiledSchedule> shards;
+    runtime::FabricRates rates;
+};
+
+/** Compile @p serving along @p spec's shard plan and size its fabric. */
+Result<CompiledCluster> compile_cluster(const ClusterSpec &spec,
+                                        const runtime::ServingSpec &serving);
+
+/** One cluster batch as it ran; stats are over the makespan, with
+ *  `batches` and `requests` left to the caller. */
+struct ClusterBatch
+{
+    /** Replica mode: one timeline per GPU; tensor/pipeline: one. */
+    std::vector<runtime::BatchTimeline> timelines;
+    Seconds makespan = 0.0;         //!< longest timeline
+    std::uint64_t total_tokens = 0; //!< generated, all timelines
+    std::vector<GpuUtilization> gpus;
+    std::vector<PortStats> ports;
+};
 
 /**
- * Run one sharded batch to completion on @p fabric (one GPU per shard).
- * Tensor: the shards advance in lockstep on the runtime executor — all
- * GPUs load step k+1's slices concurrently (hammering the shared read
- * port), compute step k, and barrier.  Pipeline: stage s runs on GPU s;
- * per (rep, token) a stage streams its layer weights once (prefetched
- * during the previous token), computes micro_batches chunks, and hands
- * each chunk's activations to the next stage through the host ports
- * (d2h then h2d).  Token t+1 enters stage 0 when token t leaves the
- * last stage (autoregressive feedback).
+ * Run one batch of @p serving, compiled by compile_cluster(), to
+ * completion on a fresh fabric.  Replica: every GPU runs a full copy on
+ * the runtime executor.  Tensor: the shards advance in lockstep on the
+ * runtime executor — all GPUs load step k+1's slices concurrently
+ * (hammering the shared read port), compute step k, and barrier.
+ * Pipeline: stage s runs on GPU s; per (rep, token) a stage streams its
+ * layer weights once (prefetched during the previous token), computes
+ * micro_batches chunks, and hands each chunk's activations to the next
+ * stage through the host ports (d2h then h2d).  Token t+1 enters stage
+ * 0 when token t leaves the last stage (autoregressive feedback).
  */
-Result<runtime::BatchTimeline>
-run_shards(runtime::Fabric &fabric,
-           const std::vector<runtime::CompiledSchedule> &shards,
-           Parallelism mode, std::uint64_t micro_batches,
-           const runtime::ServingSpec &base, bool keep_records);
+Result<ClusterBatch> run_cluster_batch(const ClusterSpec &spec,
+                                       const runtime::ServingSpec &serving,
+                                       bool keep_records);
 
 /** Per-GPU busy time / link bytes, utilization over @p makespan
  *  (`batches` and `requests` are left to the caller). */
@@ -84,11 +101,12 @@ std::vector<PortStats> port_stats(const runtime::Fabric &fabric,
                                   Seconds makespan);
 
 /**
- * Closed-loop saturation run: replica mode runs `serving.repeats`
- * back-to-back full batches on every GPU; tensor/pipeline run the
- * sharded batch once with `serving.repeats` repeats.  This is the
- * regime where the shared read port either binds (NVDRAM) or does not
- * (DRAM) — bench/abl_cluster sweeps it.
+ * Closed-loop saturation run: run_cluster_batch() on `spec.serving`.
+ * Replica mode runs `serving.repeats` back-to-back full batches on
+ * every GPU; tensor/pipeline run the sharded batch once with
+ * `serving.repeats` repeats.  This is the regime where the shared read
+ * port either binds (NVDRAM) or does not (DRAM) — bench/abl_cluster
+ * sweeps it.
  */
 Result<SaturationResult> run_saturated(const ClusterSpec &spec,
                                        bool keep_records = false);

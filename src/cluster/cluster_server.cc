@@ -16,7 +16,6 @@
 namespace helm::cluster {
 
 using runtime::CompiledSchedule;
-using runtime::ServingSpec;
 
 Result<ClusterServer>
 ClusterServer::create(ClusterSpec spec)
@@ -173,16 +172,10 @@ ClusterServer::run_replica_cluster(bool keep_records)
 
     // Fabric sizing: replicas share one read-only weight copy on the
     // host tier; each GPU's KV overflow is private.
-    auto template_or = runtime::compile_schedule(spec_.serving);
-    if (!template_or.is_ok())
-        return template_or.status();
-    const CompiledSchedule &tmpl = *template_or;
-    runtime::Fabric fabric(
-        N, spec_.serving.gpu,
-        compute_port_rates(tmpl, spec_.sockets,
-                           cluster_resident_bytes(std::span(&tmpl, 1),
-                                                  Parallelism::kReplica,
-                                                  N)));
+    auto sizing_or = compile_cluster(spec_, spec_.serving);
+    if (!sizing_or.is_ok())
+        return sizing_or.status();
+    runtime::Fabric fabric(N, spec_.serving.gpu, sizing_or->rates);
     std::deque<runtime::Executor> jobs; //!< alive until the fabric drains
 
     const std::uint64_t cap = config_.max_queue_length;
@@ -333,67 +326,39 @@ Result<ClusterReport>
 ClusterServer::run_sharded(bool keep_records)
 {
     const std::uint64_t N = spec_.gpus;
-    auto plan_or = shard_plan(spec_);
-    if (!plan_or.is_ok())
-        return plan_or.status();
-    const std::vector<runtime::ShardOptions> &plan = *plan_or;
-    const std::uint64_t micro = spec_.micro_batches > 0
-                                    ? spec_.micro_batches
-                                    : N;
 
     /** One sharded batch execution (memoized by padded shape). */
     struct BatchRun
     {
-        Seconds ttft = 0.0;
-        Seconds tbt = 0.0;
-        Seconds total_time = 0.0;
-        std::vector<GpuUtilization> gpus;
-        std::vector<PortStats> ports;
-        std::vector<runtime::LayerStepRecord> records;
+        ClusterBatch batch;
+        runtime::TokenLatencies latencies;
         telemetry::TimeAttribution attribution;
     };
     std::map<runtime::BatchShape, BatchRun> memo;
 
-    auto run_sharded = [&](const runtime::BatchShape &batch,
-                           bool want_records) -> Result<BatchRun> {
-        const auto cached = memo.find(batch);
+    auto run_batch = [&](const runtime::BatchShape &shape,
+                         bool want_records) -> Result<const BatchRun *> {
+        const auto cached = memo.find(shape);
         if (cached != memo.end())
-            return cached->second;
-
-        const ServingSpec spec = runtime::batch_spec(
-            spec_.serving, batch, /*keep_records=*/false);
-
-        auto shards_or = compile_shards(spec, plan);
-        if (!shards_or.is_ok())
-            return shards_or.status();
-        const std::vector<CompiledSchedule> &shards = *shards_or;
-        const Bytes resident =
-            cluster_resident_bytes(shards, spec_.parallelism, N);
-        runtime::Fabric fabric(
-            N, spec.gpu,
-            compute_port_rates(shards.front(), spec_.sockets, resident));
-        auto tl_or = run_shards(fabric, shards, spec_.parallelism, micro,
-                                spec, want_records || telemetry_);
-        if (!tl_or.is_ok())
-            return tl_or.status();
+            return &cached->second;
+        auto batch_or = run_cluster_batch(
+            spec_,
+            runtime::batch_spec(spec_.serving, shape,
+                                /*keep_records=*/false),
+            want_records || telemetry_);
+        if (!batch_or.is_ok())
+            return batch_or.status();
         BatchRun run;
-        const runtime::TokenLatencies latencies =
-            runtime::token_latencies(*tl_or);
-        run.ttft = latencies.ttft.front();
-        run.tbt = latencies.tbt.front();
-        run.total_time = tl_or->end - tl_or->start;
-        run.gpus = gpu_stats(fabric, run.total_time);
-        run.ports = port_stats(fabric, run.total_time);
-        run.records = std::move(tl_or->records);
+        run.batch = std::move(*batch_or);
+        run.latencies = runtime::token_latencies(run.batch.timelines.front());
         if (telemetry_) {
             // Batch-relative times, one shard timeline per GPU: the
-            // per-batch wall is total_time on each of the N GPUs.
+            // per-batch wall is the makespan on each of the N GPUs.
             run.attribution = runtime::attribute_records(
-                run.records, spec_.serving.gpu.layer_overhead,
-                run.total_time);
+                run.batch.timelines.front().records,
+                spec_.serving.gpu.layer_overhead, run.batch.makespan);
         }
-        memo.emplace(batch, run);
-        return run;
+        return &memo.emplace(shape, std::move(run)).first->second;
     };
 
     // Cluster-wide accumulators across launches (memoized runs count
@@ -407,31 +372,34 @@ ClusterServer::run_sharded(bool keep_records)
         pending_, admission_, config_,
         [&](const runtime::BatchShape &batch, Seconds,
             std::uint64_t) -> Result<runtime::BatchCost> {
-            auto run_or = run_sharded(batch, keep_records && !recorded);
+            auto run_or = run_batch(batch, keep_records && !recorded);
             if (!run_or.is_ok())
                 return run_or.status();
-            const BatchRun &run = *run_or;
+            const BatchRun &run = **run_or;
             if (telemetry_)
                 attribution_.merge(run.attribution);
             for (std::uint64_t g = 0; g < N; ++g) {
                 out.gpus[g].batches += 1;
-                out.gpus[g].compute_busy += run.gpus[g].compute_busy;
-                out.gpus[g].h2d_bytes += run.gpus[g].h2d_bytes;
-                out.gpus[g].d2h_bytes += run.gpus[g].d2h_bytes;
+                out.gpus[g].compute_busy += run.batch.gpus[g].compute_busy;
+                out.gpus[g].h2d_bytes += run.batch.gpus[g].h2d_bytes;
+                out.gpus[g].d2h_bytes += run.batch.gpus[g].d2h_bytes;
                 out.gpus[g].requests += batch.count;
             }
             if (out.ports.empty()) {
-                out.ports = run.ports;
+                out.ports = run.batch.ports;
                 for (PortStats &p : out.ports)
                     p.bytes = 0;
             }
             for (std::size_t p = 0; p < out.ports.size(); ++p)
-                out.ports[p].bytes += run.ports[p].bytes;
-            if (!recorded && !run.records.empty()) {
-                out.records = run.records;
+                out.ports[p].bytes += run.batch.ports[p].bytes;
+            const auto &records = run.batch.timelines.front().records;
+            if (!recorded && !records.empty()) {
+                out.records = records;
                 recorded = true;
             }
-            return runtime::BatchCost{run.ttft, run.tbt, run.total_time};
+            return runtime::BatchCost{run.latencies.ttft.front(),
+                                      run.latencies.tbt.front(),
+                                      run.batch.makespan};
         });
     pending_.clear();
     if (!report_or.is_ok())

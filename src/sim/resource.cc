@@ -28,7 +28,11 @@ FifoResource::release()
         waiters_.pop_front();
         // Admit via a zero-delay event so release() never runs user code
         // synchronously (mirrors BandwidthChannel's deferred completions).
+        // The resource is promised to that waiter meanwhile: an occupy()
+        // issued before the admission fires must queue behind it.
+        admitting_ = true;
         simulator_.schedule(0.0, [this, next = std::move(next)]() mutable {
+            admitting_ = false;
             update_busy_integral();
             ++in_use_;
             next();
@@ -47,7 +51,7 @@ FifoResource::occupy(Seconds duration, std::function<void()> on_done)
                                 on_done();
                             });
     };
-    if (in_use_ == 0 && waiters_.empty()) {
+    if (in_use_ == 0 && !admitting_ && waiters_.empty()) {
         update_busy_integral();
         ++in_use_;
         hold();

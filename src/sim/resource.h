@@ -42,7 +42,8 @@ class FifoResource
      * @p on_done — the "occupy the GPU for t_compute" pattern.  A free
      * resource is taken synchronously; otherwise the request waits, and
      * each release admits the next waiter via a zero-delay event, so a
-     * release never runs a waiter's code synchronously.
+     * release never runs a waiter's code synchronously.  The resource
+     * counts as taken until that admission fires.
      */
     void occupy(Seconds duration, std::function<void()> on_done);
 
@@ -58,6 +59,9 @@ class FifoResource
     Simulator &simulator_;
     std::string name_;
     std::size_t in_use_ = 0;
+    /** A release handed the resource to a waiter whose zero-delay
+     *  admission has not fired yet. */
+    bool admitting_ = false;
     std::deque<std::function<void()>> waiters_;
     // busy-time integral bookkeeping
     Seconds busy_accum_ = 0.0;

@@ -59,6 +59,24 @@ TEST(FifoResource, FifoOrderAmongWaiters)
     EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
+TEST(FifoResource, OccupyDuringAdmissionQueuesBehindTheWaiter)
+{
+    Simulator sim;
+    FifoResource res(sim, "gpu");
+    Seconds b_done = -1.0, c_done = -1.0;
+    // A's release hands the resource to B through a zero-delay event;
+    // C, occupied from A's own on_done before that event fires, must
+    // queue behind B rather than run alongside it.
+    res.occupy(1.0, [&] {
+        res.occupy(1.0, [&] { c_done = sim.now(); });
+    });
+    res.occupy(1.0, [&] { b_done = sim.now(); });
+    sim.run();
+    EXPECT_NEAR(b_done, 2.0, kTol);
+    EXPECT_NEAR(c_done, 3.0, kTol);
+    EXPECT_NEAR(res.busy_time(), 3.0, kTol);
+}
+
 TEST(FifoResource, OccupySerializesOnUnitCapacity)
 {
     Simulator sim;

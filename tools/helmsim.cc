@@ -5,7 +5,7 @@
  * Subcommands:
  *   run       simulate one serving configuration, print metrics
  *   serve     request-level serving: an arrival stream through the
- *             FCFS scheduler, per-request SLO metrics
+ *             fcfs/continuous/edf scheduler, per-request SLO metrics
  *   cluster   multi-GPU serving over shared host memory: replica,
  *             pipeline, or tensor parallelism behind shared ports
  *   tune      QoS auto-tuner: best plan for an objective (+ TBT ceiling)
@@ -1801,7 +1801,7 @@ usage()
            "subcommands:\n"
            "  run       simulate one serving configuration\n"
            "  serve     request-level serving: arrival stream through "
-           "the FCFS scheduler\n"
+           "the fcfs | continuous | edf scheduler\n"
            "  cluster   multi-GPU serving over shared host memory "
            "(replica | pipeline | tensor)\n"
            "  gateway   closed-loop client gateway: sessions, "
