@@ -37,7 +37,7 @@ BM_BandwidthChannelFlows(benchmark::State &state)
 {
     for (auto _ : state) {
         sim::Simulator sim;
-        sim::BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(25.0));
+        sim::BandwidthChannel ch(sim, Bandwidth::gb_per_s(25.0));
         const int n = static_cast<int>(state.range(0));
         int done = 0;
         for (int i = 0; i < n; ++i) {

@@ -32,7 +32,7 @@ measure_copy(const mem::HostMemorySystem &system, Bytes buffer,
                               : system.gpu_to_host_bw(buffer);
 
     sim::Simulator sim;
-    sim::BandwidthChannel channel(sim, "pcie-copy", link);
+    sim::BandwidthChannel channel(sim, link);
     bool done = false;
     channel.start_flow(buffer, cap, [&done] { done = true; });
     sim.run();

@@ -16,26 +16,35 @@
  *    rescheduled, with any transfer time the iteration clock cannot
  *    hide charged as exposed swap stall.
  *
- * Iteration costs come from the same DES engine the FCFS path uses, as
- * memoized probes through run_shape():
+ * Iteration costs come from the engine the FCFS path uses
+ * (simulate_inference: the zig-zag schedule, in closed form when it is
+ * single-flow), looked up in a dense per-Server table filled on first
+ * use (Server::iteration_cost):
  *
  *  - a prefill of k requests padded to prompt p costs the TTFT of
- *    simulate(batch=k, shape=(p, 1));
+ *    simulate(batch=k, shape=(bucket(p), 1));
  *  - a decode step of m requests at context c costs the TBT of
  *    simulate(batch=m, shape=(bucket(c), 2)) — the context is bucketed
- *    to KV-block multiples so the probe memo stays small while the
- *    cost still grows with the live context.
+ *    to KV-block multiples so the table stays small while the cost
+ *    still grows with the live context.
  *
  * This keeps the per-iteration timing consistent with the engine's
- * placement/contention model (the probes contend on the same simulated
- * fabrics) without re-deriving a second analytical cost model.
+ * placement/contention model without re-deriving a second analytical
+ * cost model.
+ *
+ * One iteration costs O(running slots) plus table hits: the scratch
+ * lists live across boundaries, and EDF keeps its waiting and swapped
+ * requests in one ordered set that each boundary merges with the
+ * (at most ceiling) running slots, instead of re-sorting every
+ * candidate.
  */
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
-#include <tuple>
+#include <set>
 #include <utility>
 
 #include "mem/registry.h"
@@ -46,13 +55,6 @@ namespace helm::runtime {
 namespace {
 
 constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-
-/** Deadline key for EDF ordering: "no deadline" sorts last. */
-Seconds
-edf_key(Seconds deadline)
-{
-    return deadline == 0.0 ? kInf : deadline;
-}
 
 /** Scheduler-side view of one submitted request's progress. */
 struct ReqState
@@ -66,9 +68,54 @@ struct ReqState
     bool prefilled = false;  //!< KV resident (prefill done)
     bool promoting = false;  //!< swap-in in flight
     Seconds ready_at = 0.0;  //!< when the promotion completes
+    bool queued = false;     //!< waiting (EDF leaves its deque lazily)
+    bool running = false;    //!< holds a slot (incl. promoting)
+    bool swapped = false;    //!< preempted, KV on the host tiers
+};
+
+/**
+ * A request's place in EDF order: (deadline, arrival, id), then its
+ * stream index, so no two keys are equal.  "No deadline" sorts last.
+ * Running slots go before waiting or swapped requests of the same
+ * deadline, so equal-deadline mixes never thrash.
+ */
+struct EdfKey
+{
+    Seconds deadline;
+    Seconds arrival;
+    std::uint64_t id;
+    std::size_t index;
+
+    auto operator<=>(const EdfKey &) const = default;
 };
 
 } // namespace
+
+Result<Seconds>
+Server::iteration_cost(bool decode, std::uint64_t count,
+                       std::uint64_t tokens)
+{
+    const std::uint64_t grain =
+        admission_.kv_block_tokens > 0 ? admission_.kv_block_tokens : 16;
+    const std::uint64_t bucket = (tokens + grain - 1) / grain;
+    std::vector<std::vector<Seconds>> &rows = iteration_costs_[decode];
+    if (rows.size() <= count)
+        rows.resize(count + 1);
+    std::vector<Seconds> &row = rows[count];
+    if (row.size() <= bucket)
+        row.resize(bucket + 1, std::numeric_limits<Seconds>::quiet_NaN());
+    Seconds &cost = row[bucket];
+    if (std::isnan(cost)) {
+        const BatchShape shape{count, {bucket * grain, decode ? 2u : 1u}};
+        auto run = simulate_inference(
+            batch_spec(base_, shape, /*keep_records=*/false));
+        if (!run.is_ok())
+            return run.status();
+        h2d_rate_ = run->h2d_rate;
+        cost = decode ? run->metrics.tbt : run->metrics.ttft;
+    }
+    return cost;
+}
 
 Result<ServingReport>
 Server::run_continuous()
@@ -80,6 +127,7 @@ Server::run_continuous()
     report.submitted = pending_.size();
     if (pending_.empty())
         return report;
+    report.requests.reserve(pending_.size());
 
     const bool edf = config_.scheduler == SchedulerKind::kEdf;
 
@@ -112,16 +160,38 @@ Server::run_continuous()
     for (std::size_t i = 0; i < total; ++i)
         ++tenants[pending_[i].request.tenant].submitted;
 
+    // Tenant queues in arrival order.  EDF picks from anywhere in them,
+    // so a chosen request stays in its deque until it reaches the front
+    // (skipped there as no longer queued).
     std::vector<std::deque<std::size_t>> waiting(tenant_count);
     std::uint64_t waiting_count = 0;
     std::vector<std::size_t> running; // scheduled slots (incl. promoting)
-    std::vector<std::size_t> swapped; // preempted, KV on the host tiers
-    std::vector<char> in_running(total, 0);
+    std::uint64_t swapped_count = 0;
+    // EDF: every waiting and swapped request, in deadline order.
+    std::set<EdfKey> edf_order;
+    auto edf_key_of = [&](std::size_t s) {
+        const Seconds deadline = state[s].deadline;
+        return EdfKey{deadline == 0.0 ? kInf : deadline,
+                      pending_[s].arrival, pending_[s].request.id, s};
+    };
+
+    // Boundary scratch, reused across iterations.
+    std::vector<std::size_t> prefills; // chosen from waiting
+    std::vector<std::size_t> decoders;
+    std::vector<std::size_t> chosen;
+    std::vector<std::size_t> kept;
+    std::vector<EdfKey> running_order;
+    std::vector<char> taken(edf ? total : 0, 0);
 
     // ---- KV admission geometry (the FCFS bound) -------------------------
     const bool kv_bounded = admission_.kv_bounded();
     auto full_context = [this](const workload::Request &r) {
         return r.prompt_tokens + r.output_tokens;
+    };
+    auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
+        return count <= admission_.ceiling &&
+               (!kv_bounded || admission_.padded_blocks(count, ctx) <=
+                                   admission_.kv_capacity_blocks);
     };
 
     // ---- Arrival admission ---------------------------------------------
@@ -142,33 +212,15 @@ Server::run_continuous()
                 ++tenants[rq.tenant].rejected;
             } else {
                 waiting[rq.tenant].push_back(next_arrival);
+                state[next_arrival].queued = true;
+                if (edf)
+                    edf_order.insert(edf_key_of(next_arrival));
                 ++waiting_count;
                 report.max_queue_depth = std::max<std::uint64_t>(
                     report.max_queue_depth, waiting_count);
             }
             ++next_arrival;
         }
-    };
-
-    // ---- Iteration cost probes (memoized through run_shape) ------------
-    const std::uint64_t bucket_grain =
-        admission_.kv_block_tokens > 0 ? admission_.kv_block_tokens : 16;
-    auto bucketed = [&](std::uint64_t tokens) {
-        return ((tokens + bucket_grain - 1) / bucket_grain) * bucket_grain;
-    };
-    auto prefill_cost = [&](std::uint64_t count,
-                            std::uint64_t prompt) -> Result<Seconds> {
-        const auto run = run_shape({count, {bucketed(prompt), 1}});
-        if (!run.is_ok())
-            return run.status();
-        return (*run)->metrics.ttft;
-    };
-    auto decode_cost = [&](std::uint64_t count,
-                           std::uint64_t context) -> Result<Seconds> {
-        const auto run = run_shape({count, {bucketed(context), 2}});
-        if (!run.is_ok())
-            return run.status();
-        return (*run)->metrics.tbt;
     };
 
     // ---- Swap channels --------------------------------------------------
@@ -198,9 +250,9 @@ Server::run_continuous()
     std::uint64_t rr_tenant = 0; // round-robin pointer (continuous)
     Seconds busy = 0.0;          // summed iteration walls (for idle)
 
-    while (!running.empty() || !swapped.empty() || waiting_count > 0 ||
+    while (!running.empty() || swapped_count > 0 || waiting_count > 0 ||
            next_arrival < total) {
-        if (running.empty() && swapped.empty() && waiting_count == 0) {
+        if (running.empty() && swapped_count == 0 && waiting_count == 0) {
             now = std::max(now, pending_[next_arrival].arrival);
             admit_until(now);
             continue;
@@ -214,43 +266,19 @@ Server::run_continuous()
         }
 
         // ---- Re-form the slot set at this boundary ---------------------
-        std::vector<std::size_t> prefills; // chosen from waiting
+        prefills.clear();
         Bytes demoted_now = 0, promoted_now = 0;
         if (edf) {
-            // Candidates: running, swapped, and every waiting request.
-            // Priority (deadline, running-first, arrival, id): a waiting
-            // request displaces a running one only with a strictly
-            // earlier deadline, so equal-deadline mixes never thrash.
-            std::vector<std::size_t> cands;
-            cands.insert(cands.end(), running.begin(), running.end());
-            cands.insert(cands.end(), swapped.begin(), swapped.end());
-            for (const auto &queue : waiting)
-                cands.insert(cands.end(), queue.begin(), queue.end());
-            auto prio = [&](std::size_t s) {
-                return std::make_tuple(edf_key(state[s].deadline),
-                                       in_running[s] ? 0 : 1,
-                                       pending_[s].arrival,
-                                       pending_[s].request.id);
-            };
-            std::sort(cands.begin(), cands.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          return prio(a) < prio(b);
-                      });
-
             // A running request mid-promotion or out of preemption
             // budget is pinned: it keeps its slot regardless of
             // deadline order (livelock guard).  The pinned set fit the
             // capacity last boundary and padded contexts are constant,
             // so seeding with it cannot overflow.
-            std::vector<std::size_t> chosen;
-            std::vector<char> taken(total, 0);
+            chosen.clear();
+            running_order.clear();
             std::uint64_t max_ctx = 0;
-            auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= admission_.ceiling &&
-                       (!kv_bounded || admission_.padded_blocks(count, ctx) <=
-                                           admission_.kv_capacity_blocks);
-            };
             for (std::size_t s : running) {
+                running_order.push_back(edf_key_of(s));
                 if (state[s].promoting ||
                     state[s].preemptions >= config_.max_preemptions) {
                     chosen.push_back(s);
@@ -259,7 +287,28 @@ Server::run_continuous()
                                        full_context(pending_[s].request));
                 }
             }
-            for (std::size_t s : cands) {
+            std::sort(running_order.begin(), running_order.end());
+
+            // Candidates in priority order (deadline, running-first,
+            // arrival, id): the sorted running slots merged with the
+            // waiting/swapped set.  A waiting request displaces a
+            // running one only with a strictly earlier deadline.  Once
+            // not even a candidate that leaves the padded context
+            // unchanged fits, no later one can: padded blocks grow with
+            // both count and context.
+            auto run_it = running_order.begin();
+            auto queue_it = edf_order.begin();
+            while (fits(chosen.size() + 1, max_ctx)) {
+                std::size_t s;
+                if (run_it != running_order.end() &&
+                    (queue_it == edf_order.end() ||
+                     run_it->deadline <= queue_it->deadline)) {
+                    s = (run_it++)->index;
+                } else if (queue_it != edf_order.end()) {
+                    s = (queue_it++)->index;
+                } else {
+                    break;
+                }
                 if (taken[s])
                     continue;
                 const std::uint64_t ctx = std::max(
@@ -272,7 +321,7 @@ Server::run_continuous()
             }
 
             // Preempt running members that lost their slot.
-            std::vector<std::size_t> kept;
+            kept.clear();
             for (std::size_t s : running) {
                 if (taken[s]) {
                     kept.push_back(s);
@@ -295,20 +344,23 @@ Server::run_continuous()
                 // boundary and the d2h drain overlaps the next
                 // iteration (the channel busy-until serializes later
                 // swaps behind it).
-                in_running[s] = 0;
-                swapped.push_back(s);
+                state[s].running = false;
+                state[s].swapped = true;
+                ++swapped_count;
+                edf_order.insert(edf_key_of(s));
             }
-            running = std::move(kept);
+            running.swap(kept);
 
             // Admit the chosen newcomers: swapped ones start their
             // promotion, waiting ones prefill this iteration.
             for (std::size_t s : chosen) {
-                if (in_running[s])
+                taken[s] = 0;
+                if (state[s].running)
                     continue;
-                const auto swap_it =
-                    std::find(swapped.begin(), swapped.end(), s);
-                if (swap_it != swapped.end()) {
-                    swapped.erase(swap_it);
+                edf_order.erase(edf_key_of(s));
+                if (state[s].swapped) {
+                    state[s].swapped = false;
+                    --swapped_count;
                     const Bytes bytes = kv_bytes_of(s);
                     report.kv_promoted_bytes += bytes;
                     promoted_now += bytes;
@@ -324,13 +376,11 @@ Server::run_continuous()
                     state[s].promoting = true;
                     state[s].ready_at = promote_free;
                 } else {
-                    auto &queue = waiting[pending_[s].request.tenant];
-                    queue.erase(
-                        std::find(queue.begin(), queue.end(), s));
+                    state[s].queued = false;
                     --waiting_count;
                     prefills.push_back(s);
                 }
-                in_running[s] = 1;
+                state[s].running = true;
                 running.push_back(s);
             }
         } else {
@@ -340,11 +390,6 @@ Server::run_continuous()
             for (std::size_t s : running)
                 max_ctx = std::max(max_ctx,
                                    full_context(pending_[s].request));
-            auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= admission_.ceiling &&
-                       (!kv_bounded || admission_.padded_blocks(count, ctx) <=
-                                           admission_.kv_capacity_blocks);
-            };
             while (waiting_count > 0) {
                 // Next nonempty tenant queue after the round-robin
                 // pointer.
@@ -362,9 +407,10 @@ Server::run_continuous()
                 if (!fits(running.size() + 1, ctx))
                     break;
                 waiting[t].pop_front();
+                state[s].queued = false;
                 --waiting_count;
                 max_ctx = ctx;
-                in_running[s] = 1;
+                state[s].running = true;
                 running.push_back(s);
                 prefills.push_back(s);
                 rr_tenant = (t + 1) % tenant_count;
@@ -379,10 +425,12 @@ Server::run_continuous()
                 latest_admitted =
                     std::max(latest_admitted, pending_[s].arrival);
             for (std::uint64_t t = 0; t < tenant_count; ++t) {
-                if (waiting[t].empty())
+                std::deque<std::size_t> &queue = waiting[t];
+                while (!queue.empty() && !state[queue.front()].queued)
+                    queue.pop_front(); // chosen by EDF out of order
+                if (queue.empty())
                     continue;
-                if (pending_[waiting[t].front()].arrival <
-                    latest_admitted) {
+                if (pending_[queue.front()].arrival < latest_admitted) {
                     ++tenants[t].starvation_events;
                     ++report.starvation_events;
                 }
@@ -416,7 +464,7 @@ Server::run_continuous()
         }
 
         // ---- Partition the slot set into this iteration's work ---------
-        std::vector<std::size_t> decoders;
+        decoders.clear();
         for (std::size_t s : running) {
             if (state[s].prefilled && !state[s].promoting)
                 decoders.push_back(s);
@@ -453,7 +501,8 @@ Server::run_continuous()
             for (std::size_t s : prefills)
                 max_prompt = std::max(
                     max_prompt, pending_[s].request.prompt_tokens);
-            const auto cost = prefill_cost(prefills.size(), max_prompt);
+            const auto cost = iteration_cost(/*decode=*/false, prefills.size(),
+                                             max_prompt);
             if (!cost.is_ok())
                 return cost.status();
             prefill_time = *cost;
@@ -466,7 +515,8 @@ Server::run_continuous()
                     max_context, pending_[s].request.prompt_tokens +
                                      state[s].generated);
             }
-            const auto cost = decode_cost(decoders.size(), max_context);
+            const auto cost = iteration_cost(/*decode=*/true, decoders.size(),
+                                             max_context);
             if (!cost.is_ok())
                 return cost.status();
             decode_time = *cost;
@@ -513,7 +563,7 @@ Server::run_continuous()
         }
 
         // ---- Retire completed requests at the boundary -----------------
-        std::vector<std::size_t> kept;
+        kept.clear();
         for (std::size_t s : running) {
             const workload::TimedRequest &timed = pending_[s];
             if (!state[s].prefilled ||
@@ -521,7 +571,7 @@ Server::run_continuous()
                 kept.push_back(s);
                 continue;
             }
-            in_running[s] = 0;
+            state[s].running = false;
             RequestMetrics r;
             r.id = timed.request.id;
             r.tenant = timed.request.tenant;
@@ -558,7 +608,7 @@ Server::run_continuous()
             report.requests.push_back(r);
             last_completion = iter_end;
         }
-        running = std::move(kept);
+        running.swap(kept);
         now = iter_end;
     }
     pending_.clear();

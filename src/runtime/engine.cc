@@ -24,6 +24,17 @@ default_policy(const mem::HostMemorySystem &system)
 Status
 ServingSpec::validate() const
 {
+    HELM_RETURN_IF_ERROR(validate_fields());
+    if (!enforce_gpu_capacity)
+        return Status::ok();
+    return check_gpu_floor(helm::model::build_layers(
+        model, compress_weights ? helm::model::DataType::kInt4Grouped
+                                : helm::model::DataType::kFp16));
+}
+
+Status
+ServingSpec::validate_fields() const
+{
     if (batch < 1)
         return Status::invalid_argument("batch must be >= 1");
     if (micro_batches < 1)
@@ -65,27 +76,28 @@ ServingSpec::validate() const
             "memory '" + system->label() +
             "' has no near-data compute units");
     }
+    return Status::ok();
+}
 
+Status
+ServingSpec::check_gpu_floor(
+    const std::vector<model::LayerSpec> &layers) const
+{
     // KV/batch feasibility: capacity enforcement can spill every weight
     // off the GPU, but the KV cache, hidden state, and staging buffers
     // for the effective batch must still fit.
-    if (enforce_gpu_capacity) {
-        const auto layers = helm::model::build_layers(
-            model, compress_weights ? helm::model::DataType::kInt4Grouped
-                                    : helm::model::DataType::kFp16);
-        const GpuBudget floor = compute_gpu_budget(
-            gpu, model, layers, /*gpu_weight_bytes=*/0, shape,
-            batch * micro_batches, compress_weights,
-            kv_resident_on_gpu());
-        if (!floor.fits()) {
-            return Status::capacity_exceeded(
-                "configuration does not fit in GPU memory even with "
-                "zero resident weights: " +
-                std::to_string(batch * micro_batches) +
-                " concurrent requests need " +
-                format_bytes(floor.used()) + " of " +
-                format_bytes(floor.hbm_capacity));
-        }
+    if (!enforce_gpu_capacity)
+        return Status::ok();
+    const GpuBudget floor = compute_gpu_budget(
+        gpu, model, layers, /*gpu_weight_bytes=*/0, shape,
+        batch * micro_batches, compress_weights, kv_resident_on_gpu());
+    if (!floor.fits()) {
+        return Status::capacity_exceeded(
+            "configuration does not fit in GPU memory even with zero "
+            "resident weights: " +
+            std::to_string(batch * micro_batches) +
+            " concurrent requests need " + format_bytes(floor.used()) +
+            " of " + format_bytes(floor.hbm_capacity));
     }
     return Status::ok();
 }

@@ -97,10 +97,22 @@ struct ServingSpec
      * compute only on an NDP-capable host), and KV/batch feasibility (the
      * effective batch must fit the GPU even with zero resident weights).
      * `Server`, the CLI, and the benches all report the same errors this
-     * way before paying for a simulation; simulate_inference() calls it
-     * first and never runs an invalid spec.
+     * way before paying for a simulation; simulate_inference() runs the
+     * same checks, in the same order, and never runs an invalid spec.
+     * validate() == validate_fields(), then check_gpu_floor() on the
+     * spec's own layer list.
      */
     Status validate() const;
+
+    /** validate() without the KV/batch floor: field ranges and host
+     *  rules only. */
+    Status validate_fields() const;
+
+    /** validate()'s KV/batch floor against @p layers, this spec's own
+     *  layer list built once by a caller that needs it anyway (the
+     *  schedule compiler, Server::create).  OK when
+     *  !enforce_gpu_capacity. */
+    Status check_gpu_floor(const std::vector<model::LayerSpec> &layers) const;
 
     /** True when the whole KV cache lives in HBM (no managed tiers) —
      *  the planner then budgets the full cache. */

@@ -26,30 +26,26 @@ link_rates(const mem::HostMemorySystem &system)
 // Fabric
 // ---------------------------------------------------------------------------
 
-Fabric::Gpu::Gpu(sim::Simulator &sim, std::uint64_t g,
-                 const FabricRates &rates)
-    : h2d(sim, "gpu" + std::to_string(g) + "-h2d", rates.h2d),
-      d2h(sim, "gpu" + std::to_string(g) + "-d2h", rates.d2h),
-      compute(sim, "gpu" + std::to_string(g) + "-compute")
+Fabric::Gpu::Gpu(sim::Simulator &sim, const FabricRates &rates)
+    : h2d(sim, rates.h2d), d2h(sim, rates.d2h), compute(sim)
 {
 }
 
 Fabric::Fabric(std::uint64_t gpus, const gpu::GpuSpec &gpu,
                const FabricRates &rates)
-    : gpu_(gpu), rates_(rates), ndp_(sim_, "ndp-compute")
+    : gpu_(gpu), rates_(rates), ndp_(sim_)
 {
     HELM_ASSERT(gpus >= 1, "need at least one GPU");
     for (std::uint64_t g = 0; g < gpus; ++g)
-        gpus_.emplace_back(sim_, g, rates);
-    auto port = [this](const char *name, Bandwidth rate) {
+        gpus_.emplace_back(sim_, rates);
+    auto port = [this](Bandwidth rate) {
         return rate.is_zero()
                    ? nullptr
-                   : std::make_unique<sim::BandwidthChannel>(sim_, name,
-                                                             rate);
+                   : std::make_unique<sim::BandwidthChannel>(sim_, rate);
     };
-    host_read_ = port("host-read-port", rates.host_read);
-    host_write_ = port("host-write-port", rates.host_write);
-    storage_read_ = port("storage-read-port", rates.storage_read);
+    host_read_ = port(rates.host_read);
+    host_write_ = port(rates.host_write);
+    storage_read_ = port(rates.storage_read);
 }
 
 void

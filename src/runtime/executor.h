@@ -132,7 +132,7 @@ class Fabric
   private:
     struct Gpu
     {
-        Gpu(sim::Simulator &sim, std::uint64_t g, const FabricRates &rates);
+        Gpu(sim::Simulator &sim, const FabricRates &rates);
         sim::BandwidthChannel h2d;
         sim::BandwidthChannel d2h;
         sim::FifoResource compute;

@@ -97,16 +97,20 @@ shard_geometry(const ServingSpec &spec, const ShardOptions &shard)
 Result<CompiledSchedule>
 compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
 {
-    // ---- Validation -----------------------------------------------------
+    // ---- Validation, model + shard slice -------------------------------
+    // An unsharded spec gets ServingSpec::validate()'s checks in its
+    // order — fields and host, then the zero-resident-weight floor — but
+    // the floor reads the layer list built here instead of a second one.
     const bool sharded = shard.kind != ShardOptions::Kind::kNone;
     if (!sharded) {
-        HELM_RETURN_IF_ERROR(spec.validate());
+        HELM_RETURN_IF_ERROR(spec.validate_fields());
     }
-
-    // ---- Model + shard slice -------------------------------------------
     auto geo_or = shard_geometry(spec, shard);
     if (!geo_or.is_ok())
         return geo_or.status();
+    if (!sharded) {
+        HELM_RETURN_IF_ERROR(spec.check_gpu_floor(geo_or->layers));
+    }
     auto layers = std::move(geo_or->layers);
     const model::TransformerConfig kv_model = geo_or->kv_model;
     const std::uint64_t first_layer = geo_or->first_layer;

@@ -283,6 +283,7 @@ run_fcfs(std::vector<workload::TimedRequest> &pending,
     report.submitted = pending.size();
     if (pending.empty())
         return report;
+    report.requests.reserve(pending.size());
 
     const std::uint64_t cap = config.max_queue_length;
     // The batch can never outgrow the queue that feeds it.
@@ -365,12 +366,13 @@ Server::create(ServingSpec base, ServingConfig config)
     base.batch = std::max<std::uint64_t>(base.batch, 1);
     base.repeats = 1;
     base.keep_records = false;
-    HELM_RETURN_IF_ERROR(base.validate());
-    HELM_RETURN_IF_ERROR(config.validate());
-
+    HELM_RETURN_IF_ERROR(base.validate_fields());
     const auto layers = model::build_layers(
         base.model, base.compress_weights ? model::DataType::kInt4Grouped
                                           : model::DataType::kFp16);
+    HELM_RETURN_IF_ERROR(base.check_gpu_floor(layers));
+    HELM_RETURN_IF_ERROR(config.validate());
+
     auto admission = size_admission(base, config, base.model, layers);
     if (!admission.is_ok())
         return admission.status();

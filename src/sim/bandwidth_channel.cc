@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace helm::sim {
 
-BandwidthChannel::BandwidthChannel(Simulator &simulator, std::string name,
-                                   Bandwidth rate)
-    : simulator_(simulator), name_(std::move(name)), rate_(rate)
+BandwidthChannel::BandwidthChannel(Simulator &simulator, Bandwidth rate)
+    : simulator_(simulator), rate_(rate)
 {
     HELM_ASSERT(rate_.raw() > 0.0, "channel rate must be positive");
     last_update_ = simulator_.now();
@@ -40,23 +40,6 @@ BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap,
     const FlowId id = flow.id;
     recompute_and_reschedule();
     return id;
-}
-
-const BandwidthChannel::Flow *
-BandwidthChannel::find(FlowId id) const
-{
-    auto it = std::lower_bound(
-        flows_.begin(), flows_.end(), id,
-        [](const Flow &flow, FlowId key) { return flow.id < key; });
-    return it != flows_.end() && it->id == id ? &*it : nullptr;
-}
-
-Bandwidth
-BandwidthChannel::flow_rate(FlowId id) const
-{
-    const Flow *flow = find(id);
-    return flow != nullptr ? Bandwidth::bytes_per_s(flow->rate_bps)
-                           : Bandwidth();
 }
 
 void
@@ -159,9 +142,6 @@ BandwidthChannel::recompute_and_reschedule()
 void
 BandwidthChannel::reap_finished()
 {
-    if (in_reap_)
-        return;
-    in_reap_ = true;
     // Compact survivors in place; both they and the completions keep
     // flow-start order.
     std::size_t kept = 0;
@@ -182,7 +162,6 @@ BandwidthChannel::reap_finished()
     }
     flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
                  flows_.end());
-    in_reap_ = false;
 }
 
 } // namespace helm::sim

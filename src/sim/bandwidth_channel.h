@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -51,10 +50,9 @@ class BandwidthChannel
 
     /**
      * @param simulator Owning simulation kernel; must outlive the channel.
-     * @param name Diagnostic name (appears in traces).
      * @param rate Total channel bandwidth.
      */
-    BandwidthChannel(Simulator &simulator, std::string name, Bandwidth rate);
+    BandwidthChannel(Simulator &simulator, Bandwidth rate);
 
     ~BandwidthChannel();
     BandwidthChannel(const BandwidthChannel &) = delete;
@@ -73,9 +71,6 @@ class BandwidthChannel
     FlowId start_flow(Bytes bytes, Bandwidth cap,
                       std::function<void()> on_complete);
 
-    /** Currently active flow count. */
-    std::size_t active_flows() const { return flows_.size(); }
-
     /** Total bytes delivered across all completed flows. */
     Bytes bytes_delivered() const { return bytes_delivered_; }
 
@@ -83,11 +78,7 @@ class BandwidthChannel
      *  rate it would get alone (max-min throttling observed). */
     std::uint64_t throttle_events() const { return throttle_events_; }
 
-    const std::string &name() const { return name_; }
     Bandwidth rate() const { return rate_; }
-
-    /** Instantaneous granted rate of a flow (0 if unknown). */
-    Bandwidth flow_rate(FlowId id) const;
 
   private:
     struct Flow
@@ -99,9 +90,6 @@ class BandwidthChannel
         double rate_bps = 0.0; //!< current granted rate
         std::function<void()> on_complete;
     };
-
-    /** The active flow with id @p id, or null. */
-    const Flow *find(FlowId id) const;
 
     /** Apply progress for the interval [last_update_, now]. */
     void advance_to_now();
@@ -116,7 +104,6 @@ class BandwidthChannel
     void reap_finished();
 
     Simulator &simulator_;
-    std::string name_;
     Bandwidth rate_;
     /** Active flows in id (= start) order: ids are monotone, so
      *  appending keeps the order and reaping compacts in place, which
@@ -128,7 +115,6 @@ class BandwidthChannel
     EventId pending_event_ = kInvalidEvent;
     Bytes bytes_delivered_ = 0;
     std::uint64_t throttle_events_ = 0;
-    bool in_reap_ = false;
 };
 
 } // namespace helm::sim

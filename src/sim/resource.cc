@@ -4,8 +4,7 @@
 
 namespace helm::sim {
 
-FifoResource::FifoResource(Simulator &simulator, std::string name)
-    : simulator_(simulator), name_(std::move(name))
+FifoResource::FifoResource(Simulator &simulator) : simulator_(simulator)
 {
     last_change_ = simulator_.now();
 }

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <string>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -28,11 +27,8 @@ namespace helm::sim {
 class FifoResource
 {
   public:
-    /**
-     * @param simulator Owning kernel; must outlive the resource.
-     * @param name Diagnostic name.
-     */
-    FifoResource(Simulator &simulator, std::string name);
+    /** @param simulator Owning kernel; must outlive the resource. */
+    explicit FifoResource(Simulator &simulator);
 
     FifoResource(const FifoResource &) = delete;
     FifoResource &operator=(const FifoResource &) = delete;
@@ -50,14 +46,11 @@ class FifoResource
     /** Cumulative busy time integrated over holders (utilization probe). */
     Seconds busy_time() const;
 
-    const std::string &name() const { return name_; }
-
   private:
     void release();
     void update_busy_integral();
 
     Simulator &simulator_;
-    std::string name_;
     std::size_t in_use_ = 0;
     /** A release handed the resource to a waiter whose zero-delay
      *  admission has not fired yet. */
@@ -86,8 +79,6 @@ class CountdownLatch
 
     /** Signal one completion. */
     void arrive();
-
-    std::size_t remaining() const { return remaining_; }
 
   private:
     std::size_t remaining_;

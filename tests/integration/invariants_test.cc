@@ -16,7 +16,7 @@ TEST(Invariants, ChannelRejectsZeroRate)
     EXPECT_DEATH(
         {
             sim::Simulator simulator;
-            sim::BandwidthChannel channel(simulator, "x", Bandwidth());
+            sim::BandwidthChannel channel(simulator, Bandwidth());
         },
         "channel rate must be positive");
 }

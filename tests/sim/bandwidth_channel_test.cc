@@ -19,19 +19,22 @@ constexpr double kTol = 1e-6;
 TEST(BandwidthChannel, SingleUncappedFlow)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_at = -1.0;
     ch.start_flow(10 * kGB, Bandwidth(), [&] { done_at = sim.now(); });
     sim.run();
     EXPECT_NEAR(done_at, 1.0, kTol);
     EXPECT_EQ(ch.bytes_delivered(), 10 * kGB);
-    EXPECT_EQ(ch.active_flows(), 0u);
+    // No flow is left on the link: the next one gets all of it.
+    ch.start_flow(10 * kGB, Bandwidth(), [&] { done_at = sim.now(); });
+    sim.run();
+    EXPECT_NEAR(done_at, 2.0, kTol);
 }
 
 TEST(BandwidthChannel, CapSlowerThanChannel)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_at = -1.0;
     ch.start_flow(10 * kGB, Bandwidth::gb_per_s(2.0),
                   [&] { done_at = sim.now(); });
@@ -42,7 +45,7 @@ TEST(BandwidthChannel, CapSlowerThanChannel)
 TEST(BandwidthChannel, CapFasterThanChannelIsIgnored)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_at = -1.0;
     ch.start_flow(10 * kGB, Bandwidth::gb_per_s(100.0),
                   [&] { done_at = sim.now(); });
@@ -53,7 +56,7 @@ TEST(BandwidthChannel, CapFasterThanChannelIsIgnored)
 TEST(BandwidthChannel, TwoEqualFlowsShareEvenly)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_a = -1.0, done_b = -1.0;
     ch.start_flow(10 * kGB, Bandwidth(), [&] { done_a = sim.now(); });
     ch.start_flow(10 * kGB, Bandwidth(), [&] { done_b = sim.now(); });
@@ -66,7 +69,7 @@ TEST(BandwidthChannel, TwoEqualFlowsShareEvenly)
 TEST(BandwidthChannel, ShortFlowReleasesBandwidthToLongFlow)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_short = -1.0, done_long = -1.0;
     ch.start_flow(5 * kGB, Bandwidth(), [&] { done_short = sim.now(); });
     ch.start_flow(15 * kGB, Bandwidth(), [&] { done_long = sim.now(); });
@@ -80,36 +83,48 @@ TEST(BandwidthChannel, ShortFlowReleasesBandwidthToLongFlow)
 TEST(BandwidthChannel, WaterFillingWithMixedCaps)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     // Flow A capped at 2 GB/s; flows B and C uncapped: A gets 2, B and C
-    // split the remaining 8 evenly (4 each) — max-min fairness.
-    FlowId a = ch.start_flow(100 * kGB, Bandwidth::gb_per_s(2.0), [] {});
-    FlowId b = ch.start_flow(100 * kGB, Bandwidth(), [] {});
-    FlowId c = ch.start_flow(100 * kGB, Bandwidth(), [] {});
-    EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 2.0, 1e-9);
-    EXPECT_NEAR(ch.flow_rate(b).as_gb_per_s(), 4.0, 1e-9);
-    EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.0, 1e-9);
+    // split the remaining 8 evenly (4 each) — max-min fairness.  Sized
+    // 10/20/20 GB, all three finish together at 5 s only under exactly
+    // those shares.
+    Seconds done_a = -1.0, done_b = -1.0, done_c = -1.0;
+    ch.start_flow(10 * kGB, Bandwidth::gb_per_s(2.0),
+                  [&] { done_a = sim.now(); });
+    ch.start_flow(20 * kGB, Bandwidth(), [&] { done_b = sim.now(); });
+    ch.start_flow(20 * kGB, Bandwidth(), [&] { done_c = sim.now(); });
+    sim.run();
+    EXPECT_NEAR(done_a, 5.0, kTol);
+    EXPECT_NEAR(done_b, 5.0, kTol);
+    EXPECT_NEAR(done_c, 5.0, kTol);
 }
 
 TEST(BandwidthChannel, RatesNeverExceedChannel)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
-    std::vector<FlowId> flows;
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
+    // Caps 1..7 GB/s on a 10 GB/s link: the 1 GB/s flow keeps its cap
+    // and the other six share the remaining 9 (1.5 each), so 1 GB each
+    // lands at 2/3 s; the capped flow then finishes alone, at its cap.
+    std::vector<Seconds> done(7, -1.0);
     for (int i = 0; i < 7; ++i) {
-        flows.push_back(ch.start_flow(
-            kGB, Bandwidth::gb_per_s(1.0 + i), [] {}));
+        ch.start_flow(kGB, Bandwidth::gb_per_s(1.0 + i),
+                      [&, i] { done[i] = sim.now(); });
     }
-    double total = 0.0;
-    for (FlowId f : flows)
-        total += ch.flow_rate(f).as_gb_per_s();
-    EXPECT_LE(total, 10.0 + 1e-9);
+    sim.run();
+    EXPECT_NEAR(done[0], 1.0, kTol);
+    double total = 1.0; // the capped flow's rate while all seven ran
+    for (int i = 1; i < 7; ++i) {
+        EXPECT_NEAR(done[i], 2.0 / 3.0, kTol) << "flow " << i;
+        total += 1.0 / done[i]; // 1 GB over its finish time, in GB/s
+    }
+    EXPECT_LE(total, 10.0 + 1e-6);
 }
 
 TEST(BandwidthChannel, ZeroByteFlowCompletesImmediately)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     bool done = false;
     const FlowId id = ch.start_flow(0, Bandwidth(), [&] { done = true; });
     EXPECT_TRUE(done); // synchronous for empty payloads
@@ -119,7 +134,7 @@ TEST(BandwidthChannel, ZeroByteFlowCompletesImmediately)
 TEST(BandwidthChannel, ChainedFlowsFromCompletionCallback)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(1.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(1.0));
     Seconds second_done = -1.0;
     ch.start_flow(1 * kGB, Bandwidth(), [&] {
         ch.start_flow(1 * kGB, Bandwidth(),
@@ -132,7 +147,7 @@ TEST(BandwidthChannel, ChainedFlowsFromCompletionCallback)
 TEST(BandwidthChannel, LateArrivalSlowsExistingFlow)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_a = -1.0;
     ch.start_flow(10 * kGB, Bandwidth(), [&] { done_a = sim.now(); });
     sim.schedule(0.5, [&] {
@@ -147,8 +162,7 @@ TEST(BandwidthChannel, SubByteRemainderDoesNotLivelock)
 {
     // Regression: remainders below one byte used to stall virtual time.
     Simulator sim;
-    BandwidthChannel ch(sim, "link",
-                        Bandwidth::bytes_per_s(3.0000000001e9));
+    BandwidthChannel ch(sim, Bandwidth::bytes_per_s(3.0000000001e9));
     int completed = 0;
     for (int i = 0; i < 50; ++i) {
         ch.start_flow(333333333 + static_cast<Bytes>(i * 7),
@@ -163,7 +177,7 @@ TEST(BandwidthChannel, SubByteRemainderDoesNotLivelock)
 TEST(BandwidthChannel, ManySequentialFlowsAccumulateBytes)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Bytes expected = 0;
     std::function<void(int)> launch = [&](int remaining) {
         if (remaining == 0)
@@ -187,7 +201,7 @@ TEST(BandwidthChannelProperty, SumOfCapsBelowRateRunsEveryFlowAtItsCap)
     // bytes / cap — the "no cap exceeded" bound is tight from both
     // sides.
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(100.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(100.0));
     std::vector<Seconds> done(16, -1.0);
     for (int i = 0; i < 16; ++i) {
         const double cap_gb = 0.1 * (i + 1); // 0.1 .. 1.6 GB/s
@@ -203,7 +217,7 @@ TEST(BandwidthChannelProperty, SumOfCapsBelowRateRunsEveryFlowAtItsCap)
 TEST(BandwidthChannelProperty, SixteenUncappedEqualFlowsFinishTogether)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(32.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(32.0));
     std::vector<Seconds> done(16, -1.0);
     for (int i = 0; i < 16; ++i)
         ch.start_flow(4 * kGB, Bandwidth(),
@@ -221,7 +235,7 @@ TEST(BandwidthChannelProperty, WaterFillingGivesSlackToUncappedFlows)
     // cap; the other 8 uncapped flows water-fill the remainder evenly.
     // Rate 32, caps 1 => uncapped share = (32 - 8) / 8 = 3 GB/s.
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(32.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(32.0));
     std::vector<Seconds> done(16, -1.0);
     for (int i = 0; i < 8; ++i)
         ch.start_flow(6 * kGB, Bandwidth::gb_per_s(1.0),
@@ -245,7 +259,7 @@ TEST(BandwidthChannelProperty, AggregateNeverExceedsChannelRate)
     // respects its own cap (finish >= bytes / cap).
     Simulator sim;
     const double rate_gb = 20.0;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(rate_gb));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(rate_gb));
     std::vector<Seconds> done(24, -1.0);
     std::vector<Bytes> sizes(24);
     std::vector<double> caps(24);
@@ -276,7 +290,7 @@ TEST(BandwidthChannelProperty, StaggeredArrivalsPreserveMaxMinShares)
     // A flow arriving mid-run re-waters the level: the early flow's
     // finish reflects a full-rate phase then a shared phase.
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     Seconds done_early = -1.0, done_late = -1.0;
     ch.start_flow(15 * kGB, Bandwidth(), [&] { done_early = sim.now(); });
     sim.schedule(1.0, [&] {
@@ -295,7 +309,7 @@ TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
     // Flows that finish at the same instant complete in the order they
     // started — the flow table keeps start order through every reap.
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     std::vector<char> order;
     ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('A'); });
     ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('B'); });
@@ -308,21 +322,18 @@ TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
 TEST(BandwidthChannelFlowTable, FinishedMiddleFlowRefillsTheRest)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(9.0));
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(9.0));
     std::vector<std::pair<char, Seconds>> done;
-    FlowId c = kInvalidFlow; // started after B, read in B's callback
-    const FlowId a = ch.start_flow(
-        9 * kGB, Bandwidth(), [&] { done.emplace_back('A', sim.now()); });
+    ch.start_flow(9 * kGB, Bandwidth(),
+                  [&] { done.emplace_back('A', sim.now()); });
     ch.start_flow(3 * kGB / 2, Bandwidth(), [&] {
         // 1.5 GB at a 3 GB/s share: B leaves at 0.5 s, and its
         // completion runs after the survivors were re-filled.
         done.emplace_back('B', sim.now());
-        EXPECT_EQ(ch.active_flows(), 2u);
-        EXPECT_NEAR(ch.flow_rate(a).as_gb_per_s(), 4.5, 1e-9);
-        EXPECT_NEAR(ch.flow_rate(c).as_gb_per_s(), 4.5, 1e-9);
+        EXPECT_EQ(done.size(), 1u); // A and C are still on the link
     });
-    c = ch.start_flow(
-        9 * kGB, Bandwidth(), [&] { done.emplace_back('C', sim.now()); });
+    ch.start_flow(9 * kGB, Bandwidth(),
+                  [&] { done.emplace_back('C', sim.now()); });
     sim.run();
     // 7.5 GB left each at 4.5 GB/s: both land at 0.5 + 5/3 s, A first.
     ASSERT_EQ(done.size(), 3u);
@@ -330,6 +341,9 @@ TEST(BandwidthChannelFlowTable, FinishedMiddleFlowRefillsTheRest)
     EXPECT_NEAR(done[0].second, 0.5, 1e-6);
     EXPECT_EQ(done[1].first, 'A');
     EXPECT_EQ(done[2].first, 'C');
+    // The refilled shares, read off the finishes: 7.5 GB after B left.
+    EXPECT_NEAR(7.5 / (done[1].second - done[0].second), 4.5, 1e-6);
+    EXPECT_NEAR(7.5 / (done[2].second - done[0].second), 4.5, 1e-6);
     EXPECT_NEAR(done[1].second, 0.5 + 7.5 / 4.5, 1e-6);
     EXPECT_NEAR(done[2].second, 0.5 + 7.5 / 4.5, 1e-6);
     EXPECT_EQ(ch.bytes_delivered(), 18 * kGB + 3 * kGB / 2);
@@ -338,13 +352,21 @@ TEST(BandwidthChannelFlowTable, FinishedMiddleFlowRefillsTheRest)
 TEST(BandwidthChannelFlowTable, FinishedOrUnknownFlowHasZeroRate)
 {
     Simulator sim;
-    BandwidthChannel ch(sim, "link", Bandwidth::gb_per_s(10.0));
-    const FlowId id = ch.start_flow(kGB, Bandwidth(), [] {});
-    EXPECT_NEAR(ch.flow_rate(id).as_gb_per_s(), 10.0, 1e-9);
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
+    // A lone flow runs at the full link rate: 1 GB in 0.1 s.
+    Seconds done_at = -1.0;
+    const FlowId id =
+        ch.start_flow(kGB, Bandwidth(), [&] { done_at = sim.now(); });
     sim.run();
-    EXPECT_TRUE(ch.flow_rate(id).is_zero());
-    EXPECT_TRUE(ch.flow_rate(id + 1).is_zero());
-    EXPECT_TRUE(ch.flow_rate(kInvalidFlow).is_zero());
+    EXPECT_NEAR(done_at, 0.1, kTol);
+    // Once finished it holds no share: the next flow, with the next
+    // id, again gets the whole link.
+    const FlowId next =
+        ch.start_flow(kGB, Bandwidth(), [&] { done_at = sim.now(); });
+    EXPECT_EQ(next, id + 1);
+    EXPECT_NE(next, kInvalidFlow);
+    sim.run();
+    EXPECT_NEAR(done_at, 0.2, kTol);
 }
 
 } // namespace
