@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/args.h"
+
 namespace helm::cluster {
 
 const char *
@@ -29,11 +31,11 @@ router_policy_name(RouterPolicy policy)
 Result<Parallelism>
 parse_parallelism(const std::string &text)
 {
-    if (text == "replica" || text == "data")
+    if (iequals(text, "replica") || iequals(text, "data"))
         return Parallelism::kReplica;
-    if (text == "pipeline" || text == "pp")
+    if (iequals(text, "pipeline") || iequals(text, "pp"))
         return Parallelism::kPipeline;
-    if (text == "tensor" || text == "tp")
+    if (iequals(text, "tensor") || iequals(text, "tp"))
         return Parallelism::kTensor;
     return Status::invalid_argument(
         "unknown parallelism '" + text +
@@ -43,11 +45,11 @@ parse_parallelism(const std::string &text)
 Result<RouterPolicy>
 parse_router_policy(const std::string &text)
 {
-    if (text == "rr" || text == "round-robin")
+    if (iequals(text, "rr") || iequals(text, "round-robin"))
         return RouterPolicy::kRoundRobin;
-    if (text == "jsq" || text == "shortest-queue")
+    if (iequals(text, "jsq") || iequals(text, "shortest-queue"))
         return RouterPolicy::kJoinShortestQueue;
-    if (text == "po2" || text == "power-of-two")
+    if (iequals(text, "po2") || iequals(text, "power-of-two"))
         return RouterPolicy::kPowerOfTwo;
     return Status::invalid_argument("unknown router policy '" + text +
                                     "' (expected rr, jsq, or po2)");

@@ -57,7 +57,8 @@ enum class RouterPolicy
 const char *parallelism_name(Parallelism mode);
 const char *router_policy_name(RouterPolicy policy);
 
-/** Parse CLI spellings; kInvalidArgument on unknown values. */
+/** Parse CLI spellings in any case; kInvalidArgument on unknown
+ *  values. */
 Result<Parallelism> parse_parallelism(const std::string &text);
 Result<RouterPolicy> parse_router_policy(const std::string &text);
 

@@ -189,6 +189,20 @@ class Result
             return helm_status_;                                            \
     } while (0)
 
+#define HELM_CONCAT_IMPL(a, b) a##b
+#define HELM_CONCAT(a, b) HELM_CONCAT_IMPL(a, b)
+#define HELM_ASSIGN_OR_RETURN_IMPL(result, lhs, expr)                       \
+    auto result = (expr);                                                   \
+    if (!result.is_ok())                                                    \
+        return result.status();                                             \
+    lhs = std::move(*result)
+
+/** `lhs = value of expr` for a Result @p expr, or early-return its
+ *  Status.  Expands to several statements: brace it under an `if`. */
+#define HELM_ASSIGN_OR_RETURN(lhs, expr)                                    \
+    HELM_ASSIGN_OR_RETURN_IMPL(HELM_CONCAT(helm_result_, __LINE__), lhs,    \
+                               expr)
+
 } // namespace helm
 
 #endif // HELM_COMMON_STATUS_H

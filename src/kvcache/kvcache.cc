@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/args.h"
 #include "model/footprint.h"
 
 namespace helm::kvcache {
@@ -22,9 +23,9 @@ eviction_policy_name(EvictionPolicy policy)
 Result<EvictionPolicy>
 parse_eviction_policy(const std::string &name)
 {
-    if (name == "lru")
+    if (iequals(name, "lru"))
         return EvictionPolicy::kLru;
-    if (name == "longest-context" || name == "longest")
+    if (iequals(name, "longest-context") || iequals(name, "longest"))
         return EvictionPolicy::kLongestContextFirst;
     return Status::not_found("unknown eviction policy: " + name +
                              " (lru, longest-context)");

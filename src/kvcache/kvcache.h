@@ -46,7 +46,7 @@ enum class EvictionPolicy
 /** Printable name ("lru", "longest-context"). */
 const char *eviction_policy_name(EvictionPolicy policy);
 
-/** Parse a policy name (case-sensitive, as printed). */
+/** Parse a policy name, in any case. */
 Result<EvictionPolicy> parse_eviction_policy(const std::string &name);
 
 /** One placement tier for KV blocks, in allocation-preference order. */

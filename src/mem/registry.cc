@@ -1,20 +1,10 @@
 #include "mem/registry.h"
 
-#include <algorithm>
-#include <cctype>
+#include "common/args.h"
 
 namespace helm::mem {
 
 namespace {
-
-bool
-iequals(const std::string &a, const std::string &b)
-{
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](unsigned char x, unsigned char y) {
-                          return std::tolower(x) == std::tolower(y);
-                      });
-}
 
 DeviceRegistry
 build_builtin()

@@ -35,20 +35,4 @@ hidden_bytes_batch(const TransformerConfig &config,
                         DataType::kFp16);
 }
 
-ModelFootprint
-compute_footprint(const TransformerConfig &config, DataType weight_dtype,
-                  const SequenceShape &shape, std::uint64_t batch,
-                  DataType kv_dtype)
-{
-    ModelFootprint fp;
-    const auto layers = build_layers(config, weight_dtype);
-    fp.weights = model_weight_bytes(layers);
-    fp.weights_per_block = decoder_block_bytes(config, weight_dtype);
-    fp.kv_per_block =
-        kv_bytes_per_block(config, shape.max_context(), kv_dtype);
-    fp.kv_total = kv_bytes_batch(config, shape, batch, kv_dtype);
-    fp.hidden = hidden_bytes_batch(config, shape, batch);
-    return fp;
-}
-
 } // namespace helm::model

@@ -65,23 +65,6 @@ Bytes kv_bytes_batch(const TransformerConfig &config,
 Bytes hidden_bytes_batch(const TransformerConfig &config,
                          const SequenceShape &shape, std::uint64_t batch);
 
-/** Aggregate footprint summary used by reports and the planner. */
-struct ModelFootprint
-{
-    Bytes weights = 0;          //!< total stored weight bytes
-    Bytes weights_per_block = 0;//!< one decoder block (MHA + FFN)
-    Bytes kv_per_block = 0;     //!< KV for one block, one max-context seq
-    Bytes kv_total = 0;         //!< KV for all blocks, whole batch
-    Bytes hidden = 0;           //!< peak hidden-state bytes
-};
-
-/** Compute the full footprint for a model/dtype/batch/shape. */
-ModelFootprint compute_footprint(const TransformerConfig &config,
-                                 DataType weight_dtype,
-                                 const SequenceShape &shape,
-                                 std::uint64_t batch,
-                                 DataType kv_dtype = DataType::kFp16);
-
 } // namespace helm::model
 
 #endif // HELM_MODEL_FOOTPRINT_H

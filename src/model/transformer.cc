@@ -197,20 +197,4 @@ model_weight_bytes(const std::vector<LayerSpec> &layers)
     return total;
 }
 
-Bytes
-decoder_block_bytes(const TransformerConfig &config, DataType dtype)
-{
-    // Build a single block worth of layers cheaply by reusing the
-    // expansion on a one-block copy of the config.
-    TransformerConfig one = config;
-    one.blocks = 1;
-    const auto layers = build_layers(one, dtype);
-    Bytes total = 0;
-    for (const auto &layer : layers) {
-        if (layer.type == LayerType::kMha || layer.type == LayerType::kFfn)
-            total += layer.weight_bytes();
-    }
-    return total;
-}
-
 } // namespace helm::model

@@ -116,8 +116,6 @@ std::vector<LayerSpec> build_layers(const TransformerConfig &config,
 /** Sum of weight_bytes over all layers. */
 Bytes model_weight_bytes(const std::vector<LayerSpec> &layers);
 
-/** Bytes of one decoder block (one MHA + one FFN layer). */
-Bytes decoder_block_bytes(const TransformerConfig &config, DataType dtype);
 
 } // namespace helm::model
 

@@ -1,5 +1,6 @@
 #include "model/zoo.h"
 
+#include "common/args.h"
 #include "model/llama.h"
 #include "model/opt.h"
 
@@ -20,7 +21,7 @@ Result<TransformerConfig>
 find_model(const std::string &name)
 {
     for (const auto &config : all_models()) {
-        if (config.name == name)
+        if (iequals(config.name, name))
             return config;
     }
     return Status::not_found(

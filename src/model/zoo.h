@@ -16,7 +16,8 @@ namespace helm::model {
 /** Every model the library ships, smallest OPT first then LLaMa. */
 std::vector<TransformerConfig> all_models();
 
-/** Lookup across both families ("OPT-30B", "LLaMa-2-70B", ...). */
+/** Lookup across both families ("OPT-30B", "LLaMa-2-70B", ...), in
+ *  any case (no two names differ only in case). */
 Result<TransformerConfig> find_model(const std::string &name);
 
 } // namespace helm::model

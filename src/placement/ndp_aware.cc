@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/args.h"
 #include "common/status.h"
 
 namespace helm::placement {
@@ -32,6 +33,18 @@ compute_site_mode_name(ComputeSiteMode mode)
     }
     HELM_ASSERT(false, "unknown ComputeSiteMode");
     return "?";
+}
+
+Result<ComputeSiteMode>
+parse_compute_site_mode(const std::string &name)
+{
+    for (auto mode : {ComputeSiteMode::kGpuOnly, ComputeSiteMode::kNdpAuto,
+                      ComputeSiteMode::kNdpAll}) {
+        if (iequals(name, compute_site_mode_name(mode)))
+            return mode;
+    }
+    return Status::not_found("unknown compute site '" + name +
+                             "' (gpu, auto, ndp)");
 }
 
 Seconds

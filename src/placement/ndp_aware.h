@@ -23,6 +23,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "model/transformer.h"
 
@@ -48,6 +49,9 @@ enum class ComputeSiteMode
 
 /** Printable name ("gpu"/"auto"/"ndp"). */
 const char *compute_site_mode_name(ComputeSiteMode mode);
+
+/** The mode @p name names, in any case. */
+Result<ComputeSiteMode> parse_compute_site_mode(const std::string &name);
 
 /** The NDP tier's execution model, extracted from the device. */
 struct NdpProfile

@@ -1,5 +1,6 @@
 #include "placement/placement.h"
 
+#include "common/args.h"
 #include "common/status.h"
 #include "placement/all_cpu.h"
 #include "placement/baseline.h"
@@ -80,6 +81,20 @@ placement_kind_name(PlacementKind kind)
         return "Balanced";
     }
     return "?";
+}
+
+Result<PlacementKind>
+parse_placement_kind(const std::string &name)
+{
+    for (auto kind : {PlacementKind::kBaseline, PlacementKind::kHelm,
+                      PlacementKind::kBalanced, PlacementKind::kAllCpu}) {
+        if (iequals(name, placement_kind_name(kind)))
+            return kind;
+    }
+    if (iequals(name, "all_cpu") || iequals(name, "allcpu"))
+        return PlacementKind::kAllCpu;
+    return Status::not_found("unknown placement scheme: " + name +
+                             " (Baseline, HeLM, Balanced, All-CPU)");
 }
 
 std::unique_ptr<PlacementAlgorithm>

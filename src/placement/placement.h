@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "model/transformer.h"
 #include "placement/policy.h"
@@ -108,6 +109,10 @@ enum class PlacementKind
 
 /** Printable name. */
 const char *placement_kind_name(PlacementKind kind);
+
+/** The scheme @p name names, in any case; "all_cpu" and "allcpu" also
+ *  name All-CPU. */
+Result<PlacementKind> parse_placement_kind(const std::string &name);
 
 /**
  * Factory for the profile-free schemes.  kBalanced needs a

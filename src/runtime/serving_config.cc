@@ -1,5 +1,7 @@
 #include "runtime/serving_config.h"
 
+#include "common/args.h"
+
 namespace helm::runtime {
 
 const char *
@@ -19,11 +21,11 @@ scheduler_kind_name(SchedulerKind kind)
 Result<SchedulerKind>
 parse_scheduler_kind(const std::string &name)
 {
-    if (name == "fcfs")
+    if (iequals(name, "fcfs"))
         return SchedulerKind::kFcfs;
-    if (name == "continuous")
+    if (iequals(name, "continuous"))
         return SchedulerKind::kContinuous;
-    if (name == "edf")
+    if (iequals(name, "edf"))
         return SchedulerKind::kEdf;
     return Status::invalid_argument(
         "unknown scheduler '" + name +

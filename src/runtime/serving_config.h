@@ -46,7 +46,7 @@ enum class SchedulerKind
 /** Printable name ("fcfs", "continuous", "edf"). */
 const char *scheduler_kind_name(SchedulerKind kind);
 
-/** Parse a scheduler name as the CLI spells it. */
+/** Parse a scheduler name as the CLI spells it, in any case. */
 Result<SchedulerKind> parse_scheduler_kind(const std::string &name);
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/args.h"
 #include "exec/parallel.h"
 #include "mem/registry.h"
 
@@ -13,6 +14,19 @@ tune_objective_name(TuneObjective objective)
 {
     return objective == TuneObjective::kLatency ? "latency"
                                                 : "throughput";
+}
+
+Result<TuneObjective>
+parse_tune_objective(const std::string &name)
+{
+    for (auto objective :
+         {TuneObjective::kLatency, TuneObjective::kThroughput}) {
+        if (iequals(name, tune_objective_name(objective)))
+            return objective;
+    }
+    return Status::invalid_argument("unknown tune objective '" + name +
+                                    "' (--objective takes latency | "
+                                    "throughput)");
 }
 
 std::string

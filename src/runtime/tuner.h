@@ -33,6 +33,10 @@ enum class TuneObjective
 /** Printable name. */
 const char *tune_objective_name(TuneObjective objective);
 
+/** The objective @p name names ("latency" / "throughput"), in any
+ *  case. */
+Result<TuneObjective> parse_tune_objective(const std::string &name);
+
 /** The tuning problem. */
 struct TuneRequest
 {

@@ -1,5 +1,7 @@
 #include "serving_gateway/router.h"
 
+#include "common/args.h"
+
 namespace helm::gateway {
 
 const char *
@@ -19,11 +21,11 @@ router_policy_name(RouterPolicy policy)
 Result<RouterPolicy>
 parse_router_policy(const std::string &name)
 {
-    if (name == "rr" || name == "round-robin")
+    if (iequals(name, "rr") || iequals(name, "round-robin"))
         return RouterPolicy::kRoundRobin;
-    if (name == "least" || name == "least-loaded")
+    if (iequals(name, "least") || iequals(name, "least-loaded"))
         return RouterPolicy::kLeastLoaded;
-    if (name == "hash" || name == "hash-affinity")
+    if (iequals(name, "hash") || iequals(name, "hash-affinity"))
         return RouterPolicy::kHashAffinity;
     return Status::invalid_argument("unknown router policy '" + name +
                                     "' (expected rr | least | hash)");

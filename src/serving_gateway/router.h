@@ -41,7 +41,8 @@ enum class RouterPolicy
 /** Printable name ("rr", "least", "hash") — the CLI spelling. */
 const char *router_policy_name(RouterPolicy policy);
 
-/** Parse a policy name as `helmsim gateway --router` spells it. */
+/** Parse a policy name as `helmsim gateway --router` spells it, in
+ *  any case. */
 Result<RouterPolicy> parse_router_policy(const std::string &name);
 
 /** What the router may inspect about one replica. */

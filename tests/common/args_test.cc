@@ -14,8 +14,8 @@ make_parser()
 {
     ArgParser parser("tool", "test tool");
     parser.add_option("model", "model name", "OPT-175B");
-    parser.add_option("batch", "batch size", "1");
-    parser.add_option("rate", "a double", "2.5");
+    parser.add_count("batch", "batch size", "1");
+    parser.add_number("rate", "a double", "2.5");
     parser.add_switch("int4", "compression");
     return parser;
 }
@@ -77,28 +77,44 @@ TEST(Args, MissingValueRejected)
     EXPECT_FALSE(parser.parse({"--model"}).is_ok());
 }
 
-TEST(Args, PositionalsCollected)
+TEST(Args, BareWordsRejected)
 {
     ArgParser parser = make_parser();
-    ASSERT_TRUE(
-        parser.parse({"first", "--batch", "2", "second"}).is_ok());
-    EXPECT_EQ(parser.positionals(),
-              (std::vector<std::string>{"first", "second"}));
+    const Status status = parser.parse({"--batch", "2", "second"});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unexpected argument 'second'");
+    // A switch takes no value, so a word after it is stray too.
+    EXPECT_FALSE(make_parser().parse({"--int4", "1"}).is_ok());
 }
 
-TEST(Args, ArgvOverloadSkipsProgramName)
+TEST(Args, BadNumbersRejected)
 {
+    for (const char *value : {"-1", "abc", "8x", "1e999", "", " 4", "+4",
+                              "18446744073709551616"}) {
+        const Status status = make_parser().parse({"--batch", value});
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << value;
+        EXPECT_EQ(status.message().rfind("--batch: ", 0), 0u) << value;
+    }
+    for (const char *value :
+         {"-1", "-0", "abc", "2.5x", "1e999", "inf", "nan"}) {
+        EXPECT_FALSE(make_parser().parse({"--rate", value}).is_ok())
+            << value;
+    }
     ArgParser parser = make_parser();
-    const char *argv[] = {"tool", "--batch", "4"};
-    ASSERT_TRUE(parser.parse(3, argv).is_ok());
-    EXPECT_EQ(parser.get_u64("batch"), 4u);
+    ASSERT_TRUE(parser
+                    .parse({"--batch", "18446744073709551615", "--rate",
+                            "1e-3"})
+                    .is_ok());
+    EXPECT_EQ(parser.get_u64("batch"), 18446744073709551615u);
+    EXPECT_DOUBLE_EQ(parser.get_double("rate"), 1e-3);
 }
 
-TEST(Args, BadNumbersFallBackToZero)
+TEST(Args, NamesMatchInAnyCase)
 {
-    ArgParser parser = make_parser();
-    ASSERT_TRUE(parser.parse({"--batch", "not-a-number"}).is_ok());
-    EXPECT_EQ(parser.get_u64("batch"), 0u);
+    EXPECT_TRUE(iequals("HeLM", "helm"));
+    EXPECT_TRUE(iequals("", ""));
+    EXPECT_FALSE(iequals("helm", "helms"));
+    EXPECT_FALSE(iequals("All-CPU", "all_cpu"));
 }
 
 TEST(Args, HelpMentionsEveryOption)
@@ -107,6 +123,8 @@ TEST(Args, HelpMentionsEveryOption)
     const std::string help = parser.help();
     EXPECT_NE(help.find("--model"), std::string::npos);
     EXPECT_NE(help.find("--int4"), std::string::npos);
+    EXPECT_NE(help.find("--batch <int>"), std::string::npos);
+    EXPECT_NE(help.find("--rate <number>"), std::string::npos);
     EXPECT_NE(help.find("default: OPT-175B"), std::string::npos);
     EXPECT_NE(help.find("test tool"), std::string::npos);
 }

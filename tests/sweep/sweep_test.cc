@@ -188,6 +188,38 @@ TEST(ServingSweep, MemoryAxisTakesEveryRegisteredDevice)
     EXPECT_NE(d.cell(2, "error").find("abacus"), std::string::npos);
 }
 
+TEST(ServingSweep, NamesMatchInAnyCase)
+{
+    // The spellings `helmsim run` accepts, Balanced included: each row
+    // succeeds and equals the canonical spelling's row.
+    runtime::ServingSpec base;
+    base.repeats = 1;
+    const auto sweep_of = [&base](std::vector<std::string> placements,
+                                  std::string site, std::string model) {
+        ServingSweep sweep(base);
+        EXPECT_TRUE(sweep.add_dimension("model", {model}).is_ok());
+        EXPECT_TRUE(
+            sweep.add_dimension("placement", std::move(placements)).is_ok());
+        EXPECT_TRUE(sweep.add_dimension("compute_site", {site}).is_ok());
+        return sweep.run();
+    };
+    const Dataset typed =
+        sweep_of({"baseline", "Balanced"}, "GPU", "opt-1.3b");
+    const Dataset canonical =
+        sweep_of({"Baseline", "Balanced"}, "gpu", "OPT-1.3B");
+    ASSERT_EQ(typed.size(), 2u);
+    ASSERT_EQ(canonical.size(), 2u);
+    for (std::size_t i = 0; i < typed.size(); ++i) {
+        EXPECT_EQ(typed.cell(i, "error"), "") << "row " << i;
+        for (const char *metric :
+             {"ttft_ms", "tbt_ms", "tokens_per_s", "gpu_used_bytes"}) {
+            EXPECT_NE(typed.cell(i, metric), "") << metric;
+            EXPECT_EQ(typed.cell(i, metric), canonical.cell(i, metric))
+                << "row " << i << " " << metric;
+        }
+    }
+}
+
 TEST(ServingSweep, BadModelValueReportsError)
 {
     runtime::ServingSpec base;

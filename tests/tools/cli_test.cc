@@ -1,65 +1,72 @@
 /**
  * @file
- * End-to-end CLI tests: run the real helmsim binary (path injected via
- * the HELMSIM_PATH compile definition) and check exit codes and
- * output.  Covers the flag-conflict diagnostics — an incompatible
- * combination must fail fast with a one-line message, not silently
- * measure the wrong thing — and the serve/cluster N=1 equivalence.
+ * CLI tests: run the helmsim commands in-process through run_helmsim()
+ * and check exit codes and output.  Covers the flag diagnostics — a
+ * malformed value or an incompatible combination must fail fast with a
+ * one-line message, not silently measure the wrong thing — and the
+ * serve/cluster N=1 equivalence.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include <sys/wait.h>
+#include "helmsim.h"
+#include "runtime/step_cache.h"
 
 namespace {
 
 struct CliResult
 {
     int exit_code = -1;
-    std::string output; //!< stdout + stderr interleaved
+    std::string out;    //!< stdout
+    std::string err;    //!< stderr
+    std::string output; //!< stdout then stderr
 };
+
+/** Split a command line at spaces; "double quotes" group words. */
+std::vector<std::string>
+split_words(const std::string &line)
+{
+    std::vector<std::string> words;
+    std::string word;
+    bool quoted = false;
+    bool pending = false;
+    for (const char c : line) {
+        if (c == '"') {
+            quoted = !quoted;
+            pending = true;
+        } else if (c == ' ' && !quoted) {
+            if (pending)
+                words.push_back(word);
+            word.clear();
+            pending = false;
+        } else {
+            word += c;
+            pending = true;
+        }
+    }
+    if (pending)
+        words.push_back(word);
+    return words;
+}
 
 CliResult
 run_cli(const std::string &args)
 {
+    std::ostringstream out;
+    std::ostringstream err;
     CliResult result;
-    const std::string command =
-        std::string(HELMSIM_PATH) + " " + args + " 2>&1";
-    FILE *pipe = popen(command.c_str(), "r");
-    if (pipe == nullptr)
-        return result;
-    std::array<char, 4096> buffer;
-    while (std::fgets(buffer.data(), buffer.size(), pipe) != nullptr)
-        result.output += buffer.data();
-    const int status = pclose(pipe);
-    if (WIFEXITED(status))
-        result.exit_code = WEXITSTATUS(status);
-    return result;
-}
-
-/** Like run_cli but discards stderr: progress and timing lines carry
- *  wall-clock values, so byte-identity checks compare stdout only. */
-CliResult
-run_cli_stdout(const std::string &args)
-{
-    CliResult result;
-    const std::string command =
-        std::string(HELMSIM_PATH) + " " + args + " 2>/dev/null";
-    FILE *pipe = popen(command.c_str(), "r");
-    if (pipe == nullptr)
-        return result;
-    std::array<char, 4096> buffer;
-    while (std::fgets(buffer.data(), buffer.size(), pipe) != nullptr)
-        result.output += buffer.data();
-    const int status = pclose(pipe);
-    if (WIFEXITED(status))
-        result.exit_code = WEXITSTATUS(status);
+    result.exit_code = helm::run_helmsim(split_words(args), out, err);
+    result.out = out.str();
+    result.err = err.str();
+    result.output = result.out + result.err;
     return result;
 }
 
@@ -170,7 +177,7 @@ TEST(Cli, ClusterOneGpuReproducesServeExactly)
         std::string("cluster --gpus 1 --parallelism replica ") + kSmall);
     ASSERT_EQ(serve.exit_code, 0) << serve.output;
     ASSERT_EQ(clustered.exit_code, 0) << clustered.output;
-    // Identical serving metrics, bit for bit, through the real binary.
+    // Identical serving metrics, bit for bit, through the CLI.
     EXPECT_EQ(serving_block(serve.output),
               serving_block(clustered.output));
 }
@@ -182,13 +189,13 @@ TEST(Cli, SweepJobsOutputIsByteIdentical)
         "batch=1,2;placement=Baseline,All-CPU\" "
         "--pivot memory,batch,tokens_per_s";
     const CliResult sequential =
-        run_cli_stdout(std::string(kGrid) + " --jobs 1");
+        run_cli(std::string(kGrid) + " --jobs 1");
     const CliResult parallel =
-        run_cli_stdout(std::string(kGrid) + " --jobs 4");
+        run_cli(std::string(kGrid) + " --jobs 4");
     ASSERT_EQ(sequential.exit_code, 0) << sequential.output;
     ASSERT_EQ(parallel.exit_code, 0) << parallel.output;
-    EXPECT_NE(sequential.output.find("tokens_per_s"), std::string::npos);
-    EXPECT_EQ(parallel.output, sequential.output);
+    EXPECT_NE(sequential.out.find("tokens_per_s"), std::string::npos);
+    EXPECT_EQ(parallel.out, sequential.out);
 }
 
 TEST(Cli, SweepReportsTimingSummary)
@@ -202,10 +209,30 @@ TEST(Cli, SweepReportsTimingSummary)
     EXPECT_NE(result.output.find("jobs=2"), std::string::npos);
 }
 
+/** The value of counter @p name{stage="engine"} in a helm-metrics-v1
+ *  snapshot, or -1 when absent. */
+double
+engine_counter(const std::string &snapshot, const std::string &name)
+{
+    const std::string key = "{\"name\":\"" + name +
+                            "\",\"type\":\"counter\",\"labels\":{"
+                            "\"stage\":\"engine\"},\"value\":";
+    const std::size_t at = snapshot.find(key);
+    if (at == std::string::npos)
+        return -1.0;
+    return std::strtod(snapshot.c_str() + at + key.size(), nullptr);
+}
+
 TEST(Cli, SweepReplaysCountInTheStepCache)
 {
     // 9 points over 4 distinct specs: the 5 repeats replay from the
-    // process step cache, and no second memo hides them from it.
+    // process step cache, and no second memo hides them from it.  The
+    // cache and its counters outlive a command in-process: start cold,
+    // and read the snapshot's cumulative counters as a difference.
+    helm::runtime::StepScheduleCache &cache = helm::runtime::step_cache();
+    cache.clear();
+    const double hits = static_cast<double>(cache.hits() + 5);
+    const double misses = static_cast<double>(cache.misses() + 4);
     const std::string metrics = "/tmp/helm_cli_sweep_memo_metrics.json";
     const CliResult result = run_cli(
         "sweep --dims \"memory=NVDRAM,DRAM,NVDRAM;batch=1,8,1\" "
@@ -219,15 +246,9 @@ TEST(Cli, SweepReplaysCountInTheStepCache)
     std::stringstream json;
     json << file.rdbuf();
     const std::string snapshot = json.str();
-    EXPECT_NE(snapshot.find("{\"name\":\"helm_stepcache_hits\","
-                            "\"type\":\"counter\",\"labels\":{\"stage\":"
-                            "\"engine\"},\"value\":5}"),
-              std::string::npos)
+    EXPECT_EQ(engine_counter(snapshot, "helm_stepcache_hits"), hits)
         << snapshot;
-    EXPECT_NE(snapshot.find("{\"name\":\"helm_stepcache_misses\","
-                            "\"type\":\"counter\",\"labels\":{\"stage\":"
-                            "\"engine\"},\"value\":4}"),
-              std::string::npos)
+    EXPECT_EQ(engine_counter(snapshot, "helm_stepcache_misses"), misses)
         << snapshot;
     // The sweep's only series are its own and the step cache's: no
     // other memo reports alongside it.
@@ -249,13 +270,13 @@ TEST(Cli, TuneJobsOutputIsByteIdentical)
     constexpr const char *kSearch =
         "tune --model OPT-1.3B --batch-limit 4";
     const CliResult sequential =
-        run_cli_stdout(std::string(kSearch) + " --jobs 1");
+        run_cli(std::string(kSearch) + " --jobs 1");
     const CliResult parallel =
-        run_cli_stdout(std::string(kSearch) + " --jobs 4");
+        run_cli(std::string(kSearch) + " --jobs 4");
     ASSERT_EQ(sequential.exit_code, 0) << sequential.output;
     ASSERT_EQ(parallel.exit_code, 0) << parallel.output;
-    EXPECT_NE(sequential.output.find("best:"), std::string::npos);
-    EXPECT_EQ(parallel.output, sequential.output);
+    EXPECT_NE(sequential.out.find("best:"), std::string::npos);
+    EXPECT_EQ(parallel.out, sequential.out);
 }
 
 /** @p output without the lines that carry host rates ("(host)"):
@@ -277,18 +298,17 @@ TEST(Cli, GatewayOutputIgnoresTheStepCache)
     // The step cache is an engine memo: the gateway's delivery, and
     // with it the DES event count, must not depend on it.
     constexpr const char *kDrive = "gateway --requests 2000 --seed 7";
-    const CliResult cached = run_cli_stdout(kDrive);
+    const CliResult cached = run_cli(kDrive);
     const CliResult uncached =
-        run_cli_stdout(std::string(kDrive) + " --no-step-cache");
+        run_cli(std::string(kDrive) + " --no-step-cache");
     ASSERT_EQ(cached.exit_code, 0) << cached.output;
     ASSERT_EQ(uncached.exit_code, 0) << uncached.output;
-    EXPECT_NE(cached.output.find("DES events"), std::string::npos);
-    const std::string kept = without_host_rates(cached.output);
-    EXPECT_EQ(std::count(cached.output.begin(), cached.output.end(),
-                         '\n') -
+    EXPECT_NE(cached.out.find("DES events"), std::string::npos);
+    const std::string kept = without_host_rates(cached.out);
+    EXPECT_EQ(std::count(cached.out.begin(), cached.out.end(), '\n') -
                   std::count(kept.begin(), kept.end(), '\n'),
               2);
-    EXPECT_EQ(without_host_rates(uncached.output), kept);
+    EXPECT_EQ(without_host_rates(uncached.out), kept);
 }
 
 TEST(Cli, SchedulerKnobsRequireIterationScheduler)
@@ -357,19 +377,19 @@ TEST(Cli, ClusterRejectsIterationSchedulersBeyondOneGpu)
 
 TEST(Cli, ExplicitFcfsSchedulerFlagIsByteIdenticalToDefault)
 {
-    const CliResult plain = run_cli_stdout(std::string("serve ") + kSmall);
-    const CliResult fcfs = run_cli_stdout(
+    const CliResult plain = run_cli(std::string("serve ") + kSmall);
+    const CliResult fcfs = run_cli(
         std::string("serve --scheduler fcfs ") + kSmall);
     ASSERT_EQ(plain.exit_code, 0) << plain.output;
     ASSERT_EQ(fcfs.exit_code, 0) << fcfs.output;
-    EXPECT_EQ(fcfs.output, plain.output);
+    EXPECT_EQ(fcfs.out, plain.out);
     // No scheduler section leaks into fcfs output.
     EXPECT_EQ(plain.output.find("scheduler:"), std::string::npos);
 }
 
 TEST(Cli, EdfServePrintsSchedulerAndSwapSections)
 {
-    const CliResult result = run_cli_stdout(
+    const CliResult result = run_cli(
         std::string("serve --scheduler edf --deadline-ms 20000 ") +
         kSmall);
     ASSERT_EQ(result.exit_code, 0) << result.output;
@@ -398,7 +418,7 @@ TEST(Cli, EdfTraceShowsKvSwapTrackAndFcfsTraceDoesNot)
         arrivals + " --max-batch 2 ";
 
     const std::string edf_trace = "/tmp/helm_cli_swap_edf_trace.json";
-    const CliResult edf = run_cli_stdout(
+    const CliResult edf = run_cli(
         base + "--scheduler edf --tenants 2 --trace " + edf_trace);
     ASSERT_EQ(edf.exit_code, 0) << edf.output;
     std::ifstream edf_file(edf_trace);
@@ -410,7 +430,7 @@ TEST(Cli, EdfTraceShowsKvSwapTrackAndFcfsTraceDoesNot)
     EXPECT_NE(edf_json.str().find("KV promote r"), std::string::npos);
 
     const std::string fcfs_trace = "/tmp/helm_cli_swap_fcfs_trace.json";
-    const CliResult fcfs = run_cli_stdout(base + "--trace " + fcfs_trace);
+    const CliResult fcfs = run_cli(base + "--trace " + fcfs_trace);
     ASSERT_EQ(fcfs.exit_code, 0) << fcfs.output;
     std::ifstream fcfs_file(fcfs_trace);
     std::stringstream fcfs_json;
@@ -465,7 +485,7 @@ TEST(Cli, RunReportsTheHostItRanOn)
 {
     // A zoo host is priced and labelled as itself, not as NVDRAM.
     const std::string prom = "/tmp/helm_cli_zoo_host.prom";
-    CliResult result = run_cli_stdout(
+    CliResult result = run_cli(
         "run --model OPT-1.3B --memory hbf --energy --prom-out " + prom);
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("energy: n/a"), std::string::npos);
@@ -477,7 +497,7 @@ TEST(Cli, RunReportsTheHostItRanOn)
     std::remove(prom.c_str());
 
     // A custom expander alone takes the host-offload default policy.
-    result = run_cli_stdout("run --model OPT-1.3B --cxl-gbps 64 --energy");
+    result = run_cli("run --model OPT-1.3B --cxl-gbps 64 --energy");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("J/token"), std::string::npos);
 }
@@ -485,17 +505,17 @@ TEST(Cli, RunReportsTheHostItRanOn)
 TEST(Cli, MembenchPicksItsHostLikeEveryCommand)
 {
     // No host flag: Fig. 3's trio.
-    CliResult result = run_cli_stdout("membench");
+    CliResult result = run_cli("membench");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     for (const char *name : {"DRAM", "NVDRAM", "MemoryMode"})
         EXPECT_NE(result.output.find(name), std::string::npos) << name;
 
-    result = run_cli_stdout("membench --memory CXL-ASIC");
+    result = run_cli("membench --memory CXL-ASIC");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("CXL-ASIC"), std::string::npos);
     EXPECT_EQ(result.output.find("NVDRAM"), std::string::npos);
 
-    result = run_cli_stdout("membench --cxl-gbps 40");
+    result = run_cli("membench --cxl-gbps 40");
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("CXL-custom"), std::string::npos);
 }
@@ -516,7 +536,7 @@ TEST(Cli, MembenchRejectsStorageAndUnknownHostsWithOneLine)
 
 TEST(Cli, RunOnZooDeviceReportsNearDataSteps)
 {
-    const CliResult result = run_cli_stdout(
+    const CliResult result = run_cli(
         "run --model OPT-1.3B --memory NDP-DIMM "
         "--compute-site auto --placement All-CPU --batch 4");
     ASSERT_EQ(result.exit_code, 0) << result.output;
@@ -525,7 +545,7 @@ TEST(Cli, RunOnZooDeviceReportsNearDataSteps)
 
 TEST(Cli, ZooSubcommandPrintsAFrontier)
 {
-    const CliResult result = run_cli_stdout(
+    const CliResult result = run_cli(
         "zoo --model OPT-1.3B --devices DRAM,NDP-DIMM --batches 1,4 "
         "--no-hbf");
     ASSERT_EQ(result.exit_code, 0) << result.output;
@@ -559,6 +579,125 @@ TEST(Cli, ClusterSaturateReportsPortUtilization)
     EXPECT_NE(result.output.find("host-read"), std::string::npos);
     EXPECT_NE(result.output.find("Per-GPU utilization"),
               std::string::npos);
+}
+
+/** The numeric flags `helmsim <command> --help` lists: those shown
+ *  as `--name <int>` or `--name <number>`. */
+std::vector<std::string>
+numeric_flags(const std::string &command)
+{
+    std::istringstream help(run_cli(command + " --help").out);
+    std::vector<std::string> flags;
+    std::string line;
+    while (std::getline(help, line)) {
+        if (line.rfind("  --", 0) == 0 &&
+            (line.find(" <int>") != std::string::npos ||
+             line.find(" <number>") != std::string::npos))
+            flags.push_back(line.substr(4, line.find(' ', 4) - 4));
+    }
+    return flags;
+}
+
+/** True when @p result is a bad-flag exit: code 2, nothing on stdout,
+ *  exactly one line on stderr. */
+bool
+failed_with_one_line(const CliResult &result)
+{
+    return result.exit_code == 2 && result.out.empty() &&
+           std::count(result.err.begin(), result.err.end(), '\n') == 1 &&
+           result.err.back() == '\n';
+}
+
+TEST(Cli, MalformedNumbersFailWithOneLine)
+{
+    // Every numeric flag of every command, before anything is built:
+    // `run --repeats -1` used to abort, `run --batch -1` and
+    // `gateway --replicas -1` to spin on a wrapped 2^64 - 1.
+    std::set<std::string> checked;
+    for (const char *command : {"run", "serve", "cluster", "gateway",
+                                "tune", "sweep", "zoo", "membench"}) {
+        for (const std::string &flag : numeric_flags(command)) {
+            checked.insert(std::string(command) + " --" + flag);
+            for (const char *value : {"-1", "abc", "8x", "1e999"}) {
+                const std::string args =
+                    std::string(command) + " --" + flag + " " + value;
+                const CliResult result = run_cli(args);
+                EXPECT_TRUE(failed_with_one_line(result))
+                    << args << ": " << result.output;
+                EXPECT_EQ(result.err.find("--" + flag + ": "),
+                          result.err.find("--"))
+                    << args << ": " << result.err;
+            }
+        }
+    }
+    for (const char *flag :
+         {"run --repeats", "run --batch", "gateway --replicas",
+          "serve --rate", "cluster --gpus", "tune --tbt-ms"})
+        EXPECT_EQ(checked.count(flag), 1u) << flag;
+    // Finite, but past what a byte count can hold.
+    EXPECT_TRUE(failed_with_one_line(
+        run_cli("run --kv-tiering --kv-host-gb 1e300")));
+}
+
+TEST(Cli, StrayArgumentsFailWithOneLine)
+{
+    for (const char *args :
+         {"run --model OPT-1.3B extra-word", "run --int4 1",
+          "serve --model=OPT-1.3B stray", "models --bogus",
+          "configs extra", "devices --memory DRAM", "sweep --dims x"}) {
+        const CliResult result = run_cli(args);
+        EXPECT_TRUE(failed_with_one_line(result))
+            << args << ": " << result.output;
+    }
+    EXPECT_NE(run_cli("run --int4 1").err.find("unexpected argument '1'"),
+              std::string::npos);
+}
+
+TEST(Cli, TuneObjectiveIsLatencyOrThroughput)
+{
+    const std::string search =
+        "tune --model OPT-1.3B --batch-limit 4 --jobs 1 --objective ";
+    const CliResult latency = run_cli(search + "latency");
+    const CliResult throughput = run_cli(search + "throughput");
+    ASSERT_EQ(latency.exit_code, 0) << latency.output;
+    ASSERT_EQ(throughput.exit_code, 0) << throughput.output;
+    EXPECT_NE(latency.out, throughput.out);
+    EXPECT_EQ(run_cli(search + "LATENCY").out, latency.out);
+
+    const CliResult typo = run_cli(search + "latncy");
+    EXPECT_TRUE(failed_with_one_line(typo)) << typo.output;
+    EXPECT_NE(typo.err.find("latncy"), std::string::npos);
+}
+
+TEST(Cli, GatewayReplicasStayInRange)
+{
+    for (const char *count : {"0", "65"}) {
+        const CliResult result =
+            run_cli(std::string("gateway --replicas ") + count);
+        EXPECT_TRUE(failed_with_one_line(result)) << result.output;
+        EXPECT_NE(result.err.find("--replicas"), std::string::npos);
+    }
+}
+
+TEST(Cli, NoStepCacheLastsOneCommand)
+{
+    ASSERT_TRUE(helm::runtime::step_cache_enabled());
+    constexpr const char *kRun = "run --model OPT-1.3B --repeats 2";
+    const CliResult uncached =
+        run_cli(std::string(kRun) + " --no-step-cache");
+    ASSERT_EQ(uncached.exit_code, 0) << uncached.output;
+    EXPECT_TRUE(helm::runtime::step_cache_enabled());
+
+    // The next commands memoize again: the second run replays the
+    // first, and prints what the uncached run printed.
+    const helm::runtime::StepScheduleCache &cache =
+        helm::runtime::step_cache();
+    const CliResult first = run_cli(kRun);
+    const std::uint64_t hits = cache.hits();
+    const CliResult second = run_cli(kRun);
+    EXPECT_GT(cache.hits(), hits);
+    EXPECT_EQ(first.out, uncached.out);
+    EXPECT_EQ(second.out, uncached.out);
 }
 
 } // namespace
