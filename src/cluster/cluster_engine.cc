@@ -245,8 +245,7 @@ class PipelineExecutor
         if (!keep_records_)
             return tl;
         // One record per (stage, token): the token's first layer, its
-        // summed compute and bytes, and its prefetched KV reads then
-        // its writes as per-tier traffic.
+        // summed compute, and the traffic of all its layer steps.
         for (std::uint64_t s = 0; s < stages_.size(); ++s) {
             const CompiledSchedule &stage = stages_[s];
             for (std::uint64_t t = 0; t < total_; ++t) {
@@ -265,23 +264,8 @@ class PipelineExecutor
                 rec.transfer_start = tok.load_issue;
                 rec.step_start = tok.start;
                 rec.step_end = tok.done;
-                for (const ScheduledStep &step : steps) {
-                    rec.transfer_bytes += step.cpu_bytes + step.disk_bytes;
-                    rec.kv_read_bytes += stage.kv_read_bytes(step);
-                    rec.kv_write_bytes += stage.kv_write_bytes(step);
-                    if (!step.kv_prefetch)
-                        continue;
-                    for (const KvFlowSpec &flow : stage.kv_reads(step)) {
-                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
-                            stage.kv_tier_names[flow.tier], flow.bytes, 0});
-                    }
-                }
-                for (const ScheduledStep &step : steps) {
-                    for (const KvFlowSpec &flow : stage.kv_writes(step)) {
-                        rec.kv_tiers.push_back(runtime::KvTierTraffic{
-                            stage.kv_tier_names[flow.tier], 0, flow.bytes});
-                    }
-                }
+                for (const ScheduledStep &step : steps)
+                    runtime::add_step_traffic(rec, stage, step);
             }
         }
         return tl;

@@ -1,7 +1,5 @@
 #include "cluster/router.h"
 
-#include "common/log.h"
-
 namespace helm::cluster {
 
 Router::Router(RouterPolicy policy, std::uint64_t gpus, std::uint64_t seed)

@@ -46,19 +46,6 @@ CsvWriter::row(const std::vector<std::string> &values)
     HELM_ASSERT(header_written_, "CSV row before header");
     HELM_ASSERT(values.size() == columns_, "CSV row has wrong column count");
     emit(values);
-    ++rows_;
-}
-
-void
-CsvWriter::row_numeric(const std::string &key,
-                       const std::vector<double> &values, int precision)
-{
-    std::vector<std::string> fields;
-    fields.reserve(values.size() + 1);
-    fields.push_back(key);
-    for (double v : values)
-        fields.push_back(format_fixed(v, precision));
-    row(fields);
 }
 
 void

@@ -32,12 +32,6 @@ class CsvWriter
     /** Emit one data row; column count must match the header. */
     void row(const std::vector<std::string> &values);
 
-    /** Convenience: format doubles with fixed precision then emit. */
-    void row_numeric(const std::string &key,
-                     const std::vector<double> &values, int precision = 4);
-
-    std::size_t rows_written() const { return rows_; }
-
     /** Quote a single field if it contains comma/quote/newline. */
     static std::string escape(const std::string &field);
 
@@ -46,7 +40,6 @@ class CsvWriter
 
     std::ostream &out_;
     std::size_t columns_ = 0;
-    std::size_t rows_ = 0;
     bool header_written_ = false;
 };
 

@@ -10,8 +10,6 @@ status_code_name(StatusCode code)
         return "OK";
       case StatusCode::kInvalidArgument:
         return "INVALID_ARGUMENT";
-      case StatusCode::kOutOfRange:
-        return "OUT_OF_RANGE";
       case StatusCode::kCapacityExceeded:
         return "CAPACITY_EXCEEDED";
       case StatusCode::kFailedPrecondition:

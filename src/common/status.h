@@ -25,7 +25,6 @@ enum class StatusCode
 {
     kOk = 0,
     kInvalidArgument,   //!< caller supplied bad input
-    kOutOfRange,        //!< index/percentage outside the legal range
     kCapacityExceeded,  //!< requested allocation exceeds a device capacity
     kFailedPrecondition,//!< object not in the right state for the call
     kNotFound,          //!< lookup missed
@@ -54,11 +53,6 @@ class Status
     invalid_argument(std::string msg)
     {
         return Status(StatusCode::kInvalidArgument, std::move(msg));
-    }
-    static Status
-    out_of_range(std::string msg)
-    {
-        return Status(StatusCode::kOutOfRange, std::move(msg));
     }
     static Status
     capacity_exceeded(std::string msg)

@@ -5,31 +5,6 @@
 
 namespace helm {
 
-Summary
-summarize(const std::vector<double> &values)
-{
-    Summary s;
-    if (values.empty())
-        return s;
-    s.count = values.size();
-    s.min = values.front();
-    s.max = values.front();
-    double sum = 0.0;
-    for (double v : values) {
-        sum += v;
-        s.min = std::min(s.min, v);
-        s.max = std::max(s.max, v);
-    }
-    s.mean = sum / static_cast<double>(s.count);
-    double var = 0.0;
-    for (double v : values) {
-        const double d = v - s.mean;
-        var += d * d;
-    }
-    s.stddev = std::sqrt(var / static_cast<double>(s.count));
-    return s;
-}
-
 double
 mean(const std::vector<double> &values)
 {
@@ -68,12 +43,6 @@ percentile_nearest_rank(std::vector<double> values, double p)
     const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
     std::nth_element(values.begin(), nth, values.end());
     return *nth;
-}
-
-double
-relative_delta(double a, double b)
-{
-    return b == 0.0 ? 0.0 : (a - b) / b;
 }
 
 } // namespace helm

@@ -15,19 +15,6 @@
 
 namespace helm {
 
-/** Descriptive statistics of a sample vector. */
-struct Summary
-{
-    std::size_t count = 0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double stddev = 0.0; //!< population standard deviation
-};
-
-/** Compute summary statistics; empty input yields an all-zero Summary. */
-Summary summarize(const std::vector<double> &values);
-
 /** Arithmetic mean; 0 for an empty vector. */
 double mean(const std::vector<double> &values);
 
@@ -49,9 +36,6 @@ double mean_discarding_first(const std::vector<double> &values);
  * left in its original order; a temporary moves in at no copy.
  */
 double percentile_nearest_rank(std::vector<double> values, double p);
-
-/** Relative difference (a-b)/b; 0 when b == 0. */
-double relative_delta(double a, double b);
 
 } // namespace helm
 

@@ -34,8 +34,6 @@ class AsciiTable
     /** Right-align every column except the first. */
     void align_right_from(std::size_t first_index);
 
-    std::size_t row_count() const { return rows_.size(); }
-
     /** Render to @p out. */
     void print(std::ostream &out) const;
 

@@ -33,7 +33,6 @@
 #include "cluster/router.h"
 #include "common/args.h"
 #include "common/csv.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/summary.h"

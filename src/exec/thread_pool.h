@@ -48,8 +48,6 @@ class ThreadPool
      */
     void submit(std::function<void()> task);
 
-    std::size_t thread_count() const { return workers_.size(); }
-
     /** std::thread::hardware_concurrency(), clamped to at least 1. */
     static std::size_t default_jobs();
 

@@ -21,15 +21,4 @@ GpuSpec::a100_40gb()
     return spec;
 }
 
-Bytes
-GpuSpec::usable_hbm(Bytes max_layer_fp16_bytes, bool compressed) const
-{
-    const Bytes staging =
-        max_layer_fp16_bytes * (compressed ? 2 : 1);
-    const Bytes reserved = base_reserve + staging;
-    if (reserved >= hbm_capacity)
-        return 0;
-    return hbm_capacity - reserved;
-}
-
 } // namespace helm::gpu

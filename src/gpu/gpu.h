@@ -32,14 +32,6 @@ struct GpuSpec
     /** The paper's accelerator (Table I), from mem/calibration.h. */
     static GpuSpec a100_40gb();
 
-    /**
-     * HBM available to weights/KV/hidden after the fixed reserve and the
-     * weight staging buffers.  @p max_layer_fp16_bytes is the largest
-     * layer's uncompressed footprint; @p compressed doubles the staging
-     * (transfer buffer + dequantization buffer).
-     */
-    Bytes usable_hbm(Bytes max_layer_fp16_bytes, bool compressed) const;
-
     /** Effective GEMM throughput in FLOP/s. */
     double effective_flops() const
     {

@@ -171,84 +171,6 @@ KvCacheManager::add_request(std::uint64_t id)
     return Status::ok();
 }
 
-Status
-KvCacheManager::free_request(std::uint64_t id)
-{
-    const auto it = requests_.find(id);
-    if (it == requests_.end()) {
-        return Status::not_found("request " + std::to_string(id) +
-                                 " holds no KV blocks");
-    }
-    for (const BlockState &block : it->second.blocks)
-        account_occupancy(block.tier, -1);
-    requests_.erase(it);
-
-    // Back-fill the freed space: pull the most-recently-touched blocks
-    // from lower tiers toward the front of the hierarchy.
-    bool moved = true;
-    while (moved) {
-        moved = false;
-        for (std::size_t target = 0; target < config_.tiers.size();
-             ++target) {
-            if (!tier_fits_block(target))
-                continue;
-            std::uint64_t best_request = 0;
-            std::size_t best_index = 0;
-            const BlockState *best = nullptr;
-            for (const auto &[rid, request] : requests_) {
-                for (std::size_t bi = 0; bi < request.blocks.size(); ++bi) {
-                    const BlockState &candidate = request.blocks[bi];
-                    if (candidate.tier <= target)
-                        continue;
-                    if (best == nullptr ||
-                        candidate.last_touch > best->last_touch ||
-                        (candidate.last_touch == best->last_touch &&
-                         (rid > best_request ||
-                          (rid == best_request && bi > best_index)))) {
-                        best = &candidate;
-                        best_request = rid;
-                        best_index = bi;
-                    }
-                }
-            }
-            if (best == nullptr)
-                continue;
-            BlockState &block =
-                requests_.at(best_request).blocks[best_index];
-            const Bytes moved_bytes =
-                block.tokens * token_layer_bytes_ * mha_layers_;
-            stats_.tiers[block.tier].promoted_out_bytes += moved_bytes;
-            ++stats_.promotions;
-            account_occupancy(block.tier, -1);
-            block.tier = target;
-            account_occupancy(target, +1);
-            moved = true;
-            break;
-        }
-    }
-    return Status::ok();
-}
-
-bool
-KvCacheManager::can_grow(std::uint64_t request_id,
-                         std::uint64_t tokens) const
-{
-    const auto it = requests_.find(request_id);
-    const std::uint64_t have = it == requests_.end() ? 0 : it->second.tokens;
-    const std::uint64_t have_blocks =
-        it == requests_.end() ? 0 : it->second.blocks.size();
-    const std::uint64_t needed =
-        blocks_for_tokens(have + tokens) - have_blocks;
-    std::uint64_t free_blocks = 0;
-    for (std::size_t i = 0; i < config_.tiers.size(); ++i) {
-        if (config_.tiers[i].capacity == 0)
-            return true;
-        const Bytes used = tier_occupancy(i);
-        free_blocks += (config_.tiers[i].capacity - used) / block_bytes_;
-    }
-    return free_blocks >= needed;
-}
-
 bool
 KvCacheManager::tier_fits_block(std::size_t tier) const
 {
@@ -307,8 +229,7 @@ KvCacheManager::pick_victim(std::size_t tier, std::uint64_t *request_id,
 }
 
 Result<std::size_t>
-KvCacheManager::allocate_block(std::uint64_t request_id,
-                               StepTraffic *traffic)
+KvCacheManager::allocate_block(StepTraffic *traffic)
 {
     // Preferred tier first; if it is full, demote a victim block to the
     // first lower tier with space and place the fresh (hot) block on top.
@@ -345,7 +266,6 @@ KvCacheManager::allocate_block(std::uint64_t request_id,
             return i;
         }
     }
-    (void)request_id;
     return Status::capacity_exceeded(
         "KV cache exhausted: no tier can hold another block of " +
         format_bytes(block_bytes_));
@@ -364,7 +284,7 @@ KvCacheManager::step(std::uint64_t new_tokens, bool count_reads)
         while (remaining > 0) {
             if (request.blocks.empty() ||
                 request.blocks.back().tokens == config_.block_tokens) {
-                const auto tier = allocate_block(rid, &traffic);
+                const auto tier = allocate_block(&traffic);
                 if (!tier.is_ok())
                     return tier.status();
                 BlockState fresh;
@@ -417,23 +337,6 @@ KvCacheManager::reset_requests()
     requests_.clear();
 }
 
-std::vector<RequestKvStats>
-KvCacheManager::request_stats() const
-{
-    std::vector<RequestKvStats> out;
-    out.reserve(requests_.size());
-    for (const auto &[rid, request] : requests_) {
-        RequestKvStats stats;
-        stats.id = rid;
-        stats.tokens = request.tokens;
-        stats.blocks_on_tier.assign(config_.tiers.size(), 0);
-        for (const BlockState &block : request.blocks)
-            ++stats.blocks_on_tier[block.tier];
-        out.push_back(std::move(stats));
-    }
-    return out;
-}
-
 Bytes
 KvCacheManager::tier_occupancy(std::size_t i) const
 {
@@ -458,27 +361,6 @@ KvCacheManager::account_occupancy(std::size_t tier,
         stats.blocks -= drop;
         stats.occupancy -= drop * block_bytes_;
     }
-}
-
-std::uint64_t
-KvCacheManager::placement_digest() const
-{
-    // FNV-1a over the (request, block, tier, tokens) placement tuples.
-    std::uint64_t hash = 1469598103934665603ull;
-    auto mix = [&hash](std::uint64_t value) {
-        for (int shift = 0; shift < 64; shift += 8) {
-            hash ^= (value >> shift) & 0xff;
-            hash *= 1099511628211ull;
-        }
-    };
-    for (const auto &[rid, request] : requests_) {
-        mix(rid);
-        for (const BlockState &block : request.blocks) {
-            mix(block.tier);
-            mix(block.tokens);
-        }
-    }
-    return hash;
 }
 
 } // namespace helm::kvcache

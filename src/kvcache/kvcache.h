@@ -117,8 +117,7 @@ struct TierStats
     std::uint64_t blocks = 0;  //!< blocks currently resident
     Bytes read_bytes = 0;      //!< tier -> GPU context fetch (all layers)
     Bytes write_bytes = 0;     //!< GPU -> tier K/V appends
-    Bytes demoted_in_bytes = 0;  //!< arrived by demotion from above
-    Bytes promoted_out_bytes = 0;//!< left by promotion toward the GPU
+    Bytes demoted_in_bytes = 0; //!< arrived by demotion from above
     /** Context-block touches during decode reads: each is a hit when
      *  the tier is GPU-resident, a (paid) miss otherwise. */
     std::uint64_t lookups = 0;
@@ -128,16 +127,7 @@ struct TierStats
 struct KvCacheStats
 {
     std::vector<TierStats> tiers;
-    std::uint64_t demotions = 0;  //!< blocks pushed down a tier
-    std::uint64_t promotions = 0; //!< blocks pulled back up
-};
-
-/** Per-request residency snapshot. */
-struct RequestKvStats
-{
-    std::uint64_t id = 0;
-    std::uint64_t tokens = 0;
-    std::vector<std::uint64_t> blocks_on_tier; //!< indexed by tier
+    std::uint64_t demotions = 0; //!< blocks pushed down a tier
 };
 
 /**
@@ -159,7 +149,7 @@ struct StepTraffic
  * Invariants (pinned by tests/kvcache/kvcache_property_test.cc):
  *  - a block is resident in exactly one tier;
  *  - no bounded tier's occupancy ever exceeds its capacity;
- *  - identical call sequences yield identical placements.
+ *  - identical call sequences yield identical traffic and stats.
  */
 class KvCacheManager
 {
@@ -170,8 +160,6 @@ class KvCacheManager
                                          const model::TransformerConfig &model);
 
     // ---- Geometry -----------------------------------------------------
-    /** K+V bytes of one token, one MHA layer (4 x kv_dim for FP16). */
-    Bytes token_bytes_per_layer() const { return token_layer_bytes_; }
     /** Whole-model bytes of one full block (all decoder blocks). */
     Bytes block_bytes() const { return block_bytes_; }
     /** Blocks needed to hold @p tokens of context. */
@@ -186,13 +174,6 @@ class KvCacheManager
     // ---- Request lifecycle -------------------------------------------
     /** Register an empty request; ids must be unique among live ones. */
     Status add_request(std::uint64_t id);
-    /**
-     * Release a request's blocks, then promote the most-recently-touched
-     * lower-tier blocks into the space it freed.
-     */
-    Status free_request(std::uint64_t id);
-    /** Would @p tokens more tokens (across all live requests) fit? */
-    bool can_grow(std::uint64_t request_id, std::uint64_t tokens) const;
 
     /**
      * One engine token step: append @p new_tokens to EVERY live request
@@ -212,11 +193,8 @@ class KvCacheManager
     const TierSpec &tier(std::size_t i) const { return config_.tiers[i]; }
     const KvCacheConfig &config() const { return config_; }
     const KvCacheStats &stats() const { return stats_; }
-    std::vector<RequestKvStats> request_stats() const;
     /** Tier occupancy in whole-block bytes. */
     Bytes tier_occupancy(std::size_t i) const;
-    /** FNV-1a digest of the full (request, block, tier) placement. */
-    std::uint64_t placement_digest() const;
 
   private:
     struct BlockState
@@ -236,8 +214,7 @@ class KvCacheManager
 
     bool tier_fits_block(std::size_t tier) const;
     /** Place a fresh block; may demote a victim.  Returns tier index. */
-    Result<std::size_t> allocate_block(std::uint64_t request_id,
-                                       StepTraffic *traffic);
+    Result<std::size_t> allocate_block(StepTraffic *traffic);
     /** Pick the eviction victim on @p tier; false if none. */
     bool pick_victim(std::size_t tier, std::uint64_t *request_id,
                      std::size_t *block_index) const;

@@ -7,6 +7,17 @@
 
 namespace helm::mem {
 
+namespace {
+
+/** Reads are node-independent, but the node must still exist. */
+void
+check_numa_node(int node)
+{
+    HELM_ASSERT(node >= 0 && node < kNumNumaNodes, "bad NUMA node index");
+}
+
+} // namespace
+
 const char *
 memory_kind_name(MemoryKind kind)
 {
@@ -48,24 +59,10 @@ MemoryDevice::MemoryDevice(std::string name, MemoryKind kind, Bytes capacity,
 }
 
 double
-MemoryDevice::read_node_factor(int node) const
-{
-    HELM_ASSERT(node >= 0 && node < kNumNumaNodes, "bad NUMA node index");
-    return read_factors_[static_cast<std::size_t>(node)];
-}
-
-double
 MemoryDevice::write_node_factor(int node) const
 {
-    HELM_ASSERT(node >= 0 && node < kNumNumaNodes, "bad NUMA node index");
+    check_numa_node(node);
     return write_factors_[static_cast<std::size_t>(node)];
-}
-
-void
-MemoryDevice::set_read_node_factors(
-    std::array<double, kNumNumaNodes> factors)
-{
-    read_factors_ = factors;
 }
 
 void
@@ -78,7 +75,8 @@ MemoryDevice::set_write_node_factors(
 Bandwidth
 MemoryDevice::read_bandwidth(Bytes buffer, int node) const
 {
-    return read_.at(buffer).scaled(read_node_factor(node));
+    check_numa_node(node);
+    return read_.at(buffer);
 }
 
 Bandwidth
@@ -100,14 +98,15 @@ OptaneDevice::OptaneDevice(std::string name, Bytes capacity,
 Bandwidth
 OptaneDevice::read_bandwidth(Bytes buffer, int node) const
 {
-    const Bytes working_set = std::max(resident_, buffer);
-    return read_curve().at(working_set).scaled(read_node_factor(node));
+    check_numa_node(node);
+    return read_curve().at(std::max(resident_, buffer));
 }
 
 Bandwidth
 OptaneDevice::cold_read_bandwidth(Bytes buffer, int node) const
 {
-    return cold_read_.at(buffer).scaled(read_node_factor(node));
+    check_numa_node(node);
+    return cold_read_.at(buffer);
 }
 
 MemoryModeDevice::MemoryModeDevice(std::string name,
@@ -153,7 +152,8 @@ MemoryModeDevice::effective_hit_ratio(Bytes buffer) const
 Bandwidth
 MemoryModeDevice::hit_path_read_bandwidth(Bytes buffer, int node) const
 {
-    return read_curve().at(buffer).scaled(read_node_factor(node));
+    check_numa_node(node);
+    return read_curve().at(buffer);
 }
 
 Bandwidth
@@ -200,15 +200,6 @@ NdpDimmDevice::NdpDimmDevice(std::string name, Bytes capacity,
                 "NDP command latency must be non-negative");
 }
 
-Seconds
-NdpDimmDevice::gemv_time(Bytes bytes, double flops) const
-{
-    const double stream_s =
-        static_cast<double>(bytes) / gemv_rate_.raw();
-    const double compute_s = flops / gemv_flops_;
-    return std::max(stream_s, compute_s);
-}
-
 HbfDevice::HbfDevice(std::string name, Bytes capacity,
                      BandwidthCurve warm_read, BandwidthCurve cold_read,
                      BandwidthCurve write, Seconds latency,
@@ -225,7 +216,8 @@ HbfDevice::HbfDevice(std::string name, Bytes capacity,
 Bandwidth
 HbfDevice::cold_read_bandwidth(Bytes buffer, int node) const
 {
-    return cold_read_.at(buffer).scaled(read_node_factor(node));
+    check_numa_node(node);
+    return cold_read_.at(buffer);
 }
 
 StorageDevice::StorageDevice(std::string name, MemoryKind kind,

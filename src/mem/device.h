@@ -40,8 +40,8 @@ const char *memory_kind_name(MemoryKind kind);
 inline constexpr int kNumNumaNodes = 2;
 
 /**
- * Base device: capacity plus per-direction bandwidth curves with
- * per-NUMA-node derate factors.
+ * Base device: capacity plus per-direction bandwidth curves, with
+ * per-NUMA-node derate factors on writes (reads are node-independent).
  *
  * Node indices follow the paper's convention: the GPU's PCIe root port
  * hangs off node 0.
@@ -53,7 +53,7 @@ class MemoryDevice
      * @param name Diagnostic/label name (e.g. "NVDRAM").
      * @param kind Technology tag.
      * @param capacity Usable bytes (per the configuration, not per DIMM).
-     * @param read Streaming read curve (node 0, before node factors).
+     * @param read Streaming read curve (every node).
      * @param write Streaming write curve (node 0, before node factors).
      * @param latency Idle access latency.
      */
@@ -100,16 +100,10 @@ class MemoryDevice
      */
     virtual bool needs_bounce_buffer() const { return false; }
 
-    /** True for devices in the storage tier (Table II "Storage" column). */
-    virtual bool is_storage() const { return false; }
-
-    /** Per-node bandwidth multiplier for reads (default 1.0 for all). */
-    void set_read_node_factors(std::array<double, kNumNumaNodes> factors);
-    /** Per-node bandwidth multiplier for writes. */
+    /** Per-node bandwidth multiplier for writes (default 1.0 for all). */
     void set_write_node_factors(std::array<double, kNumNumaNodes> factors);
 
   protected:
-    double read_node_factor(int node) const;
     double write_node_factor(int node) const;
 
     const BandwidthCurve &read_curve() const { return read_; }
@@ -122,7 +116,6 @@ class MemoryDevice
     BandwidthCurve read_;
     BandwidthCurve write_;
     Seconds latency_;
-    std::array<double, kNumNumaNodes> read_factors_{1.0, 1.0};
     std::array<double, kNumNumaNodes> write_factors_{1.0, 1.0};
 };
 
@@ -156,7 +149,6 @@ class OptaneDevice : public MemoryDevice
     {
         resident_ = resident;
     }
-    Bytes resident_bytes() const { return resident_; }
 
   private:
     BandwidthCurve cold_read_;
@@ -191,7 +183,6 @@ class MemoryModeDevice : public MemoryDevice
      * one-shot copy benchmarks.
      */
     void set_resident_bytes(Bytes resident) override;
-    Bytes resident_bytes() const { return resident_; }
 
     /** Fraction of accesses served by the DRAM cache for @p working_set. */
     double hit_ratio(Bytes working_set) const;
@@ -200,7 +191,7 @@ class MemoryModeDevice : public MemoryDevice
     double effective_hit_ratio(Bytes buffer) const;
 
     /**
-     * Hit-path (DRAM cache) raw read rate for @p buffer at @p node,
+     * Hit-path (DRAM cache) raw read rate for @p buffer,
      * before the Memory-Mode management derate.  Consumers that stream
      * through a downstream link (PCIe) must cap this component first and
      * then mix with the miss path — see HostMemorySystem::host_to_gpu_bw.
@@ -231,7 +222,6 @@ class StorageDevice : public MemoryDevice
                   Seconds latency);
 
     bool needs_bounce_buffer() const override { return true; }
-    bool is_storage() const override { return true; }
 };
 
 /**
@@ -256,15 +246,6 @@ class NdpDimmDevice : public MemoryDevice
     double gemv_flops() const { return gemv_flops_; }
     /** Host -> NDP offload dispatch latency per layer command. */
     Seconds command_latency() const { return command_latency_; }
-
-    /**
-     * Time for one near-data GEMV execution streaming @p bytes of
-     * weights and performing @p flops: the units are jointly
-     * bandwidth- and compute-limited (no overlap across the two —
-     * the MACs consume the operand stream).  Excludes the per-dispatch
-     * command latency, which is paid once per offloaded step.
-     */
-    Seconds gemv_time(Bytes bytes, double flops) const;
 
   private:
     Bandwidth gemv_rate_;

@@ -4,22 +4,6 @@
 
 namespace helm::model {
 
-const char *
-data_type_name(DataType dtype)
-{
-    switch (dtype) {
-      case DataType::kFp32:
-        return "fp32";
-      case DataType::kFp16:
-        return "fp16";
-      case DataType::kInt8:
-        return "int8";
-      case DataType::kInt4Grouped:
-        return "int4-g64";
-    }
-    return "?";
-}
-
 Bytes
 tensor_bytes(std::uint64_t elements, DataType dtype)
 {
@@ -41,16 +25,6 @@ tensor_bytes(std::uint64_t elements, DataType dtype)
     }
     HELM_ASSERT(false, "unknown DataType");
     return 0;
-}
-
-double
-compression_ratio_vs_fp16(DataType dtype)
-{
-    // Use a large representative tensor so partial-group rounding is
-    // negligible.
-    constexpr std::uint64_t kProbe = 1ull << 24;
-    return static_cast<double>(tensor_bytes(kProbe, dtype)) /
-           static_cast<double>(tensor_bytes(kProbe, DataType::kFp16));
 }
 
 } // namespace helm::model

@@ -25,9 +25,6 @@ enum class DataType
     kInt4Grouped, //!< 4-bit group-wise quantized (FlexGen's compression)
 };
 
-/** Printable name. */
-const char *data_type_name(DataType dtype);
-
 /** Elements per quantization group for kInt4Grouped (FlexGen default). */
 inline constexpr std::uint64_t kQuantGroupSize = 64;
 
@@ -39,12 +36,6 @@ inline constexpr std::uint64_t kQuantGroupMetadataBytes = 4;
  * for quantized types (partial trailing groups round up).
  */
 Bytes tensor_bytes(std::uint64_t elements, DataType dtype);
-
-/**
- * Compression ratio of @p dtype relative to FP16 storage
- * (kInt4Grouped ~= 0.281, "nearly a quarter" per the paper).
- */
-double compression_ratio_vs_fp16(DataType dtype);
 
 } // namespace helm::model
 

@@ -75,15 +75,4 @@ llama_config(LlamaVariant variant)
     return c;
 }
 
-Result<TransformerConfig>
-llama_config_by_name(const std::string &name)
-{
-    for (LlamaVariant v : all_llama_variants()) {
-        TransformerConfig c = llama_config(v);
-        if (c.name == name)
-            return c;
-    }
-    return Status::not_found("unknown LLaMa variant: " + name);
-}
-
 } // namespace helm::model

@@ -12,10 +12,8 @@
 #ifndef HELM_MODEL_LLAMA_H
 #define HELM_MODEL_LLAMA_H
 
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "model/transformer.h"
 
 namespace helm::model {
@@ -35,9 +33,6 @@ std::vector<LlamaVariant> all_llama_variants();
 
 /** Architecture config of a variant. */
 TransformerConfig llama_config(LlamaVariant variant);
-
-/** Lookup by name ("LLaMa-2-70B", case-sensitive). */
-Result<TransformerConfig> llama_config_by_name(const std::string &name);
 
 } // namespace helm::model
 

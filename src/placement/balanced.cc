@@ -115,9 +115,6 @@ BalancedPlacement::place(const std::vector<model::LayerSpec> &layers,
         budget_left -= size;
     }
 
-    residual_stall_ = 0.0;
-    for (const LayerState &state : states)
-        residual_stall_ += state.stall(bw);
     return map;
 }
 

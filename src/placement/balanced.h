@@ -61,16 +61,8 @@ class BalancedPlacement : public PlacementAlgorithm
     PlacementMap place(const std::vector<model::LayerSpec> &layers,
                        const Policy &policy) const override;
 
-    /**
-     * Pipeline stall remaining after the last place() call: total
-     * seconds per token of weight-transfer time not hidden behind
-     * compute.  Zero means perfect balance was reached within budget.
-     */
-    Seconds residual_stall() const { return residual_stall_; }
-
   private:
     BalanceProfile profile_;
-    mutable Seconds residual_stall_ = 0.0;
 };
 
 } // namespace helm::placement

@@ -1,6 +1,8 @@
 #include "runtime/engine.h"
 
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -11,6 +13,22 @@
 #include "runtime/step_cache.h"
 
 namespace helm::runtime {
+
+namespace {
+
+/** The product of @p factors, or nullopt when it wraps 64 bits. */
+std::optional<std::uint64_t>
+checked_product(std::initializer_list<std::uint64_t> factors)
+{
+    std::uint64_t product = 1;
+    for (const std::uint64_t factor : factors) {
+        if (__builtin_mul_overflow(product, factor, &product))
+            return std::nullopt;
+    }
+    return product;
+}
+
+} // namespace
 
 placement::Policy
 default_policy(const mem::HostMemorySystem &system)
@@ -49,6 +67,46 @@ ServingSpec::validate_fields() const
         return Status::invalid_argument("model config is incomplete");
     if (kv_cache.has_value())
         HELM_RETURN_IF_ERROR(kv_cache->validate());
+
+    // The counts multiply into 64-bit byte and step totals.  A product
+    // that wraps reads as a small number: it would pass the capacity
+    // checks and then hang or exhaust memory being simulated.  Each
+    // product below is a term of compute_gpu_budget() (the KV cache,
+    // resident or as the offloaded double-buffered window; the hidden
+    // state; the attention scratch) or the KV manager's total.
+    const auto concurrent = checked_product({batch, micro_batches});
+    const std::uint64_t prompt = shape.prompt_tokens;
+    std::uint64_t context = 0;
+    const bool bytes_fit =
+        concurrent &&
+        !__builtin_add_overflow(prompt, shape.output_tokens, &context) &&
+        checked_product({*concurrent, context,
+                         model::kv_bytes_total(model, 1)}) &&
+        checked_product({2, *concurrent, context,
+                         model::kv_bytes_per_block(model, 1)}) &&
+        checked_product({*concurrent, prompt, model.hidden, 4}) &&
+        checked_product({*concurrent, model.heads, prompt, prompt, 4});
+    if (!bytes_fit) {
+        return Status::capacity_exceeded(
+            std::to_string(batch) + " x " + std::to_string(micro_batches) +
+            " concurrent requests of " + std::to_string(prompt) + " + " +
+            std::to_string(shape.output_tokens) +
+            " tokens overflow a 64-bit count of KV cache and "
+            "activation bytes");
+    }
+    // One schedule step per layer (two per decoder block, plus the two
+    // embeddings) per token per repeat, and each fires at least one
+    // event; past Fabric::kMaxEvents the run is a runaway anyway.
+    const auto steps = checked_product(
+        {repeats, shape.output_tokens, 2 * model.blocks + 2});
+    if (!steps || *steps > Fabric::kMaxEvents) {
+        return Status::invalid_argument(
+            std::to_string(repeats) + " repeats x " +
+            std::to_string(shape.output_tokens) + " tokens x " +
+            std::to_string(2 * model.blocks + 2) +
+            " layer steps exceed the simulator's " +
+            std::to_string(Fabric::kMaxEvents) + "-event run limit");
+    }
 
     // Host rules: the host must resolve (a known device, a positive
     // custom CXL bandwidth), the policy must not route weights to a
@@ -91,12 +149,21 @@ ServingSpec::check_gpu_floor(
     const GpuBudget floor = compute_gpu_budget(
         gpu, model, layers, /*gpu_weight_bytes=*/0, shape,
         batch * micro_batches, compress_weights, kv_resident_on_gpu());
-    if (!floor.fits()) {
+    // validate_fields() bounds each term; their sum may still wrap.
+    Bytes used = 0;
+    bool wrapped = false;
+    for (const Bytes term : {floor.base_reserve, floor.staging,
+                             floor.kv_cache, floor.hidden,
+                             floor.attention_scratch})
+        wrapped |= __builtin_add_overflow(used, term, &used);
+    if (wrapped || !floor.fits()) {
         return Status::capacity_exceeded(
             "configuration does not fit in GPU memory even with zero "
             "resident weights: " +
             std::to_string(batch * micro_batches) +
-            " concurrent requests need " + format_bytes(floor.used()) +
+            " concurrent requests need " +
+            (wrapped ? std::string("more than 2^64 bytes")
+                     : format_bytes(floor.used())) +
             " of " + format_bytes(floor.hbm_capacity));
     }
     return Status::ok();

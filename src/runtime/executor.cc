@@ -446,6 +446,30 @@ Executor::join()
     }
 }
 
+void
+add_step_traffic(LayerStepRecord &rec, const CompiledSchedule &shard,
+                 const ScheduledStep &step)
+{
+    rec.transfer_bytes += step.cpu_bytes + step.disk_bytes;
+    rec.host_bytes += step.cpu_bytes;
+    rec.disk_bytes += step.disk_bytes;
+    rec.kv_read_bytes += shard.kv_read_bytes(step);
+    rec.kv_write_bytes += shard.kv_write_bytes(step);
+    auto tier_entry = [&](std::size_t t) -> KvTierTraffic & {
+        const std::string &name = shard.kv_tier_names[t];
+        for (KvTierTraffic &entry : rec.kv_tiers) {
+            if (entry.tier == name)
+                return entry;
+        }
+        rec.kv_tiers.push_back(KvTierTraffic{name, 0, 0});
+        return rec.kv_tiers.back();
+    };
+    for (const KvFlowSpec &flow : shard.kv_reads(step))
+        tier_entry(flow.tier).read_bytes += flow.bytes;
+    for (const KvFlowSpec &flow : shard.kv_writes(step))
+        tier_entry(flow.tier).write_bytes += flow.bytes;
+}
+
 LayerStepRecord
 Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
 {
@@ -462,11 +486,7 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
     rec.stage = s.stage;
     rec.compute_time = s.compute;
     rec.transfer_time = load_done_[i] - load_issue_[i];
-    rec.transfer_bytes = s.cpu_bytes + s.disk_bytes;
-    rec.host_bytes = s.cpu_bytes;
-    rec.disk_bytes = s.disk_bytes;
-    rec.kv_read_bytes = shard.kv_read_bytes(s);
-    rec.kv_write_bytes = shard.kv_write_bytes(s);
+    add_step_traffic(rec, shard, s);
     rec.transfer_start = load_issue_[i];
     rec.step_start = step_start_[k];
     rec.step_end = step_end_[k];
@@ -474,22 +494,6 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
         kv_write_done_[i] >= 0.0 ? kv_write_done_[i] - step_start_[k] : 0.0;
     rec.kv_stall_time =
         kv_read_done_[i] >= 0.0 ? kv_read_done_[i] - step_start_[k] : 0.0;
-    if (rec.kv_read_bytes > 0 || rec.kv_write_bytes > 0) {
-        auto tier_entry = [&rec, &tier_names](
-                              std::size_t t) -> KvTierTraffic & {
-            const std::string &name = tier_names[t];
-            for (KvTierTraffic &entry : rec.kv_tiers) {
-                if (entry.tier == name)
-                    return entry;
-            }
-            rec.kv_tiers.push_back(KvTierTraffic{name, 0, 0});
-            return rec.kv_tiers.back();
-        };
-        for (const KvFlowSpec &flow : shard.kv_reads(s))
-            tier_entry(flow.tier).read_bytes += flow.bytes;
-        for (const KvFlowSpec &flow : shard.kv_writes(s))
-            tier_entry(flow.tier).write_bytes += flow.bytes;
-    }
     const std::span<const Bytes> occupancy = shard.kv_occupancy(s);
     rec.kv_occupancy.reserve(occupancy.size());
     for (std::size_t t = 0; t < occupancy.size(); ++t) {

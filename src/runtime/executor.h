@@ -177,6 +177,16 @@ struct TokenLatencies
 TokenLatencies token_latencies(const BatchTimeline &tl);
 
 /**
+ * Add @p step's traffic to @p rec: weight bytes by source (host,
+ * storage), KV read and write totals, and every KV flow — prefetched
+ * or blocking — on its tier's `kv_tiers` entry (one entry per tier, in
+ * first-seen order).  A record that spans several steps (a pipeline
+ * stage's token) adds each of them.
+ */
+void add_step_traffic(LayerStepRecord &rec, const CompiledSchedule &shard,
+                      const ScheduledStep &step);
+
+/**
  * The zig-zag loop over G shards in lockstep.  At most one step and one
  * load are in flight, so the joins are member counters rather than
  * heap latches.  Non-copyable: event callbacks hold its address until

@@ -170,10 +170,6 @@ record_kv_stats(telemetry::MetricsRegistry &registry,
         .counter("helm_kv_demotions_total", {},
                  "Blocks pushed down a tier by eviction")
         .add(static_cast<double>(stats.demotions));
-    registry
-        .counter("helm_kv_promotions_total", {},
-                 "Blocks pulled back toward the GPU")
-        .add(static_cast<double>(stats.promotions));
 }
 
 void

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/log.h"
 #include "mem/registry.h"
 #include "model/footprint.h"
 #include "placement/balanced.h"

@@ -80,9 +80,11 @@ emit_counter(std::ostringstream &out, bool &first, const char *name,
     out << "}";
 }
 
+} // namespace
+
 std::string
-trace_json_impl(const std::vector<LayerStepRecord> &records,
-                const TraceCounterOptions *counters)
+chrome_trace_json(const std::vector<LayerStepRecord> &records,
+                  const TraceCounterOptions &counters)
 {
     std::ostringstream out;
     out << "{\"traceEvents\":[\n";
@@ -130,7 +132,7 @@ trace_json_impl(const std::vector<LayerStepRecord> &records,
     // kv_swaps (single-GPU runs, pid 0), and an empty vector emits
     // nothing, so fcfs traces are unchanged byte for byte.  The tid is
     // kSwapTrack — reserved, never derived from tier count.
-    const bool has_swaps = counters != nullptr && !counters->kv_swaps.empty();
+    const bool has_swaps = !counters.kv_swaps.empty();
     if (has_swaps) {
         if (!first)
             out << ",\n";
@@ -221,7 +223,7 @@ trace_json_impl(const std::vector<LayerStepRecord> &records,
     }
 
     if (has_swaps) {
-        for (const auto &swap : counters->kv_swaps) {
+        for (const auto &swap : counters.kv_swaps) {
             const char *direction = swap.demote ? "demote" : "promote";
             emit_event(out, first,
                        std::string("KV ") + direction + " r" +
@@ -239,9 +241,9 @@ trace_json_impl(const std::vector<LayerStepRecord> &records,
     // order, with flow arrows joining each root child to the next
     // phase.  All ids are derived span ids, so the merge is as
     // deterministic as the spans themselves.
-    if (counters != nullptr && counters->flight_recorder != nullptr &&
-        counters->flight_recorder->retained() > 0) {
-        const auto traces = counters->flight_recorder->sorted_traces();
+    if (counters.flight_recorder != nullptr &&
+        counters.flight_recorder->retained() > 0) {
+        const auto traces = counters.flight_recorder->sorted_traces();
         if (!first)
             out << ",\n";
         first = false;
@@ -311,57 +313,55 @@ trace_json_impl(const std::vector<LayerStepRecord> &records,
         }
     }
 
-    if (counters != nullptr) {
-        // Host-port utilization: each load window contributes a rise at
-        // its start and a fall at its end, valued at the fraction of
-        // the shared port the window's bytes consumed.
-        // Both counter loops are O(records); the args buffer is hoisted
-        // for the same reason as the event loop above.
-        std::string args;
-        if (counters->host_port_rate_bytes_per_s > 0.0) {
-            for (const auto &rec : records) {
-                const Bytes moved = rec.transfer_bytes + rec.kv_read_bytes;
-                if (rec.transfer_time <= 0.0 || moved == 0)
-                    continue;
-                const double utilization =
-                    static_cast<double>(moved) /
-                    (rec.transfer_time *
-                     counters->host_port_rate_bytes_per_s);
-                char value[48];
-                std::snprintf(value, sizeof(value), "%.4f", utilization);
-                args.assign("{\"utilization\":");
-                args += value;
-                args += "}";
-                emit_counter(out, first, "host-port utilization",
-                             rec.transfer_start, args);
-                emit_counter(out, first, "host-port utilization",
-                             rec.transfer_start + rec.transfer_time,
-                             "{\"utilization\":0}");
-            }
-        }
-        // KV tier occupancy (MiB per tier) at each sampled step.
+    // Host-port utilization: each load window contributes a rise at
+    // its start and a fall at its end, valued at the fraction of
+    // the shared port the window's bytes consumed.
+    // Both counter loops are O(records); the args buffer is hoisted
+    // for the same reason as the event loop above.
+    std::string args;
+    if (counters.host_port_rate_bytes_per_s > 0.0) {
         for (const auto &rec : records) {
-            if (rec.kv_occupancy.empty())
+            const Bytes moved = rec.transfer_bytes + rec.kv_read_bytes;
+            if (rec.transfer_time <= 0.0 || moved == 0)
                 continue;
-            args.assign("{");
-            for (std::size_t t = 0; t < rec.kv_occupancy.size(); ++t) {
-                char mib[48];
-                std::snprintf(mib, sizeof(mib), "%.3f",
-                              static_cast<double>(
-                                  rec.kv_occupancy[t].bytes) /
-                                  (1024.0 * 1024.0));
-                if (t > 0)
-                    args += ",";
-                args += "\"";
-                telemetry::json_escape_append(args,
-                                              rec.kv_occupancy[t].tier);
-                args += "\":";
-                args += mib;
-            }
+            const double utilization =
+                static_cast<double>(moved) /
+                (rec.transfer_time *
+                 counters.host_port_rate_bytes_per_s);
+            char value[48];
+            std::snprintf(value, sizeof(value), "%.4f", utilization);
+            args.assign("{\"utilization\":");
+            args += value;
             args += "}";
-            emit_counter(out, first, "KV tier occupancy (MiB)",
-                         rec.step_end, args);
+            emit_counter(out, first, "host-port utilization",
+                         rec.transfer_start, args);
+            emit_counter(out, first, "host-port utilization",
+                         rec.transfer_start + rec.transfer_time,
+                         "{\"utilization\":0}");
         }
+    }
+    // KV tier occupancy (MiB per tier) at each sampled step.
+    for (const auto &rec : records) {
+        if (rec.kv_occupancy.empty())
+            continue;
+        args.assign("{");
+        for (std::size_t t = 0; t < rec.kv_occupancy.size(); ++t) {
+            char mib[48];
+            std::snprintf(mib, sizeof(mib), "%.3f",
+                          static_cast<double>(
+                              rec.kv_occupancy[t].bytes) /
+                              (1024.0 * 1024.0));
+            if (t > 0)
+                args += ",";
+            args += "\"";
+            telemetry::json_escape_append(args,
+                                          rec.kv_occupancy[t].tier);
+            args += "\":";
+            args += mib;
+        }
+        args += "}";
+        emit_counter(out, first, "KV tier occupancy (MiB)",
+                     rec.step_end, args);
     }
 
     out << "\n]}\n";
@@ -369,9 +369,9 @@ trace_json_impl(const std::vector<LayerStepRecord> &records,
 }
 
 Status
-write_trace_impl(const std::vector<LayerStepRecord> &records,
-                 const std::string &path,
-                 const TraceCounterOptions *counters)
+write_chrome_trace(const std::vector<LayerStepRecord> &records,
+                   const std::string &path,
+                   const TraceCounterOptions &counters)
 {
     if (records.empty()) {
         return Status::failed_precondition(
@@ -380,39 +380,9 @@ write_trace_impl(const std::vector<LayerStepRecord> &records,
     std::ofstream file(path);
     if (!file.is_open())
         return Status::invalid_argument("cannot open " + path);
-    file << trace_json_impl(records, counters);
+    file << chrome_trace_json(records, counters);
     return file.good() ? Status::ok()
                        : Status::internal("write to " + path + " failed");
-}
-
-} // namespace
-
-std::string
-chrome_trace_json(const std::vector<LayerStepRecord> &records)
-{
-    return trace_json_impl(records, nullptr);
-}
-
-std::string
-chrome_trace_json(const std::vector<LayerStepRecord> &records,
-                  const TraceCounterOptions &counters)
-{
-    return trace_json_impl(records, &counters);
-}
-
-Status
-write_chrome_trace(const std::vector<LayerStepRecord> &records,
-                   const std::string &path)
-{
-    return write_trace_impl(records, path, nullptr);
-}
-
-Status
-write_chrome_trace(const std::vector<LayerStepRecord> &records,
-                   const std::string &path,
-                   const TraceCounterOptions &counters)
-{
-    return write_trace_impl(records, path, &counters);
 }
 
 } // namespace helm::runtime

@@ -72,26 +72,18 @@ struct TraceCounterOptions
 
 /**
  * Render records as a Chrome trace JSON string (the "traceEvents"
- * array format).  Timestamps are microseconds of virtual time.
- */
-std::string chrome_trace_json(const std::vector<LayerStepRecord> &records);
-
-/**
- * As above, plus counter rows: "host-port utilization" per load window
- * (when the rate is set) and "KV tier occupancy" (MiB per tier) at each
- * step that sampled occupancy.
+ * array format), plus counter rows: "host-port utilization" per load
+ * window (when the rate is set) and "KV tier occupancy" (MiB per tier)
+ * at each step that sampled occupancy.  Timestamps are microseconds of
+ * virtual time.
  */
 std::string chrome_trace_json(const std::vector<LayerStepRecord> &records,
-                              const TraceCounterOptions &counters);
+                              const TraceCounterOptions &counters = {});
 
 /** Write chrome_trace_json() to @p path. */
 Status write_chrome_trace(const std::vector<LayerStepRecord> &records,
-                          const std::string &path);
-
-/** Write the counter-augmented chrome_trace_json() to @p path. */
-Status write_chrome_trace(const std::vector<LayerStepRecord> &records,
                           const std::string &path,
-                          const TraceCounterOptions &counters);
+                          const TraceCounterOptions &counters = {});
 
 } // namespace helm::runtime
 

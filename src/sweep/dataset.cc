@@ -74,28 +74,6 @@ Dataset::mean_of(const std::string &column) const
     return sum / static_cast<double>(rows_.size());
 }
 
-double
-Dataset::min_of(const std::string &column) const
-{
-    if (rows_.empty())
-        return 0.0;
-    double best = numeric(0, column);
-    for (std::size_t i = 1; i < rows_.size(); ++i)
-        best = std::min(best, numeric(i, column));
-    return best;
-}
-
-double
-Dataset::max_of(const std::string &column) const
-{
-    if (rows_.empty())
-        return 0.0;
-    double best = numeric(0, column);
-    for (std::size_t i = 1; i < rows_.size(); ++i)
-        best = std::max(best, numeric(i, column));
-    return best;
-}
-
 AsciiTable
 Dataset::pivot(const std::string &row_key, const std::string &column_key,
                const std::string &value_column, int precision) const

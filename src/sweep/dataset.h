@@ -56,10 +56,6 @@ class Dataset
     /** Mean of a numeric column over all rows (0 when empty). */
     double mean_of(const std::string &column) const;
 
-    /** Min/max of a numeric column (0 when empty). */
-    double min_of(const std::string &column) const;
-    double max_of(const std::string &column) const;
-
     /**
      * Pivot: one table row per distinct @p row_key, one column per
      * distinct @p column_key, cells from @p value_column (mean when

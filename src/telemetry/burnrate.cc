@@ -46,7 +46,7 @@ BurnRateEvaluator::observe(Seconds t, std::uint64_t good,
     fast_bad_.record(t, static_cast<double>(bad));
     slow_good_.record(t, static_cast<double>(good));
     slow_bad_.record(t, static_cast<double>(bad));
-    evaluate(t);
+    evaluate();
 }
 
 void
@@ -56,7 +56,7 @@ BurnRateEvaluator::advance(Seconds t)
     fast_bad_.advance(t);
     slow_good_.advance(t);
     slow_bad_.advance(t);
-    evaluate(t);
+    evaluate();
 }
 
 double
@@ -72,7 +72,7 @@ BurnRateEvaluator::slow_burn() const
 }
 
 void
-BurnRateEvaluator::evaluate(Seconds t)
+BurnRateEvaluator::evaluate()
 {
     const double fast = fast_burn();
     const double slow = slow_burn();
@@ -81,7 +81,6 @@ BurnRateEvaluator::evaluate(Seconds t)
         if (fast >= policy_.threshold && slow >= policy_.threshold) {
             firing_ = true;
             ++fired_;
-            events_.push_back({t, true, fast, slow});
         }
     } else {
         const double clear_at =
@@ -89,7 +88,6 @@ BurnRateEvaluator::evaluate(Seconds t)
         if (fast < clear_at && slow < clear_at) {
             firing_ = false;
             ++cleared_;
-            events_.push_back({t, false, fast, slow});
         }
     }
 }

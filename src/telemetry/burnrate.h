@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "telemetry/timeseries.h"
 
@@ -37,15 +36,6 @@ struct BurnRatePolicy
     double threshold = 1.0;      //!< fire when both burns >= this
     double clear_fraction = 0.5; //!< clear below threshold * this
     std::size_t buckets = 60;    //!< ring resolution per window
-};
-
-/** A fire or clear transition on one alert. */
-struct AlertEvent
-{
-    Seconds at = 0.0;
-    bool firing = false; //!< true = fired, false = cleared
-    double fast_burn = 0.0;
-    double slow_burn = 0.0;
 };
 
 class BurnRateEvaluator
@@ -67,14 +57,13 @@ class BurnRateEvaluator
     /** Largest simultaneous (min of fast/slow) burn ever seen. */
     double peak_burn() const { return peak_burn_; }
 
-    const std::vector<AlertEvent> &events() const { return events_; }
     std::uint64_t fired_count() const { return fired_; }
     std::uint64_t cleared_count() const { return cleared_; }
 
   private:
     static double burn_of(const SlidingWindow &good,
                           const SlidingWindow &bad, double objective);
-    void evaluate(Seconds t);
+    void evaluate();
 
     BurnRatePolicy policy_;
     SlidingWindow fast_good_, fast_bad_;
@@ -83,7 +72,6 @@ class BurnRateEvaluator
     double peak_burn_ = 0.0;
     std::uint64_t fired_ = 0;
     std::uint64_t cleared_ = 0;
-    std::vector<AlertEvent> events_;
 };
 
 } // namespace helm::telemetry

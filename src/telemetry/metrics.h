@@ -158,8 +158,6 @@ class MetricsRegistry
      */
     std::vector<Labels> label_sets(const std::string &name) const;
 
-    std::size_t family_count() const { return families_.size(); }
-
   private:
     Family &family(const std::string &name, MetricKind kind,
                    const std::string &help);

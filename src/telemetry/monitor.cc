@@ -176,16 +176,6 @@ ServingMonitor::finish(Seconds t)
         latency_->advance(t);
 }
 
-std::uint64_t
-ServingMonitor::alert_events() const
-{
-    std::uint64_t events =
-        availability_.fired_count() + availability_.cleared_count();
-    if (latency_)
-        events += latency_->fired_count() + latency_->cleared_count();
-    return events;
-}
-
 void
 ServingMonitor::record(MetricsRegistry &registry) const
 {

@@ -87,13 +87,6 @@ class ServingMonitor
     /** Null when ttft_target is 0. */
     const BurnRateEvaluator *latency() const { return latency_.get(); }
 
-    const SlidingWindow &goodput_window() const { return goodput_; }
-    const SlidingWindow &shed_window() const { return shed_; }
-    const SlidingWindow &queue_window() const { return queue_; }
-
-    /** Total alert transitions (fires + clears) across all SLOs. */
-    std::uint64_t alert_events() const;
-
     /** Emit helm_window_* and helm_alert_* into @p registry. */
     void record(MetricsRegistry &registry) const;
 

@@ -128,8 +128,7 @@ print_kv_section(std::ostream &out, const MetricsRegistry &reg)
     }
     table.print(out);
     out << "kv blocks:   " << count(reg, "helm_kv_demotions_total")
-        << " demoted, " << count(reg, "helm_kv_promotions_total")
-        << " promoted\n";
+        << " demoted\n";
 }
 
 void

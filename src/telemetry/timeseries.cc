@@ -87,15 +87,4 @@ SlidingWindow::mean() const
     return samples_ > 0 ? sum_ / static_cast<double>(samples_) : 0.0;
 }
 
-double
-SlidingWindow::max_bucket() const
-{
-    double best = 0.0;
-    for (const Bucket &slot : slots_) {
-        if (slot.index >= 0)
-            best = std::max(best, slot.sum);
-    }
-    return best;
-}
-
 } // namespace helm::telemetry

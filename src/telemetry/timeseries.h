@@ -50,8 +50,6 @@ class SlidingWindow
     double rate() const;
     /** sum() / samples(), 0 when the window is empty. */
     double mean() const;
-    /** Largest single-bucket sum currently inside the window. */
-    double max_bucket() const;
 
     /** Lifetime totals (not windowed). */
     double total() const { return total_; }

@@ -190,37 +190,4 @@ load_arrival_trace(const std::string &path)
     return stream;
 }
 
-Status
-save_arrival_trace(const std::vector<TimedRequest> &requests,
-                   const std::string &path)
-{
-    std::ofstream file(path);
-    if (!file.is_open())
-        return Status::invalid_argument("cannot open " + path);
-    bool tagged = false;
-    for (const auto &timed : requests) {
-        if (timed.request.tenant != 0 || timed.deadline != 0.0)
-            tagged = true;
-    }
-    if (tagged) {
-        file << "# helm-sim arrival trace: <arrival_seconds> "
-                "<prompt_tokens> <output_tokens> <tenant> "
-                "<deadline_seconds>\n";
-    } else {
-        file << "# helm-sim arrival trace: <arrival_seconds> "
-                "<prompt_tokens> <output_tokens>\n";
-    }
-    file.precision(17);
-    for (const auto &timed : requests) {
-        file << timed.arrival << " " << timed.request.prompt_tokens << " "
-             << timed.request.output_tokens;
-        if (tagged) {
-            file << " " << timed.request.tenant << " " << timed.deadline;
-        }
-        file << "\n";
-    }
-    return file.good() ? Status::ok()
-                       : Status::internal("write to " + path + " failed");
-}
-
 } // namespace helm::workload

@@ -102,12 +102,6 @@ merge_arrivals(const std::vector<std::vector<TimedRequest>> &streams);
 Result<std::vector<TimedRequest>>
 load_arrival_trace(const std::string &path);
 
-/** Write a stream in load_arrival_trace()'s format; the tenant and
- *  deadline columns are emitted only when some request sets them, so
- *  pre-tenant traces round-trip byte-for-byte. */
-Status save_arrival_trace(const std::vector<TimedRequest> &requests,
-                          const std::string &path);
-
 } // namespace helm::workload
 
 #endif // HELM_WORKLOAD_ARRIVAL_H

@@ -1,8 +1,8 @@
 /**
  * @file
- * Pins the pipeline executor's saturation runs to text captured before
- * it read its stages in place: every timing, byte count and record of
- * run_saturated(), rendered at %.17g.  The cases cover what the
+ * Pins the pipeline executor's saturation runs to captured text: every
+ * timing, byte count and record of run_saturated(), rendered at %.17g
+ * (pipeline_golden.inc says where each part was captured).  The cases cover what the
  * end-to-end identity runs do not reach — blocking KV reads, storage
  * weight flows, one micro-batch, as many as stages and one more, 2 and
  * 4 stages — all with records kept, and checks each case reaches the

@@ -21,7 +21,6 @@ TEST(Csv, HeaderAndRows)
     csv.row({"DRAM", "1", "49.3"});
     EXPECT_EQ(out.str(),
               "config,batch,tbt_ms\nNVDRAM,1,56.8\nDRAM,1,49.3\n");
-    EXPECT_EQ(csv.rows_written(), 2u);
 }
 
 TEST(Csv, EscapingCommasQuotesNewlines)
@@ -37,7 +36,8 @@ TEST(Csv, RowNumericFormatsWithPrecision)
     std::ostringstream out;
     CsvWriter csv(out);
     csv.header({"key", "a", "b"});
-    csv.row_numeric("x", {1.23456, 2.0}, 2);
+    // The benches' numeric rows: format_fixed cells through row().
+    csv.row({"x", format_fixed(1.23456, 2), format_fixed(2.0, 2)});
     EXPECT_EQ(out.str(), "key,a,b\nx,1.23,2.00\n");
 }
 
@@ -62,7 +62,6 @@ TEST(AsciiTable, AlignmentAndRule)
     // Right-aligned numeric column: "22" ends where " 1" ends.
     EXPECT_NE(text.find("alpha      1"), std::string::npos);
     EXPECT_NE(text.find("b         22"), std::string::npos);
-    EXPECT_EQ(table.row_count(), 2u);
 }
 
 TEST(AsciiTable, RaggedRowsHandled)

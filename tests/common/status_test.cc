@@ -23,7 +23,6 @@ TEST(Status, FactoryFunctions)
 {
     EXPECT_EQ(Status::invalid_argument("x").code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(Status::out_of_range("x").code(), StatusCode::kOutOfRange);
     EXPECT_EQ(Status::capacity_exceeded("x").code(),
               StatusCode::kCapacityExceeded);
     EXPECT_EQ(Status::failed_precondition("x").code(),

@@ -15,6 +15,7 @@
 #include "runtime/step_cache.h"
 #include "runtime/tuner.h"
 #include "sweep/sweep.h"
+#include "telemetry/export.h"
 #include "telemetry/metrics.h"
 
 namespace helm {
@@ -300,7 +301,13 @@ TEST(StepCacheMemo, RecordEmitsHitsAndMisses)
 
     telemetry::MetricsRegistry registry;
     cache.record(registry);
-    EXPECT_EQ(registry.family_count(), 2u);
+    // Exactly two families: the exposition declares two types.
+    const std::string text = telemetry::prometheus_text(registry);
+    std::size_t types = 0;
+    for (std::size_t at = text.find("# TYPE "); at != std::string::npos;
+         at = text.find("# TYPE ", at + 1))
+        ++types;
+    EXPECT_EQ(types, 2u);
     EXPECT_EQ(registry.label_sets("helm_stepcache_hits").size(), 1u);
     EXPECT_EQ(registry.label_sets("helm_stepcache_misses").size(), 1u);
     EXPECT_EQ(registry.value_or("helm_stepcache_hits", {{"stage", "engine"}}),

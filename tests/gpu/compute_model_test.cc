@@ -6,6 +6,7 @@
 
 #include "gpu/compute_model.h"
 #include "model/opt.h"
+#include "runtime/planner.h"
 
 namespace helm::gpu {
 namespace {
@@ -170,12 +171,30 @@ TEST_F(ComputeModelTest, StageNames)
 
 TEST_F(ComputeModelTest, UsableHbmSubtractsReserveAndStaging)
 {
-    const Bytes plain = gpu_.usable_hbm(2 * kGiB, false);
-    const Bytes compressed = gpu_.usable_hbm(2 * kGiB, true);
-    EXPECT_LT(plain, gpu_.hbm_capacity);
-    EXPECT_LT(compressed, plain);
-    // Degenerate: staging larger than HBM yields zero, not underflow.
-    EXPECT_EQ(gpu_.usable_hbm(100 * kGiB, true), 0u);
+    // The planner's budget (what the runtime sizes the GPU tier from):
+    // the fixed reserve plus a largest-FP16-layer staging buffer, and a
+    // dequantization workspace and compressed streams on top of it when
+    // the weights are 4-bit.
+    const auto fp16 = model::build_layers(config_, model::DataType::kFp16);
+    const auto int4 =
+        model::build_layers(config_, model::DataType::kInt4Grouped);
+    const model::SequenceShape shape;
+    const auto plain = runtime::compute_gpu_budget(gpu_, config_, fp16, 0,
+                                                   shape, 1, false);
+    const auto compressed = runtime::compute_gpu_budget(
+        gpu_, config_, int4, 0, shape, 1, true);
+    EXPECT_EQ(plain.base_reserve, gpu_.base_reserve);
+    EXPECT_EQ(plain.staging, runtime::max_layer_fp16_bytes(fp16));
+    EXPECT_GT(compressed.staging, plain.staging);
+    EXPECT_LT(plain.free_bytes(), gpu_.hbm_capacity);
+    EXPECT_LT(compressed.free_bytes(), plain.free_bytes());
+    // Degenerate: a budget past HBM has zero headroom, not underflow.
+    GpuSpec small = gpu_;
+    small.hbm_capacity = gpu_.base_reserve;
+    EXPECT_EQ(runtime::compute_gpu_budget(small, config_, fp16, 0, shape, 1,
+                                          false)
+                  .free_bytes(),
+              0u);
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the tiered KV-cache manager (kvcache/kvcache.h):
  * configuration validation, block geometry, per-step traffic
- * accounting, eviction/demotion for both policies, and the
- * free-request promotion back-fill.
+ * accounting, and eviction/demotion for both policies — each observed
+ * through the calls the engine makes (add_request, step,
+ * reset_requests) and what it reads back (StepTraffic, stats()).
  */
 #include <gtest/gtest.h>
 
@@ -143,13 +144,17 @@ TEST(KvCacheManager, CreateRejectsHostTierSmallerThanOneBlock)
 
 TEST(KvCacheManager, BlockGeometryMatchesFootprintMath)
 {
-    const auto manager = make_manager(KvCacheConfig::legacy_offload());
-    EXPECT_EQ(manager.token_bytes_per_layer(), token_layer());
+    auto manager = make_manager(KvCacheConfig::legacy_offload());
     EXPECT_EQ(manager.block_bytes(), one_block());
     EXPECT_EQ(manager.blocks_for_tokens(0), 0u);
     EXPECT_EQ(manager.blocks_for_tokens(1), 1u);
     EXPECT_EQ(manager.blocks_for_tokens(16), 1u);
     EXPECT_EQ(manager.blocks_for_tokens(17), 2u);
+    // One token's K+V for one MHA layer is what a step moves per token.
+    ASSERT_TRUE(manager.add_request(0).is_ok());
+    const auto traffic = manager.step(1, /*count_reads=*/false);
+    ASSERT_TRUE(traffic.is_ok());
+    EXPECT_EQ(traffic->write_bytes[0], token_layer());
 }
 
 TEST(KvCacheManager, RequestSlotsFromBoundedTiers)
@@ -217,7 +222,7 @@ TEST(KvCacheManager, LegacyOffloadMatchesWholeCacheFormulas)
 }
 
 // ---------------------------------------------------------------------
-// Eviction and promotion
+// Eviction
 // ---------------------------------------------------------------------
 
 TEST(KvCacheManager, LruEvictionDemotesOldestBlocks)
@@ -237,53 +242,44 @@ TEST(KvCacheManager, LruEvictionDemotesOldestBlocks)
               32 * token_layer() * small_model().blocks);
     // ...and the appends themselves hit the GPU tier, which is free.
     EXPECT_EQ(manager.stats().tiers[1].write_bytes, 0u);
+    EXPECT_EQ(manager.stats().tiers[0].blocks, 2u);
+    EXPECT_EQ(manager.stats().tiers[1].blocks, 2u);
 
-    const auto stats = manager.request_stats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].tokens, 64u);
-    EXPECT_EQ(stats[0].blocks_on_tier[0], 2u);
-    EXPECT_EQ(stats[0].blocks_on_tier[1], 2u);
+    // A decode read streams back exactly the two oldest (demoted)
+    // blocks: the first 32 tokens of the 64-token context.
+    const auto decode = manager.step(0, /*count_reads=*/true);
+    ASSERT_TRUE(decode.is_ok());
+    EXPECT_EQ(decode->read_bytes[0], 0u);
+    EXPECT_EQ(decode->read_bytes[1], 32 * token_layer());
 }
 
 TEST(KvCacheManager, LongestContextFirstSparesShortRequests)
 {
-    auto manager = make_manager(
-        two_tier(4, EvictionPolicy::kLongestContextFirst));
-    ASSERT_TRUE(manager.add_request(0).is_ok());
-    ASSERT_TRUE(manager.step(32, false).is_ok()); // r0: 2 GPU blocks
-    ASSERT_TRUE(manager.add_request(1).is_ok());
-    // r0 grows to 4 blocks (filling the tier), then r1's two fresh
-    // blocks each demote a block of r0 — the longest-context request.
-    ASSERT_TRUE(manager.step(32, false).is_ok());
-
-    EXPECT_EQ(manager.stats().demotions, 2u);
-    const auto stats = manager.request_stats();
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].blocks_on_tier[1], 2u); // r0 paid the eviction
-    EXPECT_EQ(stats[1].blocks_on_tier[1], 0u); // r1 stayed GPU-resident
-}
-
-TEST(KvCacheManager, FreeRequestPromotesMostRecentBlocksBack)
-{
-    auto manager = make_manager(two_tier(2));
-    ASSERT_TRUE(manager.add_request(0).is_ok());
-    ASSERT_TRUE(manager.step(32, false).is_ok());
-    ASSERT_TRUE(manager.add_request(1).is_ok());
-    ASSERT_TRUE(manager.step(32, false).is_ok());
-    // The GPU tier now holds r1's two freshest blocks; all four of r0's
-    // blocks were demoted to the host on the way.
-    EXPECT_EQ(manager.stats().demotions, 4u);
-
-    ASSERT_TRUE(manager.free_request(1).is_ok());
-    // The freed GPU space back-fills with r0's most recent blocks.
-    EXPECT_EQ(manager.stats().promotions, 2u);
-    EXPECT_EQ(manager.stats().tiers[1].promoted_out_bytes,
-              2 * 16 * token_layer() * small_model().blocks);
-    const auto stats = manager.request_stats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].blocks_on_tier[0], 2u);
-    EXPECT_EQ(stats[0].blocks_on_tier[1], 2u);
-    EXPECT_EQ(manager.stats().tiers[0].blocks, 2u);
+    // Two requests on a 2-block GPU tier: r0 and r1 each place 12
+    // tokens, then 8 more each.  r0's append fills its block and needs
+    // a second one, which pushes r0 ahead (16 vs 12 tokens) at the
+    // moment a victim is picked.
+    auto run = [](EvictionPolicy eviction) {
+        auto manager = make_manager(two_tier(2, eviction));
+        EXPECT_TRUE(manager.add_request(0).is_ok());
+        EXPECT_TRUE(manager.add_request(1).is_ok());
+        EXPECT_TRUE(manager.step(12, /*count_reads=*/true).is_ok());
+        auto traffic = manager.step(8, /*count_reads=*/true);
+        EXPECT_TRUE(traffic.is_ok());
+        EXPECT_EQ(manager.stats().demotions, 2u);
+        return *traffic;
+    };
+    // Longest-context-first takes both victims from r0, so the host
+    // holds r0's whole 20-token context and r1 (16 tokens) stays on
+    // the GPU: the decode read is r0's context and nothing of r1's.
+    const StepTraffic longest = run(EvictionPolicy::kLongestContextFirst);
+    EXPECT_EQ(longest.read_bytes[1], 20 * token_layer());
+    EXPECT_EQ(longest.write_bytes[1], 20 * token_layer());
+    // LRU instead demotes r1's older 12-token block first, then r0's
+    // full one: 32 host tokens, r1 among them.
+    const StepTraffic lru = run(EvictionPolicy::kLru);
+    EXPECT_EQ(lru.read_bytes[1], 32 * token_layer());
+    EXPECT_EQ(lru.write_bytes[1], 32 * token_layer());
 }
 
 // ---------------------------------------------------------------------
@@ -297,8 +293,7 @@ TEST(KvCacheManager, CanGrowAndCapacityExceeded)
     auto manager = make_manager(config);
     ASSERT_TRUE(manager.add_request(0).is_ok());
 
-    EXPECT_TRUE(manager.can_grow(0, 4 * 16));
-    EXPECT_FALSE(manager.can_grow(0, 4 * 16 + 1));
+    // Both tiers hold two blocks: 64 tokens fit, the 65th does not.
     ASSERT_TRUE(manager.step(4 * 16, false).is_ok());
     EXPECT_EQ(manager.step(1, false).status().code(),
               StatusCode::kCapacityExceeded);
@@ -335,8 +330,8 @@ TEST(KvCacheManager, RequestLifecycleErrors)
     ASSERT_TRUE(manager.add_request(0).is_ok());
     EXPECT_EQ(manager.add_request(0).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(manager.free_request(99).code(), StatusCode::kNotFound);
-    EXPECT_TRUE(manager.free_request(0).is_ok());
+    manager.reset_requests();
+    EXPECT_TRUE(manager.add_request(0).is_ok());
 }
 
 } // namespace

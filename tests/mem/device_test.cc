@@ -6,6 +6,7 @@
 
 #include "mem/calibration.h"
 #include "mem/device.h"
+#include "placement/ndp_aware.h"
 
 namespace helm::mem {
 namespace {
@@ -118,11 +119,9 @@ TEST(Device, StorageDevicesNeedBounceBuffers)
 {
     EXPECT_TRUE(make_ssd()->needs_bounce_buffer());
     EXPECT_TRUE(make_fsdax()->needs_bounce_buffer());
-    EXPECT_TRUE(make_ssd()->is_storage());
-    EXPECT_TRUE(make_fsdax()->is_storage());
     EXPECT_FALSE(make_dram()->needs_bounce_buffer());
     EXPECT_FALSE(make_optane()->needs_bounce_buffer());
-    EXPECT_FALSE(make_memory_mode()->is_storage());
+    EXPECT_FALSE(make_memory_mode()->needs_bounce_buffer());
 }
 
 TEST(Device, FsdaxFasterThanSsd)
@@ -174,17 +173,16 @@ TEST(Device, NodeOneDeratesReadsAndWritesIndependently)
                         BandwidthCurve(Bandwidth::gb_per_s(40.0)),
                         BandwidthCurve(Bandwidth::gb_per_s(30.0)),
                         100e-9);
-    device.set_read_node_factors({1.0, 0.6});
     device.set_write_node_factors({1.0, 0.5});
     // Node 0 (GPU-local) is untouched.
     EXPECT_DOUBLE_EQ(device.read_bandwidth(kGiB, 0).as_gb_per_s(), 40.0);
     EXPECT_DOUBLE_EQ(device.write_bandwidth(kGiB, 0).as_gb_per_s(), 30.0);
-    // Node 1 pays the cross-socket derate, per direction.
-    EXPECT_DOUBLE_EQ(device.read_bandwidth(kGiB, 1).as_gb_per_s(), 24.0);
+    // Node 1 pays the cross-socket derate on writes only.
+    EXPECT_DOUBLE_EQ(device.read_bandwidth(kGiB, 1).as_gb_per_s(), 40.0);
     EXPECT_DOUBLE_EQ(device.write_bandwidth(kGiB, 1).as_gb_per_s(), 15.0);
-    // The cold-copy default path inherits the read derate.
+    // The cold-copy default path follows the streaming read rate.
     EXPECT_DOUBLE_EQ(device.cold_read_bandwidth(kGiB, 1).as_gb_per_s(),
-                     24.0);
+                     40.0);
 }
 
 TEST(Device, ColdNeverBeatsStreamingAcrossSizes)
@@ -216,20 +214,27 @@ TEST(Device, NdpDimmGemvTimeIsJointlyLimited)
     auto ndp = make_ndp_dimm();
     EXPECT_EQ(ndp->kind(), MemoryKind::kNdpDimm);
     EXPECT_EQ(ndp->capacity(), 512 * kGiB); // 2 sockets x 256 GiB
+    // The schedule compiler prices near-data steps from the device's
+    // rates through placement::ndp_execution_time.
+    placement::NdpProfile profile;
+    profile.gemv_rate = ndp->gemv_rate();
+    profile.gemv_flops = ndp->gemv_flops();
+    auto gemv_time = [&](Bytes bytes, double flops) {
+        return placement::ndp_execution_time(profile, bytes, flops);
+    };
     // Bandwidth-bound regime: many bytes, trivial FLOPs.
     const Bytes big = 64ull * kGiB;
-    EXPECT_NEAR(ndp->gemv_time(big, 1.0),
+    EXPECT_NEAR(gemv_time(big, 1.0),
                 static_cast<double>(big) / ndp->gemv_rate().raw(), 1e-9);
     // Compute-bound regime: trivial bytes, many FLOPs.
     const double flops = 1e13;
-    EXPECT_NEAR(ndp->gemv_time(1, flops), flops / ndp->gemv_flops(),
-                1e-9);
+    EXPECT_NEAR(gemv_time(1, flops), flops / ndp->gemv_flops(), 1e-9);
     // The time is max(stream, compute), not the sum: at the balance
     // point both bounds coincide.
     const Bytes balanced = static_cast<Bytes>(
         ndp->gemv_rate().raw() * (flops / ndp->gemv_flops()));
-    EXPECT_NEAR(ndp->gemv_time(balanced, flops),
-                flops / ndp->gemv_flops(), 1e-6);
+    EXPECT_NEAR(gemv_time(balanced, flops), flops / ndp->gemv_flops(),
+                1e-6);
 }
 
 TEST(Device, HbfEnduranceCounterDrainsToZeroAndClamps)

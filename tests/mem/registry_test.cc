@@ -60,7 +60,9 @@ TEST(Registry, StorageTierFlagsMatchTheDevices)
 {
     const DeviceRegistry &zoo = DeviceRegistry::builtin();
     for (const RegisteredDevice &entry : zoo.devices()) {
-        EXPECT_EQ(entry.storage_tier, entry.make()->is_storage())
+        // Storage devices are the ones that stage through a bounce
+        // buffer (Sec. IV-B).
+        EXPECT_EQ(entry.storage_tier, entry.make()->needs_bounce_buffer())
             << entry.name;
     }
     EXPECT_TRUE(zoo.find("SSD")->storage_tier);

@@ -37,17 +37,16 @@ TEST(Dtype, CompressionRatioNearlyAQuarter)
 {
     // Paper Sec. IV-B: 4-bit group-wise quantization reduces the model
     // "to nearly a quarter".
-    const double ratio = compression_ratio_vs_fp16(DataType::kInt4Grouped);
-    EXPECT_NEAR(ratio, 0.28125, 1e-6);
-    EXPECT_DOUBLE_EQ(compression_ratio_vs_fp16(DataType::kFp16), 1.0);
-    EXPECT_DOUBLE_EQ(compression_ratio_vs_fp16(DataType::kFp32), 2.0);
-    EXPECT_DOUBLE_EQ(compression_ratio_vs_fp16(DataType::kInt8), 0.5);
-}
-
-TEST(Dtype, Names)
-{
-    EXPECT_STREQ(data_type_name(DataType::kFp16), "fp16");
-    EXPECT_STREQ(data_type_name(DataType::kInt4Grouped), "int4-g64");
+    // A large tensor, so partial-group rounding is negligible.
+    constexpr std::uint64_t kProbe = 1ull << 24;
+    auto ratio = [](DataType dtype) {
+        return static_cast<double>(tensor_bytes(kProbe, dtype)) /
+               static_cast<double>(tensor_bytes(kProbe, DataType::kFp16));
+    };
+    EXPECT_NEAR(ratio(DataType::kInt4Grouped), 0.28125, 1e-6);
+    EXPECT_DOUBLE_EQ(ratio(DataType::kFp16), 1.0);
+    EXPECT_DOUBLE_EQ(ratio(DataType::kFp32), 2.0);
+    EXPECT_DOUBLE_EQ(ratio(DataType::kInt8), 0.5);
 }
 
 } // namespace

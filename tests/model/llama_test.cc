@@ -8,6 +8,7 @@
 #include "model/footprint.h"
 #include "model/llama.h"
 #include "model/opt.h"
+#include "model/zoo.h"
 #include "placement/helm_placement.h"
 #include "runtime/engine.h"
 
@@ -106,10 +107,11 @@ TEST(Llama, GqaShrinksKvProjections)
 
 TEST(Llama, ZooLookup)
 {
-    auto found = llama_config_by_name("LLaMa-2-70B");
+    // The registry lookup `--model` and sweeps use.
+    auto found = find_model("LLaMa-2-70B");
     ASSERT_TRUE(found.is_ok());
     EXPECT_EQ(found->blocks, 80u);
-    EXPECT_FALSE(llama_config_by_name("LLaMa-9000").is_ok());
+    EXPECT_FALSE(find_model("LLaMa-9000").is_ok());
 }
 
 TEST(Llama, HelmPlacementBalancesGatedFfn)

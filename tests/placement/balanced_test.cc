@@ -55,7 +55,7 @@ TEST_F(BalancedTest, EveryLayerMeetsItsWindowWhenBudgetAmple)
     BalancedPlacement algorithm(
         uniform_profile(window, bw, 1000 * kGiB));
     const auto map = algorithm.place(layers_, Policy::host_offload());
-    EXPECT_DOUBLE_EQ(algorithm.residual_stall(), 0.0);
+    // No residual stall: each layer's off-GPU bytes stream in its window.
     const double allowed = window * bw.raw();
     for (const auto &layer : map.layers) {
         EXPECT_LE(static_cast<double>(layer.off_gpu_bytes()),
@@ -87,12 +87,19 @@ TEST_F(BalancedTest, ZeroWindowsPinEverythingWithinBudget)
 TEST_F(BalancedTest, TightBudgetRespectedWithResidualStall)
 {
     const Bytes budget = 1 * kGiB; // far below the perfect-balance need
-    BalancedPlacement algorithm(
-        uniform_profile(1e-4, Bandwidth::gb_per_s(20.0), budget));
+    const Bandwidth bw = Bandwidth::gb_per_s(20.0);
+    const Seconds window = 1e-4;
+    BalancedPlacement algorithm(uniform_profile(window, bw, budget));
     const auto map = algorithm.place(layers_, Policy::host_offload());
     EXPECT_LE(map.tier_total(Tier::kGpu), budget);
     EXPECT_GT(map.tier_total(Tier::kGpu), budget / 2); // budget used
-    EXPECT_GT(algorithm.residual_stall(), 0.0);
+    // A stall remains: some layer streams more than its window hides.
+    bool stalled = false;
+    for (const auto &layer : map.layers) {
+        stalled |= static_cast<double>(layer.off_gpu_bytes()) >
+                   window * bw.raw();
+    }
+    EXPECT_TRUE(stalled);
 }
 
 TEST_F(BalancedTest, BudgetSpentWhereStallsAreWorst)

@@ -82,10 +82,12 @@ small_run(bool kv_tiering = false)
 TEST(TraceCounters, DisabledOptionsMatchLegacyOverload)
 {
     const auto result = small_run();
-    // Rate 0 and no KV occupancy: the counters overload must emit the
-    // exact bytes of the legacy two-argument form.
-    EXPECT_EQ(chrome_trace_json(result.records),
-              chrome_trace_json(result.records, TraceCounterOptions{}));
+    // Rate 0 and no KV occupancy: default options add no counter rows,
+    // so the trace is the plain duration-event form.
+    const std::string json = chrome_trace_json(result.records);
+    EXPECT_EQ(json, chrome_trace_json(result.records, TraceCounterOptions{}));
+    EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(TraceCounters, HostPortUtilizationPairsPerTransfer)

@@ -55,8 +55,6 @@ TEST(Dataset, DistinctAndFilter)
 TEST(Dataset, Aggregates)
 {
     const Dataset d = sample_dataset();
-    EXPECT_DOUBLE_EQ(d.min_of("tbt"), 4.9);
-    EXPECT_DOUBLE_EQ(d.max_of("tbt"), 5.7);
     EXPECT_NEAR(d.mean_of("tbt"), 5.3, 1e-12);
     EXPECT_DOUBLE_EQ(Dataset().mean_of("x"), 0.0);
 }

@@ -59,7 +59,9 @@ TEST(Registry, CounterFindOrCreateAccumulates)
     EXPECT_DOUBLE_EQ(
         registry.value_or("helm_test_total", {{"kind", "b"}}), 1.0);
     EXPECT_EQ(registry.label_sets("helm_test_total").size(), 2u);
-    EXPECT_EQ(registry.family_count(), 1u);
+    // One family: the exposition declares its type once.
+    const std::string text = prometheus_text(registry);
+    EXPECT_EQ(text.find("# TYPE "), text.rfind("# TYPE "));
 }
 
 TEST(Registry, CounterIgnoresNegativeDeltas)

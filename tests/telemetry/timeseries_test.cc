@@ -22,7 +22,6 @@ TEST(SlidingWindow, RecordsSumRateMeanAndLifetime)
     EXPECT_EQ(window.samples(), 2u);
     EXPECT_DOUBLE_EQ(window.rate(), 5.0 / 4.0);
     EXPECT_DOUBLE_EQ(window.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 3.0);
     EXPECT_DOUBLE_EQ(window.total(), 5.0);
     EXPECT_EQ(window.total_samples(), 2u);
 }
@@ -32,8 +31,14 @@ TEST(SlidingWindow, SameBucketAccumulates)
     SlidingWindow window(1.0, 4);
     window.record(2.1, 1.0);
     window.record(2.9, 4.0);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 5.0);
-    EXPECT_EQ(window.samples(), 2u);
+    window.record(3.5, 7.0);
+    EXPECT_DOUBLE_EQ(window.sum(), 12.0);
+    EXPECT_EQ(window.samples(), 3u);
+
+    // Bucket 2 leaves the window whole: both its samples expire at once.
+    window.advance(6.0); // live [3, 6]
+    EXPECT_DOUBLE_EQ(window.sum(), 7.0);
+    EXPECT_EQ(window.samples(), 1u);
 }
 
 TEST(SlidingWindow, BucketsExpireAtTheWindowEdge)
@@ -52,7 +57,6 @@ TEST(SlidingWindow, BucketsExpireAtTheWindowEdge)
     window.advance(4.0); // live [2, 4]
     EXPECT_DOUBLE_EQ(window.sum(), 4.0);
     EXPECT_EQ(window.samples(), 1u);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 4.0);
 
     // Lifetime totals never expire.
     EXPECT_DOUBLE_EQ(window.total(), 7.0);
@@ -67,7 +71,6 @@ TEST(SlidingWindow, FarJumpClearsTheWholeWindow)
     window.advance(1000.0);
     EXPECT_DOUBLE_EQ(window.sum(), 0.0);
     EXPECT_EQ(window.samples(), 0u);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 0.0);
     EXPECT_DOUBLE_EQ(window.mean(), 0.0);
     EXPECT_DOUBLE_EQ(window.total(), 3.0);
 }
@@ -79,8 +82,12 @@ TEST(SlidingWindow, EarlierSampleClampsIntoTheCurrentBucket)
     // Time never goes backwards in the DES; a stray earlier sample
     // lands in the newest bucket instead of resurrecting an old one.
     window.record(4.2, 2.0);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 3.0);
     EXPECT_DOUBLE_EQ(window.sum(), 3.0);
+    // Both live in bucket 5: at 8.0 (live [5, 8]) bucket 4 would have
+    // expired, but the pair is still counted.
+    window.advance(8.0);
+    EXPECT_DOUBLE_EQ(window.sum(), 3.0);
+    EXPECT_EQ(window.samples(), 2u);
 }
 
 TEST(SlidingWindow, EmptyWindowQueriesAreZero)
@@ -89,7 +96,6 @@ TEST(SlidingWindow, EmptyWindowQueriesAreZero)
     EXPECT_DOUBLE_EQ(window.sum(), 0.0);
     EXPECT_DOUBLE_EQ(window.rate(), 0.0);
     EXPECT_DOUBLE_EQ(window.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(window.max_bucket(), 0.0);
     EXPECT_EQ(window.samples(), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -637,6 +638,31 @@ TEST(Cli, MalformedNumbersFailWithOneLine)
     // Finite, but past what a byte count can hold.
     EXPECT_TRUE(failed_with_one_line(
         run_cli("run --kv-tiering --kv-host-gb 1e300")));
+}
+
+TEST(Cli, HugeCountsFailFastWithOneLine)
+{
+    // Well-formed counts whose byte or step totals wrap 64 bits: the
+    // batches and micro-batches used to hang past 5 s on a wrapped
+    // (small) KV budget, the repeats and token counts to abort
+    // reserving the schedule (std::bad_alloc, std::length_error).
+    for (const char *args :
+         {"run --batch 18446744073709551615",
+          "run --batch 4611686018427387904", "run --repeats 1000000000",
+          "run --micro-batches 4611686018427387904",
+          "run --prompt-tokens 4611686018427387904",
+          "run --output-tokens 4611686018427387904"}) {
+        const auto start = std::chrono::steady_clock::now();
+        const CliResult result = run_cli(args);
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - start;
+        EXPECT_EQ(result.exit_code, 1) << args << ": " << result.output;
+        EXPECT_TRUE(result.out.empty()) << args << ": " << result.out;
+        EXPECT_EQ(std::count(result.err.begin(), result.err.end(), '\n'),
+                  1)
+            << args << ": " << result.err;
+        EXPECT_LT(took.count(), 1.0) << args;
+    }
 }
 
 TEST(Cli, StrayArgumentsFailWithOneLine)

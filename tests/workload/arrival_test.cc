@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include "workload/arrival.h"
 
@@ -141,8 +142,18 @@ TEST(Arrival, TraceRoundTrips)
     const auto stream = generate_arrivals(spec);
     ASSERT_TRUE(stream.is_ok());
 
+    // Written the way `helmsim serve --arrivals` files are laid out:
+    // "<arrival_s> <prompt> <output>" per line, times at full precision.
     const std::string path = "/tmp/helm_arrival_trace_test.txt";
-    ASSERT_TRUE(save_arrival_trace(*stream, path).is_ok());
+    {
+        std::ofstream out(path);
+        out.precision(17);
+        out << "# arrival prompt output\n";
+        for (const auto &timed : *stream) {
+            out << timed.arrival << " " << timed.request.prompt_tokens
+                << " " << timed.request.output_tokens << "\n";
+        }
+    }
     const auto loaded = load_arrival_trace(path);
     ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
     ASSERT_EQ(loaded->size(), stream->size());
