@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -264,6 +265,12 @@ class PipelineExecutor
                 rec.transfer_start = tok.load_issue;
                 rec.step_start = tok.start;
                 rec.step_end = tok.done;
+                rec.kv_write_time = tok.kv_write_done >= 0.0
+                                        ? tok.kv_write_done - tok.start
+                                        : 0.0;
+                rec.kv_stall_time = tok.kv_read_done >= 0.0
+                                        ? tok.kv_read_done - tok.start
+                                        : 0.0;
                 for (const ScheduledStep &step : steps)
                     runtime::add_step_traffic(rec, stage, step);
             }
@@ -294,8 +301,12 @@ class PipelineExecutor
         Seconds compute = 0.0;     //!< GPU time, summed at token start
         Seconds load_issue = 0.0;
         Seconds load_done = 0.0;
-        Seconds start = 0.0; //!< first chunk began
-        Seconds done = 0.0;  //!< retired
+        /** The token's step began: its blocking KV reads were issued,
+         *  or, with none in flight, its first chunk began. */
+        Seconds start = 0.0;
+        Seconds done = 0.0;           //!< retired
+        Seconds kv_read_done = -1.0;  //!< blocking reads landed; -1 = none
+        Seconds kv_write_done = -1.0; //!< last writeback; -1 = none
     };
 
     /** Stage @p s's compiled steps for token @p t, in layer order. */
@@ -368,15 +379,18 @@ class PipelineExecutor
         if (!st.reads_issued) {
             st.reads_issued = true;
             const CompiledSchedule &stage = stages_[s];
+            tokens_[s][t].start = fabric_.sim().now();
             st.reads = 1;
             for (const ScheduledStep &step : token_steps(s, t)) {
                 if (step.kv_prefetch)
                     continue;
                 for (const KvFlowSpec &flow : stage.kv_reads(step)) {
                     ++st.reads;
-                    fabric_.host_to_gpu(s, flow.bytes, flow.cap, [this, s] {
-                        if (--stage_[s].reads == 0)
-                            advance(s);
+                    fabric_.host_to_gpu(s, flow.bytes, flow.cap, [this, s, t] {
+                        if (--stage_[s].reads > 0)
+                            return;
+                        tokens_[s][t].kv_read_done = fabric_.sim().now();
+                        advance(s);
                     });
                 }
             }
@@ -396,7 +410,6 @@ class PipelineExecutor
     on_token_started(std::uint64_t s, std::uint64_t t)
     {
         TokenState &tok = tokens_[s][t];
-        tok.start = fabric_.sim().now();
         // Every layer's compute and launch overhead, in layer order.
         for (const ScheduledStep &step : token_steps(s, t))
             tok.compute += step.compute + overhead_;
@@ -409,6 +422,7 @@ class PipelineExecutor
                 ++st.writes;
                 fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
                     --stage_[s].writes;
+                    tokens_[s][t].kv_write_done = fabric_.sim().now();
                     maybe_complete(s, t);
                 });
             }
@@ -497,9 +511,20 @@ run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
            const runtime::ServingSpec &base, bool keep_records)
 {
     if (mode == Parallelism::kTensor) {
-        runtime::Executor lockstep(fabric, shards);
-        HELM_RETURN_IF_ERROR(lockstep.run());
-        return lockstep.timeline(keep_records);
+        const std::uint64_t steps =
+            shards.size() * shards.front().steps.size();
+        std::optional<runtime::Executor> lockstep;
+        HELM_RETURN_IF_ERROR(
+            runtime::allocate_per_step(steps, "step timings", [&] {
+                lockstep.emplace(fabric, shards);
+            }));
+        HELM_RETURN_IF_ERROR(lockstep->run());
+        runtime::BatchTimeline tl;
+        HELM_RETURN_IF_ERROR(
+            runtime::allocate_per_step(steps, "step records", [&] {
+                tl = lockstep->timeline(keep_records);
+            }));
+        return tl;
     }
     PipelineExecutor pipeline(fabric, shards, micro_batches, base,
                               keep_records);
@@ -545,16 +570,23 @@ run_cluster_batch(const ClusterSpec &spec,
         const std::uint64_t per_batch = head.tokens * head.num_layers;
         const std::uint64_t reps =
             per_batch > 0 ? head.steps.size() / per_batch : 0;
+        const std::uint64_t steps = N * head.steps.size();
         std::deque<runtime::Executor> jobs;
-        for (std::uint64_t g = 0; g < N; ++g) {
-            jobs.emplace_back(fabric, std::span(&head, 1), g);
-            jobs.back().start();
-        }
+        HELM_RETURN_IF_ERROR(
+            runtime::allocate_per_step(steps, "step timings", [&] {
+                for (std::uint64_t g = 0; g < N; ++g)
+                    jobs.emplace_back(fabric, std::span(&head, 1), g);
+            }));
+        for (runtime::Executor &job : jobs)
+            job.start();
         HELM_RETURN_IF_ERROR(fabric.run());
         for (std::uint64_t g = 0; g < N; ++g) {
             HELM_RETURN_IF_ERROR(jobs[g].status());
-            out.timelines.push_back(
-                jobs[g].timeline(keep_records, /*batch_tag=*/g * reps));
+            HELM_RETURN_IF_ERROR(
+                runtime::allocate_per_step(steps, "step records", [&] {
+                    out.timelines.push_back(jobs[g].timeline(
+                        keep_records, /*batch_tag=*/g * reps));
+                }));
         }
     } else {
         auto tl_or = run_shards(

@@ -52,18 +52,6 @@ dtype_for_role(WeightRole role, DataType matrix_dtype)
     return is_matrix_role(role) ? matrix_dtype : DataType::kFp16;
 }
 
-WeightSpec
-make_weight(const std::string &prefix, WeightRole role,
-            std::uint64_t elements, DataType matrix_dtype)
-{
-    WeightSpec spec;
-    spec.name = prefix + "." + weight_role_name(role);
-    spec.role = role;
-    spec.elements = elements;
-    spec.dtype = dtype_for_role(role, matrix_dtype);
-    return spec;
-}
-
 } // namespace
 
 std::vector<LayerSpec>
@@ -75,113 +63,69 @@ build_layers(const TransformerConfig &config, DataType dtype)
                 "hidden must divide evenly into heads");
     const std::uint64_t h = config.hidden;
     const std::uint64_t f = config.ffn_hidden;
+    const std::uint64_t kv = config.kv_dim();
 
     std::vector<LayerSpec> layers;
     layers.reserve(config.num_layers());
+    auto add_layer = [&layers](LayerType type, int block) -> LayerSpec & {
+        LayerSpec &layer = layers.emplace_back();
+        layer.type = type;
+        layer.block_index = block;
+        layer.layer_index = static_cast<int>(layers.size() - 1);
+        return layer;
+    };
+    auto add = [dtype](LayerSpec &layer, WeightRole role,
+                       std::uint64_t elements) {
+        layer.weights.push_back(
+            WeightSpec{role, elements, dtype_for_role(role, dtype)});
+    };
 
     // Input embedding layer.
-    {
-        LayerSpec layer;
-        layer.type = LayerType::kInputEmbedding;
-        layer.layer_index = 0;
-        layer.weights.push_back(make_weight(
-            "embed", WeightRole::kTokenEmbedding, config.vocab * h,
-            dtype));
-        if (config.has_pos_embedding) {
-            layer.weights.push_back(
-                make_weight("embed", WeightRole::kPosEmbedding,
-                            config.max_seq * h, dtype));
-        }
-        layers.push_back(std::move(layer));
-    }
+    LayerSpec &embed = add_layer(LayerType::kInputEmbedding, -1);
+    add(embed, WeightRole::kTokenEmbedding, config.vocab * h);
+    if (config.has_pos_embedding)
+        add(embed, WeightRole::kPosEmbedding, config.max_seq * h);
 
     // Decoder blocks: MHA then FFN, matching FlexGen's layer split.
     for (std::uint64_t b = 0; b < config.blocks; ++b) {
-        const std::string prefix = "decoder." + std::to_string(b);
-
-        const std::uint64_t kv = config.kv_dim();
-
-        LayerSpec mha;
-        mha.type = LayerType::kMha;
-        mha.block_index = static_cast<int>(b);
-        mha.layer_index = static_cast<int>(layers.size());
         // FlexGen enumerates the projection matrices first, then biases,
         // then the block's input norm — this order is what Listing 2
         // cumulates over.
-        mha.weights.push_back(make_weight(prefix + ".mha",
-                                          WeightRole::kQProj, h * h,
-                                          dtype));
-        mha.weights.push_back(make_weight(prefix + ".mha",
-                                          WeightRole::kKProj, h * kv,
-                                          dtype));
-        mha.weights.push_back(make_weight(prefix + ".mha",
-                                          WeightRole::kVProj, h * kv,
-                                          dtype));
-        mha.weights.push_back(make_weight(prefix + ".mha",
-                                          WeightRole::kOutProj, h * h,
-                                          dtype));
+        LayerSpec &mha = add_layer(LayerType::kMha, static_cast<int>(b));
+        add(mha, WeightRole::kQProj, h * h);
+        add(mha, WeightRole::kKProj, h * kv);
+        add(mha, WeightRole::kVProj, h * kv);
+        add(mha, WeightRole::kOutProj, h * h);
         if (config.has_biases) {
-            mha.weights.push_back(make_weight(
-                prefix + ".mha", WeightRole::kQBias, h, dtype));
-            mha.weights.push_back(make_weight(
-                prefix + ".mha", WeightRole::kKBias, kv, dtype));
-            mha.weights.push_back(make_weight(
-                prefix + ".mha", WeightRole::kVBias, kv, dtype));
-            mha.weights.push_back(make_weight(
-                prefix + ".mha", WeightRole::kOutBias, h, dtype));
+            add(mha, WeightRole::kQBias, h);
+            add(mha, WeightRole::kKBias, kv);
+            add(mha, WeightRole::kVBias, kv);
+            add(mha, WeightRole::kOutBias, h);
         }
-        mha.weights.push_back(make_weight(
-            prefix + ".mha", WeightRole::kAttnLnWeight, h, dtype));
-        if (config.norm_has_bias) {
-            mha.weights.push_back(make_weight(
-                prefix + ".mha", WeightRole::kAttnLnBias, h, dtype));
-        }
-        layers.push_back(std::move(mha));
+        add(mha, WeightRole::kAttnLnWeight, h);
+        if (config.norm_has_bias)
+            add(mha, WeightRole::kAttnLnBias, h);
 
-        LayerSpec ffn;
-        ffn.type = LayerType::kFfn;
-        ffn.block_index = static_cast<int>(b);
-        ffn.layer_index = static_cast<int>(layers.size());
-        ffn.weights.push_back(make_weight(prefix + ".ffn",
-                                          WeightRole::kFc1, h * f,
-                                          dtype));
-        ffn.weights.push_back(make_weight(prefix + ".ffn",
-                                          WeightRole::kFc2, f * h,
-                                          dtype));
-        if (config.gated_ffn) {
-            ffn.weights.push_back(make_weight(
-                prefix + ".ffn", WeightRole::kFc3, h * f, dtype));
-        }
+        LayerSpec &ffn = add_layer(LayerType::kFfn, static_cast<int>(b));
+        add(ffn, WeightRole::kFc1, h * f);
+        add(ffn, WeightRole::kFc2, f * h);
+        if (config.gated_ffn)
+            add(ffn, WeightRole::kFc3, h * f);
         if (config.has_biases) {
-            ffn.weights.push_back(make_weight(
-                prefix + ".ffn", WeightRole::kFc1Bias, f, dtype));
-            ffn.weights.push_back(make_weight(
-                prefix + ".ffn", WeightRole::kFc2Bias, h, dtype));
+            add(ffn, WeightRole::kFc1Bias, f);
+            add(ffn, WeightRole::kFc2Bias, h);
         }
-        ffn.weights.push_back(make_weight(
-            prefix + ".ffn", WeightRole::kFfnLnWeight, h, dtype));
-        if (config.norm_has_bias) {
-            ffn.weights.push_back(make_weight(
-                prefix + ".ffn", WeightRole::kFfnLnBias, h, dtype));
-        }
-        layers.push_back(std::move(ffn));
+        add(ffn, WeightRole::kFfnLnWeight, h);
+        if (config.norm_has_bias)
+            add(ffn, WeightRole::kFfnLnBias, h);
     }
 
     // Output embedding layer (final norm + LM head).
-    {
-        LayerSpec layer;
-        layer.type = LayerType::kOutputEmbedding;
-        layer.layer_index = static_cast<int>(layers.size());
-        layer.weights.push_back(make_weight(
-            "output", WeightRole::kFinalLnWeight, h, dtype));
-        if (config.norm_has_bias) {
-            layer.weights.push_back(make_weight(
-                "output", WeightRole::kFinalLnBias, h, dtype));
-        }
-        layer.weights.push_back(make_weight(
-            "output", WeightRole::kLmHead, config.vocab * h, dtype));
-        layers.push_back(std::move(layer));
-    }
+    LayerSpec &output = add_layer(LayerType::kOutputEmbedding, -1);
+    add(output, WeightRole::kFinalLnWeight, h);
+    if (config.norm_has_bias)
+        add(output, WeightRole::kFinalLnBias, h);
+    add(output, WeightRole::kLmHead, config.vocab * h);
 
     HELM_ASSERT(layers.size() == config.num_layers(),
                 "layer expansion does not match num_layers()");

@@ -2,8 +2,9 @@
  * @file
  * Weight tensor specifications.
  *
- * A WeightSpec describes one named tensor of a layer: its role (which
- * matrix/bias/norm it is), element count, and dtype.  Placement
+ * A WeightSpec describes one tensor of a layer: its role (which
+ * matrix/bias/norm it is), element count, and dtype.  A layer holds at
+ * most one tensor per role, so (layer index, role) names a tensor.  Placement
  * algorithms (Listings 2 and 3 of the paper) operate on ordered lists of
  * WeightSpecs, so the order in which a layer enumerates its weights is
  * semantically meaningful — it is exactly FlexGen's `weight_specs`
@@ -13,7 +14,6 @@
 #define HELM_MODEL_WEIGHT_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -63,7 +63,6 @@ bool is_bias_or_norm_role(WeightRole role);
 /** One tensor of a layer. */
 struct WeightSpec
 {
-    std::string name;       //!< fully qualified, e.g. "decoder.3.mha.q_proj"
     WeightRole role;
     std::uint64_t elements; //!< element count
     DataType dtype = DataType::kFp16;

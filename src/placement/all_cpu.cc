@@ -10,12 +10,8 @@ AllCpuPlacement::place(const std::vector<model::LayerSpec> &layers,
     PlacementMap map;
     map.algorithm = name();
     map.layers.reserve(layers.size());
-    for (const auto &layer : layers) {
-        LayerPlacement placement = make_layer_placement(layer);
-        for (std::size_t i = 0; i < layer.weights.size(); ++i)
-            assign_weight(placement, layer, i, Tier::kCpu);
-        map.layers.push_back(std::move(placement));
-    }
+    for (const auto &layer : layers)
+        map.layers.push_back(make_layer_placement(layer));
     return map;
 }
 

@@ -58,14 +58,12 @@ BalancedPlacement::place(const std::vector<model::LayerSpec> &layers,
 
     std::vector<LayerState> states(layers.size());
     for (std::size_t j = 0; j < layers.size(); ++j) {
-        map.layers.push_back(make_layer_placement(layers[j]));
         // Everything starts on the host.
-        for (std::size_t w = 0; w < layers[j].weights.size(); ++w)
-            assign_weight(map.layers[j], layers[j], w, Tier::kCpu);
+        map.layers.push_back(make_layer_placement(layers[j]));
 
         LayerState &state = states[j];
         state.off_gpu_bytes =
-            static_cast<double>(layers[j].weight_bytes());
+            static_cast<double>(map.layers[j].bytes_on(Tier::kCpu));
         const std::size_t prev = j == 0 ? layers.size() - 1 : j - 1;
         state.window = profile_.compute_times[prev];
         state.pin_order.resize(layers[j].weights.size());

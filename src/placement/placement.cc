@@ -125,6 +125,8 @@ make_layer_placement(const model::LayerSpec &layer)
     placement.layer_index = layer.layer_index;
     placement.type = layer.type;
     placement.weight_tiers.assign(layer.weights.size(), Tier::kCpu);
+    placement.tier_bytes[static_cast<int>(Tier::kCpu)] =
+        layer.weight_bytes();
     return placement;
 }
 
@@ -135,18 +137,13 @@ assign_weight(LayerPlacement &placement, const model::LayerSpec &layer,
     HELM_ASSERT(w_index < layer.weights.size(), "weight index OOB");
     HELM_ASSERT(placement.weight_tiers.size() == layer.weights.size(),
                 "placement/layer weight count mismatch");
-    // Undo any prior assignment of this slot before recording the new one
-    // (assign_weight is called exactly once per slot by the algorithms,
-    // but the capacity spiller re-assigns).
-    placement.weight_tiers[w_index] = tier;
-    // Recompute tier byte sums from scratch for this layer: weight lists
-    // are short (<= 10 entries), so this stays O(1) in practice and can
-    // never drift out of sync.
-    placement.tier_bytes = {0, 0, 0};
-    for (std::size_t i = 0; i < layer.weights.size(); ++i) {
-        placement.tier_bytes[static_cast<int>(
-            placement.weight_tiers[i])] += layer.weights[i].bytes();
-    }
+    // Move the weight's bytes from its current tier to the new one; the
+    // sums are integers, so they stay exact in any order of moves.
+    const Bytes bytes = layer.weights[w_index].bytes();
+    Tier &current = placement.weight_tiers[w_index];
+    placement.tier_bytes[static_cast<int>(current)] -= bytes;
+    placement.tier_bytes[static_cast<int>(tier)] += bytes;
+    current = tier;
 }
 
 } // namespace helm::placement

@@ -122,10 +122,12 @@ Result<PlacementKind> parse_placement_kind(const std::string &name);
  */
 std::unique_ptr<PlacementAlgorithm> make_placement(PlacementKind kind);
 
-/** Helper: build a LayerPlacement skeleton for @p layer. */
+/** Helper: a LayerPlacement for @p layer with every weight on the CPU
+ *  tier, tier_bytes included. */
 LayerPlacement make_layer_placement(const model::LayerSpec &layer);
 
-/** Helper: record weight @p w_index of @p layer as living on @p tier. */
+/** Helper: move weight @p w_index of @p layer to @p tier, in O(1).
+ *  @p placement must come from make_layer_placement(@p layer). */
 void assign_weight(LayerPlacement &placement, const model::LayerSpec &layer,
                    std::size_t w_index, Tier tier);
 

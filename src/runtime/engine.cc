@@ -138,8 +138,7 @@ ServingSpec::validate_fields() const
 }
 
 Status
-ServingSpec::check_gpu_floor(
-    const std::vector<model::LayerSpec> &layers) const
+ServingSpec::check_gpu_floor(const StagingSizes &staging) const
 {
     // KV/batch feasibility: capacity enforcement can spill every weight
     // off the GPU, but the KV cache, hidden state, and staging buffers
@@ -147,7 +146,7 @@ ServingSpec::check_gpu_floor(
     if (!enforce_gpu_capacity)
         return Status::ok();
     const GpuBudget floor = compute_gpu_budget(
-        gpu, model, layers, /*gpu_weight_bytes=*/0, shape,
+        gpu, model, staging, /*gpu_weight_bytes=*/0, shape,
         batch * micro_batches, compress_weights, kv_resident_on_gpu());
     // validate_fields() bounds each term; their sum may still wrap.
     Bytes used = 0;
@@ -191,10 +190,17 @@ simulate_inference_uncached(const ServingSpec &spec)
 
     // ---- Run -------------------------------------------------------------
     Fabric fabric(1, spec.gpu, link_rates(compiled.system));
-    Executor executor(fabric, std::span(&compiled, 1));
-    if (!executor.run_closed_form())
-        HELM_RETURN_IF_ERROR(executor.run());
-    BatchTimeline timeline = executor.timeline(spec.keep_records);
+    const std::uint64_t steps = compiled.steps.size();
+    std::optional<Executor> executor;
+    HELM_RETURN_IF_ERROR(allocate_per_step(steps, "step timings", [&] {
+        executor.emplace(fabric, std::span(&compiled, 1));
+    }));
+    if (!executor->run_closed_form())
+        HELM_RETURN_IF_ERROR(executor->run());
+    BatchTimeline timeline;
+    HELM_RETURN_IF_ERROR(allocate_per_step(steps, "step records", [&] {
+        timeline = executor->timeline(spec.keep_records);
+    }));
 
     // ---- Metrics ----------------------------------------------------------
     RunResult result;

@@ -108,11 +108,11 @@ struct ServingSpec
      *  rules only. */
     Status validate_fields() const;
 
-    /** validate()'s KV/batch floor against @p layers, this spec's own
-     *  layer list built once by a caller that needs it anyway (the
-     *  schedule compiler, Server::create).  OK when
+    /** validate()'s KV/batch floor against @p staging, the staging
+     *  sizes of this spec's own layer list, built once by a caller that
+     *  needs it anyway (the schedule compiler, Server::create).  OK when
      *  !enforce_gpu_capacity. */
-    Status check_gpu_floor(const std::vector<model::LayerSpec> &layers) const;
+    Status check_gpu_floor(const StagingSizes &staging) const;
 
     /** True when the whole KV cache lives in HBM (no managed tiers) —
      *  the planner then budgets the full cache. */

@@ -6,17 +6,18 @@
 
 namespace helm::runtime {
 
-Bytes
-max_layer_fp16_bytes(const std::vector<model::LayerSpec> &layers)
+StagingSizes::StagingSizes(const std::vector<model::LayerSpec> &layers)
 {
-    Bytes max_bytes = 0;
     for (const auto &layer : layers) {
         Bytes fp16 = 0;
-        for (const auto &w : layer.weights)
+        Bytes stored = 0;
+        for (const auto &w : layer.weights) {
             fp16 += w.fp16_bytes();
-        max_bytes = std::max(max_bytes, fp16);
+            stored += w.bytes();
+        }
+        max_fp16 = std::max(max_fp16, fp16);
+        max_stored = std::max(max_stored, stored);
     }
-    return max_bytes;
 }
 
 Bytes
@@ -30,24 +31,10 @@ attention_scratch_bytes(const model::TransformerConfig &config,
            shape.prompt_tokens * 4;
 }
 
-namespace {
-
-/** Largest single-layer *stored* footprint (compressed stream buffer). */
-Bytes
-max_layer_stored_bytes(const std::vector<model::LayerSpec> &layers)
-{
-    Bytes max_bytes = 0;
-    for (const auto &layer : layers)
-        max_bytes = std::max(max_bytes, layer.weight_bytes());
-    return max_bytes;
-}
-
-} // namespace
-
 GpuBudget
 compute_gpu_budget(const gpu::GpuSpec &gpu,
                    const model::TransformerConfig &config,
-                   const std::vector<model::LayerSpec> &layers,
+                   const StagingSizes &staging,
                    Bytes gpu_weight_bytes,
                    const model::SequenceShape &shape, std::uint64_t batch,
                    bool compressed, bool kv_on_gpu)
@@ -58,11 +45,9 @@ compute_gpu_budget(const gpu::GpuSpec &gpu,
     // Uncompressed: one largest-layer FP16 buffer stages the in-flight
     // transfer.  Compressed: a second FP16 dequantization workspace plus
     // double-buffered compressed streams join it.
-    budget.staging = max_layer_fp16_bytes(layers);
-    if (compressed) {
-        budget.staging += max_layer_fp16_bytes(layers) +
-                          2 * max_layer_stored_bytes(layers);
-    }
+    budget.staging = staging.max_fp16;
+    if (compressed)
+        budget.staging += staging.max_fp16 + 2 * staging.max_stored;
     budget.gpu_weights = gpu_weight_bytes;
     if (kv_on_gpu) {
         budget.kv_cache = model::kv_bytes_batch(config, shape, batch);
@@ -82,12 +67,12 @@ compute_gpu_budget(const gpu::GpuSpec &gpu,
 Bytes
 gpu_weight_budget(const gpu::GpuSpec &gpu,
                   const model::TransformerConfig &config,
-                  const std::vector<model::LayerSpec> &layers,
+                  const StagingSizes &staging,
                   const model::SequenceShape &shape, std::uint64_t batch,
                   bool compressed, bool kv_on_gpu)
 {
     const GpuBudget budget = compute_gpu_budget(
-        gpu, config, layers, /*gpu_weight_bytes=*/0, shape, batch,
+        gpu, config, staging, /*gpu_weight_bytes=*/0, shape, batch,
         compressed, kv_on_gpu);
     const Bytes fixed = budget.used();
     if (fixed >= gpu.hbm_capacity)
@@ -97,13 +82,13 @@ gpu_weight_budget(const gpu::GpuSpec &gpu,
 
 std::uint64_t
 max_batch(const gpu::GpuSpec &gpu, const model::TransformerConfig &config,
-          const std::vector<model::LayerSpec> &layers,
+          const StagingSizes &staging,
           Bytes gpu_weight_bytes, const model::SequenceShape &shape,
           bool compressed, std::uint64_t limit, bool kv_on_gpu)
 {
     HELM_ASSERT(limit >= 1, "max_batch limit must be >= 1");
     auto fits = [&](std::uint64_t batch) {
-        return compute_gpu_budget(gpu, config, layers, gpu_weight_bytes,
+        return compute_gpu_budget(gpu, config, staging, gpu_weight_bytes,
                                   shape, batch, compressed, kv_on_gpu)
             .fits();
     };

@@ -50,8 +50,20 @@ struct GpuBudget
     }
 };
 
-/** Largest single-layer FP16 footprint (staging buffer size). */
-Bytes max_layer_fp16_bytes(const std::vector<model::LayerSpec> &layers);
+/**
+ * The largest single-layer weight footprints, which size the staging
+ * buffers.  A compile sums its layer list once and passes the result to
+ * every budget call; a caller holding only the layers passes them and
+ * converts implicitly.
+ */
+struct StagingSizes
+{
+    Bytes max_fp16 = 0;   //!< largest layer in FP16 (the staging buffer)
+    Bytes max_stored = 0; //!< largest layer as stored (compressed stream)
+
+    StagingSizes() = default;
+    StagingSizes(const std::vector<model::LayerSpec> &layers); // NOLINT
+};
 
 /** FP32 attention-score scratch for a prefill step. */
 Bytes attention_scratch_bytes(const model::TransformerConfig &config,
@@ -70,7 +82,7 @@ Bytes attention_scratch_bytes(const model::TransformerConfig &config,
  */
 GpuBudget compute_gpu_budget(const gpu::GpuSpec &gpu,
                              const model::TransformerConfig &config,
-                             const std::vector<model::LayerSpec> &layers,
+                             const StagingSizes &staging,
                              Bytes gpu_weight_bytes,
                              const model::SequenceShape &shape,
                              std::uint64_t batch, bool compressed,
@@ -83,7 +95,7 @@ GpuBudget compute_gpu_budget(const gpu::GpuSpec &gpu,
  */
 Bytes gpu_weight_budget(const gpu::GpuSpec &gpu,
                         const model::TransformerConfig &config,
-                        const std::vector<model::LayerSpec> &layers,
+                        const StagingSizes &staging,
                         const model::SequenceShape &shape,
                         std::uint64_t batch, bool compressed,
                         bool kv_on_gpu = true);
@@ -95,7 +107,7 @@ Bytes gpu_weight_budget(const gpu::GpuSpec &gpu,
  */
 std::uint64_t max_batch(const gpu::GpuSpec &gpu,
                         const model::TransformerConfig &config,
-                        const std::vector<model::LayerSpec> &layers,
+                        const StagingSizes &staging,
                         Bytes gpu_weight_bytes,
                         const model::SequenceShape &shape, bool compressed,
                         std::uint64_t limit = 4096,

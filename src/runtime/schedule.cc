@@ -1,6 +1,7 @@
 #include "runtime/schedule.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 
@@ -14,6 +15,28 @@ namespace helm::runtime {
 using placement::Tier;
 
 namespace {
+
+/** Every LayerType, in enumerator order (kLayerTypes[i] has value i). */
+constexpr std::array<model::LayerType, 4> kLayerTypes = {
+    model::LayerType::kInputEmbedding, model::LayerType::kMha,
+    model::LayerType::kFfn, model::LayerType::kOutputEmbedding};
+
+/** The roofline input of every layer of @p type in @p spec at
+ *  (@p stage, @p context): layers of one type do the same work. */
+gpu::LayerWork
+layer_work(const ServingSpec &spec, model::LayerType type, gpu::Stage stage,
+           std::uint64_t context)
+{
+    gpu::LayerWork work;
+    work.config = &spec.model;
+    work.layer = type;
+    work.stage = stage;
+    work.batch = spec.batch;
+    work.prompt_tokens = spec.shape.prompt_tokens;
+    work.context_tokens = context;
+    work.compressed = spec.compress_weights;
+    return work;
+}
 
 /** ceil(a / b) for shard slicing. */
 std::uint64_t
@@ -107,10 +130,12 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     auto geo_or = shard_geometry(spec, shard);
     if (!geo_or.is_ok())
         return geo_or.status();
-    if (!sharded) {
-        HELM_RETURN_IF_ERROR(spec.check_gpu_floor(geo_or->layers));
-    }
     auto layers = std::move(geo_or->layers);
+    // Every budget below sizes its staging from these maxima.
+    const StagingSizes staging(layers);
+    if (!sharded) {
+        HELM_RETURN_IF_ERROR(spec.check_gpu_floor(staging));
+    }
     const model::TransformerConfig kv_model = geo_or->kv_model;
     const std::uint64_t first_layer = geo_or->first_layer;
     const double compute_scale = geo_or->compute_scale;
@@ -125,6 +150,14 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
 
     const std::uint64_t effective_requests =
         spec.batch * spec.micro_batches;
+    // Block schedule: one weight load serves micro_batches back-to-back
+    // executions of the layer.
+    const double per_step =
+        static_cast<double>(spec.micro_batches) * compute_scale;
+    // Placement and site choice judge a layer on the latency-critical
+    // decode stage, mid-context.
+    const std::uint64_t mid_context =
+        spec.shape.prompt_tokens + spec.shape.output_tokens / 2;
     std::unique_ptr<placement::PlacementAlgorithm> algorithm;
     if (spec.placement == placement::PlacementKind::kHelm &&
         spec.helm_splits.has_value()) {
@@ -137,25 +170,17 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
         placement::BalanceProfile profile;
         profile.compute_times.reserve(layers.size());
         for (const auto &layer : layers) {
-            gpu::LayerWork work;
-            work.config = &spec.model;
-            work.layer = layer.type;
-            work.stage = gpu::Stage::kDecode;
-            work.batch = spec.batch;
-            work.prompt_tokens = spec.shape.prompt_tokens;
-            work.context_tokens = spec.shape.prompt_tokens +
-                                  spec.shape.output_tokens / 2;
-            work.compressed = spec.compress_weights;
+            const gpu::LayerWork work = layer_work(
+                spec, layer.type, gpu::Stage::kDecode, mid_context);
             profile.compute_times.push_back(
-                static_cast<double>(spec.micro_batches) * compute_scale *
-                    gpu::layer_compute_time(spec.gpu, work) +
+                per_step * gpu::layer_compute_time(spec.gpu, work) +
                 spec.gpu.layer_overhead);
         }
         // Representative transfer rate: a mid-sized weight chunk on
         // the resolved system (no resident set applied yet).
         profile.transfer_bandwidth = system.host_to_gpu_bw(512 * kMiB);
         profile.gpu_weight_budget = gpu_weight_budget(
-            spec.gpu, kv_model, layers, spec.shape, effective_requests,
+            spec.gpu, kv_model, staging, spec.shape, effective_requests,
             spec.compress_weights, spec.kv_resident_on_gpu());
         algorithm =
             std::make_unique<placement::BalancedPlacement>(profile);
@@ -170,13 +195,13 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     placement::SpillReport spill;
     if (spec.enforce_gpu_capacity) {
         const Bytes weight_budget = gpu_weight_budget(
-            spec.gpu, kv_model, layers, spec.shape, effective_batch,
+            spec.gpu, kv_model, staging, spec.shape, effective_batch,
             spec.compress_weights, kv_on_gpu);
         spill = placement::enforce_gpu_capacity(map, layers, weight_budget);
     }
     const Bytes gpu_weights = map.tier_total(Tier::kGpu);
     const GpuBudget budget = compute_gpu_budget(
-        spec.gpu, kv_model, layers, gpu_weights, spec.shape,
+        spec.gpu, kv_model, staging, gpu_weights, spec.shape,
         effective_batch, spec.compress_weights, kv_on_gpu);
     if (!budget.fits()) {
         return Status::capacity_exceeded(
@@ -264,19 +289,8 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                                lp.bytes_on(Tier::kCpu) +
                                lp.bytes_on(Tier::kDisk);
             work.stream_bytes = work.host_bytes * spec.micro_batches;
-            // Decide on the latency-critical decode stage, mid-context
-            // (the same window BalancedPlacement profiles).
-            gpu::LayerWork decode;
-            decode.config = &spec.model;
-            decode.layer = layers[li].type;
-            decode.stage = gpu::Stage::kDecode;
-            decode.batch = spec.batch;
-            decode.prompt_tokens = spec.shape.prompt_tokens;
-            decode.context_tokens = spec.shape.prompt_tokens +
-                                    spec.shape.output_tokens / 2;
-            decode.compressed = spec.compress_weights;
-            const double per_step =
-                static_cast<double>(spec.micro_batches) * compute_scale;
+            const gpu::LayerWork decode = layer_work(
+                spec, layers[li].type, gpu::Stage::kDecode, mid_context);
             work.flops = per_step * gpu::layer_flops(decode);
             work.gpu_compute =
                 per_step * gpu::layer_compute_time(spec.gpu, decode) +
@@ -290,9 +304,13 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     const std::uint64_t num_layers = layers.size();
     const std::uint64_t tokens = spec.shape.output_tokens;
     std::vector<ScheduledStep> steps;
-    steps.reserve(spec.repeats * tokens * num_layers);
     std::vector<KvTraffic> kv_traffic;
-    kv_traffic.reserve(spec.repeats * tokens);
+    const std::uint64_t step_count = spec.repeats * tokens * num_layers;
+    HELM_RETURN_IF_ERROR(
+        allocate_per_step(step_count, "schedule steps", [&] {
+            steps.reserve(step_count);
+            kv_traffic.reserve(spec.repeats * tokens);
+        }));
 
     // A layer's weight-transfer caps depend only on its bytes.
     std::vector<Bandwidth> cpu_caps(num_layers);
@@ -366,8 +384,26 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                 }
             }
 
+            // Every layer of one type does the same work this token (MHA
+            // reads the context, the others depend only on the stage),
+            // so the roofline runs once per type, not once per layer.
+            const bool ndp_token =
+                !sites.empty() && stage == gpu::Stage::kDecode;
+            std::array<Seconds, kLayerTypes.size()> compute_of{};
+            std::array<double, kLayerTypes.size()> ndp_flops_of{};
+            for (const model::LayerType type : kLayerTypes) {
+                const gpu::LayerWork work = layer_work(
+                    spec, type, stage, spec.shape.prompt_tokens + tok);
+                const auto t = static_cast<std::size_t>(type);
+                compute_of[t] =
+                    per_step * gpu::layer_compute_time(spec.gpu, work);
+                if (ndp_token)
+                    ndp_flops_of[t] = per_step * gpu::layer_flops(work);
+            }
+
             for (std::uint64_t li = 0; li < num_layers; ++li) {
                 const auto &layer = layers[li];
+                const auto type = static_cast<std::size_t>(layer.type);
                 const auto &lp = map.layers[li];
                 ScheduledStep &step = steps.emplace_back();
                 step.batch_index = rep;
@@ -376,24 +412,12 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                 step.type = layer.type;
                 step.stage = stage;
 
-                gpu::LayerWork work;
-                work.config = &spec.model;
-                work.layer = layer.type;
-                work.stage = stage;
-                work.batch = spec.batch;
-                work.prompt_tokens = spec.shape.prompt_tokens;
-                work.context_tokens = spec.shape.prompt_tokens + tok;
-                work.compressed = spec.compress_weights;
-                // Block schedule: one weight load serves micro_batches
-                // back-to-back executions of the layer.
-                step.compute = static_cast<double>(spec.micro_batches) *
-                               compute_scale *
-                               gpu::layer_compute_time(spec.gpu, work);
+                step.compute = compute_of[type];
 
                 step.cpu_bytes = lp.bytes_on(Tier::kCpu);
                 step.disk_bytes = lp.bytes_on(Tier::kDisk);
 
-                if (!sites.empty() && stage == gpu::Stage::kDecode &&
+                if (ndp_token &&
                     sites[li].site == placement::ComputeSite::kNdp) {
                     // Near-data execution: the layer's weights never
                     // cross h2d; the step instead occupies the NDP
@@ -410,8 +434,7 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                         placement::ndp_execution_time(
                             ndp_profile,
                             step.ndp_bytes * spec.micro_batches,
-                            static_cast<double>(spec.micro_batches) *
-                                compute_scale * gpu::layer_flops(work));
+                            ndp_flops_of[type]);
                 }
 
                 if (step.cpu_bytes > 0)

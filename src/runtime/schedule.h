@@ -15,6 +15,7 @@
 #define HELM_RUNTIME_SCHEDULE_H
 
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -196,6 +197,26 @@ struct ShardGeometry
     std::uint64_t first_layer = 0; //!< model-global index of layers[0]
     double compute_scale = 1.0;    //!< tensor: 1/count
 };
+
+/**
+ * Run @p allocate, which sizes an array of @p count @p what; an
+ * allocation failure becomes kCapacityExceeded instead of an exception.
+ * ServingSpec::validate_fields() bounds a schedule by the simulator's
+ * event limit, not by host memory, so a per-step array can still be
+ * more than the process may allocate.
+ */
+template <typename Allocate>
+Status
+allocate_per_step(std::uint64_t count, const char *what, Allocate &&allocate)
+{
+    try {
+        allocate();
+    } catch (const std::bad_alloc &) {
+        return Status::capacity_exceeded(std::to_string(count) + " " + what +
+                                         " do not fit in host memory");
+    }
+    return Status::ok();
+}
 
 /** Slice the model per @p shard; validates the shard options. */
 Result<ShardGeometry> shard_geometry(const ServingSpec &spec,

@@ -56,7 +56,7 @@ ServingReport::e2e_percentile(double p) const
 Result<AdmissionGeometry>
 size_admission(const ServingSpec &spec, const ServingConfig &config,
                const model::TransformerConfig &kv_model,
-               const std::vector<model::LayerSpec> &layers)
+               const StagingSizes &staging)
 {
     AdmissionGeometry out;
     out.micro_batches = spec.micro_batches;
@@ -65,7 +65,7 @@ size_admission(const ServingSpec &spec, const ServingConfig &config,
         // Auto-size against the planner's KV-capacity math: the largest
         // effective batch that fits HBM with every weight spilled off.
         const std::uint64_t slots = max_batch(
-            spec.gpu, kv_model, layers, /*gpu_weight_bytes=*/0,
+            spec.gpu, kv_model, staging, /*gpu_weight_bytes=*/0,
             spec.shape, spec.compress_weights, /*limit=*/4096,
             spec.kv_resident_on_gpu());
         if (slots == 0) {
@@ -86,7 +86,7 @@ size_admission(const ServingSpec &spec, const ServingConfig &config,
         for (kvcache::TierSpec &tier : kv_config.tiers) {
             if (tier.is_gpu && tier.auto_capacity) {
                 const GpuBudget budget = compute_gpu_budget(
-                    spec.gpu, kv_model, layers, /*gpu_weight_bytes=*/0,
+                    spec.gpu, kv_model, staging, /*gpu_weight_bytes=*/0,
                     spec.shape, ceiling * spec.micro_batches,
                     spec.compress_weights, /*kv_on_gpu=*/false);
                 tier.capacity = std::max<Bytes>(budget.free_bytes(), 1);
@@ -367,13 +367,13 @@ Server::create(ServingSpec base, ServingConfig config)
     base.repeats = 1;
     base.keep_records = false;
     HELM_RETURN_IF_ERROR(base.validate_fields());
-    const auto layers = model::build_layers(
+    const StagingSizes staging = model::build_layers(
         base.model, base.compress_weights ? model::DataType::kInt4Grouped
                                           : model::DataType::kFp16);
-    HELM_RETURN_IF_ERROR(base.check_gpu_floor(layers));
+    HELM_RETURN_IF_ERROR(base.check_gpu_floor(staging));
     HELM_RETURN_IF_ERROR(config.validate());
 
-    auto admission = size_admission(base, config, base.model, layers);
+    auto admission = size_admission(base, config, base.model, staging);
     if (!admission.is_ok())
         return admission.status();
     return Server(std::move(base), config, *admission);

@@ -97,7 +97,7 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
     if (system->host()->kind() == mem::MemoryKind::kNdpDimm)
         site_options.push_back(placement::ComputeSiteMode::kNdpAuto);
 
-    const auto layers = model::build_layers(
+    const StagingSizes staging = model::build_layers(
         request.model, request.compress_weights
                            ? model::DataType::kInt4Grouped
                            : model::DataType::kFp16);
@@ -146,7 +146,7 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
             // scheme's own GPU share then shrinks gracefully at large
             // batches instead of being rejected outright.
             const std::uint64_t max_requests = max_batch(
-                request.gpu, request.model, layers, /*gpu_weights=*/0,
+                request.gpu, request.model, staging, /*gpu_weights=*/0,
                 request.shape, request.compress_weights,
                 request.batch_limit, !kv_offload);
             if (max_requests == 0) {

@@ -184,7 +184,7 @@ TEST_F(ComputeModelTest, UsableHbmSubtractsReserveAndStaging)
     const auto compressed = runtime::compute_gpu_budget(
         gpu_, config_, int4, 0, shape, 1, true);
     EXPECT_EQ(plain.base_reserve, gpu_.base_reserve);
-    EXPECT_EQ(plain.staging, runtime::max_layer_fp16_bytes(fp16));
+    EXPECT_EQ(plain.staging, runtime::StagingSizes(fp16).max_fp16);
     EXPECT_GT(compressed.staging, plain.staging);
     EXPECT_LT(plain.free_bytes(), gpu_.hbm_capacity);
     EXPECT_LT(compressed.free_bytes(), plain.free_bytes());

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "model/footprint.h"
 #include "model/llama.h"
 #include "model/opt.h"
@@ -78,10 +80,13 @@ TEST(Llama, LayerStructure)
     // No bias/pos/norm-bias weights anywhere.
     for (const auto &layer : layers) {
         for (const auto &w : layer.weights) {
-            EXPECT_NE(w.role, WeightRole::kQBias) << w.name;
-            EXPECT_NE(w.role, WeightRole::kAttnLnBias) << w.name;
-            EXPECT_NE(w.role, WeightRole::kPosEmbedding) << w.name;
-            EXPECT_NE(w.role, WeightRole::kFc1Bias) << w.name;
+            const std::string where = "layer " +
+                                      std::to_string(layer.layer_index) +
+                                      " " + weight_role_name(w.role);
+            EXPECT_NE(w.role, WeightRole::kQBias) << where;
+            EXPECT_NE(w.role, WeightRole::kAttnLnBias) << where;
+            EXPECT_NE(w.role, WeightRole::kPosEmbedding) << where;
+            EXPECT_NE(w.role, WeightRole::kFc1Bias) << where;
         }
     }
     // Gated FFN: fc1, fc2, fc3, norm weight.

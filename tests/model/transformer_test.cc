@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "model/llama.h"
 #include "model/opt.h"
 #include "model/transformer.h"
 
@@ -125,24 +126,28 @@ TEST(Transformer, BiasAndNormStayFp16UnderCompression)
                                      DataType::kInt4Grouped);
     for (const auto &w : layers[1].weights) {
         if (is_matrix_role(w.role))
-            EXPECT_EQ(w.dtype, DataType::kInt4Grouped) << w.name;
+            EXPECT_EQ(w.dtype, DataType::kInt4Grouped)
+                << weight_role_name(w.role);
         else
-            EXPECT_EQ(w.dtype, DataType::kFp16) << w.name;
+            EXPECT_EQ(w.dtype, DataType::kFp16) << weight_role_name(w.role);
     }
 }
 
-TEST(Transformer, WeightNamesUnique)
+TEST(Transformer, NoRoleTwiceInOneLayer)
 {
-    const auto layers = build_layers(opt_config(OptVariant::kOpt2_7B));
-    std::set<std::string> names;
-    std::size_t total = 0;
-    for (const auto &layer : layers) {
-        for (const auto &w : layer.weights) {
-            names.insert(w.name);
-            ++total;
+    // A weight is named by its layer index and role, so no layer may
+    // hold two tensors of one role.
+    for (const auto &config : {opt_config(OptVariant::kOpt2_7B),
+                               llama_config(LlamaVariant::kLlama2_70B)}) {
+        for (const auto &layer : build_layers(config)) {
+            std::set<WeightRole> roles;
+            for (const auto &w : layer.weights) {
+                EXPECT_TRUE(roles.insert(w.role).second)
+                    << config.name << " layer " << layer.layer_index
+                    << ": " << weight_role_name(w.role) << " twice";
+            }
         }
     }
-    EXPECT_EQ(names.size(), total);
 }
 
 TEST(Transformer, MhaWeightEnumeration)

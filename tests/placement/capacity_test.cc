@@ -83,7 +83,8 @@ TEST_F(CapacityTest, LargestWeightsSpillFirst)
                 layers_[li].type != model::LayerType::kInputEmbedding &&
                 layers_[li].type != model::LayerType::kOutputEmbedding) {
                 EXPECT_EQ(map_.layers[li].weight_tiers[wi], Tier::kGpu)
-                    << w.name;
+                    << "layer " << li << " "
+                    << model::weight_role_name(w.role);
             }
         }
     }

@@ -28,7 +28,7 @@ class PlannerTest : public ::testing::Test
 TEST_F(PlannerTest, MaxLayerIsTheFfn)
 {
     const auto layers = model::build_layers(config_, DataType::kFp16);
-    const Bytes max_fp16 = max_layer_fp16_bytes(layers);
+    const Bytes max_fp16 = StagingSizes(layers).max_fp16;
     // OPT-175B FFN layer: 2 x 12288 x 49152 FP16 + metadata ~ 2.25 GiB.
     EXPECT_NEAR(static_cast<double>(max_fp16) /
                     static_cast<double>(kGiB),

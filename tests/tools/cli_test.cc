@@ -7,6 +7,7 @@
  * serve/cluster N=1 equivalence.
  */
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -20,6 +21,14 @@
 
 #include "helmsim.h"
 #include "runtime/step_cache.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HELM_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HELM_SANITIZED 1
+#endif
+#endif
 
 namespace {
 
@@ -662,6 +671,39 @@ TEST(Cli, HugeCountsFailFastWithOneLine)
                   1)
             << args << ": " << result.err;
         EXPECT_LT(took.count(), 1.0) << args;
+    }
+}
+
+/** Run `helmsim @p args` under a 3 GiB address-space limit, echo its
+ *  stderr, and exit with its code (3 unless it printed exactly one
+ *  stderr line and no stdout). */
+[[noreturn]] void
+run_in_3_gib(const char *args)
+{
+    const rlimit limit{3ull << 30, 3ull << 30};
+    setrlimit(RLIMIT_AS, &limit);
+    const CliResult result = run_cli(args);
+    std::fputs(result.err.c_str(), stderr);
+    const bool one_line =
+        result.out.empty() &&
+        std::count(result.err.begin(), result.err.end(), '\n') == 1;
+    std::_Exit(one_line ? result.exit_code : 3);
+}
+
+TEST(Cli, SchedulesPastHostMemoryFailWithOneLine)
+{
+#ifdef HELM_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+#endif
+    // Within the simulator's event limit, but 157M-163M steps: under a
+    // 3 GiB address-space limit the schedule's reservation fails, and
+    // the run must end as one Status line, not std::bad_alloc.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *args :
+         {"run --repeats 40000", "run --model OPT-1.3B --repeats 150000"}) {
+        EXPECT_EXIT(run_in_3_gib(args), testing::ExitedWithCode(1),
+                    "do not fit in host memory")
+            << args;
     }
 }
 
