@@ -24,6 +24,7 @@ main()
     request.batch_limit = 64;
     request.explore_micro_batches = true;
     request.explore_kv_offload = false;
+    request.jobs = 0; // all hardware threads
 
     // Every search below enumerates the same candidate grid (objective
     // and ceiling only change the reduction), so the step cache makes
@@ -31,14 +32,11 @@ main()
     const runtime::StepScheduleCache &cache = runtime::step_cache();
     const std::uint64_t hits_before = cache.hits();
     const std::uint64_t misses_before = cache.misses();
-    runtime::TuneExecOptions exec_options;
-    exec_options.jobs = 0; // all hardware threads
 
     request.objective = runtime::TuneObjective::kLatency;
-    const auto latency_pole = runtime::auto_tune(request, exec_options);
+    const auto latency_pole = runtime::auto_tune(request);
     request.objective = runtime::TuneObjective::kThroughput;
-    const auto throughput_pole =
-        runtime::auto_tune(request, exec_options);
+    const auto throughput_pole = runtime::auto_tune(request);
     if (!latency_pole.is_ok() || !throughput_pole.is_ok()) {
         std::cerr << "tuner failed\n";
         return 1;
@@ -70,7 +68,7 @@ main()
         const Seconds ceiling =
             frac > 1e8 ? hi * 10 : lo * frac;
         req.tbt_ceiling = ceiling;
-        const auto result = runtime::auto_tune(req, exec_options);
+        const auto result = runtime::auto_tune(req);
         std::vector<std::string> cells;
         cells.push_back(frac > 1e8 ? "none" : ms(ceiling));
         if (result.is_ok()) {

@@ -109,8 +109,7 @@ main()
     CsvWriter csv(std::cout);
     csv.header(header);
     for (const auto &pc : policies) {
-        const auto map =
-            placement::BaselinePlacement().place(layers, pc.policy);
+        const auto map = placement::place_baseline(layers, pc.policy);
         for (auto type :
              {model::LayerType::kMha, model::LayerType::kFfn}) {
             const auto split = map.split_for_type(type);

@@ -24,7 +24,7 @@ main()
     const auto fp16 = model::build_layers(config, model::DataType::kFp16);
     const auto int4 =
         model::build_layers(config, model::DataType::kInt4Grouped);
-    const auto map = placement::HelmPlacement().place(
+    const auto map = placement::place_helm(
         int4, placement::Policy::host_offload());
 
     // ---- Fig. 9: one decoder block, weight by weight -------------------

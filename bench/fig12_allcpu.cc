@@ -38,7 +38,7 @@ main()
             model::build_layers(config, model::DataType::kFp16);
         const auto int4 =
             model::build_layers(config, model::DataType::kInt4Grouped);
-        const auto base_map = placement::BaselinePlacement().place(
+        const auto base_map = placement::place_baseline(
             fp16, placement::Policy::host_offload());
         const auto base_max = runtime::max_batch(
             gpu, config, fp16,

@@ -53,34 +53,32 @@ BM_BandwidthChannelFlows(benchmark::State &state)
 BENCHMARK(BM_BandwidthChannelFlows)->Range(8, 512);
 
 void
-BM_BaselinePlacement175B(benchmark::State &state)
+BM_PlaceBaseline175B(benchmark::State &state)
 {
     const auto layers = model::build_layers(
         model::opt_config(model::OptVariant::kOpt175B),
         model::DataType::kInt4Grouped);
-    const placement::BaselinePlacement algorithm;
     for (auto _ : state) {
-        auto map =
-            algorithm.place(layers, placement::Policy::host_offload());
+        auto map = placement::place_baseline(
+            layers, placement::Policy::host_offload());
         benchmark::DoNotOptimize(map.tier_total(placement::Tier::kGpu));
     }
 }
-BENCHMARK(BM_BaselinePlacement175B);
+BENCHMARK(BM_PlaceBaseline175B);
 
 void
-BM_HelmPlacement175B(benchmark::State &state)
+BM_PlaceHelm175B(benchmark::State &state)
 {
     const auto layers = model::build_layers(
         model::opt_config(model::OptVariant::kOpt175B),
         model::DataType::kInt4Grouped);
-    const placement::HelmPlacement algorithm;
     for (auto _ : state) {
-        auto map =
-            algorithm.place(layers, placement::Policy::host_offload());
+        auto map = placement::place_helm(
+            layers, placement::Policy::host_offload());
         benchmark::DoNotOptimize(map.tier_total(placement::Tier::kGpu));
     }
 }
-BENCHMARK(BM_HelmPlacement175B);
+BENCHMARK(BM_PlaceHelm175B);
 
 void
 BM_BuildLayers175B(benchmark::State &state)

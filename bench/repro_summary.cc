@@ -73,7 +73,7 @@ main()
             model::build_layers(config, model::DataType::kFp16);
         const auto int4 =
             model::build_layers(config, model::DataType::kInt4Grouped);
-        const auto map = placement::BaselinePlacement().place(
+        const auto map = placement::place_baseline(
             fp16, placement::Policy::host_offload());
         checks.push_back(
             {"max batch, baseline fp16", 8.0,
@@ -115,15 +115,15 @@ main()
         const auto layers = model::build_layers(
             model::opt_config(model::OptVariant::kOpt175B),
             model::DataType::kInt4Grouped);
-        const auto disk_map = placement::BaselinePlacement().place(
+        const auto disk_map = placement::place_baseline(
             layers, placement::Policy::disk_offload());
-        const auto host_map = placement::BaselinePlacement().place(
+        const auto host_map = placement::place_baseline(
             layers, placement::Policy::host_offload());
         checks.push_back({"achieved disk% for (65,15,20)", 58.6,
                           disk_map.achieved().disk, 1.0});
         checks.push_back({"achieved cpu% for (0,80,20)", 91.7,
                           host_map.achieved().cpu, 1.0});
-        const auto helm_map = placement::HelmPlacement().place(
+        const auto helm_map = placement::place_helm(
             layers, placement::Policy::host_offload());
         checks.push_back({"HeLM overall GPU share (%)", 33.0,
                           helm_map.achieved().gpu, 2.0});

@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     runtime::TuneRequest request;
     request.model = *model_config;
-    if (mem::DeviceRegistry::builtin().find(memory_name) == nullptr) {
+    if (mem::find_device(memory_name) == nullptr) {
         std::cerr << "unknown memory config: " << memory_name << "\n";
         return 1;
     }

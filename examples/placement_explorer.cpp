@@ -35,8 +35,7 @@ main(int argc, char **argv)
         return 1;
     }
     // Any `helmsim devices` name; an unknown one lists the registry.
-    const auto system =
-        mem::DeviceRegistry::builtin().make_system(memory_name);
+    const auto system = mem::make_system(memory_name);
     if (!system.is_ok()) {
         std::cerr << system.status().to_string() << "\n";
         return 1;

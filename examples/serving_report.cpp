@@ -39,7 +39,7 @@ main(int argc, char **argv)
     spec.compress_weights = true;
     spec.batch = batch;
     spec.repeats = 2;
-    if (mem::DeviceRegistry::builtin().find(memory_name) == nullptr) {
+    if (mem::find_device(memory_name) == nullptr) {
         std::cerr << "unknown memory config: " << memory_name << "\n";
         return 1;
     }

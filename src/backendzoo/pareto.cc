@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/csv.h"
 #include "common/table.h"
@@ -49,7 +50,7 @@ Bytes
 weight_capacity(const mem::RegisteredDevice &entry)
 {
     Bytes capacity = entry.make()->capacity();
-    if (entry.storage_tier) // a DRAM host tier sits in front (Table II)
+    if (entry.storage_tier()) // a DRAM host tier sits in front (Table II)
         capacity += mem::make_dram()->capacity();
     return capacity;
 }
@@ -78,12 +79,11 @@ evaluate(const ExploreOptions &options, const GridPoint &point)
     out.disk_bytes = result->placement.tier_total(placement::Tier::kDisk);
     out.ndp_steps = result->ndp_steps;
 
-    const auto &registry = mem::DeviceRegistry::builtin();
-    const mem::RegisteredDevice *entry = registry.find(point.device);
-    HELM_ASSERT(entry != nullptr, "grid devices come from the registry");
+    const mem::RegisteredDevice *entry = mem::find_device(point.device);
+    HELM_ASSERT(entry != nullptr, "grid devices come from the table");
     // The engine allows "ideal" over-capacity runs (all-CPU DRAM,
     // Sec. V-C); a purchasable box must actually hold its share.
-    if (entry->storage_tier) {
+    if (point.storage_tier) {
         out.feasible =
             out.host_bytes <= mem::make_dram()->capacity() &&
             out.disk_bytes <= entry->make()->capacity();
@@ -92,8 +92,8 @@ evaluate(const ExploreOptions &options, const GridPoint &point)
                        out.host_bytes <= entry->make()->capacity();
     }
 
-    auto system = registry.make_system(point.device, spec.pcie);
-    HELM_ASSERT(system.is_ok(), "registry devices must compose");
+    auto system = mem::make_system(point.device, spec.pcie);
+    HELM_ASSERT(system.is_ok(), "table devices must compose");
     out.system_dollars = options.cost.system_dollars(*system);
     out.cost_per_token = options.cost.cost_per_token(
         out.system_dollars, out.throughput);
@@ -153,15 +153,15 @@ run_hbf_exclusive(const ExploreOptions &options)
         model::build_layers(config, model::DataType::kFp16);
     hbf.weight_bytes = model::model_weight_bytes(layers);
 
-    const auto &registry = mem::DeviceRegistry::builtin();
-    for (const mem::RegisteredDevice &entry : registry.devices()) {
+    for (const mem::RegisteredDevice &entry : mem::device_table()) {
         HbfExclusiveFit fit;
         fit.device = entry.name;
         fit.capacity = weight_capacity(entry);
         fit.fits = hbf.weight_bytes <= fit.capacity;
         if (fit.fits) {
             ++hbf.admitting;
-            hbf.only_hbf = hbf.admitting == 1 && entry.name == "HBF";
+            hbf.only_hbf = hbf.admitting == 1 &&
+                           std::string_view(entry.name) == "HBF";
         }
         hbf.fits.push_back(std::move(fit));
     }
@@ -229,30 +229,29 @@ explore(const ExploreOptions &options)
     if (options.model.hidden == 0 || options.model.blocks == 0)
         return Status::invalid_argument("model config is incomplete");
 
-    const auto &registry = mem::DeviceRegistry::builtin();
     std::vector<std::string> devices = options.devices;
     if (devices.empty())
-        devices = registry.names();
+        devices = mem::device_names();
 
     // Enumerate up front; the expensive simulations fan out below and
     // reduce in this order, keeping the report jobs-invariant.
     std::vector<GridPoint> grid;
     for (const std::string &name : devices) {
-        const mem::RegisteredDevice *entry = registry.find(name);
+        const mem::RegisteredDevice *entry = mem::find_device(name);
         if (entry == nullptr) {
             return Status::invalid_argument(
                 "unknown zoo device '" + name +
                 "' (see `helmsim devices`)");
         }
-        const bool ndp =
-            entry->make()->kind() == mem::MemoryKind::kNdpDimm;
+        const mem::DevicePtr device = entry->make();
+        const bool ndp = device->kind() == mem::MemoryKind::kNdpDimm;
         for (auto scheme : {placement::PlacementKind::kBaseline,
                             placement::PlacementKind::kHelm,
                             placement::PlacementKind::kAllCpu}) {
             for (std::uint64_t batch : options.batches) {
                 GridPoint point;
                 point.device = entry->name;
-                point.storage_tier = entry->storage_tier;
+                point.storage_tier = device->needs_bounce_buffer();
                 point.scheme = scheme;
                 point.batch = batch;
                 point.site = placement::ComputeSiteMode::kGpuOnly;

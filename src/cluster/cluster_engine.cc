@@ -317,6 +317,18 @@ class PipelineExecutor
         return std::span(stages_[s].steps).subspan(t * L, L);
     }
 
+    /** Whether stage @p s's token @p t reads context it did not
+     *  prefetch: those reads gate its first chunk. */
+    bool
+    blocks_on_reads(std::uint64_t s, std::uint64_t t) const
+    {
+        for (const ScheduledStep &step : token_steps(s, t)) {
+            if (!step.kv_prefetch && !stages_[s].kv_reads(step).empty())
+                return true;
+        }
+        return false;
+    }
+
     // Each fan-out below holds one extra count while it issues, so a
     // zero-byte flow completing inline cannot close it early.
 
@@ -380,6 +392,10 @@ class PipelineExecutor
             st.reads_issued = true;
             const CompiledSchedule &stage = stages_[s];
             tokens_[s][t].start = fabric_.sim().now();
+            // Zig-zag: the next token's weights stream in behind the
+            // reads, as Executor::start_step prefetches at step start.
+            if (blocks_on_reads(s, t))
+                issue_load(s, t + 1);
             st.reads = 1;
             for (const ScheduledStep &step : token_steps(s, t)) {
                 if (step.kv_prefetch)
@@ -428,8 +444,10 @@ class PipelineExecutor
             }
         }
         --st.writes;
-        // Zig-zag: prefetch the next token's weights behind compute.
-        issue_load(s, t + 1);
+        // Zig-zag: prefetch the next token's weights behind compute,
+        // unless the step start already did (blocking reads).
+        if (!blocks_on_reads(s, t))
+            issue_load(s, t + 1);
     }
 
     void

@@ -42,7 +42,6 @@
 #include "energy/energy_model.h"
 #include "exec/memo.h"
 #include "exec/parallel.h"
-#include "exec/thread_pool.h"
 #include "gpu/compute_model.h"
 #include "gpu/gpu.h"
 #include "kvcache/kvcache.h"
@@ -60,7 +59,6 @@
 #include "model/zoo.h"
 #include "model/transformer.h"
 #include "model/weight.h"
-#include "placement/all_cpu.h"
 #include "placement/baseline.h"
 #include "placement/balanced.h"
 #include "placement/capacity.h"

@@ -57,7 +57,7 @@ DevicePowerModel::cxl_expander()
 Result<DevicePowerModel>
 host_power_model(const mem::HostSpec &host)
 {
-    const auto system = mem::DeviceRegistry::builtin().make_system(host);
+    const auto system = mem::make_system(host);
     if (!system.is_ok())
         return system.status();
     if (system->has_storage()) {

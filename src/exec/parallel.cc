@@ -5,8 +5,8 @@
 #include <exception>
 #include <limits>
 #include <mutex>
-
-#include "exec/thread_pool.h"
+#include <thread>
+#include <vector>
 
 namespace helm::exec {
 
@@ -20,7 +20,9 @@ thread_local bool t_inside_parallel_worker = false;
 std::size_t
 resolve_jobs(std::size_t jobs)
 {
-    return jobs == 0 ? ThreadPool::default_jobs() : jobs;
+    if (jobs != 0)
+        return jobs;
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void
@@ -43,33 +45,33 @@ parallel_for(std::size_t count, std::size_t jobs,
     std::mutex error_mutex;
     std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
     std::exception_ptr first_error;
-    {
-        ThreadPool pool(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.submit([&] {
-                t_inside_parallel_worker = true;
-                while (true) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= count)
-                        break;
-                    try {
-                        fn(i);
-                    } catch (...) {
-                        // Remaining indices still run; the lowest-index
-                        // exception wins so the rethrow below matches
-                        // what a sequential run would have thrown.
-                        std::lock_guard<std::mutex> lock(error_mutex);
-                        if (i < first_error_index) {
-                            first_error_index = i;
-                            first_error = std::current_exception();
-                        }
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        threads.emplace_back([&] {
+            t_inside_parallel_worker = true;
+            while (true) {
+                const std::size_t i =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= count)
+                    break;
+                try {
+                    fn(i);
+                } catch (...) {
+                    // Remaining indices still run; the lowest-index
+                    // exception wins so the rethrow below matches what
+                    // a sequential run would have thrown.
+                    std::lock_guard<std::mutex> lock(error_mutex);
+                    if (i < first_error_index) {
+                        first_error_index = i;
+                        first_error = std::current_exception();
                     }
                 }
-                t_inside_parallel_worker = false;
-            });
-        }
-    } // ~ThreadPool drains and joins.
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
     if (first_error)
         std::rethrow_exception(first_error);
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Deterministic data-parallel fan-out over the thread pool.
+ * Deterministic data-parallel fan-out.
  *
  * parallel_for(count, jobs, fn) invokes fn(0..count-1), each index
- * exactly once, distributing indices over a fixed-size ThreadPool.
+ * exactly once, on min(jobs, count) threads that it starts, which claim
+ * indices one at a time, and joins before it returns.
  * Determinism contract: callers write results into index-addressed
  * slots (parallel_map does exactly that), so the assembled output —
  * every Dataset, CSV, table, and golden test built from it — is
@@ -29,13 +30,14 @@
 
 namespace helm::exec {
 
-/** Worker count a jobs knob resolves to: 0 = all hardware threads. */
+/** Worker count a jobs knob resolves to: 0 = all hardware threads
+ *  (at least one). */
 std::size_t resolve_jobs(std::size_t jobs);
 
 /**
  * Run fn(i) for every i in [0, count), each exactly once.
  * @param jobs Worker threads; 0 = hardware concurrency, 1 = run inline
- *        sequentially (exact legacy behavior, no pool, no catch).
+ *        sequentially (exact legacy behavior, no threads, no catch).
  */
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)> &fn);

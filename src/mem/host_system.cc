@@ -147,7 +147,7 @@ HostMemorySystem::memory_mode() const
 HostMemorySystem
 make_config(ConfigKind kind, PcieLink pcie)
 {
-    auto system = DeviceRegistry::builtin().make_system(kind, pcie);
+    auto system = make_system(kind, pcie);
     HELM_ASSERT(system.is_ok(), "every ConfigKind is a registered device");
     return std::move(*system);
 }

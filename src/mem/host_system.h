@@ -102,9 +102,8 @@ class HostMemorySystem
 };
 
 /**
- * Build one of the paper's named configurations: the DeviceRegistry
- * entry of that name (mem/registry.h), which holds the only device
- * table.
+ * Build one of the paper's named configurations: the device-table
+ * entry of that name (mem/registry.h), the only device table.
  * @param kind Which Table II / Table III row.
  * @param pcie Link to the GPU; defaults to the platform's Gen4 x16.
  */

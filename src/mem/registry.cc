@@ -6,72 +6,37 @@ namespace helm::mem {
 
 namespace {
 
-DeviceRegistry
-build_builtin()
-{
-    DeviceRegistry registry;
-    const auto add = [&registry](const char *name, const char *summary,
-                                 std::function<DevicePtr()> make,
-                                 bool storage_tier = false) {
-        RegisteredDevice dev;
-        dev.name = name;
-        dev.summary = summary;
-        dev.make = std::move(make);
-        dev.storage_tier = storage_tier;
-        const Status status = registry.add(std::move(dev));
-        HELM_ASSERT(status.is_ok(), "builtin registry must be consistent");
-    };
-    add("DRAM", "dual-socket DDR4 host memory (Table I)",
-        [] { return make_dram(); });
-    add("NVDRAM", "Optane DCPMM as a memory-only NUMA node (Table II)",
-        [] { return make_optane(); });
-    add("MemoryMode", "Optane main memory behind a DRAM cache (Table II)",
-        [] { return make_memory_mode(); });
-    add("SSD", "Optane block storage via ext4 + page cache (Table II)",
-        [] { return make_ssd(); }, /*storage_tier=*/true);
-    add("FSDAX", "Optane DAX storage via ext4-DAX (Table II)",
-        [] { return make_fsdax(); }, /*storage_tier=*/true);
-    add("CXL-FPGA", "CXL expander, FPGA controller + DDR4 (Table III)",
-        [] { return make_cxl_fpga(); });
-    add("CXL-ASIC", "CXL expander, ASIC controller + DDR5 (Table III)",
-        [] { return make_cxl_asic(); });
-    add("NDP-DIMM",
-        "DDR4 pool with near-bank GEMV units (arXiv 2502.16963)",
-        [] { return make_ndp_dimm(); });
-    add("HBF",
-        "High Bandwidth Flash, 10x NVDRAM capacity (arXiv 2601.05047)",
-        [] { return make_hbf(); });
-    return registry;
-}
+constexpr RegisteredDevice kDevices[] = {
+    {"DRAM", "dual-socket DDR4 host memory (Table I)", &make_dram},
+    {"NVDRAM", "Optane DCPMM as a memory-only NUMA node (Table II)",
+     &make_optane},
+    {"MemoryMode", "Optane main memory behind a DRAM cache (Table II)",
+     []() -> DevicePtr { return make_memory_mode(); }},
+    {"SSD", "Optane block storage via ext4 + page cache (Table II)",
+     &make_ssd},
+    {"FSDAX", "Optane DAX storage via ext4-DAX (Table II)", &make_fsdax},
+    {"CXL-FPGA", "CXL expander, FPGA controller + DDR4 (Table III)",
+     &make_cxl_fpga},
+    {"CXL-ASIC", "CXL expander, ASIC controller + DDR5 (Table III)",
+     &make_cxl_asic},
+    {"NDP-DIMM", "DDR4 pool with near-bank GEMV units (arXiv 2502.16963)",
+     []() -> DevicePtr { return make_ndp_dimm(); }},
+    {"HBF", "High Bandwidth Flash, 10x NVDRAM capacity (arXiv 2601.05047)",
+     []() -> DevicePtr { return make_hbf(); }},
+};
 
 } // namespace
 
-const DeviceRegistry &
-DeviceRegistry::builtin()
+std::span<const RegisteredDevice>
+device_table()
 {
-    static const DeviceRegistry registry = build_builtin();
-    return registry;
-}
-
-Status
-DeviceRegistry::add(RegisteredDevice device)
-{
-    if (device.name.empty())
-        return Status::invalid_argument("device name must be non-empty");
-    if (!device.make)
-        return Status::invalid_argument("device factory must be set");
-    if (find(device.name) != nullptr) {
-        return Status::invalid_argument("device '" + device.name +
-                                        "' is already registered");
-    }
-    devices_.push_back(std::move(device));
-    return Status::ok();
+    return kDevices;
 }
 
 const RegisteredDevice *
-DeviceRegistry::find(const std::string &name) const
+find_device(const std::string &name)
 {
-    for (const RegisteredDevice &device : devices_) {
+    for (const RegisteredDevice &device : kDevices) {
         if (iequals(device.name, name))
             return &device;
     }
@@ -79,17 +44,16 @@ DeviceRegistry::find(const std::string &name) const
 }
 
 std::vector<std::string>
-DeviceRegistry::names() const
+device_names()
 {
     std::vector<std::string> out;
-    out.reserve(devices_.size());
-    for (const RegisteredDevice &device : devices_)
+    for (const RegisteredDevice &device : kDevices)
         out.push_back(device.name);
     return out;
 }
 
 Result<HostMemorySystem>
-DeviceRegistry::make_system(const HostSpec &host, PcieLink pcie) const
+make_system(const HostSpec &host, PcieLink pcie)
 {
     if (host.is_custom_cxl()) {
         if (host.cxl_read_bandwidth().is_zero()) {
@@ -102,10 +66,10 @@ DeviceRegistry::make_system(const HostSpec &host, PcieLink pcie) const
             nullptr, pcie);
     }
     const std::string &name = host.name();
-    const RegisteredDevice *entry = find(name);
+    const RegisteredDevice *entry = find_device(name);
     if (entry == nullptr) {
         std::string known;
-        for (const RegisteredDevice &device : devices_) {
+        for (const RegisteredDevice &device : kDevices) {
             if (!known.empty())
                 known += ", ";
             known += device.name;
@@ -113,13 +77,14 @@ DeviceRegistry::make_system(const HostSpec &host, PcieLink pcie) const
         return Status::invalid_argument("unknown device '" + name +
                                         "' (registered: " + known + ")");
     }
-    if (entry->storage_tier) {
+    DevicePtr device = entry->make();
+    if (device->needs_bounce_buffer()) {
         // Table II pattern: a DRAM host tier in front of the storage
         // device; reads bounce through DRAM per the device's own flag.
-        return HostMemorySystem(entry->name, make_dram(), entry->make(),
+        return HostMemorySystem(entry->name, make_dram(), std::move(device),
                                 pcie);
     }
-    return HostMemorySystem(entry->name, entry->make(), nullptr, pcie);
+    return HostMemorySystem(entry->name, std::move(device), nullptr, pcie);
 }
 
 } // namespace helm::mem

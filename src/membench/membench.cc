@@ -62,7 +62,7 @@ sweep(const std::vector<mem::HostSpec> &hosts,
     std::vector<CopyMeasurement> results;
     for (const mem::HostSpec &host : hosts) {
         for (int node = 0; node < mem::kNumNumaNodes; ++node) {
-            auto system = mem::DeviceRegistry::builtin().make_system(host);
+            auto system = mem::make_system(host);
             HELM_ASSERT(system.is_ok() && !system->has_storage(),
                         "membench hosts must be mapped host memory");
             system->set_numa_node(node);

@@ -42,18 +42,16 @@ struct LayerState
 } // namespace
 
 PlacementMap
-BalancedPlacement::place(const std::vector<model::LayerSpec> &layers,
-                         const Policy &policy) const
+place_balanced(const std::vector<model::LayerSpec> &layers,
+               const BalanceProfile &profile)
 {
-    (void)policy; // the profile drives the split
-    HELM_ASSERT(profile_.compute_times.size() == layers.size(),
+    HELM_ASSERT(profile.compute_times.size() == layers.size(),
                 "profile must cover every layer");
-    HELM_ASSERT(profile_.transfer_bandwidth.raw() > 0.0,
+    HELM_ASSERT(profile.transfer_bandwidth.raw() > 0.0,
                 "profile needs a positive transfer bandwidth");
-    const double bw = profile_.transfer_bandwidth.raw();
+    const double bw = profile.transfer_bandwidth.raw();
 
     PlacementMap map;
-    map.algorithm = name();
     map.layers.reserve(layers.size());
 
     std::vector<LayerState> states(layers.size());
@@ -65,7 +63,7 @@ BalancedPlacement::place(const std::vector<model::LayerSpec> &layers,
         state.off_gpu_bytes =
             static_cast<double>(map.layers[j].bytes_on(Tier::kCpu));
         const std::size_t prev = j == 0 ? layers.size() - 1 : j - 1;
-        state.window = profile_.compute_times[prev];
+        state.window = profile.compute_times[prev];
         state.pin_order.resize(layers[j].weights.size());
         std::iota(state.pin_order.begin(), state.pin_order.end(), 0);
         std::stable_sort(state.pin_order.begin(), state.pin_order.end(),
@@ -80,7 +78,7 @@ BalancedPlacement::place(const std::vector<model::LayerSpec> &layers,
     // layer is live (its largest unpinned tensor), so each round scans
     // O(layers) states; each pin advances one cursor, bounding rounds
     // by the total weight count.
-    Bytes budget_left = profile_.gpu_weight_budget;
+    Bytes budget_left = profile.gpu_weight_budget;
     while (true) {
         double best_benefit = 0.0;
         std::size_t best_layer = layers.size();

@@ -43,27 +43,10 @@ struct BalanceProfile
     Bytes gpu_weight_budget = 0;
 };
 
-/** The profile-guided scheme. */
-class BalancedPlacement : public PlacementAlgorithm
-{
-  public:
-    explicit BalancedPlacement(BalanceProfile profile)
-        : profile_(std::move(profile))
-    {
-    }
-
-    std::string name() const override { return "Balanced"; }
-
-    /**
-     * The policy is ignored (the profile drives everything); weights
-     * never land on disk.
-     */
-    PlacementMap place(const std::vector<model::LayerSpec> &layers,
-                       const Policy &policy) const override;
-
-  private:
-    BalanceProfile profile_;
-};
+/** The profile-guided scheme: @p profile drives the whole split, and
+ *  weights never land on disk. */
+PlacementMap place_balanced(const std::vector<model::LayerSpec> &layers,
+                            const BalanceProfile &profile);
 
 } // namespace helm::placement
 

@@ -49,12 +49,11 @@ allocate_by_percent(const model::LayerSpec &layer,
 }
 
 PlacementMap
-BaselinePlacement::place(const std::vector<model::LayerSpec> &layers,
-                         const Policy &policy) const
+place_baseline(const std::vector<model::LayerSpec> &layers,
+               const Policy &policy)
 {
     HELM_ASSERT(policy.validate().is_ok(), "invalid policy");
     PlacementMap map;
-    map.algorithm = name();
     map.layers.reserve(layers.size());
 
     // Listing 2: dev_percents/dev_choices in (disk, cpu, gpu) order.

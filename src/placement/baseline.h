@@ -44,15 +44,9 @@ void allocate_by_percent(const model::LayerSpec &layer,
                          const std::array<Tier, kNumTiers> &tiers,
                          LayerPlacement &placement);
 
-/** FlexGen's default scheme. */
-class BaselinePlacement : public PlacementAlgorithm
-{
-  public:
-    std::string name() const override { return "Baseline"; }
-
-    PlacementMap place(const std::vector<model::LayerSpec> &layers,
-                       const Policy &policy) const override;
-};
+/** FlexGen's default scheme: @p policy's split, layer by layer. */
+PlacementMap place_baseline(const std::vector<model::LayerSpec> &layers,
+                            const Policy &policy);
 
 } // namespace helm::placement
 

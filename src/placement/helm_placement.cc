@@ -9,12 +9,11 @@
 namespace helm::placement {
 
 PlacementMap
-HelmPlacement::place(const std::vector<model::LayerSpec> &layers,
-                     const Policy &policy) const
+place_helm(const std::vector<model::LayerSpec> &layers, const Policy &policy,
+           const HelmSplits &splits)
 {
     HELM_ASSERT(policy.validate().is_ok(), "invalid policy");
     PlacementMap map;
-    map.algorithm = name();
     map.layers.reserve(layers.size());
 
     // Listing 3 line 11: dev_choices = [gpu, cpu, disk].
@@ -26,10 +25,10 @@ HelmPlacement::place(const std::vector<model::LayerSpec> &layers,
         std::array<double, kNumTiers> percents;
         switch (layer.type) {
           case model::LayerType::kMha:
-            percents = splits_.mha;
+            percents = splits.mha;
             break;
           case model::LayerType::kFfn:
-            percents = splits_.ffn;
+            percents = splits.ffn;
             break;
           default:
             percents = policy.gpu_cpu_disk();

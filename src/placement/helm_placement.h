@@ -28,25 +28,14 @@ struct HelmSplits
     std::array<double, kNumTiers> ffn{30.0, 70.0, 0.0};
 };
 
-/** The latency-optimizing scheme. */
-class HelmPlacement : public PlacementAlgorithm
-{
-  public:
-    HelmPlacement() = default;
-
-    /** Custom split points (used by the ablation bench). */
-    explicit HelmPlacement(HelmSplits splits) : splits_(splits) {}
-
-    std::string name() const override { return "HeLM"; }
-
-    PlacementMap place(const std::vector<model::LayerSpec> &layers,
-                       const Policy &policy) const override;
-
-    const HelmSplits &splits() const { return splits_; }
-
-  private:
-    HelmSplits splits_;
-};
+/**
+ * The latency-optimizing scheme.  MHA and FFN layers take @p splits
+ * (custom split points serve the ablation bench and the tuner); every
+ * other layer takes @p policy.
+ */
+PlacementMap place_helm(const std::vector<model::LayerSpec> &layers,
+                        const Policy &policy,
+                        const HelmSplits &splits = HelmSplits{});
 
 } // namespace helm::placement
 

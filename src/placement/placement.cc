@@ -2,9 +2,6 @@
 
 #include "common/args.h"
 #include "common/status.h"
-#include "placement/all_cpu.h"
-#include "placement/baseline.h"
-#include "placement/helm_placement.h"
 
 namespace helm::placement {
 
@@ -97,25 +94,14 @@ parse_placement_kind(const std::string &name)
                              " (Baseline, HeLM, Balanced, All-CPU)");
 }
 
-std::unique_ptr<PlacementAlgorithm>
-make_placement(PlacementKind kind)
+PlacementMap
+place_all_cpu(const std::vector<model::LayerSpec> &layers)
 {
-    switch (kind) {
-      case PlacementKind::kBaseline:
-        return std::make_unique<BaselinePlacement>();
-      case PlacementKind::kHelm:
-        return std::make_unique<HelmPlacement>();
-      case PlacementKind::kAllCpu:
-        return std::make_unique<AllCpuPlacement>();
-      case PlacementKind::kBalanced:
-        HELM_ASSERT(false,
-                    "Balanced needs a BalanceProfile: construct "
-                    "BalancedPlacement directly or run it through the "
-                    "inference engine");
-        return nullptr;
-    }
-    HELM_ASSERT(false, "unknown PlacementKind");
-    return nullptr;
+    PlacementMap map;
+    map.layers.reserve(layers.size());
+    for (const auto &layer : layers)
+        map.layers.push_back(make_layer_placement(layer));
+    return map;
 }
 
 LayerPlacement

@@ -95,18 +95,18 @@ Result<Seconds>
 Server::iteration_cost(bool decode, std::uint64_t count,
                        std::uint64_t tokens)
 {
-    const std::uint64_t grain =
-        admission_.kv_block_tokens > 0 ? admission_.kv_block_tokens : 16;
-    const std::uint64_t bucket = (tokens + grain - 1) / grain;
+    const ProbeBucket bucket = probe_bucket(base_, tokens);
     std::vector<std::vector<Seconds>> &rows = iteration_costs_[decode];
     if (rows.size() <= count)
         rows.resize(count + 1);
     std::vector<Seconds> &row = rows[count];
-    if (row.size() <= bucket)
-        row.resize(bucket + 1, std::numeric_limits<Seconds>::quiet_NaN());
-    Seconds &cost = row[bucket];
+    if (row.size() <= bucket.index) {
+        row.resize(bucket.index + 1,
+                   std::numeric_limits<Seconds>::quiet_NaN());
+    }
+    Seconds &cost = row[bucket.index];
     if (std::isnan(cost)) {
-        const BatchShape shape{count, {bucket * grain, decode ? 2u : 1u}};
+        const BatchShape shape{count, {bucket.tokens, decode ? 2u : 1u}};
         auto run = simulate_inference(
             batch_spec(base_, shape, /*keep_records=*/false));
         if (!run.is_ok())
@@ -135,8 +135,7 @@ Server::run_continuous()
     // engine models, demote (d2h) and promote (h2d) as separate
     // busy-until channels so back-to-back swaps queue behind each other
     // but the two directions do not contend.
-    auto system_or =
-        mem::DeviceRegistry::builtin().make_system(base_.memory, base_.pcie);
+    auto system_or = mem::make_system(base_.memory, base_.pcie);
     if (!system_or.is_ok())
         return system_or.status();
     const mem::HostMemorySystem &system = *system_or;
@@ -601,10 +600,8 @@ Server::run_continuous()
             stats.mean_ttft += r.ttft; // sum; divided below
             if (r.slo_met)
                 ++stats.slo_met;
-            if (!r.deadline_met) {
+            if (!r.deadline_met)
                 ++stats.deadline_misses;
-                ++report.deadline_misses;
-            }
             report.requests.push_back(r);
             last_completion = iter_end;
         }

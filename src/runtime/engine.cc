@@ -112,7 +112,7 @@ ServingSpec::validate_fields() const
     // custom CXL bandwidth), the policy must not route weights to a
     // storage tier it lacks, and a compute site other than the GPU
     // needs near-data units to run on.
-    auto system = mem::DeviceRegistry::builtin().make_system(memory, pcie);
+    auto system = mem::make_system(memory, pcie);
     if (!system.is_ok())
         return system.status();
     const placement::Policy effective =

@@ -41,9 +41,9 @@ namespace helm::runtime {
 struct ServingSpec
 {
     model::TransformerConfig model;
-    /** The host memory: a DeviceRegistry name or a custom CXL expander
+    /** The host memory: a device-table name or a custom CXL expander
      *  (mem/registry.h).  Every host consumer resolves this one field
-     *  through DeviceRegistry::make_system(). */
+     *  through mem::make_system(). */
     mem::HostSpec memory = mem::ConfigKind::kNvdram;
     placement::PlacementKind placement =
         placement::PlacementKind::kBaseline;

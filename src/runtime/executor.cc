@@ -251,9 +251,9 @@ Executor::run_closed_form()
     // flow: water_fill grants it min(cap, link), its completion event
     // fires after bytes / rate, and the zero-delay callback lands at
     // the same time.  False when round-off leaves more than
-    // kByteEpsilon undelivered: the DES would re-arm the completion,
-    // which in practice does not advance the clock and spins to its
-    // runaway guard — either way, the DES's call.
+    // kByteEpsilon undelivered: the DES re-arms the completion for the
+    // remainder (and delivers the flow when that cannot advance the
+    // clock), which this form does not model — the DES's call.
     auto load = [&](std::size_t k, Seconds at) {
         const ScheduledStep &s = shard.steps[k];
         load_issue_[k] = at;

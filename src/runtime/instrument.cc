@@ -110,8 +110,7 @@ record_run_info(telemetry::MetricsRegistry &registry,
 {
     // The resolved system's label, so a zoo or custom-CXL host reads as
     // itself (a spec that does not resolve keeps its requested name).
-    const auto system =
-        mem::DeviceRegistry::builtin().make_system(spec.memory, spec.pcie);
+    const auto system = mem::make_system(spec.memory, spec.pcie);
     registry
         .gauge("helm_run_info",
                {{"command", command},

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <utility>
 
 #include "mem/registry.h"
 #include "model/footprint.h"
 #include "placement/balanced.h"
+#include "placement/baseline.h"
 #include "placement/helm_placement.h"
 
 namespace helm::runtime {
@@ -140,8 +140,7 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     const std::uint64_t first_layer = geo_or->first_layer;
     const double compute_scale = geo_or->compute_scale;
 
-    auto system_or =
-        mem::DeviceRegistry::builtin().make_system(spec.memory, spec.pcie);
+    auto system_or = mem::make_system(spec.memory, spec.pcie);
     if (!system_or.is_ok())
         return system_or.status();
     mem::HostMemorySystem system = std::move(*system_or);
@@ -158,12 +157,20 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     // decode stage, mid-context.
     const std::uint64_t mid_context =
         spec.shape.prompt_tokens + spec.shape.output_tokens / 2;
-    std::unique_ptr<placement::PlacementAlgorithm> algorithm;
-    if (spec.placement == placement::PlacementKind::kHelm &&
-        spec.helm_splits.has_value()) {
-        algorithm =
-            std::make_unique<placement::HelmPlacement>(*spec.helm_splits);
-    } else if (spec.placement == placement::PlacementKind::kBalanced) {
+    placement::PlacementMap map;
+    switch (spec.placement) {
+      case placement::PlacementKind::kBaseline:
+        map = placement::place_baseline(layers, policy);
+        break;
+      case placement::PlacementKind::kHelm:
+        map = placement::place_helm(
+            layers, policy,
+            spec.helm_splits.value_or(placement::HelmSplits{}));
+        break;
+      case placement::PlacementKind::kAllCpu:
+        map = placement::place_all_cpu(layers);
+        break;
+      case placement::PlacementKind::kBalanced: {
         // Profile-guided placement: feed the solver the decode-stage
         // compute windows (the latency-critical stage), the effective
         // transfer bandwidth, and the planner's weight budget.
@@ -182,12 +189,10 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
         profile.gpu_weight_budget = gpu_weight_budget(
             spec.gpu, kv_model, staging, spec.shape, effective_requests,
             spec.compress_weights, spec.kv_resident_on_gpu());
-        algorithm =
-            std::make_unique<placement::BalancedPlacement>(profile);
-    } else {
-        algorithm = placement::make_placement(spec.placement);
+        map = placement::place_balanced(layers, profile);
+        break;
+      }
     }
-    placement::PlacementMap map = algorithm->place(layers, policy);
 
     // ---- GPU capacity enforcement --------------------------------------
     const std::uint64_t effective_batch = effective_requests;

@@ -64,9 +64,17 @@ size_admission(const ServingSpec &spec, const ServingConfig &config,
     if (ceiling == 0) {
         // Auto-size against the planner's KV-capacity math: the largest
         // effective batch that fits HBM with every weight spilled off.
+        // The iteration schedulers run probes instead of the template:
+        // size for the largest, a decode step at the longest context.
+        model::SequenceShape shape = spec.shape;
+        if (config.scheduler != SchedulerKind::kFcfs) {
+            const std::uint64_t longest =
+                spec.shape.prompt_tokens + spec.shape.output_tokens - 1;
+            shape = {probe_bucket(spec, longest).tokens, 2};
+        }
         const std::uint64_t slots = max_batch(
-            spec.gpu, kv_model, staging, /*gpu_weight_bytes=*/0,
-            spec.shape, spec.compress_weights, /*limit=*/4096,
+            spec.gpu, kv_model, staging, /*gpu_weight_bytes=*/0, shape,
+            spec.compress_weights, /*limit=*/4096,
             spec.kv_resident_on_gpu());
         if (slots == 0) {
             return Status::capacity_exceeded(
@@ -166,6 +174,16 @@ batch_spec(const ServingSpec &base, const BatchShape &batch,
     return spec;
 }
 
+ProbeBucket
+probe_bucket(const ServingSpec &spec, std::uint64_t tokens)
+{
+    const std::uint64_t block = spec.kv_cache.has_value()
+                                    ? spec.kv_cache->block_tokens
+                                    : kvcache::KvCacheConfig{}.block_tokens;
+    const std::uint64_t index = (tokens + block - 1) / block;
+    return {index, index * block};
+}
+
 FormedBatch
 form_batch(std::deque<std::size_t> &queue,
            const std::vector<workload::TimedRequest> &pending,
@@ -260,6 +278,8 @@ finalize_serving_report(ServingReport &report, Seconds last_completion)
             slo_tokens += r.output_tokens;
             ++slo_met_count;
         }
+        if (!r.deadline_met)
+            ++report.deadline_misses;
     }
     if (report.makespan > 0.0) {
         report.throughput =

@@ -75,12 +75,6 @@ better(const TuneCandidate &a, const TuneCandidate &b,
 Result<TuneResult>
 auto_tune(const TuneRequest &request)
 {
-    return auto_tune(request, TuneExecOptions{});
-}
-
-Result<TuneResult>
-auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
-{
     if (request.model.hidden == 0 || request.model.blocks == 0)
         return Status::invalid_argument("model config is incomplete");
     if (request.batch_limit < 1)
@@ -88,8 +82,7 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
 
     // Compute-site candidates: GPU always; near-data decode when the
     // requested host carries NDP units.
-    const auto system =
-        mem::DeviceRegistry::builtin().make_system(request.memory);
+    const auto system = mem::make_system(request.memory);
     if (!system.is_ok())
         return system.status();
     std::vector<placement::ComputeSiteMode> site_options{
@@ -186,7 +179,7 @@ auto_tune(const TuneRequest &request, const TuneExecOptions &exec)
     }
 
     const std::vector<SimPoint> points = exec::parallel_map<SimPoint>(
-        candidates.size(), exec.jobs,
+        candidates.size(), request.jobs,
         [&](std::size_t i) { return simulate_point(candidates[i]); });
 
     bool have_best = false;

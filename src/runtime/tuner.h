@@ -54,6 +54,11 @@ struct TuneRequest
     bool explore_kv_offload = true;
     bool explore_micro_batches = true;
     gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
+    /** Candidate-evaluation threads; 0 = all hardware threads.  Any
+     *  value returns the same TuneResult: candidates are evaluated into
+     *  index-addressed slots and reduced in enumeration order, so the
+     *  tie-break ordering is unchanged. */
+    std::size_t jobs = 1;
 };
 
 /** One evaluated point of the search. */
@@ -74,27 +79,10 @@ struct TuneResult
 };
 
 /**
- * How the search evaluates its candidate list.  The default (one
- * thread) reproduces the historic sequential behavior; any
- * jobs value returns the same TuneResult — candidates are evaluated
- * into index-addressed slots and reduced in enumeration order, so the
- * tie-break ordering is unchanged.
- */
-struct TuneExecOptions
-{
-    /** Candidate-evaluation threads; 0 = all hardware threads. */
-    std::size_t jobs = 1;
-};
-
-/**
  * Run the search.  Fails with kNotFound if no candidate satisfies the
  * QoS constraint (or nothing fits at all).
  */
 Result<TuneResult> auto_tune(const TuneRequest &request);
-
-/** Run the search with explicit execution options. */
-Result<TuneResult> auto_tune(const TuneRequest &request,
-                             const TuneExecOptions &exec);
 
 } // namespace helm::runtime
 

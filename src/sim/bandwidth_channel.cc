@@ -127,14 +127,27 @@ BandwidthChannel::recompute_and_reschedule()
     for (const Flow &flow : flows_) {
         if (flow.rate_bps <= 0.0)
             continue;
-        next_completion = std::min(next_completion,
-                                   flow.remaining_bytes / flow.rate_bps);
+        const Seconds delay = flow.remaining_bytes / flow.rate_bps;
+        if (delay < next_completion) {
+            next_completion = delay;
+            pending_flow_ = flow.id;
+        }
     }
     HELM_ASSERT(std::isfinite(next_completion),
                 "active flows but no completion event (rate starvation)");
+    armed_at_ = simulator_.now();
     pending_event_ = simulator_.schedule(next_completion, [this] {
         pending_event_ = kInvalidEvent;
         advance_to_now();
+        if (simulator_.now() == armed_at_) {
+            // The remainder's delay fell below the clock's resolution
+            // (late in a long run), so firing did not advance time and
+            // re-arming would repeat forever: deliver the flow now.
+            for (Flow &flow : flows_) {
+                if (flow.id == pending_flow_)
+                    flow.remaining_bytes = 0.0;
+            }
+        }
         recompute_and_reschedule();
     });
 }

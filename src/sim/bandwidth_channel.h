@@ -113,6 +113,9 @@ class BandwidthChannel
     FlowId next_flow_id_ = 1;
     Seconds last_update_ = 0.0;
     EventId pending_event_ = kInvalidEvent;
+    /** The flow pending_event_ completes, and when it was armed. */
+    FlowId pending_flow_ = kInvalidFlow;
+    Seconds armed_at_ = 0.0;
     Bytes bytes_delivered_ = 0;
     std::uint64_t throttle_events_ = 0;
 };

@@ -69,12 +69,6 @@ SweepRunner::enumerate_points() const
 }
 
 Dataset
-SweepRunner::run(const PointFn &fn) const
-{
-    return run(fn, SweepOptions{});
-}
-
-Dataset
 SweepRunner::run(const PointFn &fn, const SweepOptions &options) const
 {
     HELM_ASSERT(static_cast<bool>(fn), "sweep needs a point function");
@@ -157,8 +151,7 @@ apply(runtime::ServingSpec &spec, const std::string &name,
         return Status::ok();
     }
     if (name == "memory") {
-        const mem::RegisteredDevice *entry =
-            mem::DeviceRegistry::builtin().find(value);
+        const mem::RegisteredDevice *entry = mem::find_device(value);
         if (entry == nullptr) {
             return Status::not_found("unknown memory config: " + value +
                                      " (run `helmsim devices`)");

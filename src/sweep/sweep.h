@@ -68,12 +68,9 @@ class SweepRunner
     /** Number of points in the product. */
     std::size_t point_count() const;
 
-    /** Run the sweep sequentially (jobs = 1). */
-    Dataset run(const PointFn &fn) const;
-
-    /** Run the sweep with @p options; the Dataset is identical to the
-     *  sequential run at any jobs value. */
-    Dataset run(const PointFn &fn, const SweepOptions &options) const;
+    /** Run the sweep with @p options (sequential by default); the
+     *  Dataset is identical to the sequential run at any jobs value. */
+    Dataset run(const PointFn &fn, const SweepOptions &options = {}) const;
 
     /** Every point of the product, in enumeration order. */
     std::vector<Row> enumerate_points() const;

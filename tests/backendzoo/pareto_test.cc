@@ -44,16 +44,14 @@ TEST(CostModel, DeviceDollarsScaleWithCapacity)
 TEST(CostModel, SystemDollarsSumGpuPlatformAndTiers)
 {
     const CostModel cost;
-    const auto host_only =
-        mem::DeviceRegistry::builtin().make_system("DRAM");
+    const auto host_only = mem::make_system("DRAM");
     ASSERT_TRUE(host_only.is_ok());
     const double base = cost.gpu_dollars + cost.host_platform_dollars;
     EXPECT_NEAR(cost.system_dollars(*host_only),
                 base + cost.device_dollars(*host_only->host()), 1e-9);
 
     // Storage-tier systems price both the DRAM host and the device.
-    const auto tiered =
-        mem::DeviceRegistry::builtin().make_system("SSD");
+    const auto tiered = mem::make_system("SSD");
     ASSERT_TRUE(tiered.is_ok());
     EXPECT_NEAR(cost.system_dollars(*tiered),
                 base + cost.device_dollars(*tiered->host()) +

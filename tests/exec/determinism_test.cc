@@ -202,10 +202,10 @@ TEST(TunerDeterminism, ResultIdenticalAcrossJobs)
         const std::string baseline = tune_text(*sequential);
 
         for (const std::size_t jobs : {2u, 8u}) {
-            runtime::TuneExecOptions exec;
-            exec.jobs = jobs;
+            runtime::TuneRequest parallel_request = request;
+            parallel_request.jobs = jobs;
             runtime::step_cache().clear();
-            const auto parallel = runtime::auto_tune(request, exec);
+            const auto parallel = runtime::auto_tune(parallel_request);
             ASSERT_TRUE(parallel.is_ok())
                 << "batch_limit=" << limit << " jobs=" << jobs;
             EXPECT_EQ(tune_text(*parallel), baseline)
@@ -223,9 +223,9 @@ TEST(TunerDeterminism, CacheDoesNotChangeTheResult)
 
     runtime::step_cache().clear();
     const CacheDelta cache;
-    runtime::TuneExecOptions exec;
-    exec.jobs = 8;
-    const auto first = runtime::auto_tune(request, exec);
+    runtime::TuneRequest parallel_request = request;
+    parallel_request.jobs = 8;
+    const auto first = runtime::auto_tune(parallel_request);
     ASSERT_TRUE(first.is_ok());
     EXPECT_EQ(tune_text(*first), tune_text(*baseline));
     const std::uint64_t misses_after_first = cache.misses();
@@ -233,7 +233,7 @@ TEST(TunerDeterminism, CacheDoesNotChangeTheResult)
 
     // A repeated search is served entirely from the memo: no new
     // misses, one hit per candidate.
-    const auto second = runtime::auto_tune(request, exec);
+    const auto second = runtime::auto_tune(parallel_request);
     ASSERT_TRUE(second.is_ok());
     EXPECT_EQ(tune_text(*second), tune_text(*baseline));
     EXPECT_EQ(cache.misses(), misses_after_first);

@@ -49,7 +49,7 @@ TEST(GoldenRepro, MaxBatchHeadlinesExact)
     const auto fp16 = model::build_layers(config, model::DataType::kFp16);
     const auto int4 =
         model::build_layers(config, model::DataType::kInt4Grouped);
-    const auto map = placement::BaselinePlacement().place(
+    const auto map = placement::place_baseline(
         fp16, placement::Policy::host_offload());
 
     EXPECT_EQ(max_batch(gpu, config, fp16,

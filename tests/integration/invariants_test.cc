@@ -83,14 +83,6 @@ TEST(Invariants, PcieRejectsUnknownGeneration)
                  "generation must be 3..6");
 }
 
-TEST(Invariants, BalancedFactoryRefusesWithoutProfile)
-{
-    EXPECT_DEATH(
-        (void)placement::make_placement(
-            placement::PlacementKind::kBalanced),
-        "BalanceProfile");
-}
-
 TEST(Invariants, RngRejectsZeroBound)
 {
     EXPECT_DEATH(

@@ -10,6 +10,8 @@
 
 #include "model/opt.h"
 #include "model/zoo.h"
+#include "placement/baseline.h"
+#include "placement/helm_placement.h"
 #include "runtime/engine.h"
 
 namespace helm::runtime {
@@ -26,6 +28,22 @@ using placement::Tier;
 using PlacementCase =
     std::tuple<OptVariant, PlacementKind, bool /*compressed*/>;
 
+/** The map profile-free scheme @p kind makes of @p layers under the
+ *  host-memory policy. */
+placement::PlacementMap
+place(PlacementKind kind, const std::vector<model::LayerSpec> &layers)
+{
+    const placement::Policy policy = placement::Policy::host_offload();
+    switch (kind) {
+      case PlacementKind::kBaseline:
+        return placement::place_baseline(layers, policy);
+      case PlacementKind::kHelm:
+        return placement::place_helm(layers, policy);
+      default:
+        return placement::place_all_cpu(layers);
+    }
+}
+
 class PlacementProperty
     : public ::testing::TestWithParam<PlacementCase>
 {
@@ -38,8 +56,7 @@ TEST_P(PlacementProperty, ConservationAndCompleteness)
     const auto layers = model::build_layers(
         config, compressed ? model::DataType::kInt4Grouped
                            : model::DataType::kFp16);
-    const auto map = placement::make_placement(kind)->place(
-        layers, placement::Policy::host_offload());
+    const placement::PlacementMap map = place(kind, layers);
 
     // Every layer accounted for; per-layer tier bytes sum to the layer.
     ASSERT_EQ(map.layers.size(), layers.size());

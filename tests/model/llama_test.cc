@@ -126,7 +126,7 @@ TEST(Llama, HelmPlacementBalancesGatedFfn)
     const auto layers = build_layers(
         llama_config(LlamaVariant::kLlama2_70B),
         DataType::kInt4Grouped);
-    const auto map = placement::HelmPlacement().place(
+    const auto map = placement::place_helm(
         layers, placement::Policy::host_offload());
     const auto ffn = map.split_for_type(LayerType::kFfn);
     EXPECT_GT(ffn.gpu, 25.0);

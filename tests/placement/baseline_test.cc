@@ -45,7 +45,7 @@ class BaselinePlacementTest : public ::testing::Test
     {
         layers_ = model::build_layers(
             model::opt_config(OptVariant::kOpt175B), dtype);
-        map_ = BaselinePlacement().place(layers_, policy);
+        map_ = place_baseline(layers_, policy);
     }
 
     std::vector<model::LayerSpec> layers_;
@@ -132,7 +132,7 @@ TEST(BaselinePlacement, AllGpuPolicyPutsEverythingOnGpu)
     const auto layers = model::build_layers(
         model::opt_config(OptVariant::kOpt1_3B));
     const Policy policy{0.0, 0.0, 100.0, false};
-    const PlacementMap map = BaselinePlacement().place(layers, policy);
+    const PlacementMap map = place_baseline(layers, policy);
     EXPECT_NEAR(map.achieved().gpu, 100.0, 1e-9);
     EXPECT_EQ(map.tier_total(Tier::kCpu), 0u);
 }
@@ -142,17 +142,17 @@ TEST(BaselinePlacement, AllDiskPolicy)
     const auto layers = model::build_layers(
         model::opt_config(OptVariant::kOpt1_3B));
     const Policy policy{100.0, 0.0, 0.0, false};
-    const PlacementMap map = BaselinePlacement().place(layers, policy);
+    const PlacementMap map = place_baseline(layers, policy);
     EXPECT_NEAR(map.achieved().disk, 100.0, 1e-9);
 }
 
 TEST(BaselinePlacement, NameAndFactory)
 {
-    EXPECT_EQ(BaselinePlacement().name(), "Baseline");
-    EXPECT_EQ(make_placement(PlacementKind::kBaseline)->name(),
-              "Baseline");
     EXPECT_STREQ(placement_kind_name(PlacementKind::kBaseline),
                  "Baseline");
+    const auto parsed = parse_placement_kind("baseline");
+    ASSERT_TRUE(parsed.is_ok());
+    EXPECT_EQ(*parsed, PlacementKind::kBaseline);
 }
 
 TEST(BaselinePlacement, DistributionIndependentOfCompression)
@@ -164,9 +164,9 @@ TEST(BaselinePlacement, DistributionIndependentOfCompression)
     const auto int4 =
         model::build_layers(config, DataType::kInt4Grouped);
     const TierSplit a =
-        BaselinePlacement().place(fp16, Policy::host_offload()).achieved();
+        place_baseline(fp16, Policy::host_offload()).achieved();
     const TierSplit b =
-        BaselinePlacement().place(int4, Policy::host_offload()).achieved();
+        place_baseline(int4, Policy::host_offload()).achieved();
     EXPECT_NEAR(a.gpu, b.gpu, 1.5);
     EXPECT_NEAR(a.cpu, b.cpu, 1.5);
 }

@@ -24,7 +24,7 @@ class CapacityTest : public ::testing::Test
         layers_ = model::build_layers(
             model::opt_config(OptVariant::kOpt13B),
             DataType::kInt4Grouped);
-        map_ = HelmPlacement().place(layers_, Policy::host_offload());
+        map_ = place_helm(layers_, Policy::host_offload());
     }
 
     std::vector<model::LayerSpec> layers_;
@@ -112,8 +112,7 @@ TEST(Capacity, BaselinePlacementSpillsToo)
 {
     const auto layers = model::build_layers(
         model::opt_config(OptVariant::kOpt6_7B));
-    PlacementMap map =
-        BaselinePlacement().place(layers, Policy{0.0, 20.0, 80.0, false});
+    PlacementMap map = place_baseline(layers, Policy{0.0, 20.0, 80.0, false});
     const Bytes before = map.tier_total(Tier::kGpu);
     ASSERT_GT(before, 2 * kGiB);
     const SpillReport report =

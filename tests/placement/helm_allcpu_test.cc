@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "model/opt.h"
-#include "placement/all_cpu.h"
 #include "placement/baseline.h"
 #include "placement/helm_placement.h"
+#include "runtime/engine.h"
 
 namespace helm::placement {
 namespace {
@@ -26,7 +26,7 @@ class HelmPlacementTest : public ::testing::Test
         layers_ = model::build_layers(
             model::opt_config(OptVariant::kOpt175B),
             DataType::kInt4Grouped);
-        map_ = HelmPlacement().place(layers_, Policy::host_offload());
+        map_ = place_helm(layers_, Policy::host_offload());
     }
 
     const model::LayerSpec &
@@ -113,8 +113,7 @@ TEST_F(HelmPlacementTest, FfnTransferDropsMhaTransferRises)
 {
     // Fig. 11a: HeLM reduces FFN transfer ~49% and raises MHA ~33%
     // relative to the baseline.
-    const PlacementMap base =
-        BaselinePlacement().place(layers_, Policy::host_offload());
+    const PlacementMap base = place_baseline(layers_, Policy::host_offload());
     const Bytes base_ffn = base.layers[2].off_gpu_bytes();
     const Bytes helm_ffn = map_.layers[2].off_gpu_bytes();
     const Bytes base_mha = base.layers[1].off_gpu_bytes();
@@ -147,12 +146,11 @@ TEST(HelmPlacement, CustomSplitsChangeGpuShare)
         model::opt_config(OptVariant::kOpt13B), DataType::kInt4Grouped);
     HelmSplits aggressive;
     aggressive.ffn = {80.0, 20.0, 0.0};
-    const TierSplit def = HelmPlacement()
-                              .place(layers, Policy::host_offload())
+    const TierSplit def = place_helm(layers, Policy::host_offload())
                               .split_for_type(LayerType::kFfn);
-    const TierSplit agg = HelmPlacement(aggressive)
-                              .place(layers, Policy::host_offload())
-                              .split_for_type(LayerType::kFfn);
+    const TierSplit agg =
+        place_helm(layers, Policy::host_offload(), aggressive)
+            .split_for_type(LayerType::kFfn);
     EXPECT_GT(agg.gpu, def.gpu);
 }
 
@@ -163,7 +161,7 @@ TEST(HelmPlacement, EmbeddingLayersFollowThePolicy)
     // All-GPU policy: the embedding layers land fully on the GPU while
     // MHA/FFN still follow HeLM's own splits.
     const Policy policy{0.0, 0.0, 100.0, false};
-    const PlacementMap map = HelmPlacement().place(layers, policy);
+    const PlacementMap map = place_helm(layers, policy);
     EXPECT_NEAR(map.layers.front().split().gpu, 100.0, 1e-9);
     EXPECT_NEAR(map.layers.back().split().gpu, 100.0, 1e-9);
     EXPECT_LT(map.split_for_type(LayerType::kMha).gpu, 1.0);
@@ -173,8 +171,7 @@ TEST(AllCpuPlacement, EverythingOnHost)
 {
     const auto layers = model::build_layers(
         model::opt_config(OptVariant::kOpt30B));
-    const PlacementMap map =
-        AllCpuPlacement().place(layers, Policy::host_offload());
+    const PlacementMap map = place_all_cpu(layers);
     EXPECT_EQ(map.tier_total(Tier::kGpu), 0u);
     EXPECT_EQ(map.tier_total(Tier::kDisk), 0u);
     EXPECT_EQ(map.tier_total(Tier::kCpu),
@@ -184,17 +181,28 @@ TEST(AllCpuPlacement, EverythingOnHost)
 
 TEST(AllCpuPlacement, IgnoresPolicy)
 {
-    const auto layers = model::build_layers(
-        model::opt_config(OptVariant::kOpt1_3B));
-    const Policy all_gpu{0.0, 0.0, 100.0, false};
-    const PlacementMap map = AllCpuPlacement().place(layers, all_gpu);
-    EXPECT_EQ(map.tier_total(Tier::kGpu), 0u);
+    // An all-GPU policy reaches the engine's dispatch, which places
+    // All-CPU without it.
+    runtime::ServingSpec spec;
+    spec.model = model::opt_config(OptVariant::kOpt1_3B);
+    spec.placement = PlacementKind::kAllCpu;
+    spec.policy = Policy{0.0, 0.0, 100.0, false};
+    spec.repeats = 1;
+    spec.keep_records = false;
+    const auto result = runtime::simulate_inference(spec);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(result->placement.tier_total(Tier::kGpu), 0u);
 }
 
 TEST(PlacementFactory, AllKinds)
 {
-    EXPECT_EQ(make_placement(PlacementKind::kHelm)->name(), "HeLM");
-    EXPECT_EQ(make_placement(PlacementKind::kAllCpu)->name(), "All-CPU");
+    // Every scheme's printable name parses back to it.
+    for (auto kind : {PlacementKind::kBaseline, PlacementKind::kHelm,
+                      PlacementKind::kAllCpu, PlacementKind::kBalanced}) {
+        const auto parsed = parse_placement_kind(placement_kind_name(kind));
+        ASSERT_TRUE(parsed.is_ok()) << placement_kind_name(kind);
+        EXPECT_EQ(*parsed, kind);
+    }
     EXPECT_STREQ(placement_kind_name(PlacementKind::kHelm), "HeLM");
     EXPECT_STREQ(placement_kind_name(PlacementKind::kAllCpu), "All-CPU");
 }

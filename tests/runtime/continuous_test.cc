@@ -160,6 +160,31 @@ TEST(Continuous, LateShortRequestEscapesTheRunningBatchTail)
     EXPECT_LT(ttft_of(cont_report, 3), ttft_of(fcfs_report, 3));
 }
 
+TEST(Continuous, AutoCeilingFitsTheLargestProbe)
+{
+    // OPT-175B's template shape (128, 21) holds more requests than the
+    // decode probe at the longest context, (bucket(148) = 160, 2): the
+    // iteration schedulers size for that probe, FCFS for the template.
+    ServingSpec spec;
+    spec.model = model::opt_config(OptVariant::kOpt175B);
+    spec.memory = mem::ConfigKind::kNvdram;
+    const ProbeBucket probe = probe_bucket(spec, 128 + 21 - 1);
+    EXPECT_EQ(probe.tokens, 160u);
+    auto fcfs = Server::create(spec);
+    ASSERT_TRUE(fcfs.is_ok()) << fcfs.status().to_string();
+    for (auto kind : {SchedulerKind::kContinuous, SchedulerKind::kEdf}) {
+        ServingConfig config;
+        config.scheduler = kind;
+        auto server = Server::create(spec, config);
+        ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+        const std::uint64_t ceiling = server->effective_max_batch();
+        EXPECT_LT(ceiling, fcfs->effective_max_batch());
+        const auto run = simulate_inference(batch_spec(
+            spec, BatchShape{ceiling, {probe.tokens, 2}}, false));
+        EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+    }
+}
+
 TEST(Edf, PreemptionRoundTripConservesWorkAndBytes)
 {
     const auto stream = preemption_microcosm();
@@ -216,7 +241,7 @@ TEST(Edf, SwapFabricIsTheResolvedHost)
     ASSERT_TRUE(report.is_ok()) << report.status().to_string();
     ASSERT_FALSE(report->kv_swap_events.empty());
 
-    const auto system = mem::DeviceRegistry::builtin().make_system(
+    const auto system = mem::make_system(
         spec.memory, spec.pcie);
     ASSERT_TRUE(system.is_ok());
     const mem::HostMemorySystem nvdram = mem::make_config(

@@ -138,7 +138,7 @@ TEST(Engine, DefaultPolicyMatchesMemoryKind)
     // default-policy run places no weight bytes on disk.
     ServingSpec cxl = small_spec();
     cxl.memory = mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(64.0));
-    const auto system = mem::DeviceRegistry::builtin().make_system(
+    const auto system = mem::make_system(
         cxl.memory, cxl.pcie);
     ASSERT_TRUE(system.is_ok());
     EXPECT_DOUBLE_EQ(default_policy(*system).cpu_percent, 80.0);

@@ -67,7 +67,7 @@ TEST_F(PlannerTest, PaperMaxBatchBaselineUncompressedIs8)
 {
     // Sec. IV-B / Fig. 4: max permissible batch for OPT-175B is 8.
     const auto layers = model::build_layers(config_, DataType::kFp16);
-    const auto map = placement::BaselinePlacement().place(
+    const auto map = placement::place_baseline(
         layers, placement::Policy::host_offload());
     const Bytes gpu_weights =
         map.tier_total(placement::Tier::kGpu);

@@ -244,6 +244,39 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
     EXPECT_GT(report->throughput, 0.0);
 }
 
+TEST(Scheduler, FcfsCountsDeadlineMisses)
+{
+    // Two batches of four; every deadline falls between the batches'
+    // completions, so exactly the second batch misses it.
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 4;
+    config.max_queue_delay = 0.0;
+    auto probe = Server::create(small_spec(), config);
+    ASSERT_TRUE(probe.is_ok());
+    ASSERT_TRUE(probe->submit(burst(8, 0.0)).is_ok());
+    const auto timing = probe->serve();
+    ASSERT_TRUE(timing.is_ok()) << timing.status().to_string();
+    ASSERT_EQ(timing->completed, 8u);
+    EXPECT_EQ(timing->deadline_misses, 0u);
+    const Seconds between = (timing->requests[0].e2e_latency +
+                             timing->requests[7].e2e_latency) /
+                            2.0;
+
+    std::vector<workload::TimedRequest> stream = burst(8, 0.0);
+    for (workload::TimedRequest &timed : stream)
+        timed.deadline = between;
+    auto server = Server::create(small_spec(), config);
+    ASSERT_TRUE(server.is_ok());
+    ASSERT_TRUE(server->submit(stream).is_ok());
+    const auto report = server->serve();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    ASSERT_EQ(report->completed, 8u);
+    EXPECT_EQ(report->deadline_misses, 4u);
+    for (std::size_t i = 0; i < report->requests.size(); ++i)
+        EXPECT_EQ(report->requests[i].deadline_met, i < 4) << i;
+}
+
 /** One request per (prompt, output) pair, ids 0.., all at t = 0. */
 std::vector<workload::TimedRequest>
 stream_of(const std::vector<std::pair<std::uint64_t, std::uint64_t>> &lengths)

@@ -194,7 +194,7 @@ TEST(ZooEngine, ValidateRejectsDiskPolicyOnHostWithoutStorage)
 
 TEST(ZooEngine, BalancedProbeReadsTheResolvedHost)
 {
-    // BalancedPlacement sizes its GPU share from the host's transfer
+    // place_balanced sizes its GPU share from the host's transfer
     // rate, so a slow custom expander and a fast one must place
     // differently, and a named device must place as its twin custom
     // expander at the same rate (CXL-FPGA = 5.12 GB/s).

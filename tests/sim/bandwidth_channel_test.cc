@@ -174,6 +174,26 @@ TEST(BandwidthChannel, SubByteRemainderDoesNotLivelock)
     EXPECT_LT(sim.events_executed(), 100000u);
 }
 
+TEST(BandwidthChannel, FlowLateInALongRunCompletes)
+{
+    // Regression: from t = 2^19 s a double clock steps by ~1.2e-10 s.
+    // This flow's round-off remainder (over half a byte at 25 GB/s)
+    // needs less than half a step, so its completion event fired
+    // without advancing time and re-armed forever.
+    Simulator sim;
+    BandwidthChannel ch(sim, Bandwidth::bytes_per_s(25e9));
+    constexpr Seconds kStart = 524288.0; // 2^19 s
+    Seconds done_at = -1.0;
+    sim.schedule_at(kStart, [&] {
+        ch.start_flow(100 * kMB, Bandwidth(), [&] { done_at = sim.now(); });
+    });
+    for (int steps = 0; steps < 1000 && sim.step(); ++steps) {
+    }
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_NEAR(done_at, kStart + 0.004, 1e-9);
+    EXPECT_EQ(ch.bytes_delivered(), 100 * kMB);
+}
+
 TEST(BandwidthChannel, ManySequentialFlowsAccumulateBytes)
 {
     Simulator sim;

@@ -124,11 +124,11 @@ cmd_devices(const ArgParser &, std::ostream &out, std::ostream &)
                       "read@1GiB", "write@1MiB", "write@1GiB",
                       "latency"});
     table.align_right_from(3);
-    for (const auto &entry : mem::DeviceRegistry::builtin().devices()) {
+    for (const auto &entry : mem::device_table()) {
         const auto device = entry.make();
         table.add_row(
             {entry.name, mem::memory_kind_name(device->kind()),
-             entry.storage_tier ? "storage" : "host",
+             device->needs_bounce_buffer() ? "storage" : "host",
              format_bytes(device->capacity()),
              format_bandwidth(device->read_bandwidth(kMiB)),
              format_bandwidth(device->read_bandwidth(kGiB)),
@@ -179,8 +179,7 @@ parse_host(const ArgParser &parser)
             return Status::invalid_argument("--cxl-gbps must be > 0");
         return mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(gbps));
     }
-    const auto system =
-        mem::DeviceRegistry::builtin().make_system(parser.get("memory"));
+    const auto system = mem::make_system(parser.get("memory"));
     if (!system.is_ok()) {
         return Status::invalid_argument("--memory: " +
                                         system.status().message());
@@ -1130,9 +1129,8 @@ cmd_tune(const ArgParser &parser, std::ostream &out, std::ostream &err)
     request.batch_limit = parser.get_u64("batch-limit");
     request.explore_kv_offload = !parser.is_set("no-kv-offload");
 
-    runtime::TuneExecOptions exec_options;
-    exec_options.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
-    const auto tuned = runtime::auto_tune(request, exec_options);
+    request.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
+    const auto tuned = runtime::auto_tune(request);
     if (!tuned.is_ok()) {
         err << tuned.status().to_string() << "\n";
         return 1;
@@ -1332,11 +1330,10 @@ cmd_membench(const ArgParser &parser, std::ostream &out, std::ostream &)
     if (parser.is_set("memory") || parser.is_set("cxl-gbps")) {
         mem::HostSpec host = mem::ConfigKind::kDram;
         HELM_ASSIGN_OR_RETURN(host, parse_host(parser));
-        const mem::RegisteredDevice *device =
-            mem::DeviceRegistry::builtin().find(host.name());
-        if (device != nullptr && device->storage_tier) {
+        const mem::RegisteredDevice *device = mem::find_device(host.name());
+        if (device != nullptr && device->storage_tier()) {
             return Status::invalid_argument(
-                "--memory: " + device->name +
+                "--memory: " + std::string(device->name) +
                 " is a storage tier; membench copies from mapped memory");
         }
         hosts = {host};
