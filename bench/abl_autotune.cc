@@ -27,12 +27,8 @@ main()
     request.jobs = 0; // all hardware threads
 
     // Every search below enumerates the same candidate grid (objective
-    // and ceiling only change the reduction), so the step cache makes
-    // each spec simulate exactly once across all eight searches.
-    const runtime::StepScheduleCache &cache = runtime::step_cache();
-    const std::uint64_t hits_before = cache.hits();
-    const std::uint64_t misses_before = cache.misses();
-
+    // and ceiling only change the reduction) and simulates it afresh:
+    // no search reuses another's runs.
     request.objective = runtime::TuneObjective::kLatency;
     const auto latency_pole = runtime::auto_tune(request);
     request.objective = runtime::TuneObjective::kThroughput;
@@ -89,8 +85,5 @@ main()
                  "relaxed ceilings migrate to All-CPU at the maximum "
                  "batch — the tuner walks the paper's latency/"
                  "throughput tradeoff automatically.\n";
-    std::cerr << "step cache: " << cache.hits() - hits_before
-              << " hits / " << cache.misses() - misses_before
-              << " misses\n";
     return 0;
 }

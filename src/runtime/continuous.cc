@@ -147,11 +147,7 @@ Server::run_continuous()
     for (std::size_t i = 0; i < total; ++i) {
         tenant_count = std::max(tenant_count,
                                 pending_[i].request.tenant + 1);
-        state[i].deadline = pending_[i].deadline;
-        if (state[i].deadline == 0.0 && config_.has_default_deadline) {
-            state[i].deadline =
-                pending_[i].arrival + config_.default_deadline;
-        }
+        state[i].deadline = request_deadline(pending_[i], config_);
     }
     std::vector<TenantStats> tenants(tenant_count);
     for (std::uint64_t t = 0; t < tenant_count; ++t)

@@ -1,7 +1,6 @@
 #include "runtime/engine.h"
 
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "mem/registry.h"
 #include "runtime/executor.h"
 #include "runtime/schedule.h"
-#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 
@@ -174,13 +172,11 @@ ServingSpec::kv_config() const
     return kv_cache.value_or(kvcache::KvCacheConfig::gpu_only());
 }
 
-namespace {
-
-/** The original (uncached) path: compile, run the schedule (in closed
- *  form when it is single-flow, on the DES otherwise), derive metrics
- *  and records.  --no-step-cache routes here directly. */
+/** Compile, run the schedule (in closed form when it is single-flow,
+ *  on the DES otherwise), derive metrics and records.  Nothing is kept
+ *  between calls: a run depends on @p spec alone. */
 Result<RunResult>
-simulate_inference_uncached(const ServingSpec &spec)
+simulate_inference(const ServingSpec &spec)
 {
     // ---- Compile: model, placement, KV tiers, flattened steps ----------
     auto compiled_or = compile_schedule(spec);
@@ -229,42 +225,6 @@ simulate_inference_uncached(const ServingSpec &spec)
         static_cast<double>(result.metrics.total_tokens) / timeline.end;
     result.records = std::move(timeline.records);
     return result;
-}
-
-} // namespace
-
-Result<RunResult>
-simulate_inference(const ServingSpec &spec)
-{
-    // The steady-state fast path: a spec digest fully determines the
-    // per-layer timeline (the engine is deterministic and takes no
-    // ambient state), so a repeated decode iteration replays the cached
-    // run instead of compiling and executing its schedule again.
-    // Callers time-shift the returned copy onto their own clock
-    // (Server::run_fcfs already offsets records by launch time);
-    // anything that breaks steady state — preemption, KV
-    // demotion/promotion, batch re-formation, NDP-site changes —
-    // produces a different digest and therefore a miss, never a stale
-    // hit (see runtime/step_cache.h).
-    StepScheduleCache &cache = step_cache();
-    if (!cache.enabled())
-        return simulate_inference_uncached(spec);
-
-    std::string digest = spec_cache_key(spec);
-    digest += spec.keep_records ? "|records:1" : "|records:0";
-    const StepScheduleCache::EntryPtr entry =
-        cache.get_or_run(digest, [&spec]() {
-            auto run = std::make_shared<StepScheduleCache::CachedRun>();
-            Result<RunResult> outcome = simulate_inference_uncached(spec);
-            if (outcome.is_ok())
-                run->result = std::move(*outcome);
-            else
-                run->status = outcome.status();
-            return StepScheduleCache::EntryPtr(std::move(run));
-        });
-    if (!entry->status.is_ok())
-        return entry->status;
-    return entry->result;
 }
 
 SimPoint

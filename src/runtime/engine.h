@@ -168,8 +168,7 @@ struct SimPoint
 };
 
 /** Run one spec without records through simulate_inference() and fold
- *  the outcome into a SimPoint (errors included — infeasible grid
- *  points repeat too). */
+ *  the outcome into a SimPoint (errors included). */
 SimPoint simulate_point(const ServingSpec &spec);
 
 } // namespace helm::runtime

@@ -339,10 +339,21 @@ record_serving(telemetry::MetricsRegistry &registry,
                "First arrival -> last completion")
         .set(report.makespan);
 
-    // Continuous/EDF families only exist when that scheduler ran, so a
-    // fcfs run's registry (and its JSON/Prometheus dumps) stays
-    // bit-identical to the pre-continuous serving path.
-    if (report.scheduler == SchedulerKind::kFcfs)
+    // Every scheduler counts deadline misses.  A fcfs stream without
+    // deadlines has none to miss, and its registry keeps only the
+    // families above.
+    const bool fcfs = report.scheduler == SchedulerKind::kFcfs;
+    if (!fcfs || std::any_of(report.requests.begin(), report.requests.end(),
+                             [](const RequestMetrics &r) {
+                                 return r.deadline != 0.0;
+                             })) {
+        registry
+            .counter("helm_serving_deadline_misses_total", {},
+                     "Completed requests that missed their deadline")
+            .add(static_cast<double>(report.deadline_misses));
+    }
+    // Continuous/EDF families only exist when that scheduler ran.
+    if (fcfs)
         return;
     registry
         .gauge("helm_serving_scheduler_info",
@@ -375,10 +386,6 @@ record_serving(telemetry::MetricsRegistry &registry,
         .gauge("helm_serving_kv_swap_exposed_seconds", {},
                "Swap time the iteration clock could not hide")
         .set(report.kv_swap_exposed_seconds);
-    registry
-        .counter("helm_serving_deadline_misses_total", {},
-                 "Completed requests that missed their deadline")
-        .add(static_cast<double>(report.deadline_misses));
     registry
         .counter("helm_serving_starvation_events_total", {},
                  "Rounds that admitted a later arrival over a waiting "

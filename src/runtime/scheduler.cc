@@ -152,6 +152,15 @@ check_submission(const workload::TimedRequest &timed)
     return Status::ok();
 }
 
+Seconds
+request_deadline(const workload::TimedRequest &timed,
+                 const ServingConfig &config)
+{
+    if (timed.deadline == 0.0 && config.has_default_deadline)
+        return timed.arrival + config.default_deadline;
+    return timed.deadline;
+}
+
 void
 sort_by_arrival(std::vector<workload::TimedRequest> &pending)
 {
@@ -244,8 +253,8 @@ record_batch(ServingReport &report,
         r.slo_met =
             (!config.enforce_ttft || r.ttft <= config.ttft_target) &&
             (!config.enforce_e2e || r.e2e_latency <= config.e2e_target);
-        r.deadline = timed.deadline;
-        r.deadline_met = timed.deadline == 0.0 || done <= timed.deadline;
+        r.deadline = request_deadline(timed, config);
+        r.deadline_met = r.deadline == 0.0 || done <= r.deadline;
         report.requests.push_back(r);
     }
 }

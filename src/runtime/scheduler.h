@@ -185,6 +185,12 @@ size_admission(const ServingSpec &spec, const ServingConfig &config,
 /** The checks every backend's submit() applies to one request. */
 Status check_submission(const workload::TimedRequest &timed);
 
+/** @p timed's absolute deadline: its own, else arrival + the config's
+ *  default deadline when one is set, else 0 (none).  Every scheduler
+ *  reads deadlines through this. */
+Seconds request_deadline(const workload::TimedRequest &timed,
+                         const ServingConfig &config);
+
 /** Stable-sort @p pending by arrival: FCFS order. */
 void sort_by_arrival(std::vector<workload::TimedRequest> &pending);
 

@@ -22,11 +22,12 @@
  *     finishing turns' token streams into their StreamSinks, where the
  *     closed-loop driver's clients live.
  *
- * Because the backend memoizes batch simulation by shape and the
- * admission layer rounds context to coarse blocks, a million-turn run
- * pays the engine cost once per distinct window shape and replays it
- * from the memo everywhere else — that is what makes closed-loop
- * million-request driving feasible on one core.
+ * Because each replica's backend memoizes batch simulation by shape
+ * and the admission layer rounds context to coarse blocks, a
+ * million-turn run pays the engine cost once per distinct window shape
+ * per replica and replays it from that replica's memo everywhere else
+ * — that is what makes closed-loop million-request driving feasible on
+ * one core.
  */
 #ifndef HELM_SERVING_GATEWAY_GATEWAY_H
 #define HELM_SERVING_GATEWAY_GATEWAY_H

@@ -104,10 +104,9 @@ class ServingSweep
 
     /**
      * Run every point with @p options (infeasible points get an "error"
-     * column).  Each point goes through runtime::simulate_point(), so
-     * duplicate specs — and specs a previous search already simulated —
-     * replay from the step cache.  The Dataset is identical at any jobs
-     * value.
+     * column).  Each point is simulated through
+     * runtime::simulate_point(); nothing is reused across points or
+     * calls.  The Dataset is identical at any jobs value.
      */
     Dataset run(const SweepOptions &options = {}) const;
 

@@ -201,10 +201,17 @@ print_serving_section(std::ostream &out, const MetricsRegistry &reg)
         << " % of requests met it)\n";
 
     // Continuous/EDF extras: the families only exist when an
-    // iteration-level scheduler ran, so fcfs output is untouched.
+    // iteration-level scheduler ran.  A fcfs run shows its deadline
+    // misses when its stream carried deadlines.
     const auto sched = reg.label_sets("helm_serving_scheduler_info");
-    if (sched.empty())
+    if (sched.empty()) {
+        if (reg.has("helm_serving_deadline_misses_total")) {
+            out << "deadlines:   "
+                << count(reg, "helm_serving_deadline_misses_total")
+                << " missed\n";
+        }
         return;
+    }
     auto kind = sched.front().find("scheduler");
     out << "scheduler:   "
         << (kind == sched.front().end() ? "?" : kind->second) << ", "

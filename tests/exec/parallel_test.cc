@@ -1,20 +1,16 @@
 /**
  * @file
  * Unit tests for the exec layer: parallel_for / parallel_map coverage,
- * exception semantics and nesting, and ShardedMemo
- * compute-once behavior under concurrency.
+ * exception semantics and nesting.
  */
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exec/memo.h"
 #include "exec/parallel.h"
 
 namespace helm::exec {
@@ -88,50 +84,6 @@ TEST(ParallelMap, SlotsFollowIndexOrder)
     ASSERT_EQ(squares.size(), 100u);
     for (std::size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], i * i);
-}
-
-TEST(ShardedMemo, ComputesOncePerKeyUnderConcurrency)
-{
-    ShardedMemo<int> memo;
-    std::atomic<int> computations{0};
-    parallel_for(64, 8, [&](std::size_t i) {
-        const std::string key = "key-" + std::to_string(i % 4);
-        const int value = memo.get_or_compute(key, [&] {
-            ++computations;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            return static_cast<int>(i % 4);
-        });
-        EXPECT_EQ(value, static_cast<int>(i % 4));
-    });
-    EXPECT_EQ(computations.load(), 4);
-    EXPECT_EQ(memo.misses(), 4u);
-    EXPECT_EQ(memo.hits(), 60u);
-    EXPECT_EQ(memo.size(), 4u);
-}
-
-TEST(ShardedMemo, ExceptionDoesNotPoisonTheKey)
-{
-    ShardedMemo<int> memo;
-    EXPECT_THROW(memo.get_or_compute(
-                     "k",
-                     []() -> int { throw std::runtime_error("boom"); }),
-                 std::runtime_error);
-    EXPECT_EQ(memo.size(), 0u);
-    EXPECT_EQ(memo.get_or_compute("k", [] { return 42; }), 42);
-    EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(ShardedMemo, DistinctKeysAreIndependent)
-{
-    ShardedMemo<std::string> memo;
-    EXPECT_EQ(memo.get_or_compute("a", [] { return std::string("A"); }),
-              "A");
-    EXPECT_EQ(memo.get_or_compute("b", [] { return std::string("B"); }),
-              "B");
-    EXPECT_EQ(memo.get_or_compute("a", [] { return std::string("X"); }),
-              "A");
-    EXPECT_EQ(memo.hits(), 1u);
-    EXPECT_EQ(memo.misses(), 2u);
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive)

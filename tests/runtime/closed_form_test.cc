@@ -27,7 +27,6 @@
 #include "runtime/engine.h"
 #include "runtime/executor.h"
 #include "runtime/schedule.h"
-#include "runtime/step_cache.h"
 
 namespace helm::runtime {
 namespace {
@@ -232,13 +231,6 @@ small_spec()
     return spec;
 }
 
-/** Restores the process-global step cache however the test exits. */
-struct CacheOff
-{
-    CacheOff() { set_step_cache_enabled(false); }
-    ~CacheOff() { set_step_cache_enabled(true); }
-};
-
 /** The closed form declines @p spec, and simulate_inference's records
  *  and metrics are the DES's. */
 void
@@ -250,7 +242,6 @@ expect_declined_engine_run(const ServingSpec &spec)
     const FabricRates rates = link_rates(compiled->system);
     EXPECT_FALSE(closed_form_matches_des(*compiled, spec.gpu, rates));
 
-    const CacheOff cache_off;
     const auto result = simulate_inference(spec);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     const BatchTimeline des = des_timeline(*compiled, spec.gpu, rates);

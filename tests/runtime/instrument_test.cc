@@ -336,9 +336,28 @@ TEST(RecordServing, SchedulerFamiliesGatedOnFcfs)
           "helm_serving_preemptions_total",
           "helm_serving_kv_swap_bytes_total",
           "helm_serving_jain_fairness",
-          "helm_serving_tenant_tokens_total"}) {
+          "helm_serving_tenant_tokens_total",
+          "helm_serving_deadline_misses_total"}) {
         EXPECT_FALSE(fcfs_registry.has(name)) << name;
     }
+
+    // A fcfs stream that carries deadlines exports its misses, and no
+    // other scheduler family.
+    auto fcfs_deadlines = Server::create(base);
+    ASSERT_TRUE(fcfs_deadlines.is_ok());
+    ASSERT_TRUE(fcfs_deadlines->submit(stream).is_ok());
+    const auto deadline_report = fcfs_deadlines->serve();
+    ASSERT_TRUE(deadline_report.is_ok());
+    telemetry::MetricsRegistry deadline_registry;
+    record_serving(deadline_registry, base,
+                   fcfs_deadlines->effective_max_batch(),
+                   fcfs_deadlines->kv_request_slots(), *deadline_report,
+                   "serve");
+    ASSERT_TRUE(deadline_registry.has("helm_serving_deadline_misses_total"));
+    EXPECT_DOUBLE_EQ(
+        deadline_registry.value_or("helm_serving_deadline_misses_total"),
+        static_cast<double>(deadline_report->deadline_misses));
+    EXPECT_FALSE(deadline_registry.has("helm_serving_scheduler_info"));
 }
 
 TEST(ServingReportPercentiles, TbtPercentileIsMonotone)

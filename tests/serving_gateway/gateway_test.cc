@@ -532,63 +532,39 @@ TEST(Driver, ReachesTheTargetAndReportsSamples)
 
 TEST(Driver, SameSeedSameVirtualRun)
 {
-    const DriverReport a = drive_once(17);
-    const DriverReport b = drive_once(17);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.events_executed, b.events_executed);
-    EXPECT_DOUBLE_EQ(a.sim_makespan, b.sim_makespan);
-    EXPECT_EQ(a.ttft, b.ttft);
-    EXPECT_EQ(a.e2e, b.e2e);
-}
+    // Two drives at one seed share no state: the simulated run, its DES
+    // event count, and what an attached tracer and monitor export are
+    // identical.
+    const DriveOutcome a = drive_with_stats(17, /*observed=*/true);
+    const DriveOutcome b = drive_with_stats(17, /*observed=*/true);
 
-/** Turns the process-global step cache off for one scope. */
-struct CacheOff
-{
-    CacheOff() { runtime::set_step_cache_enabled(false); }
-    ~CacheOff() { runtime::set_step_cache_enabled(true); }
-};
+    EXPECT_EQ(a.report.completed, b.report.completed);
+    EXPECT_EQ(a.report.attempts, b.report.attempts);
+    EXPECT_EQ(a.report.retries, b.report.retries);
+    EXPECT_EQ(a.report.parked_on_budget, b.report.parked_on_budget);
+    EXPECT_EQ(a.report.sim_makespan, b.report.sim_makespan);
+    EXPECT_EQ(a.report.events_executed, b.report.events_executed);
+    EXPECT_EQ(a.report.ttft, b.report.ttft);
+    EXPECT_EQ(a.report.tbt, b.report.tbt);
+    EXPECT_EQ(a.report.e2e, b.report.e2e);
+    EXPECT_EQ(a.report.queue_wait, b.report.queue_wait);
 
-TEST(Driver, StepCacheDoesNotChangeTheRun)
-{
-    // The step cache is an engine memo: switching it off may cost host
-    // time, never change the simulated run, its DES event count, or
-    // what an attached tracer and monitor export.
-    DriveOutcome off;
-    {
-        const CacheOff cache_off;
-        off = drive_with_stats(23, /*observed=*/true);
-    }
-    const DriveOutcome on = drive_with_stats(23, /*observed=*/true);
+    EXPECT_EQ(a.stats.turns_submitted, b.stats.turns_submitted);
+    EXPECT_EQ(a.stats.turns_accepted, b.stats.turns_accepted);
+    EXPECT_EQ(a.stats.turns_completed, b.stats.turns_completed);
+    EXPECT_EQ(a.stats.turns_shed, b.stats.turns_shed);
+    EXPECT_EQ(a.stats.tokens_delivered, b.stats.tokens_delivered);
+    EXPECT_EQ(a.stats.dispatch_windows, b.stats.dispatch_windows);
+    EXPECT_EQ(a.stats.backend_batches, b.stats.backend_batches);
+    EXPECT_EQ(a.stats.peak_accept_depth, b.stats.peak_accept_depth);
+    EXPECT_EQ(a.stats.routed_per_replica, b.stats.routed_per_replica);
+    EXPECT_EQ(a.stats.busy_seconds_per_replica,
+              b.stats.busy_seconds_per_replica);
 
-    EXPECT_EQ(off.report.completed, on.report.completed);
-    EXPECT_EQ(off.report.attempts, on.report.attempts);
-    EXPECT_EQ(off.report.retries, on.report.retries);
-    EXPECT_EQ(off.report.parked_on_budget, on.report.parked_on_budget);
-    EXPECT_EQ(off.report.sim_makespan, on.report.sim_makespan);
-    EXPECT_EQ(off.report.events_executed, on.report.events_executed);
-    EXPECT_EQ(off.report.ttft, on.report.ttft);
-    EXPECT_EQ(off.report.tbt, on.report.tbt);
-    EXPECT_EQ(off.report.e2e, on.report.e2e);
-    EXPECT_EQ(off.report.queue_wait, on.report.queue_wait);
-
-    EXPECT_EQ(off.stats.turns_submitted, on.stats.turns_submitted);
-    EXPECT_EQ(off.stats.turns_accepted, on.stats.turns_accepted);
-    EXPECT_EQ(off.stats.turns_completed, on.stats.turns_completed);
-    EXPECT_EQ(off.stats.turns_shed, on.stats.turns_shed);
-    EXPECT_EQ(off.stats.tokens_delivered, on.stats.tokens_delivered);
-    EXPECT_EQ(off.stats.dispatch_windows, on.stats.dispatch_windows);
-    EXPECT_EQ(off.stats.backend_batches, on.stats.backend_batches);
-    EXPECT_EQ(off.stats.peak_accept_depth, on.stats.peak_accept_depth);
-    EXPECT_EQ(off.stats.routed_per_replica, on.stats.routed_per_replica);
-    EXPECT_EQ(off.stats.busy_seconds_per_replica,
-              on.stats.busy_seconds_per_replica);
-
-    ASSERT_FALSE(on.metrics_json.empty());
-    ASSERT_FALSE(on.trace_json.empty());
-    EXPECT_EQ(off.metrics_json, on.metrics_json);
-    EXPECT_EQ(off.trace_json, on.trace_json);
+    ASSERT_FALSE(a.metrics_json.empty());
+    ASSERT_FALSE(a.trace_json.empty());
+    EXPECT_EQ(a.metrics_json, b.metrics_json);
+    EXPECT_EQ(a.trace_json, b.trace_json);
 }
 
 TEST(Driver, ValidateRejectsZeroClients)

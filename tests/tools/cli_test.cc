@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "helmsim.h"
-#include "runtime/step_cache.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define HELM_SANITIZED 1
@@ -210,68 +209,30 @@ TEST(Cli, SweepJobsOutputIsByteIdentical)
 
 TEST(Cli, SweepReportsTimingSummary)
 {
+    const std::string metrics = "/tmp/helm_cli_sweep_metrics.json";
     const CliResult result = run_cli(
-        "sweep --dims \"model=OPT-1.3B;batch=1,2\" --jobs 2");
+        "sweep --dims \"model=OPT-1.3B;batch=1,2\" --jobs 2 "
+        "--metrics-out " +
+        metrics);
     ASSERT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("swept 2 points in"),
               std::string::npos);
     EXPECT_NE(result.output.find("points/s"), std::string::npos);
-    EXPECT_NE(result.output.find("jobs=2"), std::string::npos);
-}
-
-/** The value of counter @p name{stage="engine"} in a helm-metrics-v1
- *  snapshot, or -1 when absent. */
-double
-engine_counter(const std::string &snapshot, const std::string &name)
-{
-    const std::string key = "{\"name\":\"" + name +
-                            "\",\"type\":\"counter\",\"labels\":{"
-                            "\"stage\":\"engine\"},\"value\":";
-    const std::size_t at = snapshot.find(key);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::strtod(snapshot.c_str() + at + key.size(), nullptr);
-}
-
-TEST(Cli, SweepReplaysCountInTheStepCache)
-{
-    // 9 points over 4 distinct specs: the 5 repeats replay from the
-    // process step cache, and no second memo hides them from it.  The
-    // cache and its counters outlive a command in-process: start cold,
-    // and read the snapshot's cumulative counters as a difference.
-    helm::runtime::StepScheduleCache &cache = helm::runtime::step_cache();
-    cache.clear();
-    const double hits = static_cast<double>(cache.hits() + 5);
-    const double misses = static_cast<double>(cache.misses() + 4);
-    const std::string metrics = "/tmp/helm_cli_sweep_memo_metrics.json";
-    const CliResult result = run_cli(
-        "sweep --dims \"memory=NVDRAM,DRAM,NVDRAM;batch=1,8,1\" "
-        "--jobs 4 --metrics-out " +
-        metrics);
-    ASSERT_EQ(result.exit_code, 0) << result.output;
-    EXPECT_NE(result.output.find("cache 5 hits / 4 misses"),
-              std::string::npos)
-        << result.output;
+    EXPECT_NE(result.output.find("jobs=2)"), std::string::npos);
+    // The sweep's only series are its own: no memo reports beside it.
     std::ifstream file(metrics);
     std::stringstream json;
     json << file.rdbuf();
     const std::string snapshot = json.str();
-    EXPECT_EQ(engine_counter(snapshot, "helm_stepcache_hits"), hits)
-        << snapshot;
-    EXPECT_EQ(engine_counter(snapshot, "helm_stepcache_misses"), misses)
-        << snapshot;
-    // The sweep's only series are its own and the step cache's: no
-    // other memo reports alongside it.
     const std::string name_key = "\"name\":\"";
+    std::size_t names = 0;
     for (std::size_t at = snapshot.find(name_key); at != std::string::npos;
-         at = snapshot.find(name_key, at + 1)) {
-        const std::string name = snapshot.substr(
-            at + name_key.size(),
-            snapshot.find('"', at + name_key.size()) - at - name_key.size());
-        EXPECT_TRUE(name.rfind("helm_stepcache_", 0) == 0 ||
-                    name.rfind("helm_sweep_", 0) == 0)
-            << name;
+         at = snapshot.find(name_key, at + 1), ++names) {
+        EXPECT_EQ(snapshot.compare(at + name_key.size(), 11, "helm_sweep_"),
+                  0)
+            << snapshot.substr(at, 60);
     }
+    EXPECT_GT(names, 0u);
     std::remove(metrics.c_str());
 }
 
@@ -305,35 +266,36 @@ without_host_rates(const std::string &output)
 
 TEST(Cli, GatewayOutputIgnoresTheStepCache)
 {
-    // The step cache is an engine memo: the gateway's delivery, and
-    // with it the DES event count, must not depend on it.
+    // No state outlives a command: a second identical drive, after an
+    // unrelated one, delivers the same turns with the same DES event
+    // count.
     constexpr const char *kDrive = "gateway --requests 2000 --seed 7";
-    const CliResult cached = run_cli(kDrive);
-    const CliResult uncached =
-        run_cli(std::string(kDrive) + " --no-step-cache");
-    ASSERT_EQ(cached.exit_code, 0) << cached.output;
-    ASSERT_EQ(uncached.exit_code, 0) << uncached.output;
-    EXPECT_NE(cached.out.find("DES events"), std::string::npos);
-    const std::string kept = without_host_rates(cached.out);
-    EXPECT_EQ(std::count(cached.out.begin(), cached.out.end(), '\n') -
+    const CliResult first = run_cli(kDrive);
+    const CliResult unrelated = run_cli("gateway --requests 500 --seed 3");
+    const CliResult again = run_cli(kDrive);
+    ASSERT_EQ(first.exit_code, 0) << first.output;
+    ASSERT_EQ(unrelated.exit_code, 0) << unrelated.output;
+    ASSERT_EQ(again.exit_code, 0) << again.output;
+    EXPECT_NE(first.out.find("DES events"), std::string::npos);
+    const std::string kept = without_host_rates(first.out);
+    EXPECT_EQ(std::count(first.out.begin(), first.out.end(), '\n') -
                   std::count(kept.begin(), kept.end(), '\n'),
               2);
-    EXPECT_EQ(without_host_rates(uncached.out), kept);
+    EXPECT_EQ(without_host_rates(again.out), kept);
 }
 
 TEST(Cli, SchedulerKnobsRequireIterationScheduler)
 {
     for (const char *cmd : {"serve", "cluster"}) {
         const CliResult result = run_cli(
-            std::string(cmd) + " --model OPT-1.3B --deadline-ms 5000");
+            std::string(cmd) + " --model OPT-1.3B --max-preemptions 2");
         EXPECT_EQ(result.exit_code, 2) << cmd;
-        EXPECT_NE(result.output.find("--deadline-ms"),
+        EXPECT_NE(result.output.find("--max-preemptions"),
                   std::string::npos)
             << cmd;
         EXPECT_NE(result.output.find("--scheduler"), std::string::npos)
             << cmd;
     }
-    EXPECT_EQ(run_cli("serve --max-preemptions 2").exit_code, 2);
     EXPECT_EQ(run_cli("serve --kv-swap-exposed").exit_code, 2);
 }
 
@@ -407,6 +369,50 @@ TEST(Cli, EdfServePrintsSchedulerAndSwapSections)
     EXPECT_NE(result.output.find("edf"), std::string::npos);
     EXPECT_NE(result.output.find("kv swap"), std::string::npos);
     EXPECT_NE(result.output.find("deadlines:"), std::string::npos);
+}
+
+TEST(Cli, FcfsExportsTheDeadlinesItsTraceMisses)
+{
+    // Two requests whose trace deadlines no batch can meet and one
+    // without a deadline: fcfs reports the two misses on stdout and in
+    // the metrics artifact.
+    const std::string arrivals = "/tmp/helm_cli_fcfs_deadline_arrivals.txt";
+    {
+        std::ofstream file(arrivals);
+        file << "0.0 128 21 0 0.001\n0.0 128 21 0 0.002\n1.0 128 21\n";
+    }
+    const std::string metrics = "/tmp/helm_cli_fcfs_deadline_metrics.json";
+    const CliResult result =
+        run_cli("serve --model OPT-1.3B --arrivals " + arrivals +
+                " --metrics-out " + metrics);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.out.find("deadlines:   2 missed\n"), std::string::npos)
+        << result.out;
+    std::ifstream file(metrics);
+    std::stringstream json;
+    json << file.rdbuf();
+    EXPECT_NE(json.str().find("{\"name\":\"helm_serving_deadline_misses_"
+                              "total\",\"type\":\"counter\",\"labels\":{},"
+                              "\"value\":2}"),
+              std::string::npos)
+        << json.str();
+    std::remove(arrivals.c_str());
+    std::remove(metrics.c_str());
+}
+
+TEST(Cli, FcfsServeTakesADefaultDeadline)
+{
+    const CliResult result = run_cli(
+        std::string("serve --scheduler fcfs --deadline-ms 1 ") + kSmall);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.out.find("deadlines:   "), std::string::npos)
+        << result.out;
+    EXPECT_EQ(result.out.find("deadlines:   0 missed"), std::string::npos)
+        << result.out;
+    // No deadline, no deadline line: fcfs output is otherwise unchanged.
+    const CliResult plain = run_cli(std::string("serve ") + kSmall);
+    ASSERT_EQ(plain.exit_code, 0) << plain.output;
+    EXPECT_EQ(plain.out.find("deadlines:"), std::string::npos);
 }
 
 TEST(Cli, EdfTraceShowsKvSwapTrackAndFcfsTraceDoesNot)
@@ -745,27 +751,6 @@ TEST(Cli, GatewayReplicasStayInRange)
         EXPECT_TRUE(failed_with_one_line(result)) << result.output;
         EXPECT_NE(result.err.find("--replicas"), std::string::npos);
     }
-}
-
-TEST(Cli, NoStepCacheLastsOneCommand)
-{
-    ASSERT_TRUE(helm::runtime::step_cache_enabled());
-    constexpr const char *kRun = "run --model OPT-1.3B --repeats 2";
-    const CliResult uncached =
-        run_cli(std::string(kRun) + " --no-step-cache");
-    ASSERT_EQ(uncached.exit_code, 0) << uncached.output;
-    EXPECT_TRUE(helm::runtime::step_cache_enabled());
-
-    // The next commands memoize again: the second run replays the
-    // first, and prints what the uncached run printed.
-    const helm::runtime::StepScheduleCache &cache =
-        helm::runtime::step_cache();
-    const CliResult first = run_cli(kRun);
-    const std::uint64_t hits = cache.hits();
-    const CliResult second = run_cli(kRun);
-    EXPECT_GT(cache.hits(), hits);
-    EXPECT_EQ(first.out, uncached.out);
-    EXPECT_EQ(second.out, uncached.out);
 }
 
 } // namespace

@@ -28,15 +28,6 @@ helm-bench-pareto-v1 (bench_pareto)
   * ``hbf_exclusive`` ran with ``only_hbf`` true — the giant model is
     admitted by exactly one device, the flash tier.
 
-helm-bench-engine-v1 (bench_engine)
-  * ``serve.identical`` is ``true`` — replaying the memoized OPT-175B
-    All-CPU run must serialize byte-identically to simulating it;
-  * serve walls and speedup are present and finite.
-  The measured speedup is recorded, NOT gated, by default (it depends
-  on the runner).  ``--min-speedup X`` gates ``serve.speedup``, the
-  step cache's own claim (a replayed run against a simulated one), for
-  runners with known performance.
-
 helm-bench-trace-v1 (bench_trace)
   * ``identity.report_identical`` and ``identity.metrics_identical``
     are true — with the tracer and monitor attached (recording into a
@@ -57,7 +48,6 @@ Exit status 0 when the document passes, 1 otherwise (one message per
 problem on stderr).
 
 Usage:
-  python3 tools/check_bench.py BENCH_engine.json --min-speedup 3.0
   python3 tools/check_bench.py BENCH_scheduler.json
   python3 tools/check_bench.py BENCH_trace.json --max-tap-allocs 0.05
 """
@@ -307,45 +297,16 @@ def check_trace(doc, args, errors):
                recorder["traces_seen"]))
 
 
-ENGINE_NUMBERS = {
-    "serve": ("batch", "speedup"),
-    "serve.off_wall": ("min_seconds", "median_seconds", "runs"),
-    "serve.on_wall": ("min_seconds", "median_seconds", "runs"),
-}
-
-
-def check_engine(doc, args, errors):
-    check_numbers(doc, ENGINE_NUMBERS, errors)
-    serve = doc.get("serve")
-    if isinstance(serve, dict) and not is_set(serve.get("identical")):
-        errors.append(
-            "serve.identical is %r: replaying the memoized run must "
-            "serialize byte-identically to simulating it" %
-            serve.get("identical"))
-    if errors:
-        return
-    if args.min_speedup > 0.0 and \
-            serve["speedup"] < args.min_speedup:
-        errors.append("serve.speedup %.3f < required %.3f" %
-                      (serve["speedup"], args.min_speedup))
-    if not errors:
-        print("ok: serve x%.1f identical" % serve["speedup"])
-
-
 CHECKERS = {
     "helm-bench-scheduler-v1": check_scheduler,
     "helm-bench-pareto-v1": check_pareto,
     "helm-bench-trace-v1": check_trace,
-    "helm-bench-engine-v1": check_engine,
 }
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="bench JSON document to validate")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="engine-v1 only: gate serve.speedup "
-                             "(default: record only)")
     parser.add_argument("--max-tap-allocs", type=float, default=0.05,
                         help="trace-v1 only: ceiling for "
                              "overhead.tap_allocs_per_turn (default: "

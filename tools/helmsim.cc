@@ -22,7 +22,8 @@
  * spec_from_flags() is the one reader of the serving-spec flags.  A bad
  * flag is one diagnostic line on stderr.  Exit codes: 0 ok, 1 the run
  * failed, 2 bad flags.  run_helmsim() (helmsim.h) runs a command
- * in-process; main() only wraps it.
+ * in-process; main() only wraps it.  A command keeps no state between
+ * calls: every run is simulated from its flags alone.
  *
  * Examples:
  *   helmsim run --model OPT-175B --memory NVDRAM --placement HeLM --int4
@@ -33,7 +34,7 @@
  *   helmsim serve --rate 2 --duration 30 --report \
  *       --metrics-out run.json --prom-out run.prom --trace serve.json
  *   helmsim tune --model OPT-175B --memory NVDRAM \
- *       --objective throughput --tbt-ms 4500
+ *       --objective throughput --tbt-ms 4500 --int4
  */
 #include "helmsim.h"
 
@@ -53,7 +54,6 @@
 #include "model/zoo.h"
 #include "runtime/backend.h"
 #include "runtime/instrument.h"
-#include "runtime/step_cache.h"
 #include "telemetry/attribution.h"
 #include "telemetry/export.h"
 #include "telemetry/monitor.h"
@@ -188,7 +188,7 @@ parse_host(const ArgParser &parser)
 }
 
 /** Spec flag groups a command declares beside the common ones (model,
- *  host, --int4, prompt/output tokens, --no-step-cache). */
+ *  host, --int4, prompt/output tokens). */
 enum SpecFlags : unsigned
 {
     kPlacementFlag = 1u << 0,   //!< --placement
@@ -208,9 +208,6 @@ add_spec_options(ArgParser &parser, unsigned groups)
     parser.add_switch("int4", "4-bit group-wise weight quantization");
     parser.add_count("prompt-tokens", "input prompt length", "128");
     parser.add_count("output-tokens", "tokens to generate", "21");
-    parser.add_switch("no-step-cache",
-                      "disable the steady-state step-schedule cache "
-                      "(an engine memo: slower, output byte-identical)");
     if (groups & kPlacementFlag) {
         parser.add_option("placement",
                           "Baseline | HeLM | Balanced | All-CPU",
@@ -300,13 +297,11 @@ apply_kv_options(const ArgParser &parser, runtime::ServingSpec *spec)
 /**
  * The ServingSpec the common flags and @p groups (as declared by
  * add_spec_options) describe; flag conflicts and unknown names fail
- * here, before anything is simulated.  --no-step-cache also takes
- * effect here; run_helmsim() restores the cache setting afterwards.
+ * here, before anything is simulated.
  */
 Result<runtime::ServingSpec>
 spec_from_flags(const ArgParser &parser, unsigned groups)
 {
-    runtime::set_step_cache_enabled(!parser.is_set("no-step-cache"));
     if (groups & kKvFlags)
         HELM_RETURN_IF_ERROR(check_kv_flag_conflicts(parser));
     runtime::ServingSpec spec;
@@ -347,7 +342,7 @@ add_scheduler_options(ArgParser &parser)
                      "1");
     parser.add_number("deadline-ms",
                       "completion deadline stamped on arrivals without "
-                      "one (0 = none; continuous/edf only)",
+                      "one (0 = none)",
                       "0");
     parser.add_count("max-preemptions",
                      "edf: preemptions per request before it pins "
@@ -419,7 +414,7 @@ parse_arrival_kind(const std::string &text)
 
 /**
  * Scheduler-knob conflicts shared by `serve` and `cluster`: the
- * deadline/preemption family needs an iteration-level scheduler, the
+ * preemption knobs need an iteration-level scheduler, the
  * FCFS batching-delay knob means nothing once batches re-form every
  * iteration, and the burst knobs need a modulated arrival kind.
  */
@@ -431,7 +426,7 @@ check_scheduler_flag_conflicts(const ArgParser &parser)
         kind, runtime::parse_scheduler_kind(parser.get("scheduler")));
     if (kind == runtime::SchedulerKind::kFcfs) {
         for (const char *flag :
-             {"deadline-ms", "max-preemptions", "kv-swap-exposed"}) {
+             {"max-preemptions", "kv-swap-exposed"}) {
             if (parser.is_set(flag)) {
                 return Status::invalid_argument(
                     std::string("--") + flag +
@@ -591,16 +586,12 @@ emit_trace_dump(const ArgParser &parser, const tracing::Tracer &tracer,
 }
 
 /** Render the --report table and write --metrics-out / --prom-out from
- *  the registry every stdout table was printed from.  Every artifact
- *  also carries the process-wide step-schedule cache counters
- *  (helm_stepcache_*), so a run whose steady-state fast path keeps
- *  missing is diagnosable from its own metrics snapshot. */
+ *  the registry every stdout table was printed from. */
 int
 emit_artifacts(const ArgParser &parser,
                telemetry::MetricsRegistry &registry, std::ostream &out,
                std::ostream &err)
 {
-    runtime::step_cache().record(registry);
     if (parser.is_set("report")) {
         out << telemetry::TimeAttribution::from_registry(registry)
                    .to_table();
@@ -1232,9 +1223,6 @@ cmd_sweep(const ArgParser &parser, std::ostream &out, std::ostream &err)
     }
 
     err << "sweeping " << total << " points...\n";
-    const runtime::StepScheduleCache &cache = runtime::step_cache();
-    const std::uint64_t hits_before = cache.hits();
-    const std::uint64_t misses_before = cache.misses();
     const auto start = std::chrono::steady_clock::now();
     const sweep::Dataset dataset = serving_sweep.run(options);
     const double elapsed =
@@ -1247,8 +1235,7 @@ cmd_sweep(const ArgParser &parser, std::ostream &out, std::ostream &err)
         static_cast<double>(total) / std::max(elapsed, 1e-9);
     err << "swept " << total << " points in " << format_fixed(elapsed, 3)
         << " s (" << format_fixed(rate, 1) << " points/s, jobs=" << jobs
-        << ", cache " << cache.hits() - hits_before << " hits / "
-        << cache.misses() - misses_before << " misses)\n";
+        << ")\n";
     dataset.write_csv(out);
 
     if (!parser.get("pivot").empty()) {
@@ -1506,9 +1493,14 @@ cmd_gateway(const ArgParser &parser, std::ostream &out, std::ostream &err)
     table.add_row({"clients", std::to_string(report->clients)});
     table.add_row({"sessions opened",
                    std::to_string(gate.sessions().opened_total())});
-    table.add_row({"turns completed",
-                   std::to_string(report->completed) + " / " +
-                       std::to_string(report->target_requests)});
+    // The drive stops issuing turns once the target completes; the
+    // turns in flight then still finish and count.
+    const std::uint64_t reached =
+        std::min(report->completed, report->target_requests);
+    table.add_row({"turns completed", std::to_string(report->completed)});
+    table.add_row({"  reaching the target", std::to_string(reached)});
+    table.add_row({"  in flight at the target",
+                   std::to_string(report->completed - reached)});
     table.add_row({"turns shed", std::to_string(stats.turns_shed)});
     table.add_row({"retries", std::to_string(report->retries)});
     table.add_row(
@@ -1656,20 +1648,6 @@ constexpr Command kCommands[] = {
      cmd_devices},
 };
 
-/** Restores the step-cache setting a command's --no-step-cache
- *  changed. */
-class StepCacheSetting
-{
-  public:
-    StepCacheSetting() : enabled_(runtime::step_cache_enabled()) {}
-    ~StepCacheSetting() { runtime::set_step_cache_enabled(enabled_); }
-    StepCacheSetting(const StepCacheSetting &) = delete;
-    StepCacheSetting &operator=(const StepCacheSetting &) = delete;
-
-  private:
-    bool enabled_;
-};
-
 } // namespace
 
 int
@@ -1695,7 +1673,6 @@ run_helmsim(const std::vector<std::string> &args, std::ostream &out,
     ArgParser parser("helmsim " + args[0], command->description);
     command->declare(parser);
     parser.add_switch("help", "show this help");
-    const StepCacheSetting restore;
     const Status parsed = parser.parse({args.begin() + 1, args.end()});
     if (parsed.is_ok() && parser.is_set("help")) {
         out << parser.help();
