@@ -179,10 +179,8 @@ main()
                 config.tenants = scenario.tenants;
                 config.enforce_ttft = true;
                 config.ttft_target = 10.0;
-                if (kind != runtime::SchedulerKind::kFcfs) {
-                    config.has_default_deadline = true;
-                    config.default_deadline = 20.0;
-                }
+                config.has_default_deadline = true;
+                config.default_deadline = 20.0;
                 const auto report =
                     serve_or_die(spec, config, scenario.stream);
                 const std::vector<std::string> row = {

@@ -38,10 +38,10 @@ json_string(std::ostream &out, const char *key, const std::string &value)
     out << "\"" << key << "\": \"" << value << "\"";
 }
 
-backendzoo::ExploreOptions
+sweep::ExploreOptions
 make_options(std::size_t jobs)
 {
-    backendzoo::ExploreOptions options;
+    sweep::ExploreOptions options;
     options.model = model::opt_config(model::OptVariant::kOpt30B);
     options.compress_weights = true;
     options.batches = {1, 8};
@@ -50,7 +50,7 @@ make_options(std::size_t jobs)
 }
 
 void
-write_json(const std::string &path, const backendzoo::ParetoReport &r,
+write_json(const std::string &path, const sweep::ParetoReport &r,
            std::size_t jobs, bool jobs_identical)
 {
     std::ofstream out(path);
@@ -59,7 +59,7 @@ write_json(const std::string &path, const backendzoo::ParetoReport &r,
     out << "  \"jobs\": " << jobs << ",\n";
     out << "  \"points\": [\n";
     for (std::size_t i = 0; i < r.points.size(); ++i) {
-        const backendzoo::ParetoPoint &p = r.points[i];
+        const sweep::ParetoPoint &p = r.points[i];
         out << "    {";
         json_string(out, "device", p.device);
         out << ", ";
@@ -99,7 +99,7 @@ write_json(const std::string &path, const backendzoo::ParetoReport &r,
     json_string(out, "model", r.hbf.model);
     out << ", \"weight_bytes\": " << r.hbf.weight_bytes
         << ", \"admitting\": " << r.hbf.admitting
-        << ", \"devices\": " << r.hbf.fits.size()
+        << ", \"devices\": " << r.hbf.devices
         << ", \"only_hbf\": " << (r.hbf.only_hbf ? 1 : 0) << ", ";
     json_number(out, "tbt_s", r.hbf.tbt);
     out << ", ";
@@ -124,16 +124,16 @@ main(int argc, char **argv)
     bench::banner("Device-zoo cost/latency Pareto frontier",
                   "backend zoo beyond Table II/III (NDP-DIMM, HBF)");
 
-    auto sequential = backendzoo::explore(make_options(1));
-    auto parallel = backendzoo::explore(make_options(jobs));
+    auto sequential = sweep::explore(make_options(1));
+    auto parallel = sweep::explore(make_options(jobs));
     if (!sequential.is_ok() || !parallel.is_ok()) {
         std::cerr << "bench: exploration failed: "
                   << sequential.status().to_string() << " "
                   << parallel.status().to_string() << "\n";
         return 1;
     }
-    const std::string seq_text = backendzoo::report_text(*sequential);
-    const std::string par_text = backendzoo::report_text(*parallel);
+    const std::string seq_text = sweep::report_text(*sequential);
+    const std::string par_text = sweep::report_text(*parallel);
     const bool jobs_identical = seq_text == par_text;
     std::cout << par_text << "\n";
 

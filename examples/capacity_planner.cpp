@@ -2,7 +2,7 @@
  * @file
  * Capacity planner: given a model, a heterogeneous-memory host, an
  * objective, and an optional TBT ceiling, run the QoS auto-tuner
- * (runtime/tuner.h — the paper Sec. VII's "automatic latency/throughput
+ * (sweep/tuner.h — the paper Sec. VII's "automatic latency/throughput
  * tradeoff") and report the recommended serving plan with its GPU
  * memory budget.
  *
@@ -34,7 +34,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    runtime::TuneRequest request;
+    sweep::TuneRequest request;
     request.model = *model_config;
     if (mem::find_device(memory_name) == nullptr) {
         std::cerr << "unknown memory config: " << memory_name << "\n";
@@ -42,21 +42,21 @@ main(int argc, char **argv)
     }
     request.memory = memory_name;
     request.objective = objective_name == "latency"
-                            ? runtime::TuneObjective::kLatency
-                            : runtime::TuneObjective::kThroughput;
+                            ? sweep::TuneObjective::kLatency
+                            : sweep::TuneObjective::kThroughput;
     if (tbt_ceiling_ms > 0.0)
         request.tbt_ceiling = tbt_ceiling_ms * 1e-3;
     request.batch_limit = 256;
 
     std::cout << "Capacity plan for " << model_name << " on "
               << memory_name << " (objective: "
-              << runtime::tune_objective_name(request.objective);
+              << sweep::tune_objective_name(request.objective);
     if (request.tbt_ceiling) {
         std::cout << ", TBT <= " << format_seconds(*request.tbt_ceiling);
     }
     std::cout << ")\n\n";
 
-    const auto tuned = runtime::auto_tune(request);
+    const auto tuned = sweep::auto_tune(request);
     if (!tuned.is_ok()) {
         std::cerr << "tuner: " << tuned.status().to_string() << "\n";
         return 1;

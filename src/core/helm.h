@@ -25,8 +25,6 @@
 #ifndef HELM_CORE_HELM_H
 #define HELM_CORE_HELM_H
 
-#include "backendzoo/cost_model.h"
-#include "backendzoo/pareto.h"
 #include "cluster/cluster.h"
 #include "cluster/cluster_engine.h"
 #include "cluster/cluster_server.h"
@@ -71,7 +69,6 @@
 #include "runtime/planner.h"
 #include "runtime/scheduler.h"
 #include "runtime/trace.h"
-#include "runtime/tuner.h"
 #include "serving_gateway/admission.h"
 #include "serving_gateway/driver.h"
 #include "serving_gateway/gateway.h"
@@ -80,10 +77,13 @@
 #include "serving_gateway/session.h"
 #include "serving_gateway/streaming.h"
 #include "sim/bandwidth_channel.h"
-#include "sweep/dataset.h"
-#include "sweep/sweep.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
+#include "sweep/cost_model.h"
+#include "sweep/dataset.h"
+#include "sweep/pareto.h"
+#include "sweep/sweep.h"
+#include "sweep/tuner.h"
 #include "workload/arrival.h"
 #include "workload/workload.h"
 

@@ -109,6 +109,17 @@ Server::iteration_cost(bool decode, std::uint64_t count,
         const BatchShape shape{count, {bucket.tokens, decode ? 2u : 1u}};
         auto run = simulate_inference(
             batch_spec(base_, shape, /*keep_records=*/false));
+        if (decode && !run.is_ok() &&
+            run.status().code() == StatusCode::kCapacityExceeded) {
+            // The probe holds one token past its bucket, so a context
+            // that fills the blocks admission charged overruns them by
+            // one.  Time that step one token shorter, inside them.
+            auto inside = simulate_inference(batch_spec(
+                base_, {count, {bucket.tokens - 1, 2}},
+                /*keep_records=*/false));
+            if (inside.is_ok())
+                run = std::move(inside);
+        }
         if (!run.is_ok())
             return run.status();
         h2d_rate_ = run->h2d_rate;

@@ -227,20 +227,4 @@ simulate_inference(const ServingSpec &spec)
     return result;
 }
 
-SimPoint
-simulate_point(const ServingSpec &spec)
-{
-    ServingSpec no_records = spec;
-    no_records.keep_records = false;
-    SimPoint point;
-    auto result = simulate_inference(no_records);
-    if (!result.is_ok()) {
-        point.status = result.status();
-        return point;
-    }
-    point.metrics = result->metrics;
-    point.gpu_used = result->budget.used();
-    return point;
-}
-
 } // namespace helm::runtime

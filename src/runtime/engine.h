@@ -157,20 +157,6 @@ struct RunResult
  */
 Result<RunResult> simulate_inference(const ServingSpec &spec);
 
-/** Metrics-level outcome of one simulated spec (records dropped). */
-struct SimPoint
-{
-    Status status;           //!< non-OK when the simulation failed
-    InferenceMetrics metrics;
-    Bytes gpu_used = 0;      //!< GpuBudget::used() at the run batch
-
-    bool is_ok() const { return status.is_ok(); }
-};
-
-/** Run one spec without records through simulate_inference() and fold
- *  the outcome into a SimPoint (errors included). */
-SimPoint simulate_point(const ServingSpec &spec);
-
 } // namespace helm::runtime
 
 #endif // HELM_RUNTIME_ENGINE_H

@@ -7,7 +7,33 @@
 
 namespace helm::sweep {
 
-const std::string Dataset::kEmpty;
+namespace {
+
+/** @p row's cell in @p column ("" when absent). */
+const std::string &
+cell_of(const Row &row, const std::string &column)
+{
+    static const std::string kNone;
+    const auto it = row.find(column);
+    return it == row.end() ? kNone : it->second;
+}
+
+/** Distinct values of @p column over @p rows, in first-seen order. */
+std::vector<std::string>
+distinct(const std::vector<Row> &rows, const std::string &column)
+{
+    std::vector<std::string> values;
+    for (const Row &row : rows) {
+        const std::string &value = cell_of(row, column);
+        if (std::find(values.begin(), values.end(), value) ==
+            values.end()) {
+            values.push_back(value);
+        }
+    }
+    return values;
+}
+
+} // namespace
 
 void
 Dataset::add_row(Row row)
@@ -25,61 +51,14 @@ const std::string &
 Dataset::cell(std::size_t row, const std::string &column) const
 {
     HELM_ASSERT(row < rows_.size(), "row index out of range");
-    const auto it = rows_[row].find(column);
-    return it == rows_[row].end() ? kEmpty : it->second;
-}
-
-double
-Dataset::numeric(std::size_t row, const std::string &column) const
-{
-    const std::string &text = cell(row, column);
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    return end == text.c_str() ? 0.0 : value;
-}
-
-std::vector<std::string>
-Dataset::distinct(const std::string &column) const
-{
-    std::vector<std::string> values;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const std::string &value = cell(i, column);
-        if (std::find(values.begin(), values.end(), value) ==
-            values.end()) {
-            values.push_back(value);
-        }
-    }
-    return values;
-}
-
-Dataset
-Dataset::filter(const std::string &column, const std::string &value) const
-{
-    Dataset out;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        if (cell(i, column) == value)
-            out.add_row(rows_[i]);
-    }
-    return out;
-}
-
-double
-Dataset::mean_of(const std::string &column) const
-{
-    if (rows_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-        sum += numeric(i, column);
-    return sum / static_cast<double>(rows_.size());
+    return cell_of(rows_[row], column);
 }
 
 AsciiTable
 Dataset::pivot(const std::string &row_key, const std::string &column_key,
                const std::string &value_column, int precision) const
 {
-    const auto row_values = distinct(row_key);
-    const auto column_values = distinct(column_key);
+    const auto column_values = distinct(rows_, column_key);
 
     AsciiTable table(value_column + " by " + row_key + " x " +
                      column_key);
@@ -89,16 +68,26 @@ Dataset::pivot(const std::string &row_key, const std::string &column_key,
     table.set_header(header);
     table.align_right_from(1);
 
-    for (const std::string &rv : row_values) {
+    for (const std::string &rv : distinct(rows_, row_key)) {
         std::vector<std::string> cells{rv};
-        const Dataset row_slice = filter(row_key, rv);
         for (const std::string &cv : column_values) {
-            const Dataset cell_slice = row_slice.filter(column_key, cv);
-            cells.push_back(cell_slice.empty()
-                                ? "-"
-                                : format_fixed(
-                                      cell_slice.mean_of(value_column),
-                                      precision));
+            double sum = 0.0;
+            std::size_t count = 0;
+            for (const Row &row : rows_) {
+                if (cell_of(row, row_key) != rv ||
+                    cell_of(row, column_key) != cv)
+                    continue;
+                const std::string &text = cell_of(row, value_column);
+                char *end = nullptr;
+                const double value = std::strtod(text.c_str(), &end);
+                sum += end == text.c_str() ? 0.0 : value;
+                ++count;
+            }
+            cells.push_back(
+                count == 0
+                    ? "-"
+                    : format_fixed(sum / static_cast<double>(count),
+                                   precision));
         }
         table.add_row(std::move(cells));
     }

@@ -4,9 +4,8 @@
  *
  * Every bench in this repository boils down to "run a cartesian product
  * of parameters, collect metrics, print a table/CSV".  Dataset is the
- * collection half: rows of named string cells with numeric accessors,
- * filtering, distinct-value enumeration, aggregation, and pivot-table
- * rendering.
+ * collection half: rows of named string cells, rendered as CSV or as
+ * a pivot table.
  */
 #ifndef HELM_SWEEP_DATASET_H
 #define HELM_SWEEP_DATASET_H
@@ -34,7 +33,6 @@ class Dataset
     void add_row(Row row);
 
     std::size_t size() const { return rows_.size(); }
-    bool empty() const { return rows_.empty(); }
 
     /** Column names in first-seen order. */
     const std::vector<std::string> &columns() const { return columns_; }
@@ -43,23 +41,11 @@ class Dataset
     const std::string &cell(std::size_t row,
                             const std::string &column) const;
 
-    /** Cell parsed as double (0.0 when absent/unparseable). */
-    double numeric(std::size_t row, const std::string &column) const;
-
-    /** Distinct values of a column, in first-seen order. */
-    std::vector<std::string> distinct(const std::string &column) const;
-
-    /** Rows whose @p column equals @p value. */
-    Dataset filter(const std::string &column,
-                   const std::string &value) const;
-
-    /** Mean of a numeric column over all rows (0 when empty). */
-    double mean_of(const std::string &column) const;
-
     /**
      * Pivot: one table row per distinct @p row_key, one column per
-     * distinct @p column_key, cells from @p value_column (mean when
-     * multiple observations collide).
+     * distinct @p column_key (both in first-seen order), cells from
+     * @p value_column parsed as numbers (0 when unparseable; the mean
+     * when observations collide; "-" when none).
      */
     AsciiTable pivot(const std::string &row_key,
                      const std::string &column_key,
@@ -72,7 +58,6 @@ class Dataset
   private:
     std::vector<std::string> columns_;
     std::vector<Row> rows_;
-    static const std::string kEmpty;
 };
 
 } // namespace helm::sweep

@@ -1,7 +1,6 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/args.h"
 #include "common/csv.h"
@@ -81,8 +80,6 @@ SweepRunner::run(const PointFn &fn, const SweepOptions &options) const
     // enumeration order afterwards keeps the output bit-for-bit
     // identical to the sequential run at any jobs value.
     std::vector<Row> rows(points.size());
-    std::mutex progress_mutex;
-    std::size_t done = 0;
     exec::parallel_for(
         points.size(), options.jobs, [&](std::size_t i) {
             Row row = points[i];
@@ -94,32 +91,49 @@ SweepRunner::run(const PointFn &fn, const SweepOptions &options) const
                 row["error"] = outcome.status().to_string();
             }
             rows[i] = std::move(row);
-            if (options.progress) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                options.progress(++done, points.size());
-            }
         });
     for (Row &row : rows)
         dataset.add_row(std::move(row));
     return dataset;
 }
 
-bool
-ServingSweep::is_recognized(const std::string &name)
+SimPoint
+simulate_point(const runtime::ServingSpec &spec)
 {
-    static const std::vector<std::string> known{
-        "model",         "memory",        "placement",
-        "batch",         "micro_batches", "kv_offload",
-        "compress",      "prompt_tokens", "output_tokens",
-        "compute_site"};
-    return std::find(known.begin(), known.end(), name) != known.end();
+    runtime::ServingSpec no_records = spec;
+    no_records.keep_records = false;
+    SimPoint point;
+    auto result = runtime::simulate_inference(no_records);
+    if (!result.is_ok()) {
+        point.status = result.status();
+        return point;
+    }
+    point.metrics = result->metrics;
+    point.gpu_used = result->budget.used();
+    point.host_bytes = result->placement.tier_total(placement::Tier::kCpu);
+    point.disk_bytes = result->placement.tier_total(placement::Tier::kDisk);
+    point.ndp_steps = result->ndp_steps;
+    return point;
+}
+
+std::vector<SimPoint>
+evaluate(const std::vector<runtime::ServingSpec> &specs, std::size_t jobs)
+{
+    return exec::parallel_map<SimPoint>(
+        specs.size(), jobs,
+        [&specs](std::size_t i) { return simulate_point(specs[i]); });
 }
 
 Status
 ServingSweep::add_dimension(const std::string &name,
                             std::vector<std::string> values)
 {
-    if (!is_recognized(name)) {
+    static const std::vector<std::string> known{
+        "model",         "memory",        "placement",
+        "batch",         "micro_batches", "kv_offload",
+        "compress",      "prompt_tokens", "output_tokens",
+        "compute_site"};
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
         return Status::invalid_argument(
             "unknown sweep dimension '" + name +
             "' (model, memory, placement, batch, micro_batches, "
@@ -194,24 +208,44 @@ apply(runtime::ServingSpec &spec, const std::string &name,
 Dataset
 ServingSweep::run(const SweepOptions &options) const
 {
-    return runner_.run(
-        [this](const Row &point) -> Result<Row> {
-            runtime::ServingSpec spec = base_;
-            spec.keep_records = false;
-            for (const auto &[name, value] : point)
-                HELM_RETURN_IF_ERROR(apply(spec, name, value));
-            const runtime::SimPoint sim = runtime::simulate_point(spec);
-            if (!sim.is_ok())
-                return sim.status;
-            Row metrics;
-            metrics["ttft_ms"] = format_fixed(sim.metrics.ttft * 1e3, 3);
-            metrics["tbt_ms"] = format_fixed(sim.metrics.tbt * 1e3, 3);
-            metrics["tokens_per_s"] =
-                format_fixed(sim.metrics.throughput, 4);
-            metrics["gpu_used_bytes"] = std::to_string(sim.gpu_used);
-            return metrics;
-        },
-        options);
+    // A point whose values do not apply keeps the Status in its error
+    // column; the rest are simulated in one fan-out.
+    const auto spec_of =
+        [this](const Row &point) -> Result<runtime::ServingSpec> {
+        runtime::ServingSpec spec = base_;
+        for (const auto &[name, value] : point)
+            HELM_RETURN_IF_ERROR(apply(spec, name, value));
+        return spec;
+    };
+    std::vector<Row> rows = runner_.enumerate_points();
+    std::vector<runtime::ServingSpec> specs;
+    std::vector<std::size_t> spec_rows;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        auto spec = spec_of(rows[i]);
+        if (!spec.is_ok()) {
+            rows[i]["error"] = spec.status().to_string();
+            continue;
+        }
+        specs.push_back(std::move(*spec));
+        spec_rows.push_back(i);
+    }
+    const std::vector<SimPoint> sims = evaluate(specs, options.jobs);
+    for (std::size_t k = 0; k < sims.size(); ++k) {
+        const SimPoint &sim = sims[k];
+        Row &row = rows[spec_rows[k]];
+        if (!sim.is_ok()) {
+            row["error"] = sim.status.to_string();
+            continue;
+        }
+        row["ttft_ms"] = format_fixed(sim.metrics.ttft * 1e3, 3);
+        row["tbt_ms"] = format_fixed(sim.metrics.tbt * 1e3, 3);
+        row["tokens_per_s"] = format_fixed(sim.metrics.throughput, 4);
+        row["gpu_used_bytes"] = std::to_string(sim.gpu_used);
+    }
+    Dataset dataset;
+    for (Row &row : rows)
+        dataset.add_row(std::move(row));
+    return dataset;
 }
 
 } // namespace helm::sweep

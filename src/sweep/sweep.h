@@ -1,12 +1,14 @@
 /**
  * @file
- * Declarative parameter sweeps over the serving simulator.
+ * The design-space explorer: enumerate a grid of ServingSpecs, evaluate
+ * every point through one evaluator (simulate_point) on one fan-out
+ * (evaluate), and reduce the results in enumeration order.
  *
- * A SweepRunner enumerates the cartesian product of named dimensions
- * and evaluates a callback at each point, collecting point + metrics
- * into a Dataset.  ServingSweep specializes it for ServingSpec knobs so
- * the CLI (and user code) can sweep model x memory x placement x batch
- * x ... in one declaration.
+ * Three reducers sit on it: a table (ServingSweep: model x memory x
+ * placement x batch x ... into a Dataset), the best candidate under a
+ * QoS ceiling (tuner.h) and the cost/latency frontier over the device
+ * zoo (pareto.h).  SweepRunner is the generic cartesian runner under
+ * the table, for callers whose points are not ServingSpecs.
  */
 #ifndef HELM_SWEEP_SWEEP_H
 #define HELM_SWEEP_SWEEP_H
@@ -40,13 +42,32 @@ struct SweepOptions
     /** Point-evaluation threads; 0 = all hardware threads, 1 = the
      *  exact legacy sequential path. */
     std::size_t jobs = 1;
-    /**
-     * Called after each point completes as progress(done, total).
-     * Invocations are serialized by the runner but arrive in
-     * completion order, not enumeration order.
-     */
-    std::function<void(std::size_t, std::size_t)> progress;
 };
+
+/** Metrics-level outcome of one simulated spec (records dropped). */
+struct SimPoint
+{
+    Status status;           //!< non-OK when the simulation failed
+    runtime::InferenceMetrics metrics;
+    Bytes gpu_used = 0;      //!< GpuBudget::used() at the run batch
+    Bytes host_bytes = 0;    //!< weight bytes placed on the host tier
+    Bytes disk_bytes = 0;    //!< weight bytes placed on the storage tier
+    std::uint64_t ndp_steps = 0; //!< steps executed near-data
+
+    bool is_ok() const { return status.is_ok(); }
+};
+
+/** Run one spec without records through runtime::simulate_inference()
+ *  and fold the outcome into a SimPoint (errors included). */
+SimPoint simulate_point(const runtime::ServingSpec &spec);
+
+/**
+ * simulate_point() over every spec on @p jobs threads (0 = all
+ * hardware threads).  Each point writes its own slot, so the result is
+ * in enumeration order and identical at any jobs value.
+ */
+std::vector<SimPoint> evaluate(const std::vector<runtime::ServingSpec> &specs,
+                               std::size_t jobs);
 
 /**
  * Cartesian-product runner.  Dimension order defines enumeration order
@@ -104,14 +125,11 @@ class ServingSweep
 
     /**
      * Run every point with @p options (infeasible points get an "error"
-     * column).  Each point is simulated through
-     * runtime::simulate_point(); nothing is reused across points or
-     * calls.  The Dataset is identical at any jobs value.
+     * column).  The points are simulated through evaluate(); nothing
+     * is reused across points or calls.  The Dataset is identical at
+     * any jobs value.
      */
     Dataset run(const SweepOptions &options = {}) const;
-
-    /** True when @p name is a recognized dimension. */
-    static bool is_recognized(const std::string &name);
 
   private:
     runtime::ServingSpec base_;

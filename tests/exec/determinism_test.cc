@@ -7,13 +7,12 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/opt.h"
-#include "runtime/tuner.h"
 #include "sweep/sweep.h"
+#include "sweep/tuner.h"
 
 namespace helm {
 namespace {
@@ -96,28 +95,10 @@ TEST(SweepDeterminism, DatasetByteIdenticalAcrossJobs)
     expect_identical_across_jobs(wide);
 }
 
-TEST(SweepDeterminism, ProgressReachesTotalExactlyOnce)
-{
-    const sweep::ServingSweep grid = test_grid();
-    sweep::SweepOptions options;
-    options.jobs = 8;
-    std::vector<std::size_t> done_values;
-    options.progress = [&done_values](std::size_t done,
-                                      std::size_t total) {
-        EXPECT_EQ(total, 36u);
-        done_values.push_back(done);
-    };
-    (void)grid.run(options);
-    ASSERT_EQ(done_values.size(), 36u);
-    // Calls are serialized with an incrementing done counter.
-    for (std::size_t i = 0; i < done_values.size(); ++i)
-        EXPECT_EQ(done_values[i], i + 1);
-}
-
-runtime::TuneRequest
+sweep::TuneRequest
 test_request(std::uint64_t batch_limit = 8)
 {
-    runtime::TuneRequest request;
+    sweep::TuneRequest request;
     request.model = model::opt_config(model::OptVariant::kOpt1_3B);
     request.memory = mem::ConfigKind::kNvdram;
     request.shape.prompt_tokens = 128;
@@ -129,11 +110,11 @@ test_request(std::uint64_t batch_limit = 8)
 /** Full textual image of a TuneResult, ordering included; metrics at
  *  %.17g, so any bit of divergence shows as a byte difference. */
 std::string
-tune_text(const runtime::TuneResult &result)
+tune_text(const sweep::TuneResult &result)
 {
     std::ostringstream out;
     char buffer[96];
-    const auto line = [&](const runtime::TuneCandidate &c) {
+    const auto line = [&](const sweep::TuneCandidate &c) {
         std::snprintf(buffer, sizeof buffer, " %.17g %.17g %.17g %d",
                       c.metrics.ttft, c.metrics.tbt, c.metrics.throughput,
                       c.meets_qos ? 1 : 0);
@@ -149,15 +130,15 @@ tune_text(const runtime::TuneResult &result)
 TEST(TunerDeterminism, ResultIdenticalAcrossJobs)
 {
     for (const std::uint64_t limit : {8u, 32u}) {
-        const runtime::TuneRequest request = test_request(limit);
-        const auto sequential = runtime::auto_tune(request);
+        const sweep::TuneRequest request = test_request(limit);
+        const auto sequential = sweep::auto_tune(request);
         ASSERT_TRUE(sequential.is_ok()) << "batch_limit=" << limit;
         const std::string baseline = tune_text(*sequential);
 
         for (const std::size_t jobs : {2u, 8u}) {
-            runtime::TuneRequest parallel_request = request;
+            sweep::TuneRequest parallel_request = request;
             parallel_request.jobs = jobs;
-            const auto parallel = runtime::auto_tune(parallel_request);
+            const auto parallel = sweep::auto_tune(parallel_request);
             ASSERT_TRUE(parallel.is_ok())
                 << "batch_limit=" << limit << " jobs=" << jobs;
             EXPECT_EQ(tune_text(*parallel), baseline)

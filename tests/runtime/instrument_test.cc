@@ -212,9 +212,9 @@ TEST(ServeTelemetry, ArtifactTripleFromOneRegistry)
     // (c) Chrome trace with host-port utilization counter rows, scaled
     // by the same fabric rate a metrics consumer would read.
     ASSERT_FALSE(server->serving_records().empty());
-    ASSERT_GT(server->h2d_rate().raw(), 0.0);
+    ASSERT_GT(server->trace_port_rate(), 0.0);
     TraceCounterOptions counters;
-    counters.host_port_rate_bytes_per_s = server->h2d_rate().raw();
+    counters.host_port_rate_bytes_per_s = server->trace_port_rate();
     const std::string trace =
         chrome_trace_json(server->serving_records(), counters);
     EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "model/opt.h"
 #include "sweep/sweep.h"
@@ -37,26 +38,40 @@ TEST(Dataset, SchemaAccumulatesInOrder)
 
 TEST(Dataset, NumericParsing)
 {
-    const Dataset d = sample_dataset();
-    EXPECT_DOUBLE_EQ(d.numeric(0, "tbt"), 5.6);
-    EXPECT_DOUBLE_EQ(d.numeric(0, "memory"), 0.0); // non-numeric
+    // Pivot cells parse the value column; text that is no number
+    // counts as 0.
+    Dataset d;
+    d.add_row({{"r", "x"}, {"c", "1"}, {"v", "5.6"}});
+    d.add_row({{"r", "y"}, {"c", "1"}, {"v", "NVDRAM"}});
+    const std::string text = d.pivot("r", "c", "v", 2).to_string();
+    EXPECT_NE(text.find("5.60"), std::string::npos);
+    EXPECT_NE(text.find("0.00"), std::string::npos);
 }
 
 TEST(Dataset, DistinctAndFilter)
 {
-    const Dataset d = sample_dataset();
-    EXPECT_EQ(d.distinct("memory"),
-              (std::vector<std::string>{"NVDRAM", "DRAM"}));
-    const Dataset nv = d.filter("memory", "NVDRAM");
-    EXPECT_EQ(nv.size(), 2u);
-    EXPECT_DOUBLE_EQ(nv.mean_of("tbt"), 5.65);
+    // Rows and columns are the distinct keys in first-seen order, and
+    // each cell sees only its own (row, column) observations.
+    const std::string text =
+        sample_dataset().pivot("memory", "batch", "tbt", 2).to_string();
+    const std::size_t nvdram = text.find("NVDRAM");
+    const std::size_t dram = text.find("DRAM", nvdram + 6);
+    ASSERT_NE(nvdram, std::string::npos);
+    ASSERT_NE(dram, std::string::npos);
+    EXPECT_LT(nvdram, dram);
+    EXPECT_LT(text.find("5.60"), text.find("5.70"));
+    EXPECT_LT(text.find("5.70"), text.find("4.90"));
+    EXPECT_LT(text.find("4.90"), text.find("5.00"));
 }
 
 TEST(Dataset, Aggregates)
 {
-    const Dataset d = sample_dataset();
-    EXPECT_NEAR(d.mean_of("tbt"), 5.3, 1e-12);
-    EXPECT_DOUBLE_EQ(Dataset().mean_of("x"), 0.0);
+    // Colliding observations render as their mean.
+    Dataset d = sample_dataset();
+    d.add_row({{"memory", "DRAM"}, {"batch", "8"}, {"tbt", "6.0"}});
+    const std::string text = d.pivot("memory", "batch", "tbt", 2).to_string();
+    EXPECT_NE(text.find("5.50"), std::string::npos);
+    EXPECT_EQ(text.find("5.00"), std::string::npos);
 }
 
 TEST(Dataset, PivotTable)
@@ -133,15 +148,14 @@ TEST(SweepRunner, RejectsBadDimensions)
 
 TEST(ServingSweep, RecognizedDimensions)
 {
-    EXPECT_TRUE(ServingSweep::is_recognized("memory"));
-    EXPECT_TRUE(ServingSweep::is_recognized("kv_offload"));
-    EXPECT_FALSE(ServingSweep::is_recognized("bogus"));
-    // Zoo devices are memory values; there is no separate axis.
-    EXPECT_FALSE(ServingSweep::is_recognized("device"));
     runtime::ServingSpec base;
     base.model = model::opt_config(model::OptVariant::kOpt1_3B);
     ServingSweep sweep(base);
+    EXPECT_TRUE(sweep.add_dimension("memory", {"DRAM"}).is_ok());
+    EXPECT_TRUE(sweep.add_dimension("kv_offload", {"1"}).is_ok());
     EXPECT_FALSE(sweep.add_dimension("bogus", {"1"}).is_ok());
+    // Zoo devices are memory values; there is no separate axis.
+    EXPECT_FALSE(sweep.add_dimension("device", {"HBF"}).is_ok());
 }
 
 TEST(ServingSweep, EndToEndGrid)
@@ -159,15 +173,16 @@ TEST(ServingSweep, EndToEndGrid)
     EXPECT_EQ(sweep.point_count(), 8u);
     const Dataset d = sweep.run();
     ASSERT_EQ(d.size(), 8u);
+    // DRAM never slower than NVDRAM at matched points.
+    double nvdram_tbt = 0.0, dram_tbt = 0.0;
     for (std::size_t i = 0; i < d.size(); ++i) {
         EXPECT_EQ(d.cell(i, "error"), "") << "row " << i;
-        EXPECT_GT(d.numeric(i, "tokens_per_s"), 0.0);
-        EXPECT_GT(d.numeric(i, "tbt_ms"), 0.0);
+        EXPECT_GT(std::stod(d.cell(i, "tokens_per_s")), 0.0);
+        const double tbt = std::stod(d.cell(i, "tbt_ms"));
+        EXPECT_GT(tbt, 0.0);
+        (d.cell(i, "memory") == "DRAM" ? dram_tbt : nvdram_tbt) += tbt;
     }
-    // DRAM never slower than NVDRAM at matched points.
-    const Dataset nv = d.filter("memory", "NVDRAM");
-    const Dataset dr = d.filter("memory", "DRAM");
-    EXPECT_LE(dr.mean_of("tbt_ms"), nv.mean_of("tbt_ms"));
+    EXPECT_LE(dram_tbt, nvdram_tbt);
 }
 
 TEST(ServingSweep, MemoryAxisTakesEveryRegisteredDevice)

@@ -46,7 +46,6 @@
 #include <iostream>
 #include <optional>
 
-#include <unistd.h>
 
 #include "cluster/instrument.h"
 #include "common/args.h"
@@ -905,7 +904,7 @@ cmd_serve(const ArgParser &parser, std::ostream &out, std::ostream &err)
                 .gauge("helm_host_port_rate_bytes_per_s", {},
                        "Engine h2d fabric rate the trace utilization "
                        "counters are scaled by")
-                .set(server->h2d_rate().raw());
+                .set(server->trace_port_rate());
         },
         out, err);
 }
@@ -1107,21 +1106,21 @@ cmd_tune(const ArgParser &parser, std::ostream &out, std::ostream &err)
 {
     runtime::ServingSpec spec;
     HELM_ASSIGN_OR_RETURN(spec, spec_from_flags(parser, 0));
-    runtime::TuneRequest request;
+    sweep::TuneRequest request;
     request.model = spec.model;
     request.memory = spec.memory;
     request.compress_weights = spec.compress_weights;
     request.shape = spec.shape;
     HELM_ASSIGN_OR_RETURN(
         request.objective,
-        runtime::parse_tune_objective(parser.get("objective")));
+        sweep::parse_tune_objective(parser.get("objective")));
     if (parser.get_double("tbt-ms") > 0.0)
         request.tbt_ceiling = parser.get_double("tbt-ms") * 1e-3;
     request.batch_limit = parser.get_u64("batch-limit");
     request.explore_kv_offload = !parser.is_set("no-kv-offload");
 
     request.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
-    const auto tuned = runtime::auto_tune(request);
+    const auto tuned = sweep::auto_tune(request);
     if (!tuned.is_ok()) {
         err << tuned.status().to_string() << "\n";
         return 1;
@@ -1170,9 +1169,6 @@ declare_sweep(ArgParser &parser)
                      "worker threads for point evaluation (0 = all "
                      "hardware threads, 1 = sequential)",
                      "0");
-    parser.add_switch("progress",
-                      "live done/total counter on stderr (only when "
-                      "stderr is a TTY)");
     add_telemetry_options(parser);
 }
 
@@ -1210,27 +1206,13 @@ cmd_sweep(const ArgParser &parser, std::ostream &out, std::ostream &err)
 
     const std::size_t total = serving_sweep.point_count();
     const std::size_t jobs = exec::resolve_jobs(parser.get_u64("jobs"));
-    sweep::SweepOptions options;
-    options.jobs = jobs;
-    // Progress redraws a terminal line: only when err is that terminal.
-    const bool show_progress = parser.is_set("progress") &&
-                               &err == &std::cerr &&
-                               isatty(fileno(stderr)) != 0;
-    if (show_progress) {
-        options.progress = [&err](std::size_t done, std::size_t count) {
-            err << "\r" << done << "/" << count << std::flush;
-        };
-    }
-
     err << "sweeping " << total << " points...\n";
     const auto start = std::chrono::steady_clock::now();
-    const sweep::Dataset dataset = serving_sweep.run(options);
+    const sweep::Dataset dataset = serving_sweep.run({jobs});
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    if (show_progress)
-        err << "\r";
     const double rate =
         static_cast<double>(total) / std::max(elapsed, 1e-9);
     err << "swept " << total << " points in " << format_fixed(elapsed, 3)
@@ -1277,7 +1259,7 @@ declare_zoo(ArgParser &parser)
 Result<int>
 cmd_zoo(const ArgParser &parser, std::ostream &out, std::ostream &err)
 {
-    backendzoo::ExploreOptions options;
+    sweep::ExploreOptions options;
     HELM_ASSIGN_OR_RETURN(options.model,
                           model::find_model(parser.get("model")));
     options.compress_weights = !parser.is_set("fp16");
@@ -1293,12 +1275,12 @@ cmd_zoo(const ArgParser &parser, std::ostream &out, std::ostream &err)
     options.jobs = exec::resolve_jobs(parser.get_u64("jobs"));
     options.include_hbf_exclusive = !parser.is_set("no-hbf");
 
-    const auto report = backendzoo::explore(options);
+    const auto report = sweep::explore(options);
     if (!report.is_ok()) {
         err << report.status().to_string() << "\n";
         return 2;
     }
-    out << backendzoo::report_text(*report);
+    out << sweep::report_text(*report);
     return 0;
 }
 
