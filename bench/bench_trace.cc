@@ -46,7 +46,6 @@
 #include "telemetry/monitor.h"
 #include "telemetry/report.h"
 #include "tracing/export.h"
-#include "tracing/synthesize.h"
 #include "tracing/tracer.h"
 
 // ---- allocation counter: pins the taps and the exporter hoisting -----
@@ -127,62 +126,6 @@ serve_spec()
     return spec;
 }
 
-/** Drive a finished serve report through a monitor exactly like the
- *  CLI does: completions in completion-time order, port/KV samples
- *  from the step records. */
-void
-feed_monitor(telemetry::ServingMonitor &monitor,
-             const runtime::ServingReport &report,
-             const std::vector<runtime::LayerStepRecord> &records,
-             double port_rate)
-{
-    std::vector<const runtime::RequestMetrics *> done;
-    done.reserve(report.requests.size());
-    for (const runtime::RequestMetrics &metrics : report.requests)
-        done.push_back(&metrics);
-    std::sort(done.begin(), done.end(),
-              [](const runtime::RequestMetrics *a,
-                 const runtime::RequestMetrics *b) {
-                  const Seconds ta = a->arrival + a->e2e_latency;
-                  const Seconds tb = b->arrival + b->e2e_latency;
-                  return ta != tb ? ta < tb : a->id < b->id;
-              });
-    for (const runtime::RequestMetrics *metrics : done)
-        monitor.on_completed(metrics->arrival + metrics->e2e_latency,
-                             metrics->output_tokens, metrics->ttft);
-    // Same per-position handle cache the CLI uses: tier lists repeat
-    // in the same order every record, so names resolve once.
-    std::vector<std::pair<std::string,
-                          telemetry::ServingMonitor::KvTierHandle>>
-        tier_handles;
-    for (const auto &rec : records) {
-        if (port_rate > 0.0 && rec.transfer_time > 0.0) {
-            const auto moved = rec.transfer_bytes + rec.kv_read_bytes;
-            if (moved > 0)
-                monitor.on_port_utilization(
-                    rec.transfer_start,
-                    static_cast<double>(moved) /
-                        (rec.transfer_time * port_rate));
-        }
-        for (std::size_t i = 0; i < rec.kv_occupancy.size(); ++i) {
-            const auto &occupancy = rec.kv_occupancy[i];
-            if (i >= tier_handles.size())
-                tier_handles.emplace_back(
-                    occupancy.tier,
-                    monitor.kv_tier_handle(occupancy.tier));
-            else if (tier_handles[i].first != occupancy.tier)
-                tier_handles[i] = {
-                    occupancy.tier,
-                    monitor.kv_tier_handle(occupancy.tier)};
-            monitor.on_kv_occupancy(
-                rec.step_end, tier_handles[i].second,
-                static_cast<double>(occupancy.bytes) /
-                    (1024.0 * 1024.0));
-        }
-    }
-    monitor.finish(report.makespan);
-}
-
 struct ServeRun
 {
     std::string report_text;
@@ -216,15 +159,19 @@ run_serve(const std::vector<workload::TimedRequest> &stream,
     server.attribution().record(registry);
 
     if (observed) {
+        // The same runtime/trace.h consumers the CLI's --trace-out and
+        // --alerts run: runtime::synthesize_serving_traces and
+        // runtime::feed_monitor_from_report.
         tracing::Tracer tracer;
-        tracing::synthesize_serving_traces(tracer, *report,
+        runtime::synthesize_serving_traces(tracer, *report,
                                            server.serving_records());
         const Status valid = tracing::validate_all(tracer);
         if (!valid.is_ok())
             die("serve span trees invalid", valid);
         telemetry::ServingMonitor monitor;
-        feed_monitor(monitor, *report, server.serving_records(),
-                     server.trace_port_rate());
+        runtime::feed_monitor_from_report(monitor, *report,
+                                          server.serving_records(),
+                                          server.trace_port_rate());
         telemetry::MetricsRegistry side;
         tracer.record(side);
         monitor.record(side);

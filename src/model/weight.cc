@@ -74,12 +74,6 @@ is_matrix_role(WeightRole role)
     }
 }
 
-bool
-is_bias_or_norm_role(WeightRole role)
-{
-    return !is_matrix_role(role);
-}
-
 Bytes
 total_weight_bytes(const std::vector<WeightSpec> &weights)
 {

@@ -57,9 +57,6 @@ const char *weight_role_name(WeightRole role);
 /** True for the large 2-D matrices (proj/fc/embedding). */
 bool is_matrix_role(WeightRole role);
 
-/** True for bias vectors and LayerNorm parameters. */
-bool is_bias_or_norm_role(WeightRole role);
-
 /** One tensor of a layer. */
 struct WeightSpec
 {

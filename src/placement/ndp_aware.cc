@@ -8,19 +8,6 @@
 namespace helm::placement {
 
 const char *
-compute_site_name(ComputeSite site)
-{
-    switch (site) {
-      case ComputeSite::kGpu:
-        return "gpu";
-      case ComputeSite::kNdp:
-        return "ndp";
-    }
-    HELM_ASSERT(false, "unknown ComputeSite");
-    return "?";
-}
-
-const char *
 compute_site_mode_name(ComputeSiteMode mode)
 {
     switch (mode) {

@@ -36,9 +36,6 @@ enum class ComputeSite
     kNdp, //!< near-data on the NDP-DIMM pool; no h2d for this layer
 };
 
-/** Printable name ("gpu"/"ndp"). */
-const char *compute_site_name(ComputeSite site);
-
 /** How the engine assigns compute sites. */
 enum class ComputeSiteMode
 {

@@ -5,19 +5,6 @@
 
 namespace helm::placement {
 
-TierSplit
-LayerPlacement::split() const
-{
-    TierSplit s;
-    const double total = static_cast<double>(total_bytes());
-    if (total == 0.0)
-        return s;
-    s.gpu = 100.0 * static_cast<double>(bytes_on(Tier::kGpu)) / total;
-    s.cpu = 100.0 * static_cast<double>(bytes_on(Tier::kCpu)) / total;
-    s.disk = 100.0 * static_cast<double>(bytes_on(Tier::kDisk)) / total;
-    return s;
-}
-
 Bytes
 PlacementMap::tier_total(Tier tier) const
 {

@@ -59,9 +59,6 @@ struct LayerPlacement
     {
         return tier_bytes[0] + tier_bytes[1] + tier_bytes[2];
     }
-
-    /** This layer's split, as percentages of its own size. */
-    TierSplit split() const;
 };
 
 /** The full model's placement. */

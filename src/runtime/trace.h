@@ -1,13 +1,26 @@
 /**
  * @file
- * Chrome-trace export of a serving run's timeline.
+ * Observability data from a run's step records: the one place that
+ * turns `LayerStepRecord`s and a `ServingReport` into timelines.
  *
- * Emits the per-step records as a chrome://tracing / Perfetto JSON
- * document with one track for GPU compute and one for the h2d transfer
- * fabric, so the compute/communication overlap the paper plots as bar
- * charts can be inspected interactively, step by step.
+ * Three consumers read the same records through the same sample rules
+ * (a load window's host-port utilization, a step's KV occupancy in
+ * MiB), so the trace, the span trees and the monitor cannot disagree:
+ *   - `chrome_trace_json` renders a chrome://tracing / Perfetto
+ *     document with one track for GPU compute and one for the h2d
+ *     transfer fabric, so the compute/communication overlap the paper
+ *     plots as bar charts can be inspected step by step;
+ *   - `synthesize_serving_traces` derives the request and per-GPU
+ *     scheduler span trees for the flight recorder;
+ *   - `feed_monitor_from_report` replays a finished run into a
+ *     `telemetry::ServingMonitor`.
  *
- * Deterministic pid/tid/flow-id layout (pinned by trace_test):
+ * Layering: `tracing/` and `telemetry/` sit below `runtime/` and
+ * include none of its headers; the gateway's turn traces, which need
+ * no step records, are built in `tracing/synthesize.h`.
+ *
+ * The Chrome trace's deterministic pid/tid/flow-id layout (pinned by
+ * trace_test):
  *
  *   pid <g>   — one process row per GPU appearing in the records
  *     tid 0   — "GPU compute"
@@ -34,11 +47,18 @@
 #include "common/status.h"
 #include "runtime/metrics.h"
 
-namespace helm::tracing {
-class FlightRecorder;
+namespace helm::telemetry {
+class ServingMonitor;
 }
 
+namespace helm::tracing {
+class FlightRecorder;
+class Tracer;
+} // namespace helm::tracing
+
 namespace helm::runtime {
+
+struct ServingReport;
 
 /**
  * Counter ("ph":"C") rows to add alongside the duration events, fed
@@ -84,6 +104,32 @@ std::string chrome_trace_json(const std::vector<LayerStepRecord> &records,
 Status write_chrome_trace(const std::vector<LayerStepRecord> &records,
                           const std::string &path,
                           const TraceCounterOptions &counters = {});
+
+/**
+ * Offer one trace per completed request (queue/prefill/decode with
+ * KV-swap children, outlier-flagged from the metrics) plus — when step
+ * records were collected — one pinned "scheduler" trace per GPU whose
+ * batch spans parent h2d resource spans.  Rejected requests are
+ * counted as shed traces but carry no timing, so they are observed,
+ * not built.
+ */
+void synthesize_serving_traces(tracing::Tracer &tracer,
+                               const ServingReport &report,
+                               const std::vector<LayerStepRecord> &records);
+
+/**
+ * Retrospectively drive a ServingMonitor from a finished backend run:
+ * completions in completion-time order (the DES never produced them
+ * otherwise), a port-utilization sample per load window (scaled by
+ * @p port_rate_bytes_per_s; 0 feeds none), and KV occupancy in MiB at
+ * every sampled step, then finish the windows at the makespan.  The
+ * report carries no rejection timestamps, so availability sheds are
+ * gateway-only.
+ */
+void feed_monitor_from_report(telemetry::ServingMonitor &monitor,
+                              const ServingReport &report,
+                              const std::vector<LayerStepRecord> &records,
+                              double port_rate_bytes_per_s);
 
 } // namespace helm::runtime
 

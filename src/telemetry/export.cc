@@ -103,15 +103,6 @@ append_json_labels(std::string &out, const Labels &labels)
 
 } // namespace
 
-std::string
-json_escape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    json_escape_append(out, raw);
-    return out;
-}
-
 void
 json_escape_append(std::string &out, const std::string &raw)
 {

@@ -17,14 +17,12 @@
 namespace helm::telemetry {
 
 /**
- * Escape @p raw for inclusion inside a JSON string literal (quotes,
- * backslashes, control characters).  Shared with the chrome-trace
- * writer so event names survive arbitrary tier labels.
+ * Escape @p raw onto the end of @p out for inclusion inside a JSON
+ * string literal (quotes, backslashes, control characters), without a
+ * temporary — for exporter loops that refill one hoisted buffer per
+ * iteration.  Shared with the chrome-trace writer so event names
+ * survive arbitrary tier labels.
  */
-std::string json_escape(const std::string &raw);
-
-/** Escape @p raw onto the end of @p out without a temporary — for
- *  exporter loops that refill one hoisted buffer per iteration. */
 void json_escape_append(std::string &out, const std::string &raw);
 
 /** Escape @p raw straight into @p out — for exporters that stream. */

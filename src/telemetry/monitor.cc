@@ -142,13 +142,6 @@ ServingMonitor::kv_tier_handle(const std::string &tier)
 }
 
 void
-ServingMonitor::on_kv_occupancy(Seconds t, const std::string &tier,
-                                double occupancy)
-{
-    on_kv_occupancy(t, kv_tier_handle(tier), occupancy);
-}
-
-void
 ServingMonitor::on_kv_occupancy(Seconds t, KvTierHandle tier,
                                 double occupancy)
 {

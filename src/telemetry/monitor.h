@@ -51,8 +51,6 @@ class ServingMonitor
   public:
     explicit ServingMonitor(MonitorConfig config = {});
 
-    const MonitorConfig &config() const { return config_; }
-
     /** A request/turn finished streaming @p tokens; TTFT for the
      *  latency SLO. */
     void on_completed(Seconds t, std::uint64_t tokens, Seconds ttft);
@@ -69,23 +67,13 @@ class ServingMonitor
     /** Find-or-create the handle for @p tier. */
     KvTierHandle kv_tier_handle(const std::string &tier);
     /** Sampled KV occupancy for one memory tier (caller's units —
-     *  the CLI feeds MiB).  Name overload resolves per call; prefer
-     *  the handle overload inside per-record loops. */
-    void on_kv_occupancy(Seconds t, const std::string &tier,
-                         double occupancy);
+     *  the serving feed passes MiB). */
     void on_kv_occupancy(Seconds t, KvTierHandle tier,
                          double occupancy);
     /** Sampled port utilization fraction. */
     void on_port_utilization(Seconds t, double fraction);
     /** Advance all windows/alerts to end-of-run time @p t. */
     void finish(Seconds t);
-
-    const BurnRateEvaluator &availability() const
-    {
-        return availability_;
-    }
-    /** Null when ttft_target is 0. */
-    const BurnRateEvaluator *latency() const { return latency_.get(); }
 
     /** Emit helm_window_* and helm_alert_* into @p registry. */
     void record(MetricsRegistry &registry) const;

@@ -1,13 +1,6 @@
 #include "tracing/synthesize.h"
 
-#include <algorithm>
-#include <map>
 #include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "runtime/metrics.h"
-#include "runtime/scheduler.h"
 
 namespace helm::tracing {
 namespace {
@@ -16,17 +9,6 @@ std::string
 u64_str(std::uint64_t v)
 {
     return std::to_string(v);
-}
-
-/** Clamp [start, end] into the parent interval so derived child spans
- *  (KV swaps queued before decode, prefetches issued before a batch's
- *  first step) still nest. */
-void
-clamp_into(Seconds parent_start, Seconds parent_end, Seconds &start,
-           Seconds &end)
-{
-    start = std::min(std::max(start, parent_start), parent_end);
-    end = std::min(std::max(end, start), parent_end);
 }
 
 } // namespace
@@ -69,157 +51,6 @@ build_shed_turn_trace(std::uint64_t turn_id, std::uint64_t session,
     Trace trace = builder.take();
     trace.flags.shed = true;
     return trace;
-}
-
-void
-synthesize_serving_traces(
-    Tracer &tracer, const runtime::ServingReport &report,
-    const std::vector<runtime::LayerStepRecord> &records)
-{
-    const std::size_t cap = tracer.config().max_spans_per_trace;
-
-    std::unordered_map<std::uint64_t,
-                       std::vector<const runtime::KvSwapEvent *>>
-        swaps_by_request;
-    for (const runtime::KvSwapEvent &event : report.kv_swap_events)
-        swaps_by_request[event.request_id].push_back(&event);
-
-    for (const runtime::RequestMetrics &metrics : report.requests) {
-        OutlierFlags flags;
-        flags.deadline_missed = !metrics.deadline_met;
-        flags.preempted = metrics.preemptions > 0;
-
-        const auto swaps = swaps_by_request.find(metrics.id);
-        const std::size_t swap_count =
-            swaps == swaps_by_request.end() ? 0 : swaps->second.size();
-        if (!tracer.should_build(flags, metrics.tbt)) {
-            tracer.observe(4 + swap_count, flags);
-            continue;
-        }
-
-        const Seconds arrival = metrics.arrival;
-        const Seconds launch = arrival + metrics.queueing_delay;
-        const Seconds first =
-            std::max(launch, arrival + metrics.ttft);
-        const Seconds done =
-            std::max(first, arrival + metrics.e2e_latency);
-
-        TraceBuilder builder(metrics.id, "request", cap);
-        const std::uint64_t root = builder.add_span(
-            SpanPhase::kRequest, "request " + u64_str(metrics.id),
-            arrival, done, 0,
-            {{"tenant", u64_str(metrics.tenant)},
-             {"batch", u64_str(metrics.batch_index)},
-             {"prompt_tokens", u64_str(metrics.prompt_tokens)},
-             {"output_tokens", u64_str(metrics.output_tokens)},
-             {"preemptions", u64_str(metrics.preemptions)},
-             {"slo_met", metrics.slo_met ? "true" : "false"},
-             {"deadline_met", metrics.deadline_met ? "true" : "false"}});
-        builder.add_span(SpanPhase::kQueue, "queue", arrival, launch,
-                         root);
-        builder.add_span(SpanPhase::kPrefill, "prefill", launch, first,
-                         root);
-        const std::uint64_t decode = builder.add_span(
-            SpanPhase::kDecode, "decode", first, done, root);
-        if (swap_count > 0) {
-            for (const runtime::KvSwapEvent *event : swaps->second) {
-                Seconds start = event->start;
-                Seconds end = event->end;
-                clamp_into(first, done, start, end);
-                builder.add_span(
-                    SpanPhase::kKvSwap,
-                    event->demote ? "KV demote" : "KV promote", start,
-                    end, decode,
-                    {{"bytes", u64_str(event->bytes)},
-                     {"direction", event->demote ? "gpu->host"
-                                                 : "host->gpu"}});
-            }
-        }
-        Trace trace = builder.take();
-        trace.flags = flags;
-        trace.tbt = metrics.tbt;
-        tracer.finish(std::move(trace));
-    }
-
-    // Rejected requests never ran, so there is no timing to span; they
-    // are counted as shed traces but not built.  (The gateway path,
-    // which owns submission timestamps, builds real shed-turn traces.)
-    for (std::size_t i = 0; i < report.rejected_ids.size(); ++i) {
-        OutlierFlags flags;
-        flags.shed = true;
-        tracer.observe(1, flags);
-    }
-
-    if (records.empty())
-        return;
-
-    // One pinned scheduler trace per GPU: batch windows under a serve
-    // root, h2d resource spans under their batch.  Step records arrive
-    // in deterministic replay order, so first-seen grouping is stable.
-    std::map<std::uint64_t, std::vector<const runtime::LayerStepRecord *>>
-        by_gpu;
-    for (const runtime::LayerStepRecord &record : records)
-        by_gpu[record.gpu_index].push_back(&record);
-
-    for (const auto &[gpu, steps] : by_gpu) {
-        OutlierFlags flags;
-        flags.pinned = true;
-
-        Seconds serve_start = steps.front()->step_start;
-        Seconds serve_end = steps.front()->step_end;
-        std::vector<std::uint64_t> batch_order;
-        std::map<std::uint64_t, std::pair<Seconds, Seconds>> batch_span;
-        std::map<std::uint64_t, std::uint64_t> batch_steps;
-        for (const runtime::LayerStepRecord *step : steps) {
-            serve_start = std::min(serve_start, step->step_start);
-            serve_end = std::max(serve_end, step->step_end);
-            auto [it, inserted] = batch_span.emplace(
-                step->batch_index,
-                std::make_pair(step->step_start, step->step_end));
-            if (inserted)
-                batch_order.push_back(step->batch_index);
-            it->second.first =
-                std::min(it->second.first, step->step_start);
-            it->second.second =
-                std::max(it->second.second, step->step_end);
-            ++batch_steps[step->batch_index];
-        }
-
-        TraceBuilder builder(gpu, "scheduler", cap);
-        const std::uint64_t root = builder.add_span(
-            SpanPhase::kServe, "serve gpu" + u64_str(gpu), serve_start,
-            serve_end, 0,
-            {{"gpu", u64_str(gpu)},
-             {"batches", u64_str(batch_order.size())},
-             {"steps", u64_str(steps.size())}});
-        std::map<std::uint64_t, std::uint64_t> batch_ids;
-        for (std::uint64_t batch : batch_order) {
-            const auto &[start, end] = batch_span[batch];
-            batch_ids[batch] = builder.add_span(
-                SpanPhase::kBatch, "batch " + u64_str(batch), start,
-                end, root,
-                {{"batch", u64_str(batch)},
-                 {"steps", u64_str(batch_steps[batch])}});
-        }
-        for (const runtime::LayerStepRecord *step : steps) {
-            if (step->transfer_time <= 0.0)
-                continue;
-            Seconds start = step->transfer_start;
-            Seconds end = start + step->transfer_time;
-            const auto &[batch_start, batch_end] =
-                batch_span[step->batch_index];
-            clamp_into(batch_start, batch_end, start, end);
-            builder.add_span(
-                SpanPhase::kResource,
-                "h2d L" + std::to_string(step->layer), start, end,
-                batch_ids[step->batch_index],
-                {{"bytes", u64_str(step->transfer_bytes)},
-                 {"token", u64_str(step->token)}});
-        }
-        Trace trace = builder.take();
-        trace.flags = flags;
-        tracer.finish(std::move(trace));
-    }
 }
 
 } // namespace helm::tracing

@@ -1,36 +1,27 @@
 /**
  * @file
- * Span-tree synthesis from the serving path's own timing records.
+ * The gateway's turn traces, derived from each turn's own timestamps.
  *
- * The engine memoizes batch simulation by shape, so a live span per
- * DES event would trace only the first execution of each distinct
- * batch shape.  Instead, spans are *derived* from the authoritative
- * per-request timing the schedulers already produce (gateway
- * TurnMetrics, backend RequestMetrics, per-step LayerStepRecords,
- * KvSwapEvents) — the same numbers every report and metric is computed
- * from, so trace and report cannot disagree, and determinism across
- * `--jobs` is inherited rather than re-proven.
+ * Spans are *derived* after the fact from the authoritative timing the
+ * gateway already records for a turn (submission, dispatch, first
+ * token, completion) — the same numbers every report and metric is
+ * computed from, so trace and report cannot disagree, and determinism
+ * across `--jobs` is inherited rather than re-proven.  A completed
+ * turn's queue -> dispatch -> stream spans tile its client-edge wall;
+ * a shed turn ends in its queue span.
  *
- * Two producers:
- *   - the gateway builds one "turn" trace per completed/shed turn
- *     (queue -> dispatch -> stream tiling the client-edge wall);
- *   - `synthesize_serving_traces` maps a ServingReport onto "request"
- *     traces (queue -> prefill -> decode, KV-swap children) plus one
- *     pinned "scheduler" trace per GPU whose batch spans parent the
- *     DES-resource (h2d) occupancy windows from the step records.
+ * The backend's request and per-GPU scheduler trees are derived from a
+ * `ServingReport` and its step records, so they live with the other
+ * step-record consumers in `runtime/trace.h`
+ * (`runtime::synthesize_serving_traces`): `tracing/` sits below
+ * `runtime/` and includes none of its headers.
  */
 #ifndef HELM_TRACING_SYNTHESIZE_H
 #define HELM_TRACING_SYNTHESIZE_H
 
 #include <cstdint>
-#include <vector>
 
 #include "tracing/tracer.h"
-
-namespace helm::runtime {
-struct LayerStepRecord;
-struct ServingReport;
-}
 
 namespace helm::tracing {
 
@@ -60,18 +51,6 @@ Trace build_turn_trace(const TurnTraceInput &input,
 Trace build_shed_turn_trace(std::uint64_t turn_id, std::uint64_t session,
                             Seconds submitted, Seconds shed_at,
                             const char *reason, std::size_t max_spans);
-
-/**
- * Offer one trace per completed request (queue/prefill/decode with
- * KV-swap children, outlier-flagged from the metrics) plus — when step
- * records were collected — one pinned "scheduler" trace per GPU whose
- * batch spans parent h2d resource spans.  Rejected requests are
- * counted as shed traces but carry no timing, so they are observed,
- * not built.
- */
-void synthesize_serving_traces(
-    Tracer &tracer, const runtime::ServingReport &report,
-    const std::vector<runtime::LayerStepRecord> &records);
 
 } // namespace helm::tracing
 

@@ -185,8 +185,8 @@ TEST(Transformer, WeightRoleClassification)
     EXPECT_TRUE(is_matrix_role(WeightRole::kFc1));
     EXPECT_TRUE(is_matrix_role(WeightRole::kTokenEmbedding));
     EXPECT_FALSE(is_matrix_role(WeightRole::kQBias));
-    EXPECT_TRUE(is_bias_or_norm_role(WeightRole::kAttnLnWeight));
-    EXPECT_FALSE(is_bias_or_norm_role(WeightRole::kLmHead));
+    EXPECT_FALSE(is_matrix_role(WeightRole::kAttnLnWeight));
+    EXPECT_TRUE(is_matrix_role(WeightRole::kLmHead));
 }
 
 } // namespace

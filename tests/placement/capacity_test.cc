@@ -79,7 +79,7 @@ TEST_F(CapacityTest, LargestWeightsSpillFirst)
     for (std::size_t li = 0; li < layers_.size(); ++li) {
         for (std::size_t wi = 0; wi < layers_[li].weights.size(); ++wi) {
             const auto &w = layers_[li].weights[wi];
-            if (model::is_bias_or_norm_role(w.role) &&
+            if (!model::is_matrix_role(w.role) &&
                 layers_[li].type != model::LayerType::kInputEmbedding &&
                 layers_[li].type != model::LayerType::kOutputEmbedding) {
                 EXPECT_EQ(map_.layers[li].weight_tiers[wi], Tier::kGpu)

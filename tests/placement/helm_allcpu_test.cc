@@ -162,8 +162,10 @@ TEST(HelmPlacement, EmbeddingLayersFollowThePolicy)
     // MHA/FFN still follow HeLM's own splits.
     const Policy policy{0.0, 0.0, 100.0, false};
     const PlacementMap map = place_helm(layers, policy);
-    EXPECT_NEAR(map.layers.front().split().gpu, 100.0, 1e-9);
-    EXPECT_NEAR(map.layers.back().split().gpu, 100.0, 1e-9);
+    EXPECT_EQ(map.layers.front().bytes_on(Tier::kGpu),
+              map.layers.front().total_bytes());
+    EXPECT_EQ(map.layers.back().bytes_on(Tier::kGpu),
+              map.layers.back().total_bytes());
     EXPECT_LT(map.split_for_type(LayerType::kMha).gpu, 1.0);
 }
 

@@ -134,8 +134,6 @@ TEST(NdpAware, MixedStackDecidesPerLayer)
 
 TEST(NdpAware, NamesAreStable)
 {
-    EXPECT_STREQ(compute_site_name(ComputeSite::kGpu), "gpu");
-    EXPECT_STREQ(compute_site_name(ComputeSite::kNdp), "ndp");
     EXPECT_STREQ(compute_site_mode_name(ComputeSiteMode::kGpuOnly),
                  "gpu");
     EXPECT_STREQ(compute_site_mode_name(ComputeSiteMode::kNdpAuto),

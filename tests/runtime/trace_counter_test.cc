@@ -3,7 +3,9 @@
  * Tests for the Chrome-trace counter rows ("ph":"C"): host-port
  * utilization pairs scaled by the fabric rate, KV-tier occupancy
  * samples, JSON escaping of hostile tier names, and the per-GPU pid
- * layout when counters and cluster records coexist.
+ * layout when counters and cluster records coexist — plus the other
+ * two step-record consumers: the serve-run span trees and the monitor
+ * feed, whose samples follow the counter rows' rule.
  */
 #include <gtest/gtest.h>
 
@@ -12,9 +14,14 @@
 #include "kvcache/kvcache.h"
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/scheduler.h"
 #include "runtime/trace.h"
+#include "telemetry/metrics.h"
+#include "telemetry/monitor.h"
+#include "tracing/export.h"
 #include "tracing/flight_recorder.h"
 #include "tracing/synthesize.h"
+#include "tracing/tracer.h"
 
 namespace helm::runtime {
 namespace {
@@ -298,6 +305,148 @@ TEST(TraceLayout, IdenticalInputsRenderIdenticalBytes)
         chrome_trace_json(result.records, counters);
     ASSERT_FALSE(once.empty());
     EXPECT_EQ(once, twice);
+}
+
+// ---- span trees and monitor feed from a real serve run ---------------
+
+ServingSpec
+serve_spec()
+{
+    ServingSpec spec;
+    spec.model = model::opt_config(OptVariant::kOpt1_3B);
+    spec.memory = mem::ConfigKind::kNvdram;
+    spec.shape.prompt_tokens = 128;
+    spec.shape.output_tokens = 8;
+    return spec;
+}
+
+std::vector<workload::TimedRequest>
+burst(std::uint64_t n, Seconds spacing)
+{
+    std::vector<workload::TimedRequest> stream;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        stream.push_back(workload::TimedRequest{
+            workload::Request{i, 128, 8},
+            spacing * static_cast<double>(i)});
+    }
+    return stream;
+}
+
+TEST(Synthesize, ServeRunYieldsValidNestedTrees)
+{
+    auto server =
+        Server::create(serve_spec(), ServingConfig{});
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    server->enable_telemetry(true);
+    ASSERT_TRUE(server->submit(burst(8, 0.25)).is_ok());
+    const auto report = server->serve();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+
+    tracing::Tracer tracer;
+    synthesize_serving_traces(tracer, *report,
+                              server->serving_records());
+    const Status valid = tracing::validate_all(tracer);
+    EXPECT_TRUE(valid.is_ok()) << valid.to_string();
+    EXPECT_EQ(tracer.recorder().stats().traces_seen,
+              report->completed + report->rejected +
+                  1u /* scheduler trace */);
+
+    bool request_seen = false, scheduler_seen = false;
+    for (const tracing::Trace *trace : tracer.recorder().sorted_traces()) {
+        if (trace->kind == "request") {
+            request_seen = true;
+            // Request phases tile arrival -> completion: sum of direct
+            // children plus idle equals the root wall exactly.
+            const tracing::Span &root = trace->spans.front();
+            Seconds phase_sum = 0.0;
+            for (const tracing::Span &span : trace->spans) {
+                if (span.parent_id == root.span_id)
+                    phase_sum += span.duration();
+            }
+            EXPECT_LE(phase_sum, root.duration() + 1e-9);
+        }
+        if (trace->kind == "scheduler") {
+            scheduler_seen = true;
+            EXPECT_TRUE(trace->flags.pinned);
+            EXPECT_EQ(trace->spans.front().phase, tracing::SpanPhase::kServe);
+        }
+    }
+    EXPECT_TRUE(request_seen);
+    EXPECT_TRUE(scheduler_seen);
+}
+
+TEST(Synthesize, IdenticalRunsExportIdenticalBytes)
+{
+    const auto run_once = [](std::string *out) {
+        auto server = Server::create(serve_spec(),
+                                              ServingConfig{});
+        ASSERT_TRUE(server.is_ok());
+        server->enable_telemetry(true);
+        ASSERT_TRUE(server->submit(burst(6, 0.5)).is_ok());
+        const auto report = server->serve();
+        ASSERT_TRUE(report.is_ok());
+        tracing::Tracer tracer;
+        synthesize_serving_traces(tracer, *report,
+                                  server->serving_records());
+        *out = tracing::trace_json(tracer);
+    };
+    std::string first, second;
+    run_once(&first);
+    run_once(&second);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
+TEST(MonitorFeed, SamplesFollowTheTraceCounterRule)
+{
+    // One tiered engine run, shorter than the monitor's 60 s fast
+    // window, so each window mean is the mean of every sample fed.
+    const auto result = small_run(/*kv_tiering=*/true);
+    const double rate = result.h2d_rate.raw();
+    double port_sum = 0.0;
+    std::size_t port_samples = 0;
+    double gpu_mib = 0.0;
+    std::size_t gpu_samples = 0;
+    for (const LayerStepRecord &rec : result.records) {
+        const Bytes moved = rec.transfer_bytes + rec.kv_read_bytes;
+        if (rec.transfer_time > 0.0 && moved > 0) {
+            port_sum += static_cast<double>(moved) /
+                        (rec.transfer_time * rate);
+            ++port_samples;
+        }
+        for (const KvTierOccupancy &occupancy : rec.kv_occupancy) {
+            if (occupancy.tier == "gpu") {
+                gpu_mib += static_cast<double>(occupancy.bytes) /
+                           (1024.0 * 1024.0);
+                ++gpu_samples;
+            }
+        }
+    }
+    ASSERT_GT(port_samples, 0u);
+    ASSERT_GT(gpu_samples, 0u);
+    ServingReport report;
+    report.makespan = result.records.back().step_end;
+    ASSERT_LT(report.makespan, 60.0);
+
+    telemetry::ServingMonitor monitor;
+    feed_monitor_from_report(monitor, report, result.records, rate);
+    telemetry::MetricsRegistry registry;
+    monitor.record(registry);
+    EXPECT_NEAR(registry.value_or("helm_window_port_utilization",
+                                  {{"window", "fast"}}),
+                port_sum / static_cast<double>(port_samples), 1e-9);
+    EXPECT_NEAR(registry.value_or("helm_window_kv_occupancy",
+                                  {{"tier", "gpu"}, {"window", "fast"}}),
+                gpu_mib / static_cast<double>(gpu_samples), 1e-9);
+
+    // Without a port rate there is no utilization to sample, exactly
+    // as the Chrome trace then draws no counter row.
+    telemetry::ServingMonitor unscaled;
+    feed_monitor_from_report(unscaled, report, result.records, 0.0);
+    telemetry::MetricsRegistry bare;
+    unscaled.record(bare);
+    EXPECT_FALSE(bare.has("helm_window_port_utilization"));
+    EXPECT_TRUE(bare.has("helm_window_kv_occupancy"));
 }
 
 } // namespace

@@ -128,6 +128,15 @@ TEST(Registry, FamiliesIterateInNameOrder)
 
 TEST(JsonEscape, QuotesBackslashesAndControls)
 {
+    // The string and stream forms escape identically.
+    const auto json_escape = [](const std::string &raw) {
+        std::string appended;
+        json_escape_append(appended, raw);
+        std::ostringstream streamed;
+        json_escape_append_stream(streamed, raw);
+        EXPECT_EQ(streamed.str(), appended);
+        return appended;
+    };
     EXPECT_EQ(json_escape("plain"), "plain");
     EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
     EXPECT_EQ(json_escape("a\\b"), "a\\\\b");

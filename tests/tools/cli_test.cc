@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -725,6 +726,107 @@ TEST(Cli, StrayArgumentsFailWithOneLine)
     }
     EXPECT_NE(run_cli("run --int4 1").err.find("unexpected argument '1'"),
               std::string::npos);
+}
+
+TEST(Cli, SweepTakesDimensionsOnlyThroughDims)
+{
+    // A second --dim used to replace the first without a word; the
+    // flag is gone and --dims carries every dimension.
+    const CliResult result =
+        run_cli("sweep --dim batch=1,8 --dim memory=DRAM --jobs 1");
+    EXPECT_TRUE(failed_with_one_line(result)) << result.output;
+    EXPECT_NE(result.err.find("--dim"), std::string::npos);
+    const CliResult dims =
+        run_cli("sweep --dims \"batch=1,8;memory=DRAM\" --jobs 1");
+    ASSERT_EQ(dims.exit_code, 0) << dims.output;
+    EXPECT_NE(dims.err.find("sweeping 2 points"), std::string::npos)
+        << dims.err;
+}
+
+/** FNV-1a over @p bytes: a content hash for golden artifacts. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << file.rdbuf();
+    return bytes.str();
+}
+
+TEST(Cli, ServedRunArtifactsAreGolden)
+{
+    // Content hashes of stdout and of the three artifacts a served run
+    // writes from its step records and report: the Chrome trace
+    // (--trace), the helm-trace-v1 span dump (--trace-out) and the
+    // metrics snapshot (--metrics-out), whose helm_window_* series are
+    // the monitor feed.  The cases cover a tiered-KV serve, an EDF
+    // serve that preempts (the swap track and KV-swap spans) and a
+    // two-GPU pipeline cluster (one process row and scheduler tree per
+    // GPU).  Paths are fixed because stdout names them.
+    const std::string arrivals = "/tmp/helm_golden_swap_arrivals.txt";
+    {
+        std::ofstream file(arrivals);
+        file << "0.0 256 64 0 1000.0\n0.0 256 64 0 1000.0\n"
+                "0.1 256 64 0 1000.0\n5.0 64 8 1 9.0\n5.1 64 8 1 9.2\n";
+    }
+    struct Golden
+    {
+        const char *name;
+        std::string args;
+        std::uint64_t out, chrome, spans, metrics;
+    };
+    const Golden goldens[] = {
+        {"serve-kv",
+         "serve --model OPT-1.3B --kv-tiering --kv-host-gb 1 --rate 2 "
+         "--duration 1 --seed 3 --alerts",
+         0x2e57eb8ddc4b5246ull, 0x63774c8eabab6d47ull,
+         0x84e7edf58040bb80ull, 0x927f597dbcea4204ull},
+        {"serve-edf-swap",
+         "serve --model OPT-1.3B --memory NVDRAM --placement All-CPU "
+         "--arrivals " + arrivals +
+             " --max-batch 2 --scheduler edf --tenants 2 --alerts",
+         0x20b6304dc53aaed2ull, 0x1c296880ed53d8caull,
+         0x33d56810e037ce3eull, 0x56ca8f91f38fb9a2ull},
+        {"cluster-pipeline",
+         "cluster --model OPT-1.3B --parallelism pipeline --gpus 2 "
+         "--alerts",
+         0xc18e9ed161a8196full, 0xc2b7571373a817ddull,
+         0x5a579fe2f394daf3ull, 0xc88258b1632807e0ull},
+    };
+    for (const Golden &golden : goldens) {
+        const std::string prefix =
+            std::string("/tmp/helm_golden_") + golden.name;
+        const CliResult result = run_cli(
+            golden.args + " --trace " + prefix + ".chrome.json" +
+            " --trace-out " + prefix + ".spans.json" +
+            " --metrics-out " + prefix + ".metrics.json");
+        ASSERT_EQ(result.exit_code, 0) << golden.name << result.output;
+        EXPECT_EQ(fnv1a(result.out), golden.out) << golden.name;
+        EXPECT_EQ(fnv1a(slurp(prefix + ".chrome.json")), golden.chrome)
+            << golden.name;
+        EXPECT_EQ(fnv1a(slurp(prefix + ".spans.json")), golden.spans)
+            << golden.name;
+        const std::string metrics = slurp(prefix + ".metrics.json");
+        EXPECT_EQ(fnv1a(metrics), golden.metrics) << golden.name;
+        EXPECT_NE(metrics.find("helm_window_completed_per_s"),
+                  std::string::npos)
+            << golden.name;
+        for (const char *suffix :
+             {".chrome.json", ".spans.json", ".metrics.json"})
+            std::remove((prefix + suffix).c_str());
+    }
+    std::remove(arrivals.c_str());
 }
 
 TEST(Cli, TuneObjectiveIsLatencyOrThroughput)

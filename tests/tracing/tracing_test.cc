@@ -2,10 +2,11 @@
  * @file
  * Tests for the tracing subsystem (src/tracing/): derived span ids,
  * the TraceBuilder span cap, flight-recorder retention policy,
- * span-tree validation, the helm-trace-v1 export, and end-to-end
- * span synthesis from real serve and gateway runs — including the
- * acceptance claim that an outlier request's spans nest exactly and
- * the per-phase durations plus idle tile the root wall.
+ * span-tree validation, the helm-trace-v1 export, and the gateway's
+ * turn traces — including the acceptance claim that a turn's spans
+ * nest exactly and the per-phase durations plus idle tile the root
+ * wall.  The serve-run span trees are tested with the other
+ * step-record consumers in tests/runtime/trace_counter_test.cc.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/helm.h"
 #include "telemetry/metrics.h"
 #include "telemetry/monitor.h"
 #include "tracing/export.h"
@@ -316,96 +316,6 @@ TEST(TracerMetrics, RecordEmitsTheTraceFamily)
     EXPECT_DOUBLE_EQ(registry.value_or("helm_trace_retained"), 1.0);
     EXPECT_DOUBLE_EQ(registry.value_or("helm_trace_capacity_traces"),
                      4.0);
-}
-
-// ---- synthesis from a real serve run ---------------------------------
-
-runtime::ServingSpec
-serve_spec()
-{
-    runtime::ServingSpec spec;
-    spec.model = model::opt_config(model::OptVariant::kOpt1_3B);
-    spec.memory = mem::ConfigKind::kNvdram;
-    spec.shape.prompt_tokens = 128;
-    spec.shape.output_tokens = 8;
-    return spec;
-}
-
-std::vector<workload::TimedRequest>
-burst(std::uint64_t n, Seconds spacing)
-{
-    std::vector<workload::TimedRequest> stream;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        stream.push_back(workload::TimedRequest{
-            workload::Request{i, 128, 8},
-            spacing * static_cast<double>(i)});
-    }
-    return stream;
-}
-
-TEST(Synthesize, ServeRunYieldsValidNestedTrees)
-{
-    auto server =
-        runtime::Server::create(serve_spec(), runtime::ServingConfig{});
-    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
-    server->enable_telemetry(true);
-    ASSERT_TRUE(server->submit(burst(8, 0.25)).is_ok());
-    const auto report = server->serve();
-    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
-
-    Tracer tracer;
-    synthesize_serving_traces(tracer, *report,
-                              server->serving_records());
-    const Status valid = validate_all(tracer);
-    EXPECT_TRUE(valid.is_ok()) << valid.to_string();
-    EXPECT_EQ(tracer.recorder().stats().traces_seen,
-              report->completed + report->rejected +
-                  1u /* scheduler trace */);
-
-    bool request_seen = false, scheduler_seen = false;
-    for (const Trace *trace : tracer.recorder().sorted_traces()) {
-        if (trace->kind == "request") {
-            request_seen = true;
-            // Request phases tile arrival -> completion: sum of direct
-            // children plus idle equals the root wall exactly.
-            const Span &root = trace->spans.front();
-            Seconds phase_sum = 0.0;
-            for (const Span &span : trace->spans) {
-                if (span.parent_id == root.span_id)
-                    phase_sum += span.duration();
-            }
-            EXPECT_LE(phase_sum, root.duration() + kTol);
-        }
-        if (trace->kind == "scheduler") {
-            scheduler_seen = true;
-            EXPECT_TRUE(trace->flags.pinned);
-            EXPECT_EQ(trace->spans.front().phase, SpanPhase::kServe);
-        }
-    }
-    EXPECT_TRUE(request_seen);
-    EXPECT_TRUE(scheduler_seen);
-}
-
-TEST(Synthesize, IdenticalRunsExportIdenticalBytes)
-{
-    const auto run_once = [](std::string *out) {
-        auto server = runtime::Server::create(serve_spec(),
-                                              runtime::ServingConfig{});
-        ASSERT_TRUE(server.is_ok());
-        server->enable_telemetry(true);
-        ASSERT_TRUE(server->submit(burst(6, 0.5)).is_ok());
-        const auto report = server->serve();
-        ASSERT_TRUE(report.is_ok());
-        Tracer tracer;
-        synthesize_serving_traces(tracer, *report,
-                                  server->serving_records());
-        *out = trace_json(tracer);
-    };
-    std::string first, second;
-    run_once(&first);
-    run_once(&second);
-    ASSERT_FALSE(first.empty());
-    EXPECT_EQ(first, second);
 }
 
 } // namespace

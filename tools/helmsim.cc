@@ -58,7 +58,6 @@
 #include "telemetry/monitor.h"
 #include "telemetry/report.h"
 #include "tracing/export.h"
-#include "tracing/synthesize.h"
 #include "tracing/tracer.h"
 
 namespace helm {
@@ -698,68 +697,6 @@ cmd_run(const ArgParser &parser, std::ostream &out, std::ostream &err)
 }
 
 /**
- * Retrospectively drive a ServingMonitor from a finished backend run:
- * completions in completion-time order (the DES never produced them
- * otherwise), port-utilization samples per load window, and KV
- * occupancy at every sampled step.  The backend report carries no
- * rejection timestamps, so availability sheds are gateway-only.
- */
-void
-feed_monitor_from_report(
-    telemetry::ServingMonitor &monitor,
-    const runtime::ServingReport &report,
-    const std::vector<runtime::LayerStepRecord> &records,
-    double port_rate_bytes_per_s)
-{
-    std::vector<const runtime::RequestMetrics *> done;
-    done.reserve(report.requests.size());
-    for (const runtime::RequestMetrics &metrics : report.requests)
-        done.push_back(&metrics);
-    std::sort(done.begin(), done.end(),
-              [](const runtime::RequestMetrics *a,
-                 const runtime::RequestMetrics *b) {
-                  const Seconds ta = a->arrival + a->e2e_latency;
-                  const Seconds tb = b->arrival + b->e2e_latency;
-                  return ta != tb ? ta < tb : a->id < b->id;
-              });
-    for (const runtime::RequestMetrics *metrics : done)
-        monitor.on_completed(metrics->arrival + metrics->e2e_latency,
-                             metrics->output_tokens, metrics->ttft);
-    // Records list the same tiers in the same order every step;
-    // resolve each list position's monitor handle once and re-resolve
-    // only if the name at that position ever changes.
-    std::vector<std::pair<std::string,
-                          telemetry::ServingMonitor::KvTierHandle>>
-        tier_handles;
-    for (const auto &rec : records) {
-        if (port_rate_bytes_per_s > 0.0 && rec.transfer_time > 0.0) {
-            const auto moved = rec.transfer_bytes + rec.kv_read_bytes;
-            if (moved > 0)
-                monitor.on_port_utilization(
-                    rec.transfer_start,
-                    static_cast<double>(moved) /
-                        (rec.transfer_time * port_rate_bytes_per_s));
-        }
-        for (std::size_t i = 0; i < rec.kv_occupancy.size(); ++i) {
-            const auto &occupancy = rec.kv_occupancy[i];
-            if (i >= tier_handles.size())
-                tier_handles.emplace_back(
-                    occupancy.tier,
-                    monitor.kv_tier_handle(occupancy.tier));
-            else if (tier_handles[i].first != occupancy.tier)
-                tier_handles[i] = {
-                    occupancy.tier,
-                    monitor.kv_tier_handle(occupancy.tier)};
-            monitor.on_kv_occupancy(
-                rec.step_end, tier_handles[i].second,
-                static_cast<double>(occupancy.bytes) /
-                    (1024.0 * 1024.0));
-        }
-    }
-    monitor.finish(report.makespan);
-}
-
-/**
  * The serving tail every ServingBackend runs through — `serve` drives a
  * runtime::Server, `cluster` a cluster::ClusterServer, over this one
  * seam: telemetry on/off, submit the stream, serve, record the shared
@@ -803,7 +740,7 @@ run_serving_backend(
         extras(registry);
 
     if (tracer.has_value()) {
-        tracing::synthesize_serving_traces(*tracer, *report,
+        runtime::synthesize_serving_traces(*tracer, *report,
                                            backend.serving_records());
         tracer->record(registry);
     }
@@ -812,9 +749,9 @@ run_serving_backend(
         monitor_config.ttft_target =
             parser.get_double("slo-ttft-ms") * 1e-3;
         telemetry::ServingMonitor monitor(monitor_config);
-        feed_monitor_from_report(monitor, *report,
-                                 backend.serving_records(),
-                                 backend.trace_port_rate());
+        runtime::feed_monitor_from_report(monitor, *report,
+                                          backend.serving_records(),
+                                          backend.trace_port_rate());
         monitor.record(registry);
     }
     telemetry::print_run_report(out, registry);
@@ -1152,10 +1089,6 @@ split(const std::string &text, char separator)
 void
 declare_sweep(ArgParser &parser)
 {
-    parser.add_option("dim",
-                      "dimension spec name=v1,v2 (repeatable via "
-                      "comma-separated --dims)",
-                      "");
     parser.add_option("dims",
                       "semicolon-separated dimension specs, e.g. "
                       "\"memory=NVDRAM,DRAM;batch=1,8\"",
@@ -1181,17 +1114,9 @@ cmd_sweep(const ArgParser &parser, std::ostream &out, std::ostream &err)
     base.repeats = 2;
     sweep::ServingSweep serving_sweep(base);
 
-    std::vector<std::string> specs;
-    if (!parser.get("dim").empty())
-        specs.push_back(parser.get("dim"));
-    if (!parser.get("dims").empty()) {
-        for (const std::string &spec_text : split(parser.get("dims"), ';'))
-            specs.push_back(spec_text);
-    }
-    if (specs.empty())
-        return Status::invalid_argument(
-            "no dimensions given (--dim / --dims)");
-    for (const std::string &spec_text : specs) {
+    if (parser.get("dims").empty())
+        return Status::invalid_argument("no dimensions given (--dims)");
+    for (const std::string &spec_text : split(parser.get("dims"), ';')) {
         const std::size_t eq = spec_text.find('=');
         if (eq == std::string::npos) {
             return Status::invalid_argument("bad dimension spec: " +
@@ -1611,7 +1536,8 @@ constexpr Command kCommands[] = {
      "streaming, admission control, and replica routing in front of "
      "ServingBackend replicas",
      declare_gateway, cmd_gateway},
-    {"sweep", "cartesian parameter sweep; repeat --dim name=v1,v2,...",
+    {"sweep",
+     "cartesian parameter sweep over --dims \"name=v1,v2;name=v3\"",
      declare_sweep, cmd_sweep},
     {"tune", "find the best serving plan for an objective", declare_tune,
      cmd_tune},
