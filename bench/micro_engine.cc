@@ -51,6 +51,36 @@ BM_BandwidthChannelFlows(benchmark::State &state)
 }
 BENCHMARK(BM_BandwidthChannelFlows)->Range(8, 512);
 
+/** The cluster pattern: pipeline stages put a whole token's layer loads
+ *  on one shared host-read port at once, each capped by its source
+ *  tier, so the port holds flows under three limits (two caps and
+ *  uncapped) that arrive in staggered bursts. */
+void
+BM_BandwidthChannelMixedCapBursts(benchmark::State &state)
+{
+    const Bandwidth caps[] = {Bandwidth::gb_per_s(6.0),
+                              Bandwidth::gb_per_s(12.0), Bandwidth()};
+    const int n = static_cast<int>(state.range(0));
+    const int bursts = 4;
+    for (auto _ : state) {
+        sim::Simulator sim;
+        sim::BandwidthChannel ch(sim, Bandwidth::gb_per_s(25.0));
+        int done = 0;
+        for (int b = 0; b < bursts; ++b) {
+            sim.schedule(static_cast<double>(b) * 2e-3, [&, b] {
+                for (int i = b; i < n; i += bursts) {
+                    ch.start_flow(16 * kMiB + static_cast<Bytes>(i) * 4096,
+                                  caps[i % 3], [&done] { ++done; });
+                }
+            });
+        }
+        sim.run();
+        benchmark::DoNotOptimize(done);
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BandwidthChannelMixedCapBursts)->Range(8, 512);
+
 void
 BM_PlaceBaseline175B(benchmark::State &state)
 {

@@ -387,11 +387,16 @@ ClusterServer::run_sharded(bool keep_records)
             }
             if (out.ports.empty()) {
                 out.ports = run.batch.ports;
-                for (PortStats &p : out.ports)
+                for (PortStats &p : out.ports) {
                     p.bytes = 0;
+                    p.throttle_events = 0;
+                }
             }
-            for (std::size_t p = 0; p < out.ports.size(); ++p)
+            for (std::size_t p = 0; p < out.ports.size(); ++p) {
                 out.ports[p].bytes += run.batch.ports[p].bytes;
+                out.ports[p].throttle_events +=
+                    run.batch.ports[p].throttle_events;
+            }
             const auto &records = run.batch.timelines.front().records;
             if (!recorded && !records.empty()) {
                 out.records = records;

@@ -248,9 +248,9 @@ Executor::run_closed_form()
     const double link = fabric_.h2d_rate().raw();
     const Seconds overhead = fabric_.gpu_spec().layer_overhead;
     // load_weight(k) issued at `at`, as the h2d channel times a lone
-    // flow: water_fill grants it min(cap, link), its completion event
-    // fires after bytes / rate, and the zero-delay callback lands at
-    // the same time.  False when round-off leaves more than
+    // flow: the channel's fill grants it min(cap, link), its completion
+    // event fires after bytes / rate, and the zero-delay callback lands
+    // at the same time.  False when round-off leaves more than
     // kByteEpsilon undelivered: the DES re-arms the completion for the
     // remainder (and delivers the flow when that cannot advance the
     // clock), which this form does not model — the DES's call.

@@ -31,11 +31,19 @@ BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap,
         return kInvalidFlow;
     }
     advance_to_now();
-    Flow &flow = flows_.emplace_back();
+    const double limit = cap.raw() > 0.0
+                             ? cap.raw()
+                             : std::numeric_limits<double>::infinity();
+    // Upper bound: after every flow with the same limit, all of which
+    // have smaller ids.
+    const auto at = std::upper_bound(
+        flows_.begin(), flows_.end(), limit,
+        [](double l, const Flow &flow) { return l < flow.limit_bps; });
+    Flow &flow = *flows_.emplace(at);
     flow.id = next_flow_id_++;
     flow.total_bytes = bytes;
     flow.remaining_bytes = static_cast<double>(bytes);
-    flow.cap_bps = cap.is_zero() ? 0.0 : cap.raw();
+    flow.limit_bps = limit;
     flow.on_complete = std::move(on_complete);
     const FlowId id = flow.id;
     recompute_and_reschedule();
@@ -54,60 +62,8 @@ BandwidthChannel::advance_to_now()
         flow.remaining_bytes -= flow.rate_bps * elapsed;
         if (flow.remaining_bytes < 0.0)
             flow.remaining_bytes = 0.0;
-    }
-}
-
-void
-BandwidthChannel::water_fill()
-{
-    if (flows_.empty())
-        return;
-    // Sort by cap ascending (uncapped flows last) so we can peel off flows
-    // whose cap is below the running fair share.  Equal caps keep flow
-    // order (the addresses run in flows_ order), which makes std::sort
-    // produce exactly the stable order without stable_sort's buffer.
-    fill_order_.clear();
-    for (Flow &flow : flows_)
-        fill_order_.push_back(&flow);
-    std::sort(fill_order_.begin(), fill_order_.end(),
-              [](const Flow *a, const Flow *b) {
-                  const double ca =
-                      a->cap_bps > 0.0
-                          ? a->cap_bps
-                          : std::numeric_limits<double>::infinity();
-                  const double cb =
-                      b->cap_bps > 0.0
-                          ? b->cap_bps
-                          : std::numeric_limits<double>::infinity();
-                  return ca < cb || (ca == cb && a < b);
-              });
-
-    double remaining_rate = rate_.raw();
-    std::size_t remaining_flows = fill_order_.size();
-    for (Flow *flow : fill_order_) {
-        const double share =
-            remaining_rate / static_cast<double>(remaining_flows);
-        const double cap = flow->cap_bps > 0.0
-                               ? flow->cap_bps
-                               : std::numeric_limits<double>::infinity();
-        flow->rate_bps = std::min(cap, share);
-        remaining_rate -= flow->rate_bps;
-        --remaining_flows;
-    }
-    if (fill_order_.size() > 1) {
-        // A fill pass throttled someone if any flow got less than it
-        // could use alone (its cap, or the full channel when uncapped).
-        for (const Flow *flow : fill_order_) {
-            const double solo = std::min(flow->cap_bps > 0.0
-                                             ? flow->cap_bps
-                                             : std::numeric_limits<
-                                                   double>::infinity(),
-                                         rate_.raw());
-            if (flow->rate_bps < solo * (1.0 - 1e-9)) {
-                ++throttle_events_;
-                break;
-            }
-        }
+        if (flow.remaining_bytes <= kByteEpsilon)
+            reap_due_ = true;
     }
 }
 
@@ -118,23 +74,45 @@ BandwidthChannel::recompute_and_reschedule()
         simulator_.cancel(pending_event_);
         pending_event_ = kInvalidEvent;
     }
-    reap_finished();
+    if (reap_due_)
+        reap_finished();
     if (flows_.empty())
         return;
-    water_fill();
-    // Next event: the earliest flow completion at current rates.
+    // One pass in fill order.  Max-min water-filling: each flow in turn
+    // takes min(its limit, an even split of what is left), so flows
+    // whose limit is below the running fair share are peeled off first.
+    // The same pass notes whether contention left any flow short of
+    // what it could use alone (its limit, or the full channel), and
+    // finds the earliest completion at the new rates (ties to the
+    // lowest id, i.e. the earliest-started flow).
+    const double link = rate_.raw();
+    double remaining_rate = link;
+    std::size_t remaining_flows = flows_.size();
+    bool throttled = false;
     Seconds next_completion = std::numeric_limits<Seconds>::infinity();
-    for (const Flow &flow : flows_) {
+    FlowId next_flow = kInvalidFlow;
+    for (Flow &flow : flows_) {
+        const double share =
+            remaining_rate / static_cast<double>(remaining_flows);
+        flow.rate_bps = std::min(flow.limit_bps, share);
+        remaining_rate -= flow.rate_bps;
+        --remaining_flows;
+        if (flow.rate_bps < std::min(flow.limit_bps, link) * (1.0 - 1e-9))
+            throttled = true;
         if (flow.rate_bps <= 0.0)
             continue;
         const Seconds delay = flow.remaining_bytes / flow.rate_bps;
-        if (delay < next_completion) {
+        if (delay < next_completion ||
+            (delay == next_completion && flow.id < next_flow)) {
             next_completion = delay;
-            pending_flow_ = flow.id;
+            next_flow = flow.id;
         }
     }
+    if (throttled && flows_.size() > 1)
+        ++throttle_events_;
     HELM_ASSERT(std::isfinite(next_completion),
                 "active flows but no completion event (rate starvation)");
+    pending_flow_ = next_flow;
     armed_at_ = simulator_.now();
     pending_event_ = simulator_.schedule(next_completion, [this] {
         pending_event_ = kInvalidEvent;
@@ -144,8 +122,10 @@ BandwidthChannel::recompute_and_reschedule()
             // (late in a long run), so firing did not advance time and
             // re-arming would repeat forever: deliver the flow now.
             for (Flow &flow : flows_) {
-                if (flow.id == pending_flow_)
+                if (flow.id == pending_flow_) {
                     flow.remaining_bytes = 0.0;
+                    reap_due_ = true;
+                }
             }
         }
         recompute_and_reschedule();
@@ -155,18 +135,15 @@ BandwidthChannel::recompute_and_reschedule()
 void
 BandwidthChannel::reap_finished()
 {
-    // Compact survivors in place; both they and the completions keep
-    // flow-start order.
+    reap_due_ = false;
+    // Compact survivors in place, keeping fill order; the finished
+    // flows (few at any one instant) complete in flow-start order.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < flows_.size(); ++i) {
         Flow &flow = flows_[i];
         if (flow.remaining_bytes <= kByteEpsilon) {
             bytes_delivered_ += flow.total_bytes;
-            // Defer the callback to a zero-delay event so that a
-            // reentrant start_flow never observes the channel mid-update.
-            // Delivery order stays deterministic (FIFO at equal
-            // timestamps).
-            simulator_.schedule(0.0, std::move(flow.on_complete));
+            finished_.push_back(std::move(flow));
         } else {
             if (kept != i)
                 flows_[kept] = std::move(flow);
@@ -175,6 +152,14 @@ BandwidthChannel::reap_finished()
     }
     flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
                  flows_.end());
+    std::sort(finished_.begin(), finished_.end(),
+              [](const Flow &a, const Flow &b) { return a.id < b.id; });
+    // Defer each callback to a zero-delay event so that a reentrant
+    // start_flow never observes the channel mid-update.  Delivery order
+    // stays deterministic (FIFO at equal timestamps).
+    for (Flow &flow : finished_)
+        simulator_.schedule(0.0, std::move(flow.on_complete));
+    finished_.clear();
 }
 
 } // namespace helm::sim

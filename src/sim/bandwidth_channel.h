@@ -7,7 +7,9 @@
  * receiving a max-min fair share of the channel rate, optionally capped by
  * a per-flow rate (e.g. a flow sourced from Optane cannot exceed Optane's
  * read bandwidth even if PCIe has headroom).  Rates are recomputed by
- * water-filling whenever a flow arrives or departs.
+ * water-filling whenever a flow arrives or departs: the flows are kept
+ * in fill order, so each such event is one pass that grants the rates,
+ * notes throttling and finds the next completion.
  */
 #ifndef HELM_SIM_BANDWIDTH_CHANNEL_H
 #define HELM_SIM_BANDWIDTH_CHANNEL_H
@@ -86,7 +88,9 @@ class BandwidthChannel
         FlowId id = kInvalidFlow;
         Bytes total_bytes = 0;
         double remaining_bytes = 0.0;
-        double cap_bps = 0.0;  //!< 0 means uncapped
+        /** Per-flow ceiling; +infinity when uncapped, so it doubles as
+         *  the fill-order key. */
+        double limit_bps = 0.0;
         double rate_bps = 0.0; //!< current granted rate
         std::function<void()> on_complete;
     };
@@ -94,22 +98,28 @@ class BandwidthChannel
     /** Apply progress for the interval [last_update_, now]. */
     void advance_to_now();
 
-    /** Re-run water-filling and reschedule the next completion event. */
+    /** Reap finished flows if any, re-run water-filling and re-arm the
+     *  next completion event. */
     void recompute_and_reschedule();
-
-    /** Max-min fair allocation over current flows. */
-    void water_fill();
 
     /** Fire completions for flows whose remaining bytes reached zero. */
     void reap_finished();
 
     Simulator &simulator_;
     Bandwidth rate_;
-    /** Active flows in id (= start) order: ids are monotone, so
-     *  appending keeps the order and reaping compacts in place, which
-     *  keeps completions firing in flow-start order. */
+    /** Active flows in fill order: limit ascending (uncapped last),
+     *  flow id ascending within equal limits.  A new flow has the
+     *  largest id, so it goes in at its limit's upper bound (an append
+     *  when every limit is equal), and water-filling walks the vector
+     *  as it stands, with no sort. */
     std::vector<Flow> flows_;
-    std::vector<Flow *> fill_order_; //!< water_fill() scratch
+    /** reap_finished() scratch: the flows finishing at one instant,
+     *  sorted by id so completions fire in flow-start order. */
+    std::vector<Flow> finished_;
+    /** Some flow is at or below kByteEpsilon and awaits its reap.
+     *  Only advance_to_now() and the late-run delivery set it: every
+     *  recompute leaves each remaining flow above the epsilon. */
+    bool reap_due_ = false;
     FlowId next_flow_id_ = 1;
     Seconds last_update_ = 0.0;
     EventId pending_event_ = kInvalidEvent;

@@ -611,6 +611,43 @@ TEST(ClusterServing, ShardedServingReportsRequests)
     ASSERT_FALSE(report->ports.empty());
 }
 
+TEST(ClusterServing, ShardedPortCountersSumOverLaunches)
+{
+    // k launches of one padded shape reuse one memoized batch run; the
+    // port counters (bytes and throttle events alike) count each launch.
+    // Four tensor shards, or two pipeline stages, contend on the NVDRAM
+    // host-read port.
+    constexpr std::uint64_t kLaunches = 3;
+    for (const auto [mode, gpus] :
+         {std::pair{Parallelism::kTensor, 4}, {Parallelism::kPipeline, 2}}) {
+        const auto serve = [mode, gpus](std::uint64_t requests) {
+            ClusterSpec spec = cluster_spec(gpus, mode);
+            spec.config.auto_max_batch = false;
+            spec.config.max_batch = 4;
+            auto cluster = ClusterServer::create(spec);
+            EXPECT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+            EXPECT_TRUE(cluster->submit(burst(requests, 0.0)).is_ok());
+            auto report = cluster->run();
+            EXPECT_TRUE(report.is_ok()) << report.status().to_string();
+            return std::move(*report);
+        };
+        const ClusterReport one = serve(4);
+        const ClusterReport many = serve(4 * kLaunches);
+        EXPECT_EQ(many.serving.completed, 4 * kLaunches);
+        ASSERT_EQ(many.ports.size(), one.ports.size());
+        ASSERT_FALSE(one.ports.empty());
+        EXPECT_GT(one.ports.front().throttle_events, 0u)
+            << parallelism_name(mode) << ": the shared port never throttled";
+        for (std::size_t p = 0; p < one.ports.size(); ++p) {
+            EXPECT_EQ(many.ports[p].bytes, kLaunches * one.ports[p].bytes)
+                << parallelism_name(mode) << " " << one.ports[p].name;
+            EXPECT_EQ(many.ports[p].throttle_events,
+                      kLaunches * one.ports[p].throttle_events)
+                << parallelism_name(mode) << " " << one.ports[p].name;
+        }
+    }
+}
+
 TEST(ClusterServing, FcfsReportsCarryTenantAndDeadline)
 {
     // Two tenants, every third request with a deadline no batch can

@@ -327,7 +327,7 @@ TEST(BandwidthChannelProperty, StaggeredArrivalsPreserveMaxMinShares)
 TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
 {
     // Flows that finish at the same instant complete in the order they
-    // started — the flow table keeps start order through every reap.
+    // started: each reap completes its flows in id order.
     Simulator sim;
     BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
     std::vector<char> order;
@@ -337,6 +337,21 @@ TEST(BandwidthChannelFlowTable, SimultaneousFinishesFireInStartOrder)
     sim.run();
     EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
     EXPECT_NEAR(sim.now(), 0.6, kTol);
+}
+
+TEST(BandwidthChannelFlowTable, SimultaneousFinishesKeepStartOrderAcrossCaps)
+{
+    // B's cap puts it before A in fill order; both get 5 GB/s and land
+    // together at 0.4 s, and A, the earlier flow, still completes first.
+    Simulator sim;
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(10.0));
+    std::vector<char> order;
+    ch.start_flow(2 * kGB, Bandwidth(), [&] { order.push_back('A'); });
+    ch.start_flow(2 * kGB, Bandwidth::gb_per_s(5.0),
+                  [&] { order.push_back('B'); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+    EXPECT_NEAR(sim.now(), 0.4, kTol);
 }
 
 TEST(BandwidthChannelFlowTable, FinishedMiddleFlowRefillsTheRest)

@@ -801,8 +801,8 @@ TEST(Cli, ServedRunArtifactsAreGolden)
         {"cluster-pipeline",
          "cluster --model OPT-1.3B --parallelism pipeline --gpus 2 "
          "--alerts",
-         0xc18e9ed161a8196full, 0xc2b7571373a817ddull,
-         0x5a579fe2f394daf3ull, 0xc88258b1632807e0ull},
+         0x24aee2ad7f7889d5ull, 0xc2b7571373a817ddull,
+         0x5a579fe2f394daf3ull, 0x035359eae13f8252ull},
     };
     for (const Golden &golden : goldens) {
         const std::string prefix =
