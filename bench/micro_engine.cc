@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: event
  * throughput of the DES kernel, fair-share channel updates, placement
- * algorithms, a full OPT-175B serving simulation (single-GPU runs take
- * the executor's closed form), and the same schedule on the DES.  These
- * guard the library's own performance, not the paper's results.
+ * algorithms, OPT-175B schedule compilation, a full OPT-175B serving
+ * simulation (single-GPU runs take the executor's closed form), and the
+ * same schedule on the DES.  These guard the library's own performance,
+ * not the paper's results.
  */
 #include <benchmark/benchmark.h>
 
@@ -134,6 +135,21 @@ inference_spec_175b(std::uint64_t batch)
     spec.keep_records = false;
     return spec;
 }
+
+/** Schedule compilation alone: model, placement, KV tiers and the
+ *  layer and token rows, with no executor run. */
+void
+BM_CompileSchedule175B(benchmark::State &state)
+{
+    const runtime::ServingSpec spec =
+        inference_spec_175b(static_cast<std::uint64_t>(state.range(0)));
+    for (auto _ : state) {
+        auto compiled = runtime::compile_schedule(spec);
+        benchmark::DoNotOptimize(compiled.is_ok());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileSchedule175B)->Arg(1)->Arg(8);
 
 /** One cold engine run: compile, then the closed-form executor. */
 void

@@ -13,8 +13,10 @@ namespace helm::cluster {
 
 using runtime::CompiledSchedule;
 using runtime::KvFlowSpec;
+using runtime::KvTraffic;
+using runtime::LayerRow;
 using runtime::LayerStepRecord;
-using runtime::ScheduledStep;
+using runtime::TokenRow;
 
 namespace {
 
@@ -33,12 +35,20 @@ CapCeilings
 scan_caps(const CompiledSchedule &shard)
 {
     CapCeilings caps{};
-    for (const ScheduledStep &step : shard.steps) {
-        caps.read = max_bw(caps.read, step.cpu_cap);
-        caps.disk = max_bw(caps.disk, step.disk_cap);
-        for (const KvFlowSpec &flow : shard.kv_reads(step))
+    // Every layer loads its weights on the prefill token (near-data
+    // layers skip h2d on decode only).
+    bool moves_kv = false;
+    for (const LayerRow &layer : shard.layer_rows) {
+        caps.read = max_bw(caps.read, layer.cpu_cap);
+        caps.disk = max_bw(caps.disk, layer.disk_cap);
+        moves_kv |= layer.moves_kv;
+    }
+    if (!moves_kv)
+        return caps;
+    for (const TokenRow &token : shard.token_rows) {
+        for (const KvFlowSpec &flow : token.kv.reads)
             caps.read = max_bw(caps.read, flow.cap);
-        for (const KvFlowSpec &flow : shard.kv_writes(step))
+        for (const KvFlowSpec &flow : token.kv.writes)
             caps.write = max_bw(caps.write, flow.cap);
     }
     return caps;
@@ -181,7 +191,7 @@ port_stats(const runtime::Fabric &fabric, Seconds makespan)
 // host memory (d2h on the sender's link + shared write port, then h2d
 // on the receiver's link + shared read port).  Token t+1 enters stage 0
 // when token t retires from the last stage.  A (stage, token)'s work is
-// read in place from the stage's compiled steps [t*L, (t+1)*L).
+// the stage's layer rows with token row t.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -198,14 +208,13 @@ class PipelineExecutor
           overhead_(fabric.gpu_spec().layer_overhead),
           tokens_per_rep_(stages.front().tokens)
     {
-        const std::uint64_t per_batch =
-            tokens_per_rep_ * stages_.front().num_layers;
-        reps_ = per_batch > 0 ? stages_.front().steps.size() / per_batch
-                              : 0;
+        reps_ = tokens_per_rep_ > 0
+                    ? stages_.front().token_rows.size() / tokens_per_rep_
+                    : 0;
         total_ = reps_ * tokens_per_rep_;
         for (const CompiledSchedule &stage : stages_) {
             HELM_ASSERT(stage.tokens == tokens_per_rep_ &&
-                            stage.steps.size() == total_ * stage.num_layers,
+                            stage.token_rows.size() == total_,
                         "pipeline stages disagree on schedule shape");
         }
 
@@ -249,17 +258,16 @@ class PipelineExecutor
         // summed compute, and the traffic of all its layer steps.
         for (std::uint64_t s = 0; s < stages_.size(); ++s) {
             const CompiledSchedule &stage = stages_[s];
+            const std::uint64_t L = stage.layer_rows.size();
             for (std::uint64_t t = 0; t < total_; ++t) {
                 const TokenState &tok = tokens_[s][t];
-                const std::span<const ScheduledStep> steps =
-                    token_steps(s, t);
                 LayerStepRecord &rec = tl.records.emplace_back();
                 rec.gpu_index = s;
                 rec.batch_index = t / tokens_per_rep_;
                 rec.token = t % tokens_per_rep_;
-                rec.layer = steps.front().layer;
-                rec.type = steps.front().type;
-                rec.stage = steps.front().stage;
+                rec.layer = stage.layer_rows.front().layer;
+                rec.type = stage.layer_rows.front().type;
+                rec.stage = stage.token_rows[t].stage;
                 rec.compute_time = tok.compute;
                 rec.transfer_time = tok.load_done - tok.load_issue;
                 rec.transfer_start = tok.load_issue;
@@ -271,8 +279,10 @@ class PipelineExecutor
                 rec.kv_stall_time = tok.kv_read_done >= 0.0
                                         ? tok.kv_read_done - tok.start
                                         : 0.0;
-                for (const ScheduledStep &step : steps)
-                    runtime::add_step_traffic(rec, stage, step);
+                for (std::uint64_t l = 0; l < L; ++l) {
+                    runtime::add_step_traffic(rec, stage,
+                                              stage.step(t * L + l));
+                }
             }
         }
         return tl;
@@ -309,12 +319,23 @@ class PipelineExecutor
         Seconds kv_write_done = -1.0; //!< last writeback; -1 = none
     };
 
-    /** Stage @p s's compiled steps for token @p t, in layer order. */
-    std::span<const ScheduledStep>
-    token_steps(std::uint64_t s, std::uint64_t t) const
+    /** Call @p fn on each flow of stage @p s's token @p t's KV list
+     *  @p flows (reads or writes), once per KV-moving layer of the
+     *  stage, in layer order: every MHA step moves the token's row. */
+    template <typename Fn>
+    void
+    for_each_kv_flow(std::uint64_t s, std::uint64_t t,
+                     std::vector<KvFlowSpec> KvTraffic::*flows,
+                     Fn &&fn) const
     {
-        const std::uint64_t L = stages_[s].num_layers;
-        return std::span(stages_[s].steps).subspan(t * L, L);
+        const CompiledSchedule &stage = stages_[s];
+        const std::vector<KvFlowSpec> &list = stage.token_rows[t].kv.*flows;
+        for (const LayerRow &layer : stage.layer_rows) {
+            if (!layer.moves_kv)
+                continue;
+            for (const KvFlowSpec &flow : list)
+                fn(flow);
+        }
     }
 
     /** Whether stage @p s's token @p t reads context it did not
@@ -322,8 +343,11 @@ class PipelineExecutor
     bool
     blocks_on_reads(std::uint64_t s, std::uint64_t t) const
     {
-        for (const ScheduledStep &step : token_steps(s, t)) {
-            if (!step.kv_prefetch && !stages_[s].kv_reads(step).empty())
+        const CompiledSchedule &stage = stages_[s];
+        if (stage.kv_prefetch || stage.token_rows[t].kv.reads.empty())
+            return false;
+        for (const LayerRow &layer : stage.layer_rows) {
+            if (layer.moves_kv)
                 return true;
         }
         return false;
@@ -341,27 +365,28 @@ class PipelineExecutor
             return;
         tokens_[s][t].load_issue = fabric_.sim().now();
         const CompiledSchedule &stage = stages_[s];
+        const TokenRow &token = stage.token_rows[t];
         StageState &st = stage_[s];
         auto arrive = [this, s, t] { load_arrived(s, t); };
         st.loads = 1;
-        for (const ScheduledStep &step : token_steps(s, t)) {
-            if (step.cpu_bytes > 0) {
+        for (const LayerRow &layer : stage.layer_rows) {
+            const Bytes cpu = CompiledSchedule::h2d_bytes(layer, token);
+            if (cpu > 0) {
                 ++st.loads;
-                fabric_.host_to_gpu(s, step.cpu_bytes, step.cpu_cap, arrive);
+                fabric_.host_to_gpu(s, cpu, layer.cpu_cap, arrive);
             }
-            if (step.disk_bytes > 0) {
+            if (layer.disk_bytes > 0) {
                 ++st.loads;
-                fabric_.storage_to_gpu(s, step.disk_bytes, step.disk_cap,
+                fabric_.storage_to_gpu(s, layer.disk_bytes, layer.disk_cap,
                                        arrive);
             }
         }
-        for (const ScheduledStep &step : token_steps(s, t)) {
-            if (!step.kv_prefetch)
-                continue;
-            for (const KvFlowSpec &flow : stage.kv_reads(step)) {
+        if (stage.kv_prefetch) {
+            auto prefetch = [&](const KvFlowSpec &flow) {
                 ++st.loads;
                 fabric_.host_to_gpu(s, flow.bytes, flow.cap, arrive);
-            }
+            };
+            for_each_kv_flow(s, t, &KvTraffic::reads, prefetch);
         }
         load_arrived(s, t);
     }
@@ -397,10 +422,8 @@ class PipelineExecutor
             if (blocks_on_reads(s, t))
                 issue_load(s, t + 1);
             st.reads = 1;
-            for (const ScheduledStep &step : token_steps(s, t)) {
-                if (step.kv_prefetch)
-                    continue;
-                for (const KvFlowSpec &flow : stage.kv_reads(step)) {
+            if (!stage.kv_prefetch) {
+                auto read = [&](const KvFlowSpec &flow) {
                     ++st.reads;
                     fabric_.host_to_gpu(s, flow.bytes, flow.cap, [this, s, t] {
                         if (--stage_[s].reads > 0)
@@ -408,7 +431,8 @@ class PipelineExecutor
                         tokens_[s][t].kv_read_done = fabric_.sim().now();
                         advance(s);
                     });
-                }
+                };
+                for_each_kv_flow(s, t, &KvTraffic::reads, read);
             }
             --st.reads;
         }
@@ -426,23 +450,24 @@ class PipelineExecutor
     on_token_started(std::uint64_t s, std::uint64_t t)
     {
         TokenState &tok = tokens_[s][t];
+        const CompiledSchedule &stage = stages_[s];
+        const TokenRow &token = stage.token_rows[t];
         // Every layer's compute and launch overhead, in layer order.
-        for (const ScheduledStep &step : token_steps(s, t))
-            tok.compute += step.compute + overhead_;
+        for (const LayerRow &layer : stage.layer_rows)
+            tok.compute += stage.compute(layer, token) + overhead_;
         StageState &st = stage_[s];
         // store_cache: K/V appends drain concurrently with compute and
         // hold the token open until they land.
         st.writes = 1;
-        for (const ScheduledStep &step : token_steps(s, t)) {
-            for (const KvFlowSpec &flow : stages_[s].kv_writes(step)) {
-                ++st.writes;
-                fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
-                    --stage_[s].writes;
-                    tokens_[s][t].kv_write_done = fabric_.sim().now();
-                    maybe_complete(s, t);
-                });
-            }
-        }
+        auto write = [&](const KvFlowSpec &flow) {
+            ++st.writes;
+            fabric_.gpu_to_host(s, flow.bytes, flow.cap, [this, s, t] {
+                --stage_[s].writes;
+                tokens_[s][t].kv_write_done = fabric_.sim().now();
+                maybe_complete(s, t);
+            });
+        };
+        for_each_kv_flow(s, t, &KvTraffic::writes, write);
         --st.writes;
         // Zig-zag: prefetch the next token's weights behind compute,
         // unless the step start already did (blocking reads).
@@ -530,7 +555,7 @@ run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
 {
     if (mode == Parallelism::kTensor) {
         const std::uint64_t steps =
-            shards.size() * shards.front().steps.size();
+            shards.size() * shards.front().step_count();
         std::optional<runtime::Executor> lockstep;
         HELM_RETURN_IF_ERROR(
             runtime::allocate_per_step(steps, "step timings", [&] {
@@ -585,10 +610,9 @@ run_cluster_batch(const ClusterSpec &spec,
     runtime::Fabric fabric(N, serving.gpu, cluster_or->rates);
     ClusterBatch out;
     if (spec.parallelism == Parallelism::kReplica) {
-        const std::uint64_t per_batch = head.tokens * head.num_layers;
         const std::uint64_t reps =
-            per_batch > 0 ? head.steps.size() / per_batch : 0;
-        const std::uint64_t steps = N * head.steps.size();
+            head.tokens > 0 ? head.token_rows.size() / head.tokens : 0;
+        const std::uint64_t steps = N * head.step_count();
         std::deque<runtime::Executor> jobs;
         HELM_RETURN_IF_ERROR(
             runtime::allocate_per_step(steps, "step timings", [&] {

@@ -178,7 +178,7 @@ ServingSpec::kv_config() const
 Result<RunResult>
 simulate_inference(const ServingSpec &spec)
 {
-    // ---- Compile: model, placement, KV tiers, flattened steps ----------
+    // ---- Compile: model, placement, KV tiers, layer and token rows -----
     auto compiled_or = compile_schedule(spec);
     if (!compiled_or.is_ok())
         return compiled_or.status();
@@ -186,7 +186,7 @@ simulate_inference(const ServingSpec &spec)
 
     // ---- Run -------------------------------------------------------------
     Fabric fabric(1, spec.gpu, link_rates(compiled.system));
-    const std::uint64_t steps = compiled.steps.size();
+    const std::uint64_t steps = compiled.step_count();
     std::optional<Executor> executor;
     HELM_RETURN_IF_ERROR(allocate_per_step(steps, "step timings", [&] {
         executor.emplace(fabric, std::span(&compiled, 1));
@@ -206,10 +206,14 @@ simulate_inference(const ServingSpec &spec)
     result.model_bytes = compiled.model_bytes;
     result.kv_stats = compiled.kv_stats;
     result.h2d_rate = fabric.h2d_rate();
-    for (const ScheduledStep &step : compiled.steps) {
-        if (step.site == placement::ComputeSite::kNdp) {
-            ++result.ndp_steps;
-            result.ndp_bytes += step.ndp_bytes;
+    // Every NDP layer runs near-data on every decode token.
+    std::uint64_t decode_tokens = 0;
+    for (const TokenRow &token : compiled.token_rows)
+        decode_tokens += token.stage == gpu::Stage::kDecode ? 1 : 0;
+    for (const LayerRow &layer : compiled.layer_rows) {
+        if (layer.site == placement::ComputeSite::kNdp) {
+            result.ndp_steps += decode_tokens;
+            result.ndp_bytes += layer.cpu_bytes * decode_tokens;
         }
     }
 

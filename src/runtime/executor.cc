@@ -180,21 +180,29 @@ Executor::Executor(Fabric &fabric, std::span<const CompiledSchedule> shards,
     HELM_ASSERT(!shards_.empty(), "executor needs at least one shard");
     HELM_ASSERT(first_gpu_ + shards_.size() <= fabric_.gpus(),
                 "executor shards exceed the fabric's GPUs");
-    steps_ = shards_.front().steps.size();
+    steps_ = shards_.front().step_count();
     HELM_ASSERT(steps_ > 0, "no steps to run");
+    bool moves_kv = false;
     for (const CompiledSchedule &shard : shards_) {
-        HELM_ASSERT(shard.steps.size() == steps_,
+        HELM_ASSERT(shard.step_count() == steps_,
                     "lockstep shards must have equal step counts");
+        moves_kv |= shard.moves_kv();
     }
     const std::size_t slots = shards_.size() * steps_;
-    step_start_.assign(steps_, 0.0);
-    step_end_.assign(steps_, 0.0);
-    load_issue_.assign(slots, 0.0);
-    load_done_.assign(slots, 0.0);
-    kv_read_done_.assign(slots, -1.0);
-    kv_write_done_.assign(slots, -1.0);
+    timings_.assign(2 * steps_ + 2 * slots, 0.0);
+    const std::span<Seconds> timings(timings_);
+    step_start_ = timings.subspan(0, steps_);
+    step_end_ = timings.subspan(steps_, steps_);
+    load_issue_ = timings.subspan(2 * steps_, slots);
+    load_done_ = timings.subspan(2 * steps_ + slots, slots);
+    if (moves_kv) {
+        kv_read_done_.assign(slots, -1.0);
+        kv_write_done_.assign(slots, -1.0);
+    }
     flows_left_.assign(shards_.size(), 0);
     reads_left_.assign(shards_.size(), 0);
+    loading_steps_.resize(shards_.size());
+    current_steps_.resize(shards_.size());
 }
 
 void
@@ -232,43 +240,49 @@ Executor::run_closed_form()
         fabric_.host_read_port() != nullptr ||
         fabric_.host_write_port() != nullptr ||
         fabric_.storage_read_port() != nullptr ||
-        fabric_.sim().pending_events() != 0)
+        fabric_.sim().pending_events() != 0 || shard.moves_kv())
         return false;
-    std::uint64_t loads = 0;
-    for (const ScheduledStep &s : shard.steps) {
-        if (s.disk_bytes > 0 || !shard.kv_reads(s).empty() ||
-            !shard.kv_writes(s).empty())
+    for (const LayerRow &layer : shard.layer_rows) {
+        if (layer.disk_bytes > 0)
             return false;
-        loads += s.cpu_bytes > 0 ? 1 : 0;
     }
-    // The DES fires a completion and its zero-delay callback per load
-    // and one event per compute; past its cap it reports a runaway.
-    if (2 * loads + steps_ > Fabric::kMaxEvents)
-        return false;
     const double link = fabric_.h2d_rate().raw();
     const Seconds overhead = fabric_.gpu_spec().layer_overhead;
+    // The DES fires one event per compute and, per load, its completion,
+    // each re-arm of it and the zero-delay callback; past its cap it
+    // reports a runaway, which this form leaves to the DES to report.
+    std::uint64_t events = steps_;
     // load_weight(k) issued at `at`, as the h2d channel times a lone
-    // flow: the channel's fill grants it min(cap, link), its completion
-    // event fires after bytes / rate, and the zero-delay callback lands
-    // at the same time.  False when round-off leaves more than
-    // kByteEpsilon undelivered: the DES re-arms the completion for the
-    // remainder (and delivers the flow when that cannot advance the
-    // clock), which this form does not model — the DES's call.
-    auto load = [&](std::size_t k, Seconds at) {
-        const ScheduledStep &s = shard.steps[k];
+    // flow: the channel's fill grants it min(cap, link) and arms its
+    // completion after remaining / rate.  When the completion fires,
+    // the flow is delivered if the clock did not advance; otherwise it
+    // loses rate x elapsed bytes (clamped at 0), and a remainder above
+    // kByteEpsilon re-arms the completion.  The zero-delay callback
+    // lands at the same time.
+    auto load = [&](std::size_t k, const LayerRow &layer,
+                    const TokenRow &token, Seconds at) {
         load_issue_[k] = at;
-        if (s.cpu_bytes > 0) {
-            const double cap = s.cpu_cap.raw();
+        const Bytes bytes = CompiledSchedule::h2d_bytes(layer, token);
+        if (bytes > 0) {
+            const double cap = layer.cpu_cap.raw();
             const double rate = cap > 0.0 ? std::min(cap, link) : link;
-            const double bytes = static_cast<double>(s.cpu_bytes);
-            const Seconds issued = at;
-            at = at + bytes / rate;
-            if (bytes - rate * (at - issued) >
-                sim::BandwidthChannel::kByteEpsilon)
-                return false;
+            double remaining = static_cast<double>(bytes);
+            events += 2;
+            Seconds armed = at;
+            at = armed + remaining / rate;
+            while (at != armed) {
+                remaining -= rate * (at - armed);
+                if (remaining < 0.0)
+                    remaining = 0.0;
+                if (remaining <= sim::BandwidthChannel::kByteEpsilon)
+                    break;
+                ++events;
+                armed = at;
+                at = armed + remaining / rate;
+            }
         }
         load_done_[k] = at;
-        return true;
+        return events <= Fabric::kMaxEvents;
     };
     auto decline = [this] {
         std::fill(load_issue_.begin(), load_issue_.end(), 0.0);
@@ -277,24 +291,33 @@ Executor::run_closed_form()
         std::fill(step_end_.begin(), step_end_.end(), 0.0);
         return false;
     };
-    if (!load(0, fabric_.sim().now()))
+    const std::vector<LayerRow> &layers = shard.layer_rows;
+    const std::vector<TokenRow> &tokens = shard.token_rows;
+    if (!load(0, layers.front(), tokens.front(), fabric_.sim().now()))
         return decline();
     // Step k starts when step k-1 retires (step 0 when its weights
     // land), prefetches k+1, and retires at the later of its compute
     // and that prefetch.  NDP steps skip the GPU launch overhead.
-    for (std::size_t k = 0; k < steps_; ++k) {
-        const ScheduledStep &s = shard.steps[k];
-        const Seconds start = k == 0 ? load_done_[0] : step_end_[k - 1];
-        step_start_[k] = start;
-        Seconds end = start + (s.site == placement::ComputeSite::kNdp
-                                   ? s.compute
-                                   : s.compute + overhead);
-        if (k + 1 < steps_) {
-            if (!load(k + 1, start))
-                return decline();
-            end = std::max(end, load_done_[k + 1]);
+    std::size_t k = 0;
+    for (std::size_t t = 0; t < tokens.size(); ++t) {
+        const TokenRow &token = tokens[t];
+        for (std::size_t l = 0; l < layers.size(); ++l, ++k) {
+            const LayerRow &layer = layers[l];
+            const Seconds start = k == 0 ? load_done_[0] : step_end_[k - 1];
+            step_start_[k] = start;
+            const Seconds compute = shard.compute(layer, token);
+            Seconds end = start + (CompiledSchedule::near_data(layer, token)
+                                       ? compute
+                                       : compute + overhead);
+            if (k + 1 < steps_) {
+                const bool last = l + 1 == layers.size();
+                if (!load(k + 1, last ? layers.front() : layers[l + 1],
+                          last ? tokens[t + 1] : token, start))
+                    return decline();
+                end = std::max(end, load_done_[k + 1]);
+            }
+            step_end_[k] = end;
         }
-        step_end_[k] = end;
     }
     start_time_ = fabric_.sim().now();
     completed_ = steps_;
@@ -311,7 +334,8 @@ Executor::issue_load(std::size_t k)
     // Count every flow before issuing any: zero-byte flows land inline.
     for (std::size_t g = 0; g < shards_.size(); ++g) {
         load_issue_[g * steps_ + k] = now;
-        flows_left_[g] = load_flows(shards_[g], step(g, k));
+        loading_steps_[g] = shards_[g].step(k);
+        flows_left_[g] = load_flows(shards_[g], loading_steps_[g]);
         if (flows_left_[g] > 0)
             ++loading_;
         else
@@ -322,9 +346,11 @@ Executor::issue_load(std::size_t k)
         return;
     }
     for (std::size_t g = 0; g < shards_.size(); ++g) {
-        // Re-read the step, not flows_left_: the last shard's load can
-        // land inline and start the next load before this loop ends.
-        const ScheduledStep &s = step(g, k);
+        // The last shard's load can land inline and start the next load
+        // before this loop ends; every shard after it has no flows.
+        if (load_step_ != k)
+            return;
+        const ScheduledStep &s = loading_steps_[g];
         if (load_flows(shards_[g], s) == 0)
             continue;
         const std::uint64_t gpu = first_gpu_ + g;
@@ -367,10 +393,13 @@ Executor::start_step(std::size_t k)
 {
     step_ = k;
     step_start_[k] = fabric_.sim().now();
+    // The steps whose weights just landed run now; issue_load(k + 1)
+    // refills loading_steps_.
+    std::swap(current_steps_, loading_steps_);
     const bool has_next = k + 1 < steps_;
     joins_left_ = has_next ? 1 : 0;
     for (std::size_t g = 0; g < shards_.size(); ++g)
-        joins_left_ += 1 + shards_[g].kv_writes(step(g, k)).size();
+        joins_left_ += 1 + shards_[g].kv_writes(current_steps_[g]).size();
     // load_weight(i, j+1): prefetch the next step's weights.
     if (has_next)
         issue_load(k + 1);
@@ -378,7 +407,8 @@ Executor::start_step(std::size_t k)
         // store_cache(i, j): new K/V entries (and demoted blocks) drain
         // to their host tiers concurrently with compute; sync() waits
         // for them too (FlexGen's store path).
-        for (const KvFlowSpec &flow : shards_[g].kv_writes(step(g, k))) {
+        for (const KvFlowSpec &flow :
+             shards_[g].kv_writes(current_steps_[g])) {
             fabric_.gpu_to_host(first_gpu_ + g, flow.bytes, flow.cap,
                                 [this, i = g * steps_ + k] {
                                     kv_write_done_[i] = fabric_.sim().now();
@@ -400,7 +430,7 @@ Executor::start_step(std::size_t k)
 void
 Executor::compute(std::size_t g)
 {
-    const ScheduledStep &s = step(g, step_);
+    const ScheduledStep &s = current_steps_[g];
     const std::span<const KvFlowSpec> reads = shards_[g].kv_reads(s);
     if (s.site == placement::ComputeSite::kNdp) {
         fabric_.occupy_ndp(s.compute, [this] { join(); });
@@ -425,7 +455,7 @@ Executor::read_landed(std::size_t g)
         return;
     kv_read_done_[g * steps_ + step_] = fabric_.sim().now();
     fabric_.occupy_gpu(first_gpu_ + g,
-                       step(g, step_).compute +
+                       current_steps_[g].compute +
                            fabric_.gpu_spec().layer_overhead,
                        [this] { join(); });
 }
@@ -474,7 +504,7 @@ LayerStepRecord
 Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
 {
     const CompiledSchedule &shard = shards_[g];
-    const ScheduledStep &s = shard.steps[k];
+    const ScheduledStep s = shard.step(k);
     const std::vector<std::string> &tier_names = shard.kv_tier_names;
     const std::size_t i = g * steps_ + k;
     LayerStepRecord rec;
@@ -490,10 +520,10 @@ Executor::record(std::size_t g, std::size_t k, std::uint64_t batch_tag) const
     rec.transfer_start = load_issue_[i];
     rec.step_start = step_start_[k];
     rec.step_end = step_end_[k];
-    rec.kv_write_time =
-        kv_write_done_[i] >= 0.0 ? kv_write_done_[i] - step_start_[k] : 0.0;
-    rec.kv_stall_time =
-        kv_read_done_[i] >= 0.0 ? kv_read_done_[i] - step_start_[k] : 0.0;
+    if (!kv_write_done_.empty() && kv_write_done_[i] >= 0.0)
+        rec.kv_write_time = kv_write_done_[i] - step_start_[k];
+    if (!kv_read_done_.empty() && kv_read_done_[i] >= 0.0)
+        rec.kv_stall_time = kv_read_done_[i] - step_start_[k];
     const std::span<const Bytes> occupancy = shard.kv_occupancy(s);
     rec.kv_occupancy.reserve(occupancy.size());
     for (std::size_t t = 0; t < occupancy.size(); ++t) {
@@ -511,14 +541,14 @@ Executor::timeline(bool keep_records, std::uint64_t batch_tag) const
     tl.start = start_time_;
     tl.end = step_end_.back();
     tl.tokens = head.tokens;
-    const std::uint64_t per_batch = head.tokens * head.num_layers;
+    const std::uint64_t layers = head.layer_rows.size();
+    const std::uint64_t per_batch = head.tokens * layers;
     tl.reps = per_batch > 0 ? steps_ / per_batch : 0;
     tl.token_end.reserve(tl.reps * tl.tokens);
     for (std::uint64_t rep = 0; rep < tl.reps; ++rep) {
         for (std::uint64_t tok = 0; tok < tl.tokens; ++tok) {
-            tl.token_end.push_back(step_end_[rep * per_batch +
-                                             tok * head.num_layers +
-                                             (head.num_layers - 1)]);
+            tl.token_end.push_back(
+                step_end_[rep * per_batch + tok * layers + (layers - 1)]);
         }
     }
     if (keep_records) {

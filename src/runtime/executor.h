@@ -22,10 +22,11 @@
  * without it when every channel carries one flow at a time — one shard
  * on a one-GPU fabric, no shared ports, no disk or KV flows — where the
  * zig-zag timeline is the overlap recurrence of paper Fig. 5: a step
- * ends at the later of its compute and the next layer's load.  It
- * evaluates the DES's own floating-point expressions in the DES's
- * order, so its timeline is bit-identical; the DES stays the general
- * path and the oracle the closed form is tested against.
+ * ends at the later of its compute and the next layer's load.  It walks
+ * the schedule's token rows x layer rows and evaluates the DES's own
+ * floating-point expressions in the DES's order — a load's round-off
+ * re-arms included — so its timeline is bit-identical; the DES stays
+ * the general path and the oracle the closed form is tested against.
  */
 #ifndef HELM_RUNTIME_EXECUTOR_H
 #define HELM_RUNTIME_EXECUTOR_H
@@ -217,9 +218,9 @@ class Executor
      * bit-identical to run(), when the run is single-flow: one shard on
      * a one-GPU fabric with no shared ports and no pending events, and
      * no step with disk bytes or KV reads/writes.  Returns false, with
-     * the executor as constructed, for any other run or one the DES
-     * would not finish; call run() then.  The fabric's clock and
-     * counters do not advance.
+     * the executor as constructed, for any other run or one that fires
+     * more than Fabric::kMaxEvents events on the DES; call run() then.
+     * The fabric's clock and counters do not advance.
      */
     bool run_closed_form();
 
@@ -234,12 +235,6 @@ class Executor
                            std::uint64_t batch_tag = 0) const;
 
   private:
-    const ScheduledStep &
-    step(std::size_t g, std::size_t k) const
-    {
-        return shards_[g].steps[k];
-    }
-
     void issue_load(std::size_t k);
     void flow_loaded(std::size_t g);
     void loaded();
@@ -263,11 +258,21 @@ class Executor
     std::size_t loading_ = 0;    //!< shards still loading load_step_
     std::vector<std::size_t> flows_left_; //!< [g] load flows in flight
     std::vector<std::size_t> reads_left_; //!< [g] blocking KV reads
-    std::vector<Seconds> step_start_; //!< [k]
-    std::vector<Seconds> step_end_;   //!< [k]
+    /** [g] step load_step_ and step step_ of each shard, rebuilt once
+     *  from the rows when its load is issued. */
+    std::vector<ScheduledStep> loading_steps_;
+    std::vector<ScheduledStep> current_steps_;
+    /** One allocation behind the four timing arrays below.  Under
+     *  glibc, four separate arrays each fall below the mmap threshold,
+     *  and every cold run handed them back to the OS and page-faulted
+     *  them in again (32 faults per closed-form OPT-175B run). */
+    std::vector<Seconds> timings_;
+    std::span<Seconds> step_start_; //!< [k]
+    std::span<Seconds> step_end_;   //!< [k]
     // Per (shard, step), indexed g * steps_ + k.
-    std::vector<Seconds> load_issue_;
-    std::vector<Seconds> load_done_;
+    std::span<Seconds> load_issue_;
+    std::span<Seconds> load_done_;
+    // Empty when no shard moves KV: every step then reads "no KV".
     std::vector<Seconds> kv_read_done_;  //!< -1 = no blocking reads
     std::vector<Seconds> kv_write_done_; //!< -1 = no writeback
 };

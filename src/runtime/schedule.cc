@@ -16,11 +16,6 @@ using placement::Tier;
 
 namespace {
 
-/** Every LayerType, in enumerator order (kLayerTypes[i] has value i). */
-constexpr std::array<model::LayerType, 4> kLayerTypes = {
-    model::LayerType::kInputEmbedding, model::LayerType::kMha,
-    model::LayerType::kFfn, model::LayerType::kOutputEmbedding};
-
 /** The roofline input of every layer of @p type in @p spec at
  *  (@p stage, @p context): layers of one type do the same work. */
 gpu::LayerWork
@@ -266,7 +261,7 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
 
     // ---- Compute sites ---------------------------------------------------
     // Per-layer GPU-vs-NDP verdicts.  Empty (= all-GPU) on the default
-    // path so the flattening below is bit-for-bit the pre-zoo code.
+    // path so the rows below are bit-for-bit the pre-zoo code.
     std::vector<placement::SiteDecision> sites;
     placement::NdpProfile ndp_profile;
     if (spec.compute_site != placement::ComputeSiteMode::kGpuOnly) {
@@ -305,29 +300,37 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                                                 spec.compute_site);
     }
 
-    // ---- Flatten the schedule -------------------------------------------
+    // ---- Layer rows ------------------------------------------------------
+    // A layer's weight bytes, transfer caps and site depend only on the
+    // layer, whatever the token.
     const std::uint64_t num_layers = layers.size();
     const std::uint64_t tokens = spec.shape.output_tokens;
-    std::vector<ScheduledStep> steps;
-    std::vector<KvTraffic> kv_traffic;
-    const std::uint64_t step_count = spec.repeats * tokens * num_layers;
-    HELM_RETURN_IF_ERROR(
-        allocate_per_step(step_count, "schedule steps", [&] {
-            steps.reserve(step_count);
-            kv_traffic.reserve(spec.repeats * tokens);
-        }));
-
-    // A layer's weight-transfer caps depend only on its bytes.
-    std::vector<Bandwidth> cpu_caps(num_layers);
-    std::vector<Bandwidth> disk_caps(num_layers);
+    std::vector<LayerRow> layer_rows(num_layers);
     for (std::uint64_t li = 0; li < num_layers; ++li) {
-        const Bytes cpu = map.layers[li].bytes_on(Tier::kCpu);
-        const Bytes disk = map.layers[li].bytes_on(Tier::kDisk);
-        if (cpu > 0)
-            cpu_caps[li] = system.host_to_gpu_bw(cpu);
-        if (disk > 0)
-            disk_caps[li] = system.storage_to_gpu_bw(disk);
+        LayerRow &row = layer_rows[li];
+        const placement::LayerPlacement &lp = map.layers[li];
+        row.layer = static_cast<int>(first_layer + li);
+        row.type = layers[li].type;
+        row.cpu_bytes = lp.bytes_on(Tier::kCpu);
+        row.disk_bytes = lp.bytes_on(Tier::kDisk);
+        if (row.cpu_bytes > 0)
+            row.cpu_cap = system.host_to_gpu_bw(row.cpu_bytes);
+        if (row.disk_bytes > 0)
+            row.disk_cap = system.storage_to_gpu_bw(row.disk_bytes);
+        if (!sites.empty())
+            row.site = sites[li].site;
+        // Every MHA layer moves the same KV bytes: the context streams
+        // in from the host tiers (decode) and new K/V entries + demoted
+        // blocks drain out (both stages).
+        row.moves_kv = row.type == model::LayerType::kMha;
     }
+
+    // ---- Token rows ------------------------------------------------------
+    std::vector<TokenRow> token_rows;
+    const std::uint64_t row_count = spec.repeats * tokens;
+    HELM_RETURN_IF_ERROR(allocate_per_step(row_count, "token rows", [&] {
+        token_rows.reserve(row_count);
+    }));
     // Per-tier occupancy is sampled for trace counters only when some
     // tier is off the GPU; for GPU-only configs it would be flat.
     bool has_host_tier = false;
@@ -341,23 +344,22 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
         for (std::uint64_t r = 0; r < effective_batch; ++r)
             HELM_RETURN_IF_ERROR(kv_manager.add_request(r));
         for (std::uint64_t tok = 0; tok < tokens; ++tok) {
-            const gpu::Stage stage =
-                tok == 0 ? gpu::Stage::kPrefill : gpu::Stage::kDecode;
+            TokenRow &row = token_rows.emplace_back();
+            row.batch_index = rep;
+            row.token = tok;
+            row.stage = tok == 0 ? gpu::Stage::kPrefill : gpu::Stage::kDecode;
 
             // Advance the KV manager one token for the whole batch and
             // turn its per-tier demand into capped flows.  Prefill skips
             // the context fetch — the K/V it attends to was computed on
             // the GPU this very step.
-            const std::uint64_t new_tokens =
-                stage == gpu::Stage::kPrefill ? spec.shape.prompt_tokens
-                                              : 1;
-            auto traffic_or = kv_manager.step(
-                new_tokens, stage == gpu::Stage::kDecode);
+            const bool decode = row.stage == gpu::Stage::kDecode;
+            auto traffic_or =
+                kv_manager.step(decode ? 1 : spec.shape.prompt_tokens, decode);
             if (!traffic_or.is_ok())
                 return traffic_or.status();
             const kvcache::StepTraffic &traffic = *traffic_or;
-            const auto kv_row = static_cast<std::uint32_t>(kv_traffic.size());
-            KvTraffic &kv = kv_traffic.emplace_back();
+            KvTraffic &kv = row.kv;
             // Sample per-tier occupancy right after the cache update so
             // trace counters can plot tier fill over time.
             if (has_host_tier) {
@@ -389,77 +391,26 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
                 }
             }
 
-            // Every layer of one type does the same work this token (MHA
-            // reads the context, the others depend only on the stage),
-            // so the roofline runs once per type, not once per layer.
-            const bool ndp_token =
-                !sites.empty() && stage == gpu::Stage::kDecode;
-            std::array<Seconds, kLayerTypes.size()> compute_of{};
-            std::array<double, kLayerTypes.size()> ndp_flops_of{};
+            // The roofline runs once per layer type, not once per layer.
+            const bool ndp_token = !sites.empty() && decode;
             for (const model::LayerType type : kLayerTypes) {
                 const gpu::LayerWork work = layer_work(
-                    spec, type, stage, spec.shape.prompt_tokens + tok);
+                    spec, type, row.stage, spec.shape.prompt_tokens + tok);
                 const auto t = static_cast<std::size_t>(type);
-                compute_of[t] =
+                row.compute[t] =
                     per_step * gpu::layer_compute_time(spec.gpu, work);
                 if (ndp_token)
-                    ndp_flops_of[t] = per_step * gpu::layer_flops(work);
-            }
-
-            for (std::uint64_t li = 0; li < num_layers; ++li) {
-                const auto &layer = layers[li];
-                const auto type = static_cast<std::size_t>(layer.type);
-                const auto &lp = map.layers[li];
-                ScheduledStep &step = steps.emplace_back();
-                step.batch_index = rep;
-                step.token = tok;
-                step.layer = static_cast<int>(first_layer + li);
-                step.type = layer.type;
-                step.stage = stage;
-
-                step.compute = compute_of[type];
-
-                step.cpu_bytes = lp.bytes_on(Tier::kCpu);
-                step.disk_bytes = lp.bytes_on(Tier::kDisk);
-
-                if (ndp_token &&
-                    sites[li].site == placement::ComputeSite::kNdp) {
-                    // Near-data execution: the layer's weights never
-                    // cross h2d; the step instead occupies the NDP
-                    // units for the offloaded GEMV time plus one
-                    // dispatch command.  Decode only — prefill GEMMs
-                    // are compute-bound and would crawl on the GEMV
-                    // units, so they keep the GPU path (and its h2d
-                    // transfer), the split NDP serving systems use.
-                    step.site = placement::ComputeSite::kNdp;
-                    step.ndp_bytes = step.cpu_bytes;
-                    step.cpu_bytes = 0;
-                    step.compute =
-                        ndp_profile.command_latency +
-                        placement::ndp_execution_time(
-                            ndp_profile,
-                            step.ndp_bytes * spec.micro_batches,
-                            ndp_flops_of[type]);
-                }
-
-                if (step.cpu_bytes > 0)
-                    step.cpu_cap = cpu_caps[li];
-                step.disk_cap = disk_caps[li];
-
-                // Every MHA layer moves the same KV bytes: the context
-                // streams in from the host tiers (decode) and new K/V
-                // entries + demoted blocks drain out (both stages).
-                if (layer.type == model::LayerType::kMha) {
-                    step.kv = kv_row;
-                    step.kv_prefetch = kv_config.prefetch;
-                }
+                    row.ndp_flops[t] = per_step * gpu::layer_flops(work);
             }
         }
     }
 
     CompiledSchedule compiled;
-    compiled.steps = std::move(steps);
-    compiled.kv_traffic = std::move(kv_traffic);
+    compiled.layer_rows = std::move(layer_rows);
+    compiled.token_rows = std::move(token_rows);
+    compiled.kv_prefetch = kv_config.prefetch;
+    compiled.micro_batches = spec.micro_batches;
+    compiled.ndp_profile = ndp_profile;
     compiled.placement = std::move(map);
     compiled.spill = spill;
     compiled.budget = budget;
@@ -470,12 +421,55 @@ compile_schedule(const ServingSpec &spec, const ShardOptions &shard)
     for (std::size_t t = 0; t < kv_manager.tier_count(); ++t)
         compiled.kv_tier_names.push_back(kv_manager.tier(t).name);
     compiled.tokens = tokens;
-    compiled.num_layers = num_layers;
     compiled.effective_batch = effective_batch;
     compiled.host_resident_bytes = resident;
     compiled.host_weight_bytes = compiled.placement.tier_total(Tier::kCpu);
-    compiled.sites = std::move(sites);
     return compiled;
+}
+
+ScheduledStep
+CompiledSchedule::step(std::uint64_t k) const
+{
+    const std::uint64_t L = layer_rows.size();
+    const std::uint64_t t = k / L;
+    const LayerRow &layer = layer_rows[k % L];
+    const TokenRow &token = token_rows[t];
+    ScheduledStep step;
+    step.batch_index = token.batch_index;
+    step.token = token.token;
+    step.layer = layer.layer;
+    step.type = layer.type;
+    step.stage = token.stage;
+    step.compute = compute(layer, token);
+    step.cpu_bytes = h2d_bytes(layer, token);
+    step.disk_bytes = layer.disk_bytes;
+    if (near_data(layer, token)) {
+        step.site = placement::ComputeSite::kNdp;
+        step.ndp_bytes = layer.cpu_bytes;
+    }
+    if (step.cpu_bytes > 0)
+        step.cpu_cap = layer.cpu_cap;
+    step.disk_cap = layer.disk_cap;
+    if (layer.moves_kv) {
+        step.kv = static_cast<std::uint32_t>(t);
+        step.kv_prefetch = kv_prefetch;
+    }
+    return step;
+}
+
+bool
+CompiledSchedule::moves_kv() const
+{
+    bool any_layer = false;
+    for (const LayerRow &layer : layer_rows)
+        any_layer |= layer.moves_kv;
+    if (!any_layer)
+        return false;
+    for (const TokenRow &token : token_rows) {
+        if (!token.kv.reads.empty() || !token.kv.writes.empty())
+            return true;
+    }
+    return false;
 }
 
 } // namespace helm::runtime

@@ -410,7 +410,8 @@ TEST(ClusterNdp, NearDataStepsRunOnTheHostNotTheGpus)
             Seconds gpu_busy = 0.0;
             Bytes h2d = 0;
             std::uint64_t offloaded = 0;
-            for (const runtime::ScheduledStep &step : compiled->steps) {
+            for (std::uint64_t k = 0; k < compiled->step_count(); ++k) {
+                const runtime::ScheduledStep step = compiled->step(k);
                 h2d += step.cpu_bytes + step.disk_bytes +
                        compiled->kv_read_bytes(step);
                 if (step.site == placement::ComputeSite::kNdp)

@@ -166,13 +166,14 @@ TEST(KvOffload, MhaLayersCarryKvTraffic)
     EXPECT_TRUE(saw_write);
 
     // The compiled schedule stores that traffic once per (rep, token):
-    // its MHA steps share one kv_traffic row, other steps have none.
+    // its MHA steps share their token row, other steps have none.
     static_assert(sizeof(ScheduledStep) <= 128,
                   "KV flow lists belong in the per-token table");
     const auto compiled = compile_schedule(spec);
     ASSERT_TRUE(compiled.is_ok());
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> rows;
-    for (const ScheduledStep &step : compiled->steps) {
+    for (std::uint64_t k = 0; k < compiled->step_count(); ++k) {
+        const ScheduledStep step = compiled->step(k);
         if (step.type != model::LayerType::kMha) {
             EXPECT_EQ(step.kv, kNoKv);
             EXPECT_TRUE(compiled->kv_reads(step).empty());
@@ -181,7 +182,7 @@ TEST(KvOffload, MhaLayersCarryKvTraffic)
             continue;
         }
         ASSERT_NE(step.kv, kNoKv);
-        ASSERT_LT(step.kv, compiled->kv_traffic.size());
+        ASSERT_LT(step.kv, compiled->token_rows.size());
         const auto row =
             rows.emplace(std::make_pair(step.batch_index, step.token), step.kv)
                 .first;

@@ -7,9 +7,10 @@
  * run one executor through run_closed_form() and a fresh fabric plus
  * executor through run(); every token end time and every per-step
  * record field must match to the bit pattern.  Boundary cases pin the
- * eligibility rule: disk flows, managed KV flows, extra GPUs, shared
- * ports, and a load whose completion would re-arm without advancing
- * the clock all decline, leaving the DES to run them.
+ * eligibility rule: disk flows, managed KV flows, extra GPUs and shared
+ * ports decline, leaving the DES to run them.  Loads whose first
+ * completion leaves a round-off remainder — re-armed without advancing
+ * the clock, or advancing it — take the closed form and still match.
  */
 #include <gtest/gtest.h>
 
@@ -129,11 +130,12 @@ closed_form_matches_des(const CompiledSchedule &compiled,
     return solved;
 }
 
-/** The single-flow rule, restated from the schedule alone. */
+/** The single-flow rule, restated from the schedule's steps alone. */
 bool
 single_flow(const CompiledSchedule &compiled)
 {
-    for (const ScheduledStep &s : compiled.steps) {
+    for (std::uint64_t k = 0; k < compiled.step_count(); ++k) {
+        const ScheduledStep s = compiled.step(k);
         if (s.disk_bytes > 0 || !compiled.kv_reads(s).empty() ||
             !compiled.kv_writes(s).empty())
             return false;
@@ -199,8 +201,8 @@ TEST(ClosedForm, MatchesDesBitForBitOnSeededDraws)
         if (single_flow(*compiled)) {
             ++eligible;
             EXPECT_TRUE(solved);
-            for (const ScheduledStep &s : compiled->steps) {
-                if (s.site == placement::ComputeSite::kNdp) {
+            for (std::uint64_t k = 0; k < compiled->step_count(); ++k) {
+                if (compiled->step(k).site == placement::ComputeSite::kNdp) {
                     ++ndp_runs;
                     break;
                 }
@@ -295,71 +297,116 @@ TEST(ClosedForm, DeclinesMultiGpuFabricAndSharedPorts)
     EXPECT_FALSE(closed_form_matches_des(*compiled, spec.gpu, ports));
 }
 
-TEST(ClosedForm, DeclinesALoadThatWouldNotAdvanceTheClock)
+// ---------------------------------------------------------------------
+// Round-off re-arms: a long compute pushes step 1 far along the clock,
+// and step 1 prefetches step 2's weights there, so the first completion
+// of that load can round short of the bytes' true duration and leave a
+// remainder the channel re-arms for.
+
+/** The h2d rate of the re-arm cases. */
+FabricRates
+rearm_rates()
 {
-    // Three steps: a long compute pushes step 1 far along the clock,
-    // and step 1 prefetches step 2's weights there.  Search for a byte
-    // count whose first completion rounds short of the bytes' true
-    // duration and whose re-armed remainder then rounds to no advance:
-    // the DES delivers such a flow when the re-armed event fires, which
-    // the closed form does not model.
-    const gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
     FabricRates rates;
     rates.h2d = Bandwidth::gb_per_s(25.0);
     rates.d2h = Bandwidth::gb_per_s(25.0);
-    const double rate = rates.h2d.raw();
-    const Seconds long_compute = 1e9;
-    const Seconds issue = 0.0 + (long_compute + gpu.layer_overhead);
+    return rates;
+}
 
-    Bytes stuck = 0;
-    for (Bytes bytes = 1; bytes < 4'000'000 && stuck == 0; bytes += 997) {
+/**
+ * The first byte count of 20,000 from @p from in steps of 997 whose
+ * load, issued at @p issue on @p rate, leaves more than kByteEpsilon
+ * after its first completion, and whose re-armed completion @p advances
+ * the clock or not; 0 when none does.
+ */
+Bytes
+find_rearm(Seconds issue, double rate, bool advances, Bytes from)
+{
+    for (Bytes bytes = from; bytes < from + 20'000 * 997; bytes += 997) {
         double remaining = static_cast<double>(bytes);
         const Seconds first = issue + remaining / rate;
         if (first == issue)
             continue;
         remaining -= rate * (first - issue);
         if (remaining > sim::BandwidthChannel::kByteEpsilon &&
-            first + remaining / rate == first)
-            stuck = bytes;
+            (first + remaining / rate != first) == advances)
+            return bytes;
     }
-    ASSERT_GT(stuck, 0u) << "no non-advancing re-arm in the search range";
+    return 0;
+}
 
+/** Three steps of one token: a @p long_compute input embedding, then
+ *  two 1 s FFN layers, the last of which loads @p bytes from the host. */
+CompiledSchedule
+rearm_schedule(Seconds long_compute, Bytes bytes)
+{
     CompiledSchedule schedule;
     schedule.tokens = 1;
-    schedule.num_layers = 3;
-    schedule.steps.resize(3);
-    schedule.steps[0].compute = long_compute;
-    schedule.steps[1].compute = 1.0;
-    schedule.steps[2].compute = 1.0;
-    schedule.steps[2].cpu_bytes = stuck;
+    schedule.layer_rows.resize(3);
+    schedule.layer_rows[0].type = model::LayerType::kInputEmbedding;
+    schedule.layer_rows[1].type = model::LayerType::kFfn;
+    schedule.layer_rows[2].type = model::LayerType::kFfn;
+    schedule.layer_rows[2].cpu_bytes = bytes;
     for (int k = 0; k < 3; ++k)
-        schedule.steps[static_cast<std::size_t>(k)].layer = k;
+        schedule.layer_rows[static_cast<std::size_t>(k)].layer = k;
+    TokenRow &token = schedule.token_rows.emplace_back();
+    token.compute[static_cast<std::size_t>(
+        model::LayerType::kInputEmbedding)] = long_compute;
+    token.compute[static_cast<std::size_t>(model::LayerType::kFfn)] = 1.0;
+    return schedule;
+}
 
+TEST(ClosedForm, DeliversAReArmThatDoesNotAdvanceTheClock)
+{
+    // The re-armed remainder rounds to no advance, so the DES delivers
+    // the flow when that re-armed event fires: the closed form follows.
+    const gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
+    const FabricRates rates = rearm_rates();
+    const double rate = rates.h2d.raw();
+    const Seconds long_compute = 1e9;
+    const Seconds issue = 0.0 + (long_compute + gpu.layer_overhead);
+    const Bytes stuck = find_rearm(issue, rate, /*advances=*/false, 1);
+    ASSERT_GT(stuck, 0u) << "no non-advancing re-arm in the search range";
+
+    CompiledSchedule schedule = rearm_schedule(long_compute, stuck);
+    EXPECT_TRUE(closed_form_matches_des(schedule, gpu, rates));
+    // The load lands where its first completion fired.
     Fabric fabric(1, gpu, rates);
     Executor executor(fabric, std::span(&schedule, 1));
-    EXPECT_FALSE(executor.run_closed_form());
-    // Declined without a trace: the executor is as constructed.
-    EXPECT_FALSE(executor.status().is_ok());
-    const BatchTimeline untouched = executor.timeline(true);
-    for (const LayerStepRecord &rec : untouched.records) {
-        EXPECT_EQ(bits(rec.step_start), bits(0.0));
-        EXPECT_EQ(bits(rec.step_end), bits(0.0));
-        EXPECT_EQ(bits(rec.transfer_start), bits(0.0));
-        EXPECT_EQ(bits(rec.transfer_time), bits(0.0));
-    }
-    // The DES finishes it: the load lands where its first completion
-    // fired, well inside ten thousand events.
-    executor.start();
-    EXPECT_TRUE(fabric.run(10'000).is_ok());
-    EXPECT_TRUE(executor.status().is_ok());
+    ASSERT_TRUE(executor.run_closed_form());
     const Seconds first = issue + static_cast<double>(stuck) / rate;
     EXPECT_EQ(bits(executor.timeline(true).records[2].transfer_time),
               bits(first - issue));
 
-    // The same load issued near the start of the clock lands cleanly
-    // and takes the closed form.
-    schedule.steps[0].compute = 1.0;
+    // The same load issued near the start of the clock lands cleanly.
+    schedule.token_rows[0].compute[static_cast<std::size_t>(
+        model::LayerType::kInputEmbedding)] = 1.0;
     EXPECT_TRUE(closed_form_matches_des(schedule, gpu, rates));
+}
+
+TEST(ClosedForm, FollowsAReArmThatAdvancesTheClock)
+{
+    // The re-armed remainder moves the clock: the DES fires the
+    // completion again later and subtracts what moved meanwhile.  That
+    // takes a load long against the clock it starts at: a petabyte
+    // issued a million seconds in.
+    const gpu::GpuSpec gpu = gpu::GpuSpec::a100_40gb();
+    const FabricRates rates = rearm_rates();
+    const double rate = rates.h2d.raw();
+    const Seconds long_compute = 1e6;
+    const Seconds issue = 0.0 + (long_compute + gpu.layer_overhead);
+    const Bytes bytes =
+        find_rearm(issue, rate, /*advances=*/true, 1'000'000'000'000'000);
+    ASSERT_GT(bytes, 0u) << "no advancing re-arm in the search range";
+
+    const CompiledSchedule schedule = rearm_schedule(long_compute, bytes);
+    EXPECT_TRUE(closed_form_matches_des(schedule, gpu, rates));
+    Fabric fabric(1, gpu, rates);
+    Executor executor(fabric, std::span(&schedule, 1));
+    ASSERT_TRUE(executor.run_closed_form());
+    const Seconds first = issue + static_cast<double>(bytes) / rate;
+    EXPECT_GT(executor.timeline(true).records[2].transfer_time,
+              first - issue);
 }
 
 } // namespace

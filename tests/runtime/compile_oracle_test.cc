@@ -73,7 +73,8 @@ check_compile(const ServingSpec &spec, const ShardOptions &shard)
     EXPECT_TRUE(compiled.is_ok()) << compiled.status().to_string();
     if (!compiled.is_ok())
         return {};
-    for (const ScheduledStep &step : compiled->steps) {
+    for (std::uint64_t k = 0; k < compiled->step_count(); ++k) {
+        const ScheduledStep step = compiled->step(k);
         EXPECT_EQ(step.stage == gpu::Stage::kPrefill, step.token == 0);
         if (step.site == ComputeSite::kNdp) {
             EXPECT_EQ(step.stage, gpu::Stage::kDecode);
@@ -198,8 +199,8 @@ TEST(CompileOracle, StepsMatchTheRooflineAndTierBytesTheirWeights)
             SCOPED_TRACE(config.name + (int4 ? " int4" : " fp16") +
                          " on NDP-DIMM");
             const CompiledSchedule compiled = check_compile(spec, {});
-            for (const ScheduledStep &step : compiled.steps)
-                ndp_steps += step.site == ComputeSite::kNdp ? 1 : 0;
+            for (std::uint64_t k = 0; k < compiled.step_count(); ++k)
+                ndp_steps += compiled.step(k).site == ComputeSite::kNdp;
         }
     }
     EXPECT_GT(ndp_steps, 0);
