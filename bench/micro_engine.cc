@@ -3,8 +3,10 @@
  * google-benchmark microbenchmarks of the simulator itself: event
  * throughput of the DES kernel, fair-share channel updates, placement
  * algorithms, OPT-175B schedule compilation, a full OPT-175B serving
- * simulation (single-GPU runs take the executor's closed form), and the
- * same schedule on the DES.  These guard the library's own performance,
+ * simulation (single-GPU runs take the executor's closed form), the
+ * same schedule on the DES, and pipeline and tensor cluster batches.
+ * The channel and cluster benches also report the channels' water-fill
+ * passes per iteration.  These guard the library's own performance,
  * not the paper's results.
  */
 #include <benchmark/benchmark.h>
@@ -32,9 +34,18 @@ BM_SimulatorEventThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorEventThroughput)->Range(1024, 1 << 16);
 
+/** Report @p passes channel fill passes as a per-iteration counter. */
+void
+report_fill_passes(benchmark::State &state, std::uint64_t passes)
+{
+    state.counters["fill_passes"] = benchmark::Counter(
+        static_cast<double>(passes), benchmark::Counter::kAvgIterations);
+}
+
 void
 BM_BandwidthChannelFlows(benchmark::State &state)
 {
+    std::uint64_t passes = 0;
     for (auto _ : state) {
         sim::Simulator sim;
         sim::BandwidthChannel ch(sim, Bandwidth::gb_per_s(25.0));
@@ -47,8 +58,10 @@ BM_BandwidthChannelFlows(benchmark::State &state)
         }
         sim.run();
         benchmark::DoNotOptimize(done);
+        passes += ch.fill_passes();
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
+    report_fill_passes(state, passes);
 }
 BENCHMARK(BM_BandwidthChannelFlows)->Range(8, 512);
 
@@ -63,6 +76,7 @@ BM_BandwidthChannelMixedCapBursts(benchmark::State &state)
                               Bandwidth::gb_per_s(12.0), Bandwidth()};
     const int n = static_cast<int>(state.range(0));
     const int bursts = 4;
+    std::uint64_t passes = 0;
     for (auto _ : state) {
         sim::Simulator sim;
         sim::BandwidthChannel ch(sim, Bandwidth::gb_per_s(25.0));
@@ -77,8 +91,10 @@ BM_BandwidthChannelMixedCapBursts(benchmark::State &state)
         }
         sim.run();
         benchmark::DoNotOptimize(done);
+        passes += ch.fill_passes();
     }
     state.SetItemsProcessed(state.iterations() * n);
+    report_fill_passes(state, passes);
 }
 BENCHMARK(BM_BandwidthChannelMixedCapBursts)->Range(8, 512);
 
@@ -184,6 +200,43 @@ BM_DesInference175B(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DesInference175B)->Arg(1)->Arg(8);
+
+/** One cluster batch of OPT-175B int4 All-CPU on NVDRAM: compile the
+ *  shards, then run them on a fresh fabric with shared host ports.
+ *  Pipeline stages put a token's layer loads on their link and the
+ *  read port at one instant; tensor shards load each step's slices in
+ *  lockstep.  Args: {0 pipeline / 1 tensor, GPUs}. */
+void
+BM_ClusterBatch175B(benchmark::State &state)
+{
+    cluster::ClusterSpec spec;
+    spec.serving.model = model::opt_config(model::OptVariant::kOpt175B);
+    spec.serving.memory = mem::ConfigKind::kNvdram;
+    spec.serving.placement = placement::PlacementKind::kAllCpu;
+    spec.serving.compress_weights = true;
+    spec.serving.keep_records = false;
+    spec.parallelism = state.range(0) == 0 ? cluster::Parallelism::kPipeline
+                                           : cluster::Parallelism::kTensor;
+    spec.gpus = static_cast<std::uint64_t>(state.range(1));
+    std::uint64_t passes = 0;
+    for (auto _ : state) {
+        auto batch = cluster::run_cluster_batch(spec, spec.serving,
+                                                /*keep_records=*/false);
+        if (!batch.is_ok()) {
+            state.SkipWithError(batch.status().to_string().c_str());
+            return;
+        }
+        passes += batch->fill_passes;
+    }
+    state.SetItemsProcessed(state.iterations());
+    report_fill_passes(state, passes);
+}
+BENCHMARK(BM_ClusterBatch175B)
+    ->ArgNames({"tensor", "gpus"})
+    ->Args({0, 2})
+    ->Args({0, 4})
+    ->Args({1, 2})
+    ->Args({1, 4});
 
 void
 BM_MaxBatchSearch(benchmark::State &state)

@@ -646,6 +646,7 @@ run_cluster_batch(const ClusterSpec &spec,
     }
     out.gpus = gpu_stats(fabric, out.makespan);
     out.ports = port_stats(fabric, out.makespan);
+    out.fill_passes = fabric.fill_passes();
     return out;
 }
 

@@ -74,6 +74,9 @@ struct ClusterBatch
     std::uint64_t total_tokens = 0; //!< generated, all timelines
     std::vector<GpuUtilization> gpus;
     std::vector<PortStats> ports;
+    /** Water-fill passes of the fabric's links and ports: the run's
+     *  channel work, an exact count. */
+    std::uint64_t fill_passes = 0;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <span>
@@ -235,7 +236,7 @@ ClusterServer::run_replica_cluster(bool keep_records)
         jobs.back().start(
             [&, g, members = std::move(formed.members), launch_t,
              batch_id](const runtime::Executor &job) {
-                const runtime::BatchTimeline tl =
+                runtime::BatchTimeline tl =
                     job.timeline(keep_records, batch_id);
                 const runtime::TokenLatencies latencies =
                     runtime::token_latencies(tl);
@@ -244,8 +245,10 @@ ClusterServer::run_replica_cluster(bool keep_records)
                     {latencies.ttft.front(), latencies.tbt.front(), 0.0},
                     config_);
                 last_completion = std::max(last_completion, tl.end);
-                for (const runtime::LayerStepRecord &rec : tl.records)
-                    out.records.push_back(rec);
+                out.records.insert(
+                    out.records.end(),
+                    std::make_move_iterator(tl.records.begin()),
+                    std::make_move_iterator(tl.records.end()));
                 GpuState &done = gpus[g];
                 done.busy = false;
                 done.inflight = 0;
@@ -337,7 +340,7 @@ ClusterServer::run_sharded(bool keep_records)
     std::map<runtime::BatchShape, BatchRun> memo;
 
     auto run_batch = [&](const runtime::BatchShape &shape,
-                         bool want_records) -> Result<const BatchRun *> {
+                         bool want_records) -> Result<BatchRun *> {
         const auto cached = memo.find(shape);
         if (cached != memo.end())
             return &cached->second;
@@ -375,7 +378,7 @@ ClusterServer::run_sharded(bool keep_records)
             auto run_or = run_batch(batch, keep_records && !recorded);
             if (!run_or.is_ok())
                 return run_or.status();
-            const BatchRun &run = **run_or;
+            BatchRun &run = **run_or;
             if (telemetry_)
                 attribution_.merge(run.attribution);
             for (std::uint64_t g = 0; g < N; ++g) {
@@ -397,9 +400,10 @@ ClusterServer::run_sharded(bool keep_records)
                 out.ports[p].throttle_events +=
                     run.batch.ports[p].throttle_events;
             }
-            const auto &records = run.batch.timelines.front().records;
+            // The memo never reads a run's records again: move them.
+            auto &records = run.batch.timelines.front().records;
             if (!recorded && !records.empty()) {
-                out.records = records;
+                out.records = std::move(records);
                 recorded = true;
             }
             return runtime::BatchCost{run.latencies.ttft.front(),

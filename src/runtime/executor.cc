@@ -127,6 +127,20 @@ Fabric::run(std::uint64_t max_events)
     return Status::ok();
 }
 
+std::uint64_t
+Fabric::fill_passes() const
+{
+    std::uint64_t passes = 0;
+    for (const Gpu &gpu : gpus_)
+        passes += gpu.h2d.fill_passes() + gpu.d2h.fill_passes();
+    for (const auto *port : {host_read_.get(), host_write_.get(),
+                             storage_read_.get()}) {
+        if (port != nullptr)
+            passes += port->fill_passes();
+    }
+    return passes;
+}
+
 Seconds
 Fabric::compute_busy(std::uint64_t g) const
 {
@@ -159,19 +173,6 @@ token_latencies(const BatchTimeline &tl)
 // ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/** Flows a step's load_weight issues: weights from either tier plus
- *  prefetched KV reads. */
-std::size_t
-load_flows(const CompiledSchedule &shard, const ScheduledStep &step)
-{
-    return (step.cpu_bytes > 0 ? 1 : 0) + (step.disk_bytes > 0 ? 1 : 0) +
-           (step.kv_prefetch ? shard.kv_reads(step).size() : 0);
-}
-
-} // namespace
 
 Executor::Executor(Fabric &fabric, std::span<const CompiledSchedule> shards,
                    std::uint64_t first_gpu)
@@ -324,6 +325,38 @@ Executor::run_closed_form()
     return true;
 }
 
+Executor::StepRows
+Executor::rows(std::size_t g, std::size_t k) const
+{
+    const CompiledSchedule &shard = shards_[g];
+    const std::size_t layers = shard.layer_rows.size();
+    return {&shard.layer_rows[k % layers], &shard.token_rows[k / layers]};
+}
+
+std::span<const KvFlowSpec>
+Executor::kv_reads(const StepRows &s)
+{
+    if (!s.layer->moves_kv)
+        return {};
+    return s.token->kv.reads;
+}
+
+std::span<const KvFlowSpec>
+Executor::kv_writes(const StepRows &s)
+{
+    if (!s.layer->moves_kv)
+        return {};
+    return s.token->kv.writes;
+}
+
+std::size_t
+Executor::load_flows(std::size_t g, const StepRows &s) const
+{
+    return (CompiledSchedule::h2d_bytes(*s.layer, *s.token) > 0 ? 1 : 0) +
+           (s.layer->disk_bytes > 0 ? 1 : 0) +
+           (shards_[g].kv_prefetch ? kv_reads(s).size() : 0);
+}
+
 /** load_weight(k) on every shard; done when the slowest has its slice. */
 void
 Executor::issue_load(std::size_t k)
@@ -334,8 +367,8 @@ Executor::issue_load(std::size_t k)
     // Count every flow before issuing any: zero-byte flows land inline.
     for (std::size_t g = 0; g < shards_.size(); ++g) {
         load_issue_[g * steps_ + k] = now;
-        loading_steps_[g] = shards_[g].step(k);
-        flows_left_[g] = load_flows(shards_[g], loading_steps_[g]);
+        loading_steps_[g] = rows(g, k);
+        flows_left_[g] = load_flows(g, loading_steps_[g]);
         if (flows_left_[g] > 0)
             ++loading_;
         else
@@ -350,21 +383,24 @@ Executor::issue_load(std::size_t k)
         // before this loop ends; every shard after it has no flows.
         if (load_step_ != k)
             return;
-        const ScheduledStep &s = loading_steps_[g];
-        if (load_flows(shards_[g], s) == 0)
+        const StepRows &s = loading_steps_[g];
+        if (load_flows(g, s) == 0)
             continue;
+        const LayerRow &layer = *s.layer;
         const std::uint64_t gpu = first_gpu_ + g;
         auto landed = [this, g] { flow_loaded(g); };
-        if (s.cpu_bytes > 0)
-            fabric_.host_to_gpu(gpu, s.cpu_bytes, s.cpu_cap, landed);
-        if (s.kv_prefetch) {
+        const Bytes cpu = CompiledSchedule::h2d_bytes(layer, *s.token);
+        if (cpu > 0)
+            fabric_.host_to_gpu(gpu, cpu, layer.cpu_cap, landed);
+        if (shards_[g].kv_prefetch) {
             // Host-resident context streams in alongside the weights,
             // contending for the same h2d channel.
-            for (const KvFlowSpec &flow : shards_[g].kv_reads(s))
+            for (const KvFlowSpec &flow : kv_reads(s))
                 fabric_.host_to_gpu(gpu, flow.bytes, flow.cap, landed);
         }
-        if (s.disk_bytes > 0)
-            fabric_.storage_to_gpu(gpu, s.disk_bytes, s.disk_cap, landed);
+        if (layer.disk_bytes > 0)
+            fabric_.storage_to_gpu(gpu, layer.disk_bytes, layer.disk_cap,
+                                   landed);
     }
 }
 
@@ -399,7 +435,7 @@ Executor::start_step(std::size_t k)
     const bool has_next = k + 1 < steps_;
     joins_left_ = has_next ? 1 : 0;
     for (std::size_t g = 0; g < shards_.size(); ++g)
-        joins_left_ += 1 + shards_[g].kv_writes(current_steps_[g]).size();
+        joins_left_ += 1 + kv_writes(current_steps_[g]).size();
     // load_weight(i, j+1): prefetch the next step's weights.
     if (has_next)
         issue_load(k + 1);
@@ -407,8 +443,7 @@ Executor::start_step(std::size_t k)
         // store_cache(i, j): new K/V entries (and demoted blocks) drain
         // to their host tiers concurrently with compute; sync() waits
         // for them too (FlexGen's store path).
-        for (const KvFlowSpec &flow :
-             shards_[g].kv_writes(current_steps_[g])) {
+        for (const KvFlowSpec &flow : kv_writes(current_steps_[g])) {
             fabric_.gpu_to_host(first_gpu_ + g, flow.bytes, flow.cap,
                                 [this, i = g * steps_ + k] {
                                     kv_write_done_[i] = fabric_.sim().now();
@@ -422,19 +457,21 @@ Executor::start_step(std::size_t k)
 
 /**
  * compute_layer(i, j) for shard @p g.  NDP steps run on the host's
- * near-data units: no h2d transfer fed them (their cpu_bytes are 0) and
- * no GPU launch overhead applies — step.compute already carries the
+ * near-data units: no h2d transfer fed them (their h2d bytes are 0) and
+ * no GPU launch overhead applies — their compute already carries the
  * offload command latency.  Only FFN layers offload, so the KV paths
  * never co-occur with an NDP step.
  */
 void
 Executor::compute(std::size_t g)
 {
-    const ScheduledStep &s = current_steps_[g];
-    const std::span<const KvFlowSpec> reads = shards_[g].kv_reads(s);
-    if (s.site == placement::ComputeSite::kNdp) {
-        fabric_.occupy_ndp(s.compute, [this] { join(); });
-    } else if (!s.kv_prefetch && !reads.empty()) {
+    const CompiledSchedule &shard = shards_[g];
+    const StepRows &s = current_steps_[g];
+    const std::span<const KvFlowSpec> reads = kv_reads(s);
+    if (CompiledSchedule::near_data(*s.layer, *s.token)) {
+        fabric_.occupy_ndp(shard.compute(*s.layer, *s.token),
+                           [this] { join(); });
+    } else if (!shard.kv_prefetch && !reads.empty()) {
         // Un-prefetched context reads gate the compute.
         reads_left_[g] = reads.size();
         for (const KvFlowSpec &flow : reads) {
@@ -443,7 +480,8 @@ Executor::compute(std::size_t g)
         }
     } else {
         fabric_.occupy_gpu(first_gpu_ + g,
-                           s.compute + fabric_.gpu_spec().layer_overhead,
+                           shard.compute(*s.layer, *s.token) +
+                               fabric_.gpu_spec().layer_overhead,
                            [this] { join(); });
     }
 }
@@ -454,8 +492,9 @@ Executor::read_landed(std::size_t g)
     if (--reads_left_[g] > 0)
         return;
     kv_read_done_[g * steps_ + step_] = fabric_.sim().now();
+    const StepRows &s = current_steps_[g];
     fabric_.occupy_gpu(first_gpu_ + g,
-                       current_steps_[g].compute +
+                       shards_[g].compute(*s.layer, *s.token) +
                            fabric_.gpu_spec().layer_overhead,
                        [this] { join(); });
 }

@@ -111,6 +111,10 @@ class Fabric
      */
     Status run(std::uint64_t max_events = kMaxEvents);
 
+    /** Water-fill passes of every link and port so far (see
+     *  sim::BandwidthChannel::fill_passes()). */
+    std::uint64_t fill_passes() const;
+
     Bandwidth h2d_rate() const { return rates_.h2d; }
     Seconds compute_busy(std::uint64_t g) const;
     Bytes h2d_bytes(std::uint64_t g) const { return gpus_[g].h2d_bytes; }
@@ -235,6 +239,21 @@ class Executor
                            std::uint64_t batch_tag = 0) const;
 
   private:
+    /** Step k of one shard as its two rows. */
+    struct StepRows
+    {
+        const LayerRow *layer = nullptr;
+        const TokenRow *token = nullptr;
+    };
+
+    StepRows rows(std::size_t g, std::size_t k) const;
+    /** Flows @p s's load_weight issues on shard @p g: weights from
+     *  either tier plus prefetched KV reads. */
+    std::size_t load_flows(std::size_t g, const StepRows &s) const;
+    /** @p s's KV reads and writebacks (empty off MHA layers). */
+    static std::span<const KvFlowSpec> kv_reads(const StepRows &s);
+    static std::span<const KvFlowSpec> kv_writes(const StepRows &s);
+
     void issue_load(std::size_t k);
     void flow_loaded(std::size_t g);
     void loaded();
@@ -258,10 +277,10 @@ class Executor
     std::size_t loading_ = 0;    //!< shards still loading load_step_
     std::vector<std::size_t> flows_left_; //!< [g] load flows in flight
     std::vector<std::size_t> reads_left_; //!< [g] blocking KV reads
-    /** [g] step load_step_ and step step_ of each shard, rebuilt once
-     *  from the rows when its load is issued. */
-    std::vector<ScheduledStep> loading_steps_;
-    std::vector<ScheduledStep> current_steps_;
+    /** [g] step load_step_ and step step_ of each shard, looked up
+     *  once when its load is issued. */
+    std::vector<StepRows> loading_steps_;
+    std::vector<StepRows> current_steps_;
     /** One allocation behind the four timing arrays below.  Under
      *  glibc, four separate arrays each fall below the mmap threshold,
      *  and every cold run handed them back to the OS and page-faulted

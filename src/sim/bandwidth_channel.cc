@@ -16,8 +16,8 @@ BandwidthChannel::BandwidthChannel(Simulator &simulator, Bandwidth rate)
 
 BandwidthChannel::~BandwidthChannel()
 {
-    if (pending_event_ != kInvalidEvent)
-        simulator_.cancel(pending_event_);
+    simulator_.undefer(*this);
+    disarm();
 }
 
 FlowId
@@ -31,6 +31,13 @@ BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap,
         return kInvalidFlow;
     }
     advance_to_now();
+    if (reap_due_) {
+        // The clock moved since the last flow event and left some flow
+        // at the epsilon: reap it now, so its completion is scheduled
+        // where an eager fill at this start would have scheduled it.
+        disarm();
+        reap_finished();
+    }
     const double limit = cap.raw() > 0.0
                              ? cap.raw()
                              : std::numeric_limits<double>::infinity();
@@ -46,7 +53,12 @@ BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap,
     flow.limit_bps = limit;
     flow.on_complete = std::move(on_complete);
     const FlowId id = flow.id;
-    recompute_and_reschedule();
+    // One throttle event per flow event, as if this start had filled;
+    // the fill itself waits for the kernel's settle.
+    if (contended())
+        ++throttle_events_;
+    disarm();
+    simulator_.defer(*this);
     return id;
 }
 
@@ -68,16 +80,40 @@ BandwidthChannel::advance_to_now()
 }
 
 void
-BandwidthChannel::recompute_and_reschedule()
+BandwidthChannel::disarm()
 {
     if (pending_event_ != kInvalidEvent) {
         simulator_.cancel(pending_event_);
         pending_event_ = kInvalidEvent;
     }
-    if (reap_due_)
-        reap_finished();
-    if (flows_.empty())
-        return;
+}
+
+bool
+BandwidthChannel::contended() const
+{
+    if (flows_.size() < 2)
+        return false;
+    // fill_and_arm()'s grants and test, up to the first flow left
+    // short.
+    const double link = rate_.raw();
+    double remaining_rate = link;
+    std::size_t remaining_flows = flows_.size();
+    for (const Flow &flow : flows_) {
+        const double share =
+            remaining_rate / static_cast<double>(remaining_flows);
+        const double rate = std::min(flow.limit_bps, share);
+        if (rate < std::min(flow.limit_bps, link) * (1.0 - 1e-9))
+            return true;
+        remaining_rate -= rate;
+        --remaining_flows;
+    }
+    return false;
+}
+
+bool
+BandwidthChannel::fill_and_arm()
+{
+    ++fill_passes_;
     // One pass in fill order.  Max-min water-filling: each flow in turn
     // takes min(its limit, an even split of what is left), so flows
     // whose limit is below the running fair share are peeled off first.
@@ -108,28 +144,37 @@ BandwidthChannel::recompute_and_reschedule()
             next_flow = flow.id;
         }
     }
-    if (throttled && flows_.size() > 1)
-        ++throttle_events_;
     HELM_ASSERT(std::isfinite(next_completion),
                 "active flows but no completion event (rate starvation)");
     pending_flow_ = next_flow;
     armed_at_ = simulator_.now();
-    pending_event_ = simulator_.schedule(next_completion, [this] {
-        pending_event_ = kInvalidEvent;
-        advance_to_now();
-        if (simulator_.now() == armed_at_) {
-            // The remainder's delay fell below the clock's resolution
-            // (late in a long run), so firing did not advance time and
-            // re-arming would repeat forever: deliver the flow now.
-            for (Flow &flow : flows_) {
-                if (flow.id == pending_flow_) {
-                    flow.remaining_bytes = 0.0;
-                    reap_due_ = true;
-                }
+    pending_event_ =
+        simulator_.schedule(next_completion, [this] { on_completion(); });
+    return throttled && flows_.size() > 1;
+}
+
+void
+BandwidthChannel::on_completion()
+{
+    pending_event_ = kInvalidEvent;
+    advance_to_now();
+    if (simulator_.now() == armed_at_) {
+        // The remainder's delay fell below the clock's resolution
+        // (late in a long run), so firing did not advance time and
+        // re-arming would repeat forever: deliver the flow now.
+        for (Flow &flow : flows_) {
+            if (flow.id == pending_flow_) {
+                flow.remaining_bytes = 0.0;
+                reap_due_ = true;
             }
         }
-        recompute_and_reschedule();
-    });
+    }
+    if (reap_due_)
+        reap_finished();
+    if (flows_.empty())
+        return;
+    if (fill_and_arm())
+        ++throttle_events_;
 }
 
 void

@@ -7,9 +7,13 @@
  * receiving a max-min fair share of the channel rate, optionally capped by
  * a per-flow rate (e.g. a flow sourced from Optane cannot exceed Optane's
  * read bandwidth even if PCIe has headroom).  Rates are recomputed by
- * water-filling whenever a flow arrives or departs: the flows are kept
- * in fill order, so each such event is one pass that grants the rates,
- * notes throttling and finds the next completion.
+ * water-filling: the flows are kept in fill order, so a fill is one
+ * pass that grants the rates, notes throttling and finds the next
+ * completion.  A departure fills at once.  An arrival only inserts the
+ * flow, counts its throttle event and defers the fill to the kernel,
+ * which settles the channel once per instant — before the next event
+ * is scheduled or popped — however many flows started in between (see
+ * simulator.h's "Deferred settling" for why event order is unchanged).
  */
 #ifndef HELM_SIM_BANDWIDTH_CHANNEL_H
 #define HELM_SIM_BANDWIDTH_CHANNEL_H
@@ -76,13 +80,21 @@ class BandwidthChannel
     /** Total bytes delivered across all completed flows. */
     Bytes bytes_delivered() const { return bytes_delivered_; }
 
-    /** Water-fill passes where contention left some flow short of the
-     *  rate it would get alone (max-min throttling observed). */
+    /** Flow events (starts and completion fires) after which
+     *  contention left some flow short of the rate it would get alone
+     *  (max-min throttling observed). */
     std::uint64_t throttle_events() const { return throttle_events_; }
+
+    /** Water-fill passes run so far: one per settle and one per
+     *  completion fire that leaves flows active.  An exact work count,
+     *  read after the run. */
+    std::uint64_t fill_passes() const { return fill_passes_; }
 
     Bandwidth rate() const { return rate_; }
 
   private:
+    friend class Simulator; // settles the channel and links it deferred
+
     struct Flow
     {
         FlowId id = kInvalidFlow;
@@ -98,9 +110,23 @@ class BandwidthChannel
     /** Apply progress for the interval [last_update_, now]. */
     void advance_to_now();
 
-    /** Reap finished flows if any, re-run water-filling and re-arm the
-     *  next completion event. */
-    void recompute_and_reschedule();
+    /** Cancel the pending completion event, if any. */
+    void disarm();
+
+    /** Whether the current flows' max-min shares leave some flow short
+     *  of what it could use alone: the fill's share arithmetic, stopped
+     *  at the first such flow. */
+    bool contended() const;
+
+    /** Water-fill the active flows (at least one) and arm the next
+     *  completion event: a completion's re-arm, or the kernel's settle
+     *  of the flows started at this instant.  @return whether
+     *  contention throttled some flow (a completion counts it; a start
+     *  counted it already). */
+    bool fill_and_arm();
+
+    /** The completion event: advance, reap, fill, re-arm and count. */
+    void on_completion();
 
     /** Fire completions for flows whose remaining bytes reached zero. */
     void reap_finished();
@@ -128,6 +154,12 @@ class BandwidthChannel
     Seconds armed_at_ = 0.0;
     Bytes bytes_delivered_ = 0;
     std::uint64_t throttle_events_ = 0;
+    std::uint64_t fill_passes_ = 0;
+    /** On the kernel's deferred list (a start awaits its settle); the
+     *  list's links, maintained by Simulator. */
+    bool deferred_ = false;
+    BandwidthChannel *deferred_prev_ = nullptr;
+    BandwidthChannel *deferred_next_ = nullptr;
 };
 
 } // namespace helm::sim

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/bandwidth_channel.h"
+
 namespace helm::sim {
 
 std::uint32_t
@@ -158,6 +160,8 @@ Simulator::schedule_at(Seconds when, std::function<void()> fn)
 {
     HELM_ASSERT(when >= now_, "cannot schedule events before now()");
     HELM_ASSERT(static_cast<bool>(fn), "cannot schedule a null callback");
+    if (deferred_head_ != nullptr)
+        settle_deferred();
     const std::uint32_t slot = acquire_slot();
     EventRecord &record = records_[slot];
     record.fn = std::move(fn);
@@ -189,6 +193,8 @@ Simulator::cancel(EventId id)
 bool
 Simulator::step()
 {
+    if (deferred_head_ != nullptr)
+        settle_deferred();
     if (!settle_head())
         return false;
     const HeapEntry entry = near_pop();
@@ -198,6 +204,58 @@ Simulator::step()
     ++executed_;
     fn();
     return true;
+}
+
+void
+Simulator::defer(BandwidthChannel &channel)
+{
+    if (channel.deferred_) {
+        if (deferred_tail_ == &channel)
+            return; // already the last one touched
+        undefer(channel);
+    }
+    channel.deferred_ = true;
+    channel.deferred_prev_ = deferred_tail_;
+    channel.deferred_next_ = nullptr;
+    if (deferred_tail_ != nullptr)
+        deferred_tail_->deferred_next_ = &channel;
+    else
+        deferred_head_ = &channel;
+    deferred_tail_ = &channel;
+    ++deferred_count_;
+}
+
+void
+Simulator::undefer(BandwidthChannel &channel)
+{
+    if (!channel.deferred_)
+        return;
+    BandwidthChannel *prev = channel.deferred_prev_;
+    BandwidthChannel *next = channel.deferred_next_;
+    (prev != nullptr ? prev->deferred_next_ : deferred_head_) = next;
+    (next != nullptr ? next->deferred_prev_ : deferred_tail_) = prev;
+    channel.deferred_ = false;
+    channel.deferred_prev_ = channel.deferred_next_ = nullptr;
+    --deferred_count_;
+}
+
+void
+Simulator::settle_deferred()
+{
+    // Detach the whole list first: each settle schedules through
+    // schedule_at(), which must not settle the channels behind it out
+    // of turn.  A settle only fills and arms, so none joins the list.
+    BandwidthChannel *channel = deferred_head_;
+    deferred_head_ = deferred_tail_ = nullptr;
+    while (channel != nullptr) {
+        BandwidthChannel *next = channel->deferred_next_;
+        channel->deferred_ = false;
+        channel->deferred_prev_ = channel->deferred_next_ = nullptr;
+        --deferred_count_;
+        // Its starts' throttle events were counted as they started.
+        channel->fill_and_arm();
+        channel = next;
+    }
 }
 
 void

@@ -49,12 +49,31 @@
  * until they surface, while a refill drops them from the far tier in
  * bulk.
  *
+ * Deferred settling: a BandwidthChannel that takes a flow start only
+ * marks itself unsettled (it cancels its completion event and joins
+ * the kernel's deferred list); it does not water-fill or re-arm.  The
+ * kernel settles every deferred channel — one fill pass, one
+ * completion event each — just before the next schedule_at() by
+ * anyone and before step() pops the next event.  A burst of N starts
+ * at one instant (a pipeline stage putting a token's layer loads on
+ * its link and the shared port) then costs one fill pass per channel
+ * instead of N.  The (when, seq) order of live events is exactly what
+ * an eager re-arm on every start would give: the list is kept in
+ * last-touch order (a re-touched channel moves to its tail), so each
+ * channel's completion event takes its seq after every event scheduled
+ * before its last start and before every event scheduled after it, and
+ * between a start and the settle the clock does not move and nothing
+ * fires, so its `when` is the same too.  Deferring, re-touching and an
+ * unsettled channel's destruction are O(1) on an intrusive list.
+ *
  * Accounting guarantee: `pending_events()` counts exactly the events
- * that have been scheduled but neither fired nor cancelled.  Cancelled
- * -but-unpopped entries are NEVER counted — the count comes from a
- * live-event counter maintained by schedule/cancel/step, not from the
- * internal tier sizes (which may transiently exceed it by the number
- * of stale entries awaiting their skip or refill sweep).
+ * that have been scheduled but neither fired nor cancelled, plus one
+ * completion event per channel still awaiting its settle (the event an
+ * eager re-arm would already have scheduled).  Cancelled-but-unpopped
+ * entries are NEVER counted — the count comes from a live-event counter
+ * maintained by schedule/cancel/step, not from the internal tier sizes
+ * (which may transiently exceed it by the number of stale entries
+ * awaiting their skip or refill sweep).
  */
 #ifndef HELM_SIM_SIMULATOR_H
 #define HELM_SIM_SIMULATOR_H
@@ -69,6 +88,8 @@
 #include "common/units.h"
 
 namespace helm::sim {
+
+class BandwidthChannel;
 
 /** Opaque handle to a scheduled event, usable for cancellation. */
 using EventId = std::uint64_t;
@@ -118,12 +139,24 @@ class Simulator
 
     /**
      * Pending (not yet fired or cancelled) event count.  Exact:
-     * cancelled-but-unpopped entries are never counted (see the file
-     * header's accounting guarantee).
+     * cancelled-but-unpopped entries are never counted, and a channel
+     * awaiting its settle counts its one completion event (see the
+     * file header's accounting guarantee).
      */
-    std::size_t pending_events() const { return live_; }
+    std::size_t pending_events() const { return live_ + deferred_count_; }
 
   private:
+    friend class BandwidthChannel;
+
+    /** Put @p channel last on the deferred list (moving it there if
+     *  it is already on it): it settles before the next schedule or
+     *  pop, after every channel touched before it. */
+    void defer(BandwidthChannel &channel);
+    /** Take @p channel off the deferred list if it is on it. */
+    void undefer(BandwidthChannel &channel);
+    /** Settle every deferred channel, in last-touch order. */
+    void settle_deferred();
+
     /** Near-heap arity: 4 keeps sift-downs shallow and each child
      *  scan inside one or two cache lines of 24-byte entries. */
     static constexpr std::size_t kArity = 4;
@@ -193,6 +226,11 @@ class Simulator
     std::vector<HeapEntry> far_;  //!< unsorted, strictly past horizon_
     std::vector<EventRecord> records_;
     std::uint32_t free_head_ = kNoFreeSlot;
+    /** Channels awaiting their settle, in last-touch order; intrusive
+     *  through BandwidthChannel's deferred_prev_/deferred_next_. */
+    BandwidthChannel *deferred_head_ = nullptr;
+    BandwidthChannel *deferred_tail_ = nullptr;
+    std::size_t deferred_count_ = 0; //!< channels on the deferred list
 };
 
 } // namespace helm::sim

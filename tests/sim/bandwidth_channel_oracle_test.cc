@@ -15,6 +15,14 @@
  * throttle_events() and the kernel's event count.  All randomness flows
  * through one Rng advanced inside the callbacks, so any divergence
  * desynchronises the two replays and fails loudly.
+ *
+ * The reference also fills and re-arms eagerly on every start, where
+ * the channel defers its fill to the kernel's settle.  The fabric
+ * programs pin that deferral: two channels on one kernel (a link and a
+ * shared port, as a cluster fabric has), transfers that start on both
+ * in either order and join through a CountdownLatch, and FifoResource
+ * holds and plain schedule()s interleaved between the starts, so the
+ * settles must reproduce the eager channels' event order exactly.
  */
 #include <gtest/gtest.h>
 
@@ -22,13 +30,17 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/bandwidth_channel.h"
+#include "sim/resource.h"
 #include "sim/simulator.h"
 
 namespace helm::sim {
@@ -375,6 +387,207 @@ TEST(BandwidthChannelOracle, MixedProgramsThrottle)
     const Observations obs =
         run_program<BandwidthChannel>(3, Caps::kMixed, 0.0);
     EXPECT_GT(obs.throttle_events, 0u);
+}
+
+/** Everything a fabric program observes; compared across channels. */
+struct FabricObservations
+{
+    /** (transfer, channel: 0 link / 1 port, now) per flow completion. */
+    std::vector<std::tuple<std::uint64_t, int, Seconds>> arrivals;
+    /** (transfer, now) per latch join, in join order. */
+    std::vector<std::pair<std::uint64_t, Seconds>> joins;
+    /** (mark, now) per GPU hold and plain event, in firing order. */
+    std::vector<std::pair<std::uint64_t, Seconds>> marks;
+    /** pending_events() read inside the callback right after a burst. */
+    std::vector<std::size_t> pending;
+    std::vector<FlowId> ids; //!< start_flow results, in issue order
+    std::uint64_t transfers = 0;
+    std::uint64_t marks_issued = 0;
+    Bytes link_bytes = 0;
+    Bytes port_bytes = 0;
+    std::uint64_t link_throttle_events = 0;
+    std::uint64_t port_throttle_events = 0;
+    std::uint64_t events = 0;
+    Seconds final_now = 0.0;
+    bool drained = false;
+
+    bool operator==(const FabricObservations &other) const = default;
+};
+
+/**
+ * One random fabric program on @p Channel: a link and a shared port
+ * (often at the same rate, so their completions tie and only the event
+ * order separates them) and a FIFO GPU on one kernel.  A transfer puts
+ * its bytes on both channels, in a random order, or on the link alone,
+ * and joins through a CountdownLatch.  Between starts a burst
+ * interleaves GPU holds, zero-delay events and latency-delayed events
+ * that start a transfer (the storage path); a join starts up to two
+ * more transfers and sometimes a GPU hold, until 300 transfers.
+ */
+template <typename Channel>
+FabricObservations
+run_fabric_program(std::uint64_t seed, Seconds start)
+{
+    Simulator sim;
+    Rng rng(seed);
+    const double link_rate = rng.next_below(2) == 0 ? 25e9 : 12e9;
+    const double port_scale[] = {1.0, 1.0, 1.5, 0.75};
+    const double port_rate = link_rate * port_scale[rng.next_below(4)];
+    Channel link(sim, Bandwidth::bytes_per_s(link_rate));
+    Channel port(sim, Bandwidth::bytes_per_s(port_rate));
+    FifoResource gpu(sim);
+    const Bandwidth caps[] = {Bandwidth::bytes_per_s(link_rate * 0.24),
+                              Bandwidth::bytes_per_s(link_rate * 0.5),
+                              Bandwidth()};
+
+    FabricObservations obs;
+    int budget = 300;
+    const auto draw_bytes = [&]() -> Bytes {
+        switch (rng.next_below(8)) {
+        case 0:
+            return rng.next_below(3); // 0..2 bytes; 0 completes inline
+        case 1:
+        case 2:
+        case 3:
+            return kMiB << rng.next_below(3); // exact repeats: ties
+        default:
+            return 1 + rng.next_below(32 * kMiB);
+        }
+    };
+    const auto draw_time = [&] {
+        return static_cast<double>(1 + rng.next_below(400)) * 1e-5;
+    };
+    const auto mark = [&] {
+        return [&, m = obs.marks_issued++] {
+            obs.marks.emplace_back(m, sim.now());
+        };
+    };
+    std::function<void()> transfer;
+    const auto interleave = [&] {
+        switch (rng.next_below(6)) {
+        case 0:
+            gpu.occupy(draw_time(), mark());
+            break;
+        case 1:
+            sim.schedule(0.0, mark());
+            break;
+        case 2:
+            sim.schedule(draw_time(), [&, m = mark()] {
+                m();
+                transfer();
+            });
+            break;
+        default:
+            break;
+        }
+    };
+    const auto burst = [&](std::uint64_t transfers) {
+        for (std::uint64_t i = 0; i < transfers; ++i) {
+            transfer();
+            interleave();
+        }
+        obs.pending.push_back(sim.pending_events());
+    };
+    transfer = [&] {
+        if (budget <= 0)
+            return;
+        --budget;
+        const std::uint64_t tag = obs.transfers++;
+        const Bytes bytes = draw_bytes();
+        const Bandwidth cap = caps[rng.next_below(std::size(caps))];
+        const std::uint64_t shape = rng.next_below(5);
+        auto latch = std::make_shared<CountdownLatch>(shape == 0 ? 1 : 2);
+        latch->on_zero([&, tag] {
+            obs.joins.emplace_back(tag, sim.now());
+            if (rng.next_below(3) == 0)
+                gpu.occupy(draw_time(), mark());
+            burst(rng.next_below(4) / 2 + rng.next_below(4) / 3);
+        });
+        const auto on = [&, tag, latch](int channel) {
+            return [&, tag, latch, channel] {
+                obs.arrivals.emplace_back(tag, channel, sim.now());
+                latch->arrive();
+            };
+        };
+        if (shape == 0) {
+            obs.ids.push_back(link.start_flow(bytes, cap, on(0)));
+        } else if (shape % 2 == 1) {
+            obs.ids.push_back(link.start_flow(bytes, cap, on(0)));
+            obs.ids.push_back(port.start_flow(bytes, cap, on(1)));
+        } else {
+            obs.ids.push_back(port.start_flow(bytes, cap, on(1)));
+            obs.ids.push_back(link.start_flow(bytes, cap, on(0)));
+        }
+    };
+
+    sim.schedule_at(start, [&] { burst(1 + rng.next_below(48)); });
+    for (int b = 0; b < 6; ++b) {
+        const Seconds at =
+            start + static_cast<double>(rng.next_below(1000)) * 1e-4;
+        const std::uint64_t transfers = 1 + rng.next_below(12);
+        sim.schedule_at(at, [&burst, transfers] { burst(transfers); });
+    }
+    for (int steps = 0; steps < 1000000 && sim.step(); ++steps) {
+    }
+    obs.drained = sim.pending_events() == 0;
+    obs.link_bytes = link.bytes_delivered();
+    obs.port_bytes = port.bytes_delivered();
+    obs.link_throttle_events = link.throttle_events();
+    obs.port_throttle_events = port.throttle_events();
+    obs.events = sim.events_executed();
+    obs.final_now = sim.now();
+    return obs;
+}
+
+void
+expect_fabric_agrees(std::uint64_t seed, Seconds start)
+{
+    const FabricObservations reference =
+        run_fabric_program<ReferenceChannel>(seed, start);
+    const FabricObservations channel =
+        run_fabric_program<BandwidthChannel>(seed, start);
+    ASSERT_TRUE(reference == channel)
+        << "fabrics diverged on seed " << seed << " start " << start
+        << ": " << reference.arrivals.size() << " vs "
+        << channel.arrivals.size() << " arrivals, "
+        << reference.link_throttle_events << "/"
+        << reference.port_throttle_events << " vs "
+        << channel.link_throttle_events << "/"
+        << channel.port_throttle_events << " throttle events";
+    // Every transfer joins, and the program did real work.
+    EXPECT_TRUE(channel.drained) << "seed " << seed;
+    EXPECT_EQ(channel.joins.size(), channel.transfers) << "seed " << seed;
+    EXPECT_GT(channel.transfers, 50u) << "seed " << seed;
+}
+
+TEST(BandwidthChannelOracle, FabricProgramsAgreeBitForBit)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed)
+        expect_fabric_agrees(seed, 0.0);
+}
+
+TEST(BandwidthChannelOracle, LongRunFabricProgramsAgreeBitForBit)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        expect_fabric_agrees(seed, kLongRun);
+}
+
+TEST(BandwidthChannelOracle, FabricProgramsContendAndTie)
+{
+    // The comparison above means something only if both channels
+    // throttle and the link's and port's completions coincide.
+    const FabricObservations obs =
+        run_fabric_program<BandwidthChannel>(2, 0.0);
+    EXPECT_GT(obs.link_throttle_events, 0u);
+    EXPECT_GT(obs.port_throttle_events, 0u);
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < obs.arrivals.size(); ++i) {
+        const auto &[tag_a, channel_a, at_a] = obs.arrivals[i - 1];
+        const auto &[tag_b, channel_b, at_b] = obs.arrivals[i];
+        if (tag_a == tag_b && channel_a != channel_b && at_a == at_b)
+            ++ties;
+    }
+    EXPECT_GT(ties, 10u);
 }
 
 /** A later, lower-capped flow sits before an earlier uncapped one in

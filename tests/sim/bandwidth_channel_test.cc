@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -402,6 +403,76 @@ TEST(BandwidthChannelFlowTable, FinishedOrUnknownFlowHasZeroRate)
     EXPECT_NE(next, kInvalidFlow);
     sim.run();
     EXPECT_NEAR(done_at, 0.2, kTol);
+}
+
+// A start only defers the channel's fill; the kernel settles it once,
+// before the next event is scheduled or popped.
+
+TEST(BandwidthChannelSettle, ABurstOfStartsFillsOnce)
+{
+    Simulator sim;
+    BandwidthChannel ch(sim, Bandwidth::gb_per_s(25.0));
+    int done = 0;
+    sim.schedule(0.0, [&] {
+        for (Bytes i = 1; i <= 100; ++i)
+            ch.start_flow(i * kMiB, Bandwidth(), [&done] { ++done; });
+        EXPECT_EQ(ch.fill_passes(), 0u);
+        // The unsettled channel counts its one completion event.
+        EXPECT_EQ(sim.pending_events(), 1u);
+    });
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(ch.fill_passes(), 0u);
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run();
+    EXPECT_EQ(done, 100);
+    // One settle, then one fill per completion that leaves flows.
+    EXPECT_EQ(ch.fill_passes(), 100u);
+    EXPECT_EQ(ch.bytes_delivered(), 5050 * kMiB);
+}
+
+TEST(BandwidthChannelSettle, TiedCompletionsFireInLastTouchOrder)
+{
+    // Equal channels with equal flows finish together; the channel
+    // touched last re-armed last, so its completions come second.
+    Simulator sim;
+    BandwidthChannel a(sim, Bandwidth::gb_per_s(10.0));
+    BandwidthChannel b(sim, Bandwidth::gb_per_s(10.0));
+    std::vector<int> order;
+    auto note = [&order](int flow) {
+        return [&order, flow] { order.push_back(flow); };
+    };
+    sim.schedule(0.0, [&] {
+        a.start_flow(kGB, Bandwidth(), note(1));
+        b.start_flow(kGB, Bandwidth(), note(2));
+        b.start_flow(kGB, Bandwidth(), note(3));
+        a.start_flow(kGB, Bandwidth(), note(4));
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 1, 4}));
+}
+
+TEST(BandwidthChannelSettle, DestroyedUnsettledChannelLeavesTheKernel)
+{
+    Simulator sim;
+    std::vector<std::unique_ptr<BandwidthChannel>> channels;
+    std::vector<int> done;
+    for (int c = 0; c < 4; ++c) {
+        channels.push_back(std::make_unique<BandwidthChannel>(
+            sim, Bandwidth::gb_per_s(10.0)));
+        channels.back()->start_flow(kGB * static_cast<Bytes>(c + 1),
+                                    Bandwidth(),
+                                    [&done, c] { done.push_back(c); });
+    }
+    EXPECT_EQ(sim.pending_events(), 4u);
+    // Unlink from the middle, the tail and the head of the list.
+    channels[1].reset();
+    channels[3].reset();
+    channels[0].reset();
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run();
+    EXPECT_EQ(done, (std::vector<int>{2}));
+    EXPECT_EQ(channels[2]->fill_passes(), 1u);
+    EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 } // namespace
