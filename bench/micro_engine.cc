@@ -5,9 +5,10 @@
  * algorithms, OPT-175B schedule compilation, a full OPT-175B serving
  * simulation (single-GPU runs take the executor's closed form), the
  * same schedule on the DES, and pipeline and tensor cluster batches.
- * The channel and cluster benches also report the channels' water-fill
- * passes per iteration.  These guard the library's own performance,
- * not the paper's results.
+ * Every row reports two counters per iteration: the water-fill passes
+ * of the channels it ran and the batches the executor's closed form
+ * timed.  These guard the library's own performance, not the paper's
+ * results.
  */
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,25 @@
 namespace {
 
 using namespace helm;
+
+/**
+ * Report the counters every row carries, per iteration: @p fill_passes
+ * water-fill passes of the channels the bench ran, and @p closed_form
+ * batches the executor's closed form timed.  google-benchmark's CSV
+ * output aborts on a row with a counter its header lacks, so a bench
+ * that observes neither reports both as 0.
+ */
+void
+report_counters(benchmark::State &state, std::uint64_t fill_passes = 0,
+                std::uint64_t closed_form = 0)
+{
+    state.counters["fill_passes"] =
+        benchmark::Counter(static_cast<double>(fill_passes),
+                           benchmark::Counter::kAvgIterations);
+    state.counters["closed_form"] =
+        benchmark::Counter(static_cast<double>(closed_form),
+                           benchmark::Counter::kAvgIterations);
+}
 
 void
 BM_SimulatorEventThroughput(benchmark::State &state)
@@ -31,16 +51,9 @@ BM_SimulatorEventThroughput(benchmark::State &state)
         benchmark::DoNotOptimize(sim.events_executed());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
+    report_counters(state);
 }
 BENCHMARK(BM_SimulatorEventThroughput)->Range(1024, 1 << 16);
-
-/** Report @p passes channel fill passes as a per-iteration counter. */
-void
-report_fill_passes(benchmark::State &state, std::uint64_t passes)
-{
-    state.counters["fill_passes"] = benchmark::Counter(
-        static_cast<double>(passes), benchmark::Counter::kAvgIterations);
-}
 
 void
 BM_BandwidthChannelFlows(benchmark::State &state)
@@ -61,7 +74,7 @@ BM_BandwidthChannelFlows(benchmark::State &state)
         passes += ch.fill_passes();
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
-    report_fill_passes(state, passes);
+    report_counters(state, passes);
 }
 BENCHMARK(BM_BandwidthChannelFlows)->Range(8, 512);
 
@@ -94,7 +107,7 @@ BM_BandwidthChannelMixedCapBursts(benchmark::State &state)
         passes += ch.fill_passes();
     }
     state.SetItemsProcessed(state.iterations() * n);
-    report_fill_passes(state, passes);
+    report_counters(state, passes);
 }
 BENCHMARK(BM_BandwidthChannelMixedCapBursts)->Range(8, 512);
 
@@ -109,6 +122,7 @@ BM_PlaceBaseline175B(benchmark::State &state)
             layers, placement::Policy::host_offload());
         benchmark::DoNotOptimize(map.tier_total(placement::Tier::kGpu));
     }
+    report_counters(state);
 }
 BENCHMARK(BM_PlaceBaseline175B);
 
@@ -123,6 +137,7 @@ BM_PlaceHelm175B(benchmark::State &state)
             layers, placement::Policy::host_offload());
         benchmark::DoNotOptimize(map.tier_total(placement::Tier::kGpu));
     }
+    report_counters(state);
 }
 BENCHMARK(BM_PlaceHelm175B);
 
@@ -135,6 +150,7 @@ BM_BuildLayers175B(benchmark::State &state)
             model::build_layers(config, model::DataType::kInt4Grouped);
         benchmark::DoNotOptimize(layers.size());
     }
+    report_counters(state);
 }
 BENCHMARK(BM_BuildLayers175B);
 
@@ -164,6 +180,7 @@ BM_CompileSchedule175B(benchmark::State &state)
         benchmark::DoNotOptimize(compiled.is_ok());
     }
     state.SetItemsProcessed(state.iterations());
+    report_counters(state);
 }
 BENCHMARK(BM_CompileSchedule175B)->Arg(1)->Arg(8);
 
@@ -177,6 +194,7 @@ BM_FullInference175B(benchmark::State &state)
         auto result = runtime::simulate_inference(spec);
         benchmark::DoNotOptimize(result.is_ok());
     }
+    report_counters(state);
 }
 BENCHMARK(BM_FullInference175B)->Arg(1)->Arg(8);
 
@@ -193,11 +211,14 @@ BM_DesInference175B(benchmark::State &state)
         return;
     }
     const runtime::FabricRates rates = runtime::link_rates(compiled->system);
+    std::uint64_t passes = 0;
     for (auto _ : state) {
         runtime::Fabric fabric(1, spec.gpu, rates);
         runtime::Executor executor(fabric, std::span(&*compiled, 1));
         benchmark::DoNotOptimize(executor.run().is_ok());
+        passes += fabric.fill_passes();
     }
+    report_counters(state, passes);
 }
 BENCHMARK(BM_DesInference175B)->Arg(1)->Arg(8);
 
@@ -219,6 +240,7 @@ BM_ClusterBatch175B(benchmark::State &state)
                                            : cluster::Parallelism::kTensor;
     spec.gpus = static_cast<std::uint64_t>(state.range(1));
     std::uint64_t passes = 0;
+    std::uint64_t closed_form = 0;
     for (auto _ : state) {
         auto batch = cluster::run_cluster_batch(spec, spec.serving,
                                                 /*keep_records=*/false);
@@ -227,9 +249,10 @@ BM_ClusterBatch175B(benchmark::State &state)
             return;
         }
         passes += batch->fill_passes;
+        closed_form += batch->closed_form ? 1 : 0;
     }
     state.SetItemsProcessed(state.iterations());
-    report_fill_passes(state, passes);
+    report_counters(state, passes, closed_form);
 }
 BENCHMARK(BM_ClusterBatch175B)
     ->ArgNames({"tensor", "gpus"})
@@ -250,6 +273,7 @@ BM_MaxBatchSearch(benchmark::State &state)
         benchmark::DoNotOptimize(
             runtime::max_batch(gpu, config, layers, 0, shape, true));
     }
+    report_counters(state);
 }
 BENCHMARK(BM_MaxBatchSearch);
 
@@ -261,6 +285,7 @@ BM_MembenchSweep(benchmark::State &state)
                                        {256 * kMiB, kGiB, 4 * kGiB});
         benchmark::DoNotOptimize(results.size());
     }
+    report_counters(state);
 }
 BENCHMARK(BM_MembenchSweep);
 

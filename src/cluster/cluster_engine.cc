@@ -547,11 +547,14 @@ compile_shards(const runtime::ServingSpec &serving,
 }
 
 /** Run one tensor or pipeline batch to completion on @p fabric, one
- *  shard per GPU. */
-Result<runtime::BatchTimeline>
+ *  shard per GPU, into @p out's timelines.  Tensor lockstep takes the
+ *  executor's closed form when it can (out.closed_form) and the DES
+ *  otherwise. */
+Status
 run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
            Parallelism mode, std::uint64_t micro_batches,
-           const runtime::ServingSpec &base, bool keep_records)
+           const runtime::ServingSpec &base, bool keep_records,
+           ClusterBatch &out)
 {
     if (mode == Parallelism::kTensor) {
         const std::uint64_t steps =
@@ -561,17 +564,20 @@ run_shards(runtime::Fabric &fabric, const std::vector<CompiledSchedule> &shards,
             runtime::allocate_per_step(steps, "step timings", [&] {
                 lockstep.emplace(fabric, shards);
             }));
-        HELM_RETURN_IF_ERROR(lockstep->run());
-        runtime::BatchTimeline tl;
-        HELM_RETURN_IF_ERROR(
-            runtime::allocate_per_step(steps, "step records", [&] {
-                tl = lockstep->timeline(keep_records);
-            }));
-        return tl;
+        out.closed_form = lockstep->run_closed_form();
+        if (!out.closed_form)
+            HELM_RETURN_IF_ERROR(lockstep->run());
+        return runtime::allocate_per_step(steps, "step records", [&] {
+            out.timelines.push_back(lockstep->timeline(keep_records));
+        });
     }
     PipelineExecutor pipeline(fabric, shards, micro_batches, base,
                               keep_records);
-    return pipeline.run();
+    auto tl_or = pipeline.run();
+    if (!tl_or.is_ok())
+        return tl_or.status();
+    out.timelines.push_back(std::move(*tl_or));
+    return Status::ok();
 }
 
 } // namespace
@@ -631,13 +637,10 @@ run_cluster_batch(const ClusterSpec &spec,
                 }));
         }
     } else {
-        auto tl_or = run_shards(
+        HELM_RETURN_IF_ERROR(run_shards(
             fabric, shards, spec.parallelism,
             spec.micro_batches > 0 ? spec.micro_batches : N, serving,
-            keep_records);
-        if (!tl_or.is_ok())
-            return tl_or.status();
-        out.timelines.push_back(std::move(*tl_or));
+            keep_records, out));
     }
 
     for (const runtime::BatchTimeline &tl : out.timelines) {

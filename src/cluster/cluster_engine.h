@@ -17,7 +17,13 @@
  * ClusterServer's sharded launches call it, and ClusterServer's
  * replica loop sizes its fabric through the same compile_cluster().
  * Replica jobs (one GPU each) and tensor shards (N GPUs in lockstep)
- * run on the same runtime::Executor as simulate_inference().  Only
+ * run on the same runtime::Executor as simulate_inference().  A tensor
+ * batch tries the executor's closed form first — it takes every batch
+ * whose only flows are weight loads on the links and the shared read
+ * port — and runs on the DES when that declines (KV or disk traffic,
+ * near-data layers on more than one GPU); ClusterBatch::closed_form
+ * says which timed it.  Replica and pipeline batches always run on the
+ * DES.  Only
  * pipeline parallelism has its own executor, which reads each stage's
  * compiled steps in place: its per-token micro-batch state machine
  * hands activations between stages, loads a whole token's layers at
@@ -77,6 +83,8 @@ struct ClusterBatch
     /** Water-fill passes of the fabric's links and ports: the run's
      *  channel work, an exact count. */
     std::uint64_t fill_passes = 0;
+    /** The executor's closed form timed the batch, not the DES. */
+    bool closed_form = false;
 };
 
 /**

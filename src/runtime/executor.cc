@@ -1,7 +1,10 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -147,6 +150,20 @@ Fabric::compute_busy(std::uint64_t g) const
     return gpus_[g].compute.busy_time();
 }
 
+void
+Fabric::book_gpu(std::uint64_t g, Seconds compute_busy, Bytes h2d_bytes)
+{
+    gpus_[g].compute.book(compute_busy);
+    gpus_[g].h2d_bytes += h2d_bytes;
+}
+
+void
+Fabric::book_host_read(const sim::FlowTable &solved)
+{
+    HELM_ASSERT(host_read_ != nullptr, "no host read port to book");
+    host_read_->book(solved);
+}
+
 // ---------------------------------------------------------------------------
 // Timelines
 // ---------------------------------------------------------------------------
@@ -233,92 +250,246 @@ Executor::status() const
                             std::to_string(steps_) + " completed");
 }
 
+namespace {
+
+/**
+ * When a lone flow of @p bytes under @p cap, issued at @p at on a link of
+ * @p link bytes/s, lands — as a BandwidthChannel times it: the fill
+ * grants it min(cap, link) and arms its completion after remaining /
+ * rate.  When the completion fires, the flow is delivered if the clock
+ * did not advance; otherwise it loses rate x elapsed bytes (clamped at
+ * 0), and a remainder above kByteEpsilon re-arms the completion.  The
+ * zero-delay callback lands at the same time.  Adds the events the DES
+ * fires to @p events.
+ */
+Seconds
+link_arrival(Bytes bytes, Bandwidth cap, double link, Seconds at,
+             std::uint64_t &events)
+{
+    const double rate = cap.raw() > 0.0 ? std::min(cap.raw(), link) : link;
+    double remaining = static_cast<double>(bytes);
+    events += 2;
+    Seconds armed = at;
+    at = armed + remaining / rate;
+    while (at != armed) {
+        remaining -= rate * (at - armed);
+        if (remaining < 0.0)
+            remaining = 0.0;
+        if (remaining <= sim::FlowTable::kByteEpsilon)
+            break;
+        ++events;
+        armed = at;
+        at = armed + remaining / rate;
+    }
+    return at;
+}
+
+/**
+ * The per-GPU sums of a closed-form run on one GPU alone on its link:
+ * compute busy time (as the GPU's FifoResource integrates it) and h2d
+ * bytes.  Trivially destructible, so the solve loop's one call (an NDP
+ * step's compute) has no exception cleanup around it, which would make
+ * the compiler keep the loop's values in memory.
+ */
+struct LoneGpu
+{
+    std::array<Seconds, 1> busy{};
+    std::array<Bytes, 1> h2d{};
+};
+
+/**
+ * The same sums for G lockstep shards, plus the shared host read port
+ * (when the fabric has one) as a FlowTable the port channel's sequence
+ * drives.
+ */
+struct LockstepGpus
+{
+    LockstepGpus(std::size_t gpus, const sim::BandwidthChannel *read_port)
+        : busy(gpus, 0.0), h2d(gpus, 0)
+    {
+        if (read_port != nullptr)
+            port.emplace(read_port->rate());
+    }
+
+    /** Shard @p g's slice joins the port at this step's issue. */
+    void
+    start_port_flow(std::size_t g, Bytes bytes, Bandwidth cap)
+    {
+        if (!port)
+            return;
+        const sim::FlowId id = port->insert(bytes, cap).id;
+        if (shards.empty())
+            first = id;
+        shards.push_back(g);
+    }
+
+    /**
+     * Time the slices issued at @p at on the port as the port channel
+     * does: the kernel's settle fills once at the issue; each completion
+     * advances every flow by the time since it was armed, delivers the
+     * armed flow if the clock did not move, reaps the finished flows and
+     * refills and re-arms while flows remain.  A reaped slice lands at
+     * the later of its link arrival (in @p load_done, indexed shard x
+     * @p steps + @p k) and that completion.  Adds the events the DES
+     * fires to @p events.  @return when the last slice landed on the
+     * port; @p at when none was issued.
+     */
+    Seconds
+    port_arrivals(Seconds at, std::span<Seconds> load_done,
+                  std::size_t steps, std::size_t k, std::uint64_t &events)
+    {
+        if (shards.empty())
+            return at;
+        Seconds armed = at;
+        Seconds fired = at;
+        sim::FlowTable::Next next = port->fill(/*count_throttle=*/false);
+        for (;;) {
+            ++events;
+            fired = armed + next.delay;
+            port->advance(fired - armed);
+            if (fired == armed)
+                port->deliver(next.flow);
+            if (port->reap_due()) {
+                for (const sim::FlowTable::Flow &flow : port->reap()) {
+                    ++events;
+                    Seconds &done =
+                        load_done[shards[flow.id - first] * steps + k];
+                    done = std::max(done, fired);
+                }
+            }
+            if (port->empty())
+                break;
+            next = port->fill(/*count_throttle=*/true);
+            armed = fired;
+        }
+        shards.clear();
+        return fired;
+    }
+
+    std::vector<Seconds> busy;
+    std::vector<Bytes> h2d;
+    std::optional<sim::FlowTable> port;
+    /** The shards whose slices the port holds, in flow-id order from
+     *  `first`. */
+    std::vector<std::size_t> shards;
+    sim::FlowId first = sim::kInvalidFlow;
+};
+
+} // namespace
+
 bool
 Executor::run_closed_form()
 {
-    const CompiledSchedule &shard = shards_.front();
-    if (shards_.size() != 1 || fabric_.gpus() != 1 ||
-        fabric_.host_read_port() != nullptr ||
-        fabric_.host_write_port() != nullptr ||
-        fabric_.storage_read_port() != nullptr ||
-        fabric_.sim().pending_events() != 0 || shard.moves_kv())
+    const std::size_t G = shards_.size();
+    if (G != fabric_.gpus() || fabric_.sim().pending_events() != 0)
         return false;
-    for (const LayerRow &layer : shard.layer_rows) {
-        if (layer.disk_bytes > 0)
+    for (const CompiledSchedule &shard : shards_) {
+        if (shard.moves_kv() ||
+            shard.layer_rows.size() != shards_.front().layer_rows.size())
             return false;
+        for (const LayerRow &layer : shard.layer_rows) {
+            // Storage flows have a latency and a port of their own, and
+            // the near-data units are one FIFO every GPU queues on.
+            if (layer.disk_bytes > 0 ||
+                (G > 1 && layer.site == placement::ComputeSite::kNdp))
+                return false;
+        }
     }
+    const sim::BandwidthChannel *read_port = fabric_.host_read_port();
+    if (G == 1 && read_port == nullptr)
+        return solve<false>();
+    return solve<true>();
+}
+
+template <bool kShared>
+bool
+Executor::solve()
+{
+    const std::size_t G = kShared ? shards_.size() : 1;
+    const std::vector<LayerRow> &layers = shards_.front().layer_rows;
+    const std::vector<TokenRow> &tokens = shards_.front().token_rows;
     const double link = fabric_.h2d_rate().raw();
     const Seconds overhead = fabric_.gpu_spec().layer_overhead;
-    // The DES fires one event per compute and, per load, its completion,
-    // each re-arm of it and the zero-delay callback; past its cap it
-    // reports a runaway, which this form leaves to the DES to report.
-    std::uint64_t events = steps_;
-    // load_weight(k) issued at `at`, as the h2d channel times a lone
-    // flow: the channel's fill grants it min(cap, link) and arms its
-    // completion after remaining / rate.  When the completion fires,
-    // the flow is delivered if the clock did not advance; otherwise it
-    // loses rate x elapsed bytes (clamped at 0), and a remainder above
-    // kByteEpsilon re-arms the completion.  The zero-delay callback
-    // lands at the same time.
-    auto load = [&](std::size_t k, const LayerRow &layer,
-                    const TokenRow &token, Seconds at) {
-        load_issue_[k] = at;
-        const Bytes bytes = CompiledSchedule::h2d_bytes(layer, token);
-        if (bytes > 0) {
-            const double cap = layer.cpu_cap.raw();
-            const double rate = cap > 0.0 ? std::min(cap, link) : link;
-            double remaining = static_cast<double>(bytes);
-            events += 2;
-            Seconds armed = at;
-            at = armed + remaining / rate;
-            while (at != armed) {
-                remaining -= rate * (at - armed);
-                if (remaining < 0.0)
-                    remaining = 0.0;
-                if (remaining <= sim::BandwidthChannel::kByteEpsilon)
-                    break;
-                ++events;
-                armed = at;
-                at = armed + remaining / rate;
-            }
-        }
-        load_done_[k] = at;
-        return events <= Fabric::kMaxEvents;
-    };
-    auto decline = [this] {
-        std::fill(load_issue_.begin(), load_issue_.end(), 0.0);
-        std::fill(load_done_.begin(), load_done_.end(), 0.0);
-        std::fill(step_start_.begin(), step_start_.end(), 0.0);
-        std::fill(step_end_.begin(), step_end_.end(), 0.0);
-        return false;
-    };
-    const std::vector<LayerRow> &layers = shard.layer_rows;
-    const std::vector<TokenRow> &tokens = shard.token_rows;
-    if (!load(0, layers.front(), tokens.front(), fabric_.sim().now()))
-        return decline();
-    // Step k starts when step k-1 retires (step 0 when its weights
-    // land), prefetches k+1, and retires at the later of its compute
-    // and that prefetch.  NDP steps skip the GPU launch overhead.
+    auto gpus = [&] {
+        if constexpr (kShared)
+            return LockstepGpus(G, fabric_.host_read_port());
+        else
+            return LoneGpu{};
+    }();
+    // The DES fires one event per compute and, per flow, its completion
+    // (the port's: one per fill), each re-arm of it and the zero-delay
+    // callback; past its cap it reports a runaway, which this form
+    // leaves to the DES to report.
+    std::uint64_t events = G * steps_;
+    // Step k's load is issued when step k-1 starts (step 0's at the
+    // run's start); step k-1 retires, and step k starts, at the later of
+    // step k-1's compute on every shard and that load.
+    Seconds issue = fabric_.sim().now();
+    Seconds computed = -std::numeric_limits<Seconds>::infinity();
     std::size_t k = 0;
     for (std::size_t t = 0; t < tokens.size(); ++t) {
-        const TokenRow &token = tokens[t];
         for (std::size_t l = 0; l < layers.size(); ++l, ++k) {
-            const LayerRow &layer = layers[l];
-            const Seconds start = k == 0 ? load_done_[0] : step_end_[k - 1];
-            step_start_[k] = start;
-            const Seconds compute = shard.compute(layer, token);
-            Seconds end = start + (CompiledSchedule::near_data(layer, token)
-                                       ? compute
-                                       : compute + overhead);
-            if (k + 1 < steps_) {
-                const bool last = l + 1 == layers.size();
-                if (!load(k + 1, last ? layers.front() : layers[l + 1],
-                          last ? tokens[t + 1] : token, start))
-                    return decline();
-                end = std::max(end, load_done_[k + 1]);
+            // load_weight(k): a shard's slice lands at the later of its
+            // link and port arrivals, the load when the last one does.
+            Seconds landed = issue;
+            for (std::size_t g = 0; g < G; ++g) {
+                const CompiledSchedule &shard = shards_[g];
+                const LayerRow &layer = shard.layer_rows[l];
+                const Bytes bytes =
+                    CompiledSchedule::h2d_bytes(layer, shard.token_rows[t]);
+                const std::size_t i = g * steps_ + k;
+                load_issue_[i] = issue;
+                Seconds done = issue;
+                if (bytes > 0) {
+                    gpus.h2d[g] += bytes;
+                    done = link_arrival(bytes, layer.cpu_cap, link, issue,
+                                        events);
+                    if constexpr (kShared)
+                        gpus.start_port_flow(g, bytes, layer.cpu_cap);
+                }
+                load_done_[i] = done;
+                // No slice lands before its issue, so shard 0's sets the
+                // maximum off `issue` (one GPU's chain takes no max).
+                landed = g == 0 ? done : std::max(landed, done);
             }
-            step_end_[k] = end;
+            if constexpr (kShared) {
+                landed = std::max(landed,
+                                  gpus.port_arrivals(issue, load_done_,
+                                                     steps_, k, events));
+            }
+            if (events > Fabric::kMaxEvents) {
+                std::fill(timings_.begin(), timings_.end(), 0.0);
+                return false;
+            }
+            const Seconds start = std::max(computed, landed);
+            if (k > 0)
+                step_end_[k - 1] = start;
+            step_start_[k] = start;
+            // compute_layer(k) on every shard.  NDP steps skip the GPU
+            // launch overhead and the GPU's busy time.
+            for (std::size_t g = 0; g < G; ++g) {
+                const CompiledSchedule &shard = shards_[g];
+                const LayerRow &layer = shard.layer_rows[l];
+                const TokenRow &token = shard.token_rows[t];
+                const Seconds compute = shard.compute(layer, token);
+                const bool ndp = CompiledSchedule::near_data(layer, token);
+                const Seconds done =
+                    start + (ndp ? compute : compute + overhead);
+                if (!ndp)
+                    gpus.busy[g] += done - start;
+                // No compute ends before its start, so shard 0's sets
+                // the maximum off `start`.
+                computed = g == 0 ? done : std::max(computed, done);
+            }
+            issue = start;
         }
+    }
+    step_end_[steps_ - 1] = computed;
+    for (std::size_t g = 0; g < G; ++g)
+        fabric_.book_gpu(first_gpu_ + g, gpus.busy[g], gpus.h2d[g]);
+    if constexpr (kShared) {
+        if (gpus.port)
+            fabric_.book_host_read(*gpus.port);
     }
     start_time_ = fabric_.sim().now();
     completed_ = steps_;

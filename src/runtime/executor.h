@@ -19,14 +19,21 @@
  * replica job; G = N serves tensor parallelism.
  *
  * run() always drives the DES.  run_closed_form() solves the same loop
- * without it when every channel carries one flow at a time — one shard
- * on a one-GPU fabric, no shared ports, no disk or KV flows — where the
- * zig-zag timeline is the overlap recurrence of paper Fig. 5: a step
- * ends at the later of its compute and the next layer's load.  It walks
- * the schedule's token rows x layer rows and evaluates the DES's own
- * floating-point expressions in the DES's order — a load's round-off
- * re-arms included — so its timeline is bit-identical; the DES stays
- * the general path and the oracle the closed form is tested against.
+ * without it for G lockstep shards on a G-GPU fabric whose only flows
+ * are the weight loads — no disk or KV flows, and for G > 1 no
+ * near-data layers — which takes every single-GPU engine run of that
+ * kind and every such tensor-parallel cluster batch.  There the zig-zag
+ * timeline is the overlap recurrence of paper Fig. 5: a step ends at
+ * the later of every shard's compute and the next layer's load, and a
+ * shard's load lands at the later of its link and read-port arrivals.
+ * It walks the schedule's token rows x layer rows and evaluates the
+ * DES's own floating-point expressions in the DES's order: a link flow
+ * is a lone flow with its round-off re-arms, and the port's G flows are
+ * timed by a sim::FlowTable driven in the port channel's sequence (one
+ * fill at the issue, then advance, reap, fill and re-arm at each
+ * completion).  So its timeline and counters are bit-identical; the DES
+ * stays the general path (replica and pipeline runs, KV and disk
+ * traffic) and the oracle the closed form is tested against.
  */
 #ifndef HELM_RUNTIME_EXECUTOR_H
 #define HELM_RUNTIME_EXECUTOR_H
@@ -119,6 +126,15 @@ class Fabric
     Seconds compute_busy(std::uint64_t g) const;
     Bytes h2d_bytes(std::uint64_t g) const { return gpus_[g].h2d_bytes; }
     Bytes d2h_bytes(std::uint64_t g) const { return gpus_[g].d2h_bytes; }
+
+    /** Add what a run solved without the DES (Executor::
+     *  run_closed_form) would have left on GPU @p g under run(): its
+     *  compute busy time and h2d bytes. */
+    void book_gpu(std::uint64_t g, Seconds compute_busy, Bytes h2d_bytes);
+    /** Add the counters of the flow table a closed form drove in the
+     *  host read port's place: delivered bytes, throttle events and
+     *  fill passes. */
+    void book_host_read(const sim::FlowTable &solved);
 
     /** Shared ports (null when absent). */
     const sim::BandwidthChannel *host_read_port() const
@@ -219,12 +235,17 @@ class Executor
 
     /**
      * Fill the timeline by the overlap recurrence instead of the DES,
-     * bit-identical to run(), when the run is single-flow: one shard on
-     * a one-GPU fabric with no shared ports and no pending events, and
-     * no step with disk bytes or KV reads/writes.  Returns false, with
-     * the executor as constructed, for any other run or one that fires
-     * more than Fabric::kMaxEvents events on the DES; call run() then.
-     * The fabric's clock and counters do not advance.
+     * bit-identical to run(), for G >= 1 lockstep shards on a G-GPU
+     * fabric with no pending events: each shard's load is a lone flow
+     * on its own link and, when the fabric has a host read port, one of
+     * G flows on the port.  Returns false, with the executor and the
+     * fabric as constructed, when some shard moves KV or disk bytes, when
+     * G > 1 and some layer runs near-data (the NDP units are one FIFO),
+     * or when the DES would fire more than Fabric::kMaxEvents events;
+     * call run() then.  On success the fabric's counters advance as
+     * run() would advance them (compute busy, h2d bytes, the read port's
+     * bytes and throttle events; fill passes count the port fills this
+     * form ran), and its clock does not.
      */
     bool run_closed_form();
 
@@ -245,6 +266,11 @@ class Executor
         const LayerRow *layer = nullptr;
         const TokenRow *token = nullptr;
     };
+
+    /** run_closed_form() on a run it takes.  Without @p kShared the
+     *  run is one shard on its link alone, and the compiler drops the
+     *  shard loop and the port. */
+    template <bool kShared> bool solve();
 
     StepRows rows(std::size_t g, std::size_t k) const;
     /** Flows @p s's load_weight issues on shard @p g: weights from

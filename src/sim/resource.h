@@ -46,6 +46,10 @@ class FifoResource
     /** Cumulative busy time integrated over holders (utilization probe). */
     Seconds busy_time() const;
 
+    /** Add @p busy to the integral: holds a closed form timed in the
+     *  kernel's place. */
+    void book(Seconds busy) { busy_accum_ += busy; }
+
   private:
     void release();
     void update_busy_integral();

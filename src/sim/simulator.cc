@@ -253,7 +253,7 @@ Simulator::settle_deferred()
         channel->deferred_prev_ = channel->deferred_next_ = nullptr;
         --deferred_count_;
         // Its starts' throttle events were counted as they started.
-        channel->fill_and_arm();
+        channel->fill_and_arm(/*count_throttle=*/false);
         channel = next;
     }
 }

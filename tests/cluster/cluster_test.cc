@@ -529,6 +529,42 @@ TEST(ClusterSharded, TensorModeSplitsTrafficAndCompletes)
     EXPECT_EQ(gpu_rows.size(), 2u);
 }
 
+TEST(ClusterSharded, TensorBatchesTakeTheClosedFormUnlessKvMoves)
+{
+    // perfbench explore-cold's tensor legs: OPT-175B int4 All-CPU on
+    // NVDRAM, 2 and 4 GPUs contending on the shared read port.  Their
+    // only flows are weight loads, so the executor's closed form times
+    // them.  `helmsim cluster --parallelism tensor --kv-tiering` at its
+    // defaults (Baseline placement, fp16) spills KV to the host tier once
+    // a batch outgrows the GPU tier, as 240 requests do at 2 and 4 GPUs;
+    // such a batch moves KV and runs on the DES.
+    for (const std::uint64_t gpus : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(gpus) + " GPUs");
+        ClusterSpec spec;
+        spec.serving.model = model::opt_config(OptVariant::kOpt175B);
+        spec.serving.memory = mem::ConfigKind::kNvdram;
+        spec.serving.keep_records = false;
+        spec.gpus = gpus;
+        spec.parallelism = Parallelism::kTensor;
+
+        ClusterSpec explore = spec;
+        explore.serving.placement = placement::PlacementKind::kAllCpu;
+        explore.serving.compress_weights = true;
+        auto plain = run_cluster_batch(explore, explore.serving, false);
+        ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+        EXPECT_TRUE(plain->closed_form);
+
+        ClusterSpec tiering = spec;
+        tiering.serving.placement = placement::PlacementKind::kBaseline;
+        tiering.serving.kv_cache = kvcache::KvCacheConfig::tiered();
+        tiering.serving.batch = 240;
+        auto tiered = run_cluster_batch(tiering, tiering.serving, false);
+        ASSERT_TRUE(tiered.is_ok()) << tiered.status().to_string();
+        EXPECT_GT(tiered->gpus.front().d2h_bytes, 0u);
+        EXPECT_FALSE(tiered->closed_form);
+    }
+}
+
 TEST(ClusterSharded, PipelineModeCompletesAllTokens)
 {
     ClusterSpec spec = cluster_spec(2, Parallelism::kPipeline);

@@ -190,7 +190,7 @@ class ReferenceChannel
         std::size_t kept = 0;
         for (std::size_t i = 0; i < flows_.size(); ++i) {
             Flow &flow = flows_[i];
-            if (flow.remaining_bytes <= BandwidthChannel::kByteEpsilon) {
+            if (flow.remaining_bytes <= FlowTable::kByteEpsilon) {
                 bytes_delivered_ += flow.total_bytes;
                 simulator_.schedule(0.0, std::move(flow.on_complete));
             } else {

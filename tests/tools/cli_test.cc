@@ -656,6 +656,30 @@ TEST(Cli, MalformedNumbersFailWithOneLine)
         run_cli("run --kv-tiering --kv-host-gb 1e300")));
 }
 
+TEST(Cli, CxlBandwidthOutsideItsPhysicalRangeFailsWithOneLine)
+{
+    // `run --cxl-gbps 1e-300` used to exit 0 with a 63-digit TTFT.
+    for (const char *gbps : {"1e-300", "0.05", "1000.5", "1e300"}) {
+        for (const char *command : {"run --model OPT-1.3B", "membench"}) {
+            const std::string args =
+                std::string(command) + " --cxl-gbps " + gbps;
+            const CliResult result = run_cli(args);
+            EXPECT_TRUE(failed_with_one_line(result))
+                << args << ": " << result.output;
+            EXPECT_EQ(result.err.find("--cxl-gbps: "), result.err.find("--"))
+                << result.err;
+            EXPECT_NE(result.err.find("[0.1, 1000] GB/s"), std::string::npos)
+                << result.err;
+        }
+    }
+    // The range's ends run.
+    for (const char *gbps : {"0.1", "1000"}) {
+        const CliResult result =
+            run_cli(std::string("run --model OPT-1.3B --cxl-gbps ") + gbps);
+        EXPECT_EQ(result.exit_code, 0) << gbps << ": " << result.output;
+    }
+}
+
 TEST(Cli, HugeCountsFailFastWithOneLine)
 {
     // Well-formed counts whose byte or step totals wrap 64 bits: the

@@ -158,6 +158,16 @@ add_host_options(ArgParser &parser,
 }
 
 /**
+ * The read bandwidths, in GB/s, --cxl-gbps accepts for a custom CXL
+ * expander: from below any memory device's streaming rate to well above
+ * what a CXL link carries (x16 at PCIe 6.0 moves 128 GB/s).  Outside
+ * them a run only prints times no hardware reaches: at 1e-300 GB/s an
+ * OPT-175B TTFT has 63 digits.
+ */
+constexpr double kMinCxlGbps = 0.1;
+constexpr double kMaxCxlGbps = 1000.0;
+
+/**
  * The HostSpec --memory / --cxl-gbps select.  A named device is
  * resolved here, so an unknown name fails with a one-line diagnostic
  * listing the registered devices, and the spec carries its canonical
@@ -173,8 +183,14 @@ parse_host(const ArgParser &parser)
                 "pick one");
         }
         const double gbps = parser.get_double("cxl-gbps");
-        if (!(gbps > 0.0))
-            return Status::invalid_argument("--cxl-gbps must be > 0");
+        if (!(gbps >= kMinCxlGbps && gbps <= kMaxCxlGbps)) {
+            char text[160];
+            std::snprintf(text, sizeof(text),
+                          "--cxl-gbps: %g GB/s is outside [%g, %g] GB/s, "
+                          "the read bandwidths a CXL expander can have",
+                          gbps, kMinCxlGbps, kMaxCxlGbps);
+            return Status::invalid_argument(text);
+        }
         return mem::HostSpec::custom_cxl(Bandwidth::gb_per_s(gbps));
     }
     const auto system = mem::make_system(parser.get("memory"));
